@@ -81,17 +81,30 @@ def _fraction(text: str) -> Fraction:
         raise UsageError(f"not a rational: {text!r} ({exc})")
 
 
+def _ints(text: str, sep, what: str) -> list[int]:
+    try:
+        return [int(t) for t in text.split(sep)]
+    except ValueError:
+        raise UsageError(f"not a {what}: {text!r}")
+
+
 def _word(text: str) -> list[int]:
-    seps = "," if "," in text else None
-    return [int(t) for t in text.split(seps)]
+    return _ints(text, "," if "," in text else None, "digit word")
 
 
 def _digit_set(text: str, base: int) -> DigitSet:
-    return DigitSet(base, frozenset(int(t) for t in text.split(",")))
+    return DigitSet(base, frozenset(_ints(text, ",", "digit set")))
 
 
 def default_precision() -> int:
-    return int(os.environ.get("BETADIO_PRECISION", "256"))
+    text = os.environ.get("BETADIO_PRECISION", "256")
+    try:
+        bits = int(text)
+    except ValueError:
+        bits = 0
+    if bits < 1:
+        raise UsageError(f"BETADIO_PRECISION must be a positive integer, not {text!r}")
+    return bits
 
 
 def _emit(args, payload: dict, config: dict, plain=None):
@@ -355,8 +368,8 @@ def _cmd_parry(args):
     if "(" in word_text:
         head, _, tail = word_text.partition("(")
         from .words import PeriodicWord
-        pre = tuple(int(t) for t in head.rstrip(",").split(",")) if head.strip(",") else ()
-        per = tuple(int(t) for t in tail.rstrip(")").split(","))
+        pre = tuple(_ints(head.rstrip(","), ",", "digit word")) if head.strip(",") else ()
+        per = tuple(_ints(tail.rstrip(")"), ",", "digit word"))
         word = PeriodicWord(pre, per)
         word_desc = {"pre": list(pre), "per": list(per)}
     else:
@@ -487,6 +500,18 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    # exact counts run past CPython's 4300-digit int-to-str limit (3.10.7+)
+    saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if saved is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -10,11 +10,20 @@ Irrational expansion bases are represented as isolated roots of
 The left-hand side is strictly increasing in ``z`` on ``(1, oo)`` whenever
 the coefficients are nonnegative and not all zero, so a sign change brackets
 a unique root and bisection with exact rational sign evaluations certifies it.
+Refinement does not run the halvings one by one: because the sign is
+monotone, the cell they end in is determined by the root alone, so a
+fixed-point Newton iteration locates that cell and two exact sign
+evaluations certify it.  The brackets are the ones bisection gives.
+
+The logarithm sums its series on plain integer pairs; its endpoints are bit
+for bit those that the same steps in Dyadic arithmetic give, and the tests
+keep that version as the reference.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,6 +33,13 @@ from .errors import DegenerateApproximant, NoRoot, PrecisionExhausted
 
 DEFAULT_PRECISION = 256
 
+# PolyRoot.refine replays bisection with a Newton guess beyond this many
+# halvings; _newton starts from this many low-precision bisection steps, and
+# _replay moves a guess next to a grid point at most this often
+_REPLAY_MIN_STEPS = 16
+_START_STEPS = 48
+_REPLAY_TRIES = 4
+
 # ---------------------------------------------------------------------------
 # dyadic endpoints
 
@@ -31,10 +47,8 @@ DEFAULT_PRECISION = 256
 def _norm(man: int, exp: int) -> tuple[int, int]:
     if man == 0:
         return 0, 0
-    while man % 2 == 0:
-        man //= 2
-        exp += 1
-    return man, exp
+    tz = (man & -man).bit_length() - 1  # trailing zero bits
+    return man >> tz, exp + tz
 
 
 @dataclass(frozen=True)
@@ -68,8 +82,12 @@ class Dyadic:
         return Dyadic.of(self.man * other.man, self.exp + other.exp)
 
     def _cmp(self, other: "Dyadic") -> int:
-        d = self - other
-        return (d.man > 0) - (d.man < 0)
+        a, b, shift = self.man, other.man, self.exp - other.exp
+        if shift > 0:
+            a <<= shift
+        elif shift < 0:
+            b <<= -shift
+        return (a > b) - (a < b)
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -91,37 +109,55 @@ ZERO = Dyadic(0, 0)
 ONE = Dyadic(1, 0)
 
 
+def _round(man: int, exp: int, bits: int, up: bool) -> tuple[int, int]:
+    """Directed rounding of ``man * 2**exp`` to ``bits`` significant bits.
+
+    The result depends only on the value, not on whether ``man`` is odd:
+    the grid is set by the position of the top bit.
+    """
+    s = abs(man).bit_length() - bits
+    if s <= 0:
+        return man, exp
+    return (-((-man) >> s) if up else man >> s), exp + s
+
+
+def _add(m1: int, e1: int, m2: int, e2: int) -> tuple[int, int]:
+    """Exact sum of two raw pairs."""
+    if e1 > e2:
+        return (m1 << (e1 - e2)) + m2, e2
+    return m1 + (m2 << (e2 - e1)), e1
+
+
+def _ratio(p: int, q: int, exp: int, bits: int, up: bool) -> tuple[int, int]:
+    """Directed approximation of ``p * 2**exp / q`` (p != 0, q > 0) with at
+    least ``bits`` + 1 significant bits.
+
+    When the odd parts of p and q are coprime this is dyadic_from_fraction
+    exactly: it scales by the bit lengths of the reduced fraction, whose
+    difference is bl(p) - bl(q) + exp wherever the powers of two sit.
+    """
+    s = bits + 1 - p.bit_length() + q.bit_length() - exp
+    sh = exp + s
+    num, den = (p << sh, q) if sh >= 0 else (p, q << -sh)
+    return (-((-num) // den) if up else num // den), -s
+
+
 def round_down(d: Dyadic, bits: int) -> Dyadic:
     """Largest dyadic with at most ``bits`` mantissa bits that is <= d."""
-    a = abs(d.man)
-    L = a.bit_length()
-    if L <= bits:
-        return d
-    s = L - bits
-    return Dyadic.of(d.man >> s, d.exp + s)
+    man, exp = _round(d.man, d.exp, bits, False)
+    return d if man == d.man else Dyadic.of(man, exp)
 
 
 def round_up(d: Dyadic, bits: int) -> Dyadic:
-    a = abs(d.man)
-    L = a.bit_length()
-    if L <= bits:
-        return d
-    s = L - bits
-    return Dyadic.of(-((-d.man) >> s), d.exp + s)
+    man, exp = _round(d.man, d.exp, bits, True)
+    return d if man == d.man else Dyadic.of(man, exp)
 
 
 def dyadic_from_fraction(x: Fraction, bits: int, up: bool) -> Dyadic:
     """Directed dyadic approximation of an arbitrary rational."""
-    p, q = x.numerator, x.denominator
-    if p == 0:
+    if x.numerator == 0:
         return ZERO
-    s = bits - (abs(p).bit_length() - q.bit_length()) + 1
-    if s >= 0:
-        num, den = p << s, q
-    else:
-        num, den = p, q << -s
-    m = -((-num) // den) if up else num // den
-    return Dyadic.of(m, -s)
+    return Dyadic.of(*_ratio(x.numerator, x.denominator, 0, bits, up))
 
 
 # ---------------------------------------------------------------------------
@@ -181,20 +217,6 @@ class Scalar:
     @property
     def width(self) -> Fraction:
         return (self.hi - self.lo).value
-
-    @property
-    def slack_bits(self) -> int:
-        """How far the actual width lags the declared precision.
-
-        0 means the interval is as tight as ``prec`` promises; each
-        arithmetic operation can add a little slack, and the caller decides
-        when to recompute from refined inputs.
-        """
-        w = self.width
-        if w == 0:
-            return 0
-        width_bits = w.denominator.bit_length() - w.numerator.bit_length()
-        return max(0, self.prec - width_bits)
 
     @property
     def mid(self) -> Fraction:
@@ -300,64 +322,71 @@ def refine(x: Scalar, target_bits: int) -> Scalar:
 # log-length ratios).  Argument reduction x = m * 2**s with m in [1, 2),
 # then ln m = 2 atanh((m-1)/(m+1)) summed with directed rounding and an
 # explicit geometric tail bound; ln 2 = 2 atanh(1/3) the same way.
+#
+# The sums run on raw ``(man, exp)`` pairs with the rounding kernels above,
+# so they make the same values as Dyadic arithmetic without building a
+# Fraction or Dyadic per term.  A term p/k is not reduced first: it may then
+# carry a bit more or less, but any grid of at least work + 1 bits is finer
+# than the accumulator's work-bit grid, and directed rounding onto a finer
+# grid and then onto the coarser one equals rounding onto the coarser one.
 
-_LN2_CACHE: dict[int, tuple[Dyadic, Dyadic]] = {}
 
+def _atanh_bounds(p: int, q: int, bits: int) -> tuple[int, int, int, int]:
+    """Directed bounds ``(lo_man, lo_exp, hi_man, hi_exp)`` for atanh(p/q).
 
-def _atanh_bounds(z: Fraction, bits: int) -> tuple[Dyadic, Dyadic]:
-    """Directed bounds for atanh(z), 0 <= z <= 1/2."""
-    if z == 0:
-        return ZERO, ZERO
+    0 <= p/q <= 1/2, with q > 0 and the odd parts of p and q coprime.
+    """
+    if p == 0:
+        return 0, 0, 0, 0
     work = bits + 16
-    z_dn = dyadic_from_fraction(z, work, up=False)
-    z_up = dyadic_from_fraction(z, work, up=True)
-    z2_dn = round_down(z_dn * z_dn, work)
-    z2_up = round_up(z_up * z_up, work)
+    dm, de = _ratio(p, q, 0, work, False)
+    um, ue = _ratio(p, q, 0, work, True)
+    z2dm, z2de = _round(dm * dm, 2 * de, work, False)
+    z2um, z2ue = _round(um * um, 2 * ue, work, True)
     # enough terms that z**(2J+1) < 2**-(bits+8); z <= 1/2 so each term
     # gains at least 2 bits
     J = bits // 2 + 8
-    lo = ZERO
-    hi = ZERO
-    p_dn, p_up = z_dn, z_up
+    lm = le = hm = he = 0
     for j in range(J):
         k = 2 * j + 1
-        lo = round_down(lo + dyadic_from_fraction(p_dn.value / k, work, up=False), work)
-        hi = round_up(hi + dyadic_from_fraction(p_up.value / k, work, up=True), work)
-        p_dn = round_down(p_dn * z2_dn, work)
-        p_up = round_up(p_up * z2_up, work)
-    # tail: sum_{j>=J} z^(2j+1)/(2j+1) <= z^(2J+1) / ((2J+1)(1-z^2))
-    tail = p_up.value / ((2 * J + 1) * (1 - Fraction(9, 16)))
-    hi = round_up(hi + dyadic_from_fraction(tail, work, up=True), work)
-    return lo, hi
+        lm, le = _round(*_add(lm, le, *_ratio(dm, k, de, work, False)), work, False)
+        hm, he = _round(*_add(hm, he, *_ratio(um, k, ue, work, True)), work, True)
+        dm, de = _round(dm * z2dm, de + z2de, work, False)
+        um, ue = _round(um * z2um, ue + z2ue, work, True)
+    # tail: sum_{j>=J} z^(2j+1)/(2j+1) <= z^(2J+1) / ((2J+1)(1-z^2)), taken
+    # with z^2 <= 9/16: the bound is p_up * 16 / (7 (2J+1))
+    tail = _ratio(um, 7 * (2 * J + 1), ue + 4, work, True)
+    hm, he = _round(*_add(hm, he, *tail), work, True)
+    return lm, le, hm, he
 
 
-def _ln2(bits: int) -> tuple[Dyadic, Dyadic]:
-    if bits not in _LN2_CACHE:
-        lo, hi = _atanh_bounds(Fraction(1, 3), bits)
-        _LN2_CACHE[bits] = (round_down(lo + lo, bits + 16), round_up(hi + hi, bits + 16))
-    return _LN2_CACHE[bits]
+@functools.lru_cache(maxsize=64)
+def _ln2(bits: int) -> tuple[int, int, int, int]:
+    lm, le, hm, he = _atanh_bounds(1, 3, bits)
+    return (*_round(2 * lm, le, bits + 16, False), *_round(2 * hm, he, bits + 16, True))
 
 
-def _ln_directed(d: Dyadic, bits: int, up: bool) -> Dyadic:
-    if d.man <= 0:
+@functools.lru_cache(maxsize=1024)
+def _ln_directed(man: int, exp: int, bits: int, up: bool) -> Dyadic:
+    """Directed bound for ln(man * 2**exp); memoized, since trajectories
+    revisit the same endpoints."""
+    if man <= 0:
         raise ValueError("log of non-positive endpoint")
     work = bits + 16
-    d = round_up(d, work) if up else round_down(d, work)
-    L = d.man.bit_length()
-    s = d.exp + L - 1  # d = m * 2**s with m in [1, 2)
-    m = Fraction(d.man, 1 << (L - 1))
-    z = (m - 1) / (m + 1)
-    at_lo, at_hi = _atanh_bounds(z, bits)
-    ln2_lo, ln2_hi = _ln2(bits)
+    man, exp = _round(man, exp, work, up)
+    L = man.bit_length()
+    s = exp + L - 1  # the value is m * 2**s with m in [1, 2)
+    h = 1 << (L - 1)
+    # z = (m-1)/(m+1) = (man-h)/(man+h): a common odd factor would divide 2h
+    lm, le, hm, he = _atanh_bounds(man - h, man + h, bits)
+    l2lm, l2le, l2hm, l2he = _ln2(bits)
     if up:
-        ln_m = round_up(at_hi + at_hi, work)
-        ln2 = ln2_hi if s >= 0 else ln2_lo
+        mm, me = _round(2 * hm, he, work, True)
+        m2, e2 = (l2hm, l2he) if s >= 0 else (l2lm, l2le)
     else:
-        ln_m = round_down(at_lo + at_lo, work)
-        ln2 = ln2_lo if s >= 0 else ln2_hi
-    scaled = Dyadic.of(s) * ln2
-    out = ln_m + scaled
-    return round_up(out, work) if up else round_down(out, work)
+        mm, me = _round(2 * lm, le, work, False)
+        m2, e2 = (l2lm, l2le) if s >= 0 else (l2hm, l2he)
+    return Dyadic.of(*_round(*_add(mm, me, s * m2, e2), work, up))
 
 
 def ln(x: Scalar, bits: Optional[int] = None) -> Scalar:
@@ -365,15 +394,16 @@ def ln(x: Scalar, bits: Optional[int] = None) -> Scalar:
     b = bits or x.prec
     if x.lo.man <= 0:
         raise ValueError("ln requires a strictly positive interval")
-    return Scalar(_ln_directed(x.lo, b, up=False), _ln_directed(x.hi, b, up=True), b)
+    return Scalar(_ln_directed(x.lo.man, x.lo.exp, b, False),
+                  _ln_directed(x.hi.man, x.hi.exp, b, True), b)
 
 
 def ln_int(n: int, bits: int = DEFAULT_PRECISION) -> Scalar:
     """Certified ln of a (possibly huge) positive integer."""
     if n <= 0:
         raise ValueError("ln_int requires n >= 1")
-    return Scalar(_ln_directed(Dyadic.of(n), bits, up=False),
-                  _ln_directed(Dyadic.of(n), bits, up=True), bits)
+    n, e = _norm(n, 0)
+    return Scalar(_ln_directed(n, e, bits, False), _ln_directed(n, e, bits, True), bits)
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +519,11 @@ class PolyRoot:
     """The unique root > 1 of ``1 = sum c_i z**-i`` (optionally periodic tail).
 
     Holds the exact defining data, a rational bracket with a sign change,
-    and a refined interval.  ``refine`` bisects with exact sign evaluations,
-    halving the dyadic bracket each step.
+    and a refined interval.  ``refine`` returns the bracket that halving it
+    with exact sign evaluations until it is 2**-bits wide would leave: Newton
+    locates that cell of the halving grid and the exact signs at its two
+    ends certify it (``_replay``); plain halving runs for a few steps, or
+    when the certificate fails.
     """
 
     __slots__ = ("pre", "per", "poly", "int_poly", "lo", "hi", "refined")
@@ -530,18 +563,54 @@ class PolyRoot:
 
     def refine(self, target_bits: int) -> Scalar:
         lo, hi = self.lo, self.hi
-        goal = Fraction(1, 1 << target_bits)
-        while hi - lo > goal:
+        steps = _halvings(hi - lo, target_bits)
+        cell = self._replay(lo, hi, steps) if steps > _REPLAY_MIN_STEPS else None
+        self.lo, self.hi = cell or self._bisect(lo, hi, steps)
+        out = Scalar(dyadic_from_fraction(self.lo, target_bits + 8, up=False),
+                     dyadic_from_fraction(self.hi, target_bits + 8, up=True),
+                     target_bits, refiner=self.refine)
+        return out
+
+    def _bisect(self, lo: Fraction, hi: Fraction, steps: int) -> tuple[Fraction, Fraction]:
+        for _ in range(steps):
             mid = (lo + hi) / 2
             if self._sign_at(mid) >= 0:
                 hi = mid
             else:
                 lo = mid
-        self.lo, self.hi = lo, hi
-        out = Scalar(dyadic_from_fraction(lo, target_bits + 8, up=False),
-                     dyadic_from_fraction(hi, target_bits + 8, up=True),
-                     target_bits, refiner=self.refine)
-        return out
+        return lo, hi
+
+    def _replay(self, lo: Fraction, hi: Fraction,
+                steps: int) -> Optional[tuple[Fraction, Fraction]]:
+        """The cell that ``steps`` bisection steps on [lo, hi] end in, or None.
+
+        The halvings only ever probe points g_i = lo + i*w of the grid with
+        w = (hi - lo) / 2**steps, and keep a cell [g_j, g_j+1] with
+        sign(g_j) < 0 (or j = 0) and sign(g_j+1) >= 0 (or j + 1 = 2**steps).
+        The sign is monotone beyond 1 (see the module docstring), so exactly
+        one cell qualifies.  Newton guesses j; the same exact signs that
+        bisection uses certify it, stepping to a neighbour a few times when
+        the guess sits next to a grid point.  None when the certificate does
+        not hold for the guess or the sign is not known to be monotone.
+        """
+        if lo < 1 or min(self.pre + self.per, default=0) < 0:
+            return None
+        cells = 1 << steps
+        w = (hi - lo) / cells
+        guess = _newton(self.int_poly, lo, hi,
+                        w.denominator.bit_length() - w.numerator.bit_length() + 16)
+        if guess is None:
+            return None
+        t = (guess - lo) / w
+        j = min(max(-(-t.numerator // t.denominator) - 1, 0), cells - 1)
+        for _ in range(_REPLAY_TRIES):
+            if j > 0 and self._sign_at(lo + w * j) >= 0:
+                j -= 1
+            elif j + 1 < cells and self._sign_at(lo + w * (j + 1)) < 0:
+                j += 1
+            else:
+                return lo + w * j, lo + w * (j + 1)
+        return None
 
     def as_scalar(self, bits: int = DEFAULT_PRECISION) -> Scalar:
         if self.refined.width <= Fraction(1, 1 << bits):
@@ -554,6 +623,56 @@ class PolyRoot:
 
     def __repr__(self):
         return f"PolyRoot(~{float(self.refined.mid):.12f})"
+
+
+def _halvings(width: Fraction, bits: int) -> int:
+    """Bisection steps that take ``width`` down to at most 2**-bits."""
+    n, d = width.numerator << bits, width.denominator
+    k = max(0, n.bit_length() - d.bit_length() - 1)
+    while n > d << k:
+        k += 1
+    return k
+
+
+def _horner(poly: Sequence[int], z: int, p: int) -> tuple[int, int]:
+    """Fixed-point ``poly(z / 2**p)`` and its derivative, both scaled by 2**p
+    (truncated, not rounded outward: for guesses only)."""
+    v = d = 0
+    for c in reversed(poly):
+        d = ((d * z) >> p) + v
+        v = ((v * z) >> p) + (c << p)
+    return v, d
+
+
+def _newton(poly: Sequence[int], lo: Fraction, hi: Fraction, prec: int) -> Optional[Fraction]:
+    """A guess, to about 2**-prec, of the root of increasing ``poly`` in [lo, hi].
+
+    Starts from bisection on fixed-point values at low precision, then takes
+    fixed-point Newton steps, doubling the precision each step.  None when
+    the derivative is not positive at an iterate.
+    """
+    width = hi - lo
+    p = max(0, width.denominator.bit_length() - width.numerator.bit_length()) + 64
+    a = (lo.numerator << p) // lo.denominator
+    b = -((-hi.numerator << p) // hi.denominator)
+    for _ in range(_START_STEPS):
+        m = (a + b) >> 1
+        if _horner(poly, m, p)[0] >= 0:
+            b = m
+        else:
+            a = m
+    z = (a + b) >> 1
+    precs = [max(prec, p)]
+    while precs[-1] // 2 + 16 > p:
+        precs.append(precs[-1] // 2 + 16)
+    for q in reversed(precs):
+        z <<= q - p
+        p = q
+        v, d = _horner(poly, z, p)
+        if d <= 0:
+            return None
+        z -= (v << p) // d
+    return Fraction(z, 1 << p)
 
 
 def isolate_root(coefficients: Sequence[Fraction], search: tuple[Fraction, Fraction] = None,

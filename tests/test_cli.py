@@ -1,4 +1,7 @@
 import json
+import sys
+
+import pytest
 
 from betadio.cli import main
 
@@ -184,3 +187,46 @@ def test_config_embeds_precision(tmp_path, capsys):
     data = json.loads(out.read_text())
     assert data["config"]["precision_bits"] == 256
     assert data["value"] == "1/4"
+
+
+@pytest.mark.parametrize("argv", [
+    ["admissible", "check", "--beta", "root:1,1", "--word", "1,a"],
+    ["dim", "formula", "--theta", "3", "--vhat", "1/3", "--digit-set", "0,x"],
+    ["parry", "check", "--word", "1,(a)"],
+])
+def test_malformed_digits_are_usage_errors(capsys, argv):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_malformed_precision_is_a_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("BETADIO_PRECISION", value)
+    assert main(["dim", "formula", "--theta", "3", "--vhat", "1/3"]) == 1
+    assert "BETADIO_PRECISION" in capsys.readouterr().err
+
+
+def test_count_past_int_str_limit(capsys):
+    n = 22019
+    before = sys.get_int_max_str_digits()
+    rc, out = run(capsys, "admissible", "count", "--beta", "root:1,1,1", "--len", str(n))
+    assert rc == 0
+    assert sys.get_int_max_str_digits() == before  # main restores the limit
+    # oracle: c_0 = 1, c_n = 1 + sum_{i<=n} t*_i c_{n-i} with t* = (110)^oo, the
+    # quasi-greedy expansion of 1 in the tribonacci base
+    t = [0] + [(1, 1, 0)[(i - 1) % 3] for i in range(1, 61)]
+    c = [1]
+    for m in range(1, 61):
+        c.append(1 + sum(t[i] * c[m - i] for i in range(1, m + 1)))
+    # the period 3 telescopes it to c_n = c_{n-1} + c_{n-2} + c_{n-3}, linear
+    # time up to n (checked against the full sum on the first terms)
+    fast = c[:3]
+    while len(fast) <= n:
+        fast.append(fast[-1] + fast[-2] + fast[-3])
+    assert fast[:61] == c
+    sys.set_int_max_str_digits(0)
+    try:
+        assert len(out.strip()) > 4300
+        assert out.strip() == str(fast[n])
+    finally:
+        sys.set_int_max_str_digits(before)

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,11 @@ from hypothesis import strategies as st
 
 import mpmath
 
+from betadio import numerics
+from betadio.beta_shift import is_self_admissible
 from betadio.errors import DegenerateApproximant, NoRoot, PrecisionExhausted
 from betadio.numerics import (
+    ZERO,
     Comparison,
     Dyadic,
     PolyRoot,
@@ -216,3 +220,203 @@ def test_is_exact_root():
     assert not is_exact_root([F(-2), F(0), F(1)], golden)
     # multiples vanish too
     assert is_exact_root(poly_mul([F(-1), F(-1), F(1)], [F(3), F(7), F(2)]), golden)
+
+
+# ---------------------------------------------------------------------------
+# frozen oracles: ln, its rounding helpers and root refinement as first
+# written (Fraction and Dyadic arithmetic, one bisection step per bit).  The
+# fast paths must reproduce their endpoints bit for bit.
+
+
+def oracle_round_down(d, bits):
+    a = abs(d.man)
+    L = a.bit_length()
+    if L <= bits:
+        return d
+    s = L - bits
+    return Dyadic.of(d.man >> s, d.exp + s)
+
+
+def oracle_round_up(d, bits):
+    a = abs(d.man)
+    L = a.bit_length()
+    if L <= bits:
+        return d
+    s = L - bits
+    return Dyadic.of(-((-d.man) >> s), d.exp + s)
+
+
+def oracle_dyadic_from_fraction(x, bits, up):
+    p, q = x.numerator, x.denominator
+    if p == 0:
+        return ZERO
+    s = bits - (abs(p).bit_length() - q.bit_length()) + 1
+    if s >= 0:
+        num, den = p << s, q
+    else:
+        num, den = p, q << -s
+    m = -((-num) // den) if up else num // den
+    return Dyadic.of(m, -s)
+
+
+def oracle_atanh_bounds(z, bits):
+    if z == 0:
+        return ZERO, ZERO
+    work = bits + 16
+    z_dn = oracle_dyadic_from_fraction(z, work, up=False)
+    z_up = oracle_dyadic_from_fraction(z, work, up=True)
+    z2_dn = oracle_round_down(z_dn * z_dn, work)
+    z2_up = oracle_round_up(z_up * z_up, work)
+    J = bits // 2 + 8
+    lo = ZERO
+    hi = ZERO
+    p_dn, p_up = z_dn, z_up
+    for j in range(J):
+        k = 2 * j + 1
+        lo = oracle_round_down(lo + oracle_dyadic_from_fraction(p_dn.value / k, work, up=False), work)
+        hi = oracle_round_up(hi + oracle_dyadic_from_fraction(p_up.value / k, work, up=True), work)
+        p_dn = oracle_round_down(p_dn * z2_dn, work)
+        p_up = oracle_round_up(p_up * z2_up, work)
+    tail = p_up.value / ((2 * J + 1) * (1 - F(9, 16)))
+    hi = oracle_round_up(hi + oracle_dyadic_from_fraction(tail, work, up=True), work)
+    return lo, hi
+
+
+def oracle_ln_directed(d, bits, up):
+    work = bits + 16
+    d = oracle_round_up(d, work) if up else oracle_round_down(d, work)
+    L = d.man.bit_length()
+    s = d.exp + L - 1
+    m = F(d.man, 1 << (L - 1))
+    at_lo, at_hi = oracle_atanh_bounds((m - 1) / (m + 1), bits)
+    l2_lo, l2_hi = oracle_atanh_bounds(F(1, 3), bits)
+    ln2_lo, ln2_hi = oracle_round_down(l2_lo + l2_lo, work), oracle_round_up(l2_hi + l2_hi, work)
+    if up:
+        ln_m = oracle_round_up(at_hi + at_hi, work)
+        ln2 = ln2_hi if s >= 0 else ln2_lo
+    else:
+        ln_m = oracle_round_down(at_lo + at_lo, work)
+        ln2 = ln2_lo if s >= 0 else ln2_hi
+    out = ln_m + Dyadic.of(s) * ln2
+    return oracle_round_up(out, work) if up else oracle_round_down(out, work)
+
+
+def oracle_refine(root, lo, hi, target_bits):
+    goal = F(1, 1 << target_bits)
+    while hi - lo > goal:
+        mid = (lo + hi) / 2
+        if root._sign_at(mid) >= 0:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def oracle_bracket(pre, per):
+    """The starting bracket isolate_root picks without a search interval."""
+    if any(per):
+        return F(1), max(pre + per) + 2
+    return F(1), F(sum(pre) + 1)
+
+
+def endpoints(s):
+    return (s.lo.man, s.lo.exp, s.hi.man, s.hi.exp)
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256, 512, 1024])
+def test_ln_bit_identical_to_oracle(bits):
+    rng = random.Random(bits)
+    ints = [1, 2, 3, 7, 1 << 40, 3 ** 500] + [rng.randrange(2, 10 ** 12) for _ in range(2)]
+    fracs = [F(1, 3), F(161803, 100000), F(7, 5)] + [
+        F(rng.randrange(1, 10 ** 9), rng.randrange(1, 10 ** 9)) for _ in range(2)]
+    if bits == 1024:  # the oracle takes ~0.1 s per endpoint here
+        ints, fracs = ints[2:4], fracs[:1]
+    for n in ints:
+        d = Dyadic.of(n)
+        want = (oracle_ln_directed(d, bits, False), oracle_ln_directed(d, bits, True))
+        assert endpoints(ln_int(n, bits)) == endpoints(Scalar(*want)), n
+    for x in fracs:
+        s = Scalar.from_fraction(x, 200)
+        want = (oracle_ln_directed(s.lo, bits, False), oracle_ln_directed(s.hi, bits, True))
+        assert endpoints(ln(s, bits)) == endpoints(Scalar(*want)), x
+
+
+def _random_roots(seed):
+    rng = random.Random(seed)
+    words = []
+    while len(words) < 6:
+        top = rng.choice([1, 2, 3])
+        w = [top] + [rng.randint(0, top) for _ in range(rng.randint(1, 9))]
+        if is_self_admissible(w) and sum(w) > 1:
+            words.append((w, []))
+    tails = []
+    while len(tails) < 4:
+        top = rng.choice([1, 2])
+        pre = [rng.randint(0, top) for _ in range(rng.randint(0, 3))]
+        per = [rng.randint(0, top) for _ in range(rng.randint(1, 4))]
+        if any(per):
+            tails.append((pre, per))
+    return words + tails
+
+
+# root:0,4 and root:1,2 have the dyadic root 2, which bisection probes exactly
+ROOT_CASES = [([0, 4], []), ([1, 2], []), ([0, 0, 8], []), ([1, 1], []),
+              ([2, 0, 1, 1], []), ([], [1, 0]), ([2], [1, 0, 1])] + _random_roots(7)
+
+
+@pytest.mark.parametrize("pre,per", ROOT_CASES)
+def test_polyroot_brackets_identical_to_bisection(pre, per):
+    lo, hi = oracle_bracket(pre, per)
+    for bits in (8, 64, 300):
+        root = isolate_root(pre, periodic_tail=per, precision=bits)
+        want = oracle_refine(root, lo, hi, bits)
+        assert (root.lo, root.hi) == want, bits
+        assert root.refined.lo == oracle_dyadic_from_fraction(want[0], bits + 8, up=False)
+        assert root.refined.hi == oracle_dyadic_from_fraction(want[1], bits + 8, up=True)
+
+
+@pytest.mark.parametrize("pre", [[1, 2], [1, 0, 1, 0, 0, 1]])
+def test_split_refinement_matches_direct(pre):
+    split = isolate_root(pre, precision=100)
+    s = split.as_scalar(4096)
+    direct = isolate_root(pre, precision=4096)
+    assert (split.lo, split.hi) == (direct.lo, direct.hi)
+    assert endpoints(s) == endpoints(direct.refined)
+    lo, hi = oracle_bracket(pre, [])
+    assert (direct.lo, direct.hi) == oracle_refine(direct, lo, hi, 4096)
+
+
+@pytest.mark.parametrize("guess", [lambda poly, lo, hi, prec: lo,
+                                   lambda poly, lo, hi, prec: None])
+def test_wrong_newton_guess_falls_back_to_bisection(monkeypatch, guess):
+    monkeypatch.setattr(numerics, "_newton", guess)
+    bisected = []
+    plain = PolyRoot._bisect
+
+    def spy(self, lo, hi, steps):
+        bisected.append(steps)
+        return plain(self, lo, hi, steps)
+    monkeypatch.setattr(PolyRoot, "_bisect", spy)
+    root = isolate_root([1, 0, 1], precision=200)
+    assert bisected and max(bisected) > numerics._REPLAY_MIN_STEPS
+    lo, hi = oracle_bracket([1, 0, 1], [])
+    assert (root.lo, root.hi) == oracle_refine(root, lo, hi, 200)
+
+
+@pytest.mark.parametrize("pre,per", [([1, 1], []), ([1, 0, 1, 0, 0, 1], []),
+                                     ([2], [1, 0, 1]), ([0, 4], [])])
+def test_polyroot_contains_mpmath_root_at_4096_bits(pre, per):
+    s = isolate_root(pre, periodic_tail=per, precision=4096).refined
+    assert s.width <= F(1, 2 ** 4096)
+    with mpmath.workprec(4400):
+        def f(z):
+            acc = 1 - sum(c * z ** -(i + 1) for i, c in enumerate(pre))
+            if per:
+                tail = sum(c * z ** -(i + 1) for i, c in enumerate(per))
+                acc -= z ** -len(pre) * tail / (1 - z ** -len(per))
+            return acc
+        r = mpmath.findroot(f, mpmath.mpf(float(s.mid)))
+        man, exp = mpmath.mpf(r).man_exp
+        truth = F(man) * F(2) ** exp
+        slack = F(1, 2 ** 4300)
+    assert s.lo.value - slack <= truth <= s.hi.value + slack
