@@ -7,7 +7,6 @@ run schedules and cylinder masses; a CLI (``betadio``) on top.
 __version__ = "0.1.0"
 
 from .bary import (
-    BaryExpansion,
     DigitSet,
     ExponentEstimate,
     Run,
@@ -23,7 +22,6 @@ from .beta_shift import (
     AdmissibilityAutomaton,
     BetaSystem,
     CylinderInterval,
-    beta_N,
     count_admissible,
     cylinder,
     expansion_of_one_star,
@@ -42,11 +40,12 @@ from .constructions import (
     FillPolicy,
     ParamSpaceResult,
     ScheduledRuns,
+    Segment,
     beta_layout,
     generate_bary,
     generate_beta,
     generate_parameter_space,
-    generate_restricted,
+    layout_segments,
     schedule,
 )
 from .errors import (
@@ -88,10 +87,8 @@ from .numerics import (
     Dyadic,
     PolyRoot,
     Scalar,
-    compare_with_certification,
     isolate_root,
     ln,
     ln_int,
-    refine,
 )
 from .words import DigitWord, DigitStream, PeriodicWord, read_digit_file, write_digit_file

@@ -78,15 +78,6 @@ def expand_lacunary(b: int, rule, n: int) -> DigitWord:
     return DigitWord.from_bytes(b, bytes(digits))
 
 
-@dataclass(frozen=True)
-class BaryExpansion:
-    """A base-b digit sequence together with where it came from."""
-
-    base: int
-    digits: DigitWord
-    source: str = "explicit"
-
-
 # ---------------------------------------------------------------------------
 # run decomposition
 

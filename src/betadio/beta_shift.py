@@ -212,7 +212,43 @@ class AdmissibilityAutomaton:
 # certified greedy orbits
 
 
-class _AlgebraicOrbit:
+class _Orbit:
+    """Greedy digits of an exact orbit, noting where it terminates or cycles.
+
+    ``_step`` advances the orbit by one digit and returns the digit with the
+    new orbit state, or with None when the orbit hit 0 (the expansion
+    terminates there).  A repeated state closes a cycle ``(preperiod,
+    period)``; after either event the digits are continued without stepping.
+    """
+
+    def __init__(self, state):
+        self.digits: list[int] = []
+        self.terminated: Optional[int] = None  # index after which all digits are 0
+        self.cycle: Optional[tuple[int, int]] = None  # (preperiod, period)
+        self._seen: dict = {state: 0}
+
+    def digit(self, i: int) -> int:
+        digits = self.digits
+        while len(digits) <= i:
+            if self.terminated is not None:
+                digits.append(0)
+            elif self.cycle is not None:
+                p, q = self.cycle
+                digits.append(digits[p + (len(digits) - p) % q])
+            else:
+                d, state = self._step()
+                digits.append(d)
+                if state is None:
+                    self.terminated = len(digits)
+                elif state in self._seen:
+                    j = self._seen[state]
+                    self.cycle = (j, len(digits) - j)
+                else:
+                    self._seen[state] = len(digits)
+        return digits[i]
+
+
+class _AlgebraicOrbit(_Orbit):
     """Greedy digit generator for exact x and an algebraic base.
 
     The orbit value after n steps is an integer-coefficient polynomial in
@@ -225,11 +261,8 @@ class _AlgebraicOrbit:
         self.root = root
         self.max_bits = max_bits
         self.poly = [F(x)]  # orbit value as polynomial in beta, reduced
-        self.digits: list[int] = []
-        self.terminated: Optional[int] = None  # index after which all digits are 0
-        self.cycle: Optional[tuple[int, int]] = None  # (preperiod, period)
-        self._seen: dict[tuple, int] = {tuple(self.poly): 0}
         self._bits = root.refined.prec
+        super().__init__(tuple(self.poly))
 
     def _value(self, poly) -> Scalar:
         s = self.root.as_scalar(self._bits)
@@ -238,7 +271,7 @@ class _AlgebraicOrbit:
             acc = acc * s + Scalar.from_fraction(c, self._bits)
         return acc
 
-    def _next_digit(self) -> int:
+    def _step(self) -> tuple[int, Optional[tuple]]:
         shifted = poly_trim([F(0)] + list(self.poly))
         _, shifted = poly_divmod(shifted, self.root.poly)
         while True:
@@ -252,67 +285,27 @@ class _AlgebraicOrbit:
                 # beta * orbit equals the integer exactly: digit = candidate,
                 # the orbit hits 0 and the expansion terminates
                 self.poly = []
-                self.terminated = len(self.digits) + 1
-                return candidate
+                return candidate, None
             self._bits *= 2
             if self._bits > self.max_bits:
                 raise PrecisionExhausted("orbit digit straddles an integer")
         self.poly = poly_trim(poly_sub(shifted, [F(fl)]))
-        return fl
-
-    def digit(self, i: int) -> int:
-        while len(self.digits) <= i:
-            if self.terminated is not None and len(self.digits) >= self.terminated:
-                self.digits.append(0)
-                continue
-            if self.cycle is not None:
-                p, q = self.cycle
-                self.digits.append(self.digits[p + (len(self.digits) - p) % q])
-                continue
-            self.digits.append(self._next_digit())
-            if self.terminated is None and self.cycle is None:
-                key = tuple(self.poly)
-                j = self._seen.get(key)
-                if j is not None:
-                    self.cycle = (j, len(self.digits) - j)
-                else:
-                    self._seen[key] = len(self.digits)
-        return self.digits[i]
+        return fl, tuple(self.poly)
 
 
-class _RationalOrbit:
+class _RationalOrbit(_Orbit):
     """Greedy digits for exact x under a rational non-integer base."""
 
     def __init__(self, base: Fraction, x: Fraction):
         self.base = base
         self.x = F(x)
-        self.digits: list[int] = []
-        self.terminated: Optional[int] = None
-        self.cycle: Optional[tuple[int, int]] = None
-        self._seen: dict[Fraction, int] = {self.x: 0}
+        super().__init__(self.x)
 
-    def digit(self, i: int) -> int:
-        while len(self.digits) <= i:
-            if self.terminated is not None and len(self.digits) >= self.terminated:
-                self.digits.append(0)
-                continue
-            if self.cycle is not None:
-                p, q = self.cycle
-                self.digits.append(self.digits[p + (len(self.digits) - p) % q])
-                continue
-            y = self.base * self.x
-            d = y.numerator // y.denominator
-            self.x = y - d
-            self.digits.append(d)
-            if self.x == 0:
-                self.terminated = len(self.digits)
-            else:
-                j = self._seen.get(self.x)
-                if j is not None:
-                    self.cycle = (j, len(self.digits) - j)
-                else:
-                    self._seen[self.x] = len(self.digits)
-        return self.digits[i]
+    def _step(self) -> tuple[int, Optional[Fraction]]:
+        y = self.base * self.x
+        d = y.numerator // y.denominator
+        self.x = y - d
+        return d, (self.x if self.x != 0 else None)
 
 
 # ---------------------------------------------------------------------------
@@ -466,13 +459,7 @@ class BetaSystem:
         if spec.startswith("root:"):
             return cls.from_root([int(t) for t in spec[5:].split(",")], precision)
         if spec.startswith("word:"):
-            body = spec[5:]
-            if "(" in body:
-                head, _, tail = body.partition("(")
-                per = tuple(int(t) for t in tail.rstrip(")").split(","))
-                pre = tuple(int(t) for t in head.rstrip(",").split(",")) if head.strip(",") else ()
-                return cls.from_word(PeriodicWord(pre, per), precision)
-            return cls.from_word([int(t) for t in body.split(",")], precision)
+            return cls.from_word(PeriodicWord.parse(spec[5:]), precision)
         if spec.startswith("approx:"):
             body, _, n = spec[7:].rpartition(":")
             return cls.parse(body, precision).approximant(int(n))
@@ -531,9 +518,6 @@ class BetaSystem:
             self._finalize_orbit()
             return d if self.d1_star is None else self.d1_star[i]
 
-    def is_finite_type(self) -> bool:
-        return self.automaton is not None
-
     def approximant(self, N: int, precision: int = DEFAULT_PRECISION) -> "BetaSystem":
         """The base defined by the first N symbols of the expansion of 1.
 
@@ -544,7 +528,12 @@ class BetaSystem:
         if N < 1:
             raise ValueError("N must be >= 1")
         prefix = [self.d1_star_digit(i) for i in range(N)]
-        sub = BetaSystem.from_word(prefix, precision)
+        try:
+            sub = BetaSystem.from_word(prefix, precision)
+        except DegenerateApproximant as exc:
+            raise DegenerateApproximant(
+                f"N={N} is too small for {self.spec_string}: its first {N} symbols of "
+                f"the expansion of 1 give no base above 1; use a larger N") from exc
         sub.spec_string = f"approx:{self.spec_string}:{N}"
         return sub
 
@@ -799,8 +788,3 @@ def is_full(system: BetaSystem, word: Sequence[int]) -> bool:
     if state is None:
         raise ValueError("word is not admissible")
     return state in system.automaton.full_states
-
-
-def beta_N(system: BetaSystem, N: int, precision: int = DEFAULT_PRECISION) -> BetaSystem:
-    """Finite-type approximant from the length-N prefix of the expansion of 1."""
-    return system.approximant(N, precision)

@@ -44,7 +44,6 @@ from .constructions import (
     generate_bary,
     generate_beta,
     generate_parameter_space,
-    generate_restricted,
 )
 from .errors import DomainError, PrecisionError
 from .measures_dim import (
@@ -60,7 +59,7 @@ from .measures_dim import (
     reprove_dim_limit,
 )
 from .numerics import Scalar
-from .words import DigitWord, read_digit_file, write_digit_file
+from .words import DigitWord, PeriodicWord, read_digit_file, write_digit_file
 
 F = Fraction
 
@@ -94,6 +93,13 @@ def _word(text: str) -> list[int]:
 
 def _digit_set(text: str, base: int) -> DigitSet:
     return DigitSet(base, frozenset(_ints(text, ",", "digit set")))
+
+
+def _need(args, what: str, *names: str) -> None:
+    """Usage error unless every named per-action option was given."""
+    missing = ["--" + name.replace("_", "-") for name in names if getattr(args, name) is None]
+    if missing:
+        raise UsageError(f"{what} needs {' '.join(missing)}")
 
 
 def default_precision() -> int:
@@ -177,6 +183,7 @@ def _cmd_expand_one(args):
 
 
 def _cmd_admissible(args):
+    _need(args, f"admissible {args.action}", "word" if args.action == "check" else "len")
     system = BetaSystem.parse(args.beta, default_precision())
     cfg = {"cmd": f"admissible {args.action}", "beta": args.beta}
     if args.action == "count":
@@ -243,6 +250,11 @@ def _fill_from_args(args) -> FillPolicy:
 
 
 def _cmd_construct(args):
+    _need(args, f"construct {args.flavor}", *{
+        "bary": ("base",), "restricted": ("base", "digit_set"), "beta": ("beta",),
+        "param": ("beta0", "beta1", "beta2")}[args.flavor])
+    if args.stages < 1:
+        raise UsageError(f"construct {args.flavor} needs --stages >= 1")
     cfg = {"cmd": f"construct {args.flavor}", "theta": args.theta, "vhat": args.vhat,
            "stages": args.stages, "fill": args.fill, "seed": args.seed}
     theta, vhat = _fraction(args.theta), _fraction(args.vhat)
@@ -256,7 +268,7 @@ def _cmd_construct(args):
         ds = _digit_set(args.digit_set, args.base)
         spec = ConstructionSpec(theta=theta, v_hat=vhat, stages=args.stages,
                                 base=args.base, digit_set=ds, fill=_fill_from_args(args))
-        out = generate_restricted(spec)
+        out = generate_bary(spec)
         cfg.update({"base": args.base, "digit_set": args.digit_set})
         _emit_digits(args, out.word, out.to_dict(), cfg)
     elif args.flavor == "beta":
@@ -364,16 +376,14 @@ def _cmd_dim(args):
 
 
 def _cmd_parry(args):
-    word_text = args.word
-    if "(" in word_text:
-        head, _, tail = word_text.partition("(")
-        from .words import PeriodicWord
-        pre = tuple(_ints(head.rstrip(","), ",", "digit word")) if head.strip(",") else ()
-        per = tuple(_ints(tail.rstrip(")"), ",", "digit word"))
-        word = PeriodicWord(pre, per)
-        word_desc = {"pre": list(pre), "per": list(per)}
+    if "(" in args.word:
+        try:
+            word = PeriodicWord.parse(args.word)
+        except ValueError:
+            raise UsageError(f"not a digit word: {args.word!r}")
+        word_desc = {"pre": list(word.pre), "per": list(word.per)}
     else:
-        word = _word(word_text)
+        word = _word(args.word)
         word_desc = {"digits": list(word)}
     cfg = {"cmd": f"parry {args.action}", "word": args.word}
     if args.action == "check":

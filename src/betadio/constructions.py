@@ -18,9 +18,10 @@ from __future__ import annotations
 import bisect
 import logging
 import random
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .bary import DigitSet
 from .beta_shift import BetaSystem, expansion_of_one_star, is_self_admissible, parry_invert
@@ -121,17 +122,91 @@ def schedule(theta: Fraction, v_hat: Fraction, stages: int) -> ScheduledRuns:
     return ScheduledRuns(theta=theta, v_hat=v_hat, n=n, m=m, t=t, delta=delta, u=u)
 
 
+# ---------------------------------------------------------------------------
+# the layout: which positions are prescribed and which are free
+
+FREE, RUN, MARKER = "free", "run", "marker"
+
+
+class Segment(NamedTuple):
+    """Positions ``lo..hi`` (1-based, inclusive) of a construction's layout.
+
+    A FREE segment is left to the fill policy; a RUN repeats the
+    approximating digit; a MARKER is one marker digit, the base-2 block
+    ``1 0`` or the real-base block ``0^N 1 0^N``.  ``digits`` are a
+    prescribed segment's digits (a run's one digit stands for all of them),
+    empty for a free one.  ``cap`` is the maximal run delta_k of the stage
+    the segment belongs to.
+    """
+
+    lo: int
+    hi: int
+    kind: str
+    digits: bytes
+    cap: int
+
+    def prescribed(self) -> bytes:
+        return self.digits * ((self.hi - self.lo + 1) // len(self.digits))
+
+
+def layout_segments(runs: ScheduledRuns, N: int = 0, pair: bool = False,
+                    run_digit: int = 0, marker: int = 1) -> list[Segment]:
+    """The layout of a construction, in order, from position 1 through the
+    anchor that closes the last stage.
+
+    The free prefix and the first anchor have the first stage's cap (0 when
+    there is no stage).  Each stage then runs from just after its anchor
+    n_k through the next anchor n_{k+1}, all with the stage's cap delta_k:
+    the run of ``run_digit`` up to m_k, a marker at m_k, the evenly spaced
+    markers ``m_k + t (m_k - n_k)`` up to u_k, and free segments between.
+    With ``N >= 1`` every marker is widened to ``0^N 1 0^N``, so
+    ``h_k - l_k = m_k - n_k + 4N``.  With ``pair`` (the base-2 variant) a
+    spaced marker is followed by a 0 unless the next position is itself
+    prescribed.  When m_k = n_{k+1} the marker and the anchor share their
+    first position (all of it when N = 0).
+    """
+    block = bytes(N) + bytes([marker]) + bytes(N)
+    segs: list[Segment] = []
+
+    def put(kind: str, width: int, digits: bytes = b"") -> None:
+        """Append a segment of the current stage, unless it is empty."""
+        if width > 0:
+            lo = segs[-1].hi + 1 if segs else 1
+            segs.append(Segment(lo, lo + width - 1, kind, digits, cap))
+
+    cap = runs.delta[0] if runs.stages else 0
+    put(FREE, runs.n[0] - 1)
+    put(MARKER, len(block), block)
+    for k in range(runs.stages):
+        cap, gap, mk, nxt = runs.delta[k], runs.gap(k), runs.m[k], runs.n[k + 1]
+        put(RUN, gap - 1, bytes([run_digit]))
+        put(MARKER, len(block), block)
+        z = 0  # the base-2 trailing 0 of the previous marker
+        for t in range(1, runs.t[k] + 1):
+            put(FREE, gap - 1 - z)
+            z = int(pair and mk + t * gap + 1 < min(mk + (t + 1) * gap, nxt))
+            put(MARKER, len(block) + z, block + bytes(z))
+        put(FREE, nxt - runs.u[k] - 1 - z)
+        anchor = block[int(mk == nxt):]
+        put(MARKER, len(anchor), anchor)
+    return segs
+
+
 @dataclass
 class BetaLayout:
-    """Positions of the marker blocks once each prescribed 1 becomes 0^N 1 0^N.
+    """The real-base layout, each prescribed 1 widened to ``0^N 1 0^N``.
 
     ``l[k]``/``h[k]`` bound the fully determined part of stage k (from the
     first digit of the opening block to the last digit of the closing block);
-    ``u[k]`` is the last digit of stage k's final marker block.
+    ``u[k]`` is the last digit of stage k's final marker block.  All three
+    are read off ``segments``; ``l[k]`` is where the opening block would
+    start in full, since it may share its first zero with the closing block
+    of the stage before.
     """
 
     runs: ScheduledRuns
     N: int
+    segments: list[Segment]
     l: list[int]
     h: list[int]
     u: list[int]
@@ -143,26 +218,23 @@ class BetaLayout:
 
     @staticmethod
     def from_dict(d: dict) -> "BetaLayout":
-        return BetaLayout(runs=ScheduledRuns.from_dict(d), N=int(d["N"]),
-                          l=list(d["l"]), h=list(d["h"]), u=list(d["u_beta"]))
+        return beta_layout(ScheduledRuns.from_dict(d), int(d["N"]))
 
 
 def beta_layout(runs: ScheduledRuns, N: int) -> BetaLayout:
     if N < 1:
         raise ValueError("N must be >= 1")
-    K = runs.stages
+    segs = layout_segments(runs, N)
+    blocks = [s for s in segs if s.kind == MARKER]  # per stage: n_k, m_k, t_k spaced
     l, h, u = [], [], []
-    tsum = 0  # sum of t_j for j < k
-    for k in range(1, K + 2):
-        lk = runs.n[k - 1] + (4 * k - 4) * N + 2 * N * tsum
-        l.append(lk)
-        if k <= K:
-            hk = runs.m[k - 1] + 4 * k * N + 2 * N * tsum
-            h.append(hk)
-            gap = runs.gap(k - 1)
-            u.append(hk + runs.t[k - 1] * gap + 2 * N * runs.t[k - 1])
-            tsum += runs.t[k - 1]
-    return BetaLayout(runs=runs, N=N, l=l, h=h, u=u)
+    i = 0
+    for k in range(runs.stages):
+        l.append(blocks[i].hi - 2 * N)
+        h.append(blocks[i + 1].hi)
+        u.append(blocks[i + 1 + runs.t[k]].hi)
+        i += 2 + runs.t[k]
+    l.append(blocks[i].hi - 2 * N)
+    return BetaLayout(runs=runs, N=N, segments=segs, l=l, h=h, u=u)
 
 
 # ---------------------------------------------------------------------------
@@ -171,13 +243,12 @@ def beta_layout(runs: ScheduledRuns, N: int) -> BetaLayout:
 
 @dataclass
 class FillPolicy:
-    """How free positions are populated: a constant digit, seeded uniform
-    draws over the allowed digits, or a caller-supplied stream."""
+    """How free positions are populated: a constant digit, or seeded uniform
+    draws over the allowed digits."""
 
     kind: str = "constant"
     digit: int = 1
     seed: Optional[int] = None
-    stream: Optional[Iterator[int]] = None
 
     @staticmethod
     def parse(text: str, seed: Optional[int] = None) -> "FillPolicy":
@@ -190,9 +261,7 @@ class FillPolicy:
     def describe(self) -> str:
         if self.kind == "constant":
             return f"const:{self.digit}"
-        if self.kind == "random":
-            return f"random(seed={self.seed})"
-        return "stream"
+        return f"random(seed={self.seed})"
 
 
 @dataclass
@@ -202,9 +271,7 @@ class ConstructionSpec:
     theta: Fraction
     v_hat: Fraction
     stages: int
-    base: int = 0                      # integer base; 0 when a beta system is used
-    beta_spec: str = ""                # base system grammar string for the beta case
-    approximant_N: int = 0
+    base: int = 0
     digit_set: Optional[DigitSet] = None
     fill: FillPolicy = field(default_factory=FillPolicy)
 
@@ -237,29 +304,6 @@ class BaryConstruction:
         return d
 
 
-def _free_spans(runs: ScheduledRuns, depth: int, pair_after_marker: bool) -> list[tuple[int, int, int]]:
-    """(lo, hi, cap) 1-based inclusive spans of free positions up to depth."""
-    spans = []
-    step_after = 2 if pair_after_marker else 1
-    if runs.n[0] > 1:
-        spans.append((1, runs.n[0] - 1, runs.delta[0]))
-    for k in range(runs.stages):
-        gap = runs.gap(k)
-        cap = runs.delta[k]
-        prev_end = runs.m[k]
-        for t in range(1, runs.t[k] + 1):
-            marker = runs.m[k] + t * gap
-            lo = prev_end + (step_after if prev_end != runs.m[k] else 1)
-            if lo <= marker - 1:
-                spans.append((lo, marker - 1, cap))
-            prev_end = marker
-        lo = prev_end + (step_after if prev_end != runs.m[k] else 1)
-        hi = runs.n[k + 1] - 1
-        if lo <= hi:
-            spans.append((lo, hi, cap))
-    return [(lo, min(hi, depth), cap) for lo, hi, cap in spans if lo <= depth]
-
-
 def _punch_positions(lo: int, hi: int, cap: int, left_run: int) -> list[int]:
     """Positions of break digits so every filled run stays within cap."""
     out = []
@@ -274,7 +318,10 @@ def generate_bary(spec: ConstructionSpec) -> BaryConstruction:
     """Digit word realizing the prescribed runs and markers in an integer base.
 
     The base-2 variant writes the block ``1 0`` for each marker so marker 1s
-    never extend a run of the top digit.
+    never extend a run of the top digit.  With a digit set, free digits are
+    drawn from the set, the runs use its run digit (0, or b-1 when 0 is
+    missing) and the markers a fixed nonzero member; out-of-set constant
+    fills are clamped, with a log.
     """
     b = spec.base
     if b < 2:
@@ -283,38 +330,20 @@ def generate_bary(spec: ConstructionSpec) -> BaryConstruction:
     if S is not None and S.base != b:
         raise ValueError("digit set base mismatch")
     runs = schedule(spec.theta, spec.v_hat, spec.stages)
-    depth = runs.n[runs.stages]
-    run_digit = 0 if S is None else S.run_digit
-    marker = 1 if S is None else S.marker_digit
+    segs = layout_segments(runs, pair=b == 2,
+                           run_digit=0 if S is None else S.run_digit,
+                           marker=1 if S is None else S.marker_digit)
     allowed = tuple(range(b)) if S is None else tuple(sorted(S.digits))
-    arr = bytearray(depth)
-
     # prescribed structure first, then fills (the clamp logic inspects
     # neighboring determined digits)
-    pair = b == 2
-    for k in range(runs.stages + 1):
-        nk = runs.n[k]
-        if nk <= depth:
-            arr[nk - 1] = marker
-        if k == runs.stages:
-            break
-        mk = runs.m[k]
-        if run_digit != 0:
-            for p in range(nk + 1, min(mk, depth + 1)):
-                arr[p - 1] = run_digit
-        if mk <= depth:
-            arr[mk - 1] = marker
-        gap = runs.gap(k)
-        for t in range(1, runs.t[k] + 1):
-            pos = mk + t * gap
-            if pos <= depth:
-                arr[pos - 1] = marker
-            if pair and pos + 1 <= depth and pos + 1 < runs.n[k + 1]:
-                arr[pos] = 0
-    spans = _free_spans(runs, depth, pair_after_marker=pair)
+    arr = bytearray(segs[-1].hi)
+    for seg in segs:
+        if seg.kind != FREE:
+            arr[seg.lo - 1:seg.hi] = seg.prescribed()
+    free = [seg for seg in segs if seg.kind == FREE]
     clamps: list[int] = []
-    _fill_free_spans(arr, spans, spec.fill, b, allowed, clamps)
-    _enforce_run_caps(arr, runs, depth, b, allowed, spans, clamps)
+    _fill_free_spans(arr, free, spec.fill, b, allowed, clamps)
+    _enforce_run_caps(arr, segs, free, b, allowed, clamps)
     word = DigitWord.from_bytes(b, bytes(arr))
     if clamps:
         log.warning("fill policy clamped at %d positions", len(clamps))
@@ -322,27 +351,23 @@ def generate_bary(spec: ConstructionSpec) -> BaryConstruction:
                             fill=spec.fill.describe(), digit_set=S)
 
 
-def _enforce_run_caps(arr: bytearray, runs: ScheduledRuns, depth: int, b: int,
-                      allowed: Sequence[int], spans, clamps: list[int]) -> None:
-    """Safety net: no run of 0 or b-1 may exceed the stage cap.
+def _enforce_run_caps(arr: bytearray, segs: list[Segment], free: list[Segment], b: int,
+                      allowed: Sequence[int], clamps: list[int]) -> None:
+    """Safety net: no run of 0 or b-1 may exceed the cap of the segment it
+    starts in.
 
     The in-fill clamping already keeps runs short inside each span; this pass
     catches merges across span boundaries (only possible for base 2, where
     the markers are themselves the top digit).
     """
-    import re as _re
-    free_starts = [lo for lo, _hi, _c in spans]
-    free_ends = [hi for _lo, hi, _c in spans]
-
-    def cap_at(pos: int) -> int:
-        k = bisect.bisect_left(runs.n, pos)
-        return runs.delta[min(max(k - 1, 0), runs.stages - 1)] if runs.stages else 0
-
+    starts = [seg.lo for seg in segs]
+    free_starts = [seg.lo for seg in free]
+    free_ends = [seg.hi for seg in free]
     for symbol in {0, b - 1}:
-        pat = _re.compile(_re.escape(bytes([symbol])) + b"+")
+        pat = re.compile(re.escape(bytes([symbol])) + b"+")
         for mt in pat.finditer(arr):
             s, e = mt.start() + 1, mt.end()  # 1-based inclusive run
-            cap = max(cap_at(s), 1)
+            cap = max(segs[bisect.bisect_right(starts, s) - 1].cap, 1)
             if e - s + 1 <= cap:
                 continue
             breaker = _break_digit(symbol, allowed, b)
@@ -360,7 +385,7 @@ def _enforce_run_caps(arr: bytearray, runs: ScheduledRuns, depth: int, b: int,
                 pos = target + cap + 1
 
 
-def _fill_free_spans(arr: bytearray, spans, policy: FillPolicy, b: int,
+def _fill_free_spans(arr: bytearray, free: list[Segment], policy: FillPolicy, b: int,
                      allowed: Sequence[int], clamps: list[int]) -> None:
     top = b - 1
     run_symbols = {0, top}
@@ -374,12 +399,12 @@ def _fill_free_spans(arr: bytearray, spans, policy: FillPolicy, b: int,
             log.warning("constant fill %d not allowed, using %d", c, fixed)
             c = fixed
         if c not in run_symbols:
-            for lo, hi, _cap in spans:
+            for lo, hi, _kind, _digits, _cap in free:
                 arr[lo - 1:hi] = bytes([c]) * (hi - lo + 1)
             return
         # run-forming constant: punch break digits so runs stay capped
         breaker = _break_digit(c, allowed, b)
-        for lo, hi, cap in spans:
+        for lo, hi, _kind, _digits, cap in free:
             arr[lo - 1:hi] = bytes([c]) * (hi - lo + 1)
             left = 0
             p = lo - 1
@@ -395,38 +420,10 @@ def _fill_free_spans(arr: bytearray, spans, policy: FillPolicy, b: int,
                 clamps.append(pos)
         return
 
-    if policy.kind == "random":
-        # bulk draws; overlong runs (rare unless the cap is tiny) are punched
-        # afterwards by the cap-enforcement pass, which records the clamps
-        for lo, hi, _cap in spans:
-            arr[lo - 1:hi] = bytes(rng.choices(allowed, k=hi - lo + 1))
-        return
-
-    # caller-supplied stream: per digit, with run bookkeeping
-    for lo, hi, cap in spans:
-        zrun = trun = 0
-        p = lo - 1
-        while p >= 1 and arr[p - 1] == 0:
-            zrun += 1
-            p -= 1
-        p = lo - 1
-        while p >= 1 and arr[p - 1] == top:
-            trun += 1
-            p -= 1
-        for pos in range(lo, hi + 1):
-            d = next(policy.stream)
-            if d not in allowed:
-                clamps.append(pos)
-                d = min(allowed, key=lambda a: abs(a - d))
-            if d == 0 and zrun >= cap:
-                d = _break_digit(0, allowed, b)
-                clamps.append(pos)
-            elif d == top and trun >= cap:
-                d = _break_digit(top, allowed, b)
-                clamps.append(pos)
-            arr[pos - 1] = d
-            zrun = zrun + 1 if d == 0 else 0
-            trun = trun + 1 if d == top else 0
+    # random: bulk draws; overlong runs (rare unless the cap is tiny) are
+    # punched afterwards by the cap-enforcement pass, which records the clamps
+    for lo, hi, _kind, _digits, _cap in free:
+        arr[lo - 1:hi] = bytes(rng.choices(allowed, k=hi - lo + 1))
 
 
 def _break_digit(run_symbol: int, allowed: Sequence[int], b: int) -> int:
@@ -440,18 +437,6 @@ def _break_digit(run_symbol: int, allowed: Sequence[int], b: int) -> int:
     if not other:
         raise InfeasibleParameters("cannot break runs: only one digit allowed")
     return other[0]
-
-
-def generate_restricted(spec: ConstructionSpec) -> BaryConstruction:
-    """The construction inside a restricted-digit Cantor set.
-
-    Free digits are drawn from the digit set; the approximating runs use its
-    run digit (0, or b-1 when 0 is missing) and anchors use a fixed nonzero
-    member of the set.  Out-of-set constant fills are clamped, with a log.
-    """
-    if spec.digit_set is None:
-        raise ValueError("digit_set required")
-    return generate_bary(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -474,80 +459,49 @@ class BetaConstruction:
 
 
 def generate_beta(base: BetaSystem, N: int, theta: Fraction, v_hat: Fraction,
-                  stages: int, fill: Optional[FillPolicy] = None,
-                  depth: Optional[int] = None) -> BetaConstruction:
+                  stages: int, fill: Optional[FillPolicy] = None) -> BetaConstruction:
     """Word admissible for the finite-type approximant (hence for the base),
     with each prescribed 1 replaced by the block ``0^N 1 0^N`` and free
-    positions filled by admissible digits chosen on the automaton walk."""
+    positions filled by admissible digits chosen on the automaton walk.
+
+    The word stops just before the block that would open the stage after
+    the last, at ``l[K] - 1``.  No free segment gets more zeros in a row
+    than its cap (only the free prefix is wider than its cap).
+    """
     fill = fill or FillPolicy(kind="random", seed=0)
     runs = schedule(theta, v_hat, stages)
     layout = beta_layout(runs, N)
     approx = base.approximant(N)
     auto = approx.automaton
-    K = runs.stages
-    depth = depth or layout.l[K] - 1
+    depth = layout.l[-1] - 1
     rng = random.Random(fill.seed)
     clamps: list[int] = []
-
-    # determined digits: per stage, blocks at l_k and h_k - 2N, run zeros
-    # between them, marker blocks after; everything else free
-    ones = set()
-    determined_zero_spans = []
-    for k in range(K):
-        lk, hk = layout.l[k], layout.h[k]
-        ones.add(lk + N)
-        ones.add(hk - N)
-        determined_zero_spans.append((lk, hk))  # all zero except the two 1s
-        gap = runs.gap(k)
-        for t in range(1, runs.t[k] + 1):
-            s = hk + t * gap + 2 * N * (t - 1)
-            ones.add(s + N)
-            determined_zero_spans.append((s, s + 2 * N))
-    if layout.l[K] <= depth:
-        ones.add(layout.l[K] + N)
-        determined_zero_spans.append((layout.l[K], min(layout.l[K] + 2 * N, depth)))
-
-    kind = bytearray(depth + 1)  # 0 free, 1 determined-zero, 2 determined-one
-    for lo, hi in determined_zero_spans:
-        for p in range(lo, min(hi, depth) + 1):
-            kind[p] = 1
-    for p in ones:
-        if p <= depth:
-            kind[p] = 2
-
-    cap0 = runs.delta[0]  # free zero-run cap ahead of the first block
     digits = bytearray(depth)
     state = 0
-    zrun = 0
-    pre_first = layout.l[0]
-    for pos in range(1, depth + 1):
-        if kind[pos] == 2:
-            d = 1
-        elif kind[pos] == 1:
-            d = 0
-        else:
-            bound = auto.bound[state]
-            if fill.kind == "constant":
-                d = min(fill.digit, bound)
-                if d != fill.digit:
-                    clamps.append(pos)
-            elif fill.kind == "random":
-                d = rng.randint(0, bound)
+    for seg in layout.segments:
+        fixed = seg.prescribed() if seg.kind != FREE else None
+        zrun = 0
+        for pos in range(seg.lo, min(seg.hi, depth) + 1):
+            if fixed is not None:
+                d = fixed[pos - seg.lo]
             else:
-                d = next(fill.stream)
-                if d > bound:
+                bound = auto.bound[state]
+                if fill.kind == "constant":
+                    d = min(fill.digit, bound)
+                    if d != fill.digit:
+                        clamps.append(pos)
+                else:
+                    d = rng.randint(0, bound)
+                if d == 0 and zrun >= seg.cap and bound >= 1:
+                    d = 1
                     clamps.append(pos)
-                    d = bound
-            if pos < pre_first and d == 0 and zrun >= cap0 and bound >= 1:
-                d = 1
-                clamps.append(pos)
-        nxt = auto.step(state, d)
-        if nxt is None:
-            raise AssertionError(
-                f"determined digit {d} rejected at position {pos}; N too small")
-        state = nxt
-        zrun = zrun + 1 if d == 0 else 0
-        digits[pos - 1] = d
+                zrun = zrun + 1 if d == 0 else 0
+            nxt = auto.step(state, d)
+            if nxt is None:
+                raise AssertionError(
+                    f"determined digit {d} rejected at position {pos}; N too small")
+            state = nxt
+            digits[pos - 1] = d
     word = DigitWord.from_bytes(approx.alphabet_top + 1, bytes(digits))
     return BetaConstruction(word=word, layout=layout, base_spec=base.spec_string,
                             approximant_spec=approx.spec_string, clamps=clamps,

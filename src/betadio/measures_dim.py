@@ -29,7 +29,16 @@ from typing import Optional, Sequence, Union
 
 from .bary import DigitSet
 from .beta_shift import BetaSystem
-from .constructions import BaryConstruction, BetaLayout, ScheduledRuns, _free_spans
+from .constructions import (
+    FREE,
+    BaryConstruction,
+    BetaLayout,
+    ScheduledRuns,
+    Segment,
+    beta_layout,
+    layout_segments,
+    schedule,
+)
 from .errors import DepthExceeded, InfeasibleParameters, NotInSupport
 from .numerics import DEFAULT_PRECISION, Scalar, ln, ln_int
 
@@ -211,21 +220,16 @@ class MeasureValue:
         return out
 
 
-def _bary_free_spans(runs: ScheduledRuns, pair: bool) -> list[tuple[int, int]]:
-    depth = runs.n[runs.stages]
-    return [(lo, hi) for lo, hi, _cap in _free_spans(runs, depth, pair_after_marker=pair)]
+def _free_count(segs: list[Segment], n: int) -> int:
+    """Number of free positions up to depth n."""
+    return sum(min(seg.hi, n) - seg.lo + 1 for seg in segs if seg.kind == FREE and seg.lo <= n)
 
 
 def free_digit_count(runs: ScheduledRuns, n: int, pair: bool = False) -> int:
     """Number of free positions up to depth n (the measure exponent e(n))."""
     if n > runs.n[runs.stages]:
         raise DepthExceeded(f"depth {n} beyond the scheduled {runs.n[runs.stages]}")
-    total = 0
-    for lo, hi in _bary_free_spans(runs, pair):
-        if lo > n:
-            break
-        total += min(hi, n) - lo + 1
-    return total
+    return _free_count(layout_segments(runs, pair=pair), n)
 
 
 def measure_bary(runs: ScheduledRuns, base: Union[int, DigitSet], n: int,
@@ -248,42 +252,21 @@ def measure_of_word(construction: BaryConstruction, word: Sequence[int]) -> Meas
     """Mass of the cylinder of an explicit word; off-construction words have
     no mass assigned and are reported as such rather than given mass 0."""
     n = len(word)
-    runs = construction.schedule
     if n > len(construction.word):
         raise DepthExceeded("word longer than the constructed depth")
-    got = construction.word.digits()[:n]
-    spans = _bary_free_spans(runs, construction.base == 2)
-    free = set()
-    for lo, hi in spans:
-        free.update(range(lo, hi + 1))
-    allowed = construction.digit_set.digits if construction.digit_set else range(construction.base)
-    for pos in range(1, n + 1):
-        if pos in free:
-            if word[pos - 1] not in allowed:
-                raise NotInSupport(f"digit at position {pos} outside the digit set")
-        elif word[pos - 1] != got[pos - 1]:
-            raise NotInSupport(f"prescribed digit mismatch at position {pos}")
-    return measure_bary(runs, construction.digit_set or construction.base, n,
-                        pair=construction.base == 2)
-
-
-def _beta_free_blocks(layout: BetaLayout) -> list[tuple[int, int]]:
-    runs, N = layout.runs, layout.N
-    blocks = []
-    if layout.l[0] > 1:
-        blocks.append((1, layout.l[0] - 1))
-    for k in range(runs.stages):
-        gap = runs.gap(k)
-        hk = layout.h[k]
-        prev_end = hk
-        for t in range(1, runs.t[k] + 1):
-            start = hk + t * gap + 2 * N * (t - 1)  # marker block start
-            if prev_end + 1 <= start - 1:
-                blocks.append((prev_end + 1, start - 1))
-            prev_end = start + 2 * N
-        if prev_end + 1 <= layout.l[k + 1] - 1:
-            blocks.append((prev_end + 1, layout.l[k + 1] - 1))
-    return blocks
+    got = construction.word.data
+    S = construction.digit_set
+    allowed = S.digits if S else range(construction.base)
+    segs = layout_segments(construction.schedule, pair=construction.base == 2)
+    for seg in segs:
+        for pos in range(seg.lo, min(seg.hi, n) + 1):
+            if seg.kind == FREE:
+                if word[pos - 1] not in allowed:
+                    raise NotInSupport(f"digit at position {pos} outside the digit set")
+            elif word[pos - 1] != got[pos - 1]:
+                raise NotInSupport(f"prescribed digit mismatch at position {pos}")
+    return MeasureValue(n=n, base=S.size if S else construction.base,
+                        exponent=_free_count(segs, n))
 
 
 def measure_beta(layout: BetaLayout, subsystem: BetaSystem, n: int) -> MeasureValue:
@@ -297,11 +280,12 @@ def measure_beta(layout: BetaLayout, subsystem: BetaSystem, n: int) -> MeasureVa
         raise DepthExceeded("depth beyond the scheduled stages")
     auto = subsystem.automaton
     factors: dict[int, int] = {}
-    for lo, hi in _beta_free_blocks(layout):
-        if lo > n:
+    for seg in layout.segments:
+        if seg.lo > n:
             break
-        consumed = min(hi, n) - lo + 1
-        factors[consumed] = factors.get(consumed, 0) + 1
+        if seg.kind == FREE:
+            consumed = min(seg.hi, n) - seg.lo + 1
+            factors[consumed] = factors.get(consumed, 0) + 1
     triples = [(length, auto.count_words(length), mult)
                for length, mult in sorted(factors.items())]
     return MeasureValue(n=n, factors=triples)
@@ -357,25 +341,21 @@ def _declare_convergence(traj, target_lo: Fraction, target_hi: Fraction,
 
 def local_dimension_bary(theta: Fraction, v_hat: Fraction, base: Union[int, DigitSet],
                          stages: int, tolerance: Fraction = F(1, 50),
-                         pair: Optional[bool] = None,
-                         runs: Optional[ScheduledRuns] = None,
                          bits: int = DEFAULT_PRECISION) -> DimensionReport:
     """Exact local-dimension ratios e(m_k)/m_k along the checkpoints.
 
     With a digit set the ratios are scaled by the certified
     ``log #S / log b`` interval.
     """
-    from .constructions import schedule as _schedule
-    runs = runs or _schedule(theta, v_hat, stages)
+    runs = schedule(theta, v_hat, stages)
     b_int = base.base if isinstance(base, DigitSet) else int(base)
-    if pair is None:
-        pair = b_int == 2
     target = dim_formula(theta, v_hat)
     scale = digit_set_scale(base, bits) if isinstance(base, DigitSet) else None
+    segs = layout_segments(runs, pair=b_int == 2)
     traj = []
     for k in range(runs.stages):
         mk = runs.m[k]
-        ratio = F(free_digit_count(runs, mk, pair), mk)
+        ratio = F(_free_count(segs, mk), mk)
         if scale is None:
             traj.append((k + 1, ratio, ratio))
         else:
@@ -406,9 +386,8 @@ def local_dimension_beta(base: BetaSystem, N: int, theta: Fraction, v_hat: Fract
     denominator is ``h_k log beta``; numerator and denominator are certified
     intervals since ``log`` of the counts and of beta are irrational.
     """
-    from .constructions import beta_layout as _beta_layout, schedule as _schedule
-    runs = _schedule(theta, v_hat, stages)
-    layout = _beta_layout(runs, N)
+    runs = schedule(theta, v_hat, stages)
+    layout = beta_layout(runs, N)
     sub = base.approximant(N)
     ln_beta = ln(base.beta_scalar(bits), bits)
     target = dim_formula(theta, v_hat)

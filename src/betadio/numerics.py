@@ -305,16 +305,6 @@ class Scalar:
         return out
 
 
-def compare_with_certification(x: Scalar, threshold: Fraction) -> Comparison:
-    return x.compare(threshold)
-
-
-def refine(x: Scalar, target_bits: int) -> Scalar:
-    if target_bits < 1:
-        raise ValueError("target_bits must be >= 1")
-    return x.refine(target_bits)
-
-
 # ---------------------------------------------------------------------------
 # certified logarithm
 #
@@ -538,10 +528,6 @@ class PolyRoot:
         self.lo = Fraction(lo)
         self.hi = Fraction(hi)
         self.refined = self.refine(precision)
-
-    @property
-    def coefficients(self) -> tuple[Fraction, ...]:
-        return self.pre if not self.per else tuple(self.poly)
 
     def _f(self, z: Fraction) -> Fraction:
         return 1 - _tail_value(self.pre, self.per, z)

@@ -58,9 +58,6 @@ class DigitWord(Sequence[int]):
         tail = " ..." if len(self) > 24 else ""
         return f"DigitWord(base={self.base}, [{shown}{tail}], len={len(self)})"
 
-    def concat(self, other: "DigitWord") -> "DigitWord":
-        return DigitWord(self.base, list(self._data) + list(other._data))
-
     @property
     def data(self):
         return self._data
@@ -86,15 +83,23 @@ class PeriodicWord:
     def from_finite(digits: Iterable[int]) -> "PeriodicWord":
         return PeriodicWord(tuple(digits), ())
 
+    @staticmethod
+    def parse(text: str) -> "PeriodicWord":
+        """``d1,...,dk`` or ``d1,...,dk,(p1,...,pq)``: comma-separated digits,
+        then an optional periodic tail in parentheses.  ValueError when a
+        digit is not an integer."""
+        head, paren, tail = text.partition("(")
+        if not paren:
+            return PeriodicWord(int(t) for t in text.split(","))
+        pre = [int(t) for t in head.rstrip(",").split(",")] if head.strip(",") else ()
+        return PeriodicWord(pre, (int(t) for t in tail.rstrip(")").split(",")))
+
     def __getitem__(self, i: int) -> int:
         if i < len(self.pre):
             return self.pre[i]
         if not self.per:
             return 0
         return self.per[(i - len(self.pre)) % len(self.per)]
-
-    def prefix(self, n: int) -> tuple[int, ...]:
-        return tuple(self[i] for i in range(n))
 
     def shift(self, k: int) -> "PeriodicWord":
         if k <= len(self.pre):
@@ -121,10 +126,6 @@ class PeriodicWord:
             while pre and pre[-1] == 0:
                 pre.pop()
         return PeriodicWord(tuple(pre), tuple(per))
-
-    @property
-    def is_finite(self) -> bool:
-        return not self.per or all(v == 0 for v in self.per)
 
     def __eq__(self, other):
         if not isinstance(other, PeriodicWord):
@@ -154,15 +155,6 @@ def compare_words(s: PeriodicWord, t: PeriodicWord) -> int:
     bound = max(len(s.pre), len(t.pre)) + _math.lcm(qs, qt)
     for i in range(bound):
         a, b = s[i], t[i]
-        if a != b:
-            return -1 if a < b else 1
-    return 0
-
-
-def word_cmp_prefix(w: Sequence[int], d: PeriodicWord) -> int:
-    """Compare the finite word w against the first len(w) symbols of d."""
-    for i, a in enumerate(w):
-        b = d[i]
         if a != b:
             return -1 if a < b else 1
     return 0
@@ -204,9 +196,14 @@ def write_digit_file(stream, base: int, digits: Iterable[int], per_line: int = 4
 
 
 def read_digit_file(stream) -> DigitWord:
+    """Read line by line into bytes (a list above base 256), so memory
+    stays near one byte per digit; ValueError on a malformed file."""
     header = stream.readline().strip()
     if not header.startswith("base="):
         raise ValueError("missing `base=<b>` header line")
     base = int(header.split()[0][5:])
-    digits = [int(tok) for tok in stream.read().split()]
+    if base <= 256:
+        digits = b"".join(bytes(map(int, line.split())) for line in stream)
+    else:
+        digits = [int(tok) for line in stream for tok in line.split()]
     return DigitWord(base, digits)

@@ -6,7 +6,6 @@ import pytest
 from betadio.beta_shift import (
     word_value,
     BetaSystem,
-    beta_N,
     count_admissible,
     cylinder,
     expansion_of_one_star,
@@ -266,22 +265,31 @@ def test_cylinders_tile_unit_interval():
 
 def test_beta_N_examples():
     g = golden()
-    b3 = beta_N(g, 3)
+    b3 = g.approximant(3)
     assert b3.spec_string.startswith("approx:")
     target = supergolden().beta_scalar(100)
     diff = b3.beta_scalar(100) - target
     assert diff.contains(F(0))
     with pytest.raises(DegenerateApproximant):
-        beta_N(g, 2)
-    b1 = beta_N(BetaSystem.from_int(3), 1)
+        g.approximant(2)
+    b1 = BetaSystem.from_int(3).approximant(1)
     assert b1.kind == "int" and b1.int_base == 2
+
+
+@pytest.mark.parametrize("spec,N", [("rat:5/4", 2), ("root:1,0,1", 2), ("int:2", 1),
+                                    ("root:1,1", 1), ("root:1,0,0,1", 4)])
+def test_too_small_N_is_named(spec, N):
+    with pytest.raises(DegenerateApproximant) as info:
+        BetaSystem.parse(spec).approximant(N)
+    msg = str(info.value)
+    assert f"N={N} is too small for {spec}" in msg and "larger N" in msg
 
 
 def test_beta_N_increasing_and_below():
     g = tribonacci()
     prev = None
     for N in (3, 6, 9):
-        approx = beta_N(g, N)
+        approx = g.approximant(N)
         val = approx.beta_scalar(100)
         assert val.compare(g.beta_scalar(100).lo.value).name == "LESS"
         if prev is not None:
@@ -291,7 +299,7 @@ def test_beta_N_increasing_and_below():
 
 def test_beta_N_words_admissible_in_parent():
     g = golden()
-    sub = beta_N(g, 5)
+    sub = g.approximant(5)
     for n in range(1, 8):
         for w in sub.automaton.enumerate_words(n):
             assert is_admissible(g, list(w))

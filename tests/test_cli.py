@@ -169,6 +169,12 @@ def test_reprove_cli(capsys):
     assert data["limit"] == "1/2" and data["monotone"]
 
 
+@pytest.mark.parametrize("extra", [[], ["--beta", "root:1,1"]])
+def test_dim_local_without_stages(capsys, extra):
+    rc, out = run(capsys, "dim", "local", "--theta", "3", "--vhat", "1/3", "--stages", "0", *extra)
+    assert rc == 0 and json.loads(out)["trajectory"] == []
+
+
 def test_dim_local_beta_json(capsys):
     rc, out = run(capsys, "dim", "local", "--theta", "3", "--vhat", "1/3",
                   "--beta", "root:1,1", "--N", "4", "--stages", "6")
@@ -193,10 +199,29 @@ def test_config_embeds_precision(tmp_path, capsys):
     ["admissible", "check", "--beta", "root:1,1", "--word", "1,a"],
     ["dim", "formula", "--theta", "3", "--vhat", "1/3", "--digit-set", "0,x"],
     ["parry", "check", "--word", "1,(a)"],
+    # a per-action option left out
+    ["admissible", "count", "--beta", "root:1,1"],
+    ["admissible", "list", "--beta", "root:1,1"],
+    ["admissible", "check", "--beta", "root:1,1"],
+    ["construct", "bary", "--theta", "3", "--vhat", "1/3"],
+    ["construct", "restricted", "--theta", "3", "--vhat", "1/3", "--base", "3"],
+    ["construct", "beta", "--theta", "3", "--vhat", "1/3"],
+    ["construct", "param", "--theta", "3", "--vhat", "1/3", "--beta0", "rat:3/2"],
+    ["construct", "bary", "--theta", "3", "--vhat", "1/3", "--base", "3", "--stages", "0"],
 ])
 def test_malformed_digits_are_usage_errors(capsys, argv):
     assert main(argv) == 1
-    assert capsys.readouterr().err.startswith("usage error:")
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:")
+    assert len(err.splitlines()) == 1  # one line, no traceback
+
+
+def test_too_small_N_names_the_base(capsys):
+    argv = ["construct", "beta", "--theta", "3", "--vhat", "1/3", "--beta", "rat:5/4",
+            "--N", "2"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "N=2" in err and "rat:5/4" in err and "larger N" in err
 
 
 @pytest.mark.parametrize("value", ["abc", "0"])

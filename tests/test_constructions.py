@@ -11,7 +11,6 @@ from betadio.constructions import (
     generate_bary,
     generate_beta,
     generate_parameter_space,
-    generate_restricted,
     schedule,
 )
 from betadio.errors import InfeasibleParameters, PrefixConditionFailed
@@ -124,7 +123,7 @@ def test_restricted_generator():
     ds = DigitSet(3, frozenset({0, 2}))
     spec = ConstructionSpec(theta=F(3), v_hat=F(1, 3), stages=6, base=3,
                             digit_set=ds, fill=FillPolicy("random", seed=3))
-    out = generate_restricted(spec)
+    out = generate_bary(spec)
     used = set(out.word.digits())
     assert used <= {0, 2}
     s = out.schedule
@@ -142,7 +141,7 @@ def test_restricted_full_alphabet_matches_plain():
                             digit_set=ds, fill=FillPolicy("constant", 1))
     plain = ConstructionSpec(theta=F(3), v_hat=F(1, 3), stages=4, base=4,
                              fill=FillPolicy("constant", 1))
-    assert generate_restricted(spec).word.digits() == generate_bary(plain).word.digits()
+    assert generate_bary(spec).word.digits() == generate_bary(plain).word.digits()
 
 
 # ---------------------------------------------------------------------------

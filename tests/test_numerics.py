@@ -17,7 +17,6 @@ from betadio.numerics import (
     Dyadic,
     PolyRoot,
     Scalar,
-    compare_with_certification,
     dyadic_from_fraction,
     is_exact_root,
     isolate_root,
@@ -26,7 +25,6 @@ from betadio.numerics import (
     poly_divmod,
     poly_gcd,
     poly_mul,
-    refine,
 )
 
 F = Fraction
@@ -98,24 +96,24 @@ def test_inclusion_monotonicity(x, y, op):
 
 
 def test_compare_with_certification():
-    assert compare_with_certification(Scalar.hull(F(2, 10), F(3, 10)), F(1, 2)) is Comparison.LESS
-    assert compare_with_certification(Scalar.hull(F(4, 10), F(6, 10)), F(1, 2)) is Comparison.UNRESOLVED
+    assert Scalar.hull(F(2, 10), F(3, 10)).compare(F(1, 2)) is Comparison.LESS
+    assert Scalar.hull(F(4, 10), F(6, 10)).compare(F(1, 2)) is Comparison.UNRESOLVED
     golden = isolate_root([1, 1]).as_scalar(64)
-    assert compare_with_certification(golden, F(13, 8)) is Comparison.LESS
+    assert golden.compare(F(13, 8)) is Comparison.LESS
 
 
 def test_refine_rational_and_exact():
     x = Scalar.from_fraction(F(1, 3), 8)
-    y = refine(x, 64)
+    y = x.refine(64)
     assert y.width <= F(1, 2 ** 64)
     assert y.contains(F(1, 3))
     half = Scalar.exact(Dyadic.of(1, -1))
-    z = refine(half, 500)
+    z = half.refine(500)
     assert z.lo == z.hi
 
     fixed = Scalar.hull(F(1, 4), F(1, 2))  # no defining expression
     with pytest.raises(PrecisionExhausted):
-        refine(fixed, 64)
+        fixed.refine(64)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +197,7 @@ def test_periodic_tail_root_matches_finite_form():
 
 def test_refine_polyroot_deep():
     r = isolate_root([1, 1])
-    s = refine(r.as_scalar(), 300)
+    s = r.as_scalar().refine(300)
     assert s.width <= F(1, 2 ** 300)
     phi = (1 + F(math.isqrt(5 * 10 ** 40), 10 ** 20)) / 2  # ~20 digits of sqrt5
     assert abs(s.mid - phi) < F(1, 10 ** 18)

@@ -2,6 +2,7 @@ import io
 
 import pytest
 
+from betadio.cli import main
 from betadio.words import (
     DigitStream,
     DigitWord,
@@ -75,3 +76,26 @@ def test_digit_file_round_trip():
     assert back.digits() == (1, 4, 2, 8, 5, 7)
     with pytest.raises(ValueError):
         read_digit_file(io.StringIO("digits 1 2 3"))
+
+
+@pytest.mark.parametrize("base,digits", [
+    (3, [(i * i + i // 7) % 3 for i in range(1000)]),
+    (1000, [999, 0, 500, 256, 255, 1] * 30),
+])
+def test_digit_file_round_trip_by_line(base, digits):
+    buf = io.StringIO()
+    write_digit_file(buf, base, DigitWord(base, digits))
+    buf.seek(0)
+    back = read_digit_file(buf)
+    assert back == DigitWord(base, digits)
+    assert isinstance(back.data, bytes) == (base <= 256)
+
+
+@pytest.mark.parametrize("body", ["1 2 x 0\n", "1 2\n3 0\n", "1 -1\n", "1 300\n"])
+def test_digit_file_bad_token(body, tmp_path, capsys):
+    with pytest.raises(ValueError):
+        read_digit_file(io.StringIO("base=3\n" + body))
+    path = tmp_path / "bad.digits"
+    path.write_text("base=3\n" + body)
+    assert main(["exponents", "--input", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
