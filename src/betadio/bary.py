@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .errors import InsufficientDepth, InvalidDigitSet, NoRuns
+from .record import Record
 from .words import DigitWord
 
 ZEROS = "zeros"
@@ -82,37 +82,39 @@ def expand_lacunary(b: int, rule, n: int) -> DigitWord:
 # run decomposition
 
 
-@dataclass(frozen=True)
-class Run:
+class Run(Record):
     """Maximal block of 0s (or of b-1s) with its bracketing indices.
 
     ``start``/``end`` are the 1-based positions of the digits immediately
     before and after the block, so the block interior has length
     ``end - start - 1``.  Runs touching the word boundary are incomplete:
-    their true bracket is unknown.
+    their true bracket is unknown.  Immutable by convention, hashed by value.
     """
 
-    start: int
-    end: int
-    kind: str
-    complete: bool
+    __slots__ = ("start", "end", "kind", "complete")
+
+    def __init__(self, start: int, end: int, kind: str, complete: bool):
+        self.start = start
+        self.end = end
+        self.kind = kind
+        self.complete = complete
+
+    def __hash__(self):
+        return hash(self._fields())
 
     @property
     def gap(self) -> int:
         return self.end - self.start
 
 
-@dataclass
-class RunDecomposition:
-    runs: list[Run]
-    monotone: list[Run]
-    horizon: int
-    word: DigitWord
+class RunDecomposition(Record):
+    __slots__ = ("runs", "monotone", "horizon", "word")
 
-
-def _scan_kind(data: bytes, symbol: int) -> list[tuple[int, int]]:
-    pat = re.compile(re.escape(bytes([symbol])) + b"+")
-    return [m.span() for m in pat.finditer(data)]
+    def __init__(self, runs: list[Run], monotone: list[Run], horizon: int, word: DigitWord):
+        self.runs = runs
+        self.monotone = monotone
+        self.horizon = horizon
+        self.word = word
 
 
 def run_decomposition(digits: DigitWord, b: Optional[int] = None,
@@ -126,18 +128,20 @@ def run_decomposition(digits: DigitWord, b: Optional[int] = None,
     if len(digits) < 2:
         raise NoRuns("need at least two digits")
     data = digits.data if isinstance(digits.data, bytes) else bytes(digits.data)
-    spans = []
-    if ZEROS in kinds:
-        spans += [(s, e, ZEROS) for s, e in _scan_kind(data, 0)]
+    symbols = [0] if ZEROS in kinds else []
     if TOP in kinds and b >= 2:
-        spans += [(s, e, TOP) for s, e in _scan_kind(data, b - 1)]
-    spans.sort()
-    if not spans:
-        raise NoRuns("no digit equals 0 or b-1")
+        symbols.append(b - 1)
+    # one scan finds the runs in order, with no list of spans beside them:
+    # a long word has a run every few digits
     runs = []
-    for s, e, kind in spans:
-        complete = s >= 1 and e < len(data)
-        runs.append(Run(start=s, end=e + 1, kind=kind, complete=complete))
+    if symbols:
+        pat = re.compile(b"|".join(re.escape(bytes([d])) + b"+" for d in symbols))
+        for m in pat.finditer(data):
+            s, e = m.span()
+            runs.append(Run(start=s, end=e + 1, kind=ZEROS if data[s] == 0 else TOP,
+                            complete=s >= 1 and e < len(data)))
+    if not runs:
+        raise NoRuns("no digit equals 0 or b-1")
     monotone: list[Run] = []
     record = None
     for r in runs:
@@ -153,14 +157,18 @@ def run_decomposition(digits: DigitWord, b: Optional[int] = None,
 # exponent estimates
 
 
-@dataclass
-class ExponentEstimate:
-    v_lower: Fraction
-    v_hat_lower: Fraction
-    trajectory: list[tuple[int, Fraction, Optional[Fraction]]]
-    horizon: int
-    window: int
-    k_over_log_n: Optional[float] = None
+class ExponentEstimate(Record):
+    __slots__ = ("v_lower", "v_hat_lower", "trajectory", "horizon", "window", "k_over_log_n")
+
+    def __init__(self, v_lower: Fraction, v_hat_lower: Fraction,
+                 trajectory: list[tuple[int, Fraction, Optional[Fraction]]], horizon: int,
+                 window: int, k_over_log_n: Optional[float] = None):
+        self.v_lower = v_lower
+        self.v_hat_lower = v_hat_lower
+        self.trajectory = trajectory
+        self.horizon = horizon
+        self.window = window
+        self.k_over_log_n = k_over_log_n
 
 
 def estimate_exponents(dec: RunDecomposition, window: Optional[int] = None) -> ExponentEstimate:
@@ -229,19 +237,19 @@ def check_relations(est: ExponentEstimate, tol: Fraction = Fraction(0)) -> dict:
 # restricted digit sets
 
 
-@dataclass(frozen=True)
-class DigitSet:
+class DigitSet(Record):
     """Digits allowed in a restricted Cantor set K_{b,S}.
 
     Needs at least two digits and one of {0, b-1}; otherwise every number in
     the set keeps its orbit far from the integers and the exponents vanish.
+    Immutable by convention, hashed by value.
     """
 
-    base: int
-    digits: frozenset[int]
+    __slots__ = ("base", "digits")
 
-    def __post_init__(self):
-        object.__setattr__(self, "digits", frozenset(self.digits))
+    def __init__(self, base: int, digits: frozenset[int]):
+        self.base = base
+        self.digits = frozenset(digits)
         if self.base < 3:
             raise InvalidDigitSet("restricted digit sets need base >= 3")
         if not self.digits <= set(range(self.base)):
@@ -250,6 +258,9 @@ class DigitSet:
             raise InvalidDigitSet("need at least two digits")
         if 0 not in self.digits and self.base - 1 not in self.digits:
             raise InvalidDigitSet("need 0 or b-1 in the digit set")
+
+    def __hash__(self):
+        return hash(self._fields())
 
     @property
     def size(self) -> int:

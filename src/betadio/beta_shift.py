@@ -19,7 +19,6 @@ are decided by exact algebra instead of ever being guessed.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -42,6 +41,7 @@ from .numerics import (
     poly_sub,
     poly_trim,
 )
+from .record import Record
 from .words import DigitWord, PeriodicWord, compare_words
 
 F = Fraction
@@ -698,13 +698,16 @@ def renyi_bounds_check(system: BetaSystem, n: int, bits: int = DEFAULT_PRECISION
 # cylinders
 
 
-@dataclass
-class CylinderInterval:
-    word: DigitWord
-    left: Scalar
-    right: Scalar
-    length: Scalar
-    full: Optional[bool]  # None when no finite automaton decides fullness
+class CylinderInterval(Record):
+    __slots__ = ("word", "left", "right", "length", "full")
+
+    def __init__(self, word: DigitWord, left: Scalar, right: Scalar, length: Scalar,
+                 full: Optional[bool]):
+        self.word = word
+        self.left = left
+        self.right = right
+        self.length = length
+        self.full = full  # None when no finite automaton decides fullness
 
 
 def _tail_supremum(system: BetaSystem, state: int, bits: int) -> Scalar:

@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 usage error, 2 infeasible/domain error,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -55,7 +54,6 @@ from .measures_dim import (
     local_dimension_beta,
     measure_bary,
     measure_beta,
-    report_to_json,
     reprove_dim_limit,
 )
 from .numerics import Scalar
@@ -102,6 +100,11 @@ def _need(args, what: str, *names: str) -> None:
         raise UsageError(f"{what} needs {' '.join(missing)}")
 
 
+def _not_negative(value: int, what: str) -> None:
+    if value < 0:
+        raise UsageError(f"{what} must not be negative, got {value}")
+
+
 def default_precision() -> int:
     text = os.environ.get("BETADIO_PRECISION", "256")
     try:
@@ -117,14 +120,18 @@ def _emit(args, payload: dict, config: dict, plain=None):
     """JSON (with embedded config and version) to files; for stdout, a bare
     value when the command has a natural one-liner."""
     config.setdefault("precision_bits", default_precision())
-    payload = {"version": __version__, "config": config, **payload}
+    if plain is not None and not getattr(args, "output", None):
+        print(plain)
+        return
+    # json is imported only where it is written or read, so that a command
+    # with a plain-text answer never loads it
+    import json
+    text = json.dumps({"version": __version__, "config": config, **payload}, indent=2)
     if getattr(args, "output", None):
         with open(args.output, "w") as fh:
-            fh.write(json.dumps(payload, indent=2) + "\n")
-    elif plain is not None:
-        print(plain)
+            fh.write(text + "\n")
     else:
-        print(json.dumps(payload, indent=2))
+        print(text)
 
 
 def _emit_digits(args, word: DigitWord, sidecar: dict, config: dict):
@@ -133,6 +140,7 @@ def _emit_digits(args, word: DigitWord, sidecar: dict, config: dict):
         with open(args.output, "w") as fh:
             write_digit_file(fh, word.base, word)
         side = {"version": __version__, "config": config, **sidecar}
+        import json
         with open(args.output + ".json", "w") as fh:
             json.dump(side, fh, indent=2)
             fh.write("\n")
@@ -151,6 +159,7 @@ def _scalar_dict(s) -> dict:
 
 
 def _cmd_expand(args):
+    _not_negative(args.digits, "--digits")
     cfg = {"cmd": "expand", "digits": args.digits}
     if args.base and not args.beta:
         cfg["base"] = args.base
@@ -175,6 +184,7 @@ def _cmd_expand(args):
 
 
 def _cmd_expand_one(args):
+    _not_negative(args.digits, "--digits")
     system = BetaSystem.parse(args.beta, default_precision())
     word = expansion_of_one_star(system, args.digits)
     _emit_digits(args, word, {}, {"cmd": "expand-one", "beta": args.beta,
@@ -184,6 +194,8 @@ def _cmd_expand_one(args):
 
 def _cmd_admissible(args):
     _need(args, f"admissible {args.action}", "word" if args.action == "check" else "len")
+    if args.action != "check":
+        _not_negative(args.len, "--len")
     system = BetaSystem.parse(args.beta, default_precision())
     cfg = {"cmd": f"admissible {args.action}", "beta": args.beta}
     if args.action == "count":
@@ -294,6 +306,7 @@ def _cmd_construct(args):
 
 
 def _cmd_measure(args):
+    import json
     with open(args.sidecar) as fh:
         side = json.load(fh)
     sched = side["schedule"]
@@ -343,14 +356,15 @@ def _cmd_dim(args):
             raise UsageError("dim local needs --theta")
         theta, vhat = _fraction(args.theta), _fraction(args.vhat)
         tol = _fraction(args.tolerance)
+        bits = default_precision()
         if args.beta:
-            system = BetaSystem.parse(args.beta, default_precision())
-            rep = local_dimension_beta(system, args.N, theta, vhat, args.stages, tol)
+            system = BetaSystem.parse(args.beta, bits)
+            rep = local_dimension_beta(system, args.N, theta, vhat, args.stages, tol, bits)
         elif args.digit_set:
             ds = _digit_set(args.digit_set, args.base)
-            rep = local_dimension_bary(theta, vhat, ds, args.stages, tol)
+            rep = local_dimension_bary(theta, vhat, ds, args.stages, tol, bits)
         else:
-            rep = local_dimension_bary(theta, vhat, args.base, args.stages, tol)
+            rep = local_dimension_bary(theta, vhat, args.base, args.stages, tol, bits)
         if args.format == "csv":
             text = rep.to_csv()
             if args.output:
@@ -359,11 +373,10 @@ def _cmd_dim(args):
             else:
                 print(text, end="")
         else:
-            payload = json.loads(report_to_json(rep))
-            _emit(args, payload, {"cmd": "dim local", "theta": args.theta,
-                                  "vhat": args.vhat, "stages": args.stages,
-                                  "beta": args.beta, "base": args.base,
-                                  "digit_set": args.digit_set, "N": args.N})
+            _emit(args, rep.to_json_dict(), {"cmd": "dim local", "theta": args.theta,
+                                             "vhat": args.vhat, "stages": args.stages,
+                                             "beta": args.beta, "base": args.base,
+                                             "digit_set": args.digit_set, "N": args.N})
     else:  # s0
         if not args.theta:
             raise UsageError("dim s0 needs --theta")

@@ -16,10 +16,8 @@ requested fill distribution was not realizable verbatim.
 from __future__ import annotations
 
 import bisect
-import logging
 import random
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
@@ -27,19 +25,24 @@ from .bary import DigitSet
 from .beta_shift import BetaSystem, expansion_of_one_star, is_self_admissible, parry_invert
 from .errors import InfeasibleParameters, NotSelfAdmissible, PrefixConditionFailed
 from .numerics import Comparison, PolyRoot
+from .record import Record
 from .words import DigitWord
 
 F = Fraction
 
-log = logging.getLogger(__name__)
+
+def _warn(msg: str, *args) -> None:
+    # logging is imported only here: it costs every process start, and only
+    # a clamped fill logs
+    import logging
+    logging.getLogger(__name__).warning(msg, *args)
 
 
 # ---------------------------------------------------------------------------
 # schedules
 
 
-@dataclass
-class ScheduledRuns:
+class ScheduledRuns(Record):
     """Adjusted run schedule; positions are 1-based digit indices.
 
     ``n`` carries one extra entry (the next stage's anchor) so that the gap
@@ -47,13 +50,17 @@ class ScheduledRuns:
     is the interior run length and ``u[k]`` the position of the last marker.
     """
 
-    theta: Fraction
-    v_hat: Fraction
-    n: list[int]
-    m: list[int]
-    t: list[int]
-    delta: list[int]
-    u: list[int]
+    __slots__ = ("theta", "v_hat", "n", "m", "t", "delta", "u")
+
+    def __init__(self, theta: Fraction, v_hat: Fraction, n: list[int], m: list[int],
+                 t: list[int], delta: list[int], u: list[int]):
+        self.theta = theta
+        self.v_hat = v_hat
+        self.n = n
+        self.m = m
+        self.t = t
+        self.delta = delta
+        self.u = u
 
     @property
     def stages(self) -> int:
@@ -192,8 +199,7 @@ def layout_segments(runs: ScheduledRuns, N: int = 0, pair: bool = False,
     return segs
 
 
-@dataclass
-class BetaLayout:
+class BetaLayout(Record):
     """The real-base layout, each prescribed 1 widened to ``0^N 1 0^N``.
 
     ``l[k]``/``h[k]`` bound the fully determined part of stage k (from the
@@ -204,12 +210,16 @@ class BetaLayout:
     of the stage before.
     """
 
-    runs: ScheduledRuns
-    N: int
-    segments: list[Segment]
-    l: list[int]
-    h: list[int]
-    u: list[int]
+    __slots__ = ("runs", "N", "segments", "l", "h", "u")
+
+    def __init__(self, runs: ScheduledRuns, N: int, segments: list[Segment], l: list[int],
+                 h: list[int], u: list[int]):
+        self.runs = runs
+        self.N = N
+        self.segments = segments
+        self.l = l
+        self.h = h
+        self.u = u
 
     def to_dict(self) -> dict:
         d = self.runs.to_dict()
@@ -241,14 +251,16 @@ def beta_layout(runs: ScheduledRuns, N: int) -> BetaLayout:
 # fill policies
 
 
-@dataclass
-class FillPolicy:
+class FillPolicy(Record):
     """How free positions are populated: a constant digit, or seeded uniform
     draws over the allowed digits."""
 
-    kind: str = "constant"
-    digit: int = 1
-    seed: Optional[int] = None
+    __slots__ = ("kind", "digit", "seed")
+
+    def __init__(self, kind: str = "constant", digit: int = 1, seed: Optional[int] = None):
+        self.kind = kind
+        self.digit = digit
+        self.seed = seed
 
     @staticmethod
     def parse(text: str, seed: Optional[int] = None) -> "FillPolicy":
@@ -264,20 +276,20 @@ class FillPolicy:
         return f"random(seed={self.seed})"
 
 
-@dataclass
-class ConstructionSpec:
-    """Parameters of one Cantor-type construction."""
+class ConstructionSpec(Record):
+    """Parameters of one Cantor-type construction; the fill defaults to
+    ``FillPolicy()``."""
 
-    theta: Fraction
-    v_hat: Fraction
-    stages: int
-    base: int = 0
-    digit_set: Optional[DigitSet] = None
-    fill: FillPolicy = field(default_factory=FillPolicy)
+    __slots__ = ("theta", "v_hat", "stages", "base", "digit_set", "fill")
 
-    def __post_init__(self):
-        self.theta = F(self.theta)
-        self.v_hat = F(self.v_hat)
+    def __init__(self, theta: Fraction, v_hat: Fraction, stages: int, base: int = 0,
+                 digit_set: Optional[DigitSet] = None, fill: Optional[FillPolicy] = None):
+        self.theta = F(theta)
+        self.v_hat = F(v_hat)
+        self.stages = stages
+        self.base = base
+        self.digit_set = digit_set
+        self.fill = FillPolicy() if fill is None else fill
         if self.theta < 1 / (1 - self.v_hat):
             raise InfeasibleParameters(
                 f"theta {self.theta} below threshold {1 / (1 - self.v_hat)}")
@@ -287,14 +299,17 @@ class ConstructionSpec:
 # integer-base generator
 
 
-@dataclass
-class BaryConstruction:
-    word: DigitWord
-    schedule: ScheduledRuns
-    base: int
-    clamps: list[int]
-    fill: str
-    digit_set: Optional[DigitSet] = None
+class BaryConstruction(Record):
+    __slots__ = ("word", "schedule", "base", "clamps", "fill", "digit_set")
+
+    def __init__(self, word: DigitWord, schedule: ScheduledRuns, base: int, clamps: list[int],
+                 fill: str, digit_set: Optional[DigitSet] = None):
+        self.word = word
+        self.schedule = schedule
+        self.base = base
+        self.clamps = clamps
+        self.fill = fill
+        self.digit_set = digit_set
 
     def to_dict(self) -> dict:
         d = {"kind": "bary", "base": self.base, "fill": self.fill,
@@ -346,7 +361,7 @@ def generate_bary(spec: ConstructionSpec) -> BaryConstruction:
     _enforce_run_caps(arr, segs, free, b, allowed, clamps)
     word = DigitWord.from_bytes(b, bytes(arr))
     if clamps:
-        log.warning("fill policy clamped at %d positions", len(clamps))
+        _warn("fill policy clamped at %d positions", len(clamps))
     return BaryConstruction(word=word, schedule=runs, base=b, clamps=clamps,
                             fill=spec.fill.describe(), digit_set=S)
 
@@ -396,7 +411,7 @@ def _fill_free_spans(arr: bytearray, free: list[Segment], policy: FillPolicy, b:
         if c not in allowed:
             fixed = min(allowed, key=lambda a: (abs(a - c), a))
             clamps.append(0)
-            log.warning("constant fill %d not allowed, using %d", c, fixed)
+            _warn("constant fill %d not allowed, using %d", c, fixed)
             c = fixed
         if c not in run_symbols:
             for lo, hi, _kind, _digits, _cap in free:
@@ -443,14 +458,17 @@ def _break_digit(run_symbol: int, allowed: Sequence[int], b: int) -> int:
 # beta-base generator
 
 
-@dataclass
-class BetaConstruction:
-    word: DigitWord
-    layout: BetaLayout
-    base_spec: str
-    approximant_spec: str
-    clamps: list[int]
-    fill: str
+class BetaConstruction(Record):
+    __slots__ = ("word", "layout", "base_spec", "approximant_spec", "clamps", "fill")
+
+    def __init__(self, word: DigitWord, layout: BetaLayout, base_spec: str,
+                 approximant_spec: str, clamps: list[int], fill: str):
+        self.word = word
+        self.layout = layout
+        self.base_spec = base_spec
+        self.approximant_spec = approximant_spec
+        self.clamps = clamps
+        self.fill = fill
 
     def to_dict(self) -> dict:
         return {"kind": "beta", "base": self.base_spec,
@@ -512,13 +530,16 @@ def generate_beta(base: BetaSystem, N: int, theta: Fraction, v_hat: Fraction,
 # parameter-space construction
 
 
-@dataclass
-class ParamSpaceResult:
-    word: DigitWord
-    root: PolyRoot
-    prefix: tuple[int, ...]
-    approximant_spec: str
-    construction: BetaConstruction
+class ParamSpaceResult(Record):
+    __slots__ = ("word", "root", "prefix", "approximant_spec", "construction")
+
+    def __init__(self, word: DigitWord, root: PolyRoot, prefix: tuple[int, ...],
+                 approximant_spec: str, construction: BetaConstruction):
+        self.word = word
+        self.root = root
+        self.prefix = prefix
+        self.approximant_spec = approximant_spec
+        self.construction = construction
 
 
 def generate_parameter_space(beta0: BetaSystem, beta1: BetaSystem, beta2: BetaSystem,

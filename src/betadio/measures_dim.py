@@ -19,11 +19,7 @@ scaled by ``log #S / log b`` on a restricted digit set.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -41,6 +37,7 @@ from .constructions import (
 )
 from .errors import DepthExceeded, InfeasibleParameters, NotInSupport
 from .numerics import DEFAULT_PRECISION, Scalar, ln, ln_int
+from .record import Record
 
 F = Fraction
 
@@ -189,19 +186,22 @@ def reprove_dim_limit(v: Fraction, theta_grid: Sequence[Fraction]) -> dict:
 # exact measures
 
 
-@dataclass
-class MeasureValue:
+class MeasureValue(Record):
     """Exact mass of a depth-n cylinder of a construction.
 
     Integer-base: ``base**-exponent``.  Beta-base: product over free blocks
     of reciprocals of admissible-word counts, stored exactly as
-    ``(block_length, count, multiplicity)`` triples.
+    ``(block_length, count, multiplicity)`` triples (none by default).
     """
 
-    n: int
-    base: Optional[int] = None
-    exponent: Optional[int] = None
-    factors: list[tuple[int, int, int]] = field(default_factory=list)
+    __slots__ = ("n", "base", "exponent", "factors")
+
+    def __init__(self, n: int, base: Optional[int] = None, exponent: Optional[int] = None,
+                 factors: Optional[list[tuple[int, int, int]]] = None):
+        self.n = n
+        self.base = base
+        self.exponent = exponent
+        self.factors = [] if factors is None else factors
 
     def log_mu(self, bits: int = DEFAULT_PRECISION) -> Scalar:
         if self.exponent is not None:
@@ -295,14 +295,20 @@ def measure_beta(layout: BetaLayout, subsystem: BetaSystem, n: int) -> MeasureVa
 # local dimension trajectories
 
 
-@dataclass
-class DimensionReport:
-    formula_value: Fraction
-    trajectory: list[tuple[int, Fraction, Fraction]]  # (k, lo, hi)
-    tolerance: Fraction
-    converged_at: Optional[int]
-    scale_interval: Optional[tuple[Fraction, Fraction]] = None
-    params: dict = field(default_factory=dict)
+class DimensionReport(Record):
+    __slots__ = ("formula_value", "trajectory", "tolerance", "converged_at", "scale_interval",
+                 "params")
+
+    def __init__(self, formula_value: Fraction, trajectory: list[tuple[int, Fraction, Fraction]],
+                 tolerance: Fraction, converged_at: Optional[int],
+                 scale_interval: Optional[tuple[Fraction, Fraction]] = None,
+                 params: Optional[dict] = None):
+        self.formula_value = formula_value
+        self.trajectory = trajectory  # (k, lo, hi)
+        self.tolerance = tolerance
+        self.converged_at = converged_at
+        self.scale_interval = scale_interval
+        self.params = {} if params is None else params
 
     def to_json_dict(self) -> dict:
         return {
@@ -316,6 +322,8 @@ class DimensionReport:
         }
 
     def to_csv(self) -> str:
+        import csv  # here, not at module level: only --format csv needs it
+        import io
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(["k", "ratio_lower", "ratio_upper"])
@@ -426,4 +434,5 @@ def stolz_cesaro_ratios(runs: ScheduledRuns, k: int) -> tuple[Fraction, Fraction
 
 
 def report_to_json(report: DimensionReport) -> str:
+    import json  # here, not at module level: only JSON output needs it
     return json.dumps(report.to_json_dict(), indent=2)

@@ -25,11 +25,11 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .errors import DegenerateApproximant, NoRoot, PrecisionExhausted
+from .record import Record
 
 DEFAULT_PRECISION = 256
 
@@ -51,12 +51,20 @@ def _norm(man: int, exp: int) -> tuple[int, int]:
     return man >> tz, exp + tz
 
 
-@dataclass(frozen=True)
-class Dyadic:
-    """Exact dyadic rational ``man * 2**exp``, kept in normal form."""
+class Dyadic(Record):
+    """Exact dyadic rational ``man * 2**exp``, kept in normal form.
 
-    man: int
-    exp: int
+    Immutable by convention, hashed by value.
+    """
+
+    __slots__ = ("man", "exp")
+
+    def __init__(self, man: int, exp: int):
+        self.man = man
+        self.exp = exp
+
+    def __hash__(self):
+        return hash(self._fields())
 
     @staticmethod
     def of(man: int, exp: int = 0) -> "Dyadic":

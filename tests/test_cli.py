@@ -1,9 +1,19 @@
 import json
+import os
+import subprocess
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import betadio
+from betadio.bary import DigitSet
 from betadio.cli import main
+from betadio.constructions import ConstructionSpec, FillPolicy, generate_bary
+
+F = Fraction
+SRC = str(Path(betadio.__file__).resolve().parent.parent)
 
 
 def run(capsys, *argv):
@@ -208,6 +218,15 @@ def test_config_embeds_precision(tmp_path, capsys):
     ["construct", "beta", "--theta", "3", "--vhat", "1/3"],
     ["construct", "param", "--theta", "3", "--vhat", "1/3", "--beta0", "rat:3/2"],
     ["construct", "bary", "--theta", "3", "--vhat", "1/3", "--base", "3", "--stages", "0"],
+    # negative lengths
+    *(["admissible", "count", "--beta", beta, "--len", "-1"]
+      for beta in ("root:1,1", "int:3", "rat:3/2", "root:1,0,2")),
+    ["admissible", "count", "--beta", "root:1,1", "--len", "-1", "--renyi"],
+    ["admissible", "count", "--beta", "rat:3/2", "--len", "-1", "--renyi"],
+    ["admissible", "list", "--beta", "root:1,1", "--len", "-1"],
+    ["expand-one", "--beta", "int:3", "--digits", "-3"],
+    ["expand", "--beta", "root:1,1", "--x", "1/2", "--digits", "-3"],
+    ["expand", "--base", "10", "--x", "1/7", "--digits", "-3"],
 ])
 def test_malformed_digits_are_usage_errors(capsys, argv):
     assert main(argv) == 1
@@ -255,3 +274,58 @@ def test_count_past_int_str_limit(capsys):
         assert out.strip() == str(fast[n])
     finally:
         sys.set_int_max_str_digits(before)
+
+
+def test_dim_local_reads_the_precision(capsys, monkeypatch):
+    argv = ["dim", "local", "--theta", "3", "--vhat", "1/3", "--beta", "root:1,1",
+            "--N", "4", "--stages", "3"]
+
+    def last_width():
+        rc, out = run(capsys, *argv)
+        assert rc == 0
+        data = json.loads(out)
+        _k, lo, hi = data["trajectory"][-1]
+        return F(hi) - F(lo), data["config"]["precision_bits"], out
+
+    default_width, default_bits, default_out = last_width()
+    monkeypatch.setenv("BETADIO_PRECISION", "256")
+    assert last_width()[2] == default_out  # the default is 256 bits, byte for byte
+    monkeypatch.setenv("BETADIO_PRECISION", "64")
+    width, bits, _out = last_width()
+    assert (default_bits, bits) == (256, 64)
+    assert width > default_width
+
+
+def _cli(*argv, cwd=None):
+    return subprocess.run([sys.executable, *argv], env=dict(os.environ, PYTHONPATH=SRC),
+                          cwd=cwd, capture_output=True, text=True)
+
+
+def test_import_footprint():
+    """import betadio.cli loads every layer module, which the benchmark's
+    tracer reads from sys.modules, and none of the stdlib modules kept off
+    the start-up path.  -S keeps site from importing anything first."""
+    code = "import sys, betadio.cli; print(' '.join(sys.modules))"
+    proc = _cli("-S", "-c", code)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert not {"dataclasses", "inspect", "logging", "csv"} & loaded
+    layers = ("numerics", "words", "bary", "beta_shift", "constructions", "measures_dim", "cli")
+    assert {f"betadio.{layer}" for layer in layers} <= loaded
+
+
+@pytest.mark.parametrize("flavor, extra, lines", [
+    ("bary", ["--fill", "const:0"], []),
+    ("restricted", ["--digit-set", "0,2", "--fill", "const:1"],
+     ["constant fill 1 not allowed, using 0"]),
+])
+def test_clamped_fill_warns_on_stderr(tmp_path, flavor, extra, lines):
+    argv = ["construct", flavor, "--theta", "4", "--vhat", "1/8", "--base", "3",
+            "--stages", "2", *extra, "-o", "c.digits"]
+    proc = _cli("-m", "betadio.cli", *argv, cwd=tmp_path)
+    assert proc.returncode == 0
+    ds = DigitSet(3, {0, 2}) if flavor == "restricted" else None
+    fill = FillPolicy.parse(extra[-1])
+    clamps = generate_bary(ConstructionSpec(4, F(1, 8), 2, 3, ds, fill)).clamps
+    assert clamps
+    assert proc.stderr.splitlines() == lines + [f"fill policy clamped at {len(clamps)} positions"]
