@@ -117,6 +117,59 @@ class RunDecomposition(Record):
         self.word = word
 
 
+def _next_run(data, symbol: int, length: int, pos: int,
+              stop: Optional[int] = None) -> Optional[tuple[int, int]]:
+    """0-based span ``(start, end)`` of the first maximal run of at least
+    ``length`` copies of ``symbol`` that starts at or after ``pos``, or None;
+    with ``stop``, only a run whose first ``length`` copies end by ``stop``.
+
+    ``bytes.find`` skips the shorter runs in C; one anchored match finds the
+    end of the run.
+    """
+    block = bytes((symbol,)) * length
+    run = re.compile(re.escape(block[:1]) + b"+")
+    p = data.find(block, pos, stop)
+    if 0 < p == pos and data[p - 1] == symbol:  # that run started before pos
+        p = data.find(block, run.match(data, p).end(), stop)
+    return None if p < 0 else (p, run.match(data, p).end())
+
+
+def _run_symbols(b: int, kinds: tuple[str, ...]) -> list[int]:
+    symbols = [0] if ZEROS in kinds else []
+    if TOP in kinds and b >= 2:
+        symbols.append(b - 1)
+    return symbols
+
+
+def _monotone_runs(data: bytes, symbols: list[int]) -> list[Run]:
+    """The greedy non-decreasing subsequence of the complete maximal runs:
+    in order, each run at least as long as the last one taken.
+
+    Each search asks for a run as long as the last one taken, so the loop
+    turns once per monotone run (and once for a run at the start of the
+    word), not once per run.
+    """
+    n = len(data)
+    ahead = dict.fromkeys(symbols, (-1, 0))  # per symbol, the next run long enough
+    monotone: list[Run] = []
+    pos, length = 0, 1
+    while True:
+        for sym, span in ahead.items():
+            if span is not None and (span[0] < pos or span[1] - span[0] < length):
+                ahead[sym] = _next_run(data, sym, length, max(pos, span[1]))
+        found = [(span, sym) for sym, span in ahead.items() if span is not None]
+        if not found:
+            return monotone
+        (s, e), sym = min(found)
+        if e == n:  # the last run; it is incomplete
+            return monotone
+        if s > 0:  # a run at the start of the word is incomplete
+            monotone.append(Run(start=s, end=e + 1, kind=ZEROS if sym == 0 else TOP,
+                                complete=True))
+            length = e - s
+        pos = e
+
+
 def run_decomposition(digits: DigitWord, b: Optional[int] = None,
                       kinds: tuple[str, ...] = (ZEROS, TOP)) -> RunDecomposition:
     """Locate all maximal runs and the greedy non-decreasing subsequence.
@@ -128,9 +181,7 @@ def run_decomposition(digits: DigitWord, b: Optional[int] = None,
     if len(digits) < 2:
         raise NoRuns("need at least two digits")
     data = digits.data if isinstance(digits.data, bytes) else bytes(digits.data)
-    symbols = [0] if ZEROS in kinds else []
-    if TOP in kinds and b >= 2:
-        symbols.append(b - 1)
+    symbols = _run_symbols(b, kinds)
     # one scan finds the runs in order, with no list of spans beside them:
     # a long word has a run every few digits
     runs = []
@@ -142,15 +193,8 @@ def run_decomposition(digits: DigitWord, b: Optional[int] = None,
                             complete=s >= 1 and e < len(data)))
     if not runs:
         raise NoRuns("no digit equals 0 or b-1")
-    monotone: list[Run] = []
-    record = None
-    for r in runs:
-        if not r.complete:
-            continue
-        if record is None or r.gap >= record:
-            monotone.append(r)
-            record = r.gap
-    return RunDecomposition(runs=runs, monotone=monotone, horizon=len(data), word=digits)
+    return RunDecomposition(runs=runs, monotone=_monotone_runs(data, symbols),
+                            horizon=len(data), word=digits)
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +221,13 @@ def estimate_exponents(dec: RunDecomposition, window: Optional[int] = None) -> E
     The estimate uses a tail window of the last W monotone runs (default
     ``max(3, K/2)``) since early runs bias the limits.
     """
-    mono = dec.monotone
+    return _estimate(dec.monotone, dec.horizon, window)
+
+
+def _estimate(mono: list[Run], horizon: int, window: Optional[int]) -> ExponentEstimate:
     K = len(mono)
     if K < 2:
-        raise InsufficientDepth(f"only {K} monotone runs at horizon {dec.horizon}")
+        raise InsufficientDepth(f"only {K} monotone runs at horizon {horizon}")
     W = window or max(3, (K + 1) // 2)
     trajectory = []
     for k, r in enumerate(mono):
@@ -195,19 +242,24 @@ def estimate_exponents(dec: RunDecomposition, window: Optional[int] = None) -> E
     v_hat_lower = min(hat_vals)
     k_log = K / math.log(mono[-1].start) if mono[-1].start > 1 else None
     return ExponentEstimate(v_lower=v_lower, v_hat_lower=v_hat_lower,
-                            trajectory=trajectory, horizon=dec.horizon,
+                            trajectory=trajectory, horizon=horizon,
                             window=W, k_over_log_n=k_log)
 
 
 def exponents_of_word(digits: DigitWord, b: Optional[int] = None,
                       kinds: tuple[str, ...] = (ZEROS, TOP)) -> ExponentEstimate:
-    """estimate_exponents with the no-run / too-shallow cases reported as 0."""
-    try:
-        dec = run_decomposition(digits, b, kinds)
-        return estimate_exponents(dec)
-    except (NoRuns, InsufficientDepth):
-        return ExponentEstimate(v_lower=Fraction(0), v_hat_lower=Fraction(0),
-                                trajectory=[], horizon=len(digits), window=0)
+    """estimate_exponents with the no-run / too-shallow cases reported as 0.
+
+    Only the monotone runs are located, not every run as run_decomposition
+    does, so the scan costs C time per digit and Python time per monotone run.
+    """
+    if len(digits) >= 2:
+        data = digits.data if isinstance(digits.data, bytes) else bytes(digits.data)
+        mono = _monotone_runs(data, _run_symbols(b or digits.base, kinds))
+        if len(mono) >= 2:
+            return _estimate(mono, len(data), None)
+    return ExponentEstimate(v_lower=Fraction(0), v_hat_lower=Fraction(0),
+                            trajectory=[], horizon=len(digits), window=0)
 
 
 def check_relations(est: ExponentEstimate, tol: Fraction = Fraction(0)) -> dict:

@@ -159,7 +159,8 @@ def _scalar_dict(s) -> dict:
 
 
 def _cmd_expand(args):
-    _not_negative(args.digits, "--digits")
+    if args.digits < 1:
+        raise UsageError(f"expand needs --digits >= 1, got {args.digits}")
     cfg = {"cmd": "expand", "digits": args.digits}
     if args.base and not args.beta:
         cfg["base"] = args.base
@@ -184,7 +185,8 @@ def _cmd_expand(args):
 
 
 def _cmd_expand_one(args):
-    _not_negative(args.digits, "--digits")
+    if args.digits < 1:
+        raise UsageError(f"expand-one needs --digits >= 1, got {args.digits}")
     system = BetaSystem.parse(args.beta, default_precision())
     word = expansion_of_one_star(system, args.digits)
     _emit_digits(args, word, {}, {"cmd": "expand-one", "beta": args.beta,

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import bisect
 import random
-import re
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .bary import DigitSet
+from .bary import DigitSet, _next_run
 from .beta_shift import BetaSystem, expansion_of_one_star, is_self_admissible, parry_invert
 from .errors import InfeasibleParameters, NotSelfAdmissible, PrefixConditionFailed
 from .numerics import Comparison, PolyRoot
@@ -373,31 +372,38 @@ def _enforce_run_caps(arr: bytearray, segs: list[Segment], free: list[Segment], 
 
     The in-fill clamping already keeps runs short inside each span; this pass
     catches merges across span boundaries (only possible for base 2, where
-    the markers are themselves the top digit).
+    the markers are themselves the top digit).  Only the runs longer than
+    their cap are visited.
     """
-    starts = [seg.lo for seg in segs]
     free_starts = [seg.lo for seg in free]
     free_ends = [seg.hi for seg in free]
-    for symbol in {0, b - 1}:
-        pat = re.compile(re.escape(bytes([symbol])) + b"+")
-        for mt in pat.finditer(arr):
-            s, e = mt.start() + 1, mt.end()  # 1-based inclusive run
-            cap = max(segs[bisect.bisect_right(starts, s) - 1].cap, 1)
-            if e - s + 1 <= cap:
-                continue
-            breaker = _break_digit(symbol, allowed, b)
-            pos = s + cap
-            while pos <= e:
-                i = bisect.bisect_right(free_starts, pos) - 1
-                target = pos
-                if i < 0 or target > free_ends[i]:
-                    nxt = bisect.bisect_right(free_starts, pos)
-                    if nxt >= len(free_starts) or free_starts[nxt] > e:
-                        break
-                    target = free_starts[nxt]
-                arr[target - 1] = breaker
-                clamps.append(target)
-                pos = target + cap + 1
+    reaches = []  # [lo, hi, cap]: consecutive segments that share a cap
+    for seg in segs:
+        cap = max(seg.cap, 1)
+        if reaches and reaches[-1][2] == cap:
+            reaches[-1][1] = seg.hi
+        else:
+            reaches.append([seg.lo, seg.hi, cap])
+    for symbol in (0, b - 1):
+        done = 0  # 0-based end of the last run visited
+        for lo, hi, cap in reaches:
+            # a run that starts by hi and is longer than cap shows by hi + cap
+            while span := _next_run(arr, symbol, cap + 1, max(done, lo - 1), hi + cap):
+                s, e = span[0] + 1, span[1]  # 1-based inclusive run
+                done = e
+                breaker = _break_digit(symbol, allowed, b)
+                pos = s + cap
+                while pos <= e:
+                    i = bisect.bisect_right(free_starts, pos) - 1
+                    target = pos
+                    if i < 0 or target > free_ends[i]:
+                        nxt = bisect.bisect_right(free_starts, pos)
+                        if nxt >= len(free_starts) or free_starts[nxt] > e:
+                            break
+                        target = free_starts[nxt]
+                    arr[target - 1] = breaker
+                    clamps.append(target)
+                    pos = target + cap + 1
 
 
 def _fill_free_spans(arr: bytearray, free: list[Segment], policy: FillPolicy, b: int,

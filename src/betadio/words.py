@@ -47,8 +47,11 @@ class DigitWord(Sequence[int]):
         return iter(self._data)
 
     def __eq__(self, other):
-        return (isinstance(other, DigitWord) and self.base == other.base
-                and tuple(self._data) == tuple(other._data))
+        if not isinstance(other, DigitWord) or self.base != other.base:
+            return False
+        if isinstance(self._data, bytes) and isinstance(other._data, bytes):
+            return self._data == other._data
+        return tuple(self._data) == tuple(other._data)
 
     def __hash__(self):
         return hash((self.base, bytes(self._data) if not isinstance(self._data, bytes) else self._data))
@@ -179,31 +182,68 @@ class DigitStream:
 
 
 # ---------------------------------------------------------------------------
-# digit-sequence file format: header line `base=<b>`, then digits separated
-# by whitespace.
+# digit-sequence file format: a header line `base=<b>`, then the digits in
+# decimal.  The writer puts 40 digits per line, separated by single spaces,
+# with a newline after the last digit of each line.  The reader accepts any
+# whitespace between digits and reads the writer's own layout in bulk.
+
+_BLOCK = 1 << 15  # digits per bulk write, and characters per bulk read (even)
+_DECIMAL = bytes(range(10))
+_TO_ASCII = bytes.maketrans(_DECIMAL, b"0123456789")
+_FROM_ASCII = bytes.maketrans(b"0123456789", _DECIMAL)
 
 
 def write_digit_file(stream, base: int, digits: Iterable[int], per_line: int = 40) -> None:
     stream.write(f"base={base}\n")
-    line: list[str] = []
-    for d in digits:
-        line.append(str(d))
-        if len(line) == per_line:
-            stream.write(" ".join(line) + "\n")
-            line.clear()
-    if line:
-        stream.write(" ".join(line) + "\n")
+    if per_line < 1:
+        per_line = 1 << 62  # one line, however long the word
+    data = digits.data if isinstance(digits, DigitWord) else digits
+    if not isinstance(data, (bytes, bytearray, tuple)):
+        data = tuple(data)
+    # blocks of whole lines, so the memory used does not grow with the word
+    step = per_line * max(1, _BLOCK // per_line)
+    for i in range(0, len(data), step):
+        block = data[i:i + step]
+        # a digit above 9 takes several characters
+        if isinstance(block, tuple) or block.translate(None, _DECIMAL):
+            for j in range(0, len(block), per_line):
+                stream.write(" ".join(map(str, block[j:j + per_line])) + "\n")
+            continue
+        # each digit, then a space or (after a full line and the last digit) a newline
+        out = bytearray(b" ") * (2 * len(block))
+        out[::2] = block.translate(_TO_ASCII)
+        out[2 * per_line - 1::2 * per_line] = b"\n" * (len(block) // per_line)
+        out[-1] = 10
+        stream.write(out.decode())
 
 
 def read_digit_file(stream) -> DigitWord:
-    """Read line by line into bytes (a list above base 256), so memory
-    stays near one byte per digit; ValueError on a malformed file."""
+    """Read a digit file into bytes (a list above base 256), so memory stays
+    near one byte per digit; ValueError on a malformed file.
+
+    Text that alternates one digit below the base and one space or newline,
+    as the writer lays it out, is converted in blocks; from the first block
+    that does not, the rest is parsed token by token.
+    """
     header = stream.readline().strip()
     if not header.startswith("base="):
         raise ValueError("missing `base=<b>` header line")
     base = int(header.split()[0][5:])
+    head, lines = b"", stream
+    if 2 <= base <= 256:
+        digit_chars = b"0123456789"[:base]
+        parts = []
+        while text := stream.read(_BLOCK):
+            raw = text.encode()
+            digits = raw[::2]
+            if (not text.isascii() or len(raw) % 2 or raw[1::2].translate(None, b" \n")
+                    or digits.translate(None, digit_chars)):
+                # the block starts on a token; the rest of the text is parsed below
+                head, lines = b"".join(parts), (text + stream.read()).splitlines()
+                break
+            parts.append(digits.translate(_FROM_ASCII))
+        else:
+            return DigitWord.from_bytes(base, b"".join(parts))
     if base <= 256:
-        digits = b"".join(bytes(map(int, line.split())) for line in stream)
-    else:
-        digits = [int(tok) for line in stream for tok in line.split()]
-    return DigitWord(base, digits)
+        return DigitWord(base, head + b"".join(bytes(map(int, line.split())) for line in lines))
+    return DigitWord(base, [int(tok) for line in lines for tok in line.split()])

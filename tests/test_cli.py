@@ -227,6 +227,10 @@ def test_config_embeds_precision(tmp_path, capsys):
     ["expand-one", "--beta", "int:3", "--digits", "-3"],
     ["expand", "--beta", "root:1,1", "--x", "1/2", "--digits", "-3"],
     ["expand", "--base", "10", "--x", "1/7", "--digits", "-3"],
+    # no digits asked for
+    ["expand-one", "--beta", "int:3", "--digits", "0"],
+    ["expand", "--beta", "root:1,1", "--x", "1/2", "--digits", "0"],
+    ["expand", "--base", "10", "--x", "1/7", "--digits", "0"],
 ])
 def test_malformed_digits_are_usage_errors(capsys, argv):
     assert main(argv) == 1

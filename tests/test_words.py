@@ -28,6 +28,25 @@ def test_digit_word_large_alphabet():
     assert w[0] == 999 and len(w) == 3
 
 
+def test_digit_word_equality():
+    w = DigitWord(3, [1, 0, 2, 2])
+    assert w == DigitWord.from_bytes(3, b"\x01\x00\x02\x02")
+    assert w == w[:]
+    assert w != DigitWord(3, [1, 0, 2, 1])   # same length, one digit differs
+    assert w != DigitWord(3, [1, 0, 2])      # a prefix
+    assert w != DigitWord(4, [1, 0, 2, 2])   # same digits, another base
+    assert w != (1, 0, 2, 2) and w != b"\x01\x00\x02\x02"
+    # above base 256 the digits are a tuple
+    big = DigitWord(1000, [999, 0, 500])
+    assert big == DigitWord(1000, (999, 0, 500)) and big == big[:]
+    assert big != DigitWord(1000, [999, 0, 501])
+    assert big != DigitWord(1001, [999, 0, 500])
+    # a packed word against a tuple word of the same base, as from_bytes can make
+    assert DigitWord.from_bytes(300, b"\x01\x02") == DigitWord(300, [1, 2])
+    assert DigitWord(300, [1, 2]) == DigitWord.from_bytes(300, b"\x01\x02")
+    assert DigitWord.from_bytes(300, b"\x01\x02") != DigitWord(300, [1, 3])
+
+
 def test_periodic_word_indexing_and_shift():
     w = PeriodicWord((2,), (1, 0))
     assert [w[i] for i in range(6)] == [2, 1, 0, 1, 0, 1]
