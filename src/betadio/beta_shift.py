@@ -8,7 +8,9 @@ each of its shifts is lexicographically at most the infinite expansion of 1
 expansion of 1 terminates).  For eventually periodic expansions of 1 the
 admissible words form a finite-automaton language; the automaton is the
 follower-set construction with states "length of the longest suffix matching
-a prefix of the bound word", collapsed modulo the period.
+a prefix of the bound word", collapsed modulo the period.  Admissible words
+are counted by the recurrence of Rényi (1957) and Parry (1960) on that
+expansion, jumped ahead by Fiduccia's (1985) powering once it is periodic.
 
 Digits are certified: greedy iteration carries the orbit of x both as an
 interval and, when x and beta are exact, as an integer polynomial in beta,
@@ -20,6 +22,8 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
@@ -35,6 +39,7 @@ from .numerics import (
     Comparison,
     PolyRoot,
     Scalar,
+    _cleared_polynomial,
     is_exact_root,
     isolate_root,
     poly_divmod,
@@ -130,7 +135,11 @@ class AdmissibilityAutomaton:
         self.full_states = frozenset(
             s for s in range(self.num_states)
             if compare_words(D.shift(s), D) == 0)
-        self._pow_cache: dict[int, list[list[int]]] = {}
+        # count_words: the cleared polynomial of D (monic; x^d dropped) and
+        # the counts c_0 .. c_{p+q-1}
+        f = _cleared_polynomial(D.pre, D.per)
+        self._taps = [(i, int(c)) for i, c in enumerate(f[:-1]) if c]
+        self._head = _parry_counts(self.bound.__getitem__, p + q - 1)
         self._count_cache: dict[int, int] = {}
 
     def step(self, state: int, digit: int) -> Optional[int]:
@@ -145,59 +154,49 @@ class AdmissibilityAutomaton:
                 return None
         return state
 
-    @property
-    def counting_matrix(self) -> list[list[int]]:
-        n = self.num_states
-        M = [[0] * n for _ in range(n)]
-        for s in range(n):
-            for t in self.transitions[s]:
-                M[s][t] += 1
-        return M
-
-    def _mat_mul(self, A, B):
-        n = self.num_states
-        out = [[0] * n for _ in range(n)]
-        for i in range(n):
-            Ai = A[i]
-            row = out[i]
-            for k in range(n):
-                a = Ai[k]
-                if a:
-                    Bk = B[k]
-                    for j in range(n):
-                        if Bk[j]:
-                            row[j] += a * Bk[j]
-        return out
-
-    def _mat_pow(self, e: int):
-        if e in self._pow_cache:
-            return self._pow_cache[e]
-        if e == 1:
-            out = self.counting_matrix
-        elif e % 2 == 0:
-            H = self._mat_pow(e // 2)
-            out = self._mat_mul(H, H)
-        else:
-            out = self._mat_mul(self._mat_pow(e - 1), self.counting_matrix)
-        if e <= 1 << 22:
-            self._pow_cache[e] = out
-        return out
-
     def count_words(self, n: int) -> int:
-        """Exact number of accepted words of length n (paths from state 0)."""
-        if n == 0:
-            return 1
+        """Exact number of accepted words of length n (paths from state 0).
+
+        The counts have the generating function ``(1 + .. + z^(q-1)) / E(z)``,
+        E the reverse of D's cleared polynomial, so ``c_n`` is ``x^n`` modulo
+        it applied to ``c_0 .. c_{p+q-1}`` (Fiduccia, SIAM J. Comput. 14, 1985).
+        """
+        if n < 0:
+            raise ValueError(f"word length must be >= 0, got {n}")
         if n not in self._count_cache:
-            row = self._mat_pow(n)[0]
-            self._count_cache[n] = sum(row)
+            d = self.num_states
+            r = [1] + [0] * (d - 1)  # x^n mod the polynomial, by binary powering
+            for bit in bin(n)[2:]:
+                sq = [0] * (2 * d - 1)
+                for i, ri in enumerate(r):
+                    sq[2 * i] += ri * ri
+                    for j in range(i + 1, d):
+                        sq[i + j] += ri * r[j] << 1
+                if bit == "1":
+                    sq.insert(0, 0)
+                for k in range(len(sq) - 1, d - 1, -1):
+                    for i, e in self._taps:  # x^d = -sum e x^i
+                        sq[k - d + i] -= e * sq[k]
+                r = sq[:d]
+            self._count_cache[n] = sum(map(mul, r, self._head))
         return self._count_cache[n]
 
-    def enumerate_words(self, n: int, state: int = 0, prefix: tuple = ()) -> Iterator[tuple]:
-        if n == 0:
-            yield prefix
-            return
-        for c in range(self.bound[state] + 1):
-            yield from self.enumerate_words(n - 1, self.transitions[state][c], prefix + (c,))
+    def enumerate_words(self, n: int) -> Iterator[tuple]:
+        """Accepted words of length n, in lexicographic order."""
+        if n < 0:
+            raise ValueError(f"word length must be >= 0, got {n}")
+        word = [0] * n
+        while True:
+            yield tuple(word)
+            # an odometer: the last digit below its bound goes up, the digits
+            # after it restart at 0 (which every state allows)
+            states = list(accumulate(word, self.step, initial=0))
+            i = n - 1
+            while i >= 0 and word[i] == self.bound[states[i]]:
+                i -= 1
+            if i < 0:
+                return
+            word[i:] = [word[i] + 1] + [0] * (n - 1 - i)
 
     def sample_word(self, n: int, rng) -> tuple:
         state, out = 0, []
@@ -644,28 +643,28 @@ def is_admissible(system: BetaSystem, word: Sequence[int]) -> bool:
     return True
 
 
-def count_admissible(system: BetaSystem, n: int, enumeration_cap: int = 25) -> int:
-    """Exact number of admissible words of length n."""
+def _parry_counts(digit, n: int) -> list[int]:
+    """``c_0 .. c_n`` of ``c_m = 1 + sum_{i<=m} t*_i c_{m-i}``; digit(i) is t*_{i+1}."""
+    t, c = [], [1]
+    for m in range(n):
+        t.append(digit(m))
+        c.append(1 + sum(map(mul, t, reversed(c))))
+    return c
+
+
+def count_admissible(system: BetaSystem, n: int) -> int:
+    """Exact number of admissible words of length n, by ``c_0 = 1`` and
+    ``c_n = 1 + sum_{i<=n} t*_i c_{n-i}`` (Rényi 1957, Parry 1960): a word is
+    the prefix of ``t*`` or first drops below ``t*_i`` at some i, then goes on
+    admissibly.  Without an automaton ``t*`` is known to the horizon only."""
+    if n < 0:
+        raise ValueError(f"word length must be >= 0, got {n}")
     if system.automaton is not None:
         return system.automaton.count_words(n)
-    if n > enumeration_cap:
-        raise HorizonTooDeep(
-            f"no finite automaton for {system}; enumeration capped at {enumeration_cap}")
-    total = 0
-
-    def dfs(prefix: list[int]):
-        nonlocal total
-        if len(prefix) == n:
-            total += 1
-            return
-        for c in range(system.alphabet_top + 1):
-            prefix.append(c)
-            if is_admissible(system, prefix):
-                dfs(prefix)
-            prefix.pop()
-
-    dfs([])
-    return total
+    if n > system.horizon:
+        raise HorizonTooDeep(f"no finite automaton for {system}; length {n} "
+                             f"needs the expansion of 1 past horizon {system.horizon}")
+    return _parry_counts(system.d1_star_digit, n)[n]
 
 
 def renyi_bounds_check(system: BetaSystem, n: int, bits: int = DEFAULT_PRECISION) -> dict:

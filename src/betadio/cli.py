@@ -201,12 +201,12 @@ def _cmd_admissible(args):
     system = BetaSystem.parse(args.beta, default_precision())
     cfg = {"cmd": f"admissible {args.action}", "beta": args.beta}
     if args.action == "count":
-        count = count_admissible(system, args.len)
+        renyi = renyi_bounds_check(system, args.len) if args.renyi else None
+        count = renyi.pop("count") if renyi else count_admissible(system, args.len)
         payload = {"n": args.len, "count": count}
         plain = str(count)
-        if args.renyi:
-            payload["renyi"] = {k: v for k, v in renyi_bounds_check(system, args.len).items()
-                                if k != "count"}
+        if renyi:
+            payload["renyi"] = renyi
             plain = None
         _emit(args, payload, cfg, plain=plain)
     elif args.action == "list":

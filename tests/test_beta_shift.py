@@ -185,6 +185,24 @@ def test_count_matches_enumeration():
             assert all(is_admissible(sys, list(w)) for w in words)
 
 
+@pytest.mark.parametrize("spec", ["root:1,1", "rat:3/2"])
+def test_negative_length_is_a_value_error(spec):
+    sys_ = BetaSystem.parse(spec)
+    with pytest.raises(ValueError):
+        count_admissible(sys_, -1)
+    if sys_.automaton is not None:
+        with pytest.raises(ValueError):
+            sys_.automaton.count_words(-1)
+        with pytest.raises(ValueError):
+            next(sys_.automaton.enumerate_words(-1))
+
+
+def test_enumeration_is_not_recursive():
+    # words far longer than the recursion limit are listed
+    for sys in (golden(), tribonacci()):
+        assert next(sys.automaton.enumerate_words(5000)) == (0,) * 5000
+
+
 def test_renyi_bounds():
     for sys in (golden(), tribonacci(), BetaSystem.from_int(3)):
         for n in (1, 5, 12):
@@ -326,8 +344,10 @@ def test_lazy_system_degrades_explicitly():
     assert is_admissible(sys_, [1, 0, 1])
     assert not is_admissible(sys_, [2, 0, 0])
     assert count_admissible(sys_, 8) == 97
+    probed = len(sys_._orbit.digits)
     with pytest.raises(HorizonTooDeep):
-        count_admissible(sys_, 26)
+        count_admissible(sys_, sys_.horizon + 1)
+    assert len(sys_._orbit.digits) == probed  # refused before any digit is computed
     with pytest.raises(UndecidedFiniteness):
         is_full(sys_, [0])
     c = cylinder(sys_, [0])

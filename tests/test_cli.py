@@ -280,6 +280,17 @@ def test_count_past_int_str_limit(capsys):
         sys.set_int_max_str_digits(before)
 
 
+def test_lazy_count_reaches_the_horizon(capsys):
+    # rat:3/2 has no automaton: its counts run to the digit horizon (4096)
+    rc, out = run(capsys, "admissible", "count", "--beta", "rat:3/2", "--len", "30", "--renyi")
+    assert rc == 0
+    data = json.loads(out)
+    assert data["n"] == 30 and data["renyi"]["lower_ok"] and data["renyi"]["upper_ok"]
+    assert main(["admissible", "count", "--beta", "rat:3/2", "--len", "5000"]) == 2
+    err = capsys.readouterr().err
+    assert "horizon" in err and len(err.splitlines()) == 1
+
+
 def test_dim_local_reads_the_precision(capsys, monkeypatch):
     argv = ["dim", "local", "--theta", "3", "--vhat", "1/3", "--beta", "root:1,1",
             "--N", "4", "--stages", "3"]
