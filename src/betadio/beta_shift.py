@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, compress
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -540,6 +540,10 @@ class BetaSystem:
         return f"BetaSystem({self.spec_string or self.kind})"
 
 
+# the working precision past which root certifications give up
+_MAX_BITS = 1 << 14
+
+
 def _integer_root(root: PolyRoot) -> Optional[int]:
     """Detects an exactly integer root (the cleared polynomial is monic,
     so any rational root is an integer)."""
@@ -553,9 +557,11 @@ def _integer_root(root: PolyRoot) -> Optional[int]:
         if root.exact_equals(F(k)):
             return k
         bits *= 2
+        if bits > _MAX_BITS:
+            raise PrecisionExhausted(f"cannot tell beta from the integer {k}")
 
 
-def _floor_of_root(root: PolyRoot, cap_bits: int = 1 << 14) -> int:
+def _floor_of_root(root: PolyRoot) -> int:
     """Certified integer part of a known-irrational isolated root."""
     bits = root.refined.prec
     while True:
@@ -567,7 +573,7 @@ def _floor_of_root(root: PolyRoot, cap_bits: int = 1 << 14) -> int:
         if root.exact_equals(F(straddled)):
             raise DegenerateApproximant("integer base, use from_int")
         bits *= 2
-        if bits > cap_bits:
+        if bits > _MAX_BITS:
             raise PrecisionExhausted("cannot certify the integer part of beta")
 
 
@@ -644,11 +650,18 @@ def is_admissible(system: BetaSystem, word: Sequence[int]) -> bool:
 
 
 def _parry_counts(digit, n: int) -> list[int]:
-    """``c_0 .. c_n`` of ``c_m = 1 + sum_{i<=m} t*_i c_{m-i}``; digit(i) is t*_{i+1}."""
-    t, c = [], [1]
+    """``c_0 .. c_n`` of ``c_m = 1 + sum_{i<=m} t*_i c_{m-i}``; digit(i) is t*_{i+1}.
+
+    The sum is taken without multiplying, as ``sum_v sum_{i: t*_i >= v} c_{m-i}``:
+    ``at_least[v-1][i-1]`` says whether ``t*_i >= v``."""
+    at_least, c = [], [1]
     for m in range(n):
-        t.append(digit(m))
-        c.append(1 + sum(map(mul, t, reversed(c))))
+        d = digit(m)
+        while len(at_least) < d:
+            at_least.append([False] * m)
+        for v, row in enumerate(at_least, 1):
+            row.append(d >= v)
+        c.append(1 + sum(sum(compress(reversed(c), row)) for row in at_least))
     return c
 
 
@@ -689,7 +702,7 @@ def renyi_bounds_check(system: BetaSystem, n: int, bits: int = DEFAULT_PRECISION
                     "upper_ok": F(b ** (n + 1), b - 1) >= count,
                     "bits": bits}
         bits *= 2
-        if bits > 1 << 14:
+        if bits > _MAX_BITS:
             raise PrecisionExhausted("Renyi bound check did not resolve")
 
 

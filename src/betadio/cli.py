@@ -6,15 +6,26 @@ resolved run configuration and the library version, digit outputs use the
 the full schedule next to the digit file.
 
 Exit codes: 0 success, 1 usage error, 2 infeasible/domain error,
-3 precision exhausted.
+3 precision exhausted; a stdout closed by its reader (``| head``) is a
+success.
+
+Two readers share one option table, ``_COMMANDS``.  The exact-match reader
+``_read`` accepts or defers, without importing argparse.  It accepts a
+subcommand name, then that subcommand's exact flags, each given once with
+its value as one token not starting with ``-`` (one or more for a list),
+one positional from its choices, every required option, and ``int`` values
+that convert; its namespace has the fields argparse would give.  Anything
+else (``-h``, ``--version``, ``--flag=value``, abbreviations, ``-``-leading
+values, ``--``, unknown or extra tokens) goes to ``build_parser()``, made
+from the same table: argparse owns help, usage and every error message.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import __version__
 from .bary import (
@@ -60,11 +71,6 @@ from .numerics import Scalar
 from .words import DigitWord, PeriodicWord, read_digit_file, write_digit_file
 
 F = Fraction
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
 
 
 class UsageError(Exception):
@@ -421,106 +427,127 @@ def _cmd_reprove(args):
 
 
 # ---------------------------------------------------------------------------
-# parser wiring
+# the option table
+#
+# Per subcommand: handler, help, and its arguments as (flags, kind, default).
+# Flags without a leading "-" name the positional.  kind is str or int for
+# one value, a tuple of choices, bool for a store_true switch, or list for
+# one or more values; a default of ... marks a required argument.  The dest
+# is the first flag without its dashes, "-" read as "_", as argparse derives
+# it.  Every subcommand also takes _OUTPUT.
+
+_COMMANDS = {
+    "expand": (_cmd_expand, "digits of x in an integer or real base", (
+        ("--base", int, None), ("--beta", str, None), ("--x", str, "0"),
+        ("--lacunary", str, None), ("--digits", int, ...))),
+    "expand-one": (_cmd_expand_one, "infinite expansion of 1", (
+        ("--beta", str, ...), ("--digits", int, ...))),
+    "admissible": (_cmd_admissible, "count/list/check admissible words", (
+        ("action", ("count", "list", "check"), ...), ("--beta", str, ...),
+        ("--len", int, None), ("--word", str, None), ("--renyi", bool, False))),
+    "cylinder": (_cmd_cylinder, "certified basic-interval endpoints", (
+        ("--beta", str, ...), ("--word", str, ...))),
+    "exponents": (_cmd_exponents, "run analysis of a digit file", (
+        ("--input", str, ...), ("--zeros-only", bool, False), ("--trajectory", bool, False))),
+    "construct": (_cmd_construct, "generate construction digit words", (
+        ("flavor", ("bary", "beta", "param", "restricted"), ...),
+        ("--theta", str, ...), ("--vhat", str, ...), ("--stages", int, 8),
+        ("--fill", str, "const:1"), ("--seed", int, 0), ("--base", int, None),
+        ("--digit-set", str, None), ("--beta", str, None), ("--beta0", str, None),
+        ("--beta1", str, None), ("--beta2", str, None), ("--N", int, 3))),
+    "measure": (_cmd_measure, "cylinder mass from a construction sidecar", (
+        ("--sidecar", str, ...), ("--n", int, ...))),
+    "dim": (_cmd_dim, "dimension formulas and trajectories", (
+        ("what", ("formula", "local", "s0"), ...), ("--theta", str, None),
+        ("--vhat", str, ...), ("--sup", bool, False), ("--eps", str, "0"),
+        ("--base", int, 3), ("--digit-set", str, None), ("--beta", str, None),
+        ("--N", int, 3), ("--stages", int, 12), ("--tolerance", str, "1/50"),
+        ("--format", ("json", "csv"), "json"))),
+    "parry": (_cmd_parry, "self-admissibility and base inversion", (
+        ("action", ("check", "invert"), ...), ("--word", str, ...), ("--bits", int, 128))),
+    "reprove": (_cmd_reprove, "prescribed-pair limit along a theta grid", (
+        ("--v", str, ...), ("--thetas", list, ...))),
+}
+_OUTPUT = ("--output -o", str, None)
+_HELP = {"lacunary": "rational v for the sparse series, or squared-power",
+         "renyi": "attach the count bounds check",
+         "output": "write to file instead of stdout"}
 
 
-def build_parser() -> _Parser:
+def _dest(flags: str) -> str:
+    return flags.split()[0].lstrip("-").replace("-", "_")
+
+
+def _read(argv: list) -> SimpleNamespace | None:
+    """The exact-match reader: the parsed argv, or None to defer to argparse."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    fn, _summary, arguments = _COMMANDS[argv[0]]
+    fields, flags = {"command": argv[0], "fn": fn}, {}
+    for names, kind, default in (*arguments, _OUTPUT):
+        fields[_dest(names)] = default
+        for flag in names.split() if names[0] == "-" else [None]:  # None: the positional
+            flags[flag] = _dest(names), kind
+    given, kind, need = set(), None, False  # need: the option `kind` still lacks a value
+    for token in argv[1:]:
+        flag = token if token.startswith("-") else None
+        if flag or kind is None:
+            if need or flag not in flags or flags[flag][0] in given:
+                return None
+            dest, kind = flags[flag]
+            given.add(dest)
+            if kind is bool:
+                fields[dest], kind = True, None
+            elif kind is list:
+                fields[dest] = []
+            need = kind is not None
+            if flag:
+                continue
+        try:
+            value = int(token) if kind is int else token
+        except ValueError:
+            return None
+        if isinstance(kind, tuple) and value not in kind:
+            return None
+        if kind is list:
+            fields[dest].append(value)
+        else:
+            fields[dest], kind = value, None
+        need = False
+    if need or any(d is ... and _dest(f) not in given for f, _k, d in arguments):
+        return None
+    return SimpleNamespace(**fields)
+
+
+def build_parser():
+    """The argparse parser of the same table: it parses whatever the reader
+    declines, and owns help, usage and every error message."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise UsageError(message)
+
     p = _Parser(prog="betadio", description=__doc__.splitlines()[0])
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add_output(sp):
-        sp.add_argument("--output", "-o", help="write to file instead of stdout")
-
-    sp = sub.add_parser("expand", help="digits of x in an integer or real base")
-    sp.add_argument("--base", type=int)
-    sp.add_argument("--beta")
-    sp.add_argument("--x", default="0")
-    sp.add_argument("--lacunary", help="rational v for the sparse series, or squared-power")
-    sp.add_argument("--digits", type=int, required=True)
-    add_output(sp)
-    sp.set_defaults(fn=_cmd_expand)
-
-    sp = sub.add_parser("expand-one", help="infinite expansion of 1")
-    sp.add_argument("--beta", required=True)
-    sp.add_argument("--digits", type=int, required=True)
-    add_output(sp)
-    sp.set_defaults(fn=_cmd_expand_one)
-
-    sp = sub.add_parser("admissible", help="count/list/check admissible words")
-    sp.add_argument("action", choices=["count", "list", "check"])
-    sp.add_argument("--beta", required=True)
-    sp.add_argument("--len", type=int)
-    sp.add_argument("--word")
-    sp.add_argument("--renyi", action="store_true", help="attach the count bounds check")
-    add_output(sp)
-    sp.set_defaults(fn=_cmd_admissible)
-
-    sp = sub.add_parser("cylinder", help="certified basic-interval endpoints")
-    sp.add_argument("--beta", required=True)
-    sp.add_argument("--word", required=True)
-    add_output(sp)
-    sp.set_defaults(fn=_cmd_cylinder)
-
-    sp = sub.add_parser("exponents", help="run analysis of a digit file")
-    sp.add_argument("--input", required=True)
-    sp.add_argument("--zeros-only", action="store_true")
-    sp.add_argument("--trajectory", action="store_true")
-    add_output(sp)
-    sp.set_defaults(fn=_cmd_exponents)
-
-    sp = sub.add_parser("construct", help="generate construction digit words")
-    sp.add_argument("flavor", choices=["bary", "beta", "param", "restricted"])
-    sp.add_argument("--theta", required=True)
-    sp.add_argument("--vhat", required=True)
-    sp.add_argument("--stages", type=int, default=8)
-    sp.add_argument("--fill", default="const:1")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--base", type=int)
-    sp.add_argument("--digit-set", dest="digit_set")
-    sp.add_argument("--beta")
-    sp.add_argument("--beta0")
-    sp.add_argument("--beta1")
-    sp.add_argument("--beta2")
-    sp.add_argument("--N", type=int, default=3)
-    add_output(sp)
-    sp.set_defaults(fn=_cmd_construct)
-
-    sp = sub.add_parser("measure", help="cylinder mass from a construction sidecar")
-    sp.add_argument("--sidecar", required=True)
-    sp.add_argument("--n", type=int, required=True)
-    add_output(sp)
-    sp.set_defaults(fn=_cmd_measure)
-
-    sp = sub.add_parser("dim", help="dimension formulas and trajectories")
-    sp.add_argument("what", choices=["formula", "local", "s0"])
-    sp.add_argument("--theta")
-    sp.add_argument("--vhat", required=True)
-    sp.add_argument("--sup", action="store_true")
-    sp.add_argument("--eps", default="0")
-    sp.add_argument("--base", type=int, default=3)
-    sp.add_argument("--digit-set", dest="digit_set")
-    sp.add_argument("--beta")
-    sp.add_argument("--N", type=int, default=3)
-    sp.add_argument("--stages", type=int, default=12)
-    sp.add_argument("--tolerance", default="1/50")
-    sp.add_argument("--format", choices=["json", "csv"], default="json")
-    add_output(sp)
-    sp.set_defaults(fn=_cmd_dim)
-
-    sp = sub.add_parser("parry", help="self-admissibility and base inversion")
-    sp.add_argument("action", choices=["check", "invert"])
-    sp.add_argument("--word", required=True)
-    sp.add_argument("--bits", type=int, default=128)
-    add_output(sp)
-    sp.set_defaults(fn=_cmd_parry)
-
-    sp = sub.add_parser("reprove", help="prescribed-pair limit along a theta grid")
-    sp.add_argument("--v", required=True)
-    sp.add_argument("--thetas", nargs="+", required=True)
-    add_output(sp)
-    sp.set_defaults(fn=_cmd_reprove)
-
+    for name, (fn, summary, arguments) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=summary)
+        for flags, kind, default in (*arguments, _OUTPUT):
+            kw = {"help": _HELP.get(_dest(flags))}
+            if kind is bool:
+                kw["action"] = "store_true"
+            elif kind is int:
+                kw["type"] = int
+            elif kind is list:
+                kw["nargs"] = "+"
+            elif kind is not str:
+                kw["choices"] = kind
+            if flags.startswith("-"):
+                kw["required"] = default is ...
+                kw["default"] = None if default is ... else default
+            sp.add_argument(*flags.split(), **kw)
+        sp.set_defaults(fn=fn)
     return p
 
 
@@ -537,9 +564,9 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _read(argv) or build_parser().parse_args(argv)
         return args.fn(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -550,6 +577,13 @@ def _run(argv) -> int:
     except DomainError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader of stdout closed it early (``| head``): not an error;
+        # stdout goes to os.devnull so that the flush at exit is silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,7 +16,9 @@ from betadio.beta_shift import (
     parry_invert,
     renyi_bounds_check,
 )
-from betadio.errors import DegenerateApproximant, NotSelfAdmissible
+from betadio import beta_shift
+from betadio.cli import main
+from betadio.errors import DegenerateApproximant, NotSelfAdmissible, PrecisionExhausted
 from betadio.numerics import Scalar
 from betadio.words import PeriodicWord
 
@@ -89,6 +91,22 @@ def test_from_root_integer_detection():
     assert sys.kind == "int" and sys.int_base == 2
     sys3 = BetaSystem.from_word(PeriodicWord((), (2,)))  # (2)^oo lifts to digit 3
     assert sys3.kind == "int" and sys3.int_base == 3
+
+
+# 1 = 2/z + 1/z^101: beta^100 (beta - 2) = 1, so beta is within 2^-100 of 2
+NEAR_TWO = "root:2," + "0," * 99 + "1"
+
+
+def test_integer_detection_is_capped(monkeypatch, capsys):
+    sys = BetaSystem.parse(NEAR_TWO, 64)  # 64 bits cannot tell beta from 2; 128 can
+    assert sys.kind == "algebraic" and sys.alphabet_top == 2
+    monkeypatch.setattr(beta_shift, "_MAX_BITS", 100)
+    with pytest.raises(PrecisionExhausted, match="integer 2"):
+        BetaSystem.parse(NEAR_TWO, 64)
+    monkeypatch.setenv("BETADIO_PRECISION", "64")
+    assert main(["admissible", "count", "--beta", NEAR_TWO, "--len", "3"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("precision exhausted:") and len(err.splitlines()) == 1
 
 
 def test_alphabet_top_convention():

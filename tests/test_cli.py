@@ -11,6 +11,7 @@ import betadio
 from betadio.bary import DigitSet
 from betadio.cli import main
 from betadio.constructions import ConstructionSpec, FillPolicy, generate_bary
+from test_readme import readme_commands
 
 F = Fraction
 SRC = str(Path(betadio.__file__).resolve().parent.parent)
@@ -324,9 +325,43 @@ def test_import_footprint():
     proc = _cli("-S", "-c", code)
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
-    assert not {"dataclasses", "inspect", "logging", "csv"} & loaded
+    assert not {"dataclasses", "inspect", "logging", "csv", "argparse", "gettext", "locale"} & loaded
     layers = ("numerics", "words", "bary", "beta_shift", "constructions", "measures_dim", "cli")
     assert {f"betadio.{layer}" for layer in layers} <= loaded
+
+
+def test_readme_commands_run_without_argparse(tmp_path):
+    """Well-formed argvs are read from the option table; argparse is loaded
+    only for help and errors."""
+    code = ("import sys, betadio.cli\n"
+            f"for argv in {[argv for argv, _value in readme_commands()]!r}:\n"
+            "    assert betadio.cli.main(argv) == 0, argv\n"
+            "print('argparse' in sys.modules, file=sys.stderr)\n")
+    proc = _cli("-S", "-c", code, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "False"
+    proc = _cli("-S", "-c", "import sys, betadio.cli\n"
+                "assert betadio.cli.main(['dim', 'formula', '--vhat', '1/3', '--thet', '3']) == 0\n"
+                "print('argparse' in sys.modules)", cwd=tmp_path)
+    assert proc.stdout.splitlines() == ["1/4", "True"]  # an abbreviation goes to argparse
+
+
+def test_closed_stdout_is_not_an_error():
+    """``admissible list ... | head -1``: the reader closes the pipe after one
+    line; the listing stops with exit 0 and nothing on stderr."""
+    argv = [sys.executable, "-m", "betadio.cli", "admissible", "list", "--beta", "root:1,1",
+            "--len", "30"]
+    proc = subprocess.Popen(argv, env=dict(os.environ, PYTHONPATH=SRC),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        rc = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+    assert first == b"0 " * 29 + b"0\n"
+    assert (rc, err) == (0, b"")
 
 
 @pytest.mark.parametrize("flavor, extra, lines", [

@@ -5,13 +5,16 @@ counted by the Parry recurrence: row 0 of a big-integer power of the
 automaton's counting matrix.  ``oracle_count_dfs`` is the depth-first
 enumeration that counted bases without an automaton, and
 ``oracle_enumerate_words`` the recursive listing that the odometer replaced.
-They are frozen: the tests assert that the library reproduces their counts
-and words exactly.
+``oracle_parry_products`` is the Parry recurrence in the product form that
+the multiply-free sum replaced.  They are frozen: the tests assert that the
+library reproduces their counts and words exactly.
 """
+
+from operator import mul
 
 import pytest
 
-from betadio.beta_shift import BetaSystem, count_admissible, is_admissible
+from betadio.beta_shift import BetaSystem, _parry_counts, count_admissible, is_admissible
 from betadio.errors import DegenerateApproximant
 
 # ---------------------------------------------------------------------------
@@ -63,6 +66,14 @@ def oracle_count_dfs(system, n):
     return total
 
 
+def oracle_parry_products(digit, n):
+    t, c = [], [1]
+    for m in range(n):
+        t.append(digit(m))
+        c.append(1 + sum(map(mul, t, reversed(c))))
+    return c
+
+
 def oracle_enumerate_words(auto, n, state=0, prefix=()):
     if n == 0:
         yield prefix
@@ -99,6 +110,12 @@ def test_lazy_counts_match_the_enumeration(spec, top):
     assert system.automaton is None
     for n in range(top + 1):
         assert count_admissible(system, n) == oracle_count_dfs(system, n)
+
+
+@pytest.mark.parametrize("spec", ["rat:3/2", "rat:7/3", "root:1,0,2"])
+def test_lazy_counts_match_the_product_form(spec):
+    digit = BetaSystem.parse(spec).d1_star_digit
+    assert _parry_counts(digit, 600) == oracle_parry_products(digit, 600)
 
 
 @pytest.mark.parametrize("spec", ["root:1,1", "root:1,1,1"])
