@@ -7,7 +7,7 @@ the full schedule next to the digit file.
 
 Exit codes: 0 success, 1 usage error, 2 infeasible/domain error,
 3 precision exhausted; a stdout closed by its reader (``| head``) is a
-success.
+success, a broken pipe on an ``--output`` file is not.
 
 Two readers share one option table, ``_COMMANDS``.  The exact-match reader
 ``_read`` accepts or defers, without importing argparse.  It accepts a
@@ -429,22 +429,25 @@ def _cmd_reprove(args):
 # ---------------------------------------------------------------------------
 # the option table
 #
-# Per subcommand: handler, help, and its arguments as (flags, kind, default).
-# Flags without a leading "-" name the positional.  kind is str or int for
-# one value, a tuple of choices, bool for a store_true switch, or list for
-# one or more values; a default of ... marks a required argument.  The dest
-# is the first flag without its dashes, "-" read as "_", as argparse derives
-# it.  Every subcommand also takes _OUTPUT.
+# Per subcommand: handler, help, and its arguments as (flags, kind, default)
+# or (flags, kind, default, help).  Flags without a leading "-" name the
+# positional.  kind is str or int for one value, a tuple of choices, bool
+# for a store_true switch, or list for one or more values; a default of ...
+# marks a required argument.  The dest is the first flag without its dashes,
+# "-" read as "_", as argparse derives it.  Every subcommand also takes
+# _OUTPUT.
 
 _COMMANDS = {
     "expand": (_cmd_expand, "digits of x in an integer or real base", (
         ("--base", int, None), ("--beta", str, None), ("--x", str, "0"),
-        ("--lacunary", str, None), ("--digits", int, ...))),
+        ("--lacunary", str, None, "rational v for the sparse series, or squared-power"),
+        ("--digits", int, ...))),
     "expand-one": (_cmd_expand_one, "infinite expansion of 1", (
         ("--beta", str, ...), ("--digits", int, ...))),
     "admissible": (_cmd_admissible, "count/list/check admissible words", (
         ("action", ("count", "list", "check"), ...), ("--beta", str, ...),
-        ("--len", int, None), ("--word", str, None), ("--renyi", bool, False))),
+        ("--len", int, None), ("--word", str, None),
+        ("--renyi", bool, False, "attach the count bounds check"))),
     "cylinder": (_cmd_cylinder, "certified basic-interval endpoints", (
         ("--beta", str, ...), ("--word", str, ...))),
     "exponents": (_cmd_exponents, "run analysis of a digit file", (
@@ -468,10 +471,7 @@ _COMMANDS = {
     "reprove": (_cmd_reprove, "prescribed-pair limit along a theta grid", (
         ("--v", str, ...), ("--thetas", list, ...))),
 }
-_OUTPUT = ("--output -o", str, None)
-_HELP = {"lacunary": "rational v for the sparse series, or squared-power",
-         "renyi": "attach the count bounds check",
-         "output": "write to file instead of stdout"}
+_OUTPUT = ("--output -o", str, None, "write to file instead of stdout")
 
 
 def _dest(flags: str) -> str:
@@ -484,7 +484,7 @@ def _read(argv: list) -> SimpleNamespace | None:
         return None
     fn, _summary, arguments = _COMMANDS[argv[0]]
     fields, flags = {"command": argv[0], "fn": fn}, {}
-    for names, kind, default in (*arguments, _OUTPUT):
+    for names, kind, default, *_help in (*arguments, _OUTPUT):
         fields[_dest(names)] = default
         for flag in names.split() if names[0] == "-" else [None]:  # None: the positional
             flags[flag] = _dest(names), kind
@@ -514,7 +514,7 @@ def _read(argv: list) -> SimpleNamespace | None:
         else:
             fields[dest], kind = value, None
         need = False
-    if need or any(d is ... and _dest(f) not in given for f, _k, d in arguments):
+    if need or any(d is ... and _dest(f) not in given for f, _k, d, *_h in arguments):
         return None
     return SimpleNamespace(**fields)
 
@@ -533,8 +533,8 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
     for name, (fn, summary, arguments) in _COMMANDS.items():
         sp = sub.add_parser(name, help=summary)
-        for flags, kind, default in (*arguments, _OUTPUT):
-            kw = {"help": _HELP.get(_dest(flags))}
+        for flags, kind, default, *text in (*arguments, _OUTPUT):
+            kw = {"help": text[0] if text else None}
             if kind is bool:
                 kw["action"] = "store_true"
             elif kind is int:
@@ -565,6 +565,7 @@ def main(argv=None) -> int:
 
 def _run(argv) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    args = None
     try:
         args = _read(argv) or build_parser().parse_args(argv)
         return args.fn(args)
@@ -577,14 +578,14 @@ def _run(argv) -> int:
     except DomainError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # the reader of stdout closed it early (``| head``): not an error;
-        # stdout goes to os.devnull so that the flush at exit is silent
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return 0
     except (ValueError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError) and args is not None and not args.output:
+            # the reader of stdout closed it early (``| head``): not an error;
+            # stdout goes to os.devnull so that the flush at exit is silent
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return 0
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,5 +1,6 @@
 import json
 import os
+import select
 import subprocess
 import sys
 from fractions import Fraction
@@ -362,6 +363,27 @@ def test_closed_stdout_is_not_an_error():
         proc.kill()
     assert first == b"0 " * 29 + b"0\n"
     assert (rc, err) == (0, b"")
+
+
+def test_broken_output_file_is_an_error(tmp_path):
+    """Only a closed stdout is a success: an ``--output`` FIFO whose reader
+    quits after one byte leaves the digit file unwritten, exit 2."""
+    fifo = tmp_path / "digits"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    argv = [sys.executable, "-m", "betadio.cli", "expand", "--base", "10", "--x", "1/7",
+            "--digits", "300000", "-o", str(fifo)]
+    proc = subprocess.Popen(argv, env=dict(os.environ, PYTHONPATH=SRC),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        select.select([reader], [], [], 60)
+        first = os.read(reader, 1)
+        os.close(reader)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert first == b"b"
+    assert (proc.returncode, out, err) == (2, b"", b"error: [Errno 32] Broken pipe\n")
 
 
 @pytest.mark.parametrize("flavor, extra, lines", [

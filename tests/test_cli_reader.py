@@ -54,7 +54,7 @@ def random_argv(rng) -> list[str]:
     arguments = [*cli._COMMANDS[name][2], cli._OUTPUT]
     rng.shuffle(arguments)
     argv = [name]
-    for flags, kind, default in arguments:
+    for flags, kind, default, *_help in arguments:
         if rng.random() > (0.97 if default is ... else 0.4):
             continue
         if not flags.startswith("-"):
@@ -112,6 +112,18 @@ def test_reader_matches_argparse_on_random_argvs(parser):
 ])
 def test_reader_declines(argv):
     assert cli._read(argv) is None
+
+
+def test_option_help_comes_from_the_table(parser):
+    """An argument's optional fourth field is its argparse help text."""
+    assert cli._COMMANDS["expand"][2][3][3] == "rational v for the sparse series, or squared-power"
+    assert cli._COMMANDS["admissible"][2][4][3] == "attach the count bounds check"
+    assert cli._OUTPUT[3] == "write to file instead of stdout"
+    subparsers = parser._subparsers._group_actions[0].choices
+    for name, (_fn, _summary, arguments) in cli._COMMANDS.items():
+        helps = {a.dest: a.help for a in subparsers[name]._actions}
+        for flags, _kind, _default, *text in (*arguments, cli._OUTPUT):
+            assert helps[cli._dest(flags)] == (text[0] if text else None), (name, flags)
 
 
 def test_reader_accepts_interleaved_positional(parser):

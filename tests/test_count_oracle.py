@@ -10,6 +10,7 @@ the multiply-free sum replaced.  They are frozen: the tests assert that the
 library reproduces their counts and words exactly.
 """
 
+import tracemalloc
 from operator import mul
 
 import pytest
@@ -112,10 +113,27 @@ def test_lazy_counts_match_the_enumeration(spec, top):
         assert count_admissible(system, n) == oracle_count_dfs(system, n)
 
 
-@pytest.mark.parametrize("spec", ["rat:3/2", "rat:7/3", "root:1,0,2"])
+@pytest.mark.parametrize("spec", ["rat:3/2", "rat:7/3", "root:1,0,2", "rat:7/2", "rat:9/2",
+                                  "rat:21/2"])
 def test_lazy_counts_match_the_product_form(spec):
-    digit = BetaSystem.parse(spec).d1_star_digit
-    assert _parry_counts(digit, 600) == oracle_parry_products(digit, 600)
+    system = BetaSystem.parse(spec)
+    digit = system.d1_star_digit
+    assert (_parry_counts(digit, 600, system.alphabet_top)
+            == oracle_parry_products(digit, 600))
+
+
+def test_a_large_alphabet_takes_the_products():
+    """The multiply-free sum keeps one row of flags per digit value; a lazy
+    base with 50000 of them must not build those rows."""
+    system = BetaSystem.parse("rat:100001/2")
+    system.d1_star_digit(99)
+    tracemalloc.start()
+    try:
+        count_admissible(system, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("spec", ["root:1,1", "root:1,1,1"])
