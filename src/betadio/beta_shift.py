@@ -40,6 +40,7 @@ from .numerics import (
     PolyRoot,
     Scalar,
     _cleared_polynomial,
+    _escalate,
     is_exact_root,
     isolate_root,
     poly_divmod,
@@ -256,9 +257,8 @@ class _AlgebraicOrbit(_Orbit):
     deciding the case where the orbit hits an integer.
     """
 
-    def __init__(self, root: PolyRoot, x: Fraction, max_bits: int = 1 << 16):
+    def __init__(self, root: PolyRoot, x: Fraction):
         self.root = root
-        self.max_bits = max_bits
         self.poly = [F(x)]  # orbit value as polynomial in beta, reduced
         self._bits = root.refined.prec
         super().__init__(tuple(self.poly))
@@ -273,7 +273,7 @@ class _AlgebraicOrbit(_Orbit):
     def _step(self) -> tuple[int, Optional[tuple]]:
         shifted = poly_trim([F(0)] + list(self.poly))
         _, shifted = poly_divmod(shifted, self.root.poly)
-        while True:
+        for self._bits in _escalate(self._bits, "orbit digit straddles an integer"):
             val = self._value(shifted)
             fl = val.floor_certified()
             if fl is not None:
@@ -285,9 +285,6 @@ class _AlgebraicOrbit(_Orbit):
                 # the orbit hits 0 and the expansion terminates
                 self.poly = []
                 return candidate, None
-            self._bits *= 2
-            if self._bits > self.max_bits:
-                raise PrecisionExhausted("orbit digit straddles an integer")
         self.poly = poly_trim(poly_sub(shifted, [F(fl)]))
         return fl, tuple(self.poly)
 
@@ -378,44 +375,32 @@ class BetaSystem:
             raise NotSelfAdmissible(f"{w} is not self-admissible")
         if not w.per:
             # finite expansion of 1: a simple Parry number
-            digits = w.pre
-            if not digits:
+            if not w.pre:
                 raise DegenerateApproximant("zero word")
-            root = isolate_root([F(c) for c in digits], precision=precision)
-            k = _integer_root(root)
-            if k is not None:
-                return cls.from_int(k)
-            sys = cls()
-            sys.kind = "algebraic"
-            sys.root = root
-            sys.d1 = w
-            sys.d1_star = PeriodicWord((), digits[:-1] + (digits[-1] - 1,)).normalized()
-            sys.simple_parry = True
-            sys.alphabet_top = digits[0]
-            sys.automaton = AdmissibilityAutomaton(sys.d1_star)
-            sys.spec_string = "word:" + ",".join(map(str, digits))
-            return sys
-        if not w.pre:
+            star = PeriodicWord((), w.pre[:-1] + (w.pre[-1] - 1,)).normalized()
+            tail = ""
+        elif not w.pre:
             # purely periodic: the quasi-greedy form of a finite expansion
             u = w.per
             lifted = u[:-1] + (u[-1] + 1,)
             return cls.from_word(PeriodicWord.from_finite(lifted), precision)
-        # genuine preperiod: a Parry number with non-terminating d(1)
-        root = isolate_root([F(c) for c in w.pre], periodic_tail=[F(c) for c in w.per],
-                            precision=precision)
-        k = _integer_root(root)
-        if k is not None:
+        else:
+            # genuine preperiod: a Parry number with non-terminating d(1)
+            star = w
+            tail = ",(" + ",".join(map(str, w.per)) + ")"
+        root = isolate_root(w.pre, periodic_tail=w.per, precision=precision)
+        k, is_int = _integer_part(root)
+        if is_int:
             return cls.from_int(k)
         sys = cls()
         sys.kind = "algebraic"
         sys.root = root
         sys.d1 = w
-        sys.d1_star = w
-        sys.simple_parry = False
+        sys.d1_star = star
+        sys.simple_parry = not w.per
         sys.alphabet_top = w.pre[0]
-        sys.automaton = AdmissibilityAutomaton(w)
-        sys.spec_string = "word:" + ",".join(map(str, w.pre)) + \
-            ",(" + ",".join(map(str, w.per)) + ")"
+        sys.automaton = AdmissibilityAutomaton(star)
+        sys.spec_string = "word:" + ",".join(map(str, w.pre)) + tail
         return sys
 
     @classmethod
@@ -433,8 +418,8 @@ class BetaSystem:
             sys.spec_string = "root:" + ",".join(map(str, coeffs))
             return sys
         root = isolate_root([F(c) for c in coeffs], precision=precision)
-        k = _integer_root(root)
-        if k is not None:
+        k, is_int = _integer_part(root)
+        if is_int:
             return cls.from_int(k)
         # the coefficient word is not the expansion of 1; fall back to the
         # certified greedy orbit for d(1)
@@ -442,7 +427,7 @@ class BetaSystem:
         sys.kind = "algebraic"
         sys.root = root
         sys.horizon = horizon
-        sys.alphabet_top = _floor_of_root(root)
+        sys.alphabet_top = k
         sys._orbit = _AlgebraicOrbit(root, F(1))
         sys.spec_string = "root:" + ",".join(map(str, coeffs))
         sys._try_close_form()
@@ -540,41 +525,23 @@ class BetaSystem:
         return f"BetaSystem({self.spec_string or self.kind})"
 
 
-# the working precision past which root certifications give up
-_MAX_BITS = 1 << 14
+def _integer_part(root: PolyRoot) -> tuple[int, bool]:
+    """Certified integer part k of an isolated root, and whether the root is
+    k (the cleared polynomial is monic, so any rational root is an integer).
 
-
-def _integer_root(root: PolyRoot) -> Optional[int]:
-    """Detects an exactly integer root (the cleared polynomial is monic,
-    so any rational root is an integer)."""
+    A bracket at most 2**-64 wide holds at most one integer, and a later
+    bracket can hold only that one, so the error names the first bracket's."""
     bits = max(root.refined.prec, 64)
-    while True:
+    hi = root.as_scalar(bits).hi.value
+    k = hi.numerator // hi.denominator
+    for bits in _escalate(bits, f"cannot tell beta from the integer {k}"):
         s = root.as_scalar(bits)
-        lo, hi = s.lo.value, s.hi.value
-        k = -((-lo.numerator) // lo.denominator)  # ceil
-        if k > hi.numerator // hi.denominator:
-            return None
+        hi = s.hi.value
+        k = hi.numerator // hi.denominator
+        if s.lo.value > k:
+            return k, False
         if root.exact_equals(F(k)):
-            return k
-        bits *= 2
-        if bits > _MAX_BITS:
-            raise PrecisionExhausted(f"cannot tell beta from the integer {k}")
-
-
-def _floor_of_root(root: PolyRoot) -> int:
-    """Certified integer part of a known-irrational isolated root."""
-    bits = root.refined.prec
-    while True:
-        s = root.as_scalar(bits)
-        fl = s.floor_certified()
-        if fl is not None:
-            return fl
-        straddled = s.hi.value.numerator // s.hi.value.denominator
-        if root.exact_equals(F(straddled)):
-            raise DegenerateApproximant("integer base, use from_int")
-        bits *= 2
-        if bits > _MAX_BITS:
-            raise PrecisionExhausted("cannot certify the integer part of beta")
+            return k, True
 
 
 # ---------------------------------------------------------------------------
@@ -697,7 +664,15 @@ def count_admissible(system: BetaSystem, n: int) -> int:
 def renyi_bounds_check(system: BetaSystem, n: int, bits: int = DEFAULT_PRECISION) -> dict:
     """Certified check of ``beta^n <= count <= beta^(n+1)/(beta-1)``."""
     count = count_admissible(system, n)
-    while True:
+    if system.kind == "int":
+        # exact integer arithmetic: beta^n == count, which intervals never
+        # resolve, is a legitimate equality case
+        b = system.int_base
+        return {"n": n, "count": count,
+                "lower_ok": b ** n <= count,
+                "upper_ok": F(b ** (n + 1), b - 1) >= count,
+                "bits": bits}
+    for bits in _escalate(bits, "Renyi bound check did not resolve"):
         beta = system.beta_scalar(bits)
         lower = beta.pow_int(n)
         upper = beta.pow_int(n + 1) / (beta - Scalar.from_int(1, bits))
@@ -708,16 +683,6 @@ def renyi_bounds_check(system: BetaSystem, n: int, bits: int = DEFAULT_PRECISION
                     "lower_ok": lower_ok is Comparison.LESS,
                     "upper_ok": upper_ok is Comparison.GREATER,
                     "bits": bits}
-        if system.kind == "int":
-            # exact integer arithmetic: equality cases are legitimate
-            b = system.int_base
-            return {"n": n, "count": count,
-                    "lower_ok": b ** n <= count,
-                    "upper_ok": F(b ** (n + 1), b - 1) >= count,
-                    "bits": bits}
-        bits *= 2
-        if bits > _MAX_BITS:
-            raise PrecisionExhausted("Renyi bound check did not resolve")
 
 
 # ---------------------------------------------------------------------------

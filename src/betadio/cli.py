@@ -207,7 +207,7 @@ def _cmd_admissible(args):
     system = BetaSystem.parse(args.beta, default_precision())
     cfg = {"cmd": f"admissible {args.action}", "beta": args.beta}
     if args.action == "count":
-        renyi = renyi_bounds_check(system, args.len) if args.renyi else None
+        renyi = renyi_bounds_check(system, args.len, default_precision()) if args.renyi else None
         count = renyi.pop("count") if renyi else count_admissible(system, args.len)
         payload = {"n": args.len, "count": count}
         plain = str(count)

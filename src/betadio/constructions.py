@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional, Sequence
 from .bary import DigitSet, _next_run
 from .beta_shift import BetaSystem, expansion_of_one_star, is_self_admissible, parry_invert
 from .errors import InfeasibleParameters, NotSelfAdmissible, PrefixConditionFailed
-from .numerics import Comparison, PolyRoot
+from .numerics import Comparison, PolyRoot, _escalate
 from .record import Record
 from .words import DigitWord
 
@@ -577,8 +577,7 @@ def generate_parameter_space(beta0: BetaSystem, beta1: BetaSystem, beta2: BetaSy
     # 64 bits separate the sandwich by a wide margin; long words make each
     # extra bisection step expensive
     root = parry_invert(list(word_digits), precision=64)
-    bits = 64
-    while True:
+    for bits in _escalate(64, "sandwich could not be certified"):
         val = root.as_scalar(bits)
         lo_cmp = (val - beta0.beta_scalar(bits)).compare(F(0))
         hi_cmp = (beta1.beta_scalar(bits) - val).compare(F(0))
@@ -586,9 +585,6 @@ def generate_parameter_space(beta0: BetaSystem, beta1: BetaSystem, beta2: BetaSy
             if not (lo_cmp is Comparison.GREATER and hi_cmp is Comparison.GREATER):
                 raise PrefixConditionFailed("inverted base escaped the sandwich")
             break
-        bits *= 2
-        if bits > 1 << 13:
-            raise PrefixConditionFailed("sandwich could not be certified")
     word = DigitWord(beta2.alphabet_top + 1, word_digits)
     return ParamSpaceResult(word=word, root=root, prefix=star1,
                             approximant_spec=tilde.spec_string,

@@ -18,6 +18,10 @@ evaluations certify it.  The brackets are the ones bisection gives.
 The logarithm sums its series on plain integer pairs; its endpoints are bit
 for bit those that the same steps in Dyadic arithmetic give, and the tests
 keep that version as the reference.
+
+Every certificate that an interval does not yet settle (a floor, a sign, an
+order) is retried at twice the precision by one loop, ``_escalate``, which
+gives up with ``PrecisionExhausted`` past ``_MAX_BITS``.
 """
 
 from __future__ import annotations
@@ -26,12 +30,15 @@ import enum
 import functools
 import math
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import DegenerateApproximant, NoRoot, PrecisionExhausted
 from .record import Record
 
 DEFAULT_PRECISION = 256
+
+# the working precision past which every certificate gives up
+_MAX_BITS = 1 << 14
 
 # PolyRoot.refine replays bisection with a Newton guess beyond this many
 # halvings; _newton starts from this many low-precision bisection steps, and
@@ -39,6 +46,16 @@ DEFAULT_PRECISION = 256
 _REPLAY_MIN_STEPS = 16
 _START_STEPS = 48
 _REPLAY_TRIES = 4
+
+
+def _escalate(bits: int, what: str) -> Iterator[int]:
+    """``bits, 2*bits, ...`` while at most ``_MAX_BITS``, then raise
+    ``PrecisionExhausted(what)``; ``bits`` itself is always tried once."""
+    yield bits
+    while (bits := 2 * bits) <= _MAX_BITS:
+        yield bits
+    raise PrecisionExhausted(what)
+
 
 # ---------------------------------------------------------------------------
 # dyadic endpoints
@@ -707,7 +724,7 @@ def isolate_root(coefficients: Sequence[Fraction], search: tuple[Fraction, Fract
     return PolyRoot(pre, per, lo, hi, precision)
 
 
-def is_exact_root(poly: Sequence[Fraction], root: PolyRoot, max_bits: int = 4096) -> bool:
+def is_exact_root(poly: Sequence[Fraction], root: PolyRoot) -> bool:
     """Decide exactly whether the certified root annihilates ``poly``.
 
     gcd of ``poly`` with the root's defining polynomial either has no root in
@@ -720,8 +737,7 @@ def is_exact_root(poly: Sequence[Fraction], root: PolyRoot, max_bits: int = 4096
     g = poly_gcd(c, root.poly)
     if len(g) <= 1:
         return False
-    bits = root.refined.prec
-    while True:
+    for bits in _escalate(root.refined.prec, "exact-zero test did not resolve"):
         s = root.as_scalar(bits)
         glo = poly_eval(g, s.lo.value)
         ghi = poly_eval(g, s.hi.value)
@@ -737,9 +753,6 @@ def is_exact_root(poly: Sequence[Fraction], root: PolyRoot, max_bits: int = 4096
         val = _interval_poly_eval(c, s)
         if not (val.lo.value <= 0 <= val.hi.value):
             return False
-        bits *= 2
-        if bits > max_bits:
-            raise PrecisionExhausted("exact-zero test did not resolve")
 
 
 def _interval_poly_eval(c: Sequence[Fraction], x: Scalar) -> Scalar:

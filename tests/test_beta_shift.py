@@ -16,7 +16,7 @@ from betadio.beta_shift import (
     parry_invert,
     renyi_bounds_check,
 )
-from betadio import beta_shift
+from betadio import beta_shift, numerics
 from betadio.cli import main
 from betadio.errors import DegenerateApproximant, NotSelfAdmissible, PrecisionExhausted
 from betadio.numerics import Scalar
@@ -100,13 +100,33 @@ NEAR_TWO = "root:2," + "0," * 99 + "1"
 def test_integer_detection_is_capped(monkeypatch, capsys):
     sys = BetaSystem.parse(NEAR_TWO, 64)  # 64 bits cannot tell beta from 2; 128 can
     assert sys.kind == "algebraic" and sys.alphabet_top == 2
-    monkeypatch.setattr(beta_shift, "_MAX_BITS", 100)
+    monkeypatch.setattr(numerics, "_MAX_BITS", 100)
     with pytest.raises(PrecisionExhausted, match="integer 2"):
         BetaSystem.parse(NEAR_TWO, 64)
     monkeypatch.setenv("BETADIO_PRECISION", "64")
     assert main(["admissible", "count", "--beta", NEAR_TWO, "--len", "3"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("precision exhausted:") and len(err.splitlines()) == 1
+
+
+def test_root_sites_double_to_the_256_bit_answer():
+    # integer detection starts at 64 bits, which cannot tell NEAR_TWO from 2
+    low, high = BetaSystem.parse(NEAR_TWO, 64), BetaSystem.parse(NEAR_TWO, 256)
+    assert (low.kind, low.alphabet_top) == (high.kind, high.alphabet_top) == ("algebraic", 2)
+    assert low.root.refined.prec >= 128
+    assert BetaSystem.from_root([1, 2], 8).int_base == 2
+    # orbit digits from a 4-bit root
+    for coeffs, x in (([1, 0, 2], F(1)), ([1, 1, 1], F(2, 7))):
+        orbit = beta_shift._AlgebraicOrbit(numerics.isolate_root(coeffs, precision=4), x)
+        digits = [orbit.digit(i) for i in range(30)]
+        assert orbit._bits > 4
+        exact = beta_shift._AlgebraicOrbit(numerics.isolate_root(coeffs), x)
+        assert digits == [exact.digit(i) for i in range(30)]
+    # the Renyi bounds from 2 bits
+    sys = BetaSystem.from_root([3, 0, 1])
+    rep, ref = renyi_bounds_check(sys, 5, 2), renyi_bounds_check(sys, 5)
+    assert rep.pop("bits") > 2 and ref.pop("bits") == 256
+    assert rep == ref == {"n": 5, "count": 385, "lower_ok": True, "upper_ok": True}
 
 
 def test_alphabet_top_convention():

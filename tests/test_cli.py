@@ -313,6 +313,17 @@ def test_dim_local_reads_the_precision(capsys, monkeypatch):
     assert width > default_width
 
 
+def test_renyi_reads_the_precision(capsys, monkeypatch):
+    def renyi_bits(beta):
+        rc, out = run(capsys, "admissible", "count", "--beta", beta, "--len", "30", "--renyi")
+        assert rc == 0
+        return json.loads(out)["renyi"]["bits"]
+
+    assert [renyi_bits(b) for b in ("root:1,1", "int:3")] == [256, 256]
+    monkeypatch.setenv("BETADIO_PRECISION", "64")
+    assert [renyi_bits(b) for b in ("root:1,1", "int:3")] == [64, 64]
+
+
 def _cli(*argv, cwd=None):
     return subprocess.run([sys.executable, *argv], env=dict(os.environ, PYTHONPATH=SRC),
                           cwd=cwd, capture_output=True, text=True)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from betadio import numerics
 from betadio.bary import DigitSet, estimate_exponents, run_decomposition
 from betadio.beta_shift import BetaSystem, is_admissible, is_self_admissible
 from betadio.constructions import (
@@ -13,7 +14,8 @@ from betadio.constructions import (
     generate_parameter_space,
     schedule,
 )
-from betadio.errors import InfeasibleParameters, PrefixConditionFailed
+from betadio.cli import main
+from betadio.errors import InfeasibleParameters, PrecisionExhausted, PrefixConditionFailed
 
 F = Fraction
 
@@ -230,6 +232,23 @@ def test_parameter_space_prefix_gate():
     with pytest.raises(PrefixConditionFailed):
         generate_parameter_space(beta0, beta1, beta2, N=4,
                                  theta=F(3), v_hat=F(1, 3), stages=3)
+
+
+def test_parameter_space_sandwich_doubles_then_gives_up(monkeypatch, tmp_path):
+    # the recovered base's expansion of 1 starts with the golden mean's first
+    # 101 symbols, so the two lie within 2**-64: 64 bits cannot order them
+    bases = ("rat:3/2", "root:1,1", "root:1,1,1")
+    args = [BetaSystem.parse(b) for b in bases] + [101, F(3), F(1, 3), 1]
+    res = generate_parameter_space(*args)
+    val = res.root.as_scalar(256)
+    assert val.lo.value > F(3, 2) and val.hi.value < golden().beta_scalar(256).lo.value
+    monkeypatch.setattr(numerics, "_MAX_BITS", 64)
+    with pytest.raises(PrecisionExhausted, match="sandwich could not be certified"):
+        generate_parameter_space(*args)
+    argv = ["construct", "param", "--theta", "3", "--vhat", "1/3", "--beta0", bases[0],
+            "--beta1", bases[1], "--beta2", bases[2], "--N", "101", "--stages", "1",
+            "-o", str(tmp_path / "p.digits")]
+    assert main(argv) == 3
 
 
 def test_base2_marker_pairs():

@@ -220,6 +220,29 @@ def test_is_exact_root():
     assert is_exact_root(poly_mul([F(-1), F(-1), F(1)], [F(3), F(7), F(2)]), golden)
 
 
+def test_escalate_tries_its_start_doubles_and_gives_up(monkeypatch):
+    monkeypatch.setattr(numerics, "_MAX_BITS", 100)
+    for start, tried in ((20, [20, 40, 80]), (100, [100]), (500, [500])):
+        seen = []
+        with pytest.raises(PrecisionExhausted, match="^site text$"):
+            for bits in numerics._escalate(start, "site text"):
+                seen.append(bits)
+        assert seen == tried
+
+
+def test_is_exact_root_doubles_to_the_256_bit_answer():
+    # the defining polynomial z (z^3 - 2 z^2 + z - 1) shares the factor z with
+    # z (z - q), which does not vanish at beta but is within 2**-17 of 0 there
+    q = F(1797, 1024)
+    near = poly_mul([F(0), F(1)], [-q, F(1)])
+    exact = poly_mul([F(0), F(1)], [F(-1), F(1), F(-2), F(1)])
+    for bits in (4, 256):
+        root = isolate_root([1, 0, 1], precision=bits, periodic_tail=[1])
+        assert not is_exact_root(near, root)
+        assert is_exact_root(exact, root)
+        assert root.refined.prec > 4
+
+
 # ---------------------------------------------------------------------------
 # frozen oracles: ln, its rounding helpers and root refinement as first
 # written (Fraction and Dyadic arithmetic, one bisection step per bit).  The
