@@ -41,9 +41,9 @@ from .numerics import (
     Scalar,
     _cleared_polynomial,
     _escalate,
+    _iv_horner,
     is_exact_root,
     isolate_root,
-    poly_divmod,
     poly_sub,
     poly_trim,
 )
@@ -259,22 +259,19 @@ class _AlgebraicOrbit(_Orbit):
 
     def __init__(self, root: PolyRoot, x: Fraction):
         self.root = root
-        self.poly = [F(x)]  # orbit value as polynomial in beta, reduced
+        # orbit value in beta, reduced; kept int where integral (Fraction is slow)
+        self.poly = [x.numerator if x.denominator == 1 else x]
+        self._monic = root.int_poly if root.int_poly[-1] == 1 else root.poly
         self._bits = root.refined.prec
         super().__init__(tuple(self.poly))
 
-    def _value(self, poly) -> Scalar:
-        s = self.root.as_scalar(self._bits)
-        acc = Scalar.from_fraction(F(0), self._bits)
-        for c in reversed(poly):
-            acc = acc * s + Scalar.from_fraction(c, self._bits)
-        return acc
-
     def _step(self) -> tuple[int, Optional[tuple]]:
-        shifted = poly_trim([F(0)] + list(self.poly))
-        _, shifted = poly_divmod(shifted, self.root.poly)
+        shifted, monic = [0] + self.poly, self._monic
+        if len(shifted) == len(monic):  # beta * orbit has the degree of the monic poly
+            shifted = [a - shifted[-1] * m for a, m in zip(shifted, monic)]
+        shifted = poly_trim(shifted)
         for self._bits in _escalate(self._bits, "orbit digit straddles an integer"):
-            val = self._value(shifted)
+            val = _iv_horner(shifted, self.root.as_scalar(self._bits), self._bits)
             fl = val.floor_certified()
             if fl is not None:
                 break
@@ -285,7 +282,7 @@ class _AlgebraicOrbit(_Orbit):
                 # the orbit hits 0 and the expansion terminates
                 self.poly = []
                 return candidate, None
-        self.poly = poly_trim(poly_sub(shifted, [F(fl)]))
+        self.poly = poly_sub(shifted, [fl])
         return fl, tuple(self.poly)
 
 
@@ -714,13 +711,10 @@ def _tail_supremum(system: BetaSystem, state: int, bits: int) -> Scalar:
 
 def _periodic_value(w: PeriodicWord, beta: Scalar, bits: int) -> Scalar:
     inv = beta.reciprocal()
-    acc = Scalar.from_fraction(F(0), bits)
-    for c in reversed(w.pre):
-        acc = (acc + Scalar.from_int(c, bits)) * inv
+    # (acc + c) * inv from the last digit is Horner in inv over (0, w_1, ...)
+    acc = _iv_horner((0, *w.pre), inv, bits)
     if w.per:
-        per = Scalar.from_fraction(F(0), bits)
-        for c in reversed(w.per):
-            per = (per + Scalar.from_int(c, bits)) * inv
+        per = _iv_horner((0, *w.per), inv, bits)
         q = len(w.per)
         tail = per / (Scalar.from_int(1, bits) - inv.pow_int(q))
         acc = acc + inv.pow_int(len(w.pre)) * tail
@@ -729,12 +723,7 @@ def _periodic_value(w: PeriodicWord, beta: Scalar, bits: int) -> Scalar:
 
 def word_value(system: BetaSystem, word: Sequence[int], bits: int = DEFAULT_PRECISION) -> Scalar:
     """Certified value of ``sum w_i beta**-i``."""
-    beta = system.beta_scalar(bits)
-    inv = beta.reciprocal()
-    acc = Scalar.from_fraction(F(0), bits)
-    for c in reversed(list(word)):
-        acc = (acc + Scalar.from_int(c, bits)) * inv
-    return acc
+    return _iv_horner((0, *word), system.beta_scalar(bits).reciprocal(), bits)
 
 
 def cylinder(system: BetaSystem, word: Sequence[int],

@@ -411,6 +411,8 @@ def _cmd_parry(args):
         ok = is_self_admissible(word)
         _emit(args, {"word": word_desc, "self_admissible": ok}, cfg, plain=str(ok).lower())
     else:
+        if args.bits < 1:
+            raise UsageError(f"parry invert needs --bits >= 1, got {args.bits}")
         root = parry_invert(word, precision=args.bits)
         s = root.as_scalar(args.bits)
         _emit(args, {"word": word_desc, "beta": _scalar_dict(s)}, cfg,

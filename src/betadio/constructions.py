@@ -574,8 +574,8 @@ def generate_parameter_space(beta0: BetaSystem, beta1: BetaSystem, beta2: BetaSy
     word_digits = star1 + (0,) * N + construction.word.digits()
     if not is_self_admissible(word_digits):
         raise NotSelfAdmissible("concatenated word lost self-admissibility")
-    # 64 bits separate the sandwich by a wide margin; long words make each
-    # extra bisection step expensive
+    # the CLI prints this root with as_scalar(96), which keeps a finer
+    # refinement: starting at 64 bits keeps those bytes for every word
     root = parry_invert(list(word_digits), precision=64)
     for bits in _escalate(64, "sandwich could not be certified"):
         val = root.as_scalar(bits)

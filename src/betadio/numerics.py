@@ -1,23 +1,22 @@
 """Certified arbitrary-precision real arithmetic.
 
-Values are intervals with dyadic endpoints (``man * 2**exp`` with integer
-``man``, ``exp``), every operation rounds outward, so the interval always
-contains the exact real result.  Dyadic endpoints make bisection halving
-exact, which is what the root-isolation code below relies on.
+There is one interval representation: a ``Scalar`` holds its two dyadic
+endpoints ``man * 2**exp`` as raw integer pairs, and every operation rounds
+them outward with ``_round``, so the interval always contains the exact real
+result.  ``Dyadic`` is the normal form an endpoint is read, printed, hashed
+and compared as; the endpoints are those the same steps in Dyadic arithmetic
+give, bit for bit, and the tests keep that version as the reference.  The
+logarithm sums its series on the same raw pairs.
 
 Irrational expansion bases are represented as isolated roots of
 ``1 = sum c_i z**-i`` (finite sum, or with an eventually periodic tail).
 The left-hand side is strictly increasing in ``z`` on ``(1, oo)`` whenever
 the coefficients are nonnegative and not all zero, so a sign change brackets
-a unique root and bisection with exact rational sign evaluations certifies it.
-Refinement does not run the halvings one by one: because the sign is
-monotone, the cell they end in is determined by the root alone, so a
-fixed-point Newton iteration locates that cell and two exact sign
-evaluations certify it.  The brackets are the ones bisection gives.
-
-The logarithm sums its series on plain integer pairs; its endpoints are bit
-for bit those that the same steps in Dyadic arithmetic give, and the tests
-keep that version as the reference.
+a unique root and bisection with certified signs pins it down.  A sign is an
+interval Horner at fixed point, exact integer arithmetic only when that
+interval straddles 0.  Refinement does not run the halvings one by one: the
+cell they end in is determined by the root alone, so a fixed-point Newton
+iteration locates it and the signs at its two ends certify it.
 
 Every certificate that an interval does not yet settle (a floor, a sign, an
 order) is retried at twice the precision by one loop, ``_escalate``, which
@@ -28,6 +27,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
@@ -68,8 +68,10 @@ def _norm(man: int, exp: int) -> tuple[int, int]:
     return man >> tz, exp + tz
 
 
+@functools.total_ordering
 class Dyadic(Record):
-    """Exact dyadic rational ``man * 2**exp``, kept in normal form.
+    """Exact dyadic rational ``man * 2**exp``, kept in normal form: the type
+    a ``Scalar`` endpoint is read, printed, hashed and compared as.
 
     Immutable by convention, hashed by value.
     """
@@ -89,60 +91,32 @@ class Dyadic(Record):
 
     @property
     def value(self) -> Fraction:
-        if self.exp >= 0:
-            return Fraction(self.man * (1 << self.exp))
-        return Fraction(self.man, 1 << -self.exp)
+        e = self.exp
+        return Fraction(self.man << e) if e >= 0 else Fraction(self.man, 1 << -e)
 
     def __add__(self, other: "Dyadic") -> "Dyadic":
-        e = min(self.exp, other.exp)
-        return Dyadic.of((self.man << (self.exp - e)) + (other.man << (other.exp - e)), e)
-
-    def __neg__(self) -> "Dyadic":
-        return Dyadic(-self.man, self.exp)
-
-    def __sub__(self, other: "Dyadic") -> "Dyadic":
-        return self + (-other)
+        return Dyadic.of(*_add(self.man, self.exp, other.man, other.exp))
 
     def __mul__(self, other: "Dyadic") -> "Dyadic":
         return Dyadic.of(self.man * other.man, self.exp + other.exp)
 
-    def _cmp(self, other: "Dyadic") -> int:
-        a, b, shift = self.man, other.man, self.exp - other.exp
-        if shift > 0:
-            a <<= shift
-        elif shift < 0:
-            b <<= -shift
-        return (a > b) - (a < b)
-
     def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
-
-    def __repr__(self):
-        return f"Dyadic({self.man}*2^{self.exp})"
+        return _less(self.man, self.exp, other.man, other.exp)
 
 
 ZERO = Dyadic(0, 0)
-ONE = Dyadic(1, 0)
 
 
 def _round(man: int, exp: int, bits: int, up: bool) -> tuple[int, int]:
     """Directed rounding of ``man * 2**exp`` to ``bits`` significant bits.
 
     The result depends only on the value, not on whether ``man`` is odd:
-    the grid is set by the position of the top bit.
+    the grid is set by the position of the top bit.  Zero comes back as
+    ``(0, 0)``, so its exponent cannot drift through a chain of products.
     """
     s = abs(man).bit_length() - bits
     if s <= 0:
-        return man, exp
+        return (man, exp) if man else (0, 0)
     return (-((-man) >> s) if up else man >> s), exp + s
 
 
@@ -151,6 +125,10 @@ def _add(m1: int, e1: int, m2: int, e2: int) -> tuple[int, int]:
     if e1 > e2:
         return (m1 << (e1 - e2)) + m2, e2
     return m1 + (m2 << (e2 - e1)), e1
+
+
+def _less(m1: int, e1: int, m2: int, e2: int) -> bool:
+    return (m1 << (e1 - e2)) < m2 if e1 > e2 else m1 < (m2 << (e2 - e1))
 
 
 def _ratio(p: int, q: int, exp: int, bits: int, up: bool) -> tuple[int, int]:
@@ -167,22 +145,13 @@ def _ratio(p: int, q: int, exp: int, bits: int, up: bool) -> tuple[int, int]:
     return (-((-num) // den) if up else num // den), -s
 
 
-def round_down(d: Dyadic, bits: int) -> Dyadic:
-    """Largest dyadic with at most ``bits`` mantissa bits that is <= d."""
-    man, exp = _round(d.man, d.exp, bits, False)
-    return d if man == d.man else Dyadic.of(man, exp)
-
-
-def round_up(d: Dyadic, bits: int) -> Dyadic:
-    man, exp = _round(d.man, d.exp, bits, True)
-    return d if man == d.man else Dyadic.of(man, exp)
+def _fraction_pair(x: Fraction, bits: int, up: bool) -> tuple[int, int]:
+    return _ratio(x.numerator, x.denominator, 0, bits, up) if x else (0, 0)
 
 
 def dyadic_from_fraction(x: Fraction, bits: int, up: bool) -> Dyadic:
     """Directed dyadic approximation of an arbitrary rational."""
-    if x.numerator == 0:
-        return ZERO
-    return Dyadic.of(*_ratio(x.numerator, x.denominator, 0, bits, up))
+    return Dyadic.of(*_fraction_pair(x, bits, up))
 
 
 # ---------------------------------------------------------------------------
@@ -195,25 +164,42 @@ class Comparison(enum.Enum):
     GREATER = 1
 
 
+def _scalar(iv: tuple[int, int, int, int], prec: int, refiner=None) -> "Scalar":
+    """A Scalar on the raw endpoints ``iv = (lo_man, lo_exp, hi_man, hi_exp)``."""
+    s = object.__new__(Scalar)
+    s.iv, s.prec, s._refiner = iv, prec, refiner
+    return s
+
+
 class Scalar:
     """Interval with dyadic endpoints; optionally refinable.
 
+    The endpoints are one tuple of raw integer pairs, ``iv = (lo_man,
+    lo_exp, hi_man, hi_exp)``, not necessarily in normal form; arithmetic
+    rounds them with ``_round`` and ``lo`` and ``hi`` read them as Dyadic.
     A refiner is a callback ``bits -> Scalar`` recomputing the same real
     number from its defining expression (exact rational, isolated root, ...).
     Scalars produced by arithmetic have no refiner: recompute them from
     refined inputs instead.
     """
 
-    __slots__ = ("lo", "hi", "prec", "_refiner")
+    __slots__ = ("iv", "prec", "_refiner")
 
     def __init__(self, lo: Dyadic, hi: Dyadic, prec: int = DEFAULT_PRECISION,
                  refiner: Optional[Callable[[int], "Scalar"]] = None):
         if lo > hi:
             raise ValueError("inverted interval")
-        self.lo = lo
-        self.hi = hi
+        self.iv = (lo.man, lo.exp, hi.man, hi.exp)
         self.prec = prec
         self._refiner = refiner
+
+    @property
+    def lo(self) -> Dyadic:
+        return Dyadic.of(*self.iv[:2])
+
+    @property
+    def hi(self) -> Dyadic:
+        return Dyadic.of(*self.iv[2:])
 
     # -- constructors
 
@@ -223,25 +209,29 @@ class Scalar:
 
     @staticmethod
     def from_int(n: int, prec: int = DEFAULT_PRECISION) -> "Scalar":
-        return Scalar.exact(Dyadic.of(n), prec)
+        return _scalar((n, 0, n, 0), prec, lambda bits: Scalar.from_int(n, bits))
 
     @staticmethod
     def from_fraction(x: Fraction, prec: int = DEFAULT_PRECISION) -> "Scalar":
         x = Fraction(x)
-        lo = dyadic_from_fraction(x, prec, up=False)
-        hi = dyadic_from_fraction(x, prec, up=True)
-        return Scalar(lo, hi, prec, refiner=lambda bits: Scalar.from_fraction(x, bits))
+        return _scalar((*_fraction_pair(x, prec, False), *_fraction_pair(x, prec, True)), prec,
+                       lambda bits: Scalar.from_fraction(x, bits))
 
     @staticmethod
     def hull(lo: Fraction, hi: Fraction, prec: int = DEFAULT_PRECISION) -> "Scalar":
-        return Scalar(dyadic_from_fraction(Fraction(lo), prec, up=False),
-                      dyadic_from_fraction(Fraction(hi), prec, up=True), prec)
+        return _scalar((*_fraction_pair(Fraction(lo), prec, False),
+                        *_fraction_pair(Fraction(hi), prec, True)), prec)
 
     # -- inspection
 
     @property
     def width(self) -> Fraction:
-        return (self.hi - self.lo).value
+        return self.hi.value - self.lo.value
+
+    def _within(self, bits: int) -> bool:
+        """Whether the width is at most 2**-bits."""
+        lm, le, hm, he = self.iv
+        return not _less(1, -bits, *_add(hm, he, -lm, le))
 
     @property
     def mid(self) -> Fraction:
@@ -255,37 +245,34 @@ class Scalar:
 
     # -- arithmetic (outward rounding at the weaker operand precision)
 
-    def _bits(self, other: "Scalar") -> int:
-        return min(self.prec, other.prec)
-
     def __add__(self, other: "Scalar") -> "Scalar":
-        b = self._bits(other)
-        return Scalar(round_down(self.lo + other.lo, b), round_up(self.hi + other.hi, b), b)
+        b = min(self.prec, other.prec)
+        lm, le, hm, he = self.iv
+        lm2, le2, hm2, he2 = other.iv
+        return _scalar((*_round(*_add(lm, le, lm2, le2), b, False),
+                        *_round(*_add(hm, he, hm2, he2), b, True)), b)
 
     def __neg__(self) -> "Scalar":
-        return Scalar(-self.hi, -self.lo, self.prec)
+        lm, le, hm, he = self.iv
+        return _scalar((-hm, he, -lm, le), self.prec)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         return self + (-other)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        b = self._bits(other)
-        prods = [self.lo * other.lo, self.lo * other.hi,
-                 self.hi * other.lo, self.hi * other.hi]
-        return Scalar(round_down(min(prods), b), round_up(max(prods), b), b)
+        b = min(self.prec, other.prec)
+        return _scalar(_mul(self.iv, other.iv, b), b)
 
     def scale_int(self, k: int) -> "Scalar":
-        d = Dyadic.of(k)
-        if k >= 0:
-            return Scalar(round_down(self.lo * d, self.prec), round_up(self.hi * d, self.prec), self.prec)
-        return Scalar(round_down(self.hi * d, self.prec), round_up(self.lo * d, self.prec), self.prec)
+        return _scalar(_mul(self.iv, (k, 0, k, 0), self.prec), self.prec)
 
     def reciprocal(self) -> "Scalar":
-        if self.lo.man <= 0 <= self.hi.man:
+        lm, le, hm, he = self.iv
+        if lm <= 0 <= hm:
             raise ZeroDivisionError("interval contains zero")
-        lo = dyadic_from_fraction(1 / self.hi.value, self.prec, up=False)
-        hi = dyadic_from_fraction(1 / self.lo.value, self.prec, up=True)
-        return Scalar(lo, hi, self.prec)
+        one = 1 if lm > 0 else -1  # 1/x = one * 2**-exp / |man|
+        return _scalar((*_ratio(one, abs(hm), -he, self.prec, False),
+                        *_ratio(one, abs(lm), -le, self.prec, True)), self.prec)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         return self * other.reciprocal()
@@ -293,14 +280,14 @@ class Scalar:
     def pow_int(self, n: int) -> "Scalar":
         if n < 0:
             return self.pow_int(-n).reciprocal()
-        result = Scalar.exact(ONE, self.prec)
-        base = self
+        b = self.prec
+        result, base = (1, 0, 1, 0), self.iv
         while n:
             if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
+                result = _mul(result, base, b)
+            base = _mul(base, base, b) if n > 1 else base
             n >>= 1
-        return result
+        return _scalar(result, b)
 
     # -- certified queries
 
@@ -314,20 +301,59 @@ class Scalar:
 
     def floor_certified(self) -> Optional[int]:
         """The common integer part of every point in the interval, if any."""
-        flo = self.lo.value.numerator // self.lo.value.denominator
-        fhi = self.hi.value.numerator // self.hi.value.denominator
-        return flo if flo == fhi else None
+        lm, le, hm, he = self.iv
+        flo = lm << le if le >= 0 else lm >> -le
+        return flo if flo == (hm << he if he >= 0 else hm >> -he) else None
 
     def refine(self, target_bits: int) -> "Scalar":
-        if self.width <= Fraction(1, 1 << target_bits):
+        if self._within(target_bits):
             return self
         if self._refiner is None:
             raise PrecisionExhausted(
                 f"interval of width {float(self.width):.3e} has no defining expression")
         out = self._refiner(target_bits + 2)
-        if out.width > Fraction(1, 1 << target_bits):
+        if not out._within(target_bits):
             raise PrecisionExhausted("refiner could not reach the requested width")
         return out
+
+
+def _mul(a: tuple, b: tuple, bits: int) -> tuple[int, int, int, int]:
+    """Raw endpoints of the product of two raw intervals, rounded outward.
+
+    Moore's endpoint-sign table picks the two products that bound it: with a
+    non-straddling factor first, its sign and those of b's endpoints decide;
+    only when both straddle 0 are two candidates compared for each bound.
+    """
+    if a[0] < 0 < a[2] and not b[0] < 0 < b[2]:
+        a, b = b, a
+    al, ale, ah, ahe = a
+    bl, ble, bh, bhe = b
+    if al >= 0:
+        lo = (ah * bl, ahe + ble) if bl < 0 else (al * bl, ale + ble)
+        hi = (al * bh, ale + bhe) if bh < 0 else (ah * bh, ahe + bhe)
+    elif ah <= 0:
+        lo = (al * bh, ale + bhe) if bh > 0 else (ah * bh, ahe + bhe)
+        hi = (al * bl, ale + ble) if bl < 0 else (ah * bl, ahe + ble)
+    else:
+        p, q = (al * bh, ale + bhe), (ah * bl, ahe + ble)
+        lo = p if _less(*p, *q) else q
+        p, q = (al * bl, ale + ble), (ah * bh, ahe + bhe)
+        hi = q if _less(*p, *q) else p
+    return (*_round(*lo, bits, False), *_round(*hi, bits, True))
+
+
+def _iv_horner(coeffs: Sequence[Fraction], x: Scalar, bits: int) -> Scalar:
+    """``acc = acc * x + c`` over the coefficients, highest first, from 0, each
+    ``c`` rounded outward to ``bits`` as ``Scalar.from_fraction`` does: the
+    endpoints of those Scalar operations, without a Scalar per step."""
+    b = min(bits, x.prec)
+    xiv = x.iv
+    lm, le, hm, he = acc = (0, 0, 0, 0)
+    for c in reversed(coeffs):
+        lm, le, hm, he = _mul(acc, xiv, b)
+        acc = (*_round(*_add(lm, le, *_fraction_pair(c, bits, False)), b, False),
+               *_round(*_add(hm, he, *_fraction_pair(c, bits, True)), b, True))
+    return _scalar(acc, b)
 
 
 # ---------------------------------------------------------------------------
@@ -346,45 +372,45 @@ class Scalar:
 # grid and then onto the coarser one equals rounding onto the coarser one.
 
 
-def _atanh_bounds(p: int, q: int, bits: int) -> tuple[int, int, int, int]:
-    """Directed bounds ``(lo_man, lo_exp, hi_man, hi_exp)`` for atanh(p/q).
+@functools.lru_cache(maxsize=512)
+def _atanh_bound(p: int, q: int, bits: int, up: bool) -> tuple[int, int]:
+    """Directed bound ``(man, exp)`` for atanh(p/q).
 
-    0 <= p/q <= 1/2, with q > 0 and the odd parts of p and q coprime.
+    0 <= p/q <= 1/2, with q > 0 and the odd parts of p and q coprime.  The
+    lower bound sums the series from z rounded down, the upper one from z
+    rounded up plus the tail, so each direction is summed on its own.  The
+    loop is ``_ratio``, ``_add`` and ``_round`` written out for positive
+    values; memoized, since trajectories revisit the same endpoints.
     """
     if p == 0:
-        return 0, 0, 0, 0
+        return 0, 0
     work = bits + 16
-    dm, de = _ratio(p, q, 0, work, False)
-    um, ue = _ratio(p, q, 0, work, True)
-    z2dm, z2de = _round(dm * dm, 2 * de, work, False)
-    z2um, z2ue = _round(um * um, 2 * ue, work, True)
+    zm, ze = _ratio(p, q, 0, work, up)
+    z2m, z2e = _round(zm * zm, 2 * ze, work, up)
     # enough terms that z**(2J+1) < 2**-(bits+8); z <= 1/2 so each term
     # gains at least 2 bits
     J = bits // 2 + 8
-    lm = le = hm = he = 0
-    for j in range(J):
-        k = 2 * j + 1
-        lm, le = _round(*_add(lm, le, *_ratio(dm, k, de, work, False)), work, False)
-        hm, he = _round(*_add(hm, he, *_ratio(um, k, ue, work, True)), work, True)
-        dm, de = _round(dm * z2dm, de + z2de, work, False)
-        um, ue = _round(um * z2um, ue + z2ue, work, True)
-    # tail: sum_{j>=J} z^(2j+1)/(2j+1) <= z^(2J+1) / ((2J+1)(1-z^2)), taken
-    # with z^2 <= 9/16: the bound is p_up * 16 / (7 (2J+1))
-    tail = _ratio(um, 7 * (2 * J + 1), ue + 4, work, True)
-    hm, he = _round(*_add(hm, he, *tail), work, True)
-    return lm, le, hm, he
-
-
-@functools.lru_cache(maxsize=64)
-def _ln2(bits: int) -> tuple[int, int, int, int]:
-    lm, le, hm, he = _atanh_bounds(1, 3, bits)
-    return (*_round(2 * lm, le, bits + 16, False), *_round(2 * hm, he, bits + 16, True))
+    am = ae = 0
+    for k in range(1, 2 * J, 2):
+        sh = work + 1 + k.bit_length() - zm.bit_length()  # z**k / k to work + 1 bits
+        t, te = (-((-zm << sh) // k) if up else (zm << sh) // k), ze - sh
+        if not up and am and ae > te and not t >> (ae - te):
+            return am, ae  # rounded down, terms below the sum's last place add nothing
+        m, e = ((am << (ae - te)) + t, te) if ae > te else (am + (t << (te - ae)), ae)
+        s = m.bit_length() - work
+        am, ae = ((-((-m) >> s) if up else m >> s), e + s) if s > 0 else (m, e)
+        zm, ze = _round(zm * z2m, ze + z2e, work, up)
+    if up:
+        # tail: sum_{j>=J} z^(2j+1)/(2j+1) <= z^(2J+1) / ((2J+1)(1-z^2)), taken
+        # with z^2 <= 9/16: the bound is p_up * 16 / (7 (2J+1))
+        am, ae = _round(*_add(am, ae, *_ratio(zm, 7 * (2 * J + 1), ze + 4, work, True)), work, True)
+    return am, ae
 
 
 @functools.lru_cache(maxsize=1024)
-def _ln_directed(man: int, exp: int, bits: int, up: bool) -> Dyadic:
-    """Directed bound for ln(man * 2**exp); memoized, since trajectories
-    revisit the same endpoints."""
+def _ln_directed(man: int, exp: int, bits: int, up: bool) -> tuple[int, int]:
+    """Directed bound for ln(man * 2**exp), ``man * 2**exp`` in normal form;
+    memoized, since trajectories revisit the same endpoints."""
     if man <= 0:
         raise ValueError("log of non-positive endpoint")
     work = bits + 16
@@ -393,24 +419,21 @@ def _ln_directed(man: int, exp: int, bits: int, up: bool) -> Dyadic:
     s = exp + L - 1  # the value is m * 2**s with m in [1, 2)
     h = 1 << (L - 1)
     # z = (m-1)/(m+1) = (man-h)/(man+h): a common odd factor would divide 2h
-    lm, le, hm, he = _atanh_bounds(man - h, man + h, bits)
-    l2lm, l2le, l2hm, l2he = _ln2(bits)
-    if up:
-        mm, me = _round(2 * hm, he, work, True)
-        m2, e2 = (l2hm, l2he) if s >= 0 else (l2lm, l2le)
-    else:
-        mm, me = _round(2 * lm, le, work, False)
-        m2, e2 = (l2lm, l2le) if s >= 0 else (l2hm, l2he)
-    return Dyadic.of(*_round(*_add(mm, me, s * m2, e2), work, up))
+    mm, me = _atanh_bound(man - h, man + h, bits, up)
+    # ln m = 2 atanh(z), and ln 2 = 2 atanh(1/3) by the bound that moves s * ln 2
+    # the way of ``up``; doubling a bound of work bits is exact: exponent + 1
+    m2, e2 = _atanh_bound(1, 3, bits, up == (s >= 0))
+    return _round(*_add(mm, me + 1, s * m2, e2 + 1), work, up)
 
 
 def ln(x: Scalar, bits: Optional[int] = None) -> Scalar:
     """Certified natural log of a positive interval."""
     b = bits or x.prec
-    if x.lo.man <= 0:
+    lm, le, hm, he = x.iv
+    if lm <= 0:
         raise ValueError("ln requires a strictly positive interval")
-    return Scalar(_ln_directed(x.lo.man, x.lo.exp, b, False),
-                  _ln_directed(x.hi.man, x.hi.exp, b, True), b)
+    return _scalar((*_ln_directed(*_norm(lm, le), b, False),
+                    *_ln_directed(*_norm(hm, he), b, True)), b)
 
 
 def ln_int(n: int, bits: int = DEFAULT_PRECISION) -> Scalar:
@@ -418,7 +441,7 @@ def ln_int(n: int, bits: int = DEFAULT_PRECISION) -> Scalar:
     if n <= 0:
         raise ValueError("ln_int requires n >= 1")
     n, e = _norm(n, 0)
-    return Scalar(_ln_directed(n, e, bits, False), _ln_directed(n, e, bits, True), bits)
+    return _scalar((*_ln_directed(n, e, bits, False), *_ln_directed(n, e, bits, True)), bits)
 
 
 # ---------------------------------------------------------------------------
@@ -439,13 +462,7 @@ def poly_eval(c: Sequence[Fraction], x: Fraction) -> Fraction:
 
 
 def poly_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, v in enumerate(a):
-        out[i] += v
-    for i, v in enumerate(b):
-        out[i] -= v
-    return poly_trim(out)
+    return poly_trim([x - y for x, y in itertools.zip_longest(a, b, fillvalue=0)])
 
 
 def poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
@@ -490,22 +507,13 @@ def poly_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
 # root isolation for expansion equations
 
 
-def _tail_value(pre: Sequence[Fraction], per: Sequence[Fraction], z: Fraction) -> Fraction:
-    """sum_i pre_i z^-i + z^-|pre| * (sum_j per_j z^-j) / (1 - z^-|per|), z > 1."""
+def _defect(pre: Sequence[Fraction], per: Sequence[Fraction], z: Fraction) -> Fraction:
+    """1 - sum_i pre_i z^-i - z^-|pre| (sum_j per_j z^-j) / (1 - z^-|per|), z > 1."""
     zi = 1 / z
-    acc = Fraction(0)
-    p = zi
-    for c in pre:
-        acc += c * p
-        p *= zi
+    value = poly_eval((0, *pre), zi)
     if per:
-        geo = Fraction(0)
-        q = zi
-        for c in per:
-            geo += c * q
-            q *= zi
-        acc += (zi ** len(pre)) * geo / (1 - zi ** len(per))
-    return acc
+        value += zi ** len(pre) * poly_eval((0, *per), zi) / (1 - zi ** len(per))
+    return 1 - value
 
 
 def _cleared_polynomial(pre: Sequence[Fraction], per: Sequence[Fraction]) -> list[Fraction]:
@@ -514,20 +522,11 @@ def _cleared_polynomial(pre: Sequence[Fraction], per: Sequence[Fraction]) -> lis
     Finite case: z^p - sum c_i z^(p-i).  Periodic tail of length q:
     (z^p - sum pre_i z^(p-i)) (z^q - 1) - sum per_j z^(q-j), both ascending.
     """
-    p = len(pre)
-    head = [Fraction(0)] * (p + 1)
-    head[p] = Fraction(1)
-    for i, c in enumerate(pre, start=1):
-        head[p - i] -= c
-    head = poly_trim(head)
+    head = [-c for c in reversed(pre)] + [Fraction(1)]
     if not per:
         return head
-    q = len(per)
-    zq1 = [Fraction(-1)] + [Fraction(0)] * (q - 1) + [Fraction(1)]
-    tail = [Fraction(0)] * q
-    for j, c in enumerate(per, start=1):
-        tail[q - j] += c
-    return poly_sub(poly_mul(head, zq1), poly_trim(tail))
+    zq1 = [Fraction(-1)] + [Fraction(0)] * (len(per) - 1) + [Fraction(1)]
+    return poly_sub(poly_mul(head, zq1), list(reversed(per)))
 
 
 class PolyRoot:
@@ -535,8 +534,8 @@ class PolyRoot:
 
     Holds the exact defining data, a rational bracket with a sign change,
     and a refined interval.  ``refine`` returns the bracket that halving it
-    with exact sign evaluations until it is 2**-bits wide would leave: Newton
-    locates that cell of the halving grid and the exact signs at its two
+    with certified sign evaluations until it is 2**-bits wide would leave:
+    Newton locates that cell of the halving grid and the signs at its two
     ends certify it (``_replay``); plain halving runs for a few steps, or
     when the certificate fails.
     """
@@ -550,22 +549,23 @@ class PolyRoot:
         self.poly = _cleared_polynomial(self.pre, self.per)
         scale = math.lcm(*(c.denominator for c in self.poly)) if self.poly else 1
         self.int_poly = [int(c * scale) for c in self.poly]
-        self.lo = Fraction(lo)
-        self.hi = Fraction(hi)
+        self.lo, self.hi = Fraction(lo), Fraction(hi)
         self.refined = self.refine(precision)
-
-    def _f(self, z: Fraction) -> Fraction:
-        return 1 - _tail_value(self.pre, self.per, z)
 
     def _sign_at(self, z: Fraction) -> int:
         """Sign of the value-equation defect at z > 1.
 
         Uses the cleared integer polynomial: its extra factors z**m and
-        (z**q - 1) are positive beyond 1, so the sign agrees with ``_f``,
-        and integer Horner is much cheaper than rational arithmetic for
-        high-degree words.
+        (z**q - 1) are positive beyond 1, so the sign agrees with ``_defect``.
+        An interval Horner at fixed point, a few bits finer than z, settles
+        it unless the interval straddles 0; only then is the exact integer
+        Horner run, whose integers grow to about degree x bits of z.
         """
         num, den = z.numerator, z.denominator
+        p = den.bit_length() + 2 * len(self.int_poly).bit_length() + 32
+        lo, hi = _fixed_bounds(self.int_poly, num, den, p)
+        if lo > 0 or hi < 0:
+            return 1 if lo > 0 else -1
         acc, dp = 0, 1
         for c in reversed(self.int_poly):
             acc = acc * num + c * dp
@@ -577,10 +577,8 @@ class PolyRoot:
         steps = _halvings(hi - lo, target_bits)
         cell = self._replay(lo, hi, steps) if steps > _REPLAY_MIN_STEPS else None
         self.lo, self.hi = cell or self._bisect(lo, hi, steps)
-        out = Scalar(dyadic_from_fraction(self.lo, target_bits + 8, up=False),
-                     dyadic_from_fraction(self.hi, target_bits + 8, up=True),
-                     target_bits, refiner=self.refine)
-        return out
+        return _scalar((*_fraction_pair(self.lo, target_bits + 8, False),
+                        *_fraction_pair(self.hi, target_bits + 8, True)), target_bits, self.refine)
 
     def _bisect(self, lo: Fraction, hi: Fraction, steps: int) -> tuple[Fraction, Fraction]:
         for _ in range(steps):
@@ -599,7 +597,7 @@ class PolyRoot:
         w = (hi - lo) / 2**steps, and keep a cell [g_j, g_j+1] with
         sign(g_j) < 0 (or j = 0) and sign(g_j+1) >= 0 (or j + 1 = 2**steps).
         The sign is monotone beyond 1 (see the module docstring), so exactly
-        one cell qualifies.  Newton guesses j; the same exact signs that
+        one cell qualifies.  Newton guesses j; the same signs that
         bisection uses certify it, stepping to a neighbour a few times when
         the guess sits next to a grid point.  None when the certificate does
         not hold for the guess or the sign is not known to be monotone.
@@ -624,13 +622,13 @@ class PolyRoot:
         return None
 
     def as_scalar(self, bits: int = DEFAULT_PRECISION) -> Scalar:
-        if self.refined.width <= Fraction(1, 1 << bits):
+        if self.refined._within(bits):
             return self.refined
         self.refined = self.refine(bits)
         return self.refined
 
     def exact_equals(self, x: Fraction) -> bool:
-        return self._f(Fraction(x)) == 0
+        return _defect(self.pre, self.per, Fraction(x)) == 0
 
     def __repr__(self):
         return f"PolyRoot(~{float(self.refined.mid):.12f})"
@@ -643,6 +641,19 @@ def _halvings(width: Fraction, bits: int) -> int:
     while n > d << k:
         k += 1
     return k
+
+
+def _fixed_bounds(poly: Sequence[int], num: int, den: int, p: int) -> tuple[int, int]:
+    """Bounds on ``poly(num / den) * 2**p`` (num / den > 0) by interval Horner
+    on p-bit fixed point: each bound takes the endpoint of z that moves it
+    outward, and rounds outward."""
+    zl, zh = (num << p) // den, -((-num << p) // den)
+    lo = hi = 0
+    for c in reversed(poly):
+        c <<= p
+        lo = ((lo * (zl if lo >= 0 else zh)) >> p) + c
+        hi = c - ((-hi * (zh if hi >= 0 else zl)) >> p)
+    return lo, hi
 
 
 def _horner(poly: Sequence[int], z: int, p: int) -> tuple[int, int]:
@@ -666,9 +677,12 @@ def _newton(poly: Sequence[int], lo: Fraction, hi: Fraction, prec: int) -> Optio
     p = max(0, width.denominator.bit_length() - width.numerator.bit_length()) + 64
     a = (lo.numerator << p) // lo.denominator
     b = -((-hi.numerator << p) // hi.denominator)
+    scaled = [c << p for c in reversed(poly)]
     for _ in range(_START_STEPS):
-        m = (a + b) >> 1
-        if _horner(poly, m, p)[0] >= 0:
+        m, v = (a + b) >> 1, 0
+        for c in scaled:
+            v = ((v * m) >> p) + c
+        if v >= 0:
             b = m
         else:
             a = m
@@ -709,16 +723,13 @@ def isolate_root(coefficients: Sequence[Fraction], search: tuple[Fraction, Fract
             raise DegenerateApproximant(
                 f"coefficient sum {total} <= 1 forces the root to z <= 1")
         lo, hi = Fraction(1), total + 1
-    def f(z: Fraction) -> Fraction:
-        return 1 - _tail_value(pre, per, z)
-
     if search is not None:
         slo, shi = Fraction(search[0]), Fraction(search[1])
         if shi <= 1:
             raise DegenerateApproximant("search interval lies at or below 1")
-        if f(shi) < 0:
+        if _defect(pre, per, shi) < 0:
             raise NoRoot("value function stays above 1 on the search interval")
-        if slo > 1 and f(slo) > 0:
+        if slo > 1 and _defect(pre, per, slo) > 0:
             raise NoRoot("value function is already below 1 at the left end")
         lo, hi = max(lo, slo), min(hi, shi)
     return PolyRoot(pre, per, lo, hi, precision)
@@ -750,13 +761,6 @@ def is_exact_root(poly: Sequence[Fraction], root: PolyRoot) -> bool:
             return True
         # no sign change; the value is nonzero once the interval evaluation
         # of poly excludes zero
-        val = _interval_poly_eval(c, s)
-        if not (val.lo.value <= 0 <= val.hi.value):
+        val = _iv_horner(c, s, s.prec)
+        if not val.iv[0] <= 0 <= val.iv[2]:
             return False
-
-
-def _interval_poly_eval(c: Sequence[Fraction], x: Scalar) -> Scalar:
-    acc = Scalar.from_fraction(Fraction(0), x.prec)
-    for coef in reversed(c):
-        acc = acc * x + Scalar.from_fraction(Fraction(coef), x.prec)
-    return acc

@@ -4,6 +4,7 @@ loosened: exact rational equality where stated, certified intervals
 elsewhere."""
 
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -32,6 +33,7 @@ from betadio.measures_dim import (
     stolz_cesaro_ratios,
     verify_sup_by_calculus,
 )
+from betadio.numerics import isolate_root
 from betadio.words import PeriodicWord
 
 F = Fraction
@@ -215,6 +217,15 @@ def test_criterion_6_parry_round_trip():
             rec = parry_invert(word, precision=140).as_scalar(120)
             diff = rec - golden
             assert diff.contains(F(0)) and diff.width < tol
+
+
+def test_criterion_6_long_word_at_4096_bits():
+    with _Timer("6 500-digit root at 4096 bits", 3.0):
+        s = isolate_root([1, 0] * 250).as_scalar(4096)
+        assert s.width <= F(1, 2 ** 4096)
+        # (10)^250 falls short of the golden ratio's (10)^oo by about phi**-500
+        phi_lo = (1 + F(math.isqrt(5 << 800), 1 << 400)) / 2
+        assert phi_lo - F(1, 2 ** 300) < s.lo.value and s.hi.value < phi_lo
 
 
 def test_criterion_7_parameter_space_sandwich():

@@ -256,6 +256,13 @@ def test_malformed_precision_is_a_usage_error(capsys, monkeypatch, value):
     assert "BETADIO_PRECISION" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bits", ["-5", "0"])
+def test_parry_invert_needs_positive_bits(capsys, bits):
+    assert main(["parry", "invert", "--word", "1,1,1", "--bits", bits]) == 1
+    err = capsys.readouterr().err
+    assert err == f"usage error: parry invert needs --bits >= 1, got {bits}\n"
+
+
 def test_count_past_int_str_limit(capsys):
     n = 22019
     before = sys.get_int_max_str_digits()

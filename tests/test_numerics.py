@@ -12,6 +12,7 @@ from betadio import numerics
 from betadio.beta_shift import is_self_admissible
 from betadio.errors import DegenerateApproximant, NoRoot, PrecisionExhausted
 from betadio.numerics import (
+    DEFAULT_PRECISION,
     ZERO,
     Comparison,
     Dyadic,
@@ -441,3 +442,145 @@ def test_polyroot_contains_mpmath_root_at_4096_bits(pre, per):
         truth = F(man) * F(2) ** exp
         slack = F(1, 2 ** 4300)
     assert s.lo.value - slack <= truth <= s.hi.value + slack
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+def test_ln_of_mantissas_near_one_and_two_matches_the_oracle(bits):
+    # z = (m-1)/(m+1) tiny or near 1/3: the lower sum stops early once its
+    # terms fall below its last place, the upper one runs to the end
+    for n in [(1 << 300) + 1, (1 << 300) + 3 ** 20, (1 << 301) - 1, (1 << 290) - 3 ** 30, 5, 7]:
+        d = Dyadic.of(n)
+        want = (oracle_ln_directed(d, bits, False), oracle_ln_directed(d, bits, True))
+        assert endpoints(ln_int(n, bits)) == endpoints(Scalar(*want)), n
+
+
+# ---------------------------------------------------------------------------
+# raw-pair Scalar arithmetic against the Dyadic implementation it replaced
+# (each endpoint a Dyadic, every product built, min and max compared)
+
+
+def ref_add(a, b):
+    p = min(a[2], b[2])
+    return oracle_round_down(a[0] + b[0], p), oracle_round_up(a[1] + b[1], p), p
+
+
+def ref_mul(a, b):
+    p = min(a[2], b[2])
+    prods = [a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1]]
+    return (oracle_round_down(min(prods, key=lambda d: d.value), p),
+            oracle_round_up(max(prods, key=lambda d: d.value), p), p)
+
+
+def ref_scale_int(a, k):
+    d = Dyadic.of(k)
+    lo, hi = (a[0] * d, a[1] * d) if k >= 0 else (a[1] * d, a[0] * d)
+    return oracle_round_down(lo, a[2]), oracle_round_up(hi, a[2]), a[2]
+
+
+def ref_pow_int(a, n):
+    result, base = (Dyadic.of(1), Dyadic.of(1), a[2]), a
+    while n:
+        if n & 1:
+            result = ref_mul(result, base)
+        base = ref_mul(base, base) if n > 1 else base
+        n >>= 1
+    return result
+
+
+def ref_endpoints(r):
+    return (r[0].man, r[0].exp, r[1].man, r[1].exp)
+
+
+def _random_interval(rng, bits, case):
+    """An interval of the given sign case, endpoints of up to bits + 40 bits."""
+    def dyadic():
+        return Dyadic.of(rng.getrandbits(rng.randint(1, bits + 40)) + 1,
+                         rng.randint(-bits - 40, 40))
+    a, b = sorted([dyadic(), dyadic()], key=lambda d: d.value)
+    neg_a, neg_b = Dyadic.of(-a.man, a.exp), Dyadic.of(-b.man, b.exp)
+    return {"positive": (a, b), "negative": (neg_b, neg_a), "straddle": (neg_a, b),
+            "zero end": (ZERO, b), "point": (a, a)}[case]
+
+
+CASES = ["positive", "negative", "straddle", "zero end", "point"]
+
+
+@pytest.mark.parametrize("bits", [64, 192, 256])
+def test_raw_scalar_ops_match_the_dyadic_reference(bits):
+    rng = random.Random(bits)
+    seen = set()
+    for i in range(2000):
+        ca, cb = CASES[i % 5], CASES[(i // 5) % 5]
+        pa, pb = bits, rng.choice([bits, bits + 8, bits // 2])
+        a = _random_interval(rng, bits, ca) + (pa,)
+        b = _random_interval(rng, bits, cb) + (pb,)
+        sa, sb = Scalar(a[0], a[1], pa), Scalar(b[0], b[1], pb)
+        seen.add((ca, cb))
+        assert endpoints(sa + sb) == ref_endpoints(ref_add(a, b)), (a, b)
+        assert endpoints(sa * sb) == ref_endpoints(ref_mul(a, b)), (a, b)
+        assert (sa * sb).prec == min(pa, pb)
+        k = rng.randint(-5, 5) * rng.choice([1, 3 ** 40])
+        assert endpoints(sa.scale_int(k)) == ref_endpoints(ref_scale_int(a, k)), (a, k)
+        if i % 10 == 0:
+            n = rng.randint(0, 7)
+            assert endpoints(sa.pow_int(n)) == ref_endpoints(ref_pow_int(a, n)), (a, n)
+    assert len(seen) == 25  # every pair of sign cases, straddling ones included
+
+
+def test_interval_horner_matches_scalar_ops():
+    rng = random.Random(5)
+    for bits in (64, 192, 256):
+        for _ in range(50):
+            x = Scalar.from_fraction(F(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6)),
+                                     rng.choice([bits, bits + 8, bits // 2]))
+            coeffs = [rng.choice([F(rng.randint(-9, 9), rng.randint(1, 9)), rng.randint(-9, 9)])
+                      for _ in range(rng.randint(0, 12))]
+            acc = Scalar.from_fraction(F(0), bits)
+            for c in reversed(coeffs):
+                acc = acc * x + Scalar.from_fraction(c, bits)
+            assert endpoints(numerics._iv_horner(coeffs, x, bits)) == endpoints(acc)
+
+
+# ---------------------------------------------------------------------------
+# the fixed-point root sign against the exact integer Horner
+
+
+def exact_sign(int_poly, z):
+    num, den = z.numerator, z.denominator
+    acc, dp = 0, 1
+    for c in reversed(int_poly):
+        acc = acc * num + c * dp
+        dp *= den
+    return (acc > 0) - (acc < 0)
+
+
+def test_fixed_point_bounds_enclose_the_exact_value():
+    rng = random.Random(11)
+    for _ in range(3000):
+        poly = [rng.randint(-50, 50) for _ in range(rng.randint(1, 12))]
+        z = F(rng.randint(1, 4000), rng.randint(1, 999))
+        p = rng.choice([1, 4, 8, 16, 40])
+        lo, hi = numerics._fixed_bounds(poly, z.numerator, z.denominator, p)
+        assert lo <= numerics.poly_eval(poly, z) * 2 ** p <= hi, (poly, z, p)
+
+
+@pytest.mark.parametrize("pre,per", ROOT_CASES)
+def test_fixed_point_sign_matches_exact_sign(pre, per):
+    rng = random.Random(str((pre, per)))
+    root = isolate_root(pre, periodic_tail=per, precision=300)
+    points = [root.lo, root.hi, (root.lo + root.hi) / 2, F(3, 2), F(5, 3), F(2)]
+    points += [1 + F(rng.randrange(1, 1 << 40), 1 << 38) for _ in range(20)]
+    points += [root.lo + F(rng.randrange(-1000, 1000), 3 << 290) for _ in range(20)]
+    for z in points:
+        if z > 1:
+            assert root._sign_at(z) == exact_sign(root.int_poly, z), z
+
+
+def test_sign_at_the_root_itself_takes_the_exact_path():
+    # the root of 1 = 2/z is 2: the fixed-point interval always straddles 0
+    # there, so the 0 can only come from the exact fallback
+    root = isolate_root([2])
+    assert root._sign_at(F(2)) == 0
+    assert root._sign_at(F(2) + F(1, 1 << 500)) == 1
+    assert root._sign_at(F(2) - F(1, 1 << 500)) == -1
+    assert (root.lo, root.hi) == oracle_refine(root, F(1), F(3), DEFAULT_PRECISION)
