@@ -249,41 +249,41 @@ class _Orbit:
 
 
 class _AlgebraicOrbit(_Orbit):
-    """Greedy digit generator for exact x and an algebraic base.
+    """Greedy digit generator for exact x = p/q and an algebraic base.
 
-    The orbit value after n steps is an integer-coefficient polynomial in
-    beta, kept reduced modulo the defining polynomial so its degree stays
-    bounded.  Digits come from certified interval floors, with exact algebra
-    deciding the case where the orbit hits an integer.
+    q times the orbit value after n steps is an integer polynomial in beta,
+    kept reduced modulo the defining polynomial, which is monic with integer
+    coefficients (every base comes from integer digits), so its degree stays
+    bounded.  Digits are certified interval floors divided by q, with exact
+    algebra deciding the case where the orbit hits an integer.
     """
 
     def __init__(self, root: PolyRoot, x: Fraction):
         self.root = root
-        # orbit value in beta, reduced; kept int where integral (Fraction is slow)
-        self.poly = [x.numerator if x.denominator == 1 else x]
-        self._monic = root.int_poly if root.int_poly[-1] == 1 else root.poly
+        self.q = x.denominator
+        self.poly = [x.numerator]  # q * orbit value, in beta, reduced
         self._bits = root.refined.prec
         super().__init__(tuple(self.poly))
 
     def _step(self) -> tuple[int, Optional[tuple]]:
-        shifted, monic = [0] + self.poly, self._monic
+        shifted, monic, q = [0] + self.poly, self.root.int_poly, self.q
         if len(shifted) == len(monic):  # beta * orbit has the degree of the monic poly
             shifted = [a - shifted[-1] * m for a, m in zip(shifted, monic)]
         shifted = poly_trim(shifted)
         for self._bits in _escalate(self._bits, "orbit digit straddles an integer"):
             val = _iv_horner(shifted, self.root.as_scalar(self._bits), self._bits)
-            fl = val.floor_certified()
+            fl = val.floor_certified(q)
             if fl is not None:
                 break
             lo = val.lo.value
-            candidate = lo.numerator // lo.denominator + 1
-            if is_exact_root(poly_sub(shifted, [F(candidate)]), self.root):
+            candidate = lo.numerator // (lo.denominator * q) + 1
+            if is_exact_root(poly_sub(shifted, [q * candidate]), self.root):
                 # beta * orbit equals the integer exactly: digit = candidate,
                 # the orbit hits 0 and the expansion terminates
                 self.poly = []
                 return candidate, None
-        self.poly = poly_sub(shifted, [fl])
-        return fl, tuple(self.poly)
+        self.poly = poly_sub(shifted, [q * fl])
+        return fl, tuple(self.poly) or None  # an orbit at 0 terminates
 
 
 class _RationalOrbit(_Orbit):

@@ -431,8 +431,3 @@ def stolz_cesaro_ratios(runs: ScheduledRuns, k: int) -> tuple[Fraction, Fraction
     step = F(runs.n[k] - runs.m[k - 1], runs.m[k] - runs.m[k - 1])
     cumulative = F(sum(runs.n[j + 1] - runs.m[j] for j in range(k - 1)), runs.m[k - 1])
     return step, cumulative
-
-
-def report_to_json(report: DimensionReport) -> str:
-    import json  # here, not at module level: only JSON output needs it
-    return json.dumps(report.to_json_dict(), indent=2)

@@ -15,8 +15,8 @@ the coefficients are nonnegative and not all zero, so a sign change brackets
 a unique root and bisection with certified signs pins it down.  A sign is an
 interval Horner at fixed point, exact integer arithmetic only when that
 interval straddles 0.  Refinement does not run the halvings one by one: the
-cell they end in is determined by the root alone, so a fixed-point Newton
-iteration locates it and the signs at its two ends certify it.
+cell they end in is determined by the root alone, so a search over the cells
+from a fixed-point Newton guess finds it, with the same signs.
 
 Every certificate that an interval does not yet settle (a floor, a sign, an
 order) is retried at twice the precision by one loop, ``_escalate``, which
@@ -40,12 +40,11 @@ DEFAULT_PRECISION = 256
 # the working precision past which every certificate gives up
 _MAX_BITS = 1 << 14
 
-# PolyRoot.refine replays bisection with a Newton guess beyond this many
-# halvings; _newton starts from this many low-precision bisection steps, and
-# _replay moves a guess next to a grid point at most this often
+# PolyRoot.refine asks _newton for a guess of its cell beyond this many
+# halvings (below it, the search is plain bisection); _newton starts from
+# this many low-precision bisection steps
 _REPLAY_MIN_STEPS = 16
 _START_STEPS = 48
-_REPLAY_TRIES = 4
 
 
 def _escalate(bits: int, what: str) -> Iterator[int]:
@@ -135,9 +134,10 @@ def _ratio(p: int, q: int, exp: int, bits: int, up: bool) -> tuple[int, int]:
     """Directed approximation of ``p * 2**exp / q`` (p != 0, q > 0) with at
     least ``bits`` + 1 significant bits.
 
-    When the odd parts of p and q are coprime this is dyadic_from_fraction
-    exactly: it scales by the bit lengths of the reduced fraction, whose
-    difference is bl(p) - bl(q) + exp wherever the powers of two sit.
+    When the odd parts of p and q are coprime this is ``_fraction_pair`` of
+    the reduced fraction exactly: it scales by the bit lengths of the reduced
+    fraction, whose difference is bl(p) - bl(q) + exp wherever the powers of
+    two sit.
     """
     s = bits + 1 - p.bit_length() + q.bit_length() - exp
     sh = exp + s
@@ -147,11 +147,6 @@ def _ratio(p: int, q: int, exp: int, bits: int, up: bool) -> tuple[int, int]:
 
 def _fraction_pair(x: Fraction, bits: int, up: bool) -> tuple[int, int]:
     return _ratio(x.numerator, x.denominator, 0, bits, up) if x else (0, 0)
-
-
-def dyadic_from_fraction(x: Fraction, bits: int, up: bool) -> Dyadic:
-    """Directed dyadic approximation of an arbitrary rational."""
-    return Dyadic.of(*_fraction_pair(x, bits, up))
 
 
 # ---------------------------------------------------------------------------
@@ -299,11 +294,12 @@ class Scalar:
             return Comparison.GREATER
         return Comparison.UNRESOLVED
 
-    def floor_certified(self) -> Optional[int]:
-        """The common integer part of every point in the interval, if any."""
+    def floor_certified(self, q: int = 1) -> Optional[int]:
+        """The common integer part of every point in the interval divided by
+        q > 0, if any."""
         lm, le, hm, he = self.iv
-        flo = lm << le if le >= 0 else lm >> -le
-        return flo if flo == (hm << he if he >= 0 else hm >> -he) else None
+        flo = (lm << le if le >= 0 else lm >> -le) // q
+        return flo if flo == (hm << he if he >= 0 else hm >> -he) // q else None
 
     def refine(self, target_bits: int) -> "Scalar":
         if self._within(target_bits):
@@ -535,9 +531,15 @@ class PolyRoot:
     Holds the exact defining data, a rational bracket with a sign change,
     and a refined interval.  ``refine`` returns the bracket that halving it
     with certified sign evaluations until it is 2**-bits wide would leave:
-    Newton locates that cell of the halving grid and the signs at its two
-    ends certify it (``_replay``); plain halving runs for a few steps, or
-    when the certificate fails.
+    the cell [g_j, g_j+1] of the grid g_j = lo + j*w, w = (hi - lo) /
+    2**steps, whose left end has sign < 0 (or is lo) and right end sign >= 0
+    (or is hi).  The sign is monotone beyond 1, so exactly one cell
+    qualifies, and a binary search over j with the same signs finds it.  It
+    starts from a Newton guess of j: the signs at the guessed cell's ends
+    confirm it, or else steps of 1, 2, 4, ... cells away bracket the cell
+    for the binary search (Bentley and Yao, IPL 5, 1976), so a guess k cells
+    off costs about 2 log2(k) signs.  Below a few halvings there is no guess
+    and the search spans the whole grid: that is bisection.
     """
 
     __slots__ = ("pre", "per", "poly", "int_poly", "lo", "hi", "refined")
@@ -575,51 +577,32 @@ class PolyRoot:
     def refine(self, target_bits: int) -> Scalar:
         lo, hi = self.lo, self.hi
         steps = _halvings(hi - lo, target_bits)
-        cell = self._replay(lo, hi, steps) if steps > _REPLAY_MIN_STEPS else None
-        self.lo, self.hi = cell or self._bisect(lo, hi, steps)
-        return _scalar((*_fraction_pair(self.lo, target_bits + 8, False),
-                        *_fraction_pair(self.hi, target_bits + 8, True)), target_bits, self.refine)
-
-    def _bisect(self, lo: Fraction, hi: Fraction, steps: int) -> tuple[Fraction, Fraction]:
-        for _ in range(steps):
-            mid = (lo + hi) / 2
-            if self._sign_at(mid) >= 0:
-                hi = mid
-            else:
-                lo = mid
-        return lo, hi
-
-    def _replay(self, lo: Fraction, hi: Fraction,
-                steps: int) -> Optional[tuple[Fraction, Fraction]]:
-        """The cell that ``steps`` bisection steps on [lo, hi] end in, or None.
-
-        The halvings only ever probe points g_i = lo + i*w of the grid with
-        w = (hi - lo) / 2**steps, and keep a cell [g_j, g_j+1] with
-        sign(g_j) < 0 (or j = 0) and sign(g_j+1) >= 0 (or j + 1 = 2**steps).
-        The sign is monotone beyond 1 (see the module docstring), so exactly
-        one cell qualifies.  Newton guesses j; the same signs that
-        bisection uses certify it, stepping to a neighbour a few times when
-        the guess sits next to a grid point.  None when the certificate does
-        not hold for the guess or the sign is not known to be monotone.
-        """
-        if lo < 1 or min(self.pre + self.per, default=0) < 0:
-            return None
         cells = 1 << steps
         w = (hi - lo) / cells
-        guess = _newton(self.int_poly, lo, hi,
-                        w.denominator.bit_length() - w.numerator.bit_length() + 16)
-        if guess is None:
-            return None
-        t = (guess - lo) / w
-        j = min(max(-(-t.numerator // t.denominator) - 1, 0), cells - 1)
-        for _ in range(_REPLAY_TRIES):
-            if j > 0 and self._sign_at(lo + w * j) >= 0:
-                j -= 1
-            elif j + 1 < cells and self._sign_at(lo + w * (j + 1)) < 0:
-                j += 1
+
+        def up(j: int) -> bool:  # bisection's test: the root is at or left of g_j
+            return j >= cells or j > 0 and self._sign_at(lo + w * j) >= 0
+
+        a, b = 0, cells  # the cell is in [a, b]: not up(a), up(b)
+        prec = w.denominator.bit_length() - w.numerator.bit_length() + 16
+        guess = _newton(self.int_poly, lo, hi, prec) if steps > _REPLAY_MIN_STEPS else None
+        if guess is not None:  # gallop away from the guessed cell [j, j + 1]
+            t = (guess - lo) / w
+            j, d = min(max(-(-t.numerator // t.denominator) - 1, 0), cells - 1), 1
+            if up(j):
+                b = j
+                while up(a := max(b - d, 0)):
+                    b, d = a, 2 * d
             else:
-                return lo + w * j, lo + w * (j + 1)
-        return None
+                a = j
+                while not up(b := min(a + d, cells)):
+                    a, d = b, 2 * d
+        while b - a > 1:
+            m = (a + b) >> 1
+            a, b = (a, m) if up(m) else (m, b)
+        self.lo, self.hi = lo + w * a, lo + w * b
+        return _scalar((*_fraction_pair(self.lo, target_bits + 8, False),
+                        *_fraction_pair(self.hi, target_bits + 8, True)), target_bits, self.refine)
 
     def as_scalar(self, bits: int = DEFAULT_PRECISION) -> Scalar:
         if self.refined._within(bits):

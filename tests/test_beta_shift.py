@@ -467,3 +467,65 @@ def test_greedy_digits_reconstruct_value():
         ulp = beta.pow_int(-40)
         assert val.hi.value <= x
         assert (val + ulp).lo.value > x - F(1, 2 ** 150)
+
+
+class FrozenAlgebraicOrbit(beta_shift._Orbit):
+    """The algebraic orbit as first written: the orbit value itself as a
+    polynomial in beta, in Fraction arithmetic when x is not an integer."""
+
+    def __init__(self, root, x):
+        self.root = root
+        self.poly = [x.numerator if x.denominator == 1 else x]
+        self._monic = root.int_poly if root.int_poly[-1] == 1 else root.poly
+        self._bits = root.refined.prec
+        super().__init__(tuple(self.poly))
+
+    def _step(self):
+        shifted, monic = [0] + self.poly, self._monic
+        if len(shifted) == len(monic):
+            shifted = [a - shifted[-1] * m for a, m in zip(shifted, monic)]
+        shifted = numerics.poly_trim(shifted)
+        for self._bits in numerics._escalate(self._bits, "orbit digit straddles an integer"):
+            val = numerics._iv_horner(shifted, self.root.as_scalar(self._bits), self._bits)
+            fl = val.floor_certified()
+            if fl is not None:
+                break
+            lo = val.lo.value
+            candidate = lo.numerator // lo.denominator + 1
+            if numerics.is_exact_root(numerics.poly_sub(shifted, [F(candidate)]), self.root):
+                self.poly = []
+                return candidate, None
+        self.poly = numerics.poly_sub(shifted, [fl])
+        return fl, tuple(self.poly)
+
+
+# the reducible root:1,0,1,1 (golden) and root:0,1,0,2 (beta = 2**(1/2))
+# end 1 and 1/2, 1/4, 1/1024 with an exact tie: the orbit terminates
+ORBIT_BASES = ["root:1,1", "root:1,1,1", "root:1,0,2", "root:3,0,1", "root:2,0,1,1",
+               "root:0,2", "root:0,0,2", "root:1,0,1,1", "root:0,1,0,2", "word:2,1,(1,0)",
+               "word:1,0,1", "approx:root:1,1,1:5", "approx:root:1,0,2:7"]
+ORBIT_XS = [F(0), F(1), F(1, 2), F(1, 3), F(1, 4), F(2, 7), F(441, 1000), F(13, 21),
+            F(999, 1000), F(1, 1024), F(123456789, 987654321)]
+
+
+@pytest.mark.parametrize("spec", ORBIT_BASES)
+def test_scaled_orbit_matches_the_fraction_orbit(spec):
+    for bits in (8, 256):
+        for x in ORBIT_XS:
+            new = beta_shift._AlgebraicOrbit(BetaSystem.parse(spec, bits).root, x)
+            old = FrozenAlgebraicOrbit(BetaSystem.parse(spec, bits).root, x)
+            digits = [new.digit(i) for i in range(160)]
+            assert digits == [old.digit(i) for i in range(160)], (spec, x)
+            if old.cycle and old.cycle[1] == 1 and digits[old.cycle[0]] == 0:
+                # the old orbit took a 0 reached without a tie for a cycle of 0s
+                old.terminated, old.cycle = old.cycle[0], None
+            assert (new.terminated, new.cycle) == (old.terminated, old.cycle), (spec, x)
+
+
+def test_an_orbit_that_reaches_zero_terminates():
+    # the plastic number, z^3 = z + 1, has d(1) = 10001: its orbit reaches 0
+    # without an exact tie, and that ends the expansion, not a cycle of 0s
+    plastic, word = BetaSystem.parse("root:0,1,1"), BetaSystem.parse("word:1,0,0,0,1")
+    assert plastic.d1 == word.d1 and plastic.d1_star == word.d1_star
+    assert plastic.simple_parry and count_admissible(plastic, 30) == count_admissible(word, 30)
+    assert main(["expand-one", "--beta", "root:0,1,1", "--digits", "5"]) == 0

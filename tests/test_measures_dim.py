@@ -27,7 +27,6 @@ from betadio.measures_dim import (
     measure_bary,
     measure_beta,
     measure_of_word,
-    report_to_json,
     reprove_dim_limit,
     series_slope_probe,
     stolz_cesaro_ratios,
@@ -271,7 +270,7 @@ def test_local_dimension_beta():
 
 def test_report_serialization():
     rep = local_dimension_bary(F(3), F(1, 3), 3, stages=6)
-    data = json.loads(report_to_json(rep))
+    data = json.loads(json.dumps(rep.to_json_dict()))
     assert data["formula_value"] == "1/4"
     assert len(data["trajectory"]) == 6
     csv_text = rep.to_csv()

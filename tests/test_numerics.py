@@ -18,7 +18,6 @@ from betadio.numerics import (
     Dyadic,
     PolyRoot,
     Scalar,
-    dyadic_from_fraction,
     is_exact_root,
     isolate_root,
     ln,
@@ -58,8 +57,8 @@ def test_dyadic_normal_form_and_value():
 def test_directed_rational_rounding():
     for bits in (8, 64, 200):
         x = F(1, 3)
-        lo = dyadic_from_fraction(x, bits, up=False)
-        hi = dyadic_from_fraction(x, bits, up=True)
+        lo = Dyadic.of(*numerics._fraction_pair(x, bits, False))
+        hi = Dyadic.of(*numerics._fraction_pair(x, bits, True))
         assert lo.value <= x <= hi.value
         assert hi.value - lo.value <= F(1, 2 ** bits)
 
@@ -408,21 +407,31 @@ def test_split_refinement_matches_direct(pre):
     assert (direct.lo, direct.hi) == oracle_refine(direct, lo, hi, 4096)
 
 
-@pytest.mark.parametrize("guess", [lambda poly, lo, hi, prec: lo,
-                                   lambda poly, lo, hi, prec: None])
-def test_wrong_newton_guess_falls_back_to_bisection(monkeypatch, guess):
-    monkeypatch.setattr(numerics, "_newton", guess)
-    bisected = []
-    plain = PolyRoot._bisect
+@pytest.mark.parametrize("off", [0, 1, -1, 3, -3, 2 ** 10, -2 ** 10, 2 ** 40, -2 ** 40, "lo", None],
+                         ids=lambda off: f"k={off}" if isinstance(off, int) else str(off).lower())
+def test_wrong_newton_guess_costs_2_log2_k_signs(monkeypatch, off):
+    pre, bits = [1, 0, 1], 200
+    lo, hi = oracle_bracket(pre, [])
+    want = oracle_refine(isolate_root(pre, precision=bits), lo, hi, bits)
+    w = want[1] - want[0]
+    steps = ((hi - lo) / w).numerator.bit_length() - 1  # the grid has 2**steps cells
+    assert (hi - lo) / w == 1 << steps and steps > numerics._REPLAY_MIN_STEPS
 
-    def spy(self, lo, hi, steps):
-        bisected.append(steps)
-        return plain(self, lo, hi, steps)
-    monkeypatch.setattr(PolyRoot, "_bisect", spy)
-    root = isolate_root([1, 0, 1], precision=200)
-    assert bisected and max(bisected) > numerics._REPLAY_MIN_STEPS
-    lo, hi = oracle_bracket([1, 0, 1], [])
-    assert (root.lo, root.hi) == oracle_refine(root, lo, hi, 200)
+    def newton(poly, glo, ghi, prec):  # the true cell's midpoint, moved by off cells
+        if off == "lo":
+            return glo
+        return None if off is None else (want[0] + want[1]) / 2 + off * w
+    monkeypatch.setattr(numerics, "_newton", newton)
+    signs = []
+    plain = PolyRoot._sign_at
+    monkeypatch.setattr(PolyRoot, "_sign_at", lambda self, z: signs.append(z) or plain(self, z))
+    root = isolate_root(pre, precision=bits)
+    assert (root.lo, root.hi) == want
+    if off is None:  # no guess: bisection, one sign per halving
+        assert len(signs) == steps
+    else:  # a guess in the true cell costs 2 signs, one k cells off about 2 log2(k)
+        k = abs((want[0] - lo) / w) if off == "lo" else abs(off)
+        assert len(signs) <= (2 * math.log2(k) + 4 if k else 2), (off, len(signs))
 
 
 @pytest.mark.parametrize("pre,per", [([1, 1], []), ([1, 0, 1, 0, 0, 1], []),

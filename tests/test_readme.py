@@ -5,6 +5,8 @@ import re
 import shlex
 from pathlib import Path
 
+import pytest
+
 from betadio.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -25,8 +27,9 @@ def readme_commands() -> list[tuple[list[str], str]]:
     return out
 
 
-def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+def _run_readme_commands(tmp_path, monkeypatch, capsys, precision: str) -> None:
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("BETADIO_PRECISION", precision)
     commands = readme_commands()
     assert len(commands) >= 20
     assert [v for _argv, v in commands if v] == ["1/4", "11/36", "13", "2 2 2 2"]
@@ -35,3 +38,14 @@ def test_readme_commands_run(tmp_path, monkeypatch, capsys):
         out = capsys.readouterr().out
         if value:
             assert out.strip().splitlines()[-1] == value, argv
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    _run_readme_commands(tmp_path, monkeypatch, capsys, "256")
+
+
+@pytest.mark.parametrize("precision", ["8", "2"])
+def test_readme_commands_run_at_low_precision(tmp_path, monkeypatch, capsys, precision):
+    # every certificate starts this coarse and escalates; roots are refined
+    # from an already narrow bracket, where Newton's guess is at its worst
+    _run_readme_commands(tmp_path, monkeypatch, capsys, precision)
