@@ -28,47 +28,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from . import __version__
-from .bary import (
-    DigitSet,
-    check_relations,
-    expand_lacunary,
-    expand_rational,
-    exponents_of_word,
-)
-from .beta_shift import (
-    BetaSystem,
-    count_admissible,
-    cylinder,
-    expansion_of_one_star,
-    greedy_expand,
-    is_admissible,
-    is_self_admissible,
-    parry_invert,
-    renyi_bounds_check,
-)
-from .constructions import (
-    BetaLayout,
-    ConstructionSpec,
-    FillPolicy,
-    ScheduledRuns,
-    generate_bary,
-    generate_beta,
-    generate_parameter_space,
-)
 from .errors import DomainError, PrecisionError
-from .measures_dim import (
-    critical_exponent_s0,
-    digit_set_scale,
-    dim_formula,
-    dim_formula_sup,
-    local_dimension_bary,
-    local_dimension_beta,
-    measure_bary,
-    measure_beta,
-    reprove_dim_limit,
-)
-from .numerics import Scalar
-from .words import DigitWord, PeriodicWord, read_digit_file, write_digit_file
 
 F = Fraction
 
@@ -96,6 +56,7 @@ def _word(text: str) -> list[int]:
 
 
 def _digit_set(text: str, base: int) -> DigitSet:
+    from .bary import DigitSet
     return DigitSet(base, frozenset(_ints(text, ",", "digit set")))
 
 
@@ -141,6 +102,7 @@ def _emit(args, payload: dict, config: dict, plain=None):
 
 
 def _emit_digits(args, word: DigitWord, sidecar: dict, config: dict):
+    from .words import write_digit_file
     config.setdefault("precision_bits", default_precision())
     if getattr(args, "output", None):
         with open(args.output, "w") as fh:
@@ -169,6 +131,7 @@ def _cmd_expand(args):
         raise UsageError(f"expand needs --digits >= 1, got {args.digits}")
     cfg = {"cmd": "expand", "digits": args.digits}
     if args.base and not args.beta:
+        from .bary import expand_lacunary, expand_rational
         cfg["base"] = args.base
         if args.lacunary:
             cfg["lacunary"] = args.lacunary
@@ -181,6 +144,7 @@ def _cmd_expand(args):
     else:
         if not args.beta:
             raise UsageError("need --base or --beta")
+        from .beta_shift import BetaSystem, greedy_expand
         cfg["beta"] = args.beta
         x = _fraction(args.x)
         cfg["x"] = str(x)
@@ -193,6 +157,7 @@ def _cmd_expand(args):
 def _cmd_expand_one(args):
     if args.digits < 1:
         raise UsageError(f"expand-one needs --digits >= 1, got {args.digits}")
+    from .beta_shift import BetaSystem, expansion_of_one_star
     system = BetaSystem.parse(args.beta, default_precision())
     word = expansion_of_one_star(system, args.digits)
     _emit_digits(args, word, {}, {"cmd": "expand-one", "beta": args.beta,
@@ -204,6 +169,7 @@ def _cmd_admissible(args):
     _need(args, f"admissible {args.action}", "word" if args.action == "check" else "len")
     if args.action != "check":
         _not_negative(args.len, "--len")
+    from .beta_shift import BetaSystem, count_admissible, is_admissible, renyi_bounds_check
     system = BetaSystem.parse(args.beta, default_precision())
     cfg = {"cmd": f"admissible {args.action}", "beta": args.beta}
     if args.action == "count":
@@ -233,6 +199,7 @@ def _cmd_admissible(args):
 
 
 def _cmd_cylinder(args):
+    from .beta_shift import BetaSystem, cylinder
     system = BetaSystem.parse(args.beta, default_precision())
     word = _word(args.word)
     c = cylinder(system, word, bits=default_precision())
@@ -244,6 +211,8 @@ def _cmd_cylinder(args):
 
 
 def _cmd_exponents(args):
+    from .bary import check_relations, exponents_of_word
+    from .words import read_digit_file
     with open(args.input) as fh:
         word = read_digit_file(fh)
     kinds = ("zeros",) if args.zeros_only else ("zeros", "top")
@@ -266,6 +235,7 @@ def _cmd_exponents(args):
 
 
 def _fill_from_args(args) -> FillPolicy:
+    from .constructions import FillPolicy
     return FillPolicy.parse(args.fill, seed=args.seed)
 
 
@@ -275,6 +245,8 @@ def _cmd_construct(args):
         "param": ("beta0", "beta1", "beta2")}[args.flavor])
     if args.stages < 1:
         raise UsageError(f"construct {args.flavor} needs --stages >= 1")
+    from .constructions import (ConstructionSpec, generate_bary, generate_beta,
+                                generate_parameter_space)
     cfg = {"cmd": f"construct {args.flavor}", "theta": args.theta, "vhat": args.vhat,
            "stages": args.stages, "fill": args.fill, "seed": args.seed}
     theta, vhat = _fraction(args.theta), _fraction(args.vhat)
@@ -292,12 +264,14 @@ def _cmd_construct(args):
         cfg.update({"base": args.base, "digit_set": args.digit_set})
         _emit_digits(args, out.word, out.to_dict(), cfg)
     elif args.flavor == "beta":
+        from .beta_shift import BetaSystem
         system = BetaSystem.parse(args.beta, default_precision())
         out = generate_beta(system, args.N, theta, vhat, args.stages,
                             _fill_from_args(args))
         cfg.update({"beta": args.beta, "N": args.N})
         _emit_digits(args, out.word, out.to_dict(), cfg)
     else:  # param
+        from .beta_shift import BetaSystem
         b0 = BetaSystem.parse(args.beta0, default_precision())
         b1 = BetaSystem.parse(args.beta1, default_precision())
         b2 = BetaSystem.parse(args.beta2, default_precision())
@@ -320,6 +294,9 @@ def _cmd_measure(args):
     sched = side["schedule"]
     cfg = {"cmd": "measure", "sidecar": args.sidecar, "n": args.n}
     if side.get("kind") == "beta" or "N" in sched:
+        from .beta_shift import BetaSystem
+        from .constructions import BetaLayout
+        from .measures_dim import measure_beta
         layout = BetaLayout.from_dict(sched)
         sub = BetaSystem.parse(side["approximant"], default_precision())
         mv = measure_beta(layout, sub, args.n)
@@ -328,6 +305,9 @@ def _cmd_measure(args):
                      "factors": [[length, mult] for length, _c, mult in mv.factors],
                      "log_mu": _scalar_dict(lm)}, cfg)
     else:
+        from .bary import DigitSet
+        from .constructions import ScheduledRuns
+        from .measures_dim import measure_bary
         runs = ScheduledRuns.from_dict(sched)
         base = side.get("base", 0)
         if side.get("digit_set"):
@@ -338,6 +318,8 @@ def _cmd_measure(args):
 
 
 def _cmd_dim(args):
+    from .measures_dim import (critical_exponent_s0, digit_set_scale, dim_formula,
+                               dim_formula_sup, local_dimension_bary, local_dimension_beta)
     if args.what == "formula":
         vhat = _fraction(args.vhat)
         cfg = {"cmd": "dim formula", "vhat": args.vhat}
@@ -351,6 +333,7 @@ def _cmd_dim(args):
             payload = {"value": str(value)}
         plain = str(value)
         if args.digit_set:
+            from .numerics import Scalar
             ds = _digit_set(args.digit_set, args.base)
             scale = digit_set_scale(ds, default_precision())
             scaled = scale * Scalar.from_fraction(value)
@@ -366,6 +349,7 @@ def _cmd_dim(args):
         tol = _fraction(args.tolerance)
         bits = default_precision()
         if args.beta:
+            from .beta_shift import BetaSystem
             system = BetaSystem.parse(args.beta, bits)
             rep = local_dimension_beta(system, args.N, theta, vhat, args.stages, tol, bits)
         elif args.digit_set:
@@ -397,6 +381,8 @@ def _cmd_dim(args):
 
 
 def _cmd_parry(args):
+    from .beta_shift import is_self_admissible, parry_invert
+    from .words import PeriodicWord
     if "(" in args.word:
         try:
             word = PeriodicWord.parse(args.word)
@@ -421,6 +407,7 @@ def _cmd_parry(args):
 
 
 def _cmd_reprove(args):
+    from .measures_dim import reprove_dim_limit
     rep = reprove_dim_limit(_fraction(args.v), [_fraction(t) for t in args.thetas])
     _emit(args, {"limit": str(rep["limit"]), "monotone": rep["monotone"],
                  "values": [[str(t), str(v)] for t, v in rep["values"]]},

@@ -11,6 +11,9 @@ by a policy.  The schedule starts from ``n'_k = floor(theta**k)``,
 Free fills are clamped so no accidental run ever exceeds the stage's
 prescribed maximal run; every clamp is recorded, since a clamp means the
 requested fill distribution was not realizable verbatim.
+
+The integer-base generators need neither ``beta_shift`` nor ``numerics``;
+only the parameter-space generator imports them, when it runs.
 """
 
 from __future__ import annotations
@@ -21,9 +24,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .bary import DigitSet, _next_run
-from .beta_shift import BetaSystem, expansion_of_one_star, is_self_admissible, parry_invert
 from .errors import InfeasibleParameters, NotSelfAdmissible, PrefixConditionFailed
-from .numerics import Comparison, PolyRoot, _escalate
 from .record import Record
 from .words import DigitWord
 
@@ -559,6 +560,8 @@ def generate_parameter_space(beta0: BetaSystem, beta1: BetaSystem, beta2: BetaSy
     given bases, both symbolically (lexicographic order of expansions) and
     numerically (interval refinement).
     """
+    from .beta_shift import expansion_of_one_star, is_self_admissible, parry_invert
+    from .numerics import Comparison, _escalate
     star1 = expansion_of_one_star(beta1, N).digits()
     if star1[N - 1] == 0:
         raise PrefixConditionFailed(

@@ -6,6 +6,10 @@ produced at the available working precision.  Nothing is ever silently
 approximated: callers either get a certified result or an exception.
 """
 
+# the working precision in bits when a caller names none; it lives here, not
+# in numerics, so that a default argument does not load the interval layer
+DEFAULT_PRECISION = 256
+
 
 class BetadioError(Exception):
     """Base class for all library errors."""

@@ -15,6 +15,9 @@ The closed forms these trajectories approach:
 
 maximized over theta at ``2/(1 - vhat)`` with maximum ``((1-vhat)/(1+vhat))**2``,
 scaled by ``log #S / log b`` on a restricted digit set.
+
+The closed forms need nothing but ``Fraction``; the other functions import
+the layers they call, so that the closed forms load none of them.
 """
 
 from __future__ import annotations
@@ -23,20 +26,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .bary import DigitSet
-from .beta_shift import BetaSystem
-from .constructions import (
-    FREE,
-    BaryConstruction,
-    BetaLayout,
-    ScheduledRuns,
-    Segment,
-    beta_layout,
-    layout_segments,
-    schedule,
-)
-from .errors import DepthExceeded, InfeasibleParameters, NotInSupport
-from .numerics import DEFAULT_PRECISION, Scalar, ln, ln_int
+from .errors import DEFAULT_PRECISION, DepthExceeded, InfeasibleParameters, NotInSupport
 from .record import Record
 
 F = Fraction
@@ -112,6 +102,7 @@ def verify_sup_by_calculus(v_hat: Fraction) -> bool:
 
 def digit_set_scale(ds: DigitSet, bits: int = DEFAULT_PRECISION) -> Scalar:
     """Certified ``log #S / log b`` factor for restricted digit sets."""
+    from .numerics import ln_int
     return ln_int(ds.size, bits) / ln_int(ds.base, bits)
 
 
@@ -173,6 +164,9 @@ def reprove_dim_limit(v: Fraction, theta_grid: Sequence[Fraction]) -> dict:
         if v == 0:
             values.append((theta, F(1)))
             continue
+        if theta in (0, v):  # other theta <= v fail in dim_formula, as vhat < 0 or > 1
+            raise InfeasibleParameters(
+                f"theta {theta} must exceed v = {v} for vhat = v/theta < 1")
         got = dim_formula(theta, v / theta)
         expect = F(1, 1 + v) * (1 - v / (theta - 1))
         assert got == expect
@@ -204,6 +198,7 @@ class MeasureValue(Record):
         self.factors = [] if factors is None else factors
 
     def log_mu(self, bits: int = DEFAULT_PRECISION) -> Scalar:
+        from .numerics import Scalar, ln_int
         if self.exponent is not None:
             return -(ln_int(self.base, bits).scale_int(self.exponent))
         acc = Scalar.from_int(0, bits)
@@ -222,6 +217,7 @@ class MeasureValue(Record):
 
 def _free_count(segs: list[Segment], n: int) -> int:
     """Number of free positions up to depth n."""
+    from .constructions import FREE
     return sum(min(seg.hi, n) - seg.lo + 1 for seg in segs if seg.kind == FREE and seg.lo <= n)
 
 
@@ -229,6 +225,7 @@ def free_digit_count(runs: ScheduledRuns, n: int, pair: bool = False) -> int:
     """Number of free positions up to depth n (the measure exponent e(n))."""
     if n > runs.n[runs.stages]:
         raise DepthExceeded(f"depth {n} beyond the scheduled {runs.n[runs.stages]}")
+    from .constructions import layout_segments
     return _free_count(layout_segments(runs, pair=pair), n)
 
 
@@ -240,6 +237,7 @@ def measure_bary(runs: ScheduledRuns, base: Union[int, DigitSet], n: int,
     ``n_k`` through ``m_k``; between checkpoints it divides once per free
     digit.  ``pair=True`` accounts for the base-2 marker blocks ``1 0``.
     """
+    from .bary import DigitSet
     if isinstance(base, DigitSet):
         b = base.size
     else:
@@ -251,6 +249,7 @@ def measure_bary(runs: ScheduledRuns, base: Union[int, DigitSet], n: int,
 def measure_of_word(construction: BaryConstruction, word: Sequence[int]) -> MeasureValue:
     """Mass of the cylinder of an explicit word; off-construction words have
     no mass assigned and are reported as such rather than given mass 0."""
+    from .constructions import FREE, layout_segments
     n = len(word)
     if n > len(construction.word):
         raise DepthExceeded("word longer than the constructed depth")
@@ -276,6 +275,7 @@ def measure_beta(layout: BetaLayout, subsystem: BetaSystem, n: int) -> MeasureVa
     the block in progress; determined stretches (marker blocks and the long
     runs) keep the mass, so it is constant on ``l_k <= n <= h_k``.
     """
+    from .constructions import FREE
     if n > layout.l[layout.runs.stages] - 1:
         raise DepthExceeded("depth beyond the scheduled stages")
     auto = subsystem.automaton
@@ -355,6 +355,8 @@ def local_dimension_bary(theta: Fraction, v_hat: Fraction, base: Union[int, Digi
     With a digit set the ratios are scaled by the certified
     ``log #S / log b`` interval.
     """
+    from .bary import DigitSet
+    from .constructions import layout_segments, schedule
     runs = schedule(theta, v_hat, stages)
     b_int = base.base if isinstance(base, DigitSet) else int(base)
     target = dim_formula(theta, v_hat)
@@ -394,6 +396,8 @@ def local_dimension_beta(base: BetaSystem, N: int, theta: Fraction, v_hat: Fract
     denominator is ``h_k log beta``; numerator and denominator are certified
     intervals since ``log`` of the counts and of beta are irrational.
     """
+    from .constructions import beta_layout, schedule
+    from .numerics import ln
     runs = schedule(theta, v_hat, stages)
     layout = beta_layout(runs, N)
     sub = base.approximant(N)

@@ -32,10 +32,8 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
-from .errors import DegenerateApproximant, NoRoot, PrecisionExhausted
+from .errors import DEFAULT_PRECISION, DegenerateApproximant, NoRoot, PrecisionExhausted
 from .record import Record
-
-DEFAULT_PRECISION = 256
 
 # the working precision past which every certificate gives up
 _MAX_BITS = 1 << 14

@@ -181,6 +181,17 @@ def test_reprove_cli(capsys):
     assert data["limit"] == "1/2" and data["monotone"]
 
 
+@pytest.mark.parametrize("v, theta", [("1", "0"), ("1", "1"), ("2", "2"), ("3", "3"),
+                                      ("1/2", "1/2")])
+def test_reprove_theta_zero_or_v_is_infeasible(capsys, v, theta):
+    assert main(["reprove", "--v", v, "--thetas", "4", theta]) == 2
+    assert capsys.readouterr() == (
+        "", f"infeasible: theta {theta} must exceed v = {v} for vhat = v/theta < 1\n")
+    # a theta that fails first in the grid keeps its own message
+    assert main(["reprove", "--v", v, "--thetas", "-1", theta]) == 2
+    assert capsys.readouterr() == ("", "infeasible: vhat must lie in [0, 1]\n")
+
+
 @pytest.mark.parametrize("extra", [[], ["--beta", "root:1,1"]])
 def test_dim_local_without_stages(capsys, extra):
     rc, out = run(capsys, "dim", "local", "--theta", "3", "--vhat", "1/3", "--stages", "0", *extra)
@@ -336,17 +347,70 @@ def _cli(*argv, cwd=None):
                           cwd=cwd, capture_output=True, text=True)
 
 
-def test_import_footprint():
-    """import betadio.cli loads every layer module, which the benchmark's
-    tracer reads from sys.modules, and none of the stdlib modules kept off
-    the start-up path.  -S keeps site from importing anything first."""
-    code = "import sys, betadio.cli; print(' '.join(sys.modules))"
-    proc = _cli("-S", "-c", code)
+# stdlib modules kept off the start-up path; argparse (with gettext and
+# locale) loads only for help and errors
+KEPT_OFF = {"dataclasses", "inspect", "logging", "csv", "argparse", "gettext", "locale"}
+LIBRARY = ("numerics", "words", "bary", "beta_shift", "constructions", "measures_dim")
+
+
+def _loaded(proc) -> set:
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.split())
-    assert not {"dataclasses", "inspect", "logging", "csv", "argparse", "gettext", "locale"} & loaded
-    layers = ("numerics", "words", "bary", "beta_shift", "constructions", "measures_dim", "cli")
-    assert {f"betadio.{layer}" for layer in layers} <= loaded
+    return set(proc.stderr.splitlines()[-1].split())
+
+
+def test_import_footprint():
+    """import betadio.cli loads none of the library layers, and none of the
+    stdlib modules kept off the start-up path.  -S keeps site from importing
+    anything first."""
+    code = "import sys, betadio.cli; print(*sys.modules, file=sys.stderr)"
+    loaded = _loaded(_cli("-S", "-c", code))
+    assert not KEPT_OFF & loaded
+    assert not {f"betadio.{layer}" for layer in LIBRARY} & loaded
+
+
+CLOSED_FORMS = ("words", "bary", "numerics", "beta_shift", "constructions")
+NO_REAL_BASE = ("numerics", "beta_shift", "constructions", "measures_dim")
+INTEGER_BASE = ("beta_shift", "numerics")
+NO_GENERATOR = ("constructions", "measures_dim")
+FOOTPRINTS = [
+    ("dim formula --theta 3 --vhat 1/3", CLOSED_FORMS),
+    ("dim formula --vhat 1/3 --sup", CLOSED_FORMS),
+    ("dim s0 --theta 3 --vhat 1/3 --eps 1/10", CLOSED_FORMS),
+    ("reprove --v 1 --thetas 4 8", CLOSED_FORMS),
+    ("--version", CLOSED_FORMS),
+    ("expand --base 10 --x 1/7 --digits 20", NO_REAL_BASE),
+    ("expand --base 10 --lacunary 1 --digits 20", NO_REAL_BASE),
+    ("exponents --input e.digits", NO_REAL_BASE),
+    ("construct bary --theta 3 --vhat 1/3 --base 3 --stages 6", INTEGER_BASE),
+    ("construct restricted --theta 3 --vhat 1/3 --base 3 --digit-set 0,2 --fill random",
+     INTEGER_BASE),
+    ("dim local --theta 3 --vhat 1/3 --base 3 --stages 8", INTEGER_BASE),
+    ("measure --sidecar e.digits.json --n 54", INTEGER_BASE),
+    ("admissible count --beta root:1,1 --len 5", NO_GENERATOR),
+    ("admissible check --beta root:1,1 --word 1,0,1", NO_GENERATOR),
+    ("cylinder --beta root:1,1 --word 1,0", NO_GENERATOR),
+    ("expand-one --beta root:1,1,1 --digits 8", NO_GENERATOR),
+    ("parry check --word 1,1,0", NO_GENERATOR),
+    ("parry invert --word 1,1 --bits 64", NO_GENERATOR),
+]
+
+
+@pytest.mark.parametrize("command, unused", FOOTPRINTS, ids=[c for c, _u in FOOTPRINTS])
+def test_command_footprint(tmp_path, command, unused):
+    """A command loads only the layers it calls, and the stdlib modules kept
+    off the start-up path stay off but for argparse's on --version."""
+    assert main(["construct", "bary", "--theta", "3", "--vhat", "1/3", "--base", "3",
+                 "--stages", "8", "-o", str(tmp_path / "e.digits")]) == 0
+    code = ("import sys, betadio.cli\n"
+            "try:\n"
+            "    sys.exit(betadio.cli.main(sys.argv[1:]))\n"
+            "finally:\n"
+            "    print(*sys.modules, file=sys.stderr)\n")
+    loaded = _loaded(_cli("-S", "-c", code, *command.split(), cwd=tmp_path))
+    assert not {f"betadio.{layer}" for layer in unused} & loaded
+    if command == "--version":
+        loaded -= {"argparse", "gettext", "locale"}
+    assert not KEPT_OFF & loaded
 
 
 def test_readme_commands_run_without_argparse(tmp_path):

@@ -87,6 +87,14 @@ def test_reprove_dim_limit():
     assert reprove_dim_limit(F(0), [F(2)])["values"][0][1] == 1
 
 
+@pytest.mark.parametrize("v, theta", [(1, 0), (1, 1), (2, 2), (3, 3), (F(1, 2), F(1, 2))])
+def test_reprove_rejects_theta_zero_or_v(v, theta):
+    """theta = 0 leaves vhat = v/theta undefined and theta = v makes it 1,
+    where no theta is feasible: a typed error, not a crash."""
+    with pytest.raises(InfeasibleParameters, match="must exceed v"):
+        reprove_dim_limit(F(v), [F(4), F(theta)])
+
+
 # ---------------------------------------------------------------------------
 # integer-base measure
 
