@@ -6,11 +6,13 @@ expansion of 1 determines everything else: a word is admissible exactly when
 each of its shifts is lexicographically at most the infinite expansion of 1
 (the quasi-greedy form ``(e_1 .. e_{m-1} (e_m - 1))^oo`` when the greedy
 expansion of 1 terminates).  For eventually periodic expansions of 1 the
-admissible words form a finite-automaton language; the automaton is the
-follower-set construction with states "length of the longest suffix matching
-a prefix of the bound word", collapsed modulo the period.  Admissible words
-are counted by the recurrence of Rényi (1957) and Parry (1960) on that
-expansion, jumped ahead by Fiduccia's (1985) powering once it is periodic.
+admissible words form a finite-automaton language, the beta-shift's
+automaton of Parry (1960): state s has matched the first s symbols of the
+bound word, a digit equal to the next bound symbol advances one state
+(collapsed modulo the period), and a smaller digit returns to state 0.
+Admissible words are counted by the recurrence of Rényi (1957) and Parry
+(1960) on that expansion, jumped ahead by Fiduccia's (1985) powering once it
+is periodic.
 
 Digits are certified: greedy iteration carries the orbit of x both as an
 interval and, when x and beta are exact, as an integer polynomial in beta,
@@ -97,13 +99,15 @@ def parry_invert(word: Union[Sequence[int], PeriodicWord],
 
 
 class AdmissibilityAutomaton:
-    """Follower automaton for the shift bounded by an eventually periodic word.
+    """Parry's (1960) automaton for the shift bounded by an eventually
+    periodic, self-admissible word D.
 
-    State s encodes "the longest suffix of the input read so far equals the
-    first s symbols of the bound word D"; allowed next digits are 0..D[s].
-    Reading D[s] extends the match; a smaller digit drops to the longest
-    shorter suffix match (computed KMP-style); matches past the preperiod p
-    collapse modulo the period q because the tails of D repeat there.
+    State s: the longest suffix of the input read so far that begins D is
+    D's first s symbols, collapsed modulo the period q past the preperiod p
+    because the tails of D repeat there; allowed next digits are 0..D[s].
+    Reading D[s] advances to s + 1.  A smaller digit returns to state 0: a
+    shorter match of length k is followed in D by D[k] >= D[s], as the shift
+    of D where it starts is at most D, so the digit ends every match.
     """
 
     def __init__(self, bound_word: PeriodicWord):
@@ -114,28 +118,12 @@ class AdmissibilityAutomaton:
         self.bound_word = D
         self.num_states = p + q
         self.bound = [D[s] for s in range(self.num_states)]
-
-        def collapse(l: int) -> int:
-            return l if l < p + q else p + (l - p) % q
-
-        trans: list[list[int]] = []
-        for s in range(self.num_states):
-            row = []
-            for c in range(self.bound[s] + 1):
-                if c == self.bound[s]:
-                    row.append(collapse(s + 1))
-                    continue
-                t = 0
-                for k in range(s, 0, -1):
-                    if D[k - 1] == c and all(D[i] == D[s - k + 1 + i] for i in range(k - 1)):
-                        t = k
-                        break
-                row.append(t)
-            trans.append(row)
-        self.transitions = trans
-        self.full_states = frozenset(
-            s for s in range(self.num_states)
-            if compare_words(D.shift(s), D) == 0)
+        shifts = [compare_words(D.shift(s), D) for s in range(self.num_states)]
+        if max(shifts) > 0:
+            raise NotSelfAdmissible(f"{D} has a shift exceeding the word")
+        self.transitions = [[0] * b + [s + 1 if s + 1 < p + q else p]
+                            for s, b in enumerate(self.bound)]
+        self.full_states = frozenset(s for s, c in enumerate(shifts) if c == 0)
         # count_words: the cleared polynomial of D (monic; x^d dropped) and
         # the counts c_0 .. c_{p+q-1}
         f = _cleared_polynomial(D.pre, D.per)
@@ -370,21 +358,11 @@ class BetaSystem:
         w = (word if isinstance(word, PeriodicWord) else PeriodicWord.from_finite(word)).normalized()
         if not is_self_admissible(w):
             raise NotSelfAdmissible(f"{w} is not self-admissible")
-        if not w.per:
-            # finite expansion of 1: a simple Parry number
-            if not w.pre:
-                raise DegenerateApproximant("zero word")
-            star = PeriodicWord((), w.pre[:-1] + (w.pre[-1] - 1,)).normalized()
-            tail = ""
-        elif not w.pre:
+        if not (w.pre or w.per):
+            raise DegenerateApproximant("zero word")
+        if not w.pre:
             # purely periodic: the quasi-greedy form of a finite expansion
-            u = w.per
-            lifted = u[:-1] + (u[-1] + 1,)
-            return cls.from_word(PeriodicWord.from_finite(lifted), precision)
-        else:
-            # genuine preperiod: a Parry number with non-terminating d(1)
-            star = w
-            tail = ",(" + ",".join(map(str, w.per)) + ")"
+            return cls.from_word(w.per[:-1] + (w.per[-1] + 1,), precision)
         root = isolate_root(w.pre, periodic_tail=w.per, precision=precision)
         k, is_int = _integer_part(root)
         if is_int:
@@ -392,11 +370,9 @@ class BetaSystem:
         sys = cls()
         sys.kind = "algebraic"
         sys.root = root
-        sys.d1 = w
-        sys.d1_star = star
-        sys.simple_parry = not w.per
         sys.alphabet_top = w.pre[0]
-        sys.automaton = AdmissibilityAutomaton(star)
+        sys._adopt(w)
+        tail = ",(" + ",".join(map(str, w.per)) + ")" if w.per else ""
         sys.spec_string = "word:" + ",".join(map(str, w.pre)) + tail
         return sys
 
@@ -436,7 +412,11 @@ class BetaSystem:
         if spec.startswith("int:"):
             return cls.from_int(int(spec[4:]))
         if spec.startswith("rat:"):
-            return cls.from_rational(F(spec[4:]))
+            try:
+                base = F(spec[4:])
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in base spec {spec!r}") from None
+            return cls.from_rational(base)
         if spec.startswith("root:"):
             return cls.from_root([int(t) for t in spec[5:].split(",")], precision)
         if spec.startswith("word:"):
@@ -450,8 +430,6 @@ class BetaSystem:
 
     def _try_close_form(self, probe: int = 256) -> None:
         """Advance the greedy orbit a little; adopt a finite/periodic d(1)."""
-        if self._orbit is None:
-            return
         try:
             self._orbit.digit(probe)
         except PrecisionExhausted:
@@ -460,23 +438,21 @@ class BetaSystem:
 
     def _finalize_orbit(self) -> None:
         orb = self._orbit
-        if orb is None:
-            return
         if orb.terminated is not None:
-            digits = tuple(orb.digits[:orb.terminated])
-            self.d1 = PeriodicWord.from_finite(digits)
-            self.d1_star = PeriodicWord((), digits[:-1] + (digits[-1] - 1,)).normalized()
-            self.simple_parry = True
-            self.automaton = AdmissibilityAutomaton(self.d1_star)
-            self._orbit = None
+            self._adopt(PeriodicWord.from_finite(orb.digits[:orb.terminated]))
         elif orb.cycle is not None:
             p, q = orb.cycle
-            w = PeriodicWord(tuple(orb.digits[:p]), tuple(orb.digits[p:p + q])).normalized()
-            self.d1 = w
-            self.d1_star = w
-            self.simple_parry = False
-            self.automaton = AdmissibilityAutomaton(w)
-            self._orbit = None
+            self._adopt(PeriodicWord(orb.digits[:p], orb.digits[p:p + q]).normalized())
+
+    def _adopt(self, d1: PeriodicWord) -> None:
+        """Take d1, the normalized expansion of 1, with its quasi-greedy form
+        (``(e_1 .. e_{m-1} (e_m - 1))^oo`` when d1 terminates) and automaton."""
+        self.d1 = d1
+        self.simple_parry = not d1.per
+        self.d1_star = d1 if d1.per else PeriodicWord(
+            (), d1.pre[:-1] + (d1.pre[-1] - 1,)).normalized()
+        self.automaton = AdmissibilityAutomaton(self.d1_star)
+        self._orbit = None
 
     # -- basic queries -------------------------------------------------------
 
@@ -558,16 +534,12 @@ def greedy_expand(system: BetaSystem, x, n: int) -> DigitWord:
     if isinstance(x, F):
         if not 0 <= x <= 1:
             raise ValueError("x must lie in [0, 1]")
-        if system.kind == "int":
-            b = system.int_base
-            if x == 1:
-                return DigitWord(b, [b - 1] * n)
-            orbit = _RationalOrbit(F(b), x)
-            return DigitWord(b, [orbit.digit(i) for i in range(n)])
-        if system.kind == "rational":
-            orbit = _RationalOrbit(system.fraction_base, x)
-            return DigitWord(top + 1, [orbit.digit(i) for i in range(n)])
-        orbit = _AlgebraicOrbit(system.root, x)
+        if system.kind == "int" and x == 1:
+            return DigitWord(top + 1, [top] * n)
+        if system.kind == "algebraic":
+            orbit = _AlgebraicOrbit(system.root, x)
+        else:
+            orbit = _RationalOrbit(F(system.int_base or system.fraction_base), x)
         return DigitWord(top + 1, [orbit.digit(i) for i in range(n)])
     # interval input: no exact tie-breaking available
     digits = []
@@ -602,14 +574,12 @@ def is_admissible(system: BetaSystem, word: Sequence[int]) -> bool:
         return False
     if system.automaton is not None:
         return system.automaton.walk(digits) is not None
-    n = len(digits)
-    for k in range(n):
-        for i in range(n - k):
-            b = system.d1_star_digit(i)
-            if digits[k + i] > b:
-                return False
-            if digits[k + i] < b:
-                break
+    state = 0  # Parry's automaton, reading its bounds off the expansion of 1
+    for d in digits:
+        b = system.d1_star_digit(state)
+        if d > b:
+            return False
+        state = state + 1 if d == b else 0
     return True
 
 

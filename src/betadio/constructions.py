@@ -81,6 +81,15 @@ class ScheduledRuns(Record):
                              delta=list(d["delta"]), u=list(d["u"]))
 
 
+def _check_feasible(theta: Fraction, v_hat: Fraction) -> None:
+    """Infeasible unless ``0 < vhat < 1`` and ``theta >= 1/(1 - vhat)``."""
+    if not 0 < v_hat < 1:
+        raise InfeasibleParameters(f"need 0 < vhat < 1, got {v_hat}")
+    if theta < 1 / (1 - v_hat):
+        raise InfeasibleParameters(
+            f"theta {theta} below the emptiness threshold {1 / (1 - v_hat)}")
+
+
 def schedule(theta: Fraction, v_hat: Fraction, stages: int) -> ScheduledRuns:
     """Build the adjusted schedule for ``stages`` complete stages.
 
@@ -89,11 +98,7 @@ def schedule(theta: Fraction, v_hat: Fraction, stages: int) -> ScheduledRuns:
     non-increasing anchors) are skipped; the limits only see the tail.
     """
     theta, v_hat = F(theta), F(v_hat)
-    if not 0 < v_hat < 1:
-        raise InfeasibleParameters(f"need 0 < vhat < 1, got {v_hat}")
-    if theta < 1 / (1 - v_hat):
-        raise InfeasibleParameters(
-            f"theta {theta} below the emptiness threshold {1 / (1 - v_hat)}")
+    _check_feasible(theta, v_hat)
     growth = theta * v_hat + 1
 
     def raw(k: int) -> int:
@@ -290,9 +295,7 @@ class ConstructionSpec(Record):
         self.base = base
         self.digit_set = digit_set
         self.fill = FillPolicy() if fill is None else fill
-        if self.theta < 1 / (1 - self.v_hat):
-            raise InfeasibleParameters(
-                f"theta {self.theta} below threshold {1 / (1 - self.v_hat)}")
+        _check_feasible(self.theta, self.v_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -562,6 +565,8 @@ def generate_parameter_space(beta0: BetaSystem, beta1: BetaSystem, beta2: BetaSy
     """
     from .beta_shift import expansion_of_one_star, is_self_admissible, parry_invert
     from .numerics import Comparison, _escalate
+    if N < 1:
+        raise ValueError("N must be >= 1")
     star1 = expansion_of_one_star(beta1, N).digits()
     if star1[N - 1] == 0:
         raise PrefixConditionFailed(

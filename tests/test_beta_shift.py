@@ -371,6 +371,13 @@ def test_parse_grammar():
     assert BetaSystem.parse("rat:3/2").fraction_base == F(3, 2)
 
 
+@pytest.mark.parametrize("spec, named", [("rat:1/0", "rat:1/0"), ("rat: 7/0", "rat: 7/0"),
+                                         ("approx:rat:3/0:4", "rat:3/0")])
+def test_parse_refuses_a_zero_denominator(spec, named):
+    with pytest.raises(ValueError, match=f"zero denominator in base spec '{named}'"):
+        BetaSystem.parse(spec)
+
+
 def test_lazy_system_degrades_explicitly():
     # a base whose expansion of 1 is (apparently) aperiodic: certified digit
     # queries still work, structural questions fail loudly instead of guessing

@@ -252,6 +252,114 @@ def test_malformed_digits_are_usage_errors(capsys, argv):
     assert len(err.splitlines()) == 1  # one line, no traceback
 
 
+@pytest.mark.parametrize("option", ["--beta", "--beta0", "--beta1", "--beta2"])
+def test_a_zero_denominator_base_is_an_error(capsys, option):
+    bases = {"--beta0": "rat:3/2", "--beta1": "root:1,1", "--beta2": "root:1,1", option: "rat:1/0"}
+    if option == "--beta":
+        argv = ["expand-one", "--beta", "rat:1/0", "--digits", "3"]
+    else:
+        argv = ["construct", "param", "--theta", "3", "--vhat", "1/3", "--N", "2",
+                *(t for kv in bases.items() for t in kv)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: zero denominator in base spec 'rat:1/0'\n")
+
+
+def test_a_zero_denominator_approximant_is_an_error(tmp_path, capsys):
+    out = tmp_path / "b.digits"
+    assert main(["construct", "beta", "--theta", "3", "--vhat", "1/3", "--beta", "root:1,1",
+                 "--N", "3", "--stages", "2", "-o", str(out)]) == 0
+    sidecar = tmp_path / "b.digits.json"
+    side = json.loads(sidecar.read_text())
+    side["approximant"] = "approx:rat:5/0:3"
+    sidecar.write_text(json.dumps(side))
+    capsys.readouterr()
+    assert main(["measure", "--sidecar", str(sidecar), "--n", "6"]) == 2
+    assert capsys.readouterr() == ("", "error: zero denominator in base spec 'rat:5/0'\n")
+
+
+@pytest.mark.parametrize("flavor, extra", [
+    ("bary", ["--base", "3"]), ("restricted", ["--base", "3", "--digit-set", "0,2"]),
+    ("beta", ["--beta", "root:1,1", "--N", "3"])])
+@pytest.mark.parametrize("vhat", ["1", "3/2", "0"])
+def test_vhat_outside_the_unit_interval_is_infeasible(capsys, flavor, extra, vhat):
+    assert main(["construct", flavor, "--theta", "3", "--vhat", vhat, *extra]) == 2
+    assert capsys.readouterr() == ("", f"infeasible: need 0 < vhat < 1, got {vhat}\n")
+
+
+@pytest.mark.parametrize("flavor", ["bary", "restricted"])
+def test_theta_below_the_threshold_is_infeasible(capsys, flavor):
+    extra = ["--digit-set", "0,2"] if flavor == "restricted" else []
+    assert main(["construct", flavor, "--theta", "6/5", "--vhat", "1/2", "--base", "3",
+                 *extra]) == 2
+    assert capsys.readouterr() == (
+        "", "infeasible: theta 6/5 below the emptiness threshold 2\n")
+
+
+@pytest.mark.parametrize("flavor", ["beta", "param"])
+@pytest.mark.parametrize("N", ["0", "-3"])
+def test_N_below_one_is_an_error(capsys, flavor, N):
+    bases = (["--beta", "root:1,1"] if flavor == "beta" else
+             ["--beta0", "rat:3/2", "--beta1", "root:1,1", "--beta2", "root:1,1"])
+    assert main(["construct", flavor, "--theta", "3", "--vhat", "1/3", "--N", N, *bases]) == 2
+    assert capsys.readouterr() == ("", "error: N must be >= 1\n")
+
+
+def test_dim_local_digit_set(capsys):
+    from betadio.measures_dim import local_dimension_bary
+    rc, out = run(capsys, "dim", "local", "--theta", "3", "--vhat", "1/3", "--base", "3",
+                  "--digit-set", "0,2", "--stages", "4")
+    assert rc == 0
+    data = json.loads(out)
+    assert data["config"]["digit_set"] == "0,2"
+    rep = local_dimension_bary(F(3), F(1, 3), DigitSet(3, frozenset({0, 2})), 4, F(1, 100),
+                               256)
+    assert data["trajectory"] == json.loads(json.dumps(rep.to_json_dict()))["trajectory"]
+    assert len(data["trajectory"]) == 4
+
+
+def test_dim_local_csv_to_a_file(tmp_path, capsys):
+    out_file = tmp_path / "d.csv"
+    argv = ["dim", "local", "--theta", "3", "--vhat", "1/3", "--base", "3", "--stages", "3",
+            "--format", "csv"]
+    rc, out = run(capsys, *argv)
+    assert rc == 0
+    rc, empty = run(capsys, *argv, "-o", str(out_file))
+    assert rc == 0 and empty == ""
+    assert out_file.read_bytes() == out.encode()
+    assert out.splitlines() == ["k,ratio_lower,ratio_upper",
+                                "1,0.3333333333333333,0.3333333333333333",
+                                "2,0.2222222222222222,0.2222222222222222",
+                                "3,0.2222222222222222,0.2222222222222222"]
+
+
+def test_exponents_trajectory(tmp_path, capsys):
+    out_file = tmp_path / "w.digits"
+    assert main(["expand", "--base", "10", "--lacunary", "1", "--digits", "512",
+                 "-o", str(out_file)]) == 0
+    rc, out = run(capsys, "exponents", "--input", str(out_file))
+    rc_t, out_t = run(capsys, "exponents", "--input", str(out_file), "--trajectory")
+    assert rc == rc_t == 0
+    plain, with_trajectory = json.loads(out), json.loads(out_t)
+    trajectory = with_trajectory.pop("trajectory")
+    assert "trajectory" not in plain and with_trajectory == plain
+    assert trajectory and all(len(row) == 3 for row in trajectory)
+    assert [row[0] for row in trajectory] == sorted(row[0] for row in trajectory)
+    assert all(F(rv) >= 0 for _k, rv, _rh in trajectory)
+
+
+def test_admissible_list_to_a_file(tmp_path, capsys):
+    out_file = tmp_path / "l.json"
+    rc, out = run(capsys, "admissible", "list", "--beta", "root:1,1", "--len", "3",
+                  "-o", str(out_file))
+    assert rc == 0 and out == ""
+    data = json.loads(out_file.read_text())
+    assert data["config"]["cmd"] == "admissible list"
+    assert data["n"] == 3
+    assert data["words"] == ["0 0 0", "0 0 1", "0 1 0", "1 0 0", "1 0 1"]
+    rc, out = run(capsys, "admissible", "list", "--beta", "root:1,1", "--len", "3")
+    assert out.splitlines() == data["words"]
+
+
 def test_too_small_N_names_the_base(capsys):
     argv = ["construct", "beta", "--theta", "3", "--vhat", "1/3", "--beta", "rat:5/4",
             "--N", "2"]

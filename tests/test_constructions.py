@@ -55,6 +55,22 @@ def test_schedule_infeasible():
         ConstructionSpec(theta=F(6, 5), v_hat=F(1, 2), stages=3, base=3)
 
 
+@pytest.mark.parametrize("vhat", [F(1), F(3, 2), F(0), F(-1, 2)])
+def test_spec_and_schedule_share_the_unit_interval_check(vhat):
+    message = f"need 0 < vhat < 1, got {vhat}"
+    with pytest.raises(InfeasibleParameters, match=message):
+        ConstructionSpec(theta=F(3), v_hat=vhat, stages=3, base=3)
+    with pytest.raises(InfeasibleParameters, match=message):
+        schedule(F(3), vhat, 3)
+
+
+@pytest.mark.parametrize("N", [0, -1, -4])
+def test_parameter_space_needs_a_positive_N(N):
+    b0, b1 = BetaSystem.parse("rat:3/2"), BetaSystem.parse("root:1,1")
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        generate_parameter_space(b0, b1, b1, N, F(3), F(1, 3), 2)
+
+
 def test_schedule_limits_converge():
     s = schedule(F(3), F(1, 3), 18)
     k = s.stages - 1
