@@ -234,40 +234,31 @@ def _cmd_exponents(args):
     return 0
 
 
-def _fill_from_args(args) -> FillPolicy:
-    from .constructions import FillPolicy
-    return FillPolicy.parse(args.fill, seed=args.seed)
-
-
 def _cmd_construct(args):
     _need(args, f"construct {args.flavor}", *{
         "bary": ("base",), "restricted": ("base", "digit_set"), "beta": ("beta",),
         "param": ("beta0", "beta1", "beta2")}[args.flavor])
     if args.stages < 1:
         raise UsageError(f"construct {args.flavor} needs --stages >= 1")
-    from .constructions import (ConstructionSpec, generate_bary, generate_beta,
+    from .constructions import (ConstructionSpec, FillPolicy, generate_bary, generate_beta,
                                 generate_parameter_space)
     cfg = {"cmd": f"construct {args.flavor}", "theta": args.theta, "vhat": args.vhat,
            "stages": args.stages, "fill": args.fill, "seed": args.seed}
     theta, vhat = _fraction(args.theta), _fraction(args.vhat)
-    if args.flavor == "bary":
-        spec = ConstructionSpec(theta=theta, v_hat=vhat, stages=args.stages,
-                                base=args.base, fill=_fill_from_args(args))
-        out = generate_bary(spec)
+    fill = FillPolicy.parse(args.fill, seed=args.seed)
+    if args.flavor in ("bary", "restricted"):
         cfg["base"] = args.base
-        _emit_digits(args, out.word, out.to_dict(), cfg)
-    elif args.flavor == "restricted":
-        ds = _digit_set(args.digit_set, args.base)
-        spec = ConstructionSpec(theta=theta, v_hat=vhat, stages=args.stages,
-                                base=args.base, digit_set=ds, fill=_fill_from_args(args))
-        out = generate_bary(spec)
-        cfg.update({"base": args.base, "digit_set": args.digit_set})
+        ds = None
+        if args.flavor == "restricted":
+            ds = _digit_set(args.digit_set, args.base)
+            cfg["digit_set"] = args.digit_set
+        out = generate_bary(ConstructionSpec(theta=theta, v_hat=vhat, stages=args.stages,
+                                             base=args.base, digit_set=ds, fill=fill))
         _emit_digits(args, out.word, out.to_dict(), cfg)
     elif args.flavor == "beta":
         from .beta_shift import BetaSystem
         system = BetaSystem.parse(args.beta, default_precision())
-        out = generate_beta(system, args.N, theta, vhat, args.stages,
-                            _fill_from_args(args))
+        out = generate_beta(system, args.N, theta, vhat, args.stages, fill)
         cfg.update({"beta": args.beta, "N": args.N})
         _emit_digits(args, out.word, out.to_dict(), cfg)
     else:  # param
@@ -275,8 +266,7 @@ def _cmd_construct(args):
         b0 = BetaSystem.parse(args.beta0, default_precision())
         b1 = BetaSystem.parse(args.beta1, default_precision())
         b2 = BetaSystem.parse(args.beta2, default_precision())
-        res = generate_parameter_space(b0, b1, b2, args.N, theta, vhat,
-                                       args.stages, _fill_from_args(args))
+        res = generate_parameter_space(b0, b1, b2, args.N, theta, vhat, args.stages, fill)
         cfg.update({"beta0": args.beta0, "beta1": args.beta1, "beta2": args.beta2,
                     "N": args.N})
         side = {"recovered_base": _scalar_dict(res.root.as_scalar(96)),
@@ -288,6 +278,7 @@ def _cmd_construct(args):
 
 
 def _cmd_measure(args):
+    _not_negative(args.n, "--n")
     import json
     with open(args.sidecar) as fh:
         side = json.load(fh)

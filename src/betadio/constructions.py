@@ -12,6 +12,11 @@ Free fills are clamped so no accidental run ever exceeds the stage's
 prescribed maximal run; every clamp is recorded, since a clamp means the
 requested fill distribution was not realizable verbatim.
 
+In a real base every free segment starts the word or follows a block that
+ends in ``0^N``, and N zeros bring the approximant's automaton to state 0.
+So the real-base generator walks the automaton only through free digits,
+starting each free segment at state 0.
+
 The integer-base generators need neither ``beta_shift`` nor ``numerics``;
 only the parameter-space generator imports them, when it runs.
 """
@@ -322,14 +327,14 @@ class BaryConstruction(Record):
         return d
 
 
-def _punch_positions(lo: int, hi: int, cap: int, left_run: int) -> list[int]:
-    """Positions of break digits so every filled run stays within cap."""
-    out = []
-    pos = max(lo, lo + cap - left_run)
-    while pos <= hi:
-        out.append(pos)
-        pos += cap + 1
-    return out
+def _prescribed(segs: list[Segment]) -> tuple[bytearray, list[Segment]]:
+    """The layout's digits with every prescribed segment written (free
+    positions left 0), and the free segments in order."""
+    arr = bytearray(segs[-1].hi)
+    for seg in segs:
+        if seg.kind != FREE:
+            arr[seg.lo - 1:seg.hi] = seg.prescribed()
+    return arr, [seg for seg in segs if seg.kind == FREE]
 
 
 def generate_bary(spec: ConstructionSpec) -> BaryConstruction:
@@ -354,11 +359,7 @@ def generate_bary(spec: ConstructionSpec) -> BaryConstruction:
     allowed = tuple(range(b)) if S is None else tuple(sorted(S.digits))
     # prescribed structure first, then fills (the clamp logic inspects
     # neighboring determined digits)
-    arr = bytearray(segs[-1].hi)
-    for seg in segs:
-        if seg.kind != FREE:
-            arr[seg.lo - 1:seg.hi] = seg.prescribed()
-    free = [seg for seg in segs if seg.kind == FREE]
+    arr, free = _prescribed(segs)
     clamps: list[int] = []
     _fill_free_spans(arr, free, spec.fill, b, allowed, clamps)
     _enforce_run_caps(arr, segs, free, b, allowed, clamps)
@@ -412,43 +413,35 @@ def _enforce_run_caps(arr: bytearray, segs: list[Segment], free: list[Segment], 
 
 def _fill_free_spans(arr: bytearray, free: list[Segment], policy: FillPolicy, b: int,
                      allowed: Sequence[int], clamps: list[int]) -> None:
-    top = b - 1
-    run_symbols = {0, top}
-    rng = random.Random(policy.seed)
-
-    if policy.kind == "constant":
-        c = policy.digit
-        if c not in allowed:
-            fixed = min(allowed, key=lambda a: (abs(a - c), a))
-            clamps.append(0)
-            _warn("constant fill %d not allowed, using %d", c, fixed)
-            c = fixed
-        if c not in run_symbols:
-            for lo, hi, _kind, _digits, _cap in free:
-                arr[lo - 1:hi] = bytes([c]) * (hi - lo + 1)
-            return
-        # run-forming constant: punch break digits so runs stay capped
-        breaker = _break_digit(c, allowed, b)
-        for lo, hi, _kind, _digits, cap in free:
-            arr[lo - 1:hi] = bytes([c]) * (hi - lo + 1)
-            left = 0
-            p = lo - 1
-            while p >= 1 and arr[p - 1] == c and left <= cap + 1:
-                left += 1
-                p -= 1
-            if cap <= 0:
-                punches = list(range(lo, hi + 1))
-            else:
-                punches = _punch_positions(lo, hi, cap, left)
-            for pos in punches:
-                arr[pos - 1] = breaker
-                clamps.append(pos)
+    if policy.kind != "constant":
+        # random: bulk draws; overlong runs (rare unless the cap is tiny) are
+        # punched afterwards by the cap-enforcement pass, which records the clamps
+        rng = random.Random(policy.seed)
+        for lo, hi, _kind, _digits, _cap in free:
+            arr[lo - 1:hi] = bytes(rng.choices(allowed, k=hi - lo + 1))
         return
-
-    # random: bulk draws; overlong runs (rare unless the cap is tiny) are
-    # punched afterwards by the cap-enforcement pass, which records the clamps
-    for lo, hi, _kind, _digits, _cap in free:
-        arr[lo - 1:hi] = bytes(rng.choices(allowed, k=hi - lo + 1))
+    c = policy.digit
+    if c not in allowed:
+        fixed = min(allowed, key=lambda a: (abs(a - c), a))
+        clamps.append(0)
+        _warn("constant fill %d not allowed, using %d", c, fixed)
+        c = fixed
+    # a run-forming constant gets break digits punched so runs stay capped
+    breaker = _break_digit(c, allowed, b) if c in (0, b - 1) else None
+    for lo, hi, _kind, _digits, cap in free:
+        arr[lo - 1:hi] = bytes([c]) * (hi - lo + 1)
+        if breaker is None:
+            continue
+        left = 0
+        p = lo - 1
+        while p >= 1 and arr[p - 1] == c and left <= cap + 1:
+            left += 1
+            p -= 1
+        # a break digit every cap + 1 places, the first where the run
+        # coming in from the left would pass the cap
+        for pos in range(max(lo, lo + cap - left), hi + 1, cap + 1):
+            arr[pos - 1] = breaker
+            clamps.append(pos)
 
 
 def _break_digit(run_symbol: int, allowed: Sequence[int], b: int) -> int:
@@ -492,9 +485,12 @@ def generate_beta(base: BetaSystem, N: int, theta: Fraction, v_hat: Fraction,
     with each prescribed 1 replaced by the block ``0^N 1 0^N`` and free
     positions filled by admissible digits chosen on the automaton walk.
 
-    The word stops just before the block that would open the stage after
-    the last, at ``l[K] - 1``.  No free segment gets more zeros in a row
-    than its cap (only the free prefix is wider than its cap).
+    The prescribed segments are copied as bytes and the automaton walks only
+    the free ones, each from state 0 (see the module docstring); a constant
+    fill is clamped into ``0..bound``.  The word stops just before the block
+    that would open the stage after the last, at ``l[K] - 1``.  No free
+    segment gets more zeros in a row than its cap (only the free prefix is
+    wider than its cap).
     """
     fill = fill or FillPolicy(kind="random", seed=0)
     runs = schedule(theta, v_hat, stages)
@@ -504,33 +500,25 @@ def generate_beta(base: BetaSystem, N: int, theta: Fraction, v_hat: Fraction,
     depth = layout.l[-1] - 1
     rng = random.Random(fill.seed)
     clamps: list[int] = []
-    digits = bytearray(depth)
-    state = 0
-    for seg in layout.segments:
-        fixed = seg.prescribed() if seg.kind != FREE else None
-        zrun = 0
-        for pos in range(seg.lo, min(seg.hi, depth) + 1):
-            if fixed is not None:
-                d = fixed[pos - seg.lo]
-            else:
-                bound = auto.bound[state]
-                if fill.kind == "constant":
-                    d = min(fill.digit, bound)
-                    if d != fill.digit:
-                        clamps.append(pos)
-                else:
-                    d = rng.randint(0, bound)
-                if d == 0 and zrun >= seg.cap and bound >= 1:
-                    d = 1
-                    clamps.append(pos)
-                zrun = zrun + 1 if d == 0 else 0
-            nxt = auto.step(state, d)
-            if nxt is None:
-                raise AssertionError(
-                    f"determined digit {d} rejected at position {pos}; N too small")
-            state = nxt
+    digits, free = _prescribed(layout.segments)
+    # A free segment starts the word or follows a block that ends in 0^N.
+    # The approximant's d*(1) has period <= N and a first digit >= 1, so it
+    # has a nonzero digit in every N places: N zeros end at state 0, where
+    # a 0 stays.  So every free segment starts at state 0.
+    for lo, hi, _kind, _digits, cap in free:
+        state = zrun = 0
+        for pos in range(lo, min(hi, depth) + 1):
+            bound = auto.bound[state]
+            want = fill.digit if fill.kind == "constant" else rng.randint(0, bound)
+            d = min(max(want, 0), bound)
+            if d == 0 and zrun >= cap and bound >= 1:
+                d = 1
+            if d != want:
+                clamps.append(pos)
+            zrun = zrun + 1 if d == 0 else 0
+            state = auto.step(state, d)
             digits[pos - 1] = d
-    word = DigitWord.from_bytes(approx.alphabet_top + 1, bytes(digits))
+    word = DigitWord.from_bytes(approx.alphabet_top + 1, bytes(digits[:depth]))
     return BetaConstruction(word=word, layout=layout, base_spec=base.spec_string,
                             approximant_spec=approx.spec_string, clamps=clamps,
                             fill=fill.describe())

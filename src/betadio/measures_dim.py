@@ -357,8 +357,10 @@ def local_dimension_bary(theta: Fraction, v_hat: Fraction, base: Union[int, Digi
     """
     from .bary import DigitSet
     from .constructions import layout_segments, schedule
-    runs = schedule(theta, v_hat, stages)
     b_int = base.base if isinstance(base, DigitSet) else int(base)
+    if b_int < 2:
+        raise ValueError("integer base required")
+    runs = schedule(theta, v_hat, stages)
     target = dim_formula(theta, v_hat)
     scale = digit_set_scale(base, bits) if isinstance(base, DigitSet) else None
     segs = layout_segments(runs, pair=b_int == 2)

@@ -476,6 +476,27 @@ def test_greedy_digits_reconstruct_value():
         assert (val + ulp).lo.value > x - F(1, 2 ** 150)
 
 
+@pytest.mark.parametrize("system", [golden(), tribonacci()], ids=["golden", "tribonacci"])
+def test_greedy_expand_of_an_interval_matches_the_exact_path(system):
+    # x as a narrow Scalar: the certified floors give the exact orbit's digits
+    for x in (F(1, 2), F(2, 7), F(13, 21), F(441, 1000), F(0), F(99, 100)):
+        want = greedy_expand(system, x, 40).digits()
+        assert greedy_expand(system, Scalar.from_fraction(x, 256), 40).digits() == want
+
+
+def test_greedy_expand_of_an_interval_across_a_digit_boundary():
+    # beta x spans 1 on [1/2, 7/10] in the golden base: the first digit is 0 or 1
+    g = golden()
+    with pytest.raises(PrecisionExhausted, match="straddles a discontinuity"):
+        greedy_expand(g, Scalar.hull(F(1, 2), F(7, 10)), 1)
+    # an interval 2^-20 wide gives the first digits, but its width grows by
+    # beta per digit until it spans a boundary
+    assert greedy_expand(g, Scalar.hull(F(1, 2), F(1, 2) + F(1, 2 ** 20)), 3).digits() == \
+        greedy_expand(g, F(1, 2), 3).digits()
+    with pytest.raises(PrecisionExhausted):
+        greedy_expand(g, Scalar.hull(F(1, 2), F(1, 2) + F(1, 2 ** 20)), 60)
+
+
 class FrozenAlgebraicOrbit(beta_shift._Orbit):
     """The algebraic orbit as first written: the orbit value itself as a
     polynomial in beta, in Fraction arithmetic when x is not an integer."""

@@ -244,12 +244,47 @@ def test_config_embeds_precision(tmp_path, capsys):
     ["expand-one", "--beta", "int:3", "--digits", "0"],
     ["expand", "--beta", "root:1,1", "--x", "1/2", "--digits", "0"],
     ["expand", "--base", "10", "--x", "1/7", "--digits", "0"],
+    # a negative depth, refused before the sidecar is opened
+    ["measure", "--sidecar", "no-such.digits.json", "--n", "-5"],
 ])
 def test_malformed_digits_are_usage_errors(capsys, argv):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error:")
     assert len(err.splitlines()) == 1  # one line, no traceback
+
+
+@pytest.mark.parametrize("flavor, extra", [
+    ("bary", ["--base", "3"]), ("beta", ["--beta", "root:1,1", "--N", "3"])])
+def test_measure_refuses_a_negative_depth(tmp_path, capsys, flavor, extra):
+    out = tmp_path / "c.digits"
+    assert main(["construct", flavor, "--theta", "3", "--vhat", "1/3", "--stages", "2",
+                 *extra, "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["measure", "--sidecar", f"{out}.json", "--n", "-5"]) == 1
+    assert capsys.readouterr() == ("", "usage error: --n must not be negative, got -5\n")
+
+
+@pytest.mark.parametrize("flavor, extra", [
+    ("beta", ["--beta", "root:1,1", "--N", "3"]),
+    ("beta", ["--beta", "rat:3/2", "--N", "4"]),
+    ("param", ["--beta0", "rat:3/2", "--beta1", "root:1,1", "--beta2", "root:1,1,1",
+               "--N", "5"])])
+def test_a_negative_constant_fill_is_clamped(tmp_path, capsys, flavor, extra):
+    # every free digit is clamped up to 0 (or to 1 at the zero-run cap)
+    out = tmp_path / "c.digits"
+    assert main(["construct", flavor, "--theta", "3", "--vhat", "1/3", "--stages", "2",
+                 "--fill", "const:-1", *extra, "-o", str(out)]) == 0
+    side = json.loads((tmp_path / "c.digits.json").read_text())
+    clamps = (side["construction"] if flavor == "param" else side)["clamps"]
+    assert clamps > 0
+    assert "-1" not in out.read_text().split()
+
+
+@pytest.mark.parametrize("base", ["0", "1", "-3"])
+def test_dim_local_needs_an_integer_base_above_one(capsys, base):
+    assert main(["dim", "local", "--theta", "3", "--vhat", "1/3", "--base", base]) == 2
+    assert capsys.readouterr() == ("", "error: integer base required\n")
 
 
 @pytest.mark.parametrize("option", ["--beta", "--beta0", "--beta1", "--beta2"])
