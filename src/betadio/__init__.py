@@ -46,5 +46,6 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted(set(globals()) - {"_LAYERS", "_HOME", "__all__", "__getattr__", "__dir__"}
-                  | set(__all__))
+    # dunders and exports: a submodule that is not a layer stays out once imported
+    return sorted({name for name in globals() if name.startswith("__")}
+                  - {"__all__", "__getattr__", "__dir__"} | set(__all__))

@@ -1,0 +1,98 @@
+"""The ``betadio`` subcommands' handlers, grouped by the layers they load,
+and the helpers they share.  No handler imports ``cli``: under ``python -m
+betadio.cli`` it runs as ``__main__``, and a second import would compile it
+again, with a second ``UsageError`` that ``__main__`` does not catch."""
+
+from __future__ import annotations
+
+import os
+import sys
+from fractions import Fraction
+
+from .. import __version__
+from ..errors import UsageError
+
+
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"not a rational: {text!r} ({exc})")
+
+
+def _ints(text: str, sep, what: str) -> list[int]:
+    try:
+        return [int(t) for t in text.split(sep)]
+    except ValueError:
+        raise UsageError(f"not a {what}: {text!r}")
+
+
+def _word(text: str) -> list[int]:
+    return _ints(text, "," if "," in text else None, "digit word")
+
+
+def _digit_set(text: str, base: int) -> DigitSet:
+    from ..bary import DigitSet
+    return DigitSet(base, frozenset(_ints(text, ",", "digit set")))
+
+
+def _need(args, what: str, *names: str) -> None:
+    """Usage error unless every named per-action option was given."""
+    missing = ["--" + name.replace("_", "-") for name in names if getattr(args, name) is None]
+    if missing:
+        raise UsageError(f"{what} needs {' '.join(missing)}")
+
+
+def _not_negative(value: int, what: str) -> None:
+    if value < 0:
+        raise UsageError(f"{what} must not be negative, got {value}")
+
+
+def default_precision() -> int:
+    text = os.environ.get("BETADIO_PRECISION", "256")
+    try:
+        bits = int(text)
+    except ValueError:
+        bits = 0
+    if bits < 1:
+        raise UsageError(f"BETADIO_PRECISION must be a positive integer, not {text!r}")
+    return bits
+
+
+def _emit(args, payload: dict, config: dict, plain=None):
+    """JSON (with embedded config and version) to files; for stdout, a bare
+    value when the command has a natural one-liner."""
+    config.setdefault("precision_bits", default_precision())
+    if plain is not None and not getattr(args, "output", None):
+        print(plain)
+        return
+    # json is imported only where it is written or read, so that a command
+    # with a plain-text answer never loads it
+    import json
+    text = json.dumps({"version": __version__, "config": config, **payload}, indent=2)
+    if getattr(args, "output", None):
+        with open(args.output, "w") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
+
+
+def _emit_digits(args, word: DigitWord, sidecar: dict, config: dict):
+    from ..words import write_digit_file
+    config.setdefault("precision_bits", default_precision())
+    if getattr(args, "output", None):
+        with open(args.output, "w") as fh:
+            write_digit_file(fh, word.base, word)
+        side = {"version": __version__, "config": config, **sidecar}
+        import json
+        with open(args.output + ".json", "w") as fh:
+            json.dump(side, fh, indent=2)
+            fh.write("\n")
+    else:
+        write_digit_file(sys.stdout, word.base, word)
+
+
+def _scalar_dict(s) -> dict:
+    return {"lower": f"{s.lo.value.numerator}/{s.lo.value.denominator}",
+            "upper": f"{s.hi.value.numerator}/{s.hi.value.denominator}",
+            "float": float(s.mid)}

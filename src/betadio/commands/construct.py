@@ -1,0 +1,58 @@
+"""``construct``: the generators, and the digit file with its sidecar."""
+
+from ..errors import UsageError
+from . import _digit_set, _emit_digits, _fraction, _need, _scalar_dict, default_precision
+
+# the base options of each flavour: it needs these and takes no other
+_READS = {"bary": ("base",), "restricted": ("base", "digit_set"), "beta": ("beta",),
+          "param": ("beta0", "beta1", "beta2")}
+_BASE_OPTIONS = ("base", "digit_set", "beta", "beta0", "beta1", "beta2")
+
+
+def cmd_construct(args):
+    what, reads = f"construct {args.flavor}", _READS[args.flavor]
+    _need(args, what, *reads)
+    foreign = ["--" + name.replace("_", "-") for name in _BASE_OPTIONS
+               if name not in reads and getattr(args, name) is not None]
+    if foreign:
+        raise UsageError(f"{what} does not take {' '.join(foreign)}")
+    if args.stages < 1:
+        raise UsageError(f"{what} needs --stages >= 1")
+    from ..constructions import (ConstructionSpec, FillPolicy, generate_bary, generate_beta,
+                                 generate_parameter_space)
+    cfg = {"cmd": what, "theta": args.theta, "vhat": args.vhat,
+           "stages": args.stages, "fill": args.fill, "seed": args.seed}
+    theta, vhat = _fraction(args.theta), _fraction(args.vhat)
+    try:
+        fill = FillPolicy.parse(args.fill, seed=args.seed)
+    except ValueError:
+        raise UsageError(f"not a fill policy: {args.fill!r} (const:<digit> or random)")
+    if args.flavor in ("bary", "restricted"):
+        cfg["base"] = args.base
+        ds = None
+        if args.flavor == "restricted":
+            ds = _digit_set(args.digit_set, args.base)
+            cfg["digit_set"] = args.digit_set
+        out = generate_bary(ConstructionSpec(theta=theta, v_hat=vhat, stages=args.stages,
+                                             base=args.base, digit_set=ds, fill=fill))
+        _emit_digits(args, out.word, out.to_dict(), cfg)
+    elif args.flavor == "beta":
+        from ..beta_shift import BetaSystem
+        system = BetaSystem.parse(args.beta, default_precision())
+        out = generate_beta(system, args.N, theta, vhat, args.stages, fill)
+        cfg.update({"beta": args.beta, "N": args.N})
+        _emit_digits(args, out.word, out.to_dict(), cfg)
+    else:  # param
+        from ..beta_shift import BetaSystem
+        b0 = BetaSystem.parse(args.beta0, default_precision())
+        b1 = BetaSystem.parse(args.beta1, default_precision())
+        b2 = BetaSystem.parse(args.beta2, default_precision())
+        res = generate_parameter_space(b0, b1, b2, args.N, theta, vhat, args.stages, fill)
+        cfg.update({"beta0": args.beta0, "beta1": args.beta1, "beta2": args.beta2,
+                    "N": args.N})
+        side = {"recovered_base": _scalar_dict(res.root.as_scalar(96)),
+                "prefix": list(res.prefix),
+                "approximant": res.approximant_spec,
+                "construction": res.construction.to_dict()}
+        _emit_digits(args, res.word, side, cfg)
+    return 0

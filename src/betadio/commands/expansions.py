@@ -1,0 +1,58 @@
+"""``expand`` and ``exponents``: digit expansions and their run analysis."""
+
+from fractions import Fraction
+
+from ..errors import UsageError
+from . import _emit, _emit_digits, _fraction, default_precision
+
+
+def cmd_expand(args):
+    if args.digits < 1:
+        raise UsageError(f"expand needs --digits >= 1, got {args.digits}")
+    cfg = {"cmd": "expand", "digits": args.digits}
+    if args.base and not args.beta:
+        from ..bary import expand_lacunary, expand_rational
+        cfg["base"] = args.base
+        if args.lacunary:
+            cfg["lacunary"] = args.lacunary
+            rule = "squared-power" if args.lacunary == "squared-power" else _fraction(args.lacunary)
+            word = expand_lacunary(args.base, rule, args.digits)
+        else:
+            x = _fraction(args.x)
+            cfg["x"] = str(x)
+            word = expand_rational(x.numerator, x.denominator, args.base, args.digits)
+    else:
+        if not args.beta:
+            raise UsageError("need --base or --beta")
+        from ..beta_shift import BetaSystem, greedy_expand
+        cfg["beta"] = args.beta
+        x = _fraction(args.x)
+        cfg["x"] = str(x)
+        system = BetaSystem.parse(args.beta, default_precision())
+        word = greedy_expand(system, x, args.digits)
+    _emit_digits(args, word, {}, cfg)
+    return 0
+
+
+def cmd_exponents(args):
+    from ..bary import check_relations, exponents_of_word
+    from ..words import read_digit_file
+    with open(args.input) as fh:
+        word = read_digit_file(fh)
+    kinds = ("zeros",) if args.zeros_only else ("zeros", "top")
+    est = exponents_of_word(word, kinds=kinds)
+    rel = check_relations(est, tol=Fraction(1, 100))
+    payload = {
+        "horizon": est.horizon,
+        "v_lower": str(est.v_lower),
+        "v_hat_lower": str(est.v_hat_lower),
+        "window": est.window,
+        "k_over_log_n": est.k_over_log_n,
+        "relations": {k: (str(v) if isinstance(v, Fraction) else v) for k, v in rel.items()},
+    }
+    if args.trajectory:
+        payload["trajectory"] = [[k, str(rv), None if rh is None else str(rh)]
+                                 for k, rv, rh in est.trajectory]
+    _emit(args, payload, {"cmd": "exponents", "input": args.input,
+                          "zeros_only": args.zeros_only})
+    return 0

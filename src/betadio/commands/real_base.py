@@ -1,0 +1,87 @@
+"""``expand-one``, ``admissible``, ``cylinder`` and ``parry``: the commands
+on a real base alone, which load ``beta_shift``, ``numerics`` and ``words``."""
+
+from ..errors import DomainError, UsageError
+from . import _emit, _emit_digits, _need, _not_negative, _scalar_dict, _word, default_precision
+
+
+def cmd_expand_one(args):
+    if args.digits < 1:
+        raise UsageError(f"expand-one needs --digits >= 1, got {args.digits}")
+    from ..beta_shift import BetaSystem, expansion_of_one_star
+    system = BetaSystem.parse(args.beta, default_precision())
+    word = expansion_of_one_star(system, args.digits)
+    _emit_digits(args, word, {}, {"cmd": "expand-one", "beta": args.beta,
+                                  "digits": args.digits})
+    return 0
+
+
+def cmd_admissible(args):
+    _need(args, f"admissible {args.action}", "word" if args.action == "check" else "len")
+    if args.action != "check":
+        _not_negative(args.len, "--len")
+    from ..beta_shift import BetaSystem, count_admissible, is_admissible, renyi_bounds_check
+    system = BetaSystem.parse(args.beta, default_precision())
+    cfg = {"cmd": f"admissible {args.action}", "beta": args.beta}
+    if args.action == "count":
+        renyi = renyi_bounds_check(system, args.len, default_precision()) if args.renyi else None
+        count = renyi.pop("count") if renyi else count_admissible(system, args.len)
+        payload = {"n": args.len, "count": count}
+        plain = str(count)
+        if renyi:
+            payload["renyi"] = renyi
+            plain = None
+        _emit(args, payload, cfg, plain=plain)
+    elif args.action == "list":
+        if system.automaton is None:
+            raise DomainError("listing needs a finite-type base")
+        words = system.automaton.enumerate_words(args.len)
+        if args.output:
+            _emit(args, {"n": args.len,
+                         "words": [" ".join(map(str, w)) for w in words]}, cfg)
+        else:
+            for w in words:  # stream; counts never materialize word lists
+                print(" ".join(map(str, w)))
+    else:
+        word = _word(args.word)
+        ok = is_admissible(system, word)
+        _emit(args, {"word": word, "admissible": ok}, cfg, plain=str(ok).lower())
+    return 0
+
+
+def cmd_cylinder(args):
+    from ..beta_shift import BetaSystem, cylinder
+    system = BetaSystem.parse(args.beta, default_precision())
+    word = _word(args.word)
+    c = cylinder(system, word, bits=default_precision())
+    _emit(args, {"word": word, "left": _scalar_dict(c.left),
+                 "right": _scalar_dict(c.right), "length": _scalar_dict(c.length),
+                 "full": c.full},
+          {"cmd": "cylinder", "beta": args.beta})
+    return 0
+
+
+def cmd_parry(args):
+    from ..beta_shift import is_self_admissible, parry_invert
+    from ..words import PeriodicWord
+    if "(" in args.word:
+        try:
+            word = PeriodicWord.parse(args.word)
+        except ValueError:
+            raise UsageError(f"not a digit word: {args.word!r}")
+        word_desc = {"pre": list(word.pre), "per": list(word.per)}
+    else:
+        word = _word(args.word)
+        word_desc = {"digits": list(word)}
+    cfg = {"cmd": f"parry {args.action}", "word": args.word}
+    if args.action == "check":
+        ok = is_self_admissible(word)
+        _emit(args, {"word": word_desc, "self_admissible": ok}, cfg, plain=str(ok).lower())
+    else:
+        if args.bits < 1:
+            raise UsageError(f"parry invert needs --bits >= 1, got {args.bits}")
+        root = parry_invert(word, precision=args.bits)
+        s = root.as_scalar(args.bits)
+        _emit(args, {"word": word_desc, "beta": _scalar_dict(s)}, cfg,
+              plain=f"{float(s.mid):.15f}")
+    return 0

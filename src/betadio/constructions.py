@@ -1,16 +1,10 @@
 """Generators for the explicit digit-level constructions.
 
-All of them prescribe, per stage k, a long run of the approximating digit
-starting right after position ``n_k`` and ending at ``m_k``, then evenly
-spaced marker digits up to ``u_k``; remaining positions are free and filled
-by a policy.  The schedule starts from ``n'_k = floor(theta**k)``,
-``m'_k = floor((theta*vhat + 1) n'_k)`` and is adjusted so the run lengths
-``m_k - n_k`` never decrease, which pins the two exponent limits to
-``theta*vhat`` and ``vhat``.
-
-Free fills are clamped so no accidental run ever exceeds the stage's
-prescribed maximal run; every clamp is recorded, since a clamp means the
-requested fill distribution was not realizable verbatim.
+Each one writes the prescribed digits of its layout (``layout``) and fills
+the free positions by a policy.  Free fills are clamped so no accidental run
+ever exceeds the stage's prescribed maximal run; every clamp is recorded,
+since a clamp means the requested fill distribution was not realizable
+verbatim.
 
 In a real base every free segment starts the word or follows a block that
 ends in ``0^N``, and N zeros bring the approximant's automaton to state 0.
@@ -26,10 +20,13 @@ from __future__ import annotations
 import bisect
 import random
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .bary import DigitSet, _next_run
 from .errors import InfeasibleParameters, NotSelfAdmissible, PrefixConditionFailed
+# the layout's names are re-exported here, where they were first defined
+from .layout import (FREE, MARKER, RUN, BetaLayout, ScheduledRuns, Segment,  # noqa: F401
+                     _check_feasible, beta_layout, layout_segments, schedule)
 from .record import Record
 from .words import DigitWord
 
@@ -41,220 +38,6 @@ def _warn(msg: str, *args) -> None:
     # a clamped fill logs
     import logging
     logging.getLogger(__name__).warning(msg, *args)
-
-
-# ---------------------------------------------------------------------------
-# schedules
-
-
-class ScheduledRuns(Record):
-    """Adjusted run schedule; positions are 1-based digit indices.
-
-    ``n`` carries one extra entry (the next stage's anchor) so that the gap
-    after the last complete stage is known.  ``delta[k] = m[k] - n[k] - 1``
-    is the interior run length and ``u[k]`` the position of the last marker.
-    """
-
-    __slots__ = ("theta", "v_hat", "n", "m", "t", "delta", "u")
-
-    def __init__(self, theta: Fraction, v_hat: Fraction, n: list[int], m: list[int],
-                 t: list[int], delta: list[int], u: list[int]):
-        self.theta = theta
-        self.v_hat = v_hat
-        self.n = n
-        self.m = m
-        self.t = t
-        self.delta = delta
-        self.u = u
-
-    @property
-    def stages(self) -> int:
-        return len(self.m)
-
-    def gap(self, k: int) -> int:
-        return self.m[k] - self.n[k]
-
-    def to_dict(self) -> dict:
-        return {"theta": str(self.theta), "v_hat": str(self.v_hat),
-                "n": self.n, "m": self.m, "t": self.t,
-                "delta": self.delta, "u": self.u}
-
-    @staticmethod
-    def from_dict(d: dict) -> "ScheduledRuns":
-        return ScheduledRuns(theta=F(d["theta"]), v_hat=F(d["v_hat"]),
-                             n=list(d["n"]), m=list(d["m"]), t=list(d["t"]),
-                             delta=list(d["delta"]), u=list(d["u"]))
-
-
-def _check_feasible(theta: Fraction, v_hat: Fraction) -> None:
-    """Infeasible unless ``0 < vhat < 1`` and ``theta >= 1/(1 - vhat)``."""
-    if not 0 < v_hat < 1:
-        raise InfeasibleParameters(f"need 0 < vhat < 1, got {v_hat}")
-    if theta < 1 / (1 - v_hat):
-        raise InfeasibleParameters(
-            f"theta {theta} below the emptiness threshold {1 / (1 - v_hat)}")
-
-
-def schedule(theta: Fraction, v_hat: Fraction, stages: int) -> ScheduledRuns:
-    """Build the adjusted schedule for ``stages`` complete stages.
-
-    Infeasible below the emptiness threshold ``theta >= 1/(1 - vhat)``.
-    Early stages where the floors degenerate (anchor < 2, empty run, or
-    non-increasing anchors) are skipped; the limits only see the tail.
-    """
-    theta, v_hat = F(theta), F(v_hat)
-    _check_feasible(theta, v_hat)
-    growth = theta * v_hat + 1
-
-    def raw(k: int) -> int:
-        p = theta ** k
-        return p.numerator // p.denominator
-
-    # find the first sane stage
-    k0 = 1
-    while True:
-        cand = raw(k0)
-        if cand >= 2 and (growth * cand).numerator // (growth * cand).denominator - cand >= 1:
-            break
-        k0 += 1
-        if k0 > 64:
-            raise InfeasibleParameters("schedule never leaves the degenerate range")
-
-    n = [raw(k0)]
-    m, t, delta, u = [], [], [], []
-    prev_gap = 0
-    for j in range(stages):
-        nk = n[j]
-        scaled = growth * nk
-        gap = max(scaled.numerator // scaled.denominator - nk, prev_gap, 1)
-        prev_gap = gap
-        mk = nk + gap
-        m.append(mk)
-        delta.append(gap - 1)
-        nxt = max(raw(k0 + j + 1), mk)
-        n.append(nxt)
-        tk = max(0, (nxt - mk - 1) // gap)
-        t.append(tk)
-        u.append(mk + tk * gap)
-    return ScheduledRuns(theta=theta, v_hat=v_hat, n=n, m=m, t=t, delta=delta, u=u)
-
-
-# ---------------------------------------------------------------------------
-# the layout: which positions are prescribed and which are free
-
-FREE, RUN, MARKER = "free", "run", "marker"
-
-
-class Segment(NamedTuple):
-    """Positions ``lo..hi`` (1-based, inclusive) of a construction's layout.
-
-    A FREE segment is left to the fill policy; a RUN repeats the
-    approximating digit; a MARKER is one marker digit, the base-2 block
-    ``1 0`` or the real-base block ``0^N 1 0^N``.  ``digits`` are a
-    prescribed segment's digits (a run's one digit stands for all of them),
-    empty for a free one.  ``cap`` is the maximal run delta_k of the stage
-    the segment belongs to.
-    """
-
-    lo: int
-    hi: int
-    kind: str
-    digits: bytes
-    cap: int
-
-    def prescribed(self) -> bytes:
-        return self.digits * ((self.hi - self.lo + 1) // len(self.digits))
-
-
-def layout_segments(runs: ScheduledRuns, N: int = 0, pair: bool = False,
-                    run_digit: int = 0, marker: int = 1) -> list[Segment]:
-    """The layout of a construction, in order, from position 1 through the
-    anchor that closes the last stage.
-
-    The free prefix and the first anchor have the first stage's cap (0 when
-    there is no stage).  Each stage then runs from just after its anchor
-    n_k through the next anchor n_{k+1}, all with the stage's cap delta_k:
-    the run of ``run_digit`` up to m_k, a marker at m_k, the evenly spaced
-    markers ``m_k + t (m_k - n_k)`` up to u_k, and free segments between.
-    With ``N >= 1`` every marker is widened to ``0^N 1 0^N``, so
-    ``h_k - l_k = m_k - n_k + 4N``.  With ``pair`` (the base-2 variant) a
-    spaced marker is followed by a 0 unless the next position is itself
-    prescribed.  When m_k = n_{k+1} the marker and the anchor share their
-    first position (all of it when N = 0).
-    """
-    block = bytes(N) + bytes([marker]) + bytes(N)
-    segs: list[Segment] = []
-
-    def put(kind: str, width: int, digits: bytes = b"") -> None:
-        """Append a segment of the current stage, unless it is empty."""
-        if width > 0:
-            lo = segs[-1].hi + 1 if segs else 1
-            segs.append(Segment(lo, lo + width - 1, kind, digits, cap))
-
-    cap = runs.delta[0] if runs.stages else 0
-    put(FREE, runs.n[0] - 1)
-    put(MARKER, len(block), block)
-    for k in range(runs.stages):
-        cap, gap, mk, nxt = runs.delta[k], runs.gap(k), runs.m[k], runs.n[k + 1]
-        put(RUN, gap - 1, bytes([run_digit]))
-        put(MARKER, len(block), block)
-        z = 0  # the base-2 trailing 0 of the previous marker
-        for t in range(1, runs.t[k] + 1):
-            put(FREE, gap - 1 - z)
-            z = int(pair and mk + t * gap + 1 < min(mk + (t + 1) * gap, nxt))
-            put(MARKER, len(block) + z, block + bytes(z))
-        put(FREE, nxt - runs.u[k] - 1 - z)
-        anchor = block[int(mk == nxt):]
-        put(MARKER, len(anchor), anchor)
-    return segs
-
-
-class BetaLayout(Record):
-    """The real-base layout, each prescribed 1 widened to ``0^N 1 0^N``.
-
-    ``l[k]``/``h[k]`` bound the fully determined part of stage k (from the
-    first digit of the opening block to the last digit of the closing block);
-    ``u[k]`` is the last digit of stage k's final marker block.  All three
-    are read off ``segments``; ``l[k]`` is where the opening block would
-    start in full, since it may share its first zero with the closing block
-    of the stage before.
-    """
-
-    __slots__ = ("runs", "N", "segments", "l", "h", "u")
-
-    def __init__(self, runs: ScheduledRuns, N: int, segments: list[Segment], l: list[int],
-                 h: list[int], u: list[int]):
-        self.runs = runs
-        self.N = N
-        self.segments = segments
-        self.l = l
-        self.h = h
-        self.u = u
-
-    def to_dict(self) -> dict:
-        d = self.runs.to_dict()
-        d.update({"N": self.N, "l": self.l, "h": self.h, "u_beta": self.u})
-        return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "BetaLayout":
-        return beta_layout(ScheduledRuns.from_dict(d), int(d["N"]))
-
-
-def beta_layout(runs: ScheduledRuns, N: int) -> BetaLayout:
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    segs = layout_segments(runs, N)
-    blocks = [s for s in segs if s.kind == MARKER]  # per stage: n_k, m_k, t_k spaced
-    l, h, u = [], [], []
-    i = 0
-    for k in range(runs.stages):
-        l.append(blocks[i].hi - 2 * N)
-        h.append(blocks[i + 1].hi)
-        u.append(blocks[i + 1 + runs.t[k]].hi)
-        i += 2 + runs.t[k]
-    l.append(blocks[i].hi - 2 * N)
-    return BetaLayout(runs=runs, N=N, segments=segs, l=l, h=h, u=u)
 
 
 # ---------------------------------------------------------------------------

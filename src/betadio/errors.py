@@ -15,6 +15,10 @@ class BetadioError(Exception):
     """Base class for all library errors."""
 
 
+class UsageError(Exception):
+    """A malformed command line: the CLI exits 1 with one ``usage error:`` line."""
+
+
 class DomainError(BetadioError):
     """Request is infeasible or outside the supported domain."""
 

@@ -10,7 +10,7 @@ import pytest
 
 import betadio
 from betadio.bary import DigitSet
-from betadio.cli import main
+from betadio.cli import _COMMANDS, main
 from betadio.constructions import ConstructionSpec, FillPolicy, generate_bary
 from test_readme import readme_commands
 
@@ -246,12 +246,33 @@ def test_config_embeds_precision(tmp_path, capsys):
     ["expand", "--base", "10", "--x", "1/7", "--digits", "0"],
     # a negative depth, refused before the sidecar is opened
     ["measure", "--sidecar", "no-such.digits.json", "--n", "-5"],
+    # a base option the flavour does not read
+    ["construct", "bary", "--theta", "3", "--vhat", "1/3", "--base", "3", "--digit-set", "0,2",
+     "--stages", "2"],
+    ["construct", "beta", "--theta", "3", "--vhat", "1/3", "--beta", "root:1,1", "--base", "7"],
+    # a malformed fill policy
+    *(["construct", "bary", "--theta", "3", "--vhat", "1/3", "--base", "3", "--fill", fill]
+      for fill in ("const:abc", "const:", "foo")),
 ])
 def test_malformed_digits_are_usage_errors(capsys, argv):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error:")
     assert len(err.splitlines()) == 1  # one line, no traceback
+
+
+@pytest.mark.parametrize("flavor, extra, foreign", [
+    ("bary", ["--base", "3", "--digit-set", "0,2", "--beta", "root:1,1"], "--digit-set --beta"),
+    ("restricted", ["--base", "3", "--digit-set", "0,2", "--beta0", "rat:3/2"], "--beta0"),
+    ("beta", ["--beta", "root:1,1", "--base", "7"], "--base"),
+    ("param", ["--beta0", "rat:3/2", "--beta1", "root:1,1", "--beta2", "root:1,1",
+               "--base", "3", "--beta", "root:1,1"], "--base --beta")])
+def test_construct_refuses_another_flavours_base(tmp_path, capsys, flavor, extra, foreign):
+    out = tmp_path / "c.digits"
+    assert main(["construct", flavor, "--theta", "3", "--vhat", "1/3", *extra,
+                 "-o", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"usage error: construct {flavor} does not take {foreign}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flavor, extra", [
@@ -493,7 +514,8 @@ def _cli(*argv, cwd=None):
 # stdlib modules kept off the start-up path; argparse (with gettext and
 # locale) loads only for help and errors
 KEPT_OFF = {"dataclasses", "inspect", "logging", "csv", "argparse", "gettext", "locale"}
-LIBRARY = ("numerics", "words", "bary", "beta_shift", "constructions", "measures_dim")
+LIBRARY = ("numerics", "words", "bary", "beta_shift", "layout", "constructions", "closed_forms",
+           "measures_dim", "commands")
 
 
 def _loaded(proc) -> set:
@@ -511,10 +533,13 @@ def test_import_footprint():
     assert not {f"betadio.{layer}" for layer in LIBRARY} & loaded
 
 
-CLOSED_FORMS = ("words", "bary", "numerics", "beta_shift", "constructions")
-NO_REAL_BASE = ("numerics", "beta_shift", "constructions", "measures_dim")
+CLOSED_FORMS = ("words", "bary", "numerics", "beta_shift", "layout", "constructions",
+                "measures_dim")
+NO_REAL_BASE = ("numerics", "beta_shift", "layout", "constructions", "closed_forms",
+                "measures_dim")
 INTEGER_BASE = ("beta_shift", "numerics")
-NO_GENERATOR = ("constructions", "measures_dim")
+LAYOUT_ONLY = ("words", "bary", "numerics", "beta_shift", "constructions")
+NO_GENERATOR = ("layout", "constructions", "closed_forms", "measures_dim")
 FOOTPRINTS = [
     ("dim formula --theta 3 --vhat 1/3", CLOSED_FORMS),
     ("dim formula --vhat 1/3 --sup", CLOSED_FORMS),
@@ -527,8 +552,9 @@ FOOTPRINTS = [
     ("construct bary --theta 3 --vhat 1/3 --base 3 --stages 6", INTEGER_BASE),
     ("construct restricted --theta 3 --vhat 1/3 --base 3 --digit-set 0,2 --fill random",
      INTEGER_BASE),
-    ("dim local --theta 3 --vhat 1/3 --base 3 --stages 8", INTEGER_BASE),
-    ("measure --sidecar e.digits.json --n 54", INTEGER_BASE),
+    ("dim local --theta 3 --vhat 1/3 --base 3 --stages 8", LAYOUT_ONLY),
+    ("dim local --theta 3 --vhat 1/3 --beta root:1,1 --N 3 --stages 3", ("constructions",)),
+    ("measure --sidecar e.digits.json --n 54", LAYOUT_ONLY),
     ("admissible count --beta root:1,1 --len 5", NO_GENERATOR),
     ("admissible check --beta root:1,1 --word 1,0,1", NO_GENERATOR),
     ("cylinder --beta root:1,1 --word 1,0", NO_GENERATOR),
@@ -540,8 +566,9 @@ FOOTPRINTS = [
 
 @pytest.mark.parametrize("command, unused", FOOTPRINTS, ids=[c for c, _u in FOOTPRINTS])
 def test_command_footprint(tmp_path, command, unused):
-    """A command loads only the layers it calls, and the stdlib modules kept
-    off the start-up path stay off but for argparse's on --version."""
+    """A command loads only the layers it calls and its own handler module,
+    and the stdlib modules kept off the start-up path stay off but for
+    argparse's on --version."""
     assert main(["construct", "bary", "--theta", "3", "--vhat", "1/3", "--base", "3",
                  "--stages", "8", "-o", str(tmp_path / "e.digits")]) == 0
     code = ("import sys, betadio.cli\n"
@@ -551,9 +578,47 @@ def test_command_footprint(tmp_path, command, unused):
             "    print(*sys.modules, file=sys.stderr)\n")
     loaded = _loaded(_cli("-S", "-c", code, *command.split(), cwd=tmp_path))
     assert not {f"betadio.{layer}" for layer in unused} & loaded
+    name = command.split()[0]
+    own = {f"betadio.commands.{_COMMANDS[name][0]}"} if name in _COMMANDS else set()
+    assert {m for m in loaded if m.startswith("betadio.commands.")} == own
     if command == "--version":
         loaded -= {"argparse", "gettext", "locale"}
     assert not KEPT_OFF & loaded
+
+
+MAIN_PATH = [
+    ("dim formula --theta 3 --vhat 1/3", 0),
+    ("admissible count --beta root:1,1 --len 5", 0),
+    ("measure --sidecar e.digits.json --n 54", 0),
+    ("expand --base 10 --x 1/7 --digits 0", 1),
+    ("measure --sidecar e.digits.json --n -1", 1),
+    ("construct bary --theta 3 --vhat 1/3 --base 3 --digit-set 0,2", 1),
+    ("construct bary --theta 3 --vhat 1/3 --base 3 --fill const:abc", 1),
+]
+
+
+@pytest.mark.parametrize("command, code", MAIN_PATH, ids=[c for c, _code in MAIN_PATH])
+def test_main_path_never_imports_the_cli_module(tmp_path, command, code):
+    """Under ``python -m betadio.cli`` the floor runs as ``__main__``: no
+    handler imports ``betadio.cli``, which would compile the floor again and
+    raise a second ``UsageError`` that ``__main__`` does not catch."""
+    assert main(["construct", "bary", "--theta", "3", "--vhat", "1/3", "--base", "3",
+                 "--stages", "8", "-o", str(tmp_path / "e.digits")]) == 0
+    run_main = ("import runpy, sys\n"
+                "try:\n"
+                "    runpy.run_module('betadio.cli', run_name='__main__')\n"
+                "finally:\n"
+                "    print('betadio.cli' in sys.modules, file=sys.stderr)\n")
+    for argv in (["-c", run_main], ["-m", "betadio.cli"]):
+        proc = _cli(*argv, *command.split(), cwd=tmp_path)
+        assert proc.returncode == code, proc.stderr
+        err = proc.stderr.splitlines()
+        if argv[0] == "-c":
+            assert err.pop() == "False"
+        if code:
+            assert len(err) == 1 and err[0].startswith("usage error:"), proc.stderr
+        else:
+            assert err == [] and proc.stdout
 
 
 def test_readme_commands_run_without_argparse(tmp_path):
