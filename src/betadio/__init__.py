@@ -1,37 +1,37 @@
-"""Digit expansions, beta-shifts, and uniform approximation exponents.
+"""Digit expansions, beta-shifts, and uniform approximation exponents:
+certified interval arithmetic underneath, exact rational bookkeeping for the
+run schedules and cylinder masses, a CLI (``betadio``) on top.
 
-Certified interval arithmetic underneath; exact rational bookkeeping for the
-run schedules and cylinder masses; a CLI (``betadio``) on top.
-
-The names below are re-exported from their layers on first use (PEP 562):
-``import betadio`` loads no layer, and each name loads only its own.
-"""
+The names below are re-exported from their modules on first use (PEP 562):
+``import betadio`` loads none, and each name loads only its own; the layers
+of the first package, and ``record``, are exported as modules too."""
 
 __version__ = "0.1.0"
 
-_LAYERS = {
+_LAYERS = {  # each exported name by the module that defines it
     "bary": "DigitSet ExponentEstimate Run RunDecomposition check_relations estimate_exponents"
             " expand_lacunary expand_rational exponents_of_word run_decomposition",
-    "beta_shift": "AdmissibilityAutomaton BetaSystem CylinderInterval count_admissible cylinder"
-                  " expansion_of_one_star greedy_expand is_admissible is_full"
-                  " is_self_admissible parry_invert renyi_bounds_check",
-    "constructions": "BaryConstruction BetaConstruction BetaLayout ConstructionSpec FillPolicy"
-                     " ParamSpaceResult ScheduledRuns Segment beta_layout generate_bary"
-                     " generate_beta generate_parameter_space layout_segments schedule",
+    "beta_shift": "AdmissibilityAutomaton BetaSystem count_admissible expansion_of_one_star"
+                  " is_admissible is_self_admissible renyi_bounds_check",
+    "beta_values": "CylinderInterval cylinder greedy_expand is_full parry_invert",
+    "closed_forms": "critical_exponent_s0 digit_set_scale dim_formula dim_formula_sup"
+                    " reprove_dim_limit verify_sup_by_calculus",
+    "constructions": "BaryConstruction BetaConstruction ConstructionSpec FillPolicy"
+                     " ParamSpaceResult generate_bary generate_beta generate_parameter_space",
+    "digit_files": "DigitStream read_digit_file write_digit_file",
     "errors": "BetadioError DegenerateApproximant DepthExceeded DomainError HorizonTooDeep"
-              " InfeasibleParameters InsufficientDepth InvalidDigitSet NoRoot NoRuns"
-              " NotInSupport NotSelfAdmissible PrecisionError PrecisionExhausted"
-              " PrefixConditionFailed UndecidedFiniteness",
-    "measures_dim": "DimensionReport MeasureValue critical_exponent_s0 digit_set_scale"
-                    " dim_formula dim_formula_sup local_dimension_bary local_dimension_beta"
-                    " measure_bary measure_beta measure_of_word reprove_dim_limit"
-                    " stolz_cesaro_ratios verify_sup_by_calculus",
-    "numerics": "Comparison Dyadic PolyRoot Scalar isolate_root ln ln_int",
-    "words": "DigitWord DigitStream PeriodicWord read_digit_file write_digit_file",
+              " InfeasibleParameters InsufficientDepth InvalidDigitSet NoRoot NoRuns NotInSupport"
+              " NotSelfAdmissible PrecisionError PrecisionExhausted PrefixConditionFailed"
+              " UndecidedFiniteness",
+    "layout": "BetaLayout ScheduledRuns Segment beta_layout layout_segments schedule",
+    "measures_dim": "DimensionReport MeasureValue local_dimension_bary local_dimension_beta"
+                    " measure_bary measure_beta measure_of_word stolz_cesaro_ratios",
+    "numerics": "Comparison Dyadic PolyRoot Scalar isolate_root", "logarithm": "ln ln_int",
+    "words": "DigitWord PeriodicWord",
 }
 _HOME = {name: layer for layer, names in _LAYERS.items() for name in names.split()}
-# the layer modules count as exported too: ``record`` is the layers' base class
-__all__ = [*_HOME, *_LAYERS, "record"]
+__all__ = [*_HOME, "bary", "beta_shift", "constructions", "errors", "measures_dim", "numerics",
+           "words", "record"]
 
 
 def __getattr__(name):

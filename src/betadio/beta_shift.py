@@ -14,10 +14,11 @@ Admissible words are counted by the recurrence of Rényi (1957) and Parry
 (1960) on that expansion, jumped ahead by Fiduccia's (1985) powering once it
 is periodic.
 
-Digits are certified: greedy iteration carries the orbit of x both as an
-interval and, when x and beta are exact, as an integer polynomial in beta,
-so ties at the discontinuities of the map (orbit hitting an integer exactly)
-are decided by exact algebra instead of ever being guessed.
+So this module is combinatorics.  It needs beta as a number only to find
+the expansion of 1 of a base not given by it, for the Rényi check off an
+integer base, and when a caller reads beta itself (``root``,
+``beta_scalar``); only then does it import ``numerics``, and for the first
+two ``beta_values``, the certified queries.
 """
 
 from __future__ import annotations
@@ -29,36 +30,19 @@ from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
+    DEFAULT_PRECISION,
     DegenerateApproximant,
     HorizonTooDeep,
     NoRoot,
     NotSelfAdmissible,
     PrecisionExhausted,
-    UndecidedFiniteness,
 )
-from .numerics import (
-    DEFAULT_PRECISION,
-    Comparison,
-    PolyRoot,
-    Scalar,
-    _cleared_polynomial,
-    _escalate,
-    _iv_horner,
-    is_exact_root,
-    isolate_root,
-    poly_sub,
-    poly_trim,
-)
-from .record import Record
+from .polynomials import _cleared_polynomial
 from .words import DigitWord, PeriodicWord, compare_words
 
 F = Fraction
 
 DEFAULT_HORIZON = 4096
-
-
-# ---------------------------------------------------------------------------
-# word-level predicates
 
 
 def is_self_admissible(word: Union[Sequence[int], PeriodicWord]) -> bool:
@@ -75,23 +59,6 @@ def is_self_admissible(word: Union[Sequence[int], PeriodicWord]) -> bool:
         if compare_words(w.shift(k), w) > 0:
             return False
     return True
-
-
-def parry_invert(word: Union[Sequence[int], PeriodicWord],
-                 precision: int = DEFAULT_PRECISION) -> PolyRoot:
-    """The unique base beta > 1 whose expansion of 1 matches the word.
-
-    The word must be self-admissible; the base is returned as a certified
-    root of the value equation ``1 = sum w_i z**-i``.
-    """
-    w = word if isinstance(word, PeriodicWord) else PeriodicWord.from_finite(word)
-    w = w.normalized()
-    if not (w.pre or w.per):
-        raise DegenerateApproximant("empty word")
-    if not is_self_admissible(w):
-        raise NotSelfAdmissible(f"{w} has a shift exceeding the word")
-    return isolate_root([F(c) for c in w.pre], periodic_tail=[F(c) for c in w.per],
-                        precision=precision)
 
 
 # ---------------------------------------------------------------------------
@@ -187,17 +154,9 @@ class AdmissibilityAutomaton:
                 return
             word[i:] = [word[i] + 1] + [0] * (n - 1 - i)
 
-    def sample_word(self, n: int, rng) -> tuple:
-        state, out = 0, []
-        for _ in range(n):
-            c = rng.randint(0, self.bound[state])
-            out.append(c)
-            state = self.transitions[state][c]
-        return tuple(out)
-
 
 # ---------------------------------------------------------------------------
-# certified greedy orbits
+# greedy orbits
 
 
 class _Orbit:
@@ -236,44 +195,6 @@ class _Orbit:
         return digits[i]
 
 
-class _AlgebraicOrbit(_Orbit):
-    """Greedy digit generator for exact x = p/q and an algebraic base.
-
-    q times the orbit value after n steps is an integer polynomial in beta,
-    kept reduced modulo the defining polynomial, which is monic with integer
-    coefficients (every base comes from integer digits), so its degree stays
-    bounded.  Digits are certified interval floors divided by q, with exact
-    algebra deciding the case where the orbit hits an integer.
-    """
-
-    def __init__(self, root: PolyRoot, x: Fraction):
-        self.root = root
-        self.q = x.denominator
-        self.poly = [x.numerator]  # q * orbit value, in beta, reduced
-        self._bits = root.refined.prec
-        super().__init__(tuple(self.poly))
-
-    def _step(self) -> tuple[int, Optional[tuple]]:
-        shifted, monic, q = [0] + self.poly, self.root.int_poly, self.q
-        if len(shifted) == len(monic):  # beta * orbit has the degree of the monic poly
-            shifted = [a - shifted[-1] * m for a, m in zip(shifted, monic)]
-        shifted = poly_trim(shifted)
-        for self._bits in _escalate(self._bits, "orbit digit straddles an integer"):
-            val = _iv_horner(shifted, self.root.as_scalar(self._bits), self._bits)
-            fl = val.floor_certified(q)
-            if fl is not None:
-                break
-            lo = val.lo.value
-            candidate = lo.numerator // (lo.denominator * q) + 1
-            if is_exact_root(poly_sub(shifted, [q * candidate]), self.root):
-                # beta * orbit equals the integer exactly: digit = candidate,
-                # the orbit hits 0 and the expansion terminates
-                self.poly = []
-                return candidate, None
-        self.poly = poly_sub(shifted, [q * fl])
-        return fl, tuple(self.poly) or None  # an orbit at 0 terminates
-
-
 class _RationalOrbit(_Orbit):
     """Greedy digits for exact x under a rational non-integer base."""
 
@@ -307,7 +228,8 @@ class BetaSystem:
         self.kind = None
         self.int_base: Optional[int] = None
         self.fraction_base: Optional[Fraction] = None
-        self.root: Optional[PolyRoot] = None
+        self._root: Optional[PolyRoot] = None
+        self._root_word = None  # (pre, per, precision) of a root not yet isolated
         self.alphabet_top: int = 0
         self.d1: Optional[PeriodicWord] = None
         self.d1_star: Optional[PeriodicWord] = None
@@ -363,13 +285,18 @@ class BetaSystem:
         if not w.pre:
             # purely periodic: the quasi-greedy form of a finite expansion
             return cls.from_word(w.per[:-1] + (w.per[-1] + 1,), precision)
-        root = isolate_root(w.pre, periodic_tail=w.per, precision=precision)
-        k, is_int = _integer_part(root)
-        if is_int:
-            return cls.from_int(k)
+        if min(w.pre + w.per) < 0:
+            raise ValueError("expansion coefficients must be nonnegative")
+        # w now has no shift equal to it, so it is d(1) of exactly one base
+        # (Parry 1960), and d(1) of an integer k is the word k: the word
+        # decides whether the base is an integer, without its root
+        if len(w.pre) == 1 and not w.per:
+            if w.pre[0] == 1:
+                raise DegenerateApproximant("coefficient sum 1 <= 1 forces the root to z <= 1")
+            return cls.from_int(w.pre[0])
         sys = cls()
         sys.kind = "algebraic"
-        sys.root = root
+        sys._root_word = (w.pre, w.per, precision)
         sys.alphabet_top = w.pre[0]
         sys._adopt(w)
         tail = ",(" + ",".join(map(str, w.per)) + ")" if w.per else ""
@@ -390,6 +317,8 @@ class BetaSystem:
             sys = cls.from_word(coeffs, precision)
             sys.spec_string = "root:" + ",".join(map(str, coeffs))
             return sys
+        from .beta_values import _AlgebraicOrbit
+        from .numerics import _integer_part, isolate_root
         root = isolate_root([F(c) for c in coeffs], precision=precision)
         k, is_int = _integer_part(root)
         if is_int:
@@ -398,7 +327,7 @@ class BetaSystem:
         # certified greedy orbit for d(1)
         sys = cls()
         sys.kind = "algebraic"
-        sys.root = root
+        sys._root = root
         sys.horizon = horizon
         sys.alphabet_top = k
         sys._orbit = _AlgebraicOrbit(root, F(1))
@@ -456,7 +385,26 @@ class BetaSystem:
 
     # -- basic queries -------------------------------------------------------
 
+    @property
+    def root(self) -> Optional[PolyRoot]:
+        """The certified root of an algebraic base; one given by its
+        expansion of 1 is isolated on the first read."""
+        if self._root is None and self._root_word is not None:
+            with self._lock:
+                if self._root is None:
+                    from .numerics import _integer_part, isolate_root
+                    pre, per, precision = self._root_word
+                    root = isolate_root(pre, periodic_tail=per, precision=precision)
+                    # the word already says beta is no integer; certifying
+                    # it too makes the refinements the printed intervals
+                    # depend on, and raises PrecisionExhausted when beta is
+                    # within 2**-_MAX_BITS of an integer
+                    _integer_part(root)
+                    self._root = root
+        return self._root
+
     def beta_scalar(self, bits: int = DEFAULT_PRECISION) -> Scalar:
+        from .numerics import Scalar
         if self.kind == "int":
             return Scalar.from_int(self.int_base, bits)
         if self.kind == "rational":
@@ -498,62 +446,8 @@ class BetaSystem:
         return f"BetaSystem({self.spec_string or self.kind})"
 
 
-def _integer_part(root: PolyRoot) -> tuple[int, bool]:
-    """Certified integer part k of an isolated root, and whether the root is
-    k (the cleared polynomial is monic, so any rational root is an integer).
-
-    A bracket at most 2**-64 wide holds at most one integer, and a later
-    bracket can hold only that one, so the error names the first bracket's."""
-    bits = max(root.refined.prec, 64)
-    hi = root.as_scalar(bits).hi.value
-    k = hi.numerator // hi.denominator
-    for bits in _escalate(bits, f"cannot tell beta from the integer {k}"):
-        s = root.as_scalar(bits)
-        hi = s.hi.value
-        k = hi.numerator // hi.denominator
-        if s.lo.value > k:
-            return k, False
-        if root.exact_equals(F(k)):
-            return k, True
-
-
 # ---------------------------------------------------------------------------
 # spec operations
-
-
-def greedy_expand(system: BetaSystem, x, n: int) -> DigitWord:
-    """First n certified digits of the greedy expansion of x in the base.
-
-    x may be a Fraction (exact, enables tie resolution by exact algebra) or a
-    Scalar interval.  For an integer base and x = 1 the conventional digits
-    ``(b-1)^oo`` are returned, matching the infinite expansion of 1.
-    """
-    top = system.alphabet_top
-    if isinstance(x, int):
-        x = F(x)
-    if isinstance(x, F):
-        if not 0 <= x <= 1:
-            raise ValueError("x must lie in [0, 1]")
-        if system.kind == "int" and x == 1:
-            return DigitWord(top + 1, [top] * n)
-        if system.kind == "algebraic":
-            orbit = _AlgebraicOrbit(system.root, x)
-        else:
-            orbit = _RationalOrbit(F(system.int_base or system.fraction_base), x)
-        return DigitWord(top + 1, [orbit.digit(i) for i in range(n)])
-    # interval input: no exact tie-breaking available
-    digits = []
-    val = x
-    beta = system.beta_scalar(max(x.prec, DEFAULT_PRECISION))
-    for _ in range(n):
-        y = beta * val
-        fl = y.floor_certified()
-        if fl is None:
-            raise PrecisionExhausted(
-                "orbit straddles a discontinuity; supply x exactly or refine it")
-        digits.append(fl)
-        val = y - Scalar.from_int(fl, y.prec)
-    return DigitWord(top + 1, digits)
 
 
 def expansion_of_one_star(system: BetaSystem, n: int) -> DigitWord:
@@ -631,113 +525,13 @@ def count_admissible(system: BetaSystem, n: int) -> int:
 def renyi_bounds_check(system: BetaSystem, n: int, bits: int = DEFAULT_PRECISION) -> dict:
     """Certified check of ``beta^n <= count <= beta^(n+1)/(beta-1)``."""
     count = count_admissible(system, n)
-    if system.kind == "int":
-        # exact integer arithmetic: beta^n == count, which intervals never
-        # resolve, is a legitimate equality case
-        b = system.int_base
-        return {"n": n, "count": count,
-                "lower_ok": b ** n <= count,
-                "upper_ok": F(b ** (n + 1), b - 1) >= count,
-                "bits": bits}
-    for bits in _escalate(bits, "Renyi bound check did not resolve"):
-        beta = system.beta_scalar(bits)
-        lower = beta.pow_int(n)
-        upper = beta.pow_int(n + 1) / (beta - Scalar.from_int(1, bits))
-        lower_ok = lower.compare(F(count))
-        upper_ok = upper.compare(F(count))
-        if lower_ok is not Comparison.UNRESOLVED and upper_ok is not Comparison.UNRESOLVED:
-            return {"n": n, "count": count,
-                    "lower_ok": lower_ok is Comparison.LESS,
-                    "upper_ok": upper_ok is Comparison.GREATER,
-                    "bits": bits}
-
-
-# ---------------------------------------------------------------------------
-# cylinders
-
-
-class CylinderInterval(Record):
-    __slots__ = ("word", "left", "right", "length", "full")
-
-    def __init__(self, word: DigitWord, left: Scalar, right: Scalar, length: Scalar,
-                 full: Optional[bool]):
-        self.word = word
-        self.left = left
-        self.right = right
-        self.length = length
-        self.full = full  # None when no finite automaton decides fullness
-
-
-def _tail_supremum(system: BetaSystem, state: int, bits: int) -> Scalar:
-    """Value of the largest admissible continuation from the given state.
-
-    That continuation is the shifted bound word itself; its value is 1
-    exactly on full states.
-    """
-    beta = system.beta_scalar(bits)
-    D = system.automaton.bound_word.shift(state).normalized()
-    return _periodic_value(D, beta, bits)
-
-
-def _periodic_value(w: PeriodicWord, beta: Scalar, bits: int) -> Scalar:
-    inv = beta.reciprocal()
-    # (acc + c) * inv from the last digit is Horner in inv over (0, w_1, ...)
-    acc = _iv_horner((0, *w.pre), inv, bits)
-    if w.per:
-        per = _iv_horner((0, *w.per), inv, bits)
-        q = len(w.per)
-        tail = per / (Scalar.from_int(1, bits) - inv.pow_int(q))
-        acc = acc + inv.pow_int(len(w.pre)) * tail
-    return acc
-
-
-def word_value(system: BetaSystem, word: Sequence[int], bits: int = DEFAULT_PRECISION) -> Scalar:
-    """Certified value of ``sum w_i beta**-i``."""
-    return _iv_horner((0, *word), system.beta_scalar(bits).reciprocal(), bits)
-
-
-def cylinder(system: BetaSystem, word: Sequence[int],
-             bits: int = DEFAULT_PRECISION) -> CylinderInterval:
-    """The basic interval of points whose expansion starts with the word."""
-    digits = list(word)
-    if system.automaton is not None:
-        state = system.automaton.walk(digits)
-        if state is None:
-            raise ValueError("word is not admissible")
-    else:
-        if not is_admissible(system, digits):
-            raise ValueError("word is not admissible")
-        state = None
-    left = word_value(system, digits, bits)
-    beta = system.beta_scalar(bits)
-    scale = beta.pow_int(-len(digits))
-    if state is not None:
-        tail = _tail_supremum(system, state, bits)
-        full = state in system.automaton.full_states
-    else:
-        # bound the tail by digits known to the horizon plus a geometric rest
-        top = system.alphabet_top
-        H = min(system.horizon, 512)
-        partial = word_value(system, [system.d1_star_digit(i) for i in range(H)], bits)
-        rest = beta.pow_int(-H).scale_int(top) / (beta - Scalar.from_int(1, bits))
-        tail = Scalar(partial.lo, (partial + rest).hi, bits)
-        full = None
-    length = scale * tail
-    right = left + length
-    return CylinderInterval(word=DigitWord(system.alphabet_top + 1, digits),
-                            left=left, right=right, length=length, full=full)
-
-
-def is_full(system: BetaSystem, word: Sequence[int]) -> bool:
-    """Whether the word's cylinder has the maximal length ``beta**-n``.
-
-    Equivalent (follower-set argument) to: every admissible word concatenates
-    admissibly after it, i.e. the automaton returns to the initial follower
-    set.
-    """
-    if system.automaton is None:
-        raise UndecidedFiniteness("fullness needs a finite-type base")
-    state = system.automaton.walk(list(word))
-    if state is None:
-        raise ValueError("word is not admissible")
-    return state in system.automaton.full_states
+    if system.kind != "int":
+        from .beta_values import _renyi_interval_check
+        return _renyi_interval_check(system, n, count, bits)
+    # exact integer arithmetic: beta^n == count, which intervals never
+    # resolve, is a legitimate equality case
+    b = system.int_base
+    return {"n": n, "count": count,
+            "lower_ok": b ** n <= count,
+            "upper_ok": F(b ** (n + 1), b - 1) >= count,
+            "bits": bits}

@@ -1,0 +1,229 @@
+"""The certified queries that need a real base as a number: the base of a
+word (``parry_invert``), greedy digits of a point, the Rényi bounds against
+powers of beta, cylinder endpoints and lengths.
+
+``beta_shift`` holds the base's words, which its expansion of 1 alone
+decides; it imports this module only for the certified orbit of 1 of a base
+not given by that expansion, and for the interval Rényi check.
+
+Digits are certified: greedy iteration carries the orbit of x both as an
+interval and, when x and beta are exact, as an integer polynomial in beta,
+so ties at the discontinuities of the map (orbit hitting an integer exactly)
+are decided by exact algebra instead of ever being guessed.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Optional, Sequence, Union
+
+from .beta_shift import BetaSystem, _Orbit, _RationalOrbit, is_admissible, is_self_admissible
+from .errors import (DEFAULT_PRECISION, DegenerateApproximant, NotSelfAdmissible,
+                     PrecisionExhausted, UndecidedFiniteness)
+from .numerics import (Comparison, PolyRoot, Scalar, _escalate, _iv_horner, is_exact_root,
+                       isolate_root)
+from .polynomials import poly_sub, poly_trim
+from .record import Record
+from .words import DigitWord, PeriodicWord
+
+F = Fraction
+
+
+def parry_invert(word: Union[Sequence[int], PeriodicWord],
+                 precision: int = DEFAULT_PRECISION) -> PolyRoot:
+    """The unique base beta > 1 whose expansion of 1 matches the word.
+
+    The word must be self-admissible; the base is returned as a certified
+    root of the value equation ``1 = sum w_i z**-i``.
+    """
+    w = word if isinstance(word, PeriodicWord) else PeriodicWord.from_finite(word)
+    w = w.normalized()
+    if not (w.pre or w.per):
+        raise DegenerateApproximant("empty word")
+    if not is_self_admissible(w):
+        raise NotSelfAdmissible(f"{w} has a shift exceeding the word")
+    return isolate_root([F(c) for c in w.pre], periodic_tail=[F(c) for c in w.per],
+                        precision=precision)
+
+
+# ---------------------------------------------------------------------------
+# certified greedy orbits
+
+
+class _AlgebraicOrbit(_Orbit):
+    """Greedy digit generator for exact x = p/q and an algebraic base.
+
+    q times the orbit value after n steps is an integer polynomial in beta,
+    kept reduced modulo the defining polynomial, which is monic with integer
+    coefficients (every base comes from integer digits), so its degree stays
+    bounded.  Digits are certified interval floors divided by q, with exact
+    algebra deciding the case where the orbit hits an integer.
+    """
+
+    def __init__(self, root: PolyRoot, x: Fraction):
+        self.root = root
+        self.q = x.denominator
+        self.poly = [x.numerator]  # q * orbit value, in beta, reduced
+        self._bits = root.refined.prec
+        super().__init__(tuple(self.poly))
+
+    def _step(self) -> tuple[int, Optional[tuple]]:
+        shifted, monic, q = [0] + self.poly, self.root.int_poly, self.q
+        if len(shifted) == len(monic):  # beta * orbit has the degree of the monic poly
+            shifted = [a - shifted[-1] * m for a, m in zip(shifted, monic)]
+        shifted = poly_trim(shifted)
+        for self._bits in _escalate(self._bits, "orbit digit straddles an integer"):
+            val = _iv_horner(shifted, self.root.as_scalar(self._bits), self._bits)
+            fl = val.floor_certified(q)
+            if fl is not None:
+                break
+            lo = val.lo.value
+            candidate = lo.numerator // (lo.denominator * q) + 1
+            if is_exact_root(poly_sub(shifted, [q * candidate]), self.root):
+                # beta * orbit equals the integer exactly: digit = candidate,
+                # the orbit hits 0 and the expansion terminates
+                self.poly = []
+                return candidate, None
+        self.poly = poly_sub(shifted, [q * fl])
+        return fl, tuple(self.poly) or None  # an orbit at 0 terminates
+
+
+def greedy_expand(system: BetaSystem, x, n: int) -> DigitWord:
+    """First n certified digits of the greedy expansion of x in the base.
+
+    x may be a Fraction (exact, enables tie resolution by exact algebra) or a
+    Scalar interval.  For an integer base and x = 1 the conventional digits
+    ``(b-1)^oo`` are returned, matching the infinite expansion of 1.
+    """
+    top = system.alphabet_top
+    if isinstance(x, int):
+        x = F(x)
+    if isinstance(x, F):
+        if not 0 <= x <= 1:
+            raise ValueError("x must lie in [0, 1]")
+        if system.kind == "int" and x == 1:
+            return DigitWord(top + 1, [top] * n)
+        if system.kind == "algebraic":
+            orbit = _AlgebraicOrbit(system.root, x)
+        else:
+            orbit = _RationalOrbit(F(system.int_base or system.fraction_base), x)
+        return DigitWord(top + 1, [orbit.digit(i) for i in range(n)])
+    # interval input: no exact tie-breaking available
+    digits = []
+    val = x
+    beta = system.beta_scalar(max(x.prec, DEFAULT_PRECISION))
+    for _ in range(n):
+        y = beta * val
+        fl = y.floor_certified()
+        if fl is None:
+            raise PrecisionExhausted(
+                "orbit straddles a discontinuity; supply x exactly or refine it")
+        digits.append(fl)
+        val = y - Scalar.from_int(fl, y.prec)
+    return DigitWord(top + 1, digits)
+
+
+def _renyi_interval_check(system: BetaSystem, n: int, count: int, bits: int) -> dict:
+    """``renyi_bounds_check`` off an integer base: beta as an interval."""
+    for bits in _escalate(bits, "Renyi bound check did not resolve"):
+        beta = system.beta_scalar(bits)
+        lower = beta.pow_int(n)
+        upper = beta.pow_int(n + 1) / (beta - Scalar.from_int(1, bits))
+        lower_ok = lower.compare(F(count))
+        upper_ok = upper.compare(F(count))
+        if lower_ok is not Comparison.UNRESOLVED and upper_ok is not Comparison.UNRESOLVED:
+            return {"n": n, "count": count,
+                    "lower_ok": lower_ok is Comparison.LESS,
+                    "upper_ok": upper_ok is Comparison.GREATER,
+                    "bits": bits}
+
+
+# ---------------------------------------------------------------------------
+# cylinders
+
+
+class CylinderInterval(Record):
+    __slots__ = ("word", "left", "right", "length", "full")
+
+    def __init__(self, word: DigitWord, left: Scalar, right: Scalar, length: Scalar,
+                 full: Optional[bool]):
+        self.word = word
+        self.left = left
+        self.right = right
+        self.length = length
+        self.full = full  # None when no finite automaton decides fullness
+
+
+def _tail_supremum(system: BetaSystem, state: int, bits: int) -> Scalar:
+    """Value of the largest admissible continuation from the given state.
+
+    That continuation is the shifted bound word itself; its value is 1
+    exactly on full states.
+    """
+    beta = system.beta_scalar(bits)
+    D = system.automaton.bound_word.shift(state).normalized()
+    return _periodic_value(D, beta, bits)
+
+
+def _periodic_value(w: PeriodicWord, beta: Scalar, bits: int) -> Scalar:
+    inv = beta.reciprocal()
+    # (acc + c) * inv from the last digit is Horner in inv over (0, w_1, ...)
+    acc = _iv_horner((0, *w.pre), inv, bits)
+    if w.per:
+        per = _iv_horner((0, *w.per), inv, bits)
+        q = len(w.per)
+        tail = per / (Scalar.from_int(1, bits) - inv.pow_int(q))
+        acc = acc + inv.pow_int(len(w.pre)) * tail
+    return acc
+
+
+def word_value(system: BetaSystem, word: Sequence[int], bits: int = DEFAULT_PRECISION) -> Scalar:
+    """Certified value of ``sum w_i beta**-i``."""
+    return _iv_horner((0, *word), system.beta_scalar(bits).reciprocal(), bits)
+
+
+def cylinder(system: BetaSystem, word: Sequence[int],
+             bits: int = DEFAULT_PRECISION) -> CylinderInterval:
+    """The basic interval of points whose expansion starts with the word."""
+    digits = list(word)
+    if system.automaton is not None:
+        state = system.automaton.walk(digits)
+        if state is None:
+            raise ValueError("word is not admissible")
+    else:
+        if not is_admissible(system, digits):
+            raise ValueError("word is not admissible")
+        state = None
+    left = word_value(system, digits, bits)
+    beta = system.beta_scalar(bits)
+    scale = beta.pow_int(-len(digits))
+    if state is not None:
+        tail = _tail_supremum(system, state, bits)
+        full = state in system.automaton.full_states
+    else:
+        # bound the tail by digits known to the horizon plus a geometric rest
+        top = system.alphabet_top
+        H = min(system.horizon, 512)
+        partial = word_value(system, [system.d1_star_digit(i) for i in range(H)], bits)
+        rest = beta.pow_int(-H).scale_int(top) / (beta - Scalar.from_int(1, bits))
+        tail = Scalar(partial.lo, (partial + rest).hi, bits)
+        full = None
+    length = scale * tail
+    right = left + length
+    return CylinderInterval(word=DigitWord(system.alphabet_top + 1, digits),
+                            left=left, right=right, length=length, full=full)
+
+
+def is_full(system: BetaSystem, word: Sequence[int]) -> bool:
+    """Whether the word's cylinder has the maximal length ``beta**-n``.
+
+    Equivalent (follower-set argument) to: every admissible word concatenates
+    admissibly after it, i.e. the automaton returns to the initial follower
+    set.
+    """
+    if system.automaton is None:
+        raise UndecidedFiniteness("fullness needs a finite-type base")
+    state = system.automaton.walk(list(word))
+    if state is None:
+        raise ValueError("word is not admissible")
+    return state in system.automaton.full_states

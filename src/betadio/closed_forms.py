@@ -7,7 +7,7 @@ theta*vhat (feasible when ``theta >= 1/(1 - vhat)``):
 
 maximized over theta at ``2/(1 - vhat)`` with maximum ``((1-vhat)/(1+vhat))**2``,
 scaled by ``log #S / log b`` on a restricted digit set.  They need nothing
-but ``Fraction``; only that scale imports ``numerics``, when it runs.
+but ``Fraction``; only that scale imports ``logarithm``, when it runs.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ def verify_sup_by_calculus(v_hat: Fraction) -> bool:
 
 def digit_set_scale(ds: DigitSet, bits: int = DEFAULT_PRECISION) -> Scalar:
     """Certified ``log #S / log b`` factor for restricted digit sets."""
-    from .numerics import ln_int
+    from .logarithm import ln_int
     return ln_int(ds.size, bits) / ln_int(ds.base, bits)
 
 

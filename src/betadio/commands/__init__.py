@@ -78,7 +78,7 @@ def _emit(args, payload: dict, config: dict, plain=None):
 
 
 def _emit_digits(args, word: DigitWord, sidecar: dict, config: dict):
-    from ..words import write_digit_file
+    from ..digit_files import write_digit_file
     config.setdefault("precision_bits", default_precision())
     if getattr(args, "output", None):
         with open(args.output, "w") as fh:

@@ -24,10 +24,10 @@ def cmd_expand(args):
     else:
         if not args.beta:
             raise UsageError("need --base or --beta")
-        from ..beta_shift import BetaSystem, greedy_expand
-        cfg["beta"] = args.beta
+        from ..beta_shift import BetaSystem
+        from ..beta_values import greedy_expand
         x = _fraction(args.x)
-        cfg["x"] = str(x)
+        cfg.update(beta=args.beta, x=str(x))
         system = BetaSystem.parse(args.beta, default_precision())
         word = greedy_expand(system, x, args.digits)
     _emit_digits(args, word, {}, cfg)
@@ -36,7 +36,7 @@ def cmd_expand(args):
 
 def cmd_exponents(args):
     from ..bary import check_relations, exponents_of_word
-    from ..words import read_digit_file
+    from ..digit_files import read_digit_file
     with open(args.input) as fh:
         word = read_digit_file(fh)
     kinds = ("zeros",) if args.zeros_only else ("zeros", "top")

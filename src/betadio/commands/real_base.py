@@ -1,5 +1,7 @@
 """``expand-one``, ``admissible``, ``cylinder`` and ``parry``: the commands
-on a real base alone, which load ``beta_shift``, ``numerics`` and ``words``."""
+on a real base alone.  Words of a base and their counts load ``beta_shift``
+and ``words``; ``cylinder``, ``parry invert`` and the Rényi check off an
+integer base add ``beta_values`` and ``numerics``."""
 
 from ..errors import DomainError, UsageError
 from . import _emit, _emit_digits, _need, _not_negative, _scalar_dict, _word, default_precision
@@ -50,7 +52,8 @@ def cmd_admissible(args):
 
 
 def cmd_cylinder(args):
-    from ..beta_shift import BetaSystem, cylinder
+    from ..beta_shift import BetaSystem
+    from ..beta_values import cylinder
     system = BetaSystem.parse(args.beta, default_precision())
     word = _word(args.word)
     c = cylinder(system, word, bits=default_precision())
@@ -62,7 +65,7 @@ def cmd_cylinder(args):
 
 
 def cmd_parry(args):
-    from ..beta_shift import is_self_admissible, parry_invert
+    from ..beta_shift import is_self_admissible
     from ..words import PeriodicWord
     if "(" in args.word:
         try:
@@ -80,6 +83,7 @@ def cmd_parry(args):
     else:
         if args.bits < 1:
             raise UsageError(f"parry invert needs --bits >= 1, got {args.bits}")
+        from ..beta_values import parry_invert
         root = parry_invert(word, precision=args.bits)
         s = root.as_scalar(args.bits)
         _emit(args, {"word": word_desc, "beta": _scalar_dict(s)}, cfg,

@@ -24,9 +24,8 @@ from typing import Optional, Sequence
 
 from .bary import DigitSet, _next_run
 from .errors import InfeasibleParameters, NotSelfAdmissible, PrefixConditionFailed
-# the layout's names are re-exported here, where they were first defined
-from .layout import (FREE, MARKER, RUN, BetaLayout, ScheduledRuns, Segment,  # noqa: F401
-                     _check_feasible, beta_layout, layout_segments, schedule)
+from .layout import (FREE, BetaLayout, ScheduledRuns, Segment, _check_feasible, beta_layout,
+                     layout_segments, schedule)
 from .record import Record
 from .words import DigitWord
 
@@ -334,7 +333,8 @@ def generate_parameter_space(beta0: BetaSystem, beta1: BetaSystem, beta2: BetaSy
     given bases, both symbolically (lexicographic order of expansions) and
     numerically (interval refinement).
     """
-    from .beta_shift import expansion_of_one_star, is_self_admissible, parry_invert
+    from .beta_shift import expansion_of_one_star, is_self_admissible
+    from .beta_values import parry_invert
     from .numerics import Comparison, _escalate
     if N < 1:
         raise ValueError("N must be >= 1")

@@ -7,11 +7,11 @@ carry an exact product of reciprocals of admissible-word counts, one factor
 per free block consumed.  Local dimensions along the checkpoint depths are
 therefore exact rationals in the integer-base case and certified intervals
 (the counts and ``log beta`` both enter through certified logs) in the
-beta case.  The trajectories approach the closed forms (``closed_forms``,
-re-exported here).
+beta case.  The trajectories approach the closed forms (``closed_forms``).
 
 The measures read a construction's layout (``layout``), not its generator;
-the other layers are imported by the functions that call them.
+the other layers, the closed forms among them, are imported by the
+functions that call them.
 """
 
 from __future__ import annotations
@@ -19,9 +19,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .closed_forms import (critical_exponent_s0, digit_set_scale, dim_formula,  # noqa: F401
-                           dim_formula_sup, reprove_dim_limit, series_slope_probe,
-                           verify_sup_by_calculus)
 from .errors import DEFAULT_PRECISION, DepthExceeded, NotInSupport
 from .layout import FREE, beta_layout, layout_segments, schedule
 from .record import Record
@@ -51,21 +48,14 @@ class MeasureValue(Record):
         self.factors = [] if factors is None else factors
 
     def log_mu(self, bits: int = DEFAULT_PRECISION) -> Scalar:
-        from .numerics import Scalar, ln_int
+        from .logarithm import ln_int
+        from .numerics import Scalar
         if self.exponent is not None:
             return -(ln_int(self.base, bits).scale_int(self.exponent))
         acc = Scalar.from_int(0, bits)
         for _length, count, mult in self.factors:
             acc = acc + ln_int(count, bits).scale_int(mult)
         return -acc
-
-    def mu_fraction(self) -> Fraction:
-        if self.exponent is not None:
-            return F(1, self.base ** self.exponent)
-        out = F(1)
-        for _length, count, mult in self.factors:
-            out /= F(count) ** mult
-        return out
 
 
 def _free_count(segs: list[Segment], n: int) -> int:
@@ -202,6 +192,7 @@ def local_dimension_bary(theta: Fraction, v_hat: Fraction, base: Union[int, Digi
     With a digit set the ratios are scaled by the certified
     ``log #S / log b`` interval.
     """
+    from .closed_forms import digit_set_scale, dim_formula
     ds = None
     if not isinstance(base, int):  # an int base loads no digit-set layer
         from .bary import DigitSet
@@ -247,7 +238,8 @@ def local_dimension_beta(base: BetaSystem, N: int, theta: Fraction, v_hat: Fract
     denominator is ``h_k log beta``; numerator and denominator are certified
     intervals since ``log`` of the counts and of beta are irrational.
     """
-    from .numerics import ln
+    from .closed_forms import dim_formula
+    from .logarithm import ln
     runs = schedule(theta, v_hat, stages)
     layout = beta_layout(runs, N)
     sub = base.approximant(N)

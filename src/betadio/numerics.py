@@ -6,7 +6,7 @@ them outward with ``_round``, so the interval always contains the exact real
 result.  ``Dyadic`` is the normal form an endpoint is read, printed, hashed
 and compared as; the endpoints are those the same steps in Dyadic arithmetic
 give, bit for bit, and the tests keep that version as the reference.  The
-logarithm sums its series on the same raw pairs.
+logarithm (``logarithm``) sums its series on the same raw pairs.
 
 Irrational expansion bases are represented as isolated roots of
 ``1 = sum c_i z**-i`` (finite sum, or with an eventually periodic tail).
@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 import math
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import DEFAULT_PRECISION, DegenerateApproximant, NoRoot, PrecisionExhausted
+from .polynomials import _cleared_polynomial, _defect, poly_eval, poly_gcd, poly_trim
 from .record import Record
 
 # the working precision past which every certificate gives up
@@ -210,11 +210,6 @@ class Scalar:
         return _scalar((*_fraction_pair(x, prec, False), *_fraction_pair(x, prec, True)), prec,
                        lambda bits: Scalar.from_fraction(x, bits))
 
-    @staticmethod
-    def hull(lo: Fraction, hi: Fraction, prec: int = DEFAULT_PRECISION) -> "Scalar":
-        return _scalar((*_fraction_pair(Fraction(lo), prec, False),
-                        *_fraction_pair(Fraction(hi), prec, True)), prec)
-
     # -- inspection
 
     @property
@@ -351,176 +346,7 @@ def _iv_horner(coeffs: Sequence[Fraction], x: Scalar, bits: int) -> Scalar:
 
 
 # ---------------------------------------------------------------------------
-# certified logarithm
-#
-# ln is the one transcendental the dimension reports need (log-measure over
-# log-length ratios).  Argument reduction x = m * 2**s with m in [1, 2),
-# then ln m = 2 atanh((m-1)/(m+1)) summed with directed rounding and an
-# explicit geometric tail bound; ln 2 = 2 atanh(1/3) the same way.
-#
-# The sums run on raw ``(man, exp)`` pairs with the rounding kernels above,
-# so they make the same values as Dyadic arithmetic without building a
-# Fraction or Dyadic per term.  A term p/k is not reduced first: it may then
-# carry a bit more or less, but any grid of at least work + 1 bits is finer
-# than the accumulator's work-bit grid, and directed rounding onto a finer
-# grid and then onto the coarser one equals rounding onto the coarser one.
-
-
-@functools.lru_cache(maxsize=512)
-def _atanh_bound(p: int, q: int, bits: int, up: bool) -> tuple[int, int]:
-    """Directed bound ``(man, exp)`` for atanh(p/q).
-
-    0 <= p/q <= 1/2, with q > 0 and the odd parts of p and q coprime.  The
-    lower bound sums the series from z rounded down, the upper one from z
-    rounded up plus the tail, so each direction is summed on its own.  The
-    loop is ``_ratio``, ``_add`` and ``_round`` written out for positive
-    values; memoized, since trajectories revisit the same endpoints.
-    """
-    if p == 0:
-        return 0, 0
-    work = bits + 16
-    zm, ze = _ratio(p, q, 0, work, up)
-    z2m, z2e = _round(zm * zm, 2 * ze, work, up)
-    # enough terms that z**(2J+1) < 2**-(bits+8); z <= 1/2 so each term
-    # gains at least 2 bits
-    J = bits // 2 + 8
-    am = ae = 0
-    for k in range(1, 2 * J, 2):
-        sh = work + 1 + k.bit_length() - zm.bit_length()  # z**k / k to work + 1 bits
-        t, te = (-((-zm << sh) // k) if up else (zm << sh) // k), ze - sh
-        if not up and am and ae > te and not t >> (ae - te):
-            return am, ae  # rounded down, terms below the sum's last place add nothing
-        m, e = ((am << (ae - te)) + t, te) if ae > te else (am + (t << (te - ae)), ae)
-        s = m.bit_length() - work
-        am, ae = ((-((-m) >> s) if up else m >> s), e + s) if s > 0 else (m, e)
-        zm, ze = _round(zm * z2m, ze + z2e, work, up)
-    if up:
-        # tail: sum_{j>=J} z^(2j+1)/(2j+1) <= z^(2J+1) / ((2J+1)(1-z^2)), taken
-        # with z^2 <= 9/16: the bound is p_up * 16 / (7 (2J+1))
-        am, ae = _round(*_add(am, ae, *_ratio(zm, 7 * (2 * J + 1), ze + 4, work, True)), work, True)
-    return am, ae
-
-
-@functools.lru_cache(maxsize=1024)
-def _ln_directed(man: int, exp: int, bits: int, up: bool) -> tuple[int, int]:
-    """Directed bound for ln(man * 2**exp), ``man * 2**exp`` in normal form;
-    memoized, since trajectories revisit the same endpoints."""
-    if man <= 0:
-        raise ValueError("log of non-positive endpoint")
-    work = bits + 16
-    man, exp = _round(man, exp, work, up)
-    L = man.bit_length()
-    s = exp + L - 1  # the value is m * 2**s with m in [1, 2)
-    h = 1 << (L - 1)
-    # z = (m-1)/(m+1) = (man-h)/(man+h): a common odd factor would divide 2h
-    mm, me = _atanh_bound(man - h, man + h, bits, up)
-    # ln m = 2 atanh(z), and ln 2 = 2 atanh(1/3) by the bound that moves s * ln 2
-    # the way of ``up``; doubling a bound of work bits is exact: exponent + 1
-    m2, e2 = _atanh_bound(1, 3, bits, up == (s >= 0))
-    return _round(*_add(mm, me + 1, s * m2, e2 + 1), work, up)
-
-
-def ln(x: Scalar, bits: Optional[int] = None) -> Scalar:
-    """Certified natural log of a positive interval."""
-    b = bits or x.prec
-    lm, le, hm, he = x.iv
-    if lm <= 0:
-        raise ValueError("ln requires a strictly positive interval")
-    return _scalar((*_ln_directed(*_norm(lm, le), b, False),
-                    *_ln_directed(*_norm(hm, he), b, True)), b)
-
-
-def ln_int(n: int, bits: int = DEFAULT_PRECISION) -> Scalar:
-    """Certified ln of a (possibly huge) positive integer."""
-    if n <= 0:
-        raise ValueError("ln_int requires n >= 1")
-    n, e = _norm(n, 0)
-    return _scalar((*_ln_directed(n, e, bits, False), *_ln_directed(n, e, bits, True)), bits)
-
-
-# ---------------------------------------------------------------------------
-# polynomials over Q (ascending coefficient lists)
-
-
-def poly_trim(c: list[Fraction]) -> list[Fraction]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def poly_eval(c: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for coef in reversed(c):
-        acc = acc * x + coef
-    return acc
-
-
-def poly_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    return poly_trim([x - y for x, y in itertools.zip_longest(a, b, fillvalue=0)])
-
-
-def poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, u in enumerate(a):
-        if u:
-            for j, v in enumerate(b):
-                out[i + j] += u * v
-    return poly_trim(out)
-
-
-def poly_divmod(a: Sequence[Fraction], b: Sequence[Fraction]):
-    b = poly_trim(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(a)
-    q = [Fraction(0)] * max(0, len(r) - len(b) + 1)
-    while len(poly_trim(r)) >= len(b):
-        r = poly_trim(r)
-        k = len(r) - len(b)
-        f = r[-1] / b[-1]
-        q[k] = f
-        for i, v in enumerate(b):
-            r[i + k] -= f * v
-    return poly_trim(q), poly_trim(r)
-
-
-def poly_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    a, b = poly_trim(list(a)), poly_trim(list(b))
-    while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [v / lead for v in a]
-    return a
-
-
-# ---------------------------------------------------------------------------
 # root isolation for expansion equations
-
-
-def _defect(pre: Sequence[Fraction], per: Sequence[Fraction], z: Fraction) -> Fraction:
-    """1 - sum_i pre_i z^-i - z^-|pre| (sum_j per_j z^-j) / (1 - z^-|per|), z > 1."""
-    zi = 1 / z
-    value = poly_eval((0, *pre), zi)
-    if per:
-        value += zi ** len(pre) * poly_eval((0, *per), zi) / (1 - zi ** len(per))
-    return 1 - value
-
-
-def _cleared_polynomial(pre: Sequence[Fraction], per: Sequence[Fraction]) -> list[Fraction]:
-    """Integer-scalable polynomial whose roots include the expansion base.
-
-    Finite case: z^p - sum c_i z^(p-i).  Periodic tail of length q:
-    (z^p - sum pre_i z^(p-i)) (z^q - 1) - sum per_j z^(q-j), both ascending.
-    """
-    head = [-c for c in reversed(pre)] + [Fraction(1)]
-    if not per:
-        return head
-    zq1 = [Fraction(-1)] + [Fraction(0)] * (len(per) - 1) + [Fraction(1)]
-    return poly_sub(poly_mul(head, zq1), list(reversed(per)))
 
 
 class PolyRoot:
@@ -714,6 +540,25 @@ def isolate_root(coefficients: Sequence[Fraction], search: tuple[Fraction, Fract
             raise NoRoot("value function is already below 1 at the left end")
         lo, hi = max(lo, slo), min(hi, shi)
     return PolyRoot(pre, per, lo, hi, precision)
+
+
+def _integer_part(root: PolyRoot) -> tuple[int, bool]:
+    """Certified integer part k of an isolated root, and whether the root is
+    k (the cleared polynomial is monic, so any rational root is an integer).
+
+    A bracket at most 2**-64 wide holds at most one integer, and a later
+    bracket can hold only that one, so the error names the first bracket's."""
+    bits = max(root.refined.prec, 64)
+    hi = root.as_scalar(bits).hi.value
+    k = hi.numerator // hi.denominator
+    for bits in _escalate(bits, f"cannot tell beta from the integer {k}"):
+        s = root.as_scalar(bits)
+        hi = s.hi.value
+        k = hi.numerator // hi.denominator
+        if s.lo.value > k:
+            return k, False
+        if root.exact_equals(Fraction(k)):
+            return k, True
 
 
 def is_exact_root(poly: Sequence[Fraction], root: PolyRoot) -> bool:

@@ -1,4 +1,4 @@
-"""Finite digit words, eventually periodic words, and lazy digit streams.
+"""Finite digit words and eventually periodic words.
 
 Finite words over bases up to 256 are packed into ``bytes`` so that
 multi-megabyte words stay cheap to store and scan; larger alphabets fall
@@ -9,6 +9,7 @@ follow the 1-based convention of the expansion literature say so explicitly.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterable, Iterator, Sequence
 
 
@@ -152,98 +153,9 @@ def compare_words(s: PeriodicWord, t: PeriodicWord) -> int:
     A finite scan up to the combined preperiod plus one period lcm decides
     equality, so the comparison always terminates.
     """
-    import math as _math
-    qs = len(s.per) if s.per else 1
-    qt = len(t.per) if t.per else 1
-    bound = max(len(s.pre), len(t.pre)) + _math.lcm(qs, qt)
+    bound = max(len(s.pre), len(t.pre)) + math.lcm(len(s.per) or 1, len(t.per) or 1)
     for i in range(bound):
         a, b = s[i], t[i]
         if a != b:
             return -1 if a < b else 1
     return 0
-
-
-class DigitStream:
-    """Pull-based infinite digit source with a cached prefix."""
-
-    def __init__(self, gen: Iterator[int], base: int):
-        self.base = base
-        self._gen = gen
-        self._cache: list[int] = []
-
-    def __getitem__(self, i: int) -> int:
-        while len(self._cache) <= i:
-            self._cache.append(next(self._gen))
-        return self._cache[i]
-
-    def prefix(self, n: int) -> DigitWord:
-        self[n - 1] if n else None
-        return DigitWord(self.base, self._cache[:n])
-
-
-# ---------------------------------------------------------------------------
-# digit-sequence file format: a header line `base=<b>`, then the digits in
-# decimal.  The writer puts 40 digits per line, separated by single spaces,
-# with a newline after the last digit of each line.  The reader accepts any
-# whitespace between digits and reads the writer's own layout in bulk.
-
-_BLOCK = 1 << 15  # digits per bulk write, and characters per bulk read (even)
-_DECIMAL = bytes(range(10))
-_TO_ASCII = bytes.maketrans(_DECIMAL, b"0123456789")
-_FROM_ASCII = bytes.maketrans(b"0123456789", _DECIMAL)
-
-
-def write_digit_file(stream, base: int, digits: Iterable[int], per_line: int = 40) -> None:
-    stream.write(f"base={base}\n")
-    if per_line < 1:
-        per_line = 1 << 62  # one line, however long the word
-    data = digits.data if isinstance(digits, DigitWord) else digits
-    if not isinstance(data, (bytes, bytearray, tuple)):
-        data = tuple(data)
-    # blocks of whole lines, so the memory used does not grow with the word
-    step = per_line * max(1, _BLOCK // per_line)
-    for i in range(0, len(data), step):
-        block = data[i:i + step]
-        # a digit above 9 takes several characters
-        if isinstance(block, tuple) or block.translate(None, _DECIMAL):
-            for j in range(0, len(block), per_line):
-                stream.write(" ".join(map(str, block[j:j + per_line])) + "\n")
-            continue
-        # each digit, then a space or (after a full line and the last digit) a newline
-        out = bytearray(b" ") * (2 * len(block))
-        out[::2] = block.translate(_TO_ASCII)
-        out[2 * per_line - 1::2 * per_line] = b"\n" * (len(block) // per_line)
-        out[-1] = 10
-        stream.write(out.decode())
-
-
-def read_digit_file(stream) -> DigitWord:
-    """Read a digit file into bytes (a list above base 256), so memory stays
-    near one byte per digit; ValueError on a malformed file.
-
-    Text that alternates one digit below the base and one space or newline,
-    as the writer lays it out, is converted in blocks; from the first block
-    that does not, the rest is parsed token by token.
-    """
-    header = stream.readline().strip()
-    if not header.startswith("base="):
-        raise ValueError("missing `base=<b>` header line")
-    base = int(header.split()[0][5:])
-    head, lines = b"", stream
-    if 2 <= base <= 256:
-        digit_chars = b"0123456789"[:base]
-        parts = []
-        while text := stream.read(_BLOCK):
-            raw = text.encode()
-            digits = raw[::2]
-            if (not text.isascii() or len(raw) % 2 or raw[1::2].translate(None, b" \n")
-                    or digits.translate(None, digit_chars)):
-                # the block starts on a token; the rest of the text is parsed below
-                head, lines = b"".join(parts), (text + stream.read()).splitlines()
-                break
-            parts.append(digits.translate(_FROM_ASCII))
-        else:
-            return DigitWord.from_bytes(base, b"".join(parts))
-    if base <= 256:
-        return DigitWord(base, head + b"".join(bytes(map(int, line.split())) for line in lines))
-    return DigitWord(base, [int(tok) for line in lines for tok in line.split()])

@@ -17,7 +17,8 @@ from fractions import Fraction
 import pytest
 
 from betadio.beta_shift import (AdmissibilityAutomaton, BetaSystem, count_admissible,
-                                greedy_expand, is_admissible, is_self_admissible)
+                                is_admissible, is_self_admissible)
+from betadio.beta_values import greedy_expand
 from betadio.errors import NotSelfAdmissible
 from betadio.words import PeriodicWord
 

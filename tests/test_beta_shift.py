@@ -3,22 +3,19 @@ from fractions import Fraction
 
 import pytest
 
+from betadio import beta_shift, beta_values, numerics, polynomials
 from betadio.beta_shift import (
-    word_value,
     BetaSystem,
     count_admissible,
-    cylinder,
     expansion_of_one_star,
-    greedy_expand,
     is_admissible,
-    is_full,
     is_self_admissible,
-    parry_invert,
     renyi_bounds_check,
 )
-from betadio import beta_shift, numerics
+from betadio.beta_values import cylinder, greedy_expand, is_full, parry_invert, word_value
 from betadio.cli import main
-from betadio.errors import DegenerateApproximant, NotSelfAdmissible, PrecisionExhausted
+from betadio.errors import (DEFAULT_PRECISION, DegenerateApproximant, NotSelfAdmissible,
+                            PrecisionExhausted)
 from betadio.numerics import Scalar
 from betadio.words import PeriodicWord
 
@@ -95,6 +92,9 @@ def test_from_root_integer_detection():
 
 # 1 = 2/z + 1/z^101: beta^100 (beta - 2) = 1, so beta is within 2^-100 of 2
 NEAR_TWO = "root:2," + "0," * 99 + "1"
+# 1 = 1/z + 2/z^2 + 1/z^102 puts beta within 2^-101 of 2 as well, but this
+# word is not its expansion of 1 (its shift 2, 0, ... exceeds it)
+NEAR_TWO_NOT_PARRY = "root:1,2," + "0," * 99 + "1"
 
 
 def test_integer_detection_is_capped(monkeypatch, capsys):
@@ -102,11 +102,21 @@ def test_integer_detection_is_capped(monkeypatch, capsys):
     assert sys.kind == "algebraic" and sys.alphabet_top == 2
     monkeypatch.setattr(numerics, "_MAX_BITS", 100)
     with pytest.raises(PrecisionExhausted, match="integer 2"):
-        BetaSystem.parse(NEAR_TWO, 64)
+        BetaSystem.parse(NEAR_TWO, 64).root
+    with pytest.raises(PrecisionExhausted, match="integer 2"):
+        BetaSystem.parse(NEAR_TWO_NOT_PARRY, 64)
     monkeypatch.setenv("BETADIO_PRECISION", "64")
-    assert main(["admissible", "count", "--beta", NEAR_TWO, "--len", "3"]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("precision exhausted:") and len(err.splitlines()) == 1
+    # the expansion of 1 alone decides the words: counting them reads no beta
+    star = PeriodicWord((), (2,) + (0,) * 100)
+    want = sum(brute_admissible(w, star) for w in itertools.product(range(3), repeat=3))
+    assert main(["admissible", "count", "--beta", NEAR_TWO, "--len", "3"]) == 0
+    assert capsys.readouterr().out == f"{want}\n"
+    for argv in (["cylinder", "--beta", NEAR_TWO, "--word", "1,0"],
+                 ["admissible", "count", "--beta", NEAR_TWO_NOT_PARRY, "--len", "3"]):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("precision exhausted:") and len(err.splitlines()) == 1
+        assert "integer 2" in err
 
 
 def test_root_sites_double_to_the_256_bit_answer():
@@ -117,10 +127,10 @@ def test_root_sites_double_to_the_256_bit_answer():
     assert BetaSystem.from_root([1, 2], 8).int_base == 2
     # orbit digits from a 4-bit root
     for coeffs, x in (([1, 0, 2], F(1)), ([1, 1, 1], F(2, 7))):
-        orbit = beta_shift._AlgebraicOrbit(numerics.isolate_root(coeffs, precision=4), x)
+        orbit = beta_values._AlgebraicOrbit(numerics.isolate_root(coeffs, precision=4), x)
         digits = [orbit.digit(i) for i in range(30)]
         assert orbit._bits > 4
-        exact = beta_shift._AlgebraicOrbit(numerics.isolate_root(coeffs), x)
+        exact = beta_values._AlgebraicOrbit(numerics.isolate_root(coeffs), x)
         assert digits == [exact.digit(i) for i in range(30)]
     # the Renyi bounds from 2 bits
     sys = BetaSystem.from_root([3, 0, 1])
@@ -484,17 +494,22 @@ def test_greedy_expand_of_an_interval_matches_the_exact_path(system):
         assert greedy_expand(system, Scalar.from_fraction(x, 256), 40).digits() == want
 
 
+def hull(lo, hi, prec=DEFAULT_PRECISION):
+    """The interval [lo, hi] rounded outward to prec bits, with no refiner."""
+    return Scalar(Scalar.from_fraction(lo, prec).lo, Scalar.from_fraction(hi, prec).hi, prec)
+
+
 def test_greedy_expand_of_an_interval_across_a_digit_boundary():
     # beta x spans 1 on [1/2, 7/10] in the golden base: the first digit is 0 or 1
     g = golden()
     with pytest.raises(PrecisionExhausted, match="straddles a discontinuity"):
-        greedy_expand(g, Scalar.hull(F(1, 2), F(7, 10)), 1)
+        greedy_expand(g, hull(F(1, 2), F(7, 10)), 1)
     # an interval 2^-20 wide gives the first digits, but its width grows by
     # beta per digit until it spans a boundary
-    assert greedy_expand(g, Scalar.hull(F(1, 2), F(1, 2) + F(1, 2 ** 20)), 3).digits() == \
+    assert greedy_expand(g, hull(F(1, 2), F(1, 2) + F(1, 2 ** 20)), 3).digits() == \
         greedy_expand(g, F(1, 2), 3).digits()
     with pytest.raises(PrecisionExhausted):
-        greedy_expand(g, Scalar.hull(F(1, 2), F(1, 2) + F(1, 2 ** 20)), 60)
+        greedy_expand(g, hull(F(1, 2), F(1, 2) + F(1, 2 ** 20)), 60)
 
 
 class FrozenAlgebraicOrbit(beta_shift._Orbit):
@@ -512,7 +527,7 @@ class FrozenAlgebraicOrbit(beta_shift._Orbit):
         shifted, monic = [0] + self.poly, self._monic
         if len(shifted) == len(monic):
             shifted = [a - shifted[-1] * m for a, m in zip(shifted, monic)]
-        shifted = numerics.poly_trim(shifted)
+        shifted = polynomials.poly_trim(shifted)
         for self._bits in numerics._escalate(self._bits, "orbit digit straddles an integer"):
             val = numerics._iv_horner(shifted, self.root.as_scalar(self._bits), self._bits)
             fl = val.floor_certified()
@@ -520,10 +535,10 @@ class FrozenAlgebraicOrbit(beta_shift._Orbit):
                 break
             lo = val.lo.value
             candidate = lo.numerator // lo.denominator + 1
-            if numerics.is_exact_root(numerics.poly_sub(shifted, [F(candidate)]), self.root):
+            if numerics.is_exact_root(polynomials.poly_sub(shifted, [F(candidate)]), self.root):
                 self.poly = []
                 return candidate, None
-        self.poly = numerics.poly_sub(shifted, [fl])
+        self.poly = polynomials.poly_sub(shifted, [fl])
         return fl, tuple(self.poly)
 
 
@@ -540,7 +555,7 @@ ORBIT_XS = [F(0), F(1), F(1, 2), F(1, 3), F(1, 4), F(2, 7), F(441, 1000), F(13, 
 def test_scaled_orbit_matches_the_fraction_orbit(spec):
     for bits in (8, 256):
         for x in ORBIT_XS:
-            new = beta_shift._AlgebraicOrbit(BetaSystem.parse(spec, bits).root, x)
+            new = beta_values._AlgebraicOrbit(BetaSystem.parse(spec, bits).root, x)
             old = FrozenAlgebraicOrbit(BetaSystem.parse(spec, bits).root, x)
             digits = [new.digit(i) for i in range(160)]
             assert digits == [old.digit(i) for i in range(160)], (spec, x)

@@ -15,15 +15,9 @@ from fractions import Fraction
 import pytest
 
 from betadio.beta_shift import BetaSystem
-from betadio.constructions import (
-    FREE,
-    BetaConstruction,
-    FillPolicy,
-    beta_layout,
-    generate_beta,
-    schedule,
-)
+from betadio.constructions import BetaConstruction, FillPolicy, generate_beta
 from betadio.errors import DegenerateApproximant
+from betadio.layout import FREE, beta_layout, schedule
 from betadio.words import DigitWord
 
 F = Fraction

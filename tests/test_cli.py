@@ -514,8 +514,8 @@ def _cli(*argv, cwd=None):
 # stdlib modules kept off the start-up path; argparse (with gettext and
 # locale) loads only for help and errors
 KEPT_OFF = {"dataclasses", "inspect", "logging", "csv", "argparse", "gettext", "locale"}
-LIBRARY = ("numerics", "words", "bary", "beta_shift", "layout", "constructions", "closed_forms",
-           "measures_dim", "commands")
+LIBRARY = ("numerics", "logarithm", "polynomials", "words", "digit_files", "bary", "beta_shift",
+           "beta_values", "layout", "constructions", "closed_forms", "measures_dim", "commands")
 
 
 def _loaded(proc) -> set:
@@ -533,13 +533,17 @@ def test_import_footprint():
     assert not {f"betadio.{layer}" for layer in LIBRARY} & loaded
 
 
-CLOSED_FORMS = ("words", "bary", "numerics", "beta_shift", "layout", "constructions",
-                "measures_dim")
-NO_REAL_BASE = ("numerics", "beta_shift", "layout", "constructions", "closed_forms",
-                "measures_dim")
-INTEGER_BASE = ("beta_shift", "numerics")
-LAYOUT_ONLY = ("words", "bary", "numerics", "beta_shift", "constructions")
-NO_GENERATOR = ("layout", "constructions", "closed_forms", "measures_dim")
+CLOSED_FORMS = ("words", "digit_files", "bary", "numerics", "logarithm", "polynomials",
+                "beta_shift", "beta_values", "layout", "constructions", "measures_dim")
+NO_REAL_BASE = ("numerics", "logarithm", "polynomials", "beta_shift", "beta_values", "layout",
+                "constructions", "closed_forms", "measures_dim")
+INTEGER_BASE = ("numerics", "logarithm", "polynomials", "beta_shift", "beta_values")
+LAYOUT_ONLY = ("words", "digit_files", "bary", "numerics", "logarithm", "polynomials",
+               "beta_shift", "beta_values", "constructions")
+NO_GENERATOR = ("layout", "constructions", "closed_forms", "measures_dim", "logarithm")
+# the words of a base and their counts need its expansion of 1 alone, not beta
+NO_BETA = NO_GENERATOR + ("numerics", "beta_values")
+WORDS_ONLY = NO_BETA + ("digit_files",)
 FOOTPRINTS = [
     ("dim formula --theta 3 --vhat 1/3", CLOSED_FORMS),
     ("dim formula --vhat 1/3 --sup", CLOSED_FORMS),
@@ -552,15 +556,31 @@ FOOTPRINTS = [
     ("construct bary --theta 3 --vhat 1/3 --base 3 --stages 6", INTEGER_BASE),
     ("construct restricted --theta 3 --vhat 1/3 --base 3 --digit-set 0,2 --fill random",
      INTEGER_BASE),
+    ("construct beta --theta 3 --vhat 1/3 --beta root:1,1 --N 3 --stages 4",
+     ("numerics", "beta_values", "logarithm", "closed_forms", "measures_dim")),
+    ("construct param --theta 3 --vhat 1/3 --beta0 rat:3/2 --beta1 root:1,1 --beta2 root:1,1,1"
+     " --N 5 --stages 3", ("logarithm", "closed_forms", "measures_dim")),
     ("dim local --theta 3 --vhat 1/3 --base 3 --stages 8", LAYOUT_ONLY),
-    ("dim local --theta 3 --vhat 1/3 --beta root:1,1 --N 3 --stages 3", ("constructions",)),
-    ("measure --sidecar e.digits.json --n 54", LAYOUT_ONLY),
-    ("admissible count --beta root:1,1 --len 5", NO_GENERATOR),
-    ("admissible check --beta root:1,1 --word 1,0,1", NO_GENERATOR),
-    ("cylinder --beta root:1,1 --word 1,0", NO_GENERATOR),
-    ("expand-one --beta root:1,1,1 --digits 8", NO_GENERATOR),
-    ("parry check --word 1,1,0", NO_GENERATOR),
-    ("parry invert --word 1,1 --bits 64", NO_GENERATOR),
+    ("dim local --theta 3 --vhat 1/3 --beta root:1,1 --N 3 --stages 3",
+     ("constructions", "digit_files", "beta_values")),
+    ("measure --sidecar e.digits.json --n 54", LAYOUT_ONLY + ("closed_forms",)),
+    ("admissible count --beta root:1,1 --len 5", WORDS_ONLY),
+    ("admissible count --beta word:2,0,1,1 --len 50", WORDS_ONLY),
+    ("admissible count --beta word:2,(1,0) --len 50", WORDS_ONLY),
+    ("admissible count --beta int:3 --len 20", WORDS_ONLY),
+    ("admissible count --beta rat:3/2 --len 20", WORDS_ONLY),
+    ("admissible count --beta int:3 --len 20 --renyi", WORDS_ONLY),
+    ("admissible count --beta root:1,1 --len 60 --renyi", NO_GENERATOR + ("digit_files",)),
+    ("admissible check --beta root:1,1 --word 1,0,1", WORDS_ONLY),
+    ("admissible check --beta rat:3/2 --word 1,0,1,0,1", WORDS_ONLY),
+    ("admissible list --beta root:1,1,1 --len 4", WORDS_ONLY),
+    ("admissible list --beta int:2 --len 3", WORDS_ONLY),
+    ("cylinder --beta root:1,1 --word 1,0", NO_GENERATOR + ("digit_files",)),
+    ("expand --beta root:1,1 --x 1 --digits 5", NO_GENERATOR),
+    ("expand-one --beta int:3 --digits 4", NO_BETA),
+    ("expand-one --beta root:1,1,1 --digits 8", NO_BETA),
+    ("parry check --word 1,1,0", WORDS_ONLY),
+    ("parry invert --word 1,1 --bits 64", NO_GENERATOR + ("digit_files",)),
 ]
 
 

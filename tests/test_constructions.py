@@ -5,17 +5,16 @@ import pytest
 from betadio import numerics
 from betadio.bary import DigitSet, estimate_exponents, run_decomposition
 from betadio.beta_shift import BetaSystem, is_admissible, is_self_admissible
+from betadio.cli import main
 from betadio.constructions import (
     ConstructionSpec,
     FillPolicy,
-    beta_layout,
     generate_bary,
     generate_beta,
     generate_parameter_space,
-    schedule,
 )
-from betadio.cli import main
 from betadio.errors import InfeasibleParameters, PrecisionExhausted, PrefixConditionFailed
+from betadio.layout import beta_layout, schedule
 
 F = Fraction
 

@@ -23,9 +23,11 @@ from betadio.bary import (
     exponents_of_word,
     run_decomposition,
 )
-from betadio.constructions import FREE, MARKER, RUN, Segment, _enforce_run_caps
+from betadio.constructions import _enforce_run_caps
+from betadio.digit_files import read_digit_file, write_digit_file
 from betadio.errors import NoRuns
-from betadio.words import DigitWord, read_digit_file, write_digit_file
+from betadio.layout import FREE, MARKER, RUN, Segment
+from betadio.words import DigitWord
 
 
 # ---------------------------------------------------------------------------

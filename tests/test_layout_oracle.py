@@ -16,22 +16,14 @@ import pytest
 
 from betadio.bary import DigitSet
 from betadio.beta_shift import BetaSystem
-from betadio.constructions import (
-    FREE,
-    ConstructionSpec,
-    FillPolicy,
-    beta_layout,
-    generate_bary,
-    generate_beta,
-    layout_segments,
-    schedule,
-)
+from betadio.constructions import ConstructionSpec, FillPolicy, generate_bary, generate_beta
 from betadio.errors import (
     DegenerateApproximant,
     DepthExceeded,
     InfeasibleParameters,
     NotInSupport,
 )
+from betadio.layout import FREE, beta_layout, layout_segments, schedule
 from betadio.measures_dim import free_digit_count, measure_bary, measure_beta, measure_of_word
 
 F = Fraction

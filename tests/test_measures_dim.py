@@ -6,34 +6,41 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betadio.bary import DigitSet
-from betadio.beta_shift import BetaSystem, count_admissible, is_full
-from betadio.constructions import (
-    ConstructionSpec,
-    FillPolicy,
-    beta_layout,
-    generate_bary,
-    generate_beta,
-    schedule,
-)
-from betadio.errors import DepthExceeded, InfeasibleParameters, NotInSupport
-from betadio.measures_dim import (
+from betadio.beta_shift import BetaSystem, count_admissible
+from betadio.beta_values import is_full
+from betadio.closed_forms import (
     critical_exponent_s0,
     digit_set_scale,
     dim_formula,
     dim_formula_sup,
+    reprove_dim_limit,
+    series_slope_probe,
+    verify_sup_by_calculus,
+)
+from betadio.constructions import ConstructionSpec, FillPolicy, generate_bary, generate_beta
+from betadio.errors import DepthExceeded, InfeasibleParameters, NotInSupport
+from betadio.layout import beta_layout, schedule
+from betadio.measures_dim import (
     free_digit_count,
     local_dimension_bary,
     local_dimension_beta,
     measure_bary,
     measure_beta,
     measure_of_word,
-    reprove_dim_limit,
-    series_slope_probe,
     stolz_cesaro_ratios,
-    verify_sup_by_calculus,
 )
 
 F = Fraction
+
+
+def mu_fraction(mv) -> Fraction:
+    """A MeasureValue's mass as one exact fraction."""
+    if mv.exponent is not None:
+        return F(1, mv.base ** mv.exponent)
+    out = F(1)
+    for _length, count, mult in mv.factors:
+        out /= F(count) ** mult
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -107,11 +114,11 @@ def test_measure_bary_examples():
     runs = runs33()
     assert measure_bary(runs, 3, 6).exponent == 2  # n_1 - 1
     assert measure_bary(runs, 3, 2).exponent == 2  # all free so far
-    assert measure_bary(runs, 3, 6).mu_fraction() == F(1, 9)
+    assert mu_fraction(measure_bary(runs, 3, 6)) == F(1, 9)
     ds = DigitSet(3, frozenset({0, 2}))
     mv = measure_bary(runs, ds, 6)
     assert mv.base == 2 and mv.exponent == 2
-    assert mv.mu_fraction() == F(1, 4)
+    assert mu_fraction(mv) == F(1, 4)
 
 
 def test_measure_constant_across_prescribed_stretch():
@@ -167,10 +174,10 @@ def test_measure_beta_first_levels():
     sub = g.approximant(3)
     for n in range(1, layout.l[0]):
         mv = measure_beta(layout, sub, n)
-        assert mv.mu_fraction() == F(1, count_admissible(sub, n))
+        assert mu_fraction(mv) == F(1, count_admissible(sub, n))
     # constant through the determined stretch l_k..h_k
     for k in (0, 1, 2):
-        vals = {measure_beta(layout, sub, n).mu_fraction()
+        vals = {mu_fraction(measure_beta(layout, sub, n))
                 for n in range(layout.l[k], layout.h[k] + 1)}
         assert len(vals) == 1
     # at h_k the mass is the closed product
@@ -180,7 +187,7 @@ def test_measure_beta_first_levels():
         gap_len = layout.l[j + 1] - layout.u[j] - 1
         expect /= F(count_admissible(sub, runs.delta[j])) ** runs.t[j]
         expect /= count_admissible(sub, gap_len)
-    assert measure_beta(layout, sub, layout.h[k]).mu_fraction() == expect
+    assert mu_fraction(measure_beta(layout, sub, layout.h[k])) == expect
 
 
 def test_measure_beta_block_consistency():
@@ -192,8 +199,8 @@ def test_measure_beta_block_consistency():
     sub = g.approximant(3)
     start = layout.h[1] + 1  # first free block of stage 2
     length = runs.delta[1]
-    before = measure_beta(layout, sub, start - 1).mu_fraction()
-    after = measure_beta(layout, sub, start + length - 1).mu_fraction()
+    before = mu_fraction(measure_beta(layout, sub, start - 1))
+    after = mu_fraction(measure_beta(layout, sub, start + length - 1))
     assert after * count_admissible(sub, length) == before
 
 
@@ -305,10 +312,10 @@ def test_measure_beta_marker_regimes():
         for n in range(E_t + 1, S_next):
             consumed = n - E_t
             expect = level / count_admissible(sub, consumed)
-            assert measure_beta(layout, sub, n).mu_fraction() == expect
+            assert mu_fraction(measure_beta(layout, sub, n)) == expect
         for n in range(S_next, S_next + 2 * N + 1):
             expect = parent / F(count_admissible(sub, d1)) ** (t + 1)
-            assert measure_beta(layout, sub, n).mu_fraction() == expect
+            assert mu_fraction(measure_beta(layout, sub, n)) == expect
 
 
 def test_local_dimension_envelope_shrinks():

@@ -58,7 +58,8 @@ def test_dir_and_star_names_are_the_eager_ones():
 
 
 def test_a_layer_is_an_attribute_without_its_import():
-    assert _fresh("import betadio; print(betadio.numerics.ln.__module__)") == ["betadio.numerics"]
+    assert _fresh("import betadio; print(betadio.numerics.isolate_root.__module__)") == \
+        ["betadio.numerics"]
 
 
 def test_from_import_of_layers_and_names():

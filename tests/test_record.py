@@ -7,7 +7,8 @@ from fractions import Fraction as F
 import pytest
 
 from betadio.bary import DigitSet, Run, run_decomposition
-from betadio.constructions import ConstructionSpec, FillPolicy, schedule
+from betadio.constructions import ConstructionSpec, FillPolicy
+from betadio.layout import schedule
 from betadio.measures_dim import DimensionReport, MeasureValue
 from betadio.numerics import Dyadic
 from betadio.words import DigitWord

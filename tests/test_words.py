@@ -3,14 +3,8 @@ import io
 import pytest
 
 from betadio.cli import main
-from betadio.words import (
-    DigitStream,
-    DigitWord,
-    PeriodicWord,
-    compare_words,
-    read_digit_file,
-    write_digit_file,
-)
+from betadio.digit_files import DigitStream, read_digit_file, write_digit_file
+from betadio.words import DigitWord, PeriodicWord, compare_words
 
 
 def test_digit_word_basics():
