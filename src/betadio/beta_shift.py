@@ -338,21 +338,24 @@ class BetaSystem:
     @classmethod
     def parse(cls, spec: str, precision: int = DEFAULT_PRECISION) -> "BetaSystem":
         spec = spec.strip()
-        if spec.startswith("int:"):
-            return cls.from_int(int(spec[4:]))
-        if spec.startswith("rat:"):
+
+        def read(convert, text: str):  # a ValueError that names the spec
             try:
-                base = F(spec[4:])
-            except ZeroDivisionError:
-                raise ValueError(f"zero denominator in base spec {spec!r}") from None
-            return cls.from_rational(base)
+                return convert(text)
+            except (ValueError, ZeroDivisionError) as exc:
+                what = "zero denominator in" if isinstance(exc, ZeroDivisionError) else "malformed"
+                raise ValueError(f"{what} base spec {spec!r}") from None
+        if spec.startswith("int:"):
+            return cls.from_int(read(int, spec[4:]))
+        if spec.startswith("rat:"):
+            return cls.from_rational(read(F, spec[4:]))
         if spec.startswith("root:"):
-            return cls.from_root([int(t) for t in spec[5:].split(",")], precision)
+            return cls.from_root([read(int, t) for t in spec[5:].split(",")], precision)
         if spec.startswith("word:"):
-            return cls.from_word(PeriodicWord.parse(spec[5:]), precision)
+            return cls.from_word(read(PeriodicWord.parse, spec[5:]), precision)
         if spec.startswith("approx:"):
             body, _, n = spec[7:].rpartition(":")
-            return cls.parse(body, precision).approximant(int(n))
+            return cls.parse(body, precision).approximant(read(int, n))
         raise ValueError(f"unrecognized base spec {spec!r}")
 
     # -- closing the orbit into a finite description ------------------------

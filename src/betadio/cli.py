@@ -10,16 +10,16 @@ Exit codes: 0 success, 1 usage error, 2 infeasible/domain error,
 success, a broken pipe on an ``--output`` file is not.
 
 Two readers share one option table, ``_COMMANDS``.  The exact-match reader
-``_read`` accepts or defers, without importing argparse.  It accepts a
-subcommand name, then that subcommand's exact flags, each given once with
-its value as one token not starting with ``-`` (one or more for a list),
-one positional from its choices, every required option, and ``int`` values
-that convert; its namespace has the fields argparse would give.  Anything
-else (``-h``, ``--version``, ``--flag=value``, abbreviations, ``-``-leading
-values, ``--``, unknown or extra tokens) goes to ``build_parser()``, made
-from the same table: argparse owns help, usage and every error message.
-The table names each command's handler module in ``commands``, which is
-imported once the argv is read.
+``_read`` accepts, without importing argparse, a subcommand, its exact
+flags each given once with a value not starting with ``-`` (one or more for
+a list), one positional from its choices, every required option and ``int``
+values that convert.  Anything else (``-h``, ``--version``,
+``--flag=value``, abbreviations, ``--``, unknown or extra tokens) goes to
+``build_parser()``: argparse owns help, usage and every error message.
+Both give ``None`` for an option not given.  Then ``_check`` refuses, with
+one usage error, an option the action needs and lacks, one it does not
+read, or two that exclude each other, and fills in the defaults; only then
+is the command's handler module, in ``commands``, imported.
 """
 
 from __future__ import annotations
@@ -34,49 +34,54 @@ from .errors import DomainError, PrecisionError, UsageError
 # ---------------------------------------------------------------------------
 # the option table
 #
-# Per subcommand: its handler module, help, and its arguments as (flags,
-# kind, default) or (flags, kind, default, help).  Flags without a leading
-# "-" name the positional.  kind is str or int for one value, a tuple of
-# choices, bool for a store_true switch, or list for one or more values; a
-# default of ... marks a required argument.  The dest is the first flag
-# without its dashes, "-" read as "_", as argparse derives it.  Every
-# subcommand also takes _OUTPUT.
+# Per subcommand: its handler module, help, arguments, then the pairs of
+# options that exclude each other ("A or B": one of them is also needed).
+# An argument is (flags, kind, default[, reads[, help]]); flags without a
+# "-" name the positional, the action.  kind is str or int for one value, a
+# tuple of choices, bool for a store_true switch, or list for one or more
+# values.  A default of ... marks an argument every action needs.  reads
+# names the actions that read it, "!" after those that need it (None: all).
+# The dest is the first flag without its dashes, "-" read as "_", as
+# argparse derives it.  Every subcommand also takes _OUTPUT.
 
 _COMMANDS = {
     "expand": ("expansions", "digits of x in an integer or real base", (
         ("--base", int, None), ("--beta", str, None), ("--x", str, "0"),
-        ("--lacunary", str, None, "rational v for the sparse series, or squared-power"),
-        ("--digits", int, ...))),
+        ("--lacunary", str, None, None, "rational v for the sparse series, or squared-power"),
+        ("--digits", int, ...)), "--base or --beta", "--beta --lacunary", "--lacunary --x"),
     "expand-one": ("real_base", "infinite expansion of 1", (
         ("--beta", str, ...), ("--digits", int, ...))),
     "admissible": ("real_base", "count/list/check admissible words", (
         ("action", ("count", "list", "check"), ...), ("--beta", str, ...),
-        ("--len", int, None), ("--word", str, None),
-        ("--renyi", bool, False, "attach the count bounds check"))),
+        ("--len", int, None, "count! list!"), ("--word", str, None, "check!"),
+        ("--renyi", bool, False, "count", "attach the count bounds check"))),
     "cylinder": ("real_base", "certified basic-interval endpoints", (
         ("--beta", str, ...), ("--word", str, ...))),
     "exponents": ("expansions", "run analysis of a digit file", (
         ("--input", str, ...), ("--zeros-only", bool, False), ("--trajectory", bool, False))),
     "construct": ("construct", "generate construction digit words", (
-        ("flavor", ("bary", "beta", "param", "restricted"), ...),
-        ("--theta", str, ...), ("--vhat", str, ...), ("--stages", int, 8),
-        ("--fill", str, "const:1"), ("--seed", int, 0), ("--base", int, None),
-        ("--digit-set", str, None), ("--beta", str, None), ("--beta0", str, None),
-        ("--beta1", str, None), ("--beta2", str, None), ("--N", int, 3))),
+        ("flavor", ("bary", "beta", "param", "restricted"), ...), ("--theta", str, ...),
+        ("--vhat", str, ...), ("--stages", int, 8), ("--fill", str, "const:1"), ("--seed", int, 0),
+        ("--base", int, None, "bary! restricted!"), ("--digit-set", str, None, "restricted!"),
+        ("--beta", str, None, "beta!"), ("--beta0", str, None, "param!"),
+        ("--beta1", str, None, "param!"), ("--beta2", str, None, "param!"),
+        ("--N", int, 3, "beta param"))),
     "measure": ("measure", "cylinder mass from a construction sidecar", (
         ("--sidecar", str, ...), ("--n", int, ...))),
     "dim": ("dim", "dimension formulas and trajectories", (
-        ("what", ("formula", "local", "s0"), ...), ("--theta", str, None),
-        ("--vhat", str, ...), ("--sup", bool, False), ("--eps", str, "0"),
-        ("--base", int, 3), ("--digit-set", str, None), ("--beta", str, None),
-        ("--N", int, 3), ("--stages", int, 12), ("--tolerance", str, "1/50"),
-        ("--format", ("json", "csv"), "json"))),
+        ("what", ("formula", "local", "s0"), ...), ("--theta", str, None, "formula local! s0!"),
+        ("--vhat", str, ...), ("--sup", bool, False, "formula"), ("--eps", str, "0", "s0"),
+        ("--base", int, 3, "formula local"), ("--digit-set", str, None, "formula local"),
+        ("--beta", str, None, "local"), ("--N", int, 3, "local"), ("--stages", int, 12, "local"),
+        ("--tolerance", str, "1/50", "local"), ("--format", ("json", "csv"), "json", "local")),
+        "--beta --base", "--beta --digit-set", "--sup --theta"),
     "parry": ("real_base", "self-admissibility and base inversion", (
-        ("action", ("check", "invert"), ...), ("--word", str, ...), ("--bits", int, 128))),
+        ("action", ("check", "invert"), ...), ("--word", str, ...),
+        ("--bits", int, 128, "invert"))),
     "reprove": ("dim", "prescribed-pair limit along a theta grid", (
         ("--v", str, ...), ("--thetas", list, ...))),
 }
-_OUTPUT = ("--output -o", str, None, "write to file instead of stdout")
+_OUTPUT = ("--output -o", str, None, None, "write to file instead of stdout")
 
 
 def _dest(flags: str) -> str:
@@ -87,20 +92,19 @@ def _read(argv: list) -> SimpleNamespace | None:
     """The exact-match reader: the parsed argv, or None to defer to argparse."""
     if not argv or argv[0] not in _COMMANDS:
         return None
-    module, _summary, arguments = _COMMANDS[argv[0]]
-    fields, flags = {"command": argv[0], "module": module}, {}
-    for names, kind, default, *_help in (*arguments, _OUTPUT):
-        fields[_dest(names)] = default
+    arguments = _COMMANDS[argv[0]][2]
+    fields, flags = {"command": argv[0]}, {}
+    for names, kind, *_rest in (*arguments, _OUTPUT):
+        fields[_dest(names)] = None
         for flag in names.split() if names[0] == "-" else [None]:  # None: the positional
             flags[flag] = _dest(names), kind
-    given, kind, need = set(), None, False  # need: the option `kind` still lacks a value
+    kind, need = None, False  # need: the option `kind` still lacks a value
     for token in argv[1:]:
         flag = token if token.startswith("-") else None
         if flag or kind is None:
-            if need or flag not in flags or flags[flag][0] in given:
-                return None
+            if need or flag not in flags or fields[flags[flag][0]] is not None:
+                return None  # a value missing, or an unknown or repeated token
             dest, kind = flags[flag]
-            given.add(dest)
             if kind is bool:
                 fields[dest], kind = True, None
             elif kind is list:
@@ -119,7 +123,7 @@ def _read(argv: list) -> SimpleNamespace | None:
         else:
             fields[dest], kind = value, None
         need = False
-    if need or any(d is ... and _dest(f) not in given for f, _k, d, *_h in arguments):
+    if need or any(d is ... and fields[_dest(f)] is None for f, _k, d, *_r in arguments):
         return None
     return SimpleNamespace(**fields)
 
@@ -136,10 +140,10 @@ def build_parser():
     p = _Parser(prog="betadio", description=__doc__.splitlines()[0])
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
-    for name, (module, summary, arguments) in _COMMANDS.items():
+    for name, (_module, summary, arguments, *_pairs) in _COMMANDS.items():
         sp = sub.add_parser(name, help=summary)
         for flags, kind, default, *text in (*arguments, _OUTPUT):
-            kw = {"help": text[0] if text else None}
+            kw = {"help": text[1] if text[1:] else None}
             if kind is bool:
                 kw["action"] = "store_true"
             elif kind is int:
@@ -149,11 +153,34 @@ def build_parser():
             elif kind is not str:
                 kw["choices"] = kind
             if flags.startswith("-"):
-                kw["required"] = default is ...
-                kw["default"] = None if default is ... else default
+                kw.update(required=default is ..., default=None)
             sp.add_argument(*flags.split(), **kw)
-        sp.set_defaults(module=module)
     return p
+
+
+def _check(args) -> None:
+    """One usage error for what the action lacks or does not read; then the defaults."""
+    _module, _summary, arguments, *pairs = _COMMANDS[args.command]
+    action = next((getattr(args, f) for f, *_r in arguments if f[0] != "-"), "")
+    what, given, missing, foreign = f"{args.command} {action}".strip(), set(), [], []
+    for flags, _kind, default, *reads in arguments:
+        spec = reads[0].split() if reads and reads[0] else [action]
+        if getattr(args, _dest(flags)) is not None:
+            given.add(flags)
+            if action not in spec and action + "!" not in spec:
+                foreign.append(flags)
+        elif action + "!" in spec:
+            missing.append(flags)
+        else:
+            setattr(args, _dest(flags), default)
+    if missing or foreign:
+        raise UsageError(f"{what} needs {' '.join(missing)}" if missing else
+                         f"{what} does not take {' '.join(foreign)}")
+    for first, *either, second in map(str.split, pairs):
+        if {first, second} <= given:
+            raise UsageError(f"{what} {first} does not take {second}")
+        if either and not {first, second} & given:
+            raise UsageError(f"need {first} or {second}")
 
 
 def main(argv=None) -> int:
@@ -173,8 +200,9 @@ def _run(argv) -> int:
     args = None
     try:
         args = _read(argv) or build_parser().parse_args(argv)
+        _check(args)
         from importlib import import_module
-        handlers = import_module(f".commands.{args.module}", __package__)
+        handlers = import_module(f".commands.{_COMMANDS[args.command][0]}", __package__)
         return getattr(handlers, "cmd_" + args.command.replace("-", "_"))(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

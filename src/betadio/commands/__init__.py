@@ -36,13 +36,6 @@ def _digit_set(text: str, base: int) -> DigitSet:
     return DigitSet(base, frozenset(_ints(text, ",", "digit set")))
 
 
-def _need(args, what: str, *names: str) -> None:
-    """Usage error unless every named per-action option was given."""
-    missing = ["--" + name.replace("_", "-") for name in names if getattr(args, name) is None]
-    if missing:
-        raise UsageError(f"{what} needs {' '.join(missing)}")
-
-
 def _not_negative(value: int, what: str) -> None:
     if value < 0:
         raise UsageError(f"{what} must not be negative, got {value}")

@@ -1,21 +1,11 @@
 """``construct``: the generators, and the digit file with its sidecar."""
 
 from ..errors import UsageError
-from . import _digit_set, _emit_digits, _fraction, _need, _scalar_dict, default_precision
-
-# the base options of each flavour: it needs these and takes no other
-_READS = {"bary": ("base",), "restricted": ("base", "digit_set"), "beta": ("beta",),
-          "param": ("beta0", "beta1", "beta2")}
-_BASE_OPTIONS = ("base", "digit_set", "beta", "beta0", "beta1", "beta2")
+from . import _digit_set, _emit_digits, _fraction, _scalar_dict, default_precision
 
 
 def cmd_construct(args):
-    what, reads = f"construct {args.flavor}", _READS[args.flavor]
-    _need(args, what, *reads)
-    foreign = ["--" + name.replace("_", "-") for name in _BASE_OPTIONS
-               if name not in reads and getattr(args, name) is not None]
-    if foreign:
-        raise UsageError(f"{what} does not take {' '.join(foreign)}")
+    what = f"construct {args.flavor}"
     if args.stages < 1:
         raise UsageError(f"{what} needs --stages >= 1")
     from ..constructions import (ConstructionSpec, FillPolicy, generate_bary, generate_beta,

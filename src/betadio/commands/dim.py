@@ -1,7 +1,6 @@
 """``dim`` and ``reprove``.  The closed forms load no measures; only
 ``dim local`` adds the layout and ``measures_dim``."""
 
-from ..errors import UsageError
 from . import _digit_set, _emit, _fraction, _scalar_dict, default_precision
 
 
@@ -10,7 +9,7 @@ def cmd_dim(args):
         from ..closed_forms import digit_set_scale, dim_formula, dim_formula_sup
         vhat = _fraction(args.vhat)
         cfg = {"cmd": "dim formula", "vhat": args.vhat}
-        if args.sup or args.theta is None:
+        if args.theta is None:  # the supremum, with or without --sup
             value, theta0 = dim_formula_sup(vhat)
             payload = {"value": str(value), "theta0": None if theta0 is None else str(theta0)}
         else:
@@ -19,7 +18,7 @@ def cmd_dim(args):
             value = dim_formula(theta, vhat)
             payload = {"value": str(value)}
         plain = str(value)
-        if args.digit_set:
+        if args.digit_set is not None:
             from ..numerics import Scalar
             ds = _digit_set(args.digit_set, args.base)
             scale = digit_set_scale(ds, default_precision())
@@ -30,21 +29,17 @@ def cmd_dim(args):
             plain = f"{float(scaled.mid):.10f} * (exact rational factor {value})"
         _emit(args, payload, cfg, plain=plain)
     elif args.what == "local":
-        if not args.theta:
-            raise UsageError("dim local needs --theta")
         from ..measures_dim import local_dimension_bary, local_dimension_beta
         theta, vhat = _fraction(args.theta), _fraction(args.vhat)
         tol = _fraction(args.tolerance)
         bits = default_precision()
-        if args.beta:
+        if args.beta is not None:
             from ..beta_shift import BetaSystem
             system = BetaSystem.parse(args.beta, bits)
             rep = local_dimension_beta(system, args.N, theta, vhat, args.stages, tol, bits)
-        elif args.digit_set:
-            ds = _digit_set(args.digit_set, args.base)
-            rep = local_dimension_bary(theta, vhat, ds, args.stages, tol, bits)
         else:
-            rep = local_dimension_bary(theta, vhat, args.base, args.stages, tol, bits)
+            base = args.base if args.digit_set is None else _digit_set(args.digit_set, args.base)
+            rep = local_dimension_bary(theta, vhat, base, args.stages, tol, bits)
         if args.format == "csv":
             text = rep.to_csv()
             if args.output:
@@ -58,8 +53,6 @@ def cmd_dim(args):
                                              "beta": args.beta, "base": args.base,
                                              "digit_set": args.digit_set, "N": args.N})
     else:  # s0
-        if not args.theta:
-            raise UsageError("dim s0 needs --theta")
         from ..closed_forms import critical_exponent_s0
         theta, vhat, eps = _fraction(args.theta), _fraction(args.vhat), _fraction(args.eps)
         value = critical_exponent_s0(theta, vhat, eps)

@@ -9,24 +9,22 @@ from . import _emit, _emit_digits, _fraction, default_precision
 def cmd_expand(args):
     if args.digits < 1:
         raise UsageError(f"expand needs --digits >= 1, got {args.digits}")
-    cfg = {"cmd": "expand", "digits": args.digits}
-    if args.base and not args.beta:
+    cfg, x = {"cmd": "expand", "digits": args.digits}, _fraction(args.x)
+    if args.beta is None:
         from ..bary import expand_lacunary, expand_rational
         cfg["base"] = args.base
-        if args.lacunary:
+        if args.lacunary is not None:
             cfg["lacunary"] = args.lacunary
             rule = "squared-power" if args.lacunary == "squared-power" else _fraction(args.lacunary)
             word = expand_lacunary(args.base, rule, args.digits)
         else:
-            x = _fraction(args.x)
+            if not 0 <= x < 1:
+                raise ValueError(f"--x must lie in [0, 1), got {args.x}")
             cfg["x"] = str(x)
             word = expand_rational(x.numerator, x.denominator, args.base, args.digits)
     else:
-        if not args.beta:
-            raise UsageError("need --base or --beta")
         from ..beta_shift import BetaSystem
         from ..beta_values import greedy_expand
-        x = _fraction(args.x)
         cfg.update(beta=args.beta, x=str(x))
         system = BetaSystem.parse(args.beta, default_precision())
         word = greedy_expand(system, x, args.digits)

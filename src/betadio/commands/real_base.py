@@ -4,7 +4,7 @@ and ``words``; ``cylinder``, ``parry invert`` and the Rényi check off an
 integer base add ``beta_values`` and ``numerics``."""
 
 from ..errors import DomainError, UsageError
-from . import _emit, _emit_digits, _need, _not_negative, _scalar_dict, _word, default_precision
+from . import _emit, _emit_digits, _not_negative, _scalar_dict, _word, default_precision
 
 
 def cmd_expand_one(args):
@@ -19,7 +19,6 @@ def cmd_expand_one(args):
 
 
 def cmd_admissible(args):
-    _need(args, f"admissible {args.action}", "word" if args.action == "check" else "len")
     if args.action != "check":
         _not_negative(args.len, "--len")
     from ..beta_shift import BetaSystem, count_admissible, is_admissible, renyi_bounds_check

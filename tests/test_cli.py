@@ -46,6 +46,20 @@ def test_expand_rational(capsys):
     assert out.splitlines()[1] == "1 4 2 8 5 7 1"
 
 
+@pytest.mark.parametrize("base, err", [
+    ("0", "error: need b >= 2 and n >= 1\n"),  # a given --base 0 reaches the library
+    ("1", "error: need b >= 2 and n >= 1\n")])
+def test_expand_needs_an_integer_base_above_one(capsys, base, err):
+    assert main(["expand", "--base", base, "--x", "1/3", "--digits", "5"]) == 2
+    assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.parametrize("x", ["1", "7/3"])
+def test_expand_names_an_x_outside_the_unit_interval(capsys, x):
+    assert main(["expand", "--base", "5", "--x", x, "--digits", "5"]) == 2
+    assert capsys.readouterr() == ("", f"error: --x must lie in [0, 1), got {x}\n")
+
+
 def test_expand_beta(capsys):
     rc, out = run(capsys, "expand", "--beta", "root:1,1", "--x", "1", "--digits", "5")
     assert rc == 0
@@ -204,6 +218,7 @@ def test_dim_local_beta_json(capsys):
     assert rc == 0
     data = json.loads(out)
     assert data["formula_value"] == "1/4"
+    assert data["config"]["base"] == 3  # the table's default, recorded as before
     assert data["scale_interval"] is not None
     assert len(data["trajectory"]) == 6
 
@@ -286,6 +301,30 @@ def test_measure_refuses_a_negative_depth(tmp_path, capsys, flavor, extra):
     assert capsys.readouterr() == ("", "usage error: --n must not be negative, got -5\n")
 
 
+@pytest.mark.parametrize("text", ["{}", "[]", '{"schedule": {}}', None])
+def test_measure_refuses_what_is_not_a_sidecar(tmp_path, capsys, text):
+    sidecar = tmp_path / "s.json"
+    if text is None:
+        sidecar = Path(os.devnull)
+    else:
+        sidecar.write_text(text)
+    assert main(["measure", "--sidecar", str(sidecar), "--n", "1"]) == 2
+    assert capsys.readouterr() == ("", f"error: not a construction sidecar: {str(sidecar)!r}\n")
+
+
+def test_a_beta_sidecar_needs_its_approximant(tmp_path, capsys):
+    out = tmp_path / "b.digits"
+    assert main(["construct", "beta", "--theta", "3", "--vhat", "1/3", "--beta", "root:1,1",
+                 "--N", "3", "--stages", "2", "-o", str(out)]) == 0
+    sidecar = tmp_path / "b.digits.json"
+    side = json.loads(sidecar.read_text())
+    del side["approximant"]
+    sidecar.write_text(json.dumps(side))
+    capsys.readouterr()
+    assert main(["measure", "--sidecar", str(sidecar), "--n", "6"]) == 2
+    assert capsys.readouterr() == ("", f"error: not a construction sidecar: {str(sidecar)!r}\n")
+
+
 @pytest.mark.parametrize("flavor, extra", [
     ("beta", ["--beta", "root:1,1", "--N", "3"]),
     ("beta", ["--beta", "rat:3/2", "--N", "4"]),
@@ -318,6 +357,13 @@ def test_a_zero_denominator_base_is_an_error(capsys, option):
                 *(t for kv in bases.items() for t in kv)]
     assert main(argv) == 2
     assert capsys.readouterr() == ("", "error: zero denominator in base spec 'rat:1/0'\n")
+
+
+@pytest.mark.parametrize("spec", ["root:", "word:", "root:1,x", "approx:root:1,1:x", "int:x",
+                                  "rat:x", "word:1,(x)"])
+def test_a_malformed_base_spec_is_an_error(capsys, spec):
+    assert main(["expand-one", "--beta", spec, "--digits", "3"]) == 2
+    assert capsys.readouterr() == ("", f"error: malformed base spec {spec!r}\n")
 
 
 def test_a_zero_denominator_approximant_is_an_error(tmp_path, capsys):
@@ -655,6 +701,21 @@ def test_readme_commands_run_without_argparse(tmp_path):
                 "assert betadio.cli.main(['dim', 'formula', '--vhat', '1/3', '--thet', '3']) == 0\n"
                 "print('argparse' in sys.modules)", cwd=tmp_path)
     assert proc.stdout.splitlines() == ["1/4", "True"]  # an abbreviation goes to argparse
+
+
+HELP = Path(__file__).resolve().parent / "help_py{}{}.txt".format(*sys.version_info[:2])
+
+
+@pytest.mark.skipif(not HELP.exists(), reason="argparse lays out help differently from one "
+                    "Python version to the next; no copy is recorded for this one")
+def test_help_is_the_recorded_copy(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    text = ""
+    for argv in [["--help"], *([name, "--help"] for name in _COMMANDS)]:
+        with pytest.raises(SystemExit):
+            main(argv)
+        text += f"$ betadio {' '.join(argv)}\n{capsys.readouterr().out}"
+    assert text == HELP.read_text()
 
 
 def test_closed_stdout_is_not_an_error():

@@ -1,10 +1,13 @@
-"""The exact-match argv reader against argparse.
+"""The option table: the exact-match argv reader against argparse, and the
+check of which action reads which option.
 
 Wherever ``cli._read`` accepts an argv, its attributes must equal those of
 ``build_parser().parse_args(argv)``, the parser made from the same table.
 The argvs are seeded random ones built from the table's vocabulary plus
 junk, every command of the README's CLI block, and every job of the
-benchmark's job lists; the reader must accept the last two kinds.
+benchmark's job lists; the reader and ``cli._check`` must accept the last
+two kinds.  The refusals of ``cli._check`` are generated from the table, so
+a new row is covered the day it lands.
 """
 
 import random
@@ -115,22 +118,24 @@ def test_reader_declines(argv):
 
 
 def test_option_help_comes_from_the_table(parser):
-    """An argument's optional fourth field is its argparse help text."""
-    assert cli._COMMANDS["expand"][2][3][3] == "rational v for the sparse series, or squared-power"
-    assert cli._COMMANDS["admissible"][2][4][3] == "attach the count bounds check"
-    assert cli._OUTPUT[3] == "write to file instead of stdout"
+    """An argument's optional fifth field is its argparse help text."""
+    assert cli._COMMANDS["expand"][2][3][4] == "rational v for the sparse series, or squared-power"
+    assert cli._COMMANDS["admissible"][2][4][4] == "attach the count bounds check"
+    assert cli._OUTPUT[4] == "write to file instead of stdout"
     subparsers = parser._subparsers._group_actions[0].choices
-    for name, (_fn, _summary, arguments) in cli._COMMANDS.items():
+    for name, (_fn, _summary, arguments, *_pairs) in cli._COMMANDS.items():
         helps = {a.dest: a.help for a in subparsers[name]._actions}
         for flags, _kind, _default, *text in (*arguments, cli._OUTPUT):
-            assert helps[cli._dest(flags)] == (text[0] if text else None), (name, flags)
+            assert helps[cli._dest(flags)] == (text[1] if text[1:] else None), (name, flags)
 
 
 def test_reader_accepts_interleaved_positional(parser):
     argv = ["admissible", "--beta", "root:1,1", "count", "--len", "+5", "-o", "c.json"]
     ns = cli._read(argv)
     assert ns is not None and vars(ns) == parsed(parser, argv)
-    assert (ns.action, ns.len, ns.output, ns.renyi) == ("count", 5, "c.json", False)
+    assert (ns.action, ns.len, ns.output, ns.renyi) == ("count", 5, "c.json", None)
+    cli._check(ns)
+    assert ns.renyi is False
 
 
 def test_reader_accepts_every_readme_command(parser):
@@ -140,6 +145,7 @@ def test_reader_accepts_every_readme_command(parser):
         ns = cli._read(argv)
         assert ns is not None, argv
         assert vars(ns) == parsed(parser, argv), argv
+        cli._check(ns)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -154,3 +160,87 @@ def test_reader_accepts_every_benchmark_job(parser, seed):
             ns = cli._read(job.argv)
             assert ns is not None, job.argv
             assert vars(ns) == parsed(parser, job.argv), job.argv
+            cli._check(ns)
+
+
+# -- the check: which action reads which option ------------------------------
+
+def value(kind) -> list[str]:
+    return [] if kind is bool else [kind[0]] if isinstance(kind, tuple) else ["3"]
+
+
+def actions(name) -> tuple:
+    """The command's actions, or ("",) when it has no positional."""
+    return next((kind for flags, kind, *_r in cli._COMMANDS[name][2] if flags[0] != "-"), ("",))
+
+
+def reads(row, action) -> str:
+    """"needs", "reads" or "" for what the action does with the row's option."""
+    spec = row[3].split() if row[3:] and row[3] else [action]
+    return "needs" if action + "!" in spec else "reads" if action in spec else ""
+
+
+def valid_argv(name, action, without=()) -> list[str]:
+    """The command with its action, every option that the action requires,
+    and the first of each "A or B" pair; none of the options in without."""
+    _module, _summary, rows, *pairs = cli._COMMANDS[name]
+    argv = [name, action] if action else [name]
+    for row in rows:
+        flags, kind, default = row[:3]
+        if flags[0] == "-" and flags not in without and (
+                default is ... or reads(row, action) == "needs"):
+            argv += [flags, *value(kind)]
+    for first, *either, second in (pair.split() for pair in pairs):
+        if either and not {first, second} & set(without):
+            argv += [first, *value(next(r[1] for r in rows if r[0] == first))]
+    return argv
+
+
+def refusals():
+    """(argv, message) for every option an action does not read, every
+    excluded pair given together, and every required option left out."""
+    for name, (_module, _summary, rows, *pairs) in cli._COMMANDS.items():
+        kinds = {row[0]: row[1] for row in rows}
+        for action in actions(name):
+            what = f"{name} {action}".strip()
+            for row in rows:
+                if not reads(row, action):
+                    yield ([*valid_argv(name, action), row[0], *value(row[1])],
+                           f"{what} does not take {row[0]}")
+                elif reads(row, action) == "needs" and row[2] is not ...:
+                    yield valid_argv(name, action, [row[0]]), f"{what} needs {row[0]}"
+        for pair in pairs:
+            first, *either, second = pair.split()
+            action = next(a for a in actions(name) if all(
+                reads(row, a) for row in rows if row[0] in (first, second)))
+            what = f"{name} {action}".strip()
+            argv = valid_argv(name, action, [first, second])
+            yield ([*argv, first, *value(kinds[first]), second, *value(kinds[second])],
+                   f"{what} {first} does not take {second}")
+            if either:
+                yield argv, f"need {pair}"
+
+
+REFUSALS = list(refusals())
+
+
+def test_the_refusals_cover_the_table():
+    assert len(REFUSALS) >= 60
+    assert (["parry", "check", "--word", "3", "--bits", "3"],
+            "parry check does not take --bits") in REFUSALS
+
+
+@pytest.mark.parametrize("argv, message", REFUSALS, ids=[" ".join(a) for a, _m in REFUSALS])
+def test_the_check_refuses(tmp_path, capsys, argv, message):
+    """One usage error, before the handler runs: no -o file is made."""
+    out = tmp_path / "out"
+    assert cli.main([*argv, "-o", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"usage error: {message}\n")
+    assert not out.exists()
+
+
+def test_the_check_fills_in_the_defaults():
+    ns = cli._read(["dim", "local", "--theta", "3", "--vhat", "1/3", "--beta", "root:1,1"])
+    assert (ns.base, ns.N, ns.stages, ns.sup, ns.digit_set) == (None, None, None, None, None)
+    cli._check(ns)
+    assert (ns.base, ns.N, ns.stages, ns.sup, ns.digit_set) == (3, 3, 12, False, None)
