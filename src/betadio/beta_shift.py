@@ -269,9 +269,10 @@ class BetaSystem:
         sys.fraction_base = base
         sys.alphabet_top = base.numerator // base.denominator
         sys.horizon = horizon
+        # no closed form to look for: a finite or periodic d(1) would make
+        # beta an algebraic integer (Parry 1960), and a rational one is an int
         sys._orbit = _RationalOrbit(base, F(1))
         sys.spec_string = f"rat:{base}"
-        sys._try_close_form()
         return sys
 
     @classmethod

@@ -129,7 +129,7 @@ def _renyi_interval_check(system: BetaSystem, n: int, count: int, bits: int) -> 
         beta = system.beta_scalar(bits)
         lower = beta.pow_int(n)
         upper = beta.pow_int(n + 1) / (beta - Scalar.from_int(1, bits))
-        lower_ok = lower.compare(F(count))
+        lower_ok = lower.compare(F(count)) if n else Comparison.LESS  # beta^0 = c_0 = 1
         upper_ok = upper.compare(F(count))
         if lower_ok is not Comparison.UNRESOLVED and upper_ok is not Comparison.UNRESOLVED:
             return {"n": n, "count": count,

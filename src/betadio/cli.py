@@ -12,14 +12,14 @@ success, a broken pipe on an ``--output`` file is not.
 Two readers share one option table, ``_COMMANDS``.  The exact-match reader
 ``_read`` accepts, without importing argparse, a subcommand, its exact
 flags each given once with a value not starting with ``-`` (one or more for
-a list), one positional from its choices, every required option and ``int``
-values that convert.  Anything else (``-h``, ``--version``,
+a list), one positional from its choices, every required option and
+integer values that convert.  Anything else (``-h``, ``--version``,
 ``--flag=value``, abbreviations, ``--``, unknown or extra tokens) goes to
 ``build_parser()``: argparse owns help, usage and every error message.
 Both give ``None`` for an option not given.  Then ``_check`` refuses, with
-one usage error, an option the action needs and lacks, one it does not
-read, or two that exclude each other, and fills in the defaults; only then
-is the command's handler module, in ``commands``, imported.
+one usage error, an option the action needs and lacks or does not read,
+two that exclude each other, or an integer below its least value, and
+fills in the defaults; only then is the handler module imported.
 """
 
 from __future__ import annotations
@@ -37,10 +37,11 @@ from .errors import DomainError, PrecisionError, UsageError
 # Per subcommand: its handler module, help, arguments, then the pairs of
 # options that exclude each other ("A or B": one of them is also needed).
 # An argument is (flags, kind, default[, reads[, help]]); flags without a
-# "-" name the positional, the action.  kind is str or int for one value, a
-# tuple of choices, bool for a store_true switch, or list for one or more
-# values.  A default of ... marks an argument every action needs.  reads
-# names the actions that read it, "!" after those that need it (None: all).
+# "-" name the positional, the action.  kind is str or int for one value, an
+# int k for an integer of at least k, a tuple of choices, bool for a
+# store_true switch, or list for one or more values.  A default of ...
+# marks an argument every action needs.  reads names the actions that read
+# it, "!" after those that need it (None: all).
 # The dest is the first flag without its dashes, "-" read as "_", as
 # argparse derives it.  Every subcommand also takes _OUTPUT.
 
@@ -48,12 +49,12 @@ _COMMANDS = {
     "expand": ("expansions", "digits of x in an integer or real base", (
         ("--base", int, None), ("--beta", str, None), ("--x", str, "0"),
         ("--lacunary", str, None, None, "rational v for the sparse series, or squared-power"),
-        ("--digits", int, ...)), "--base or --beta", "--beta --lacunary", "--lacunary --x"),
+        ("--digits", 1, ...)), "--base or --beta", "--beta --lacunary", "--lacunary --x"),
     "expand-one": ("real_base", "infinite expansion of 1", (
-        ("--beta", str, ...), ("--digits", int, ...))),
+        ("--beta", str, ...), ("--digits", 1, ...))),
     "admissible": ("real_base", "count/list/check admissible words", (
         ("action", ("count", "list", "check"), ...), ("--beta", str, ...),
-        ("--len", int, None, "count! list!"), ("--word", str, None, "check!"),
+        ("--len", 0, None, "count! list!"), ("--word", str, None, "check!"),
         ("--renyi", bool, False, "count", "attach the count bounds check"))),
     "cylinder": ("real_base", "certified basic-interval endpoints", (
         ("--beta", str, ...), ("--word", str, ...))),
@@ -61,13 +62,13 @@ _COMMANDS = {
         ("--input", str, ...), ("--zeros-only", bool, False), ("--trajectory", bool, False))),
     "construct": ("construct", "generate construction digit words", (
         ("flavor", ("bary", "beta", "param", "restricted"), ...), ("--theta", str, ...),
-        ("--vhat", str, ...), ("--stages", int, 8), ("--fill", str, "const:1"), ("--seed", int, 0),
+        ("--vhat", str, ...), ("--stages", 1, 8), ("--fill", str, "const:1"), ("--seed", int, 0),
         ("--base", int, None, "bary! restricted!"), ("--digit-set", str, None, "restricted!"),
         ("--beta", str, None, "beta!"), ("--beta0", str, None, "param!"),
         ("--beta1", str, None, "param!"), ("--beta2", str, None, "param!"),
         ("--N", int, 3, "beta param"))),
     "measure": ("measure", "cylinder mass from a construction sidecar", (
-        ("--sidecar", str, ...), ("--n", int, ...))),
+        ("--sidecar", str, ...), ("--n", 0, ...))),
     "dim": ("dim", "dimension formulas and trajectories", (
         ("what", ("formula", "local", "s0"), ...), ("--theta", str, None, "formula local! s0!"),
         ("--vhat", str, ...), ("--sup", bool, False, "formula"), ("--eps", str, "0", "s0"),
@@ -77,7 +78,7 @@ _COMMANDS = {
         "--beta --base", "--beta --digit-set", "--sup --theta"),
     "parry": ("real_base", "self-admissibility and base inversion", (
         ("action", ("check", "invert"), ...), ("--word", str, ...),
-        ("--bits", int, 128, "invert"))),
+        ("--bits", 1, 128, "invert"))),
     "reprove": ("dim", "prescribed-pair limit along a theta grid", (
         ("--v", str, ...), ("--thetas", list, ...))),
 }
@@ -97,7 +98,7 @@ def _read(argv: list) -> SimpleNamespace | None:
     for names, kind, *_rest in (*arguments, _OUTPUT):
         fields[_dest(names)] = None
         for flag in names.split() if names[0] == "-" else [None]:  # None: the positional
-            flags[flag] = _dest(names), kind
+            flags[flag] = _dest(names), int if isinstance(kind, int) else kind
     kind, need = None, False  # need: the option `kind` still lacks a value
     for token in argv[1:]:
         flag = token if token.startswith("-") else None
@@ -146,7 +147,7 @@ def build_parser():
             kw = {"help": text[1] if text[1:] else None}
             if kind is bool:
                 kw["action"] = "store_true"
-            elif kind is int:
+            elif kind is int or isinstance(kind, int):
                 kw["type"] = int
             elif kind is list:
                 kw["nargs"] = "+"
@@ -159,16 +160,19 @@ def build_parser():
 
 
 def _check(args) -> None:
-    """One usage error for what the action lacks or does not read; then the defaults."""
+    """One usage error for an option missing, foreign, excluded or too low; then the defaults."""
     _module, _summary, arguments, *pairs = _COMMANDS[args.command]
     action = next((getattr(args, f) for f, *_r in arguments if f[0] != "-"), "")
-    what, given, missing, foreign = f"{args.command} {action}".strip(), set(), [], []
-    for flags, _kind, default, *reads in arguments:
+    what, given, missing, foreign, low = f"{args.command} {action}".strip(), set(), [], [], ""
+    for flags, kind, default, *reads in arguments:
         spec = reads[0].split() if reads and reads[0] else [action]
-        if getattr(args, _dest(flags)) is not None:
+        value = getattr(args, _dest(flags))
+        if value is not None:
             given.add(flags)
             if action not in spec and action + "!" not in spec:
                 foreign.append(flags)
+            elif isinstance(kind, int) and value < kind:
+                low = f"{flags} >= {kind}, got {value}"
         elif action + "!" in spec:
             missing.append(flags)
         else:
@@ -181,6 +185,8 @@ def _check(args) -> None:
             raise UsageError(f"{what} {first} does not take {second}")
         if either and not {first, second} & given:
             raise UsageError(f"need {first} or {second}")
+    if low:
+        raise UsageError(f"{what} needs {low}")
 
 
 def main(argv=None) -> int:

@@ -36,11 +36,6 @@ def _digit_set(text: str, base: int) -> DigitSet:
     return DigitSet(base, frozenset(_ints(text, ",", "digit set")))
 
 
-def _not_negative(value: int, what: str) -> None:
-    if value < 0:
-        raise UsageError(f"{what} must not be negative, got {value}")
-
-
 def default_precision() -> int:
     text = os.environ.get("BETADIO_PRECISION", "256")
     try:

@@ -6,8 +6,6 @@ from . import _digit_set, _emit_digits, _fraction, _scalar_dict, default_precisi
 
 def cmd_construct(args):
     what = f"construct {args.flavor}"
-    if args.stages < 1:
-        raise UsageError(f"{what} needs --stages >= 1")
     from ..constructions import (ConstructionSpec, FillPolicy, generate_bary, generate_beta,
                                  generate_parameter_space)
     cfg = {"cmd": what, "theta": args.theta, "vhat": args.vhat,

@@ -2,13 +2,10 @@
 
 from fractions import Fraction
 
-from ..errors import UsageError
 from . import _emit, _emit_digits, _fraction, default_precision
 
 
 def cmd_expand(args):
-    if args.digits < 1:
-        raise UsageError(f"expand needs --digits >= 1, got {args.digits}")
     cfg, x = {"cmd": "expand", "digits": args.digits}, _fraction(args.x)
     if args.beta is None:
         from ..bary import expand_lacunary, expand_rational

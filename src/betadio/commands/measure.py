@@ -2,20 +2,27 @@
 the layout, not the generators, and an integer-base sidecar loads neither
 ``bary`` nor ``words``."""
 
-from . import _emit, _not_negative, _scalar_dict, default_precision
+from . import _emit, _scalar_dict, default_precision
 
 
 def cmd_measure(args):
-    _not_negative(args.n, "--n")
     import json
     from ..layout import BetaLayout, ScheduledRuns
     with open(args.sidecar) as fh:
         try:
             side = json.load(fh)
-            beta = side.get("kind") == "beta" or "N" in side["schedule"]
-            layout = (BetaLayout if beta else ScheduledRuns).from_dict(side["schedule"])
-            base = side["approximant"] if beta else side.get("base", 0)  # a spec, or an integer
-        except (ValueError, KeyError, TypeError, AttributeError):
+            s = side["schedule"]
+            beta = side.get("kind") == "beta" or "N" in s
+            base = side["approximant"] if beta else side["base"]  # a spec, or an integer
+            # every field read has the type, and every list the length, construct writes
+            lists = [s[k] for k in ("n", "m", "t", "delta", "u")] + [side.get("digit_set", [])]
+            if not (all(type(v) is list and all(type(d) is int for d in v) for v in lists)
+                    and {len(v) for v in lists[1:5]} == {len(lists[0]) - 1}
+                    and type(s["theta"]) is type(s["v_hat"]) is str
+                    and type(base) is (str if beta else int) and type(s.get("N", 0)) is int):
+                raise TypeError
+            layout = (BetaLayout if beta else ScheduledRuns).from_dict(s)
+        except (ValueError, KeyError, TypeError, ZeroDivisionError):
             raise ValueError(f"not a construction sidecar: {args.sidecar!r}") from None
     cfg = {"cmd": "measure", "sidecar": args.sidecar, "n": args.n}
     if beta:

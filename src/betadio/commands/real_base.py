@@ -4,12 +4,10 @@ and ``words``; ``cylinder``, ``parry invert`` and the Rényi check off an
 integer base add ``beta_values`` and ``numerics``."""
 
 from ..errors import DomainError, UsageError
-from . import _emit, _emit_digits, _not_negative, _scalar_dict, _word, default_precision
+from . import _emit, _emit_digits, _scalar_dict, _word, default_precision
 
 
 def cmd_expand_one(args):
-    if args.digits < 1:
-        raise UsageError(f"expand-one needs --digits >= 1, got {args.digits}")
     from ..beta_shift import BetaSystem, expansion_of_one_star
     system = BetaSystem.parse(args.beta, default_precision())
     word = expansion_of_one_star(system, args.digits)
@@ -19,8 +17,6 @@ def cmd_expand_one(args):
 
 
 def cmd_admissible(args):
-    if args.action != "check":
-        _not_negative(args.len, "--len")
     from ..beta_shift import BetaSystem, count_admissible, is_admissible, renyi_bounds_check
     system = BetaSystem.parse(args.beta, default_precision())
     cfg = {"cmd": f"admissible {args.action}", "beta": args.beta}
@@ -80,8 +76,6 @@ def cmd_parry(args):
         ok = is_self_admissible(word)
         _emit(args, {"word": word_desc, "self_admissible": ok}, cfg, plain=str(ok).lower())
     else:
-        if args.bits < 1:
-            raise UsageError(f"parry invert needs --bits >= 1, got {args.bits}")
         from ..beta_values import parry_invert
         root = parry_invert(word, precision=args.bits)
         s = root.as_scalar(args.bits)

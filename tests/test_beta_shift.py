@@ -83,6 +83,16 @@ def test_rational_base_expansion_of_one():
     assert sys.alphabet_top == 1
 
 
+@pytest.mark.parametrize("spec", ["rat:3/2", "rat:7/5", "rat:21/2"])
+def test_a_rational_base_steps_its_orbit_only_as_far_as_it_is_read(spec):
+    # d(1) of a rational non-integer neither terminates nor cycles (it would
+    # make beta an algebraic integer), so parsing looks for no closed form
+    sys_ = BetaSystem.parse(spec)
+    assert sys_._orbit.digits == [] and sys_.d1_star is None
+    assert sys_.d1_star_digit(5) == sys_._orbit.digits[5]
+    assert len(sys_._orbit.digits) == 6 and sys_.automaton is None
+
+
 def test_from_root_integer_detection():
     sys = BetaSystem.from_root([1, 2])  # 1 = 1/z + 2/z^2 has root z = 2
     assert sys.kind == "int" and sys.int_base == 2
@@ -252,10 +262,11 @@ def test_enumeration_is_not_recursive():
 
 
 def test_renyi_bounds():
-    for sys in (golden(), tribonacci(), BetaSystem.from_int(3)):
-        for n in (1, 5, 12):
+    for sys in (golden(), tribonacci(), BetaSystem.from_int(3), BetaSystem.parse("rat:3/2")):
+        for n in (0, 1, 5, 12):  # n = 0: beta^0 = c_0 = 1, an equality
             rep = renyi_bounds_check(sys, n)
             assert rep["lower_ok"] and rep["upper_ok"], rep
+            assert rep["bits"] == 256
 
 
 def test_monotone_nesting():

@@ -298,15 +298,36 @@ def test_measure_refuses_a_negative_depth(tmp_path, capsys, flavor, extra):
                  *extra, "-o", str(out)]) == 0
     capsys.readouterr()
     assert main(["measure", "--sidecar", f"{out}.json", "--n", "-5"]) == 1
-    assert capsys.readouterr() == ("", "usage error: --n must not be negative, got -5\n")
+    assert capsys.readouterr() == ("", "usage error: measure needs --n >= 0, got -5\n")
 
 
-@pytest.mark.parametrize("text", ["{}", "[]", '{"schedule": {}}', None])
+FLAVORS = {"bary": ["--base", "3"], "restricted": ["--base", "3", "--digit-set", "0,2"],
+           "beta": ["--beta", "root:1,1", "--N", "3"]}
+
+
+def edited_sidecar(tmp_path, capsys, flavor, key, value) -> str:
+    """A sidecar written by construct, with one field (schedule.<k> for a
+    schedule field) set to a value of the wrong type."""
+    out = tmp_path / "c.digits"
+    assert main(["construct", flavor, "--theta", "3", "--vhat", "1/3", "--stages", "2",
+                 *FLAVORS[flavor], "-o", str(out)]) == 0
+    capsys.readouterr()
+    side = json.loads((tmp_path / "c.digits.json").read_text())
+    *path, last = key.split(".")
+    (side[path[0]] if path else side)[last] = value
+    return json.dumps(side)
+
+
+@pytest.mark.parametrize("text", ["{}", "[]", '{"schedule": {}}', None,
+                                  ("beta", "approximant", 5), ("restricted", "digit_set", 5),
+                                  ("bary", "schedule.n", "12"), ("bary", "base", "3")])
 def test_measure_refuses_what_is_not_a_sidecar(tmp_path, capsys, text):
     sidecar = tmp_path / "s.json"
     if text is None:
         sidecar = Path(os.devnull)
     else:
+        if isinstance(text, tuple):
+            text = edited_sidecar(tmp_path, capsys, *text)
         sidecar.write_text(text)
     assert main(["measure", "--sidecar", str(sidecar), "--n", "1"]) == 2
     assert capsys.readouterr() == ("", f"error: not a construction sidecar: {str(sidecar)!r}\n")

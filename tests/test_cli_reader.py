@@ -6,8 +6,9 @@ Wherever ``cli._read`` accepts an argv, its attributes must equal those of
 The argvs are seeded random ones built from the table's vocabulary plus
 junk, every command of the README's CLI block, and every job of the
 benchmark's job lists; the reader and ``cli._check`` must accept the last
-two kinds.  The refusals of ``cli._check`` are generated from the table, so
-a new row is covered the day it lands.
+two kinds.  The refusals of ``cli._check``, an integer below its row's
+least value among them, are generated from the table, so a new row is
+covered the day it lands.
 """
 
 import random
@@ -41,7 +42,7 @@ def value_tokens(rng, kind) -> list[str]:
     """Mostly good values for an argument of this kind, sometimes bad ones."""
     if rng.random() < 0.1:
         return rng.choice([[], ["-3"], ["-1/3"], ["--x"], ["x"], ["other"], ["1/2"]])
-    if kind is int:
+    if kind is int or isinstance(kind, int):  # an int kind is the least value
         return [rng.choice([str(rng.randint(0, 40)), " 4", "+6", "1_0"])]
     if isinstance(kind, tuple):
         return [rng.choice(kind)]
@@ -237,6 +238,46 @@ def test_the_check_refuses(tmp_path, capsys, argv, message):
     assert cli.main([*argv, "-o", str(out)]) == 1
     assert capsys.readouterr() == ("", f"usage error: {message}\n")
     assert not out.exists()
+
+
+def least_values():
+    """(argv, message, argv at the least value) for every integer option whose
+    row gives a least value, once as two tokens (the exact-match reader) and
+    once as --flag=value (argparse)."""
+    for name, (_module, _summary, rows, *_pairs) in cli._COMMANDS.items():
+        for row in rows:
+            flags, least = row[:2]
+            if not isinstance(least, int):
+                continue
+            action = next(a for a in actions(name) if reads(row, a))
+            argv = valid_argv(name, action, [flags])
+            message = f"{f'{name} {action}'.strip()} needs {flags} >= {least}, got {least - 1}"
+            yield [*argv, flags, str(least - 1)], message, [*argv, flags, str(least)]
+            yield [*argv, f"{flags}={least - 1}"], message, [*argv, f"{flags}={least}"]
+
+
+LEAST = list(least_values())
+
+
+def test_the_least_values_are_in_their_rows():
+    assert {(argv[0], message.split(" needs ")[1]) for argv, message, _least in LEAST} == {
+        ("expand", "--digits >= 1, got 0"), ("expand-one", "--digits >= 1, got 0"),
+        ("admissible", "--len >= 0, got -1"), ("construct", "--stages >= 1, got 0"),
+        ("measure", "--n >= 0, got -1"), ("parry", "--bits >= 1, got 0")}
+    assert len(LEAST) == 12
+
+
+@pytest.mark.parametrize("argv, message, least", LEAST, ids=[" ".join(a) for a, *_r in LEAST])
+def test_an_integer_below_its_least_value_is_refused(tmp_path, capsys, parser, argv, message,
+                                                     least):
+    """Through either reader: one usage error before the handler runs, and
+    the least value itself passes the check."""
+    out = tmp_path / "out"
+    assert cli.main([*argv, "-o", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"usage error: {message}\n")
+    assert not out.exists()
+    ns = cli._read(least) or parser.parse_args(least)
+    cli._check(ns)
 
 
 def test_the_check_fills_in_the_defaults():
