@@ -9,7 +9,7 @@ of the first package, and ``record``, are exported as modules too."""
 __version__ = "0.1.0"
 
 _LAYERS = {  # each exported name by the module that defines it
-    "bary": "DigitSet ExponentEstimate Run RunDecomposition check_relations estimate_exponents"
+    "bary": "ExponentEstimate Run RunDecomposition check_relations estimate_exponents"
             " expand_lacunary expand_rational exponents_of_word run_decomposition",
     "beta_shift": "AdmissibilityAutomaton BetaSystem count_admissible expansion_of_one_star"
                   " is_admissible is_self_admissible renyi_bounds_check",
@@ -19,6 +19,7 @@ _LAYERS = {  # each exported name by the module that defines it
     "constructions": "BaryConstruction BetaConstruction ConstructionSpec FillPolicy"
                      " ParamSpaceResult generate_bary generate_beta generate_parameter_space",
     "digit_files": "DigitStream read_digit_file write_digit_file",
+    "digit_sets": "DigitSet",
     "errors": "BetadioError DegenerateApproximant DepthExceeded DomainError HorizonTooDeep"
               " InfeasibleParameters InsufficientDepth InvalidDigitSet NoRoot NoRuns NotInSupport"
               " NotSelfAdmissible PrecisionError PrecisionExhausted PrefixConditionFailed"

@@ -15,7 +15,7 @@ import re
 from fractions import Fraction
 from typing import Optional
 
-from .errors import InsufficientDepth, InvalidDigitSet, NoRuns
+from .errors import InsufficientDepth, NoRuns
 from .record import Record
 from .words import DigitWord
 
@@ -33,12 +33,12 @@ def expand_rational(p: int, q: int, b: int, n: int) -> DigitWord:
         raise ValueError("need 0 <= p < q")
     if b < 2 or n < 1:
         raise ValueError("need b >= 2 and n >= 1")
-    digits = []
-    for _ in range(n):
+    digits = bytearray(n) if b <= 256 else [0] * n
+    for i in range(n):
         p *= b
-        digits.append(p // q)
+        digits[i] = p // q
         p %= q
-    return DigitWord(b, digits)
+    return DigitWord.from_bytes(b, digits) if b <= 256 else DigitWord(b, digits)
 
 
 def lacunary_positions(rule, n: int) -> list[int]:
@@ -75,7 +75,7 @@ def expand_lacunary(b: int, rule, n: int) -> DigitWord:
     digits = bytearray(n)
     for pos in lacunary_positions(rule, n):
         digits[pos - 1] = 1
-    return DigitWord.from_bytes(b, bytes(digits))
+    return DigitWord.from_bytes(b, digits)
 
 
 # ---------------------------------------------------------------------------
@@ -117,21 +117,30 @@ class RunDecomposition(Record):
         self.word = word
 
 
+_PROBE = 1 << 12  # longest block searched for: no temporary grows with the run
+
+
 def _next_run(data, symbol: int, length: int, pos: int,
               stop: Optional[int] = None) -> Optional[tuple[int, int]]:
     """0-based span ``(start, end)`` of the first maximal run of at least
     ``length`` copies of ``symbol`` that starts at or after ``pos``, or None;
     with ``stop``, only a run whose first ``length`` copies end by ``stop``.
 
-    ``bytes.find`` skips the shorter runs in C; one anchored match finds the
-    end of the run.
+    ``bytes.find`` skips the runs shorter than a probe of at most ``_PROBE``
+    copies in C; one anchored match finds the end of each run it hits.
     """
-    block = bytes((symbol,)) * length
-    run = re.compile(re.escape(block[:1]) + b"+")
-    p = data.find(block, pos, stop)
-    if 0 < p == pos and data[p - 1] == symbol:  # that run started before pos
-        p = data.find(block, run.match(data, p).end(), stop)
-    return None if p < 0 else (p, run.match(data, p).end())
+    probe = bytes((symbol,)) * min(length, _PROBE)
+    run = re.compile(re.escape(probe[:1]) + b"+")
+    if stop is not None:
+        # the probe ends by here when the run's first copies end by stop
+        stop = max(0, stop - length + len(probe))
+    if 0 < pos < len(data) and data[pos - 1] == data[pos] == symbol:
+        pos = run.match(data, pos).end()  # that run started before pos
+    while (p := data.find(probe, pos, stop)) >= 0:
+        pos = run.match(data, p).end()
+        if pos - p >= length:
+            return p, pos
+    return None
 
 
 def _run_symbols(b: int, kinds: tuple[str, ...]) -> list[int]:
@@ -180,7 +189,7 @@ def run_decomposition(digits: DigitWord, b: Optional[int] = None,
     b = b or digits.base
     if len(digits) < 2:
         raise NoRuns("need at least two digits")
-    data = digits.data if isinstance(digits.data, bytes) else bytes(digits.data)
+    data = bytes(digits.data) if isinstance(digits.data, tuple) else digits.data
     symbols = _run_symbols(b, kinds)
     # one scan finds the runs in order, with no list of spans beside them:
     # a long word has a run every few digits
@@ -254,7 +263,7 @@ def exponents_of_word(digits: DigitWord, b: Optional[int] = None,
     does, so the scan costs C time per digit and Python time per monotone run.
     """
     if len(digits) >= 2:
-        data = digits.data if isinstance(digits.data, bytes) else bytes(digits.data)
+        data = bytes(digits.data) if isinstance(digits.data, tuple) else digits.data
         mono = _monotone_runs(data, _run_symbols(b or digits.base, kinds))
         if len(mono) >= 2:
             return _estimate(mono, len(data), None)
@@ -283,51 +292,3 @@ def check_relations(est: ExponentEstimate, tol: Fraction = Fraction(0)) -> dict:
     report["all_pass"] = all(report[k] for k in
                              ("hat_le_v", "hat_le_v_over_1_plus_v", "v_ge_hat_over_1_minus_hat"))
     return report
-
-
-# ---------------------------------------------------------------------------
-# restricted digit sets
-
-
-class DigitSet(Record):
-    """Digits allowed in a restricted Cantor set K_{b,S}.
-
-    Needs at least two digits and one of {0, b-1}; otherwise every number in
-    the set keeps its orbit far from the integers and the exponents vanish.
-    Immutable by convention, hashed by value.
-    """
-
-    __slots__ = ("base", "digits")
-
-    def __init__(self, base: int, digits: frozenset[int]):
-        self.base = base
-        self.digits = frozenset(digits)
-        if self.base < 3:
-            raise InvalidDigitSet("restricted digit sets need base >= 3")
-        if not self.digits <= set(range(self.base)):
-            raise InvalidDigitSet("digits out of range")
-        if len(self.digits) < 2:
-            raise InvalidDigitSet("need at least two digits")
-        if 0 not in self.digits and self.base - 1 not in self.digits:
-            raise InvalidDigitSet("need 0 or b-1 in the digit set")
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    @property
-    def size(self) -> int:
-        return len(self.digits)
-
-    @property
-    def run_digit(self) -> int:
-        """The digit whose long blocks drive the approximation."""
-        return 0 if 0 in self.digits else self.base - 1
-
-    @property
-    def marker_digit(self) -> int:
-        """Nonzero digit (not the run digit) used to delimit blocks."""
-        if self.run_digit == 0:
-            if 1 in self.digits:
-                return 1
-            return min(d for d in self.digits if d != 0)
-        return min(d for d in self.digits if d != self.base - 1)

@@ -227,6 +227,8 @@ def _run(argv) -> int:
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
             return 0
+        if isinstance(exc, OSError) and exc.strerror:  # no "[Errno N]"
+            exc = exc.strerror + ("" if exc.filename is None else f": {exc.filename!r}")
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -32,7 +32,7 @@ def _word(text: str) -> list[int]:
 
 
 def _digit_set(text: str, base: int) -> DigitSet:
-    from ..bary import DigitSet
+    from ..digit_sets import DigitSet
     return DigitSet(base, frozenset(_ints(text, ",", "digit set")))
 
 

@@ -1,6 +1,6 @@
 """``measure``: a cylinder's mass from a construction's sidecar.  It reads
 the layout, not the generators, and an integer-base sidecar loads neither
-``bary`` nor ``words``."""
+``bary`` nor ``words`` (a restricted one adds ``digit_sets``)."""
 
 from . import _emit, _scalar_dict, default_precision
 
@@ -36,7 +36,7 @@ def cmd_measure(args):
     else:
         from ..measures_dim import measure_bary
         if side.get("digit_set"):
-            from ..bary import DigitSet
+            from ..digit_sets import DigitSet
             base = DigitSet(base, frozenset(side["digit_set"]))
         mv = measure_bary(layout, base, args.n, pair=side.get("base") == 2)
         _emit(args, {"n": args.n, "base": mv.base, "exponent": mv.exponent}, cfg)

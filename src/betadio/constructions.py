@@ -22,7 +22,8 @@ import random
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .bary import DigitSet, _next_run
+from .bary import _next_run
+from .digit_sets import DigitSet
 from .errors import InfeasibleParameters, NotSelfAdmissible, PrefixConditionFailed
 from .layout import (FREE, BetaLayout, ScheduledRuns, Segment, _check_feasible, beta_layout,
                      layout_segments, schedule)
@@ -109,13 +110,25 @@ class BaryConstruction(Record):
         return d
 
 
+_BLOCK = 1 << 14  # digits per write or draw: no temporary grows with the word
+
+
+def _put(arr: bytearray, lo: int, hi: int, pattern: bytes) -> None:
+    """Positions ``lo..hi`` (1-based, inclusive) set to copies of ``pattern``,
+    one bounded block at a time."""
+    block = pattern * max(1, _BLOCK // len(pattern))
+    for i in range(lo - 1, hi, len(block)):
+        end = min(i + len(block), hi)
+        arr[i:end] = block[:end - i]
+
+
 def _prescribed(segs: list[Segment]) -> tuple[bytearray, list[Segment]]:
     """The layout's digits with every prescribed segment written (free
     positions left 0), and the free segments in order."""
     arr = bytearray(segs[-1].hi)
     for seg in segs:
         if seg.kind != FREE:
-            arr[seg.lo - 1:seg.hi] = seg.prescribed()
+            _put(arr, seg.lo, seg.hi, seg.digits)
     return arr, [seg for seg in segs if seg.kind == FREE]
 
 
@@ -145,7 +158,7 @@ def generate_bary(spec: ConstructionSpec) -> BaryConstruction:
     clamps: list[int] = []
     _fill_free_spans(arr, free, spec.fill, b, allowed, clamps)
     _enforce_run_caps(arr, segs, free, b, allowed, clamps)
-    word = DigitWord.from_bytes(b, bytes(arr))
+    word = DigitWord.from_bytes(b, arr)
     if clamps:
         _warn("fill policy clamped at %d positions", len(clamps))
     return BaryConstruction(word=word, schedule=runs, base=b, clamps=clamps,
@@ -197,10 +210,14 @@ def _fill_free_spans(arr: bytearray, free: list[Segment], policy: FillPolicy, b:
                      allowed: Sequence[int], clamps: list[int]) -> None:
     if policy.kind != "constant":
         # random: bulk draws; overlong runs (rare unless the cap is tiny) are
-        # punched afterwards by the cap-enforcement pass, which records the clamps
+        # punched afterwards by the cap-enforcement pass, which records the
+        # clamps.  choices draws one random() per digit, so drawing a segment
+        # in blocks gives the digits of one draw for the whole segment
         rng = random.Random(policy.seed)
         for lo, hi, _kind, _digits, _cap in free:
-            arr[lo - 1:hi] = bytes(rng.choices(allowed, k=hi - lo + 1))
+            for i in range(lo - 1, hi, _BLOCK):
+                end = min(i + _BLOCK, hi)
+                arr[i:end] = bytes(rng.choices(allowed, k=end - i))
         return
     c = policy.digit
     if c not in allowed:
@@ -211,7 +228,7 @@ def _fill_free_spans(arr: bytearray, free: list[Segment], policy: FillPolicy, b:
     # a run-forming constant gets break digits punched so runs stay capped
     breaker = _break_digit(c, allowed, b) if c in (0, b - 1) else None
     for lo, hi, _kind, _digits, cap in free:
-        arr[lo - 1:hi] = bytes([c]) * (hi - lo + 1)
+        _put(arr, lo, hi, bytes([c]))
         if breaker is None:
             continue
         left = 0
@@ -300,7 +317,8 @@ def generate_beta(base: BetaSystem, N: int, theta: Fraction, v_hat: Fraction,
             zrun = zrun + 1 if d == 0 else 0
             state = auto.step(state, d)
             digits[pos - 1] = d
-    word = DigitWord.from_bytes(approx.alphabet_top + 1, bytes(digits[:depth]))
+    del digits[depth:]
+    word = DigitWord.from_bytes(approx.alphabet_top + 1, digits)
     return BetaConstruction(word=word, layout=layout, base_spec=base.spec_string,
                             approximant_spec=approx.spec_string, clamps=clamps,
                             fill=fill.describe())

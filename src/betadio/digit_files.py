@@ -3,6 +3,7 @@ in decimal, 40 to a line, single spaces between them and a newline after
 each line's last.  The reader accepts any whitespace between digits, and
 reads the writer's own layout in bulk."""
 
+from io import BytesIO
 from typing import Iterable, Iterator
 
 from .words import DigitWord
@@ -57,12 +58,13 @@ def write_digit_file(stream, base: int, digits: Iterable[int], per_line: int = 4
 
 
 def read_digit_file(stream) -> DigitWord:
-    """Read a digit file into bytes (a list above base 256), so memory stays
+    """Read a digit file into bytes (a tuple above base 256), so memory stays
     near one byte per digit; ValueError on a malformed file.
 
     Text that alternates one digit below the base and one space or newline,
     as the writer lays it out, is converted in blocks; from the first block
-    that does not, the rest is parsed token by token.
+    that does not, the rest is parsed token by token.  The blocks go into one
+    ``BytesIO``, whose ``getvalue()`` hands over its buffer without a copy.
     """
     header = stream.readline().strip()
     if not header.startswith("base="):
@@ -71,18 +73,18 @@ def read_digit_file(stream) -> DigitWord:
     head, lines = b"", stream
     if 2 <= base <= 256:
         digit_chars = b"0123456789"[:base]
-        parts = []
+        parts = BytesIO()
         while text := stream.read(_BLOCK):
             raw = text.encode()
             digits = raw[::2]
             if (not text.isascii() or len(raw) % 2 or raw[1::2].translate(None, b" \n")
                     or digits.translate(None, digit_chars)):
                 # the block starts on a token; the rest of the text is parsed below
-                head, lines = b"".join(parts), (text + stream.read()).splitlines()
+                head, lines = parts.getvalue(), (text + stream.read()).splitlines()
                 break
-            parts.append(digits.translate(_FROM_ASCII))
+            parts.write(digits.translate(_FROM_ASCII))
         else:
-            return DigitWord.from_bytes(base, b"".join(parts))
+            return DigitWord.from_bytes(base, parts.getvalue())
     if base <= 256:
         return DigitWord(base, head + b"".join(bytes(map(int, line.split())) for line in lines))
     return DigitWord(base, [int(tok) for line in lines for tok in line.split()])

@@ -79,7 +79,7 @@ def measure_bary(runs: ScheduledRuns, base: Union[int, DigitSet], n: int,
     digit.  ``pair=True`` accounts for the base-2 marker blocks ``1 0``.
     """
     if not isinstance(base, int):  # an int base loads no digit-set layer
-        from .bary import DigitSet
+        from .digit_sets import DigitSet
         if isinstance(base, DigitSet):
             base = base.size
     return MeasureValue(n=n, base=int(base), exponent=free_digit_count(runs, n, pair))
@@ -195,7 +195,7 @@ def local_dimension_bary(theta: Fraction, v_hat: Fraction, base: Union[int, Digi
     from .closed_forms import digit_set_scale, dim_formula
     ds = None
     if not isinstance(base, int):  # an int base loads no digit-set layer
-        from .bary import DigitSet
+        from .digit_sets import DigitSet
         ds = base if isinstance(base, DigitSet) else None
     b_int = int(base) if ds is None else ds.base
     if b_int < 2:

@@ -1,8 +1,10 @@
 """Finite digit words and eventually periodic words.
 
-Finite words over bases up to 256 are packed into ``bytes`` so that
+Finite words over bases up to 256 are packed one byte per digit, so that
 multi-megabyte words stay cheap to store and scan; larger alphabets fall
-back to tuples.  Positions are 0-based in code; run/schedule indices that
+back to tuples.  A packed word's data is ``bytes``, or the ``bytearray`` its
+producer filled, handed over without a copy; any data that is not a tuple
+is packed.  Positions are 0-based in code; run/schedule indices that
 follow the 1-based convention of the expansion literature say so explicitly.
 """
 
@@ -14,7 +16,9 @@ from typing import Iterable, Iterator, Sequence
 
 
 class DigitWord(Sequence[int]):
-    """Immutable finite word over the alphabet {0, ..., base-1}."""
+    """Finite word over the alphabet {0, ..., base-1}, immutable by
+    convention: a packed word may hold the ``bytearray`` that a generator or
+    reader filled, and nobody writes to it once it is a word."""
 
     __slots__ = ("base", "_data")
 
@@ -29,7 +33,9 @@ class DigitWord(Sequence[int]):
         self._data = data
 
     @staticmethod
-    def from_bytes(base: int, data: bytes) -> "DigitWord":
+    def from_bytes(base: int, data) -> "DigitWord":
+        """The word of packed ``data`` (``bytes`` or ``bytearray``), taken
+        as it is: no copy and no digit check."""
         w = DigitWord.__new__(DigitWord)
         w.base = base
         w._data = data
@@ -40,8 +46,8 @@ class DigitWord(Sequence[int]):
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return DigitWord.from_bytes(self.base, self._data[i]) \
-                if isinstance(self._data, bytes) else DigitWord(self.base, self._data[i])
+            return DigitWord(self.base, self._data[i]) if isinstance(self._data, tuple) \
+                else DigitWord.from_bytes(self.base, self._data[i])
         return self._data[i]
 
     def __iter__(self) -> Iterator[int]:
@@ -50,12 +56,13 @@ class DigitWord(Sequence[int]):
     def __eq__(self, other):
         if not isinstance(other, DigitWord) or self.base != other.base:
             return False
-        if isinstance(self._data, bytes) and isinstance(other._data, bytes):
-            return self._data == other._data
-        return tuple(self._data) == tuple(other._data)
+        if isinstance(self._data, tuple) or isinstance(other._data, tuple):
+            return tuple(self._data) == tuple(other._data)
+        return self._data == other._data
 
     def __hash__(self):
-        return hash((self.base, bytes(self._data) if not isinstance(self._data, bytes) else self._data))
+        # bytes() of a bytes object is that object, not a copy
+        return hash((self.base, bytes(self._data)))
 
     def __repr__(self):
         shown = " ".join(str(d) for d in itertools.islice(self, 24))

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from betadio.bary import DigitSet, estimate_exponents, expand_lacunary, run_decomposition
+from betadio.bary import estimate_exponents, expand_lacunary, run_decomposition
 from betadio.beta_shift import BetaSystem, count_admissible, is_admissible, renyi_bounds_check
 from betadio.beta_values import cylinder, greedy_expand, is_full, parry_invert
 from betadio.closed_forms import (
@@ -22,6 +22,7 @@ from betadio.closed_forms import (
 )
 from betadio.constructions import ConstructionSpec, FillPolicy, generate_bary, \
     generate_parameter_space
+from betadio.digit_sets import DigitSet
 from betadio.layout import schedule
 from betadio.measures_dim import free_digit_count, local_dimension_bary, stolz_cesaro_ratios
 from betadio.numerics import isolate_root

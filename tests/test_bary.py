@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betadio.bary import (
-    DigitSet,
     check_relations,
     estimate_exponents,
     expand_lacunary,
@@ -13,6 +12,7 @@ from betadio.bary import (
     exponents_of_word,
     run_decomposition,
 )
+from betadio.digit_sets import DigitSet
 from betadio.errors import InsufficientDepth, InvalidDigitSet, NoRuns
 from betadio.words import DigitWord
 

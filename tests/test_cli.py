@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 
 import betadio
-from betadio.bary import DigitSet
 from betadio.cli import _COMMANDS, main
 from betadio.constructions import ConstructionSpec, FillPolicy, generate_bary
+from betadio.digit_sets import DigitSet
 from test_readme import readme_commands
 
 F = Fraction
@@ -581,8 +581,9 @@ def _cli(*argv, cwd=None):
 # stdlib modules kept off the start-up path; argparse (with gettext and
 # locale) loads only for help and errors
 KEPT_OFF = {"dataclasses", "inspect", "logging", "csv", "argparse", "gettext", "locale"}
-LIBRARY = ("numerics", "logarithm", "polynomials", "words", "digit_files", "bary", "beta_shift",
-           "beta_values", "layout", "constructions", "closed_forms", "measures_dim", "commands")
+LIBRARY = ("numerics", "logarithm", "polynomials", "words", "digit_files", "bary", "digit_sets",
+           "beta_shift", "beta_values", "layout", "constructions", "closed_forms", "measures_dim",
+           "commands")
 
 
 def _loaded(proc) -> set:
@@ -600,13 +601,15 @@ def test_import_footprint():
     assert not {f"betadio.{layer}" for layer in LIBRARY} & loaded
 
 
-CLOSED_FORMS = ("words", "digit_files", "bary", "numerics", "logarithm", "polynomials",
-                "beta_shift", "beta_values", "layout", "constructions", "measures_dim")
-NO_REAL_BASE = ("numerics", "logarithm", "polynomials", "beta_shift", "beta_values", "layout",
-                "constructions", "closed_forms", "measures_dim")
+CLOSED_FORMS = ("words", "digit_files", "bary", "digit_sets", "numerics", "logarithm",
+                "polynomials", "beta_shift", "beta_values", "layout", "constructions",
+                "measures_dim")
+NO_REAL_BASE = ("digit_sets", "numerics", "logarithm", "polynomials", "beta_shift", "beta_values",
+                "layout", "constructions", "closed_forms", "measures_dim")
 INTEGER_BASE = ("numerics", "logarithm", "polynomials", "beta_shift", "beta_values")
 LAYOUT_ONLY = ("words", "digit_files", "bary", "numerics", "logarithm", "polynomials",
                "beta_shift", "beta_values", "constructions")
+NO_WORDS = ("words", "digit_files", "bary", "beta_shift", "beta_values", "constructions")
 NO_GENERATOR = ("layout", "constructions", "closed_forms", "measures_dim", "logarithm")
 # the words of a base and their counts need its expansion of 1 alone, not beta
 NO_BETA = NO_GENERATOR + ("numerics", "beta_values")
@@ -627,10 +630,14 @@ FOOTPRINTS = [
      ("numerics", "beta_values", "logarithm", "closed_forms", "measures_dim")),
     ("construct param --theta 3 --vhat 1/3 --beta0 rat:3/2 --beta1 root:1,1 --beta2 root:1,1,1"
      " --N 5 --stages 3", ("logarithm", "closed_forms", "measures_dim")),
-    ("dim local --theta 3 --vhat 1/3 --base 3 --stages 8", LAYOUT_ONLY),
+    ("dim local --theta 3 --vhat 1/3 --base 3 --stages 8", LAYOUT_ONLY + ("digit_sets",)),
+    # a digit set is read without bary's expansions and words
+    ("dim formula --theta 3 --vhat 1/3 --digit-set 0,2", NO_WORDS + ("layout", "measures_dim")),
+    ("dim local --theta 3 --vhat 1/3 --base 3 --digit-set 0,2 --stages 8", NO_WORDS),
     ("dim local --theta 3 --vhat 1/3 --beta root:1,1 --N 3 --stages 3",
      ("constructions", "digit_files", "beta_values")),
-    ("measure --sidecar e.digits.json --n 54", LAYOUT_ONLY + ("closed_forms",)),
+    ("measure --sidecar e.digits.json --n 54", LAYOUT_ONLY + ("closed_forms", "digit_sets")),
+    ("measure --sidecar k.digits.json --n 54", LAYOUT_ONLY + ("closed_forms",)),
     ("admissible count --beta root:1,1 --len 5", WORDS_ONLY),
     ("admissible count --beta word:2,0,1,1 --len 50", WORDS_ONLY),
     ("admissible count --beta word:2,(1,0) --len 50", WORDS_ONLY),
@@ -658,6 +665,9 @@ def test_command_footprint(tmp_path, command, unused):
     argparse's on --version."""
     assert main(["construct", "bary", "--theta", "3", "--vhat", "1/3", "--base", "3",
                  "--stages", "8", "-o", str(tmp_path / "e.digits")]) == 0
+    assert main(["construct", "restricted", "--theta", "3", "--vhat", "1/3", "--base", "3",
+                 "--digit-set", "0,2", "--fill", "random", "--stages", "8",
+                 "-o", str(tmp_path / "k.digits")]) == 0
     code = ("import sys, betadio.cli\n"
             "try:\n"
             "    sys.exit(betadio.cli.main(sys.argv[1:]))\n"
@@ -775,7 +785,22 @@ def test_broken_output_file_is_an_error(tmp_path):
     finally:
         proc.kill()
     assert first == b"b"
-    assert (proc.returncode, out, err) == (2, b"", b"error: [Errno 32] Broken pipe\n")
+    assert (proc.returncode, out, err) == (2, b"", b"error: Broken pipe\n")
+
+
+@pytest.mark.parametrize("argv, path, reason", [
+    ("parry invert --word 1,1,0 -o .", ".", "Is a directory"),
+    ("parry invert --word 1,1,0 -o missing/o", "missing/o", "No such file or directory"),
+    ("exponents --input missing.digits", "missing.digits", "No such file or directory"),
+    ("measure --sidecar missing.json --n 3", "missing.json", "No such file or directory"),
+])
+def test_a_file_error_names_the_reason_and_the_path(tmp_path, monkeypatch, capsys, argv, path,
+                                                    reason):
+    """An OSError reaches stderr as its reason and its file, without
+    Python's ``[Errno N]``; exit 2."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv.split()) == 2
+    assert capsys.readouterr() == ("", f"error: {reason}: {path!r}\n")
 
 
 @pytest.mark.parametrize("flavor, extra, lines", [

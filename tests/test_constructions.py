@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from betadio import numerics
-from betadio.bary import DigitSet, estimate_exponents, run_decomposition
+from betadio.bary import estimate_exponents, run_decomposition
 from betadio.beta_shift import BetaSystem, is_admissible, is_self_admissible
 from betadio.cli import main
 from betadio.constructions import (
@@ -13,6 +13,7 @@ from betadio.constructions import (
     generate_beta,
     generate_parameter_space,
 )
+from betadio.digit_sets import DigitSet
 from betadio.errors import InfeasibleParameters, PrecisionExhausted, PrefixConditionFailed
 from betadio.layout import beta_layout, schedule
 

@@ -1,8 +1,9 @@
 """Digit files and run scans against frozen copies of the code they replaced.
 
 ``oracle_*`` below are the per-digit writer and per-line reader of the
-``base=<b>`` format, the thinning loop of ``run_decomposition`` and the
-run-cap pass of ``generate_bary`` as they stood before the bulk ``bytes``
+``base=<b>`` format, the thinning loop of ``run_decomposition``, and the
+run-cap pass and the random fill (one draw per free segment) of
+``generate_bary``, as they stood before the bulk ``bytes`` and bounded-block
 versions.  They are frozen: the tests assert that the library gives the same
 text, the same word or the same exception type, the same monotone runs and
 exponent estimates, and the same words and clamp lists.
@@ -13,9 +14,11 @@ import io
 import random
 import re
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
+from betadio import bary, constructions
 from betadio.bary import (
     Run,
     RunDecomposition,
@@ -23,10 +26,17 @@ from betadio.bary import (
     exponents_of_word,
     run_decomposition,
 )
-from betadio.constructions import _enforce_run_caps
+from betadio.constructions import (
+    ConstructionSpec,
+    FillPolicy,
+    _enforce_run_caps,
+    _fill_free_spans,
+    _prescribed,
+)
+from betadio.digit_sets import DigitSet
 from betadio.digit_files import read_digit_file, write_digit_file
 from betadio.errors import NoRuns
-from betadio.layout import FREE, MARKER, RUN, Segment
+from betadio.layout import FREE, MARKER, RUN, Segment, layout_segments, schedule
 from betadio.words import DigitWord
 
 
@@ -113,6 +123,12 @@ def oracle_enforce_run_caps(arr, segs, free, b, allowed, clamps):
                 arr[target - 1] = breaker
                 clamps.append(target)
                 pos = target + cap + 1
+
+
+def oracle_random_fill(arr, free, seed, allowed):
+    rng = random.Random(seed)
+    for lo, hi, _kind, _digits, _cap in free:
+        arr[lo - 1:hi] = bytes(rng.choices(allowed, k=hi - lo + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +356,73 @@ def test_run_caps_match_oracle_on_random_layouts(b, allowed):
         got, clamps = bytearray(word), []
         _enforce_run_caps(got, segs, free, b, allowed, clamps)
         assert (bytes(got), clamps) == (bytes(want), want_clamps)
+
+
+@pytest.mark.parametrize("probe", [1, 3])
+def test_run_scans_match_oracle_with_a_short_probe(monkeypatch, probe):
+    """A run longer than the probe is found by its first copies and then
+    measured: a probe of 1 or 3 copies finds the runs a full block finds."""
+    monkeypatch.setattr(bary, "_PROBE", probe)
+    rng = random.Random(probe)
+    for b in (2, 3, 10):
+        w = runny_word(rng, b, 20_000, touch_ends=True)
+        for kinds in KINDS:
+            assert run_decomposition(w, kinds=kinds).monotone == oracle_monotone(w, kinds=kinds)[1]
+        for _trial in range(100):
+            word = runny_word(rng, b, rng.randint(1, 600)).data
+            segs = random_segments(rng, len(word))
+            free = [seg for seg in segs if seg.kind == FREE]
+            want, want_clamps = bytearray(word), []
+            oracle_enforce_run_caps(want, segs, free, b, tuple(range(b)), want_clamps)
+            got, clamps = bytearray(word), []
+            _enforce_run_caps(got, segs, free, b, tuple(range(b)), clamps)
+            assert (got, clamps) == (want, want_clamps)
+
+
+# ---------------------------------------------------------------------------
+# random fills
+
+
+def digit_sets(b):
+    """No digit set, then for b >= 3 the sets {0, b-1} and the even digits."""
+    yield None
+    if b >= 3:
+        yield DigitSet(b, {0, b - 1})
+        yield DigitSet(b, set(range(0, b, 2)))
+
+
+@pytest.mark.parametrize("block", [7, 1000])
+@pytest.mark.parametrize("b", range(2, 11))
+def test_random_fill_in_blocks_matches_one_draw_per_segment(monkeypatch, b, block):
+    """choices draws one random() per digit, so drawing a free segment in
+    blocks of any size gives the digits of one draw for the whole segment.
+    The free segments here are up to 6560 digits long."""
+    monkeypatch.setattr(constructions, "_BLOCK", block)
+    runs = schedule(Fraction(3), Fraction(1, 3), 8)
+    for S in digit_sets(b):
+        allowed = tuple(range(b)) if S is None else tuple(sorted(S.digits))
+        segs = layout_segments(runs, pair=b == 2, run_digit=0 if S is None else S.run_digit,
+                               marker=1 if S is None else S.marker_digit)
+        for seed in (0, 1, 17, 999):
+            want, free = _prescribed(segs)
+            oracle_random_fill(want, free, seed, allowed)
+            got, free = _prescribed(segs)
+            _fill_free_spans(got, free, FillPolicy(kind="random", seed=seed), b, allowed, [])
+            assert got == want
+
+
+def test_random_fill_of_a_long_word_is_the_one_draw_word():
+    """The generator's own word, at the default block and with free segments
+    many blocks long."""
+    spec = ConstructionSpec(3, Fraction(1, 3), 12, 10,
+                            fill=FillPolicy(kind="random", seed=5))
+    word = constructions.generate_bary(spec).word
+    segs = layout_segments(schedule(spec.theta, spec.v_hat, 12))
+    want, free = _prescribed(segs)
+    oracle_random_fill(want, free, 5, tuple(range(10)))
+    _enforce_run_caps(want, segs, free, 10, tuple(range(10)), [])
+    assert max(seg.hi - seg.lo + 1 for seg in free) > 10 * constructions._BLOCK
+    assert word.data == want
 
 
 # ---------------------------------------------------------------------------

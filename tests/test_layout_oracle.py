@@ -14,9 +14,9 @@ from fractions import Fraction
 
 import pytest
 
-from betadio.bary import DigitSet
 from betadio.beta_shift import BetaSystem
 from betadio.constructions import ConstructionSpec, FillPolicy, generate_bary, generate_beta
+from betadio.digit_sets import DigitSet
 from betadio.errors import (
     DegenerateApproximant,
     DepthExceeded,

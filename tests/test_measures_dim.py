@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betadio.bary import DigitSet
 from betadio.beta_shift import BetaSystem, count_admissible
 from betadio.beta_values import is_full
 from betadio.closed_forms import (
@@ -18,6 +17,7 @@ from betadio.closed_forms import (
     verify_sup_by_calculus,
 )
 from betadio.constructions import ConstructionSpec, FillPolicy, generate_bary, generate_beta
+from betadio.digit_sets import DigitSet
 from betadio.errors import DepthExceeded, InfeasibleParameters, NotInSupport
 from betadio.layout import beta_layout, schedule
 from betadio.measures_dim import (

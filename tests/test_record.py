@@ -6,8 +6,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from betadio.bary import DigitSet, Run, run_decomposition
+from betadio.bary import Run, run_decomposition
 from betadio.constructions import ConstructionSpec, FillPolicy
+from betadio.digit_sets import DigitSet
 from betadio.layout import schedule
 from betadio.measures_dim import DimensionReport, MeasureValue
 from betadio.numerics import Dyadic

@@ -1,7 +1,9 @@
 import io
+import random
 
 import pytest
 
+from betadio.bary import exponents_of_word, run_decomposition
 from betadio.cli import main
 from betadio.digit_files import DigitStream, read_digit_file, write_digit_file
 from betadio.words import DigitWord, PeriodicWord, compare_words
@@ -39,6 +41,27 @@ def test_digit_word_equality():
     assert DigitWord.from_bytes(300, b"\x01\x02") == DigitWord(300, [1, 2])
     assert DigitWord(300, [1, 2]) == DigitWord.from_bytes(300, b"\x01\x02")
     assert DigitWord.from_bytes(300, b"\x01\x02") != DigitWord(300, [1, 3])
+
+
+def test_a_bytearray_word_behaves_like_its_bytes_twin():
+    """A producer may hand its word the bytearray it filled."""
+    raw = bytes(random.Random(3).choices(range(3), weights=(4, 1, 4), k=5000))
+    filled, packed = DigitWord.from_bytes(3, bytearray(raw)), DigitWord.from_bytes(3, raw)
+    assert filled == packed and packed == filled and hash(filled) == hash(packed)
+    assert {packed: 1}[filled] == 1
+    assert filled != DigitWord.from_bytes(4, raw) and filled != DigitWord(3, raw[:-1])
+    for i in (0, 7, -1, slice(10, 400, 3), slice(-5, None), slice(None)):
+        assert filled[i] == packed[i]
+    assert list(filled) == list(packed) and filled.digits() == packed.digits()
+    assert repr(filled) == repr(packed)
+    texts = []
+    for word in (filled, packed):
+        buf = io.StringIO()
+        write_digit_file(buf, 3, word)
+        texts.append(buf.getvalue())
+    assert texts[0] == texts[1]
+    assert run_decomposition(filled) == run_decomposition(packed)
+    assert exponents_of_word(filled) == exponents_of_word(packed)
 
 
 def test_periodic_word_indexing_and_shift():
