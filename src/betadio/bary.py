@@ -10,6 +10,7 @@ surrogates of those limits are exact rationals computed here.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -143,11 +144,21 @@ def _next_run(data, symbol: int, length: int, pos: int,
     return None
 
 
-def _run_symbols(b: int, kinds: tuple[str, ...]) -> list[int]:
+def _run_view(digits: DigitWord, b: int, kinds: tuple[str, ...]) -> tuple[bytes, list[int]]:
+    """The bytes to scan for runs and the run symbols in them.
+
+    A packed word is scanned as it is.  A tuple word (a base above 256) is
+    scanned through a byte view of its run classes: 0 for the digit 0, 1
+    for the digit b-1 and 2 for any other digit.
+    """
     symbols = [0] if ZEROS in kinds else []
     if TOP in kinds and b >= 2:
         symbols.append(b - 1)
-    return symbols
+    data = digits.data
+    if isinstance(data, tuple):
+        data = bytes(map({b - 1: 1, 0: 0}.get, data, itertools.repeat(2)))
+        symbols = [min(s, 1) for s in symbols]
+    return data, symbols
 
 
 def _monotone_runs(data: bytes, symbols: list[int]) -> list[Run]:
@@ -189,8 +200,7 @@ def run_decomposition(digits: DigitWord, b: Optional[int] = None,
     b = b or digits.base
     if len(digits) < 2:
         raise NoRuns("need at least two digits")
-    data = bytes(digits.data) if isinstance(digits.data, tuple) else digits.data
-    symbols = _run_symbols(b, kinds)
+    data, symbols = _run_view(digits, b, kinds)
     # one scan finds the runs in order, with no list of spans beside them:
     # a long word has a run every few digits
     runs = []
@@ -263,8 +273,8 @@ def exponents_of_word(digits: DigitWord, b: Optional[int] = None,
     does, so the scan costs C time per digit and Python time per monotone run.
     """
     if len(digits) >= 2:
-        data = bytes(digits.data) if isinstance(digits.data, tuple) else digits.data
-        mono = _monotone_runs(data, _run_symbols(b or digits.base, kinds))
+        data, symbols = _run_view(digits, b or digits.base, kinds)
+        mono = _monotone_runs(data, symbols)
         if len(mono) >= 2:
             return _estimate(mono, len(data), None)
     return ExponentEstimate(v_lower=Fraction(0), v_hat_lower=Fraction(0),

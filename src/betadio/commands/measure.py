@@ -1,6 +1,8 @@
 """``measure``: a cylinder's mass from a construction's sidecar.  It reads
-the layout, not the generators, and an integer-base sidecar loads neither
-``bary`` nor ``words`` (a restricted one adds ``digit_sets``)."""
+the layout, not the generators.  An integer-base sidecar's mass is
+``base**-e(n)``, and ``layout`` counts the exponent e(n) itself, so that
+path loads neither ``measures_dim`` nor ``bary`` nor ``words``.  A restricted
+sidecar adds ``digit_sets``: the mass's base is then the set's size."""
 
 from . import _emit, _scalar_dict, default_precision
 
@@ -34,10 +36,10 @@ def cmd_measure(args):
                      "factors": [[length, mult] for length, _c, mult in mv.factors],
                      "log_mu": _scalar_dict(lm)}, cfg)
     else:
-        from ..measures_dim import measure_bary
+        from ..layout import free_digit_count
         if side.get("digit_set"):
             from ..digit_sets import DigitSet
-            base = DigitSet(base, frozenset(side["digit_set"]))
-        mv = measure_bary(layout, base, args.n, pair=side.get("base") == 2)
-        _emit(args, {"n": args.n, "base": mv.base, "exponent": mv.exponent}, cfg)
+            base = DigitSet(base, frozenset(side["digit_set"])).size
+        exponent = free_digit_count(layout, args.n, pair=side.get("base") == 2)
+        _emit(args, {"n": args.n, "base": base, "exponent": exponent}, cfg)
     return 0

@@ -9,7 +9,11 @@ verbatim.
 In a real base every free segment starts the word or follows a block that
 ends in ``0^N``, and N zeros bring the approximant's automaton to state 0.
 So the real-base generator walks the automaton only through free digits,
-starting each free segment at state 0.
+starting each free segment at state 0.  A random fill draws each of them
+exactly as ``random.Random(seed).randint(0, bound)`` would, bound being the
+largest digit the state allows: ``getrandbits`` of the bit length of
+``bound + 1``, drawn again while it exceeds bound (the draw of CPython
+3.10-3.13), with the width and the next state read from per-state tables.
 
 The integer-base generators need neither ``beta_shift`` nor ``numerics``;
 only the parameter-space generator imports them, when it runs.
@@ -297,7 +301,10 @@ def generate_beta(base: BetaSystem, N: int, theta: Fraction, v_hat: Fraction,
     approx = base.approximant(N)
     auto = approx.automaton
     depth = layout.l[-1] - 1
-    rng = random.Random(fill.seed)
+    bounds, moves = auto.bound, auto.transitions
+    widths = [(bound + 1).bit_length() for bound in bounds]
+    draw = random.Random(fill.seed).getrandbits
+    constant = fill.digit if fill.kind == "constant" else None
     clamps: list[int] = []
     digits, free = _prescribed(layout.segments)
     # A free segment starts the word or follows a block that ends in 0^N.
@@ -307,15 +314,20 @@ def generate_beta(base: BetaSystem, N: int, theta: Fraction, v_hat: Fraction,
     for lo, hi, _kind, _digits, cap in free:
         state = zrun = 0
         for pos in range(lo, min(hi, depth) + 1):
-            bound = auto.bound[state]
-            want = fill.digit if fill.kind == "constant" else rng.randint(0, bound)
-            d = min(max(want, 0), bound)
+            bound = bounds[state]
+            if constant is None:
+                d = want = draw(widths[state])
+                while d > bound:
+                    d = want = draw(widths[state])
+            else:
+                want = constant
+                d = min(max(want, 0), bound)
             if d == 0 and zrun >= cap and bound >= 1:
                 d = 1
             if d != want:
                 clamps.append(pos)
             zrun = zrun + 1 if d == 0 else 0
-            state = auto.step(state, d)
+            state = moves[state][d]
             digits[pos - 1] = d
     del digits[depth:]
     word = DigitWord.from_bytes(approx.alphabet_top + 1, digits)

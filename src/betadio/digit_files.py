@@ -63,28 +63,37 @@ def read_digit_file(stream) -> DigitWord:
 
     Text that alternates one digit below the base and one space or newline,
     as the writer lays it out, is converted in blocks; from the first block
-    that does not, the rest is parsed token by token.  The blocks go into one
-    ``BytesIO``, whose ``getvalue()`` hands over its buffer without a copy.
+    that does not, the rest is split into tokens a block at a time, a token
+    cut by a block's end carried into the next.  The digits go into one
+    ``BytesIO``, whose ``getvalue()`` hands over its buffer without a copy
+    (a list above base 256).
     """
     header = stream.readline().strip()
     if not header.startswith("base="):
         raise ValueError("missing `base=<b>` header line")
     base = int(header.split()[0][5:])
-    head, lines = b"", stream
+    packed = base <= 256
+    parts = BytesIO() if packed else []
+    text = ""
     if 2 <= base <= 256:
         digit_chars = b"0123456789"[:base]
-        parts = BytesIO()
         while text := stream.read(_BLOCK):
             raw = text.encode()
             digits = raw[::2]
             if (not text.isascii() or len(raw) % 2 or raw[1::2].translate(None, b" \n")
                     or digits.translate(None, digit_chars)):
-                # the block starts on a token; the rest of the text is parsed below
-                head, lines = parts.getvalue(), (text + stream.read()).splitlines()
-                break
+                break  # the block starts on a token; the rest is parsed below
             parts.write(digits.translate(_FROM_ASCII))
         else:
             return DigitWord.from_bytes(base, parts.getvalue())
-    if base <= 256:
-        return DigitWord(base, head + b"".join(bytes(map(int, line.split())) for line in lines))
-    return DigitWord(base, [int(tok) for line in lines for tok in line.split()])
+    while True:
+        more = stream.read(_BLOCK)
+        tokens = (text + more).split()
+        # a token at the end of a block may go on in the next
+        text = tokens.pop() if more and not more[-1].isspace() else ""
+        if packed:
+            parts.write(bytes(map(int, tokens)))
+        else:
+            parts.extend(map(int, tokens))
+        if not more:
+            return DigitWord(base, parts.getvalue() if packed else parts)

@@ -1,6 +1,8 @@
-"""A construction's layout: its run schedule, and where its prescribed and
-free digits go.  The generators (``constructions``) fill the free digits and
-the measures (``measures_dim``) count them; this module imports neither.
+"""A construction's layout: its run schedule, where its prescribed and free
+digits go, and how many free digits lie up to a depth (the exponent of the
+integer-base cylinder mass).  The generators (``constructions``) fill the
+free digits and the measures (``measures_dim``) weigh them; this module
+imports neither.
 
 Per stage k, a long run of the approximating digit starts right after
 position ``n_k`` and ends at ``m_k``, then evenly spaced markers run up to
@@ -15,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import InfeasibleParameters
+from .errors import DepthExceeded, InfeasibleParameters
 from .record import Record
 
 F = Fraction
@@ -185,6 +187,18 @@ def layout_segments(runs: ScheduledRuns, N: int = 0, pair: bool = False,
         anchor = block[int(mk == nxt):]
         put(MARKER, len(anchor), anchor)
     return segs
+
+
+def _free_count(segs: list[Segment], n: int) -> int:
+    """Number of free positions up to depth n."""
+    return sum(min(seg.hi, n) - seg.lo + 1 for seg in segs if seg.kind == FREE and seg.lo <= n)
+
+
+def free_digit_count(runs: ScheduledRuns, n: int, pair: bool = False) -> int:
+    """Number of free positions up to depth n (the measure exponent e(n))."""
+    if n > runs.n[runs.stages]:
+        raise DepthExceeded(f"depth {n} beyond the scheduled {runs.n[runs.stages]}")
+    return _free_count(layout_segments(runs, pair=pair), n)
 
 
 class BetaLayout(Record):

@@ -2,9 +2,9 @@
 
 The uniform ("Bernoulli") mass splits only at free positions: integer-base
 cylinders carry mass ``base**-e(n)`` with ``e(n)`` the number of free digits
-up to n (``#S**-e(n)`` on a restricted digit set), and beta-base cylinders
-carry an exact product of reciprocals of admissible-word counts, one factor
-per free block consumed.  Local dimensions along the checkpoint depths are
+up to n, which ``layout`` counts (``#S**-e(n)`` on a restricted digit set),
+and beta-base cylinders carry an exact product of reciprocals of
+admissible-word counts, one factor per free block consumed.  Local dimensions along the checkpoint depths are
 therefore exact rationals in the integer-base case and certified intervals
 (the counts and ``log beta`` both enter through certified logs) in the
 beta case.  The trajectories approach the closed forms (``closed_forms``).
@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .errors import DEFAULT_PRECISION, DepthExceeded, NotInSupport
-from .layout import FREE, beta_layout, layout_segments, schedule
+from .layout import FREE, _free_count, beta_layout, free_digit_count, layout_segments, schedule
 from .record import Record
 
 F = Fraction
@@ -56,18 +56,6 @@ class MeasureValue(Record):
         for _length, count, mult in self.factors:
             acc = acc + ln_int(count, bits).scale_int(mult)
         return -acc
-
-
-def _free_count(segs: list[Segment], n: int) -> int:
-    """Number of free positions up to depth n."""
-    return sum(min(seg.hi, n) - seg.lo + 1 for seg in segs if seg.kind == FREE and seg.lo <= n)
-
-
-def free_digit_count(runs: ScheduledRuns, n: int, pair: bool = False) -> int:
-    """Number of free positions up to depth n (the measure exponent e(n))."""
-    if n > runs.n[runs.stages]:
-        raise DepthExceeded(f"depth {n} beyond the scheduled {runs.n[runs.stages]}")
-    return _free_count(layout_segments(runs, pair=pair), n)
 
 
 def measure_bary(runs: ScheduledRuns, base: Union[int, DigitSet], n: int,

@@ -61,8 +61,12 @@ class DigitWord(Sequence[int]):
         return self._data == other._data
 
     def __hash__(self):
-        # bytes() of a bytes object is that object, not a copy
-        return hash((self.base, bytes(self._data)))
+        # bytes() of a bytes object is that object, not a copy; a tuple whose
+        # digits fit in bytes hashes as the packed word it equals
+        try:
+            return hash((self.base, bytes(self._data)))
+        except ValueError:  # a digit above 255
+            return hash((self.base, self._data))
 
     def __repr__(self):
         shown = " ".join(str(d) for d in itertools.islice(self, 24))

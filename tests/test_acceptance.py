@@ -23,8 +23,8 @@ from betadio.closed_forms import (
 from betadio.constructions import ConstructionSpec, FillPolicy, generate_bary, \
     generate_parameter_space
 from betadio.digit_sets import DigitSet
-from betadio.layout import schedule
-from betadio.measures_dim import free_digit_count, local_dimension_bary, stolz_cesaro_ratios
+from betadio.layout import free_digit_count, schedule
+from betadio.measures_dim import local_dimension_bary, stolz_cesaro_ratios
 from betadio.numerics import isolate_root
 from betadio.words import PeriodicWord
 

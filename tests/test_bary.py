@@ -123,6 +123,33 @@ def test_runs_match_brute_force(b, raw):
     assert [(r.start, r.end, r.kind, r.complete) for r in dec.monotone] == brute_monotone(expected)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([257, 1000, 10 ** 6]), st.lists(st.integers(0, 5), min_size=2, max_size=200))
+def test_runs_above_base_256_match_brute_force(b, picks):
+    """A tuple word is scanned through a byte view of its run classes; the
+    digits 256 and b - 257 share a byte with 0 and b - 1 modulo 256."""
+    choices = (0, b - 1, 1, 256, b - 257, b - 2)
+    digits = [choices[i] for i in picks]
+    w = DigitWord(b, digits)
+    assert type(w.data) is tuple
+    expected = brute_runs(digits, b)
+    mono = brute_monotone(expected)
+    try:
+        dec = run_decomposition(w)
+    except NoRuns:
+        assert not expected
+    else:
+        assert [(r.start, r.end, r.kind, r.complete) for r in dec.runs] == expected
+        assert [(r.start, r.end, r.kind, r.complete) for r in dec.monotone] == mono
+    est = exponents_of_word(w)
+    if len(mono) < 2:
+        assert est.trajectory == []
+    else:
+        ratios = [(F(r[1] - r[0], r[0]), F(r[1] - r[0], nxt[0]) if nxt else None)
+                  for r, nxt in zip(mono, mono[1:] + [None])]
+        assert [(v, hat) for _k, v, hat in est.trajectory] == ratios
+
+
 def test_roundtrip_reconstruction():
     w = expand_lacunary(10, F(1), 50)
     dec = run_decomposition(w)

@@ -4,8 +4,10 @@
 the approximant's automaton through every digit of the word, prescribed or
 free, and asserted each step.  The library now copies the prescribed
 segments as bytes and starts the walk of every free segment at state 0.
-The tests assert that it reproduces the frozen walk's words, clamps and
-sidecars exactly, and check the invariant the shortcut rests on.
+The library also draws a random fill's digits from the generator's bits
+through per-state tables instead of calling ``randint``.  The tests assert
+that it reproduces the frozen walk's words, clamps and sidecars exactly,
+and check the invariant the shortcut rests on.
 """
 
 import itertools
@@ -92,6 +94,29 @@ def test_generate_beta_matches_the_per_digit_walk(spec):
                 _check_walk(auto, out)
                 checked += 1
     assert checked >= 4 * 72  # at least four values of N
+
+
+@pytest.mark.parametrize("spec, N", [("root:1,1", 3), ("rat:21/2", 2)])
+def test_random_fills_follow_the_randint_stream(spec, N):
+    """The walk draws each free digit from the generator's stream as
+    randint(0, bound) does: over 24 seeds the words and clamps equal the
+    frozen walk's byte for byte.  root:1,1 has a state whose bound is 0
+    (randint still draws there), rat:21/2 draws four bits at state 0."""
+    base = BetaSystem.parse(spec)
+    auto = base.approximant(N).automaton
+    assert min(auto.bound) == 0 if spec == "root:1,1" else auto.bound[0] >= 8
+    clamps = 0
+    for seed in range(24):
+        policy = FillPolicy(kind="random", seed=seed)
+        for theta, vhat, stages in ((F(2), F(1, 5), 6), (F(3), F(1, 3), 4)):
+            want = oracle_generate_beta(base, N, theta, vhat, stages, policy)
+            out = generate_beta(base, N, theta, vhat, stages, policy)
+            case = (seed, theta, vhat)
+            assert out.word.data == want.word.data, case
+            assert out.clamps == want.clamps, case
+            assert out.to_dict() == want.to_dict(), case
+            clamps += len(out.clamps)
+    assert clamps > 0
 
 
 def _check_walk(auto, out):

@@ -60,6 +60,15 @@ def test_expand_names_an_x_outside_the_unit_interval(capsys, x):
     assert capsys.readouterr() == ("", f"error: --x must lie in [0, 1), got {x}\n")
 
 
+def test_exponents_of_a_word_over_a_base_above_256(capsys, tmp_path):
+    path = str(tmp_path / "big.digits")
+    assert main(["expand", "--base", "1000", "--x", "1/7", "--digits", "50", "-o", path]) == 0
+    rc, out = run(capsys, "exponents", "--input", path)
+    assert rc == 0
+    got = json.loads(out)
+    assert (got["horizon"], got["v_lower"], got["v_hat_lower"]) == (50, "0", "0")
+
+
 def test_expand_beta(capsys):
     rc, out = run(capsys, "expand", "--beta", "root:1,1", "--x", "1", "--digits", "5")
     assert rc == 0
@@ -636,8 +645,10 @@ FOOTPRINTS = [
     ("dim local --theta 3 --vhat 1/3 --base 3 --digit-set 0,2 --stages 8", NO_WORDS),
     ("dim local --theta 3 --vhat 1/3 --beta root:1,1 --N 3 --stages 3",
      ("constructions", "digit_files", "beta_values")),
-    ("measure --sidecar e.digits.json --n 54", LAYOUT_ONLY + ("closed_forms", "digit_sets")),
-    ("measure --sidecar k.digits.json --n 54", LAYOUT_ONLY + ("closed_forms",)),
+    # the integer-base exponent is counted by layout alone
+    ("measure --sidecar e.digits.json --n 54",
+     LAYOUT_ONLY + ("closed_forms", "digit_sets", "measures_dim")),
+    ("measure --sidecar k.digits.json --n 54", LAYOUT_ONLY + ("closed_forms", "measures_dim")),
     ("admissible count --beta root:1,1 --len 5", WORDS_ONLY),
     ("admissible count --beta word:2,0,1,1 --len 50", WORDS_ONLY),
     ("admissible count --beta word:2,(1,0) --len 50", WORDS_ONLY),

@@ -14,8 +14,13 @@ from betadio.constructions import (
     generate_parameter_space,
 )
 from betadio.digit_sets import DigitSet
-from betadio.errors import InfeasibleParameters, PrecisionExhausted, PrefixConditionFailed
-from betadio.layout import beta_layout, schedule
+from betadio.errors import (
+    DepthExceeded,
+    InfeasibleParameters,
+    PrecisionExhausted,
+    PrefixConditionFailed,
+)
+from betadio.layout import FREE, beta_layout, free_digit_count, layout_segments, schedule
 
 F = Fraction
 
@@ -151,6 +156,32 @@ def test_restricted_generator():
     est = estimate_exponents(run_decomposition(out.word))
     assert abs(est.v_lower - 1) <= F(8, 100)
     assert abs(est.v_hat_lower - F(1, 3)) <= F(8, 100)
+
+
+@pytest.mark.parametrize("b, digits", [(2, None), (3, None), (10, None), (3, {0, 2})])
+@pytest.mark.parametrize("theta, vhat", [(F(3), F(1, 3)), (F(2), F(1, 5)), (F(7, 2), F(1, 2))])
+def test_free_digit_count_counts_the_free_positions_of_generate_bary(b, digits, theta, vhat):
+    """layout.free_digit_count against a position-by-position count of the
+    free segments of the layout generate_bary writes."""
+    S = DigitSet(b, frozenset(digits)) if digits else None
+    out = generate_bary(ConstructionSpec(theta, vhat, 4, b, digit_set=S))
+    runs = out.schedule
+    segs = layout_segments(runs, pair=b == 2, run_digit=S.run_digit if S else 0,
+                           marker=S.marker_digit if S else 1)
+    depth = runs.n[runs.stages]
+    assert segs[-1].hi == depth == len(out.word)
+    free = bytearray(depth)
+    for seg in segs:
+        if seg.kind == FREE:
+            free[seg.lo - 1:seg.hi] = b"\x01" * (seg.hi - seg.lo + 1)
+        else:  # the generator wrote this layout's prescribed digits
+            assert out.word.data[seg.lo - 1:seg.hi] == seg.prescribed()
+    count = 0
+    for n in range(1, depth + 1):
+        count += free[n - 1]
+        assert free_digit_count(runs, n, pair=b == 2) == count, n
+    with pytest.raises(DepthExceeded):
+        free_digit_count(runs, depth + 1, pair=b == 2)
 
 
 def test_restricted_full_alphabet_matches_plain():

@@ -23,8 +23,8 @@ from betadio.errors import (
     InfeasibleParameters,
     NotInSupport,
 )
-from betadio.layout import FREE, beta_layout, layout_segments, schedule
-from betadio.measures_dim import free_digit_count, measure_bary, measure_beta, measure_of_word
+from betadio.layout import FREE, beta_layout, free_digit_count, layout_segments, schedule
+from betadio.measures_dim import measure_bary, measure_beta, measure_of_word
 
 F = Fraction
 

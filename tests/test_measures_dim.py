@@ -19,9 +19,8 @@ from betadio.closed_forms import (
 from betadio.constructions import ConstructionSpec, FillPolicy, generate_bary, generate_beta
 from betadio.digit_sets import DigitSet
 from betadio.errors import DepthExceeded, InfeasibleParameters, NotInSupport
-from betadio.layout import beta_layout, schedule
+from betadio.layout import beta_layout, free_digit_count, schedule
 from betadio.measures_dim import (
-    free_digit_count,
     local_dimension_bary,
     local_dimension_beta,
     measure_bary,

@@ -68,6 +68,23 @@ def test_read_digit_file_holds_its_word_once(tmp_path):
     assert peak <= PER_DIGIT * n + SLACK
 
 
+def test_read_digit_file_token_fallback_holds_its_word_once(tmp_path):
+    """A file off the writer's layout (one line, two spaces between digits)
+    is split into tokens a block at a time, not held as text and tokens."""
+    n = 1_600_000
+    word = DigitWord.from_bytes(3, bytes(range(3)) * (n // 3) + b"\x01")
+    path = tmp_path / "spaced.digits"
+    path.write_text("base=3\n" + "  ".join(map(str, word.data)) + "\n")
+
+    def read():
+        with open(path) as fh:
+            return read_digit_file(fh)
+
+    back, peak = traced_peak(read)
+    assert back == word and type(back.data) is bytes
+    assert peak <= PER_DIGIT * n + SLACK
+
+
 def test_expand_rational_holds_its_word_once():
     n = 10 ** 6
     word, peak = traced_peak(lambda: expand_rational(1, 7, 10, n))

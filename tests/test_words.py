@@ -37,10 +37,13 @@ def test_digit_word_equality():
     assert big == DigitWord(1000, (999, 0, 500)) and big == big[:]
     assert big != DigitWord(1000, [999, 0, 501])
     assert big != DigitWord(1001, [999, 0, 500])
+    assert hash(big) == hash(DigitWord(1000, (999, 0, 500)))
+    assert {big: 1}[big[:]] == 1 and len({big, DigitWord(1000, [999, 0, 501])}) == 2
     # a packed word against a tuple word of the same base, as from_bytes can make
     assert DigitWord.from_bytes(300, b"\x01\x02") == DigitWord(300, [1, 2])
     assert DigitWord(300, [1, 2]) == DigitWord.from_bytes(300, b"\x01\x02")
     assert DigitWord.from_bytes(300, b"\x01\x02") != DigitWord(300, [1, 3])
+    assert hash(DigitWord.from_bytes(300, b"\x01\x02")) == hash(DigitWord(300, [1, 2]))
 
 
 def test_a_bytearray_word_behaves_like_its_bytes_twin():
