@@ -356,7 +356,7 @@ class BetaSystem:
             return cls.from_word(read(PeriodicWord.parse, spec[5:]), precision)
         if spec.startswith("approx:"):
             body, _, n = spec[7:].rpartition(":")
-            return cls.parse(body, precision).approximant(read(int, n))
+            return cls.parse(body, precision).approximant(read(int, n), precision)
         raise ValueError(f"unrecognized base spec {spec!r}")
 
     # -- closing the orbit into a finite description ------------------------

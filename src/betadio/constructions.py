@@ -1,10 +1,12 @@
 """Generators for the explicit digit-level constructions.
 
 Each one writes the prescribed digits of its layout (``layout``) and fills
-the free positions by a policy.  Free fills are clamped so no accidental run
-ever exceeds the stage's prescribed maximal run; every clamp is recorded,
-since a clamp means the requested fill distribution was not realizable
-verbatim.
+the free positions by a policy.  Free fills are clamped so no run of 0 or
+b-1 that starts in a free position exceeds its stage's cap delta_k.  A cap
+of 0 holds where the allowed digits include one other than 0 and b-1;
+elsewhere (base 2, or a digit set such as {0, 2} in base 3) it reads as 1.
+Every clamp is recorded, since a clamp means the requested fill
+distribution was not realizable verbatim.
 
 In a real base every free segment starts the word or follows a block that
 ends in ``0^N``, and N zeros bring the approximant's automaton to state 0.
@@ -28,7 +30,7 @@ from typing import Optional, Sequence
 
 from .bary import _next_run
 from .digit_sets import DigitSet
-from .errors import InfeasibleParameters, NotSelfAdmissible, PrefixConditionFailed
+from .errors import NotSelfAdmissible, PrefixConditionFailed
 from .layout import (FREE, BetaLayout, ScheduledRuns, Segment, _check_feasible, beta_layout,
                      layout_segments, schedule)
 from .record import Record
@@ -160,7 +162,7 @@ def generate_bary(spec: ConstructionSpec) -> BaryConstruction:
     # neighboring determined digits)
     arr, free = _prescribed(segs)
     clamps: list[int] = []
-    _fill_free_spans(arr, free, spec.fill, b, allowed, clamps)
+    _fill_free_spans(arr, free, spec.fill, allowed, clamps)
     _enforce_run_caps(arr, segs, free, b, allowed, clamps)
     word = DigitWord.from_bytes(b, arr)
     if clamps:
@@ -171,52 +173,57 @@ def generate_bary(spec: ConstructionSpec) -> BaryConstruction:
 
 def _enforce_run_caps(arr: bytearray, segs: list[Segment], free: list[Segment], b: int,
                       allowed: Sequence[int], clamps: list[int]) -> None:
-    """Safety net: no run of 0 or b-1 may exceed the cap of the segment it
-    starts in.
+    """No run of 0 or b-1 may exceed the cap of the segment it starts in:
+    the one place that breaks runs, with a break digit in the free positions
+    of each overlong run.
 
-    The in-fill clamping already keeps runs short inside each span; this pass
-    catches merges across span boundaries (only possible for base 2, where
-    the markers are themselves the top digit).  Only the runs longer than
-    their cap are visited.
+    A cap of 0 holds where ``allowed`` has a digit other than 0 and b-1 to
+    break with; elsewhere every free digit is 0 or b-1, and the cap reads
+    as 1.  There the markers are run symbols too, and a run whose place to
+    break is prescribed is broken at the next free position, so it can pass
+    its cap.  Only the runs longer than their cap are visited.
     """
     free_starts = [seg.lo for seg in free]
     free_ends = [seg.hi for seg in free]
+    neutral = [a for a in allowed if a not in (0, b - 1)]
+    least = 0 if neutral else 1
     reaches = []  # [lo, hi, cap]: consecutive segments that share a cap
     for seg in segs:
-        cap = max(seg.cap, 1)
+        cap = max(seg.cap, least)
         if reaches and reaches[-1][2] == cap:
             reaches[-1][1] = seg.hi
         else:
             reaches.append([seg.lo, seg.hi, cap])
     for symbol in (0, b - 1):
+        # a break digit that is not itself a run symbol, if there is one
+        breaker = neutral[0] if neutral else next(a for a in allowed if a != symbol)
         done = 0  # 0-based end of the last run visited
         for lo, hi, cap in reaches:
             # a run that starts by hi and is longer than cap shows by hi + cap
             while span := _next_run(arr, symbol, cap + 1, max(done, lo - 1), hi + cap):
                 s, e = span[0] + 1, span[1]  # 1-based inclusive run
                 done = e
-                breaker = _break_digit(symbol, allowed, b)
                 pos = s + cap
                 while pos <= e:
                     i = bisect.bisect_right(free_starts, pos) - 1
                     target = pos
-                    if i < 0 or target > free_ends[i]:
-                        nxt = bisect.bisect_right(free_starts, pos)
-                        if nxt >= len(free_starts) or free_starts[nxt] > e:
+                    if i < 0 or target > free_ends[i]:  # prescribed: the next free position
+                        if i + 1 >= len(free_starts) or free_starts[i + 1] > e:
                             break
-                        target = free_starts[nxt]
+                        target = free_starts[i + 1]
                     arr[target - 1] = breaker
                     clamps.append(target)
                     pos = target + cap + 1
 
 
-def _fill_free_spans(arr: bytearray, free: list[Segment], policy: FillPolicy, b: int,
+def _fill_free_spans(arr: bytearray, free: list[Segment], policy: FillPolicy,
                      allowed: Sequence[int], clamps: list[int]) -> None:
     if policy.kind != "constant":
         # random: bulk draws; overlong runs (rare unless the cap is tiny) are
-        # punched afterwards by the cap-enforcement pass, which records the
-        # clamps.  choices draws one random() per digit, so drawing a segment
-        # in blocks gives the digits of one draw for the whole segment
+        # broken afterwards by _enforce_run_caps, where a cap of 0 holds if
+        # a digit other than 0 and b-1 is allowed and reads as 1 elsewhere.
+        # choices draws one random() per digit, so drawing a segment in
+        # blocks gives the digits of one draw for the whole segment
         rng = random.Random(policy.seed)
         for lo, hi, _kind, _digits, _cap in free:
             for i in range(lo - 1, hi, _BLOCK):
@@ -229,35 +236,8 @@ def _fill_free_spans(arr: bytearray, free: list[Segment], policy: FillPolicy, b:
         clamps.append(0)
         _warn("constant fill %d not allowed, using %d", c, fixed)
         c = fixed
-    # a run-forming constant gets break digits punched so runs stay capped
-    breaker = _break_digit(c, allowed, b) if c in (0, b - 1) else None
-    for lo, hi, _kind, _digits, cap in free:
+    for lo, hi, _kind, _digits, _cap in free:
         _put(arr, lo, hi, bytes([c]))
-        if breaker is None:
-            continue
-        left = 0
-        p = lo - 1
-        while p >= 1 and arr[p - 1] == c and left <= cap + 1:
-            left += 1
-            p -= 1
-        # a break digit every cap + 1 places, the first where the run
-        # coming in from the left would pass the cap
-        for pos in range(max(lo, lo + cap - left), hi + 1, cap + 1):
-            arr[pos - 1] = breaker
-            clamps.append(pos)
-
-
-def _break_digit(run_symbol: int, allowed: Sequence[int], b: int) -> int:
-    """A digit that interrupts runs of ``run_symbol``; prefers a digit that
-    is not itself a run symbol."""
-    top = b - 1
-    neutral = [a for a in allowed if a not in (0, top)]
-    if neutral:
-        return neutral[0]
-    other = [a for a in allowed if a != run_symbol]
-    if not other:
-        raise InfeasibleParameters("cannot break runs: only one digit allowed")
-    return other[0]
 
 
 # ---------------------------------------------------------------------------

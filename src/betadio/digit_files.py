@@ -59,7 +59,8 @@ def write_digit_file(stream, base: int, digits: Iterable[int], per_line: int = 4
 
 def read_digit_file(stream) -> DigitWord:
     """Read a digit file into bytes (a tuple above base 256), so memory stays
-    near one byte per digit; ValueError on a malformed file.
+    near one byte per digit; ValueError on a malformed file, naming the file
+    and its first token that is not a digit of the base.
 
     Text that alternates one digit below the base and one space or newline,
     as the writer lays it out, is converted in blocks; from the first block
@@ -68,14 +69,15 @@ def read_digit_file(stream) -> DigitWord:
     ``BytesIO``, whose ``getvalue()`` hands over its buffer without a copy
     (a list above base 256).
     """
-    header = stream.readline().strip()
-    if not header.startswith("base="):
-        raise ValueError("missing `base=<b>` header line")
-    base = int(header.split()[0][5:])
+    name = getattr(stream, "name", "digit file")
+    head = (stream.readline().split() or [""])[0]
+    base = int(head[5:]) if head.startswith("base=") and head[5:].isdecimal() else 0
+    if base < 2:
+        raise ValueError(f"{name}: missing `base=<b>` header line with b >= 2")
     packed = base <= 256
     parts = BytesIO() if packed else []
     text = ""
-    if 2 <= base <= 256:
+    if packed:
         digit_chars = b"0123456789"[:base]
         while text := stream.read(_BLOCK):
             raw = text.encode()
@@ -91,9 +93,19 @@ def read_digit_file(stream) -> DigitWord:
         tokens = (text + more).split()
         # a token at the end of a block may go on in the next
         text = tokens.pop() if more and not more[-1].isspace() else ""
+        try:
+            block = DigitWord(base, map(int, tokens)).data
+        except ValueError:  # name the first token that is not a digit
+            for token in tokens:
+                try:
+                    DigitWord(base, [int(token)])
+                except ValueError:
+                    raise ValueError(f"{name}: {token!r} is not a digit of base {base}") from None
         if packed:
-            parts.write(bytes(map(int, tokens)))
+            parts.write(block)
         else:
-            parts.extend(map(int, tokens))
+            parts.extend(block)
         if not more:
-            return DigitWord(base, parts.getvalue() if packed else parts)
+            # every block passed the digit check
+            return DigitWord.from_bytes(base, parts.getvalue()) if packed \
+                else DigitWord(base, parts)

@@ -59,12 +59,6 @@ class ScheduledRuns(Record):
                 "n": self.n, "m": self.m, "t": self.t,
                 "delta": self.delta, "u": self.u}
 
-    @staticmethod
-    def from_dict(d: dict) -> "ScheduledRuns":
-        return ScheduledRuns(theta=F(d["theta"]), v_hat=F(d["v_hat"]),
-                             n=list(d["n"]), m=list(d["m"]), t=list(d["t"]),
-                             delta=list(d["delta"]), u=list(d["u"]))
-
 
 def _check_feasible(theta: Fraction, v_hat: Fraction) -> None:
     """Infeasible unless ``0 < vhat < 1`` and ``theta >= 1/(1 - vhat)``."""
@@ -227,10 +221,6 @@ class BetaLayout(Record):
         d = self.runs.to_dict()
         d.update({"N": self.N, "l": self.l, "h": self.h, "u_beta": self.u})
         return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "BetaLayout":
-        return beta_layout(ScheduledRuns.from_dict(d), int(d["N"]))
 
 
 def beta_layout(runs: ScheduledRuns, N: int) -> BetaLayout:

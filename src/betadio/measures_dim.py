@@ -230,7 +230,7 @@ def local_dimension_beta(base: BetaSystem, N: int, theta: Fraction, v_hat: Fract
     from .logarithm import ln
     runs = schedule(theta, v_hat, stages)
     layout = beta_layout(runs, N)
-    sub = base.approximant(N)
+    sub = base.approximant(N, bits)
     ln_beta = ln(base.beta_scalar(bits), bits)
     target = dim_formula(theta, v_hat)
     ln_sub = ln(sub.beta_scalar(bits), bits)

@@ -27,9 +27,11 @@ class DigitWord(Sequence[int]):
             raise ValueError("base must be >= 2")
         self.base = base
         data = bytes(digits) if base <= 256 else tuple(digits)
-        mx = max(data, default=0)
-        if mx >= base:
-            raise ValueError(f"digit {mx} out of range for base {base}")
+        # the digits outside 0..base-1, in order (bytes are never negative)
+        bad = data.translate(None, bytes(range(base))) if base <= 256 \
+            else [d for d in data if not 0 <= d < base]
+        if bad:
+            raise ValueError(f"digit {bad[0]} out of range for base {base}")
         self._data = data
 
     @staticmethod

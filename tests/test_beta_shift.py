@@ -392,6 +392,14 @@ def test_parse_grammar():
     assert BetaSystem.parse("rat:3/2").fraction_base == F(3, 2)
 
 
+def test_an_approximant_spec_is_parsed_at_the_working_precision():
+    # the first 5 symbols of the tribonacci base's d*(1) are the word 1,1,0,1,1
+    approx = BetaSystem.parse("approx:root:1,1,1:5", 8)
+    word = BetaSystem.parse("word:1,1,0,1,1", 8)
+    assert approx.root.refined.prec == word.root.refined.prec == 64
+    assert BetaSystem.parse("approx:root:1,1,1:5").root.refined.prec == 256
+
+
 @pytest.mark.parametrize("spec, named", [("rat:1/0", "rat:1/0"), ("rat: 7/0", "rat: 7/0"),
                                          ("approx:rat:3/0:4", "rat:3/0")])
 def test_parse_refuses_a_zero_denominator(spec, named):

@@ -316,7 +316,7 @@ FLAVORS = {"bary": ["--base", "3"], "restricted": ["--base", "3", "--digit-set",
 
 def edited_sidecar(tmp_path, capsys, flavor, key, value) -> str:
     """A sidecar written by construct, with one field (schedule.<k> for a
-    schedule field) set to a value of the wrong type."""
+    schedule field) set to a value construct does not write."""
     out = tmp_path / "c.digits"
     assert main(["construct", flavor, "--theta", "3", "--vhat", "1/3", "--stages", "2",
                  *FLAVORS[flavor], "-o", str(out)]) == 0
@@ -329,7 +329,14 @@ def edited_sidecar(tmp_path, capsys, flavor, key, value) -> str:
 
 @pytest.mark.parametrize("text", ["{}", "[]", '{"schedule": {}}', None,
                                   ("beta", "approximant", 5), ("restricted", "digit_set", 5),
-                                  ("bary", "schedule.n", "12"), ("bary", "base", "3")])
+                                  ("bary", "schedule.n", "12"), ("bary", "base", "3"),
+                                  ("bary", "base", 0), ("bary", "base", 1), ("bary", "base", -3),
+                                  ("bary", "schedule.m", [0, 0]),
+                                  ("bary", "schedule.u", [10 ** 6, 10 ** 6]),
+                                  ("bary", "schedule.theta", "7/2"), ("bary", "schedule.m", [6]),
+                                  ("restricted", "schedule.delta", [2, 9]),
+                                  ("beta", "schedule.l", [1, 1, 1]), ("beta", "schedule.N", 2),
+                                  ("beta", "schedule.N", 0)])
 def test_measure_refuses_what_is_not_a_sidecar(tmp_path, capsys, text):
     sidecar = tmp_path / "s.json"
     if text is None:

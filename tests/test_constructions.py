@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -130,6 +131,31 @@ def test_maximal_run_property(theta, vhat, b):
         dk = s.delta[k]
         assert longest_run(out.word, 0, prefix) == dk
         assert longest_run(out.word, b - 1, prefix) <= max(dk, 1)
+
+
+@pytest.mark.parametrize("b", [3, 4, 5, 10])
+@pytest.mark.parametrize("digits", [None, "low", "top"])
+@pytest.mark.parametrize("theta, vhat", [(F(2), F(1, 5)), (F(2), F(1, 2)), (F(3), F(1, 5)),
+                                         (F(3), F(1, 3)), (F(4), F(1, 8))])
+def test_no_free_run_exceeds_its_stage_cap(b, digits, theta, vhat):
+    """Where a digit other than 0 and b-1 is allowed, no maximal run of 0 or
+    b-1 that starts in a free position is longer than its stage's cap, a
+    cap of 0 included, whatever the fill."""
+    S = {None: None, "low": DigitSet(b, {0, 1}), "top": DigitSet(b, {1, b - 1})}[digits]
+    segs = layout_segments(schedule(theta, vhat, 6), pair=False,
+                           run_digit=S.run_digit if S else 0, marker=S.marker_digit if S else 1)
+    caps = {p: seg.cap for seg in segs if seg.kind == FREE for p in range(seg.lo, seg.hi + 1)}
+    if (theta, vhat) == (F(2), F(1, 5)):
+        assert 0 in caps.values()  # the grid holds zero-cap stages
+    fills = [FillPolicy("constant", c) for c in range(b)]
+    fills += [FillPolicy("random", seed=seed) for seed in range(4)]
+    for fill in fills:
+        word = generate_bary(ConstructionSpec(theta, vhat, 6, b, S, fill)).word.data
+        for symbol in (0, b - 1):
+            for run in re.finditer(re.escape(bytes([symbol])) + b"+", word):
+                start = run.start() + 1
+                if start in caps:
+                    assert run.end() - run.start() <= caps[start], (fill.describe(), start)
 
 
 @pytest.mark.parametrize("theta,vhat,b", [(F(3), F(1, 3), 3), (F(4), F(1, 2), 10), (F(2), F(1, 2), 2)])

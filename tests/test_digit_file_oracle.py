@@ -6,7 +6,9 @@ run-cap pass and the random fill (one draw per free segment) of
 ``generate_bary``, as they stood before the bulk ``bytes`` and bounded-block
 versions.  They are frozen: the tests assert that the library gives the same
 text, the same word or the same exception type, the same monotone runs and
-exponent estimates, and the same words and clamp lists.
+exponent estimates, and the same words and clamp lists.  The run-cap pass
+has one rule changed since: a cap of 0 reads as 1 only where no digit other
+than 0 and b-1 is allowed.
 """
 
 import bisect
@@ -103,11 +105,13 @@ def oracle_enforce_run_caps(arr, segs, free, b, allowed, clamps):
     starts = [seg.lo for seg in segs]
     free_starts = [seg.lo for seg in free]
     free_ends = [seg.hi for seg in free]
+    # a cap of 0 holds where a digit other than 0 and b-1 can break runs
+    least = 0 if any(a not in (0, b - 1) for a in allowed) else 1
     for symbol in {0, b - 1}:
         pat = re.compile(re.escape(bytes([symbol])) + b"+")
         for mt in pat.finditer(arr):
             s, e = mt.start() + 1, mt.end()
-            cap = max(segs[bisect.bisect_right(starts, s) - 1].cap, 1)
+            cap = max(segs[bisect.bisect_right(starts, s) - 1].cap, least)
             if e - s + 1 <= cap:
                 continue
             breaker = oracle_break_digit(symbol, allowed, b)
@@ -407,7 +411,7 @@ def test_random_fill_in_blocks_matches_one_draw_per_segment(monkeypatch, b, bloc
             want, free = _prescribed(segs)
             oracle_random_fill(want, free, seed, allowed)
             got, free = _prescribed(segs)
-            _fill_free_spans(got, free, FillPolicy(kind="random", seed=seed), b, allowed, [])
+            _fill_free_spans(got, free, FillPolicy(kind="random", seed=seed), allowed, [])
             assert got == want
 
 

@@ -5,6 +5,9 @@ free-span and free-block scans and ``measure_of_word`` as they stood before
 every construction read one segment list (the caller-supplied stream fill
 left out, since it is gone).  They are frozen: the tests assert that the
 library reproduces their words, clamps, sidecar layouts and masses exactly.
+One rule has changed since: the run-cap pass alone breaks runs (the
+constant fill no longer punches break digits), and a cap of 0 reads as 1
+only where no digit other than 0 and b-1 is allowed.
 """
 
 import bisect
@@ -71,15 +74,6 @@ def oracle_free_spans(runs, depth, pair_after_marker):
     return [(lo, min(hi, depth), cap) for lo, hi, cap in spans if lo <= depth]
 
 
-def oracle_punch_positions(lo, hi, cap, left_run):
-    out = []
-    pos = max(lo, lo + cap - left_run)
-    while pos <= hi:
-        out.append(pos)
-        pos += cap + 1
-    return out
-
-
 def oracle_break_digit(run_symbol, allowed, b):
     top = b - 1
     neutral = [a for a in allowed if a not in (0, top)]
@@ -91,9 +85,7 @@ def oracle_break_digit(run_symbol, allowed, b):
     return other[0]
 
 
-def oracle_fill_free_spans(arr, spans, policy, b, allowed, clamps):
-    top = b - 1
-    run_symbols = {0, top}
+def oracle_fill_free_spans(arr, spans, policy, allowed, clamps):
     rng = random.Random(policy.seed)
     if policy.kind == "constant":
         c = policy.digit
@@ -101,25 +93,8 @@ def oracle_fill_free_spans(arr, spans, policy, b, allowed, clamps):
             fixed = min(allowed, key=lambda a: (abs(a - c), a))
             clamps.append(0)
             c = fixed
-        if c not in run_symbols:
-            for lo, hi, _cap in spans:
-                arr[lo - 1:hi] = bytes([c]) * (hi - lo + 1)
-            return
-        breaker = oracle_break_digit(c, allowed, b)
-        for lo, hi, cap in spans:
+        for lo, hi, _cap in spans:
             arr[lo - 1:hi] = bytes([c]) * (hi - lo + 1)
-            left = 0
-            p = lo - 1
-            while p >= 1 and arr[p - 1] == c and left <= cap + 1:
-                left += 1
-                p -= 1
-            if cap <= 0:
-                punches = list(range(lo, hi + 1))
-            else:
-                punches = oracle_punch_positions(lo, hi, cap, left)
-            for pos in punches:
-                arr[pos - 1] = breaker
-                clamps.append(pos)
         return
     for lo, hi, _cap in spans:
         arr[lo - 1:hi] = bytes(rng.choices(allowed, k=hi - lo + 1))
@@ -133,11 +108,13 @@ def oracle_enforce_run_caps(arr, runs, depth, b, allowed, spans, clamps):
         k = bisect.bisect_left(runs.n, pos)
         return runs.delta[min(max(k - 1, 0), runs.stages - 1)] if runs.stages else 0
 
+    # a cap of 0 holds where a digit other than 0 and b-1 can break runs
+    least = 0 if any(a not in (0, b - 1) for a in allowed) else 1
     for symbol in {0, b - 1}:
         pat = re.compile(re.escape(bytes([symbol])) + b"+")
         for mt in pat.finditer(arr):
             s, e = mt.start() + 1, mt.end()
-            cap = max(cap_at(s), 1)
+            cap = max(cap_at(s), least)
             if e - s + 1 <= cap:
                 continue
             breaker = oracle_break_digit(symbol, allowed, b)
@@ -186,7 +163,7 @@ def oracle_generate_bary(spec):
                 arr[pos] = 0
     spans = oracle_free_spans(runs, depth, pair_after_marker=pair)
     clamps = []
-    oracle_fill_free_spans(arr, spans, spec.fill, b, allowed, clamps)
+    oracle_fill_free_spans(arr, spans, spec.fill, allowed, clamps)
     oracle_enforce_run_caps(arr, runs, depth, b, allowed, spans, clamps)
     return bytes(arr), clamps
 

@@ -22,6 +22,9 @@ def test_digit_word_basics():
 def test_digit_word_large_alphabet():
     w = DigitWord(1000, [999, 0, 500])
     assert w[0] == 999 and len(w) == 3
+    for digit in (-1, 1000):
+        with pytest.raises(ValueError, match=f"digit {digit} out of range for base 1000"):
+            DigitWord(1000, [5, digit, 7])
 
 
 def test_digit_word_equality():
@@ -137,4 +140,24 @@ def test_digit_file_bad_token(body, tmp_path, capsys):
     path = tmp_path / "bad.digits"
     path.write_text("base=3\n" + body)
     assert main(["exponents", "--input", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    bad = next(token for token in body.split() if token not in {"0", "1", "2"})
+    assert capsys.readouterr() == ("", f"error: {path}: {bad!r} is not a digit of base 3\n")
+
+
+@pytest.mark.parametrize("base, body, bad", [(10, "1 -1 5 0 0 7\n", "-1"),
+                                             (1000, "-1 5 0 0 7 999 999 3\n", "-1"),
+                                             (1000, "5 999 1000 -1\n", "1000")])
+def test_digit_file_names_its_first_digit_outside_the_base(base, body, bad, tmp_path, capsys):
+    path = tmp_path / "bad.digits"
+    path.write_text(f"base={base}\n" + body)
+    assert main(["exponents", "--input", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: {bad!r} is not a digit of base {base}\n")
+
+
+@pytest.mark.parametrize("header", ["", "base=1\n", "base=-3\n", "base=x\n", "digits 1 2 3\n"])
+def test_digit_file_needs_a_base_above_one(header, tmp_path, capsys):
+    path = tmp_path / "bad.digits"
+    path.write_text(header + "0 0\n")
+    assert main(["exponents", "--input", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {path}: missing `base=<b>` header line with b >= 2\n")
