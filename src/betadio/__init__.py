@@ -16,8 +16,8 @@ _LAYERS = {  # each exported name by the module that defines it
     "beta_values": "CylinderInterval cylinder greedy_expand is_full parry_invert",
     "closed_forms": "critical_exponent_s0 digit_set_scale dim_formula dim_formula_sup"
                     " reprove_dim_limit verify_sup_by_calculus",
-    "constructions": "BaryConstruction BetaConstruction ConstructionSpec FillPolicy"
-                     " ParamSpaceResult generate_bary generate_beta generate_parameter_space",
+    "constructions": "BaryConstruction BetaConstruction FillPolicy ParamSpaceResult"
+                     " generate_bary generate_beta generate_parameter_space",
     "digit_files": "DigitStream read_digit_file write_digit_file",
     "digit_sets": "DigitSet",
     "errors": "BetadioError DegenerateApproximant DepthExceeded DomainError HorizonTooDeep"

@@ -166,13 +166,15 @@ class _Orbit:
     new orbit state, or with None when the orbit hit 0 (the expansion
     terminates there).  A repeated state closes a cycle ``(preperiod,
     period)``; after either event the digits are continued without stepping.
+    An orbit built with ``cycles=False`` keeps no states and never closes a
+    cycle: its digits are the same, each one stepped.
     """
 
-    def __init__(self, state):
+    def __init__(self, state, cycles: bool = True):
         self.digits: list[int] = []
         self.terminated: Optional[int] = None  # index after which all digits are 0
         self.cycle: Optional[tuple[int, int]] = None  # (preperiod, period)
-        self._seen: dict = {state: 0}
+        self._seen: Optional[dict] = {state: 0} if cycles else None
 
     def digit(self, i: int) -> int:
         digits = self.digits
@@ -187,21 +189,25 @@ class _Orbit:
                 digits.append(d)
                 if state is None:
                     self.terminated = len(digits)
-                elif state in self._seen:
-                    j = self._seen[state]
-                    self.cycle = (j, len(digits) - j)
-                else:
-                    self._seen[state] = len(digits)
+                elif self._seen is not None:
+                    j = self._seen.setdefault(state, len(digits))
+                    if j < len(digits):
+                        self.cycle = (j, len(digits) - j)
         return digits[i]
 
 
 class _RationalOrbit(_Orbit):
-    """Greedy digits for exact x under a rational non-integer base."""
+    """Greedy digits for exact x under a rational base.
+
+    Off an integer base no state is kept: the orbit of 1 never closes
+    (Parry 1960), and for any other x a cycle would only save steps, while
+    the states' denominators grow with every digit.
+    """
 
     def __init__(self, base: Fraction, x: Fraction):
         self.base = base
         self.x = F(x)
-        super().__init__(self.x)
+        super().__init__(self.x, cycles=base.denominator == 1)
 
     def _step(self) -> tuple[int, Optional[Fraction]]:
         y = self.base * self.x

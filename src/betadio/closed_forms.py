@@ -12,7 +12,6 @@ but ``Fraction``; only that scale imports ``logarithm``, when it runs.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -109,29 +108,6 @@ def critical_exponent_s0(theta: Fraction, v_hat: Fraction, eps: Fraction = F(0))
         raise InfeasibleParameters("below the emptiness threshold")
     base = (theta - 1 - theta * v_hat) / ((1 + theta * v_hat) * (theta - 1))
     return (1 + eps) / (1 - eps) * base
-
-
-def series_slope_probe(theta: Fraction, v_hat: Fraction, eps: Fraction, b: int,
-                       s: Fraction, n_max: int = 10 ** 4, c_blocks: float = 1.0) -> dict:
-    """Growth-rate probe of the covering series' general term at exponent s.
-
-    The term is ``(2N)^(C log N) * b^(N A) * b^(-B N s)``; its log-slope in N
-    tends to ``(A - B s) log b``, so the sign flips across s0 = A/B.  The
-    polylog factor makes literal convergence testing at desk scale useless,
-    hence slope comparison of truncated partial terms only.
-    """
-    theta, v_hat, eps, s = F(theta), F(v_hat), F(eps), F(s)
-    A = (1 + eps) * (theta - 1 - theta * v_hat) / (theta - 1)
-    B = (1 + theta * v_hat) * (1 - eps)
-    lb = math.log(b)
-
-    def log_term(n: int) -> float:
-        return c_blocks * math.log(n) * math.log(2 * n) + float(A - B * s) * n * lb
-
-    n1, n2 = n_max // 2, n_max
-    slope = (log_term(n2) - log_term(n1)) / (n2 - n1)
-    return {"s": s, "slope": slope, "limit_slope": float(A - B * s) * lb,
-            "diverging": slope > 0}
 
 
 def reprove_dim_limit(v: Fraction, theta_grid: Sequence[Fraction]) -> dict:

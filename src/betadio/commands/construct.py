@@ -6,8 +6,7 @@ from . import _digit_set, _emit_digits, _fraction, _scalar_dict, default_precisi
 
 def cmd_construct(args):
     what = f"construct {args.flavor}"
-    from ..constructions import (ConstructionSpec, FillPolicy, generate_bary, generate_beta,
-                                 generate_parameter_space)
+    from ..constructions import FillPolicy, generate_bary, generate_beta, generate_parameter_space
     cfg = {"cmd": what, "theta": args.theta, "vhat": args.vhat,
            "stages": args.stages, "fill": args.fill, "seed": args.seed}
     theta, vhat = _fraction(args.theta), _fraction(args.vhat)
@@ -17,12 +16,11 @@ def cmd_construct(args):
         raise UsageError(f"not a fill policy: {args.fill!r} (const:<digit> or random)")
     if args.flavor in ("bary", "restricted"):
         cfg["base"] = args.base
-        ds = None
+        base = args.base
         if args.flavor == "restricted":
-            ds = _digit_set(args.digit_set, args.base)
+            base = _digit_set(args.digit_set, args.base)
             cfg["digit_set"] = args.digit_set
-        out = generate_bary(ConstructionSpec(theta=theta, v_hat=vhat, stages=args.stages,
-                                             base=args.base, digit_set=ds, fill=fill))
+        out = generate_bary(base, theta, vhat, args.stages, fill)
         _emit_digits(args, out.word, out.to_dict(), cfg)
     elif args.flavor == "beta":
         from ..beta_shift import BetaSystem

@@ -44,7 +44,8 @@ def cmd_measure(args):
         from ..layout import free_digit_count
         if digit_set:
             from ..digit_sets import DigitSet
-            base = DigitSet(base, frozenset(digit_set)).size
-        exponent = free_digit_count(layout, args.n, pair=side["base"] == 2)
-        _emit(args, {"n": args.n, "base": base, "exponent": exponent}, cfg)
+            base = DigitSet(base, frozenset(digit_set))
+        exponent = free_digit_count(layout, args.n, base)
+        _emit(args, {"n": args.n, "base": base if isinstance(base, int) else base.size,
+                     "exponent": exponent}, cfg)
     return 0

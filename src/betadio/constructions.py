@@ -26,13 +26,12 @@ from __future__ import annotations
 import bisect
 import random
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .bary import _next_run
 from .digit_sets import DigitSet
-from .errors import NotSelfAdmissible, PrefixConditionFailed
-from .layout import (FREE, BetaLayout, ScheduledRuns, Segment, _check_feasible, beta_layout,
-                     layout_segments, schedule)
+from .errors import DomainError, NotSelfAdmissible, PrefixConditionFailed
+from .layout import FREE, BetaLayout, ScheduledRuns, Segment, beta_layout, layout_segments, schedule
 from .record import Record
 from .words import DigitWord
 
@@ -73,23 +72,6 @@ class FillPolicy(Record):
         if self.kind == "constant":
             return f"const:{self.digit}"
         return f"random(seed={self.seed})"
-
-
-class ConstructionSpec(Record):
-    """Parameters of one Cantor-type construction; the fill defaults to
-    ``FillPolicy()``."""
-
-    __slots__ = ("theta", "v_hat", "stages", "base", "digit_set", "fill")
-
-    def __init__(self, theta: Fraction, v_hat: Fraction, stages: int, base: int = 0,
-                 digit_set: Optional[DigitSet] = None, fill: Optional[FillPolicy] = None):
-        self.theta = F(theta)
-        self.v_hat = F(v_hat)
-        self.stages = stages
-        self.base = base
-        self.digit_set = digit_set
-        self.fill = FillPolicy() if fill is None else fill
-        _check_feasible(self.theta, self.v_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -138,37 +120,39 @@ def _prescribed(segs: list[Segment]) -> tuple[bytearray, list[Segment]]:
     return arr, [seg for seg in segs if seg.kind == FREE]
 
 
-def generate_bary(spec: ConstructionSpec) -> BaryConstruction:
-    """Digit word realizing the prescribed runs and markers in an integer base.
+def generate_bary(base: Union[int, DigitSet], theta: Fraction, v_hat: Fraction, stages: int,
+                  fill: Optional[FillPolicy] = None) -> BaryConstruction:
+    """Digit word realizing the prescribed runs and markers in an integer
+    base, or on a digit set; the fill defaults to ``FillPolicy()``.
 
-    The base-2 variant writes the block ``1 0`` for each marker so marker 1s
-    never extend a run of the top digit.  With a digit set, free digits are
-    drawn from the set, the runs use its run digit (0, or b-1 when 0 is
-    missing) and the markers a fixed nonzero member; out-of-set constant
-    fills are clamped, with a log.
+    The base shapes the layout (``layout_segments``): base 2 writes the
+    block ``1 0`` for each marker so marker 1s never extend a run of the top
+    digit, and a digit set runs its run digit (0, or b-1 when 0 is missing)
+    with a fixed nonzero member as marker.  With a digit set, free digits
+    are drawn from the set; out-of-set constant fills are clamped, with a
+    log.  Digits are bytes, so the base is at most 256.
     """
-    b = spec.base
+    S = None if isinstance(base, int) else base
+    b = base if S is None else S.base
     if b < 2:
         raise ValueError("integer base required")
-    S = spec.digit_set
-    if S is not None and S.base != b:
-        raise ValueError("digit set base mismatch")
-    runs = schedule(spec.theta, spec.v_hat, spec.stages)
-    segs = layout_segments(runs, pair=b == 2,
-                           run_digit=0 if S is None else S.run_digit,
-                           marker=1 if S is None else S.marker_digit)
+    if b > 256:
+        raise DomainError(f"a construction's base is at most 256 (one byte per digit), not {b}")
+    fill = fill or FillPolicy()
+    runs = schedule(theta, v_hat, stages)
+    segs = layout_segments(runs, base)
     allowed = tuple(range(b)) if S is None else tuple(sorted(S.digits))
     # prescribed structure first, then fills (the clamp logic inspects
     # neighboring determined digits)
     arr, free = _prescribed(segs)
     clamps: list[int] = []
-    _fill_free_spans(arr, free, spec.fill, allowed, clamps)
+    _fill_free_spans(arr, free, fill, allowed, clamps)
     _enforce_run_caps(arr, segs, free, b, allowed, clamps)
     word = DigitWord.from_bytes(b, arr)
     if clamps:
         _warn("fill policy clamped at %d positions", len(clamps))
     return BaryConstruction(word=word, schedule=runs, base=b, clamps=clamps,
-                            fill=spec.fill.describe(), digit_set=S)
+                            fill=fill.describe(), digit_set=S)
 
 
 def _enforce_run_caps(arr: bytearray, segs: list[Segment], free: list[Segment], b: int,
@@ -273,7 +257,7 @@ def generate_beta(base: BetaSystem, N: int, theta: Fraction, v_hat: Fraction,
     fill is clamped into ``0..bound``.  The word stops just before the block
     that would open the stage after the last, at ``l[K] - 1``.  No free
     segment gets more zeros in a row than its cap (only the free prefix is
-    wider than its cap).
+    wider than its cap).  Over more than 256 digits the word is a tuple word.
     """
     fill = fill or FillPolicy(kind="random", seed=0)
     runs = schedule(theta, v_hat, stages)
@@ -287,6 +271,9 @@ def generate_beta(base: BetaSystem, N: int, theta: Fraction, v_hat: Fraction,
     constant = fill.digit if fill.kind == "constant" else None
     clamps: list[int] = []
     digits, free = _prescribed(layout.segments)
+    size = approx.alphabet_top + 1
+    if size > 256:  # digits that a byte does not hold: a tuple word
+        digits = list(digits)
     # A free segment starts the word or follows a block that ends in 0^N.
     # The approximant's d*(1) has period <= N and a first digit >= 1, so it
     # has a nonzero digit in every N places: N zeros end at state 0, where
@@ -310,7 +297,7 @@ def generate_beta(base: BetaSystem, N: int, theta: Fraction, v_hat: Fraction,
             state = moves[state][d]
             digits[pos - 1] = d
     del digits[depth:]
-    word = DigitWord.from_bytes(approx.alphabet_top + 1, digits)
+    word = DigitWord.from_bytes(size, digits) if size <= 256 else DigitWord(size, digits)
     return BetaConstruction(word=word, layout=layout, base_spec=base.spec_string,
                             approximant_spec=approx.spec_string, clamps=clamps,
                             fill=fill.describe())

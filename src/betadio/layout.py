@@ -15,7 +15,7 @@ position ``n_k`` and ends at ``m_k``, then evenly spaced markers run up to
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Union
 
 from .errors import DepthExceeded, InfeasibleParameters
 from .record import Record
@@ -60,24 +60,20 @@ class ScheduledRuns(Record):
                 "delta": self.delta, "u": self.u}
 
 
-def _check_feasible(theta: Fraction, v_hat: Fraction) -> None:
-    """Infeasible unless ``0 < vhat < 1`` and ``theta >= 1/(1 - vhat)``."""
+def schedule(theta: Fraction, v_hat: Fraction, stages: int) -> ScheduledRuns:
+    """Build the adjusted schedule for ``stages`` complete stages.
+
+    Infeasible unless ``0 < vhat < 1`` and ``theta >= 1/(1 - vhat)`` (the
+    emptiness threshold).
+    Early stages where the floors degenerate (anchor < 2, empty run, or
+    non-increasing anchors) are skipped; the limits only see the tail.
+    """
+    theta, v_hat = F(theta), F(v_hat)
     if not 0 < v_hat < 1:
         raise InfeasibleParameters(f"need 0 < vhat < 1, got {v_hat}")
     if theta < 1 / (1 - v_hat):
         raise InfeasibleParameters(
             f"theta {theta} below the emptiness threshold {1 / (1 - v_hat)}")
-
-
-def schedule(theta: Fraction, v_hat: Fraction, stages: int) -> ScheduledRuns:
-    """Build the adjusted schedule for ``stages`` complete stages.
-
-    Infeasible below the emptiness threshold ``theta >= 1/(1 - vhat)``.
-    Early stages where the floors degenerate (anchor < 2, empty run, or
-    non-increasing anchors) are skipped; the limits only see the tail.
-    """
-    theta, v_hat = F(theta), F(v_hat)
-    _check_feasible(theta, v_hat)
     growth = theta * v_hat + 1
 
     def raw(k: int) -> int:
@@ -140,22 +136,32 @@ class Segment(NamedTuple):
         return self.digits * ((self.hi - self.lo + 1) // len(self.digits))
 
 
-def layout_segments(runs: ScheduledRuns, N: int = 0, pair: bool = False,
-                    run_digit: int = 0, marker: int = 1) -> list[Segment]:
+def layout_segments(runs: ScheduledRuns, base: Union[int, DigitSet, None],
+                    N: int = 0) -> list[Segment]:
     """The layout of a construction, in order, from position 1 through the
     anchor that closes the last stage.
+
+    The base decides the prescribed digits: an integer base runs 0s with
+    marker 1, and in base 2 a spaced marker is the block ``1 0`` (its 0
+    dropped when the next position is itself prescribed), so that marker 1s
+    never extend a run of the top digit; a digit set runs its run digit with
+    its marker digit.  A real-base layout passes no base and ``N >= 1``: it
+    runs 0s and widens every marker to ``0^N 1 0^N``, so
+    ``h_k - l_k = m_k - n_k + 4N``.
 
     The free prefix and the first anchor have the first stage's cap (0 when
     there is no stage).  Each stage then runs from just after its anchor
     n_k through the next anchor n_{k+1}, all with the stage's cap delta_k:
-    the run of ``run_digit`` up to m_k, a marker at m_k, the evenly spaced
-    markers ``m_k + t (m_k - n_k)`` up to u_k, and free segments between.
-    With ``N >= 1`` every marker is widened to ``0^N 1 0^N``, so
-    ``h_k - l_k = m_k - n_k + 4N``.  With ``pair`` (the base-2 variant) a
-    spaced marker is followed by a 0 unless the next position is itself
-    prescribed.  When m_k = n_{k+1} the marker and the anchor share their
-    first position (all of it when N = 0).
+    the run up to m_k, a marker at m_k, the evenly spaced markers
+    ``m_k + t (m_k - n_k)`` up to u_k, and free segments between.  When
+    m_k = n_{k+1} the marker and the anchor share their first position (all
+    of it when N = 0).
     """
+    if (base is None) != (N >= 1):
+        raise ValueError("a layout needs an integer base or N >= 1, not both")
+    run_digit, marker = (0, 1) if base is None or isinstance(base, int) \
+        else (base.run_digit, base.marker_digit)
+    pair = base == 2
     block = bytes(N) + bytes([marker]) + bytes(N)
     segs: list[Segment] = []
 
@@ -188,11 +194,12 @@ def _free_count(segs: list[Segment], n: int) -> int:
     return sum(min(seg.hi, n) - seg.lo + 1 for seg in segs if seg.kind == FREE and seg.lo <= n)
 
 
-def free_digit_count(runs: ScheduledRuns, n: int, pair: bool = False) -> int:
-    """Number of free positions up to depth n (the measure exponent e(n))."""
+def free_digit_count(runs: ScheduledRuns, n: int, base: Union[int, DigitSet]) -> int:
+    """Number of free positions up to depth n (the measure exponent e(n)) of
+    the integer-base layout in ``base``."""
     if n > runs.n[runs.stages]:
         raise DepthExceeded(f"depth {n} beyond the scheduled {runs.n[runs.stages]}")
-    return _free_count(layout_segments(runs, pair=pair), n)
+    return _free_count(layout_segments(runs, base), n)
 
 
 class BetaLayout(Record):
@@ -226,7 +233,7 @@ class BetaLayout(Record):
 def beta_layout(runs: ScheduledRuns, N: int) -> BetaLayout:
     if N < 1:
         raise ValueError("N must be >= 1")
-    segs = layout_segments(runs, N)
+    segs = layout_segments(runs, None, N)
     blocks = [s for s in segs if s.kind == MARKER]  # per stage: n_k, m_k, t_k spaced
     l, h, u = [], [], []
     i = 0

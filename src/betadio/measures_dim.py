@@ -58,19 +58,17 @@ class MeasureValue(Record):
         return -acc
 
 
-def measure_bary(runs: ScheduledRuns, base: Union[int, DigitSet], n: int,
-                 pair: bool = False) -> MeasureValue:
-    """Exact cylinder mass of the integer-base construction at depth n.
+def measure_bary(runs: ScheduledRuns, base: Union[int, DigitSet], n: int) -> MeasureValue:
+    """Exact cylinder mass at depth n of the construction on ``runs`` in an
+    integer base or on a digit set, whose layout (the base-2 marker blocks
+    ``1 0`` among it) the base decides.
 
     The mass is constant across each prescribed stretch, in particular from
     ``n_k`` through ``m_k``; between checkpoints it divides once per free
-    digit.  ``pair=True`` accounts for the base-2 marker blocks ``1 0``.
+    digit.
     """
-    if not isinstance(base, int):  # an int base loads no digit-set layer
-        from .digit_sets import DigitSet
-        if isinstance(base, DigitSet):
-            base = base.size
-    return MeasureValue(n=n, base=int(base), exponent=free_digit_count(runs, n, pair))
+    size = base if isinstance(base, int) else base.size
+    return MeasureValue(n=n, base=size, exponent=free_digit_count(runs, n, base))
 
 
 def measure_of_word(construction: BaryConstruction, word: Sequence[int]) -> MeasureValue:
@@ -82,7 +80,7 @@ def measure_of_word(construction: BaryConstruction, word: Sequence[int]) -> Meas
     got = construction.word.data
     S = construction.digit_set
     allowed = S.digits if S else range(construction.base)
-    segs = layout_segments(construction.schedule, pair=construction.base == 2)
+    segs = layout_segments(construction.schedule, S or construction.base)
     for seg in segs:
         for pos in range(seg.lo, min(seg.hi, n) + 1):
             if seg.kind == FREE:
@@ -172,6 +170,19 @@ def _declare_convergence(traj, target_lo: Fraction, target_hi: Fraction,
     return hit
 
 
+def _report(target: Fraction, traj: list[tuple[int, Fraction, Fraction]], tolerance: Fraction,
+            scale: Optional[Scalar], params: dict) -> DimensionReport:
+    """The report of a trajectory against the closed form ``target``, scaled
+    by the certified interval ``scale`` when there is one."""
+    scale_iv = None if scale is None else (scale.lo.value, scale.hi.value)
+    t_lo, t_hi = (target, target) if scale_iv is None else \
+        (target * scale_iv[0], target * scale_iv[1])
+    return DimensionReport(
+        formula_value=target, trajectory=traj, tolerance=F(tolerance),
+        converged_at=_declare_convergence(traj, t_lo, t_hi, F(tolerance)),
+        scale_interval=scale_iv, params=params)
+
+
 def local_dimension_bary(theta: Fraction, v_hat: Fraction, base: Union[int, DigitSet],
                          stages: int, tolerance: Fraction = F(1, 50),
                          bits: int = DEFAULT_PRECISION) -> DimensionReport:
@@ -181,17 +192,11 @@ def local_dimension_bary(theta: Fraction, v_hat: Fraction, base: Union[int, Digi
     ``log #S / log b`` interval.
     """
     from .closed_forms import digit_set_scale, dim_formula
-    ds = None
-    if not isinstance(base, int):  # an int base loads no digit-set layer
-        from .digit_sets import DigitSet
-        ds = base if isinstance(base, DigitSet) else None
-    b_int = int(base) if ds is None else ds.base
-    if b_int < 2:
+    if isinstance(base, int) and base < 2:
         raise ValueError("integer base required")
     runs = schedule(theta, v_hat, stages)
-    target = dim_formula(theta, v_hat)
-    scale = None if ds is None else digit_set_scale(ds, bits)
-    segs = layout_segments(runs, pair=b_int == 2)
+    scale = None if isinstance(base, int) else digit_set_scale(base, bits)
+    segs = layout_segments(runs, base)
     traj = []
     for k in range(runs.stages):
         mk = runs.m[k]
@@ -199,21 +204,9 @@ def local_dimension_bary(theta: Fraction, v_hat: Fraction, base: Union[int, Digi
         if scale is None:
             traj.append((k + 1, ratio, ratio))
         else:
-            lo = ratio * scale.lo.value
-            hi = ratio * scale.hi.value
-            traj.append((k + 1, lo, hi))
-    if scale is None:
-        t_lo = t_hi = target
-        scale_iv = None
-    else:
-        t_lo, t_hi = target * scale.lo.value, target * scale.hi.value
-        scale_iv = (scale.lo.value, scale.hi.value)
-    report = DimensionReport(
-        formula_value=target, trajectory=traj, tolerance=F(tolerance),
-        converged_at=_declare_convergence(traj, t_lo, t_hi, F(tolerance)),
-        scale_interval=scale_iv,
-        params={"theta": theta, "v_hat": v_hat, "base": base, "stages": stages})
-    return report
+            traj.append((k + 1, ratio * scale.lo.value, ratio * scale.hi.value))
+    return _report(dim_formula(theta, v_hat), traj, tolerance, scale,
+                   {"theta": theta, "v_hat": v_hat, "base": base, "stages": stages})
 
 
 def local_dimension_beta(base: BetaSystem, N: int, theta: Fraction, v_hat: Fraction,
@@ -232,26 +225,16 @@ def local_dimension_beta(base: BetaSystem, N: int, theta: Fraction, v_hat: Fract
     layout = beta_layout(runs, N)
     sub = base.approximant(N, bits)
     ln_beta = ln(base.beta_scalar(bits), bits)
-    target = dim_formula(theta, v_hat)
-    ln_sub = ln(sub.beta_scalar(bits), bits)
-    scale = ln_sub / ln_beta
+    scale = ln(sub.beta_scalar(bits), bits) / ln_beta
     traj = []
     for k in range(runs.stages):
         hk = layout.h[k]
-        mv = measure_beta(layout, sub, hk)
-        num = -mv.log_mu(bits)  # positive
-        den = ln_beta.scale_int(hk)
-        ratio = num / den
+        num = -measure_beta(layout, sub, hk).log_mu(bits)  # positive
+        ratio = num / ln_beta.scale_int(hk)
         traj.append((k + 1, ratio.lo.value, ratio.hi.value))
-    t_lo = target * scale.lo.value
-    t_hi = target * scale.hi.value
-    report = DimensionReport(
-        formula_value=target, trajectory=traj, tolerance=F(tolerance),
-        converged_at=_declare_convergence(traj, t_lo, t_hi, F(tolerance)),
-        scale_interval=(scale.lo.value, scale.hi.value),
-        params={"beta": base.spec_string, "N": N, "theta": theta,
-                "v_hat": v_hat, "stages": stages})
-    return report
+    return _report(dim_formula(theta, v_hat), traj, tolerance, scale,
+                   {"beta": base.spec_string, "N": N, "theta": theta, "v_hat": v_hat,
+                    "stages": stages})
 
 
 def stolz_cesaro_ratios(runs: ScheduledRuns, k: int) -> tuple[Fraction, Fraction]:

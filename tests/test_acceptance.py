@@ -20,8 +20,7 @@ from betadio.closed_forms import (
     dim_formula_sup,
     verify_sup_by_calculus,
 )
-from betadio.constructions import ConstructionSpec, FillPolicy, generate_bary, \
-    generate_parameter_space
+from betadio.constructions import FillPolicy, generate_bary, generate_parameter_space
 from betadio.digit_sets import DigitSet
 from betadio.layout import free_digit_count, schedule
 from betadio.measures_dim import local_dimension_bary, stolz_cesaro_ratios
@@ -94,7 +93,7 @@ def test_criterion_2_local_dimension_bary(theta, vhat, b):
         target = dim_formula(theta, vhat)
         runs = schedule(theta, vhat, 16)
         m15 = runs.m[14]
-        ratio = F(free_digit_count(runs, m15, pair=(b == 2)), m15)
+        ratio = F(free_digit_count(runs, m15, b), m15)
         assert abs(ratio - target) <= F(1, 50)
         step, _cumulative = stolz_cesaro_ratios(runs, 15)
         assert abs(step - target) <= F(1, 200)
@@ -104,9 +103,7 @@ def test_criterion_2_local_dimension_bary(theta, vhat, b):
     (F(3), F(1, 3), 3), (F(4), F(1, 2), 10), (F(2), F(1, 2), 2)])
 def test_criterion_3_exponent_round_trip(theta, vhat, b):
     with _Timer(f"3 exponent round trip base {b}", 5.0):
-        spec = ConstructionSpec(theta=theta, v_hat=vhat, stages=12, base=b,
-                                fill=FillPolicy("constant", 1))
-        out = generate_bary(spec)
+        out = generate_bary(b, theta, vhat, 12, FillPolicy("constant", 1))
         est = estimate_exponents(run_decomposition(out.word))
         assert abs(est.v_lower - theta * vhat) <= F(3, 100)
         assert abs(est.v_hat_lower - vhat) <= F(3, 100)

@@ -18,6 +18,7 @@ import pytest
 
 from betadio.beta_shift import (AdmissibilityAutomaton, BetaSystem, count_admissible,
                                 is_admissible, is_self_admissible)
+from betadio.beta_shift import _RationalOrbit
 from betadio.beta_values import greedy_expand
 from betadio.errors import NotSelfAdmissible
 from betadio.words import PeriodicWord
@@ -203,3 +204,22 @@ def test_greedy_expand_in_a_rational_base():
     assert is_admissible(system, got)
     assert greedy_expand(system, Fraction(1), 8).digits() == tuple(
         system.d1_star_digit(i) for i in range(8))
+
+
+@pytest.mark.parametrize("spec", ["rat:5/2", "rat:7/3", "int:3"])
+def test_greedy_expand_matches_the_orbit_by_hand(spec):
+    """Off an integer base the orbit keeps no states and closes no cycle;
+    its digits are still the orbit's, on a cycle too (x -> 5x/2 - 1 fixes
+    2/3).  In an integer base the cycle closes, with the same digits."""
+    system = BetaSystem.parse(spec)
+    base = Fraction(spec[4:])
+    for x in (Fraction(2, 3), Fraction(1, 7), Fraction(5, 9), Fraction(0)):
+        want, y = [], x
+        for _ in range(200):
+            y *= base
+            want.append(int(y))
+            y -= int(y)
+        assert greedy_expand(system, x, 200).digits() == tuple(want)
+        orbit = _RationalOrbit(base, x)
+        orbit.digit(199)
+        assert orbit.cycle == ((0, 6) if (base, x) == (3, Fraction(1, 7)) else None)

@@ -209,11 +209,9 @@ def test_digit_set_validation():
 def test_orbit_distance_bracket():
     # for the constructed word, b**(n_k - m_k) < ||b**n_k xi|| < b**(n_k - m_k + 1),
     # checked with exact rational arithmetic plus a rigorous tail bound
-    from betadio.constructions import ConstructionSpec, FillPolicy, generate_bary
+    from betadio.constructions import FillPolicy, generate_bary
 
-    spec = ConstructionSpec(theta=F(3), v_hat=F(1, 3), stages=5, base=3,
-                            fill=FillPolicy("random", seed=13))
-    out = generate_bary(spec)
+    out = generate_bary(3, F(3), F(1, 3), 5, FillPolicy("random", seed=13))
     digits = out.word.digits()
     H = len(digits)
     value = sum(F(d, 3 ** (j + 1)) for j, d in enumerate(digits))

@@ -10,7 +10,7 @@ import pytest
 
 import betadio
 from betadio.cli import _COMMANDS, main
-from betadio.constructions import ConstructionSpec, FillPolicy, generate_bary
+from betadio.constructions import FillPolicy, generate_bary
 from betadio.digit_sets import DigitSet
 from test_readme import readme_commands
 
@@ -434,6 +434,29 @@ def test_theta_below_the_threshold_is_infeasible(capsys, flavor):
         "", "infeasible: theta 6/5 below the emptiness threshold 2\n")
 
 
+@pytest.mark.parametrize("fill", ["const:1", "random"])
+@pytest.mark.parametrize("flavor", ["bary", "restricted"])
+def test_a_construction_base_above_256_is_infeasible(capsys, flavor, fill):
+    extra = ["--digit-set", "0,2"] if flavor == "restricted" else []
+    assert main(["construct", flavor, "--theta", "3", "--vhat", "1/3", "--base", "300",
+                 "--fill", fill, *extra]) == 2
+    assert capsys.readouterr() == (
+        "", "infeasible: a construction's base is at most 256 (one byte per digit), not 300\n")
+
+
+@pytest.mark.parametrize("fill", ["const:1", "random"])
+def test_construct_beta_over_more_than_256_digits(tmp_path, capsys, fill):
+    path = str(tmp_path / "r.digits")
+    assert main(["construct", "beta", "--theta", "3", "--vhat", "1/3", "--beta", "rat:1000/3",
+                 "--N", "2", "--stages", "3", "--fill", fill, "-o", path]) == 0
+    assert capsys.readouterr().err == ""
+    assert Path(path).read_text().startswith("base=334\n")
+    rc, out = run(capsys, "exponents", "--input", path)
+    assert rc == 0 and json.loads(out)["horizon"] == 104
+    rc, out = run(capsys, "measure", "--sidecar", path + ".json", "--n", "20")
+    assert rc == 0 and json.loads(out)["n"] == 20
+
+
 @pytest.mark.parametrize("flavor", ["beta", "param"])
 @pytest.mark.parametrize("N", ["0", "-3"])
 def test_N_below_one_is_an_error(capsys, flavor, N):
@@ -831,8 +854,7 @@ def test_clamped_fill_warns_on_stderr(tmp_path, flavor, extra, lines):
             "--stages", "2", *extra, "-o", "c.digits"]
     proc = _cli("-m", "betadio.cli", *argv, cwd=tmp_path)
     assert proc.returncode == 0
-    ds = DigitSet(3, {0, 2}) if flavor == "restricted" else None
-    fill = FillPolicy.parse(extra[-1])
-    clamps = generate_bary(ConstructionSpec(4, F(1, 8), 2, 3, ds, fill)).clamps
+    base = DigitSet(3, {0, 2}) if flavor == "restricted" else 3
+    clamps = generate_bary(base, F(4), F(1, 8), 2, FillPolicy.parse(extra[-1])).clamps
     assert clamps
     assert proc.stderr.splitlines() == lines + [f"fill policy clamped at {len(clamps)} positions"]

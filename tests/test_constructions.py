@@ -8,7 +8,6 @@ from betadio.bary import estimate_exponents, run_decomposition
 from betadio.beta_shift import BetaSystem, is_admissible, is_self_admissible
 from betadio.cli import main
 from betadio.constructions import (
-    ConstructionSpec,
     FillPolicy,
     generate_bary,
     generate_beta,
@@ -17,6 +16,7 @@ from betadio.constructions import (
 from betadio.digit_sets import DigitSet
 from betadio.errors import (
     DepthExceeded,
+    DomainError,
     InfeasibleParameters,
     PrecisionExhausted,
     PrefixConditionFailed,
@@ -58,14 +58,14 @@ def test_schedule_infeasible():
     with pytest.raises(InfeasibleParameters):
         schedule(F(6, 5), F(1, 2), 4)
     with pytest.raises(InfeasibleParameters):
-        ConstructionSpec(theta=F(6, 5), v_hat=F(1, 2), stages=3, base=3)
+        generate_bary(3, F(6, 5), F(1, 2), 3)
 
 
 @pytest.mark.parametrize("vhat", [F(1), F(3, 2), F(0), F(-1, 2)])
-def test_spec_and_schedule_share_the_unit_interval_check(vhat):
+def test_generator_and_schedule_share_the_unit_interval_check(vhat):
     message = f"need 0 < vhat < 1, got {vhat}"
     with pytest.raises(InfeasibleParameters, match=message):
-        ConstructionSpec(theta=F(3), v_hat=vhat, stages=3, base=3)
+        generate_bary(3, F(3), vhat, 3)
     with pytest.raises(InfeasibleParameters, match=message):
         schedule(F(3), vhat, 3)
 
@@ -103,17 +103,13 @@ def test_schedule_t_bounded():
 
 
 def test_generate_bary_example():
-    spec = ConstructionSpec(theta=F(3), v_hat=F(1, 3), stages=1, base=3,
-                            fill=FillPolicy("constant", 1))
-    out = generate_bary(spec)
+    out = generate_bary(3, F(3), F(1, 3), 1, FillPolicy("constant", 1))
     assert out.word.digits() == (1, 1, 1, 0, 0, 1, 1, 1, 1)
     assert not out.clamps
 
 
 def test_generate_bary_zero_fill_clamps():
-    spec = ConstructionSpec(theta=F(4), v_hat=F(1, 8), stages=2, base=3,
-                            fill=FillPolicy("constant", 0))
-    out = generate_bary(spec)
+    out = generate_bary(3, F(4), F(1, 8), 2, FillPolicy("constant", 0))
     assert out.clamps, "all-zero fill must be clamped"
     for k in range(out.schedule.stages):
         prefix = out.schedule.n[k + 1]
@@ -122,9 +118,7 @@ def test_generate_bary_zero_fill_clamps():
 
 @pytest.mark.parametrize("theta,vhat,b", [(F(3), F(1, 3), 3), (F(4), F(1, 2), 10), (F(2), F(1, 2), 2)])
 def test_maximal_run_property(theta, vhat, b):
-    spec = ConstructionSpec(theta=theta, v_hat=vhat, stages=8, base=b,
-                            fill=FillPolicy("random", seed=7))
-    out = generate_bary(spec)
+    out = generate_bary(b, theta, vhat, 8, FillPolicy("random", seed=7))
     s = out.schedule
     for k in range(3, s.stages):
         prefix = s.n[k + 1]
@@ -142,15 +136,14 @@ def test_no_free_run_exceeds_its_stage_cap(b, digits, theta, vhat):
     b-1 that starts in a free position is longer than its stage's cap, a
     cap of 0 included, whatever the fill."""
     S = {None: None, "low": DigitSet(b, {0, 1}), "top": DigitSet(b, {1, b - 1})}[digits]
-    segs = layout_segments(schedule(theta, vhat, 6), pair=False,
-                           run_digit=S.run_digit if S else 0, marker=S.marker_digit if S else 1)
+    segs = layout_segments(schedule(theta, vhat, 6), S or b)
     caps = {p: seg.cap for seg in segs if seg.kind == FREE for p in range(seg.lo, seg.hi + 1)}
     if (theta, vhat) == (F(2), F(1, 5)):
         assert 0 in caps.values()  # the grid holds zero-cap stages
     fills = [FillPolicy("constant", c) for c in range(b)]
     fills += [FillPolicy("random", seed=seed) for seed in range(4)]
     for fill in fills:
-        word = generate_bary(ConstructionSpec(theta, vhat, 6, b, S, fill)).word.data
+        word = generate_bary(S or b, theta, vhat, 6, fill).word.data
         for symbol in (0, b - 1):
             for run in re.finditer(re.escape(bytes([symbol])) + b"+", word):
                 start = run.start() + 1
@@ -160,9 +153,7 @@ def test_no_free_run_exceeds_its_stage_cap(b, digits, theta, vhat):
 
 @pytest.mark.parametrize("theta,vhat,b", [(F(3), F(1, 3), 3), (F(4), F(1, 2), 10), (F(2), F(1, 2), 2)])
 def test_exponent_round_trip_small(theta, vhat, b):
-    spec = ConstructionSpec(theta=theta, v_hat=vhat, stages=9, base=b,
-                            fill=FillPolicy("constant", 1))
-    out = generate_bary(spec)
+    out = generate_bary(b, theta, vhat, 9, FillPolicy("constant", 1))
     est = estimate_exponents(run_decomposition(out.word))
     assert abs(est.v_lower - theta * vhat) <= F(5, 100)
     assert abs(est.v_hat_lower - vhat) <= F(5, 100)
@@ -170,9 +161,7 @@ def test_exponent_round_trip_small(theta, vhat, b):
 
 def test_restricted_generator():
     ds = DigitSet(3, frozenset({0, 2}))
-    spec = ConstructionSpec(theta=F(3), v_hat=F(1, 3), stages=6, base=3,
-                            digit_set=ds, fill=FillPolicy("random", seed=3))
-    out = generate_bary(spec)
+    out = generate_bary(ds, F(3), F(1, 3), 6, FillPolicy("random", seed=3))
     used = set(out.word.digits())
     assert used <= {0, 2}
     s = out.schedule
@@ -189,11 +178,10 @@ def test_restricted_generator():
 def test_free_digit_count_counts_the_free_positions_of_generate_bary(b, digits, theta, vhat):
     """layout.free_digit_count against a position-by-position count of the
     free segments of the layout generate_bary writes."""
-    S = DigitSet(b, frozenset(digits)) if digits else None
-    out = generate_bary(ConstructionSpec(theta, vhat, 4, b, digit_set=S))
+    base = DigitSet(b, frozenset(digits)) if digits else b
+    out = generate_bary(base, theta, vhat, 4)
     runs = out.schedule
-    segs = layout_segments(runs, pair=b == 2, run_digit=S.run_digit if S else 0,
-                           marker=S.marker_digit if S else 1)
+    segs = layout_segments(runs, base)
     depth = runs.n[runs.stages]
     assert segs[-1].hi == depth == len(out.word)
     free = bytearray(depth)
@@ -205,18 +193,24 @@ def test_free_digit_count_counts_the_free_positions_of_generate_bary(b, digits, 
     count = 0
     for n in range(1, depth + 1):
         count += free[n - 1]
-        assert free_digit_count(runs, n, pair=b == 2) == count, n
+        assert free_digit_count(runs, n, base) == count, n
     with pytest.raises(DepthExceeded):
-        free_digit_count(runs, depth + 1, pair=b == 2)
+        free_digit_count(runs, depth + 1, base)
+
+
+def test_generate_bary_builds_in_bases_up_to_256():
+    word = generate_bary(256, F(3), F(1, 3), 3, FillPolicy("constant", 255)).word
+    assert word.base == 256 and max(word) == 255
+    for base, b in ((257, 257), (300, 300), (DigitSet(300, {0, 2}), 300)):
+        with pytest.raises(DomainError, match=rf"at most 256 \(one byte per digit\), not {b}$"):
+            generate_bary(base, F(3), F(1, 3), 3)
 
 
 def test_restricted_full_alphabet_matches_plain():
     ds = DigitSet(4, frozenset({0, 1, 2, 3}))
-    spec = ConstructionSpec(theta=F(3), v_hat=F(1, 3), stages=4, base=4,
-                            digit_set=ds, fill=FillPolicy("constant", 1))
-    plain = ConstructionSpec(theta=F(3), v_hat=F(1, 3), stages=4, base=4,
-                             fill=FillPolicy("constant", 1))
-    assert generate_bary(spec).word.digits() == generate_bary(plain).word.digits()
+    fill = FillPolicy("constant", 1)
+    assert generate_bary(ds, F(3), F(1, 3), 4, fill).word.digits() == \
+        generate_bary(4, F(3), F(1, 3), 4, fill).word.digits()
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +247,17 @@ def test_generate_beta_admissible():
     interior = out.word.digits()[lo:hi - 1]
     assert set(interior) == {0}
     assert len(interior) == lay.runs.delta[k] + 2 * lay.N
+
+
+@pytest.mark.parametrize("fill", ["random", "const:1", "const:400"])
+def test_generate_beta_over_more_than_256_digits(fill):
+    """rat:1000/3 has digits 0..333: the word is a tuple word, admissible,
+    and a random fill draws digits that no byte holds."""
+    base = BetaSystem.parse("rat:1000/3")
+    out = generate_beta(base, 2, F(3), F(1, 3), 3, FillPolicy.parse(fill, seed=0))
+    assert out.word.base == 334 and type(out.word.data) is tuple
+    assert is_admissible(base, list(out.word))
+    assert (max(out.word) > 255) == (fill != "const:1")
 
 
 def test_generate_beta_zero_fill_admissible():
@@ -326,9 +331,7 @@ def test_parameter_space_sandwich_doubles_then_gives_up(monkeypatch, tmp_path):
 
 def test_base2_marker_pairs():
     # base-2 markers are written as the block `1 0`
-    spec = ConstructionSpec(theta=F(8), v_hat=F(1, 4), stages=5, base=2,
-                            fill=FillPolicy("random", seed=4))
-    out = generate_bary(spec)
+    out = generate_bary(2, F(8), F(1, 4), 5, FillPolicy("random", seed=4))
     s = out.schedule
     saw_marker = False
     for k in range(s.stages):
@@ -346,9 +349,7 @@ def test_base2_marker_pairs():
 
 
 def test_base2_exponents_with_markers():
-    spec = ConstructionSpec(theta=F(8), v_hat=F(1, 4), stages=5, base=2,
-                            fill=FillPolicy("random", seed=21))
-    out = generate_bary(spec)
+    out = generate_bary(2, F(8), F(1, 4), 5, FillPolicy("random", seed=21))
     est = estimate_exponents(run_decomposition(out.word))
     assert abs(est.v_lower - 2) <= F(8, 100)
     assert abs(est.v_hat_lower - F(1, 4)) <= F(8, 100)

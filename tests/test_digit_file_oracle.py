@@ -29,7 +29,6 @@ from betadio.bary import (
     run_decomposition,
 )
 from betadio.constructions import (
-    ConstructionSpec,
     FillPolicy,
     _enforce_run_caps,
     _fill_free_spans,
@@ -405,8 +404,7 @@ def test_random_fill_in_blocks_matches_one_draw_per_segment(monkeypatch, b, bloc
     runs = schedule(Fraction(3), Fraction(1, 3), 8)
     for S in digit_sets(b):
         allowed = tuple(range(b)) if S is None else tuple(sorted(S.digits))
-        segs = layout_segments(runs, pair=b == 2, run_digit=0 if S is None else S.run_digit,
-                               marker=1 if S is None else S.marker_digit)
+        segs = layout_segments(runs, S or b)
         for seed in (0, 1, 17, 999):
             want, free = _prescribed(segs)
             oracle_random_fill(want, free, seed, allowed)
@@ -418,10 +416,9 @@ def test_random_fill_in_blocks_matches_one_draw_per_segment(monkeypatch, b, bloc
 def test_random_fill_of_a_long_word_is_the_one_draw_word():
     """The generator's own word, at the default block and with free segments
     many blocks long."""
-    spec = ConstructionSpec(3, Fraction(1, 3), 12, 10,
-                            fill=FillPolicy(kind="random", seed=5))
-    word = constructions.generate_bary(spec).word
-    segs = layout_segments(schedule(spec.theta, spec.v_hat, 12))
+    fill = FillPolicy(kind="random", seed=5)
+    word = constructions.generate_bary(10, Fraction(3), Fraction(1, 3), 12, fill).word
+    segs = layout_segments(schedule(Fraction(3), Fraction(1, 3), 12), 10)
     want, free = _prescribed(segs)
     oracle_random_fill(want, free, 5, tuple(range(10)))
     _enforce_run_caps(want, segs, free, 10, tuple(range(10)), [])

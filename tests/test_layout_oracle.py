@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 
 from betadio.beta_shift import BetaSystem
-from betadio.constructions import ConstructionSpec, FillPolicy, generate_bary, generate_beta
+from betadio.constructions import FillPolicy, generate_bary, generate_beta
 from betadio.digit_sets import DigitSet
 from betadio.errors import (
     DegenerateApproximant,
@@ -132,10 +132,8 @@ def oracle_enforce_run_caps(arr, runs, depth, b, allowed, spans, clamps):
                 pos = target + cap + 1
 
 
-def oracle_generate_bary(spec):
-    b = spec.base
-    S = spec.digit_set
-    runs = schedule(spec.theta, spec.v_hat, spec.stages)
+def oracle_generate_bary(b, S, theta, v_hat, stages, fill):
+    runs = schedule(theta, v_hat, stages)
     depth = runs.n[runs.stages]
     run_digit = 0 if S is None else S.run_digit
     marker = 1 if S is None else S.marker_digit
@@ -163,7 +161,7 @@ def oracle_generate_bary(spec):
                 arr[pos] = 0
     spans = oracle_free_spans(runs, depth, pair_after_marker=pair)
     clamps = []
-    oracle_fill_free_spans(arr, spans, spec.fill, allowed, clamps)
+    oracle_fill_free_spans(arr, spans, fill, allowed, clamps)
     oracle_enforce_run_caps(arr, runs, depth, b, allowed, spans, clamps)
     return bytes(arr), clamps
 
@@ -323,11 +321,10 @@ def test_generate_bary_matches_oracle(b, ds, theta, vhat):
         for seed in (0, 7):
             if fill != "random" and seed:
                 continue
-            spec = ConstructionSpec(theta=theta, v_hat=vhat, stages=bary_stages(theta, b),
-                                    base=b, digit_set=digit_set,
-                                    fill=FillPolicy.parse(fill, seed=seed))
-            want_word, want_clamps = oracle_generate_bary(spec)
-            out = generate_bary(spec)
+            policy, stages = FillPolicy.parse(fill, seed=seed), bary_stages(theta, b)
+            want_word, want_clamps = oracle_generate_bary(b, digit_set, theta, vhat, stages,
+                                                          policy)
+            out = generate_bary(digit_set or b, theta, vhat, stages, policy)
             assert out.word.data == want_word, (fill, seed)
             assert out.clamps == want_clamps, (fill, seed)
 
@@ -335,10 +332,11 @@ def test_generate_bary_matches_oracle(b, ds, theta, vhat):
 @pytest.mark.parametrize("pair", [False, True])
 @pytest.mark.parametrize("theta,vhat", PAIRS)
 def test_free_counts_match_oracle_at_every_depth(pair, theta, vhat):
+    b = 2 if pair else 3  # the base decides the base-2 pairing
     runs = schedule(theta, vhat, {F(2): 9, F(3): 5, F(7, 2): 4, F(4): 4}[theta])
     depth = runs.n[runs.stages]
     spans = oracle_free_spans(runs, depth, pair)
-    segs = layout_segments(runs, pair=pair)
+    segs = layout_segments(runs, b)
     assert [(s.lo, s.hi, s.cap) for s in segs if s.kind == FREE] == spans
     free = set()
     for lo, hi, _cap in spans:
@@ -347,11 +345,13 @@ def test_free_counts_match_oracle_at_every_depth(pair, theta, vhat):
     e = 0
     for n in range(1, depth + 1):
         e += n in free  # the frozen count, kept incrementally
-        assert free_digit_count(runs, n, pair) == e
-        assert measure_bary(runs, 3, n, pair).exponent == e
-        assert measure_bary(runs, ds, n, pair).exponent == e
+        assert free_digit_count(runs, n, b) == e
+        assert measure_bary(runs, b, n).exponent == e
+        if not pair:  # a digit set is never over base 2
+            assert free_digit_count(runs, n, ds) == e
+            assert measure_bary(runs, ds, n).exponent == e
     with pytest.raises(DepthExceeded):
-        free_digit_count(runs, depth + 1, pair)
+        free_digit_count(runs, depth + 1, b)
 
 
 @pytest.mark.parametrize("b,ds", BARY_BASES)
@@ -360,9 +360,7 @@ def test_measure_of_word_matches_oracle(b, ds):
     digit_set = DigitSet(b, ds) if ds else None
     allowed = sorted(ds) if ds else list(range(b))
     for theta, vhat in PAIRS:
-        spec = ConstructionSpec(theta=theta, v_hat=vhat, stages=3, base=b, digit_set=digit_set,
-                                fill=FillPolicy.parse("random", seed=3))
-        out = generate_bary(spec)
+        out = generate_bary(digit_set or b, theta, vhat, 3, FillPolicy.parse("random", seed=3))
         for n in range(1, len(out.word) + 1):
             word = list(out.word.data[:n])
             if rng.random() < 0.5:  # resample one position: free or prescribed
@@ -438,8 +436,8 @@ def test_measure_beta_matches_oracle_at_every_depth(spec):
 def test_layout_segments_tile_the_word():
     for theta, vhat in PAIRS:
         runs = schedule(theta, vhat, 5)
-        for N, pair in ((0, False), (0, True), (1, False), (3, False)):
-            segs = layout_segments(runs, N, pair=pair)
+        for N, base in ((0, 3), (0, 2), (1, None), (3, None)):
+            segs = layout_segments(runs, base, N)
             assert segs[0].lo == 1
             assert all(a.hi + 1 == b.lo for a, b in zip(segs, segs[1:]))
             assert all(len(s.prescribed()) == s.hi - s.lo + 1 for s in segs if s.kind != FREE)

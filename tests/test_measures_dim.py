@@ -13,10 +13,9 @@ from betadio.closed_forms import (
     dim_formula,
     dim_formula_sup,
     reprove_dim_limit,
-    series_slope_probe,
     verify_sup_by_calculus,
 )
-from betadio.constructions import ConstructionSpec, FillPolicy, generate_bary, generate_beta
+from betadio.constructions import FillPolicy, generate_bary, generate_beta
 from betadio.digit_sets import DigitSet
 from betadio.errors import DepthExceeded, InfeasibleParameters, NotInSupport
 from betadio.layout import beta_layout, free_digit_count, schedule
@@ -78,10 +77,6 @@ def test_critical_exponent():
     assert critical_exponent_s0(F(3), F(1, 3), F(0)) == F(1, 4)
     assert critical_exponent_s0(F(3), F(1, 3), F(1, 10)) == F(11, 36)
     assert critical_exponent_s0(F(2), F(1, 2), F(0)) == 0
-    s0 = critical_exponent_s0(F(3), F(1, 3))
-    below = series_slope_probe(F(3), F(1, 3), F(0), 3, s0 * F(9, 10))
-    above = series_slope_probe(F(3), F(1, 3), F(0), 3, s0 * F(11, 10))
-    assert below["diverging"] and not above["diverging"]
 
 
 def test_reprove_dim_limit():
@@ -150,9 +145,7 @@ def test_measure_depth_exceeded():
 
 
 def test_measure_of_word_support():
-    spec = ConstructionSpec(theta=F(3), v_hat=F(1, 3), stages=3, base=3,
-                            fill=FillPolicy("constant", 1))
-    out = generate_bary(spec)
+    out = generate_bary(3, F(3), F(1, 3), 3, FillPolicy("constant", 1))
     w = list(out.word.digits()[:9])
     mv = measure_of_word(out, w)
     assert mv.exponent == measure_bary(out.schedule, 3, 9).exponent
@@ -160,6 +153,17 @@ def test_measure_of_word_support():
     bad[out.schedule.n[0] - 1] = 0  # erase a prescribed anchor
     with pytest.raises(NotInSupport):
         measure_of_word(out, bad)
+
+
+def test_measure_bary_weighs_the_base_2_word():
+    """In base 2 the marker blocks ``1 0`` are prescribed: measure_bary
+    counts the free digits of the word generate_bary builds, at every depth."""
+    out = generate_bary(2, F(2), F(1, 5), 8)
+    word = out.word.digits()
+    assert len(word) == 1024
+    for n in range(1, len(word) + 1):
+        assert measure_bary(out.schedule, 2, n).exponent == \
+            measure_of_word(out, word[:n]).exponent, n
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +241,9 @@ def test_between_checkpoint_bound():
     runs = runs33()
     for k in (2, 4, 6):
         mk = runs.m[k]
-        base_ratio = F(free_digit_count(runs, mk), mk)
+        base_ratio = F(free_digit_count(runs, mk, 3), mk)
         for n in range(runs.n[k], runs.n[k + 1]):
-            ratio = F(free_digit_count(runs, n), n)
+            ratio = F(free_digit_count(runs, n, 3), n)
             assert ratio >= base_ratio
 
 

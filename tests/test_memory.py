@@ -13,7 +13,8 @@ import pytest
 
 from betadio.bary import expand_rational
 from betadio.beta_shift import BetaSystem
-from betadio.constructions import ConstructionSpec, FillPolicy, generate_bary, generate_beta
+from betadio.beta_values import greedy_expand
+from betadio.constructions import FillPolicy, generate_bary, generate_beta
 from betadio.digit_files import read_digit_file, write_digit_file
 from betadio.words import DigitWord
 
@@ -34,8 +35,9 @@ def traced_peak(call):
 
 @pytest.mark.parametrize("fill", ["const:1", "random"])
 def test_generate_bary_holds_its_word_once(fill):
-    spec = ConstructionSpec(3, Fraction(1, 3), 12, 3, fill=FillPolicy.parse(fill, seed=0))
-    construction, peak = traced_peak(lambda: generate_bary(spec))
+    policy = FillPolicy.parse(fill, seed=0)
+    construction, peak = traced_peak(
+        lambda: generate_bary(3, Fraction(3), Fraction(1, 3), 12, policy))
     n = len(construction.word)
     assert n == 3 ** 13
     assert peak <= PER_DIGIT * n + SLACK
@@ -90,3 +92,14 @@ def test_expand_rational_holds_its_word_once():
     word, peak = traced_peak(lambda: expand_rational(1, 7, 10, n))
     assert word[:6].digits() == (1, 4, 2, 8, 5, 7) and len(word) == n
     assert peak <= PER_DIGIT * n + SLACK
+
+
+@pytest.mark.parametrize("n", [5_000, 10_000])
+def test_a_rational_base_orbit_holds_no_past_states(n):
+    """The greedy orbit of x under 3/2 never closes a cycle, and its states'
+    denominators grow with every digit: it keeps none of them, so one bound
+    holds whatever n."""
+    system = BetaSystem.parse("rat:3/2", 256)
+    word, peak = traced_peak(lambda: greedy_expand(system, Fraction(1, 3), n))
+    assert len(word) == n
+    assert peak <= SLACK

@@ -10,10 +10,11 @@ import betadio
 
 SRC = str(Path(betadio.__file__).resolve().parent.parent)
 
-# ``from betadio import *`` of the eager package, which imported every layer
+# ``from betadio import *`` of the eager package, which imported every layer,
+# less ``ConstructionSpec``: ``generate_bary`` takes its parameters directly
 STAR = """
 AdmissibilityAutomaton BaryConstruction BetaConstruction BetaLayout BetaSystem BetadioError
-Comparison ConstructionSpec CylinderInterval DegenerateApproximant DepthExceeded DigitSet
+Comparison CylinderInterval DegenerateApproximant DepthExceeded DigitSet
 DigitStream DigitWord DimensionReport DomainError Dyadic ExponentEstimate FillPolicy
 HorizonTooDeep InfeasibleParameters InsufficientDepth InvalidDigitSet MeasureValue NoRoot
 NoRuns NotInSupport NotSelfAdmissible ParamSpaceResult PeriodicWord PolyRoot PrecisionError

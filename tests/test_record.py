@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from betadio.bary import Run, run_decomposition
-from betadio.constructions import ConstructionSpec, FillPolicy
+from betadio.constructions import FillPolicy
 from betadio.digit_sets import DigitSet
 from betadio.layout import schedule
 from betadio.measures_dim import DimensionReport, MeasureValue
@@ -51,10 +51,7 @@ def test_mutable_values_are_unhashable(value):
 
 
 def test_defaults_are_fresh_per_instance():
-    a, b = ConstructionSpec(3, F(1, 3), 2), ConstructionSpec(3, F(1, 3), 2)
-    assert a.fill == FillPolicy(kind="constant", digit=1, seed=None)
-    assert a.fill is not b.fill
-    assert a.theta == 3 and isinstance(a.theta, F)  # coerced, as before
+    assert FillPolicy() == FillPolicy(kind="constant", digit=1, seed=None)
     assert MeasureValue(n=1).factors is not MeasureValue(n=1).factors
     r1 = DimensionReport(F(1, 4), [], F(1, 50), None)
     r2 = DimensionReport(F(1, 4), [], F(1, 50), None)
