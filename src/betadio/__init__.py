@@ -10,15 +10,17 @@ __version__ = "0.1.0"
 
 _LAYERS = {  # each exported name by the module that defines it
     "bary": "ExponentEstimate Run RunDecomposition check_relations estimate_exponents"
-            " expand_lacunary expand_rational exponents_of_word run_decomposition",
+            " expand_lacunary expand_rational exponents_of_blocks exponents_of_word"
+            " lacunary_blocks rational_blocks run_decomposition",
     "beta_shift": "AdmissibilityAutomaton BetaSystem count_admissible expansion_of_one_star"
                   " is_admissible is_self_admissible renyi_bounds_check",
     "beta_values": "CylinderInterval cylinder greedy_expand is_full parry_invert",
     "closed_forms": "critical_exponent_s0 digit_set_scale dim_formula dim_formula_sup"
                     " reprove_dim_limit verify_sup_by_calculus",
     "constructions": "BaryConstruction BetaConstruction FillPolicy ParamSpaceResult"
-                     " generate_bary generate_beta generate_parameter_space",
-    "digit_files": "DigitStream read_digit_file write_digit_file",
+                     " bary_blocks beta_blocks generate_bary generate_beta"
+                     " generate_parameter_space",
+    "digit_files": "read_digit_blocks read_digit_file write_digit_blocks write_digit_file",
     "digit_sets": "DigitSet",
     "errors": "BetadioError DegenerateApproximant DepthExceeded DomainError HorizonTooDeep"
               " InfeasibleParameters InsufficientDepth InvalidDigitSet NoRoot NoRuns NotInSupport"

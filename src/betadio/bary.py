@@ -10,11 +10,12 @@ surrogates of those limits are exact rationals computed here.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import re
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import InsufficientDepth, NoRuns
 from .record import Record
@@ -28,18 +29,30 @@ TOP = "top"
 # expansions
 
 
-def expand_rational(p: int, q: int, b: int, n: int) -> DigitWord:
-    """First n digits of p/q in base b by long division (greedy convention)."""
+_BLOCK = 1 << 14  # digits per block of an expansion
+
+
+def rational_blocks(p: int, q: int, b: int, n: int) -> Iterator:
+    """First n digits of p/q in base b by long division (greedy convention),
+    in blocks of at most ``_BLOCK``: ``bytearray``, lists above base 256.
+    The input is checked when the first block is drawn."""
     if not (0 <= p < q):
         raise ValueError("need 0 <= p < q")
     if b < 2 or n < 1:
         raise ValueError("need b >= 2 and n >= 1")
-    digits = bytearray(n) if b <= 256 else [0] * n
-    for i in range(n):
-        p *= b
-        digits[i] = p // q
-        p %= q
-    return DigitWord.from_bytes(b, digits) if b <= 256 else DigitWord(b, digits)
+    for start in range(0, n, _BLOCK):
+        k = min(_BLOCK, n - start)
+        digits = bytearray(k) if b <= 256 else [0] * k
+        for i in range(k):
+            p *= b
+            digits[i] = p // q
+            p %= q
+        yield digits
+
+
+def expand_rational(p: int, q: int, b: int, n: int) -> DigitWord:
+    """First n digits of p/q in base b: ``rational_blocks`` drained."""
+    return DigitWord.from_blocks(b, rational_blocks(p, q, b, n))
 
 
 def lacunary_positions(rule, n: int) -> list[int]:
@@ -69,14 +82,24 @@ def lacunary_positions(rule, n: int) -> list[int]:
         j += 1
 
 
-def expand_lacunary(b: int, rule, n: int) -> DigitWord:
-    """Digits of the lacunary series with 1s at the rule's positions."""
+def lacunary_blocks(b: int, rule, n: int) -> Iterator[bytearray]:
+    """Digits of the lacunary series with 1s at the rule's positions, in
+    blocks of at most ``_BLOCK``; the input is checked when the first block
+    is drawn."""
     if b < 2 or n < 1:
         raise ValueError("need b >= 2 and n >= 1")
-    digits = bytearray(n)
-    for pos in lacunary_positions(rule, n):
-        digits[pos - 1] = 1
-    return DigitWord.from_bytes(b, digits)
+    ones = lacunary_positions(rule, n)
+    for start in range(0, n, _BLOCK):
+        digits = bytearray(min(_BLOCK, n - start))
+        first, last = bisect.bisect_left(ones, start + 1), bisect.bisect_right(ones, start + _BLOCK)
+        for pos in ones[first:last]:
+            digits[pos - start - 1] = 1
+        yield digits
+
+
+def expand_lacunary(b: int, rule, n: int) -> DigitWord:
+    """Digits of the lacunary series: ``lacunary_blocks`` drained."""
+    return DigitWord.from_blocks(b, lacunary_blocks(b, rule, n))
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +151,8 @@ def _next_run(data, symbol: int, length: int, pos: int,
     with ``stop``, only a run whose first ``length`` copies end by ``stop``.
 
     ``bytes.find`` skips the runs shorter than a probe of at most ``_PROBE``
-    copies in C; one anchored match finds the end of each run it hits.
+    copies in C, from the first copy of ``symbol``; one anchored match
+    finds the end of each run it hits.
     """
     probe = bytes((symbol,)) * min(length, _PROBE)
     run = re.compile(re.escape(probe[:1]) + b"+")
@@ -137,57 +161,97 @@ def _next_run(data, symbol: int, length: int, pos: int,
         stop = max(0, stop - length + len(probe))
     if 0 < pos < len(data) and data[pos - 1] == data[pos] == symbol:
         pos = run.match(data, pos).end()  # that run started before pos
-    while (p := data.find(probe, pos, stop)) >= 0:
+    # the first copy, by memchr: a long probe costs its length to set up
+    pos = data.find(symbol, pos, stop)
+    while pos >= 0 and (p := data.find(probe, pos, stop)) >= 0:
         pos = run.match(data, p).end()
         if pos - p >= length:
             return p, pos
     return None
 
 
-def _run_view(digits: DigitWord, b: int, kinds: tuple[str, ...]) -> tuple[bytes, list[int]]:
-    """The bytes to scan for runs and the run symbols in them.
+def _run_end(data, symbol: int, pos: int = 0) -> int:
+    """The end of the run of ``symbol`` from pos: pos when data[pos] is not
+    ``symbol``.  One anchored match, which counts in C."""
+    return re.compile(re.escape(bytes((symbol,))) + b"*").match(data, pos).end()
 
-    A packed word is scanned as it is.  A tuple word (a base above 256) is
-    scanned through a byte view of its run classes: 0 for the digit 0, 1
-    for the digit b-1 and 2 for any other digit.
-    """
+
+def _last_run(data, symbol: int) -> int:
+    """Where the run of ``symbol`` that ends data starts: len(data) when
+    data does not end in ``symbol``."""
+    if not data or data[-1] != symbol:
+        return len(data)
+    return len(data) - _run_end(data[::-1], symbol)
+
+
+def _run_symbols(b: int, kinds: tuple[str, ...]) -> list[int]:
+    """The run symbols to scan for, in the bytes ``_run_view`` gives."""
     symbols = [0] if ZEROS in kinds else []
-    if TOP in kinds and b >= 2:
-        symbols.append(b - 1)
-    data = digits.data
-    if isinstance(data, tuple):
-        data = bytes(map({b - 1: 1, 0: 0}.get, data, itertools.repeat(2)))
-        symbols = [min(s, 1) for s in symbols]
-    return data, symbols
+    if TOP in kinds:
+        symbols.append(b - 1 if b <= 256 else 1)
+    return symbols
 
 
-def _monotone_runs(data: bytes, symbols: list[int]) -> list[Run]:
-    """The greedy non-decreasing subsequence of the complete maximal runs:
-    in order, each run at least as long as the last one taken.
+def _run_view(digits, b: int) -> bytes:
+    """The bytes to scan for runs.
 
-    Each search asks for a run as long as the last one taken, so the loop
-    turns once per monotone run (and once for a run at the start of the
-    word), not once per run.
+    Digits in a base up to 256 are packed and scanned as they are.  Above
+    256 they are scanned through a byte view of their run classes: 0 for
+    the digit 0, 1 for the digit b-1 and 2 for any other digit.
     """
-    n = len(data)
-    ahead = dict.fromkeys(symbols, (-1, 0))  # per symbol, the next run long enough
+    if b <= 256:
+        return digits
+    return bytes(map({b - 1: 1, 0: 0}.get, digits, itertools.repeat(2)))
+
+
+def _monotone_runs(blocks: Iterable[bytes], symbols: list[int]) -> tuple[list[Run], int]:
+    """The greedy non-decreasing subsequence of the complete maximal runs:
+    in order, each run at least as long as the last one taken; and the
+    length of the word, given as blocks of its ``_run_view``.
+
+    The blocks are scanned as they come: only the runs taken and the run
+    that reaches the end of the blocks so far are kept.  In a block, each
+    search asks for a run as long as the last one taken, so the loop turns
+    once per monotone run (and once for a run at the start of the word),
+    not once per run.
+    """
     monotone: list[Run] = []
-    pos, length = 0, 1
-    while True:
-        for sym, span in ahead.items():
-            if span is not None and (span[0] < pos or span[1] - span[0] < length):
-                ahead[sym] = _next_run(data, sym, length, max(pos, span[1]))
-        found = [(span, sym) for sym, span in ahead.items() if span is not None]
-        if not found:
-            return monotone
-        (s, e), sym = min(found)
-        if e == n:  # the last run; it is incomplete
-            return monotone
-        if s > 0:  # a run at the start of the word is incomplete
+    length = 1
+    at = 0  # the word's position of the block's first digit
+    opened = None  # (symbol, start) of a run that reaches the end of the blocks so far
+
+    def take(sym: int, s: int, e: int) -> None:
+        nonlocal length
+        if s > 0 and e - s >= length:  # a run at the start of the word is incomplete
             monotone.append(Run(start=s, end=e + 1, kind=ZEROS if sym == 0 else TOP,
                                 complete=True))
             length = e - s
-        pos = e
+
+    for data in blocks:
+        n = len(data)
+        pos = 0
+        if opened and n:
+            pos = _run_end(data, opened[0])
+            if pos < n:
+                take(opened[0], opened[1], at + pos)
+                opened = None
+        # runs that start before lim end in this block
+        lim = _last_run(data, data[-1]) if n and data[-1] in symbols else n
+        ahead = dict.fromkeys(symbols, (-1, 0))  # per symbol, the next run long enough
+        while pos < lim:
+            for sym, span in ahead.items():
+                if span is not None and (span[0] < pos or span[1] - span[0] < length):
+                    ahead[sym] = _next_run(data, sym, length, max(pos, span[1]), lim - 1 + length)
+            found = [(span, sym) for sym, span in ahead.items() if span is not None]
+            if not found:
+                break
+            (s, e), sym = min(found)
+            take(sym, at + s, at + e)
+            pos = e
+        if lim < n and not opened:
+            opened = data[-1], at + lim
+        at += n
+    return monotone, at  # a run that reaches the word's end is incomplete
 
 
 def run_decomposition(digits: DigitWord, b: Optional[int] = None,
@@ -200,7 +264,7 @@ def run_decomposition(digits: DigitWord, b: Optional[int] = None,
     b = b or digits.base
     if len(digits) < 2:
         raise NoRuns("need at least two digits")
-    data, symbols = _run_view(digits, b, kinds)
+    data, symbols = _run_view(digits.data, b), _run_symbols(b, kinds)
     # one scan finds the runs in order, with no list of spans beside them:
     # a long word has a run every few digits
     runs = []
@@ -212,7 +276,7 @@ def run_decomposition(digits: DigitWord, b: Optional[int] = None,
                             complete=s >= 1 and e < len(data)))
     if not runs:
         raise NoRuns("no digit equals 0 or b-1")
-    return RunDecomposition(runs=runs, monotone=_monotone_runs(data, symbols),
+    return RunDecomposition(runs=runs, monotone=_monotone_runs([data], symbols)[0],
                             horizon=len(data), word=digits)
 
 
@@ -267,18 +331,26 @@ def _estimate(mono: list[Run], horizon: int, window: Optional[int]) -> ExponentE
 
 def exponents_of_word(digits: DigitWord, b: Optional[int] = None,
                       kinds: tuple[str, ...] = (ZEROS, TOP)) -> ExponentEstimate:
-    """estimate_exponents with the no-run / too-shallow cases reported as 0.
+    """estimate_exponents with the no-run / too-shallow cases reported as 0:
+    ``exponents_of_blocks`` of the word as one block."""
+    return exponents_of_blocks([digits.data], b or digits.base, kinds)
+
+
+def exponents_of_blocks(blocks: Iterable, b: int,
+                        kinds: tuple[str, ...] = (ZEROS, TOP)) -> ExponentEstimate:
+    """``exponents_of_word`` of the word in base b given by its blocks (as
+    a producer or ``read_digit_blocks`` gives them), scanned as they come.
 
     Only the monotone runs are located, not every run as run_decomposition
-    does, so the scan costs C time per digit and Python time per monotone run.
+    does, so the scan costs C time per digit and Python time per monotone
+    run, and it keeps the monotone runs alone.
     """
-    if len(digits) >= 2:
-        data, symbols = _run_view(digits, b or digits.base, kinds)
-        mono = _monotone_runs(data, symbols)
-        if len(mono) >= 2:
-            return _estimate(mono, len(data), None)
+    mono, horizon = _monotone_runs((_run_view(block, b) for block in blocks),
+                                   _run_symbols(b, kinds))
+    if len(mono) >= 2:
+        return _estimate(mono, horizon, None)
     return ExponentEstimate(v_lower=Fraction(0), v_hat_lower=Fraction(0),
-                            trajectory=[], horizon=len(digits), window=0)
+                            trajectory=[], horizon=horizon, window=0)
 
 
 def check_relations(est: ExponentEstimate, tol: Fraction = Fraction(0)) -> dict:

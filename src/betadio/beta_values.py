@@ -107,7 +107,14 @@ def greedy_expand(system: BetaSystem, x, n: int) -> DigitWord:
             orbit = _AlgebraicOrbit(system.root, x)
         else:
             orbit = _RationalOrbit(F(system.int_base or system.fraction_base), x)
-        return DigitWord(top + 1, [orbit.digit(i) for i in range(n)])
+        # into the word as they come (the orbit keeps its own list of them)
+        if top >= 256:
+            return DigitWord(top + 1, map(orbit.digit, range(n)))
+        # greedy digits lie in 0..top, as x lies in [0, 1]: packed unchecked
+        digits = bytearray(n)
+        for i in range(n):
+            digits[i] = orbit.digit(i)
+        return DigitWord.from_bytes(top + 1, digits)
     # interval input: no exact tie-breaking available
     digits = []
     val = x

@@ -5,9 +5,10 @@ resolved run configuration and the library version, digit outputs use the
 ``base=<b>`` file format, and constructions always write a JSON sidecar with
 the full schedule next to the digit file.
 
-Exit codes: 0 success, 1 usage error, 2 infeasible/domain error,
-3 precision exhausted; a stdout closed by its reader (``| head``) is a
-success, a broken pipe on an ``--output`` file is not.
+Exit codes: 0 success, 1 usage error, 2 infeasible/domain error, a bad
+file or too little memory, 3 precision exhausted; a stdout closed by its
+reader (``| head``) is a success, a broken pipe on an ``--output`` file is
+not.
 
 Two readers share one option table, ``_COMMANDS``.  The exact-match reader
 ``_read`` accepts, without importing argparse, a subcommand, its exact
@@ -218,6 +219,9 @@ def _run(argv) -> int:
         return 3
     except DomainError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # the allocation that failed is not held, so printing works
+        print("error: out of memory", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         if isinstance(exc, BrokenPipeError) and args is not None and not args.output:

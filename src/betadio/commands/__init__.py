@@ -65,19 +65,27 @@ def _emit(args, payload: dict, config: dict, plain=None):
         print(text)
 
 
-def _emit_digits(args, word: DigitWord, sidecar: dict, config: dict):
-    from ..digit_files import write_digit_file
+def _emit_digits(args, base: int, blocks, config: dict, sidecar=dict):
+    """The digits of ``blocks`` as a digit file, written as they come: to
+    ``--output`` with a JSON sidecar of ``sidecar()``, read once the digits
+    are written (a construction counts its clamps as it goes), or to stdout.
+    The first block is drawn before the file opens, so a producer that
+    refuses its input leaves no file."""
+    from itertools import chain
+    from ..digit_files import write_digit_blocks
     config.setdefault("precision_bits", default_precision())
+    blocks = iter(blocks)
+    blocks = chain([next(blocks, b"")], blocks)
     if getattr(args, "output", None):
         with open(args.output, "w") as fh:
-            write_digit_file(fh, word.base, word)
-        side = {"version": __version__, "config": config, **sidecar}
+            write_digit_blocks(fh, base, blocks)
+        side = {"version": __version__, "config": config, **sidecar()}
         import json
         with open(args.output + ".json", "w") as fh:
             json.dump(side, fh, indent=2)
             fh.write("\n")
     else:
-        write_digit_file(sys.stdout, word.base, word)
+        write_digit_blocks(sys.stdout, base, blocks)
 
 
 def _scalar_dict(s) -> dict:

@@ -1,4 +1,6 @@
-"""``construct``: the generators, and the digit file with its sidecar."""
+"""``construct``: the generators, and the digit file with its sidecar.
+The integer-base and real-base words stream to the file a block at a time;
+``construct param`` holds its word, which its checks read whole."""
 
 from ..errors import UsageError
 from . import _digit_set, _emit_digits, _fraction, _scalar_dict, default_precision
@@ -6,7 +8,7 @@ from . import _digit_set, _emit_digits, _fraction, _scalar_dict, default_precisi
 
 def cmd_construct(args):
     what = f"construct {args.flavor}"
-    from ..constructions import FillPolicy, generate_bary, generate_beta, generate_parameter_space
+    from ..constructions import FillPolicy, bary_blocks, beta_blocks, generate_parameter_space
     cfg = {"cmd": what, "theta": args.theta, "vhat": args.vhat,
            "stages": args.stages, "fill": args.fill, "seed": args.seed}
     theta, vhat = _fraction(args.theta), _fraction(args.vhat)
@@ -20,14 +22,14 @@ def cmd_construct(args):
         if args.flavor == "restricted":
             base = _digit_set(args.digit_set, args.base)
             cfg["digit_set"] = args.digit_set
-        out = generate_bary(base, theta, vhat, args.stages, fill)
-        _emit_digits(args, out.word, out.to_dict(), cfg)
+        out, b, blocks = bary_blocks(base, theta, vhat, args.stages, fill)
+        _emit_digits(args, b, blocks, cfg, out.to_dict)
     elif args.flavor == "beta":
         from ..beta_shift import BetaSystem
         system = BetaSystem.parse(args.beta, default_precision())
-        out = generate_beta(system, args.N, theta, vhat, args.stages, fill)
+        out, size, blocks = beta_blocks(system, args.N, theta, vhat, args.stages, fill)
         cfg.update({"beta": args.beta, "N": args.N})
-        _emit_digits(args, out.word, out.to_dict(), cfg)
+        _emit_digits(args, size, blocks, cfg, out.to_dict)
     else:  # param
         from ..beta_shift import BetaSystem
         b0 = BetaSystem.parse(args.beta0, default_precision())
@@ -40,5 +42,5 @@ def cmd_construct(args):
                 "prefix": list(res.prefix),
                 "approximant": res.approximant_spec,
                 "construction": res.construction.to_dict()}
-        _emit_digits(args, res.word, side, cfg)
+        _emit_digits(args, res.word.base, [res.word.data], cfg, lambda: side)
     return 0

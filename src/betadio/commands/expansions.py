@@ -1,4 +1,6 @@
-"""``expand`` and ``exponents``: digit expansions and their run analysis."""
+"""``expand`` and ``exponents``: digit expansions and their run analysis.
+An integer-base expansion streams to its file, and ``exponents`` scans its
+file, a block at a time; ``expand --beta`` holds its word."""
 
 from fractions import Fraction
 
@@ -8,34 +10,35 @@ from . import _emit, _emit_digits, _fraction, default_precision
 def cmd_expand(args):
     cfg, x = {"cmd": "expand", "digits": args.digits}, _fraction(args.x)
     if args.beta is None:
-        from ..bary import expand_lacunary, expand_rational
-        cfg["base"] = args.base
+        from ..bary import lacunary_blocks, rational_blocks
+        cfg["base"] = base = args.base
         if args.lacunary is not None:
             cfg["lacunary"] = args.lacunary
             rule = "squared-power" if args.lacunary == "squared-power" else _fraction(args.lacunary)
-            word = expand_lacunary(args.base, rule, args.digits)
+            blocks = lacunary_blocks(base, rule, args.digits)
         else:
             if not 0 <= x < 1:
                 raise ValueError(f"--x must lie in [0, 1), got {args.x}")
             cfg["x"] = str(x)
-            word = expand_rational(x.numerator, x.denominator, args.base, args.digits)
-    else:
+            blocks = rational_blocks(x.numerator, x.denominator, base, args.digits)
+    else:  # certified digits off an integer base: the word is held
         from ..beta_shift import BetaSystem
         from ..beta_values import greedy_expand
         cfg.update(beta=args.beta, x=str(x))
         system = BetaSystem.parse(args.beta, default_precision())
         word = greedy_expand(system, x, args.digits)
-    _emit_digits(args, word, {}, cfg)
+        base, blocks = word.base, [word.data]
+    _emit_digits(args, base, blocks, cfg)
     return 0
 
 
 def cmd_exponents(args):
-    from ..bary import check_relations, exponents_of_word
-    from ..digit_files import read_digit_file
-    with open(args.input) as fh:
-        word = read_digit_file(fh)
+    from ..bary import check_relations, exponents_of_blocks
+    from ..digit_files import read_digit_blocks
     kinds = ("zeros",) if args.zeros_only else ("zeros", "top")
-    est = exponents_of_word(word, kinds=kinds)
+    with open(args.input) as fh:
+        base, blocks = read_digit_blocks(fh)
+        est = exponents_of_blocks(blocks, base, kinds)
     rel = check_relations(est, tol=Fraction(1, 100))
     payload = {
         "horizon": est.horizon,

@@ -11,8 +11,8 @@ def cmd_expand_one(args):
     from ..beta_shift import BetaSystem, expansion_of_one_star
     system = BetaSystem.parse(args.beta, default_precision())
     word = expansion_of_one_star(system, args.digits)
-    _emit_digits(args, word, {}, {"cmd": "expand-one", "beta": args.beta,
-                                  "digits": args.digits})
+    _emit_digits(args, word.base, [word.data], {"cmd": "expand-one", "beta": args.beta,
+                                                "digits": args.digits})
     return 0
 
 

@@ -17,6 +17,12 @@ largest digit the state allows: ``getrandbits`` of the bit length of
 ``bound + 1``, drawn again while it exceeds bound (the draw of CPython
 3.10-3.13), with the width and the next state read from per-state tables.
 
+Both generators make their word a window of ``_BLOCK`` positions at a
+time: ``bary_blocks`` and ``beta_blocks`` yield the windows, which the
+command line writes as they come, and ``generate_bary`` and
+``generate_beta`` drain the same windows into the word they return.  The
+fill and the run caps carry their state across a window's end.
+
 The integer-base generators need neither ``beta_shift`` nor ``numerics``;
 only the parameter-space generator imports them, when it runs.
 """
@@ -26,9 +32,9 @@ from __future__ import annotations
 import bisect
 import random
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
-from .bary import _next_run
+from .bary import _last_run, _next_run, _run_end
 from .digit_sets import DigitSet
 from .errors import DomainError, NotSelfAdmissible, PrefixConditionFailed
 from .layout import FREE, BetaLayout, ScheduledRuns, Segment, beta_layout, layout_segments, schedule
@@ -81,8 +87,8 @@ class FillPolicy(Record):
 class BaryConstruction(Record):
     __slots__ = ("word", "schedule", "base", "clamps", "fill", "digit_set")
 
-    def __init__(self, word: DigitWord, schedule: ScheduledRuns, base: int, clamps: list[int],
-                 fill: str, digit_set: Optional[DigitSet] = None):
+    def __init__(self, word: Optional[DigitWord], schedule: ScheduledRuns, base: int,
+                 clamps: list[int], fill: str, digit_set: Optional[DigitSet] = None):
         self.word = word
         self.schedule = schedule
         self.base = base
@@ -98,7 +104,7 @@ class BaryConstruction(Record):
         return d
 
 
-_BLOCK = 1 << 14  # digits per write or draw: no temporary grows with the word
+_BLOCK = 1 << 15  # positions per window: no temporary grows with the word
 
 
 def _put(arr: bytearray, lo: int, hi: int, pattern: bytes) -> None:
@@ -120,18 +126,34 @@ def _prescribed(segs: list[Segment]) -> tuple[bytearray, list[Segment]]:
     return arr, [seg for seg in segs if seg.kind == FREE]
 
 
-def generate_bary(base: Union[int, DigitSet], theta: Fraction, v_hat: Fraction, stages: int,
-                  fill: Optional[FillPolicy] = None) -> BaryConstruction:
-    """Digit word realizing the prescribed runs and markers in an integer
-    base, or on a digit set; the fill defaults to ``FillPolicy()``.
+def _windows(segs: list[Segment], depth: int) -> Iterator[tuple[int, list[Segment]]]:
+    """Per window of ``_BLOCK`` positions through ``depth``: its first
+    position, and the segments that meet it, cut to it and numbered from 1
+    within it.  A prescribed segment's digits are one digit or all of its
+    digits (``Segment``), so a cut one keeps the part it covers."""
+    i = 0
+    for at in range(1, depth + 1, _BLOCK):
+        end = min(at + _BLOCK - 1, depth)
+        cut = []
+        while i < len(segs) and segs[i].lo <= end:
+            lo, hi, kind, digits, cap = segs[i]
+            a, z = max(lo, at), min(hi, end)
+            if len(digits) > 1:
+                digits = digits[a - lo:z - lo + 1]
+            cut.append(Segment(a - at + 1, z - at + 1, kind, digits, cap))
+            if hi > end:
+                break
+            i += 1
+        yield at, cut
 
-    The base shapes the layout (``layout_segments``): base 2 writes the
-    block ``1 0`` for each marker so marker 1s never extend a run of the top
-    digit, and a digit set runs its run digit (0, or b-1 when 0 is missing)
-    with a fixed nonzero member as marker.  With a digit set, free digits
-    are drawn from the set; out-of-set constant fills are clamped, with a
-    log.  Digits are bytes, so the base is at most 256.
-    """
+
+def bary_blocks(base: Union[int, DigitSet], theta: Fraction, v_hat: Fraction, stages: int,
+                fill: Optional[FillPolicy] = None
+                ) -> tuple[BaryConstruction, int, Iterator[bytearray]]:
+    """``generate_bary``'s construction before its word: the construction
+    (``word`` None, its clamps filled in as the blocks are drawn), the
+    word's base, and the word's digits in blocks of at most ``_BLOCK``.
+    Every refusal of the parameters comes before the first block."""
     S = None if isinstance(base, int) else base
     b = base if S is None else S.base
     if b < 2:
@@ -142,21 +164,48 @@ def generate_bary(base: Union[int, DigitSet], theta: Fraction, v_hat: Fraction, 
     runs = schedule(theta, v_hat, stages)
     segs = layout_segments(runs, base)
     allowed = tuple(range(b)) if S is None else tuple(sorted(S.digits))
-    # prescribed structure first, then fills (the clamp logic inspects
-    # neighboring determined digits)
-    arr, free = _prescribed(segs)
-    clamps: list[int] = []
-    _fill_free_spans(arr, free, fill, allowed, clamps)
-    _enforce_run_caps(arr, segs, free, b, allowed, clamps)
-    word = DigitWord.from_bytes(b, arr)
+    out = BaryConstruction(word=None, schedule=runs, base=b, clamps=[], fill=fill.describe(),
+                           digit_set=S)
+    return out, b, _bary_digits(segs, b, allowed, fill, out.clamps)
+
+
+def _bary_digits(segs: list[Segment], b: int, allowed: Sequence[int], fill: FillPolicy,
+                 clamps: list[int]) -> Iterator[bytearray]:
+    # per window: prescribed structure first, then fills, then the run caps
+    # (which inspect neighboring determined digits); the fill and the caps
+    # carry their state from one window to the next
+    free = [seg for seg in segs if seg.kind == FREE]
+    draw = carry = None
+    for at, cut in _windows(segs, segs[-1].hi):
+        block, cut_free = _prescribed(cut)
+        draw = _fill_free_spans(block, cut_free, fill, allowed, clamps, draw)
+        carry = _enforce_run_caps(block, segs, free, b, allowed, clamps, at, carry)
+        yield block
     if clamps:
         _warn("fill policy clamped at %d positions", len(clamps))
-    return BaryConstruction(word=word, schedule=runs, base=b, clamps=clamps,
-                            fill=fill.describe(), digit_set=S)
+
+
+def generate_bary(base: Union[int, DigitSet], theta: Fraction, v_hat: Fraction, stages: int,
+                  fill: Optional[FillPolicy] = None) -> BaryConstruction:
+    """Digit word realizing the prescribed runs and markers in an integer
+    base, or on a digit set; the fill defaults to ``FillPolicy()``.
+
+    The base shapes the layout (``layout_segments``): base 2 writes the
+    block ``1 0`` for each marker so marker 1s never extend a run of the top
+    digit, and a digit set runs its run digit (0, or b-1 when 0 is missing)
+    with a fixed nonzero member as marker.  With a digit set, free digits
+    are drawn from the set; out-of-set constant fills are clamped, with a
+    log.  Digits are bytes, so the base is at most 256.  The word is
+    ``bary_blocks`` drained.
+    """
+    out, b, blocks = bary_blocks(base, theta, v_hat, stages, fill)
+    out.word = DigitWord.from_blocks(b, blocks)
+    return out
 
 
 def _enforce_run_caps(arr: bytearray, segs: list[Segment], free: list[Segment], b: int,
-                      allowed: Sequence[int], clamps: list[int]) -> None:
+                      allowed: Sequence[int], clamps: list[int], at: int = 1,
+                      carry: Optional[tuple] = None) -> tuple:
     """No run of 0 or b-1 may exceed the cap of the segment it starts in:
     the one place that breaks runs, with a break digit in the free positions
     of each overlong run.
@@ -166,62 +215,107 @@ def _enforce_run_caps(arr: bytearray, segs: list[Segment], free: list[Segment], 
     as 1.  There the markers are run symbols too, and a run whose place to
     break is prescribed is broken at the next free position, so it can pass
     its cap.  Only the runs longer than their cap are visited.
+
+    A forward scan of ``arr``, the word's positions from ``at`` on: a run
+    from s is broken at s + cap and at each cap + 1 positions after a
+    break, which needs only the digits up to the break, not the run's end.
+    It returns what goes on past ``arr``: its tables, per symbol the run
+    that reaches the end of ``arr`` (start, cap, next break), and how many
+    clamps the b-1 pass made.  Passed back with the next window, the
+    windows get the breaks of one scan of the whole word.  The 0 pass runs
+    before the b-1 pass, which sees its breaks, and ``clamps`` keeps every
+    0 break before the b-1 ones, as two passes over the whole word would.
     """
-    free_starts = [seg.lo for seg in free]
-    free_ends = [seg.hi for seg in free]
-    neutral = [a for a in allowed if a not in (0, b - 1)]
-    least = 0 if neutral else 1
-    reaches = []  # [lo, hi, cap]: consecutive segments that share a cap
-    for seg in segs:
-        cap = max(seg.cap, least)
-        if reaches and reaches[-1][2] == cap:
-            reaches[-1][1] = seg.hi
-        else:
-            reaches.append([seg.lo, seg.hi, cap])
-    for symbol in (0, b - 1):
+    if carry is None:
+        neutral = [a for a in allowed if a not in (0, b - 1)]
+        least = 0 if neutral else 1
+        starts, caps = [], []  # reaches: consecutive segments that share a cap
+        for seg in segs:
+            cap = max(seg.cap, least)
+            if not caps or caps[-1] != cap:
+                starts.append(seg.lo)
+                caps.append(cap)
         # a break digit that is not itself a run symbol, if there is one
-        breaker = neutral[0] if neutral else next(a for a in allowed if a != symbol)
-        done = 0  # 0-based end of the last run visited
-        for lo, hi, cap in reaches:
-            # a run that starts by hi and is longer than cap shows by hi + cap
-            while span := _next_run(arr, symbol, cap + 1, max(done, lo - 1), hi + cap):
-                s, e = span[0] + 1, span[1]  # 1-based inclusive run
-                done = e
-                pos = s + cap
-                while pos <= e:
-                    i = bisect.bisect_right(free_starts, pos) - 1
-                    target = pos
-                    if i < 0 or target > free_ends[i]:  # prescribed: the next free position
-                        if i + 1 >= len(free_starts) or free_starts[i + 1] > e:
-                            break
-                        target = free_starts[i + 1]
-                    arr[target - 1] = breaker
-                    clamps.append(target)
-                    pos = target + cap + 1
+        breakers = {symbol: neutral[0] if neutral else next(a for a in allowed if a != symbol)
+                    for symbol in (0, b - 1)}
+        carry = ([seg.lo for seg in free], [seg.hi for seg in free], starts, caps, breakers), {}, 0
+    (free_starts, free_ends, starts, caps, breakers), opened, tops = carry
+
+    def cut(cap: int, pos: int, e: int) -> int:
+        """Break a run known through e at pos and after; the next pos."""
+        while pos <= e:
+            i = bisect.bisect_right(free_starts, pos) - 1
+            if i < 0 or pos > free_ends[i]:  # prescribed: the next free position
+                if i + 1 >= len(free_starts) or free_starts[i + 1] > e:
+                    break
+                pos = free_starts[i + 1]
+            arr[pos - at] = breaker
+            made.append(pos)
+            pos += cap + 1
+        return pos
+
+    for symbol, breaker in breakers.items():
+        made = []
+        i = 0  # where the runs that start in arr may start
+        if symbol in opened:
+            s, cap, pos = opened.pop(symbol)
+            i = _run_end(arr, symbol)
+            pos = cut(cap, pos, at + i - 1)
+            if i == len(arr):
+                opened[symbol] = s, cap, pos
+        lim = _last_run(arr, symbol) if i < len(arr) else i  # a run open at the end starts here
+        r = bisect.bisect_right(starts, at + i) - 1
+        while i < lim:
+            # a run that starts by bound and is longer than cap shows by bound + cap
+            bound = lim if r + 1 == len(starts) else min(lim, starts[r + 1] - at)
+            while span := _next_run(arr, symbol, caps[r] + 1, i, bound + caps[r]):
+                cut(caps[r], at + span[0] + caps[r], at + span[1] - 1)
+                i = span[1]
+            i, r = max(i, bound), r + 1
+        if lim < len(arr):
+            s = at + lim
+            cap = caps[bisect.bisect_right(starts, s) - 1]
+            opened[symbol] = s, cap, cut(cap, s + cap, at + len(arr) - 1)
+        if symbol == 0:
+            clamps[len(clamps) - tops:len(clamps) - tops] = made
+        else:
+            clamps += made
+            tops += len(made)
+    return carry[0], opened, tops
 
 
 def _fill_free_spans(arr: bytearray, free: list[Segment], policy: FillPolicy,
-                     allowed: Sequence[int], clamps: list[int]) -> None:
-    if policy.kind != "constant":
+                     allowed: Sequence[int], clamps: list[int],
+                     draw: Optional[Callable[[int], bytes]] = None) -> Callable[[int], bytes]:
+    """The free segments of ``arr`` filled in place; returns the fill's
+    source of digits (k -> the next k free digits), which, passed back with
+    the next window, goes on where it stopped."""
+    if draw is None and policy.kind != "constant":
         # random: bulk draws; overlong runs (rare unless the cap is tiny) are
         # broken afterwards by _enforce_run_caps, where a cap of 0 holds if
         # a digit other than 0 and b-1 is allowed and reads as 1 elsewhere.
         # choices draws one random() per digit, so drawing a segment in
         # blocks gives the digits of one draw for the whole segment
         rng = random.Random(policy.seed)
-        for lo, hi, _kind, _digits, _cap in free:
-            for i in range(lo - 1, hi, _BLOCK):
-                end = min(i + _BLOCK, hi)
-                arr[i:end] = bytes(rng.choices(allowed, k=end - i))
-        return
-    c = policy.digit
-    if c not in allowed:
-        fixed = min(allowed, key=lambda a: (abs(a - c), a))
-        clamps.append(0)
-        _warn("constant fill %d not allowed, using %d", c, fixed)
-        c = fixed
+
+        def draw(k: int) -> bytes:
+            return bytes(rng.choices(allowed, k=k))
+    elif draw is None:
+        c = policy.digit
+        if c not in allowed:
+            fixed = min(allowed, key=lambda a: (abs(a - c), a))
+            clamps.append(0)
+            _warn("constant fill %d not allowed, using %d", c, fixed)
+            c = fixed
+        digit = bytes([c])
+
+        def draw(k: int) -> bytes:
+            return digit * k
     for lo, hi, _kind, _digits, _cap in free:
-        _put(arr, lo, hi, bytes([c]))
+        for i in range(lo - 1, hi, _BLOCK):
+            end = min(i + _BLOCK, hi)
+            arr[i:end] = draw(end - i)
+    return draw
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +325,7 @@ def _fill_free_spans(arr: bytearray, free: list[Segment], policy: FillPolicy,
 class BetaConstruction(Record):
     __slots__ = ("word", "layout", "base_spec", "approximant_spec", "clamps", "fill")
 
-    def __init__(self, word: DigitWord, layout: BetaLayout, base_spec: str,
+    def __init__(self, word: Optional[DigitWord], layout: BetaLayout, base_spec: str,
                  approximant_spec: str, clamps: list[int], fill: str):
         self.word = word
         self.layout = layout
@@ -246,6 +340,63 @@ class BetaConstruction(Record):
                 "clamps": len(self.clamps), "schedule": self.layout.to_dict()}
 
 
+def beta_blocks(base: BetaSystem, N: int, theta: Fraction, v_hat: Fraction, stages: int,
+                fill: Optional[FillPolicy] = None) -> tuple[BetaConstruction, int, Iterator]:
+    """``generate_beta``'s construction before its word: the construction
+    (``word`` None, its clamps filled in as the blocks are drawn), the
+    word's base, and the word's digits in blocks of at most ``_BLOCK``
+    (lists of ints over more than 256 digits).  Every refusal of the
+    parameters comes before the first block."""
+    fill = fill or FillPolicy(kind="random", seed=0)
+    runs = schedule(theta, v_hat, stages)
+    layout = beta_layout(runs, N)
+    approx = base.approximant(N)
+    out = BetaConstruction(word=None, layout=layout, base_spec=base.spec_string,
+                           approximant_spec=approx.spec_string, clamps=[],
+                           fill=fill.describe())
+    size = approx.alphabet_top + 1
+    return out, size, _beta_digits(layout, approx.automaton, size, fill, out.clamps)
+
+
+def _beta_digits(layout: BetaLayout, auto, size: int, fill: FillPolicy,
+                 clamps: list[int]) -> Iterator:
+    bounds, moves = auto.bound, auto.transitions
+    widths = [(bound + 1).bit_length() for bound in bounds]
+    draw = random.Random(fill.seed).getrandbits
+    constant = fill.digit if fill.kind == "constant" else None
+    starts = {seg.lo for seg in layout.segments if seg.kind == FREE}
+    state = zrun = 0
+    # A free segment starts the word or follows a block that ends in 0^N.
+    # The approximant's d*(1) has period <= N and a first digit >= 1, so it
+    # has a nonzero digit in every N places: N zeros end at state 0, where
+    # a 0 stays.  So every free segment starts at state 0; one that goes on
+    # from the window before goes on from its state there.
+    for at, cut in _windows(layout.segments, layout.l[-1] - 1):
+        digits, free = _prescribed(cut)
+        if size > 256:  # digits that a byte does not hold: a tuple word
+            digits = list(digits)
+        for lo, hi, _kind, _digits, cap in free:
+            if at + lo - 1 in starts:
+                state = zrun = 0
+            for pos in range(lo, hi + 1):
+                bound = bounds[state]
+                if constant is None:
+                    d = want = draw(widths[state])
+                    while d > bound:
+                        d = want = draw(widths[state])
+                else:
+                    want = constant
+                    d = min(max(want, 0), bound)
+                if d == 0 and zrun >= cap and bound >= 1:
+                    d = 1
+                if d != want:
+                    clamps.append(at + pos - 1)
+                zrun = zrun + 1 if d == 0 else 0
+                state = moves[state][d]
+                digits[pos - 1] = d
+        yield digits
+
+
 def generate_beta(base: BetaSystem, N: int, theta: Fraction, v_hat: Fraction,
                   stages: int, fill: Optional[FillPolicy] = None) -> BetaConstruction:
     """Word admissible for the finite-type approximant (hence for the base),
@@ -258,49 +409,11 @@ def generate_beta(base: BetaSystem, N: int, theta: Fraction, v_hat: Fraction,
     that would open the stage after the last, at ``l[K] - 1``.  No free
     segment gets more zeros in a row than its cap (only the free prefix is
     wider than its cap).  Over more than 256 digits the word is a tuple word.
+    The word is ``beta_blocks`` drained.
     """
-    fill = fill or FillPolicy(kind="random", seed=0)
-    runs = schedule(theta, v_hat, stages)
-    layout = beta_layout(runs, N)
-    approx = base.approximant(N)
-    auto = approx.automaton
-    depth = layout.l[-1] - 1
-    bounds, moves = auto.bound, auto.transitions
-    widths = [(bound + 1).bit_length() for bound in bounds]
-    draw = random.Random(fill.seed).getrandbits
-    constant = fill.digit if fill.kind == "constant" else None
-    clamps: list[int] = []
-    digits, free = _prescribed(layout.segments)
-    size = approx.alphabet_top + 1
-    if size > 256:  # digits that a byte does not hold: a tuple word
-        digits = list(digits)
-    # A free segment starts the word or follows a block that ends in 0^N.
-    # The approximant's d*(1) has period <= N and a first digit >= 1, so it
-    # has a nonzero digit in every N places: N zeros end at state 0, where
-    # a 0 stays.  So every free segment starts at state 0.
-    for lo, hi, _kind, _digits, cap in free:
-        state = zrun = 0
-        for pos in range(lo, min(hi, depth) + 1):
-            bound = bounds[state]
-            if constant is None:
-                d = want = draw(widths[state])
-                while d > bound:
-                    d = want = draw(widths[state])
-            else:
-                want = constant
-                d = min(max(want, 0), bound)
-            if d == 0 and zrun >= cap and bound >= 1:
-                d = 1
-            if d != want:
-                clamps.append(pos)
-            zrun = zrun + 1 if d == 0 else 0
-            state = moves[state][d]
-            digits[pos - 1] = d
-    del digits[depth:]
-    word = DigitWord.from_bytes(size, digits) if size <= 256 else DigitWord(size, digits)
-    return BetaConstruction(word=word, layout=layout, base_spec=base.spec_string,
-                            approximant_spec=approx.spec_string, clamps=clamps,
-                            fill=fill.describe())
+    out, size, blocks = beta_blocks(base, N, theta, v_hat, stages, fill)
+    out.word = DigitWord.from_blocks(size, blocks)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -2,16 +2,19 @@
 
 Finite words over bases up to 256 are packed one byte per digit, so that
 multi-megabyte words stay cheap to store and scan; larger alphabets fall
-back to tuples.  A packed word's data is ``bytes``, or the ``bytearray`` its
-producer filled, handed over without a copy; any data that is not a tuple
-is packed.  Positions are 0-based in code; run/schedule indices that
-follow the 1-based convention of the expansion literature say so explicitly.
+back to tuples.  A packed word's data is ``bytes`` (or a ``bytearray``
+handed over without a copy); any data that is not a tuple is packed.  The
+producers of long words yield them in bounded blocks, and a word is those
+blocks drained into one buffer (``DigitWord.from_blocks``).  Positions are
+0-based in code; run/schedule indices that follow the 1-based convention of
+the expansion literature say so explicitly.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from io import BytesIO
 from typing import Iterable, Iterator, Sequence
 
 
@@ -42,6 +45,22 @@ class DigitWord(Sequence[int]):
         w.base = base
         w._data = data
         return w
+
+    @staticmethod
+    def from_blocks(base: int, blocks: Iterable) -> "DigitWord":
+        """The word of a producer's blocks, drained into one buffer: packed
+        blocks (``bytes`` or ``bytearray``, taken unchecked as ``from_bytes``
+        takes them) into one ``bytes``, blocks of ints into a checked tuple
+        word.  ``BytesIO.getvalue()`` hands over its buffer without a copy."""
+        blocks = iter(blocks)
+        first = next(blocks, b"")
+        if not isinstance(first, (bytes, bytearray)):
+            return DigitWord(base, itertools.chain(first, itertools.chain.from_iterable(blocks)))
+        data = BytesIO()
+        data.write(first)
+        for block in blocks:
+            data.write(block)
+        return DigitWord.from_bytes(base, data.getvalue())
 
     def __len__(self) -> int:
         return len(self._data)

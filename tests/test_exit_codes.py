@@ -1,4 +1,5 @@
-"""The exit-code contract, fuzzed with argvs drawn from the option table.
+"""The exit-code contract, fuzzed with argvs drawn from the option table,
+and with the contents of the files the commands read.
 
 Every argv is built from ``cli._COMMANDS``: a command, its action, the
 rows the action needs or reads more often than the others, each flag in one
@@ -15,19 +16,29 @@ Each example runs ``main()`` in process and must exit 0-3; stderr must be
 empty on success and otherwise one line whose prefix names the exit code,
 never a traceback.  The library's logged warnings (a clamped fill) go to a
 handler of the test, so stderr holds only what ``main`` prints.
+
+File contents are mutated from valid digit files and sidecars, with a
+seeded generator: each run either exits 0 with the output of the file
+its mutation leaves unchanged in meaning, or exits 2 with one line and no
+Python text.  Running out of memory is checked in a child process whose
+address space is capped.
 """
 
 import io
 import json
 import logging
 import os
+import random
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betadio import cli
+from betadio import cli, digit_files
+from betadio.digit_files import write_digit_file
 
 PREFIXES = {1: ("usage error:",), 2: ("infeasible:", "error:"),
             3: ("precision exhausted:",)}
@@ -163,3 +174,206 @@ def test_every_exit_is_0_to_3_with_one_line_of_stderr(files, drawn):
         assert rc in PREFIXES, (argv, rc)
         assert text.endswith("\n") and text.count("\n") == 1, (argv, text)
         assert text.startswith(PREFIXES[rc]), (argv, text)
+
+
+# ---------------------------------------------------------------------------
+# file contents
+
+
+def run(argv):
+    """main(argv) in process: the exit code, stdout and stderr."""
+    out, err, logged = io.StringIO(), io.StringIO(), logging.NullHandler()
+    logger = logging.getLogger("betadio")
+    logger.addHandler(logged)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = cli.main(argv)
+    finally:
+        logger.removeHandler(logged)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def assert_same_or_one_line(got, want, case):
+    """Exit 0 with the output wanted, or exit 2 with one line of ours."""
+    rc, out, err = got
+    assert "Traceback" not in err and 'File "' not in err, case
+    if rc == 0:
+        assert (out, err) == (want, ""), case
+    else:
+        assert rc == 2, (case, rc, err)
+        assert err.endswith("\n") and err.count("\n") == 1, (case, err)
+        assert err.startswith(PREFIXES[2]), (case, err)
+
+
+def canonical(base, digits):
+    buf = io.StringIO()
+    write_digit_file(buf, base, digits)
+    return buf.getvalue()
+
+
+def long_word(rng, base, n):
+    """Digits with runs of 0 and b-1 that grow along the word, one of them
+    across the reader's first block end."""
+    digits = [rng.randrange(1, base - 1) if base > 2 else 1 for _ in range(n)]
+    pos, length = 50, 1
+    while pos + length < n:
+        digits[pos:pos + length] = [rng.choice((0, base - 1))] * length
+        pos, length = pos + 3 * length + 20, length + 7
+    edge = digit_files._BLOCK  # the digit read at the first block's end
+    digits[edge - 60:edge + 60] = [0] * 120
+    return digits
+
+
+def digit_file_cases(rng, base, digits):
+    """(what, text, meaning): meaning is the (base, digits) the text holds,
+    or None for a text that is not a digit file."""
+    text = canonical(base, digits)
+    head, body = text.split("\n", 1)
+    same = (base, digits)
+    spaces = [i for i, c in enumerate(text) if c == " " and i > len(head)]
+    edge = 2 * digit_files._BLOCK  # the reader's first block end, in characters
+    near = [i for i in spaces if abs(i - edge) < 40] or spaces[-3:]
+
+    def swap(at, new, old_width=1):
+        return text[:at] + new + text[at + old_width:]
+
+    token_at = [i + 1 for i in near[:3]] + [len(head) + 1, len(text) - 2]
+    cases = [
+        ("crlf", text.replace("\n", "\r\n"), same),
+        ("one line", head + "\n" + " ".join(map(str, digits)) + "\n", same),
+        ("no final newline", text[:-1], same),
+        ("blank lines", head + "\n\n \n" + body + "\n\t\n", same),
+        ("header with more", head + " digits follow\n" + body, same),
+        ("header indented", " " + text, same),
+        ("empty", "", None),
+        ("no header", body, None),
+        ("header only", head + "\n", (base, [])),
+        ("base above 256", "base=300\n" + body, (300, digits) if max(digits) < 300 else None),
+        ("base 10", "base=10\n" + body, (10, digits) if max(digits) < 10 else None),
+    ]
+    cases += [(f"header {h!r}", h + "\n" + body, None)
+              for h in ("base=1", "base=0", "base=-3", "base=x", "base=", "digits", "base 3")]
+    for i in near + rng.sample(spaces, 4):
+        for sep in ("\t", "  ", " \n", "\n\n", "\r\n"):
+            cases.append((f"separator {sep!r} at {i}", swap(i, sep), same))
+    for at in token_at:
+        width = len(text[at:].split(None, 1)[0])
+        above = str(base if base > 256 else 300)  # not a byte, when the base is one
+        for token in (str(base), str(base + 7), "-1", above, "10" * 16, "x", "1.5", "0x1",
+                      "1e3", "--", "\u221e"):
+            cases.append((f"token {token!r} at {at}", swap(at, token, width), None))
+        rest = text[at + width:].split(None, 1)
+        if text[at + width:at + width + 1] == " " and int(text[at:at + width] + rest[0]) >= base:
+            cases.append((f"tokens run together at {at}", swap(at + width, ""), None))
+    return cases
+
+
+@pytest.fixture(scope="module")
+def digit_files_to_mutate(files):
+    rng = random.Random(23)
+    with open(files["digits"]) as fh:
+        small = fh.read()
+    head, body = small.split("\n", 1)
+    base = int(head[5:])
+    words = [(base, list(map(int, body.split()))),
+             (3, long_word(rng, 3, digit_files._BLOCK + 4000)),
+             (1000, [rng.choice((0, 999, 5, 123)) for _ in range(digit_files._BLOCK)])]
+    for base, digits in words[1:]:
+        assert len(canonical(base, digits)) > 2 * digit_files._BLOCK
+    return words
+
+
+def test_mutated_digit_files_exit_0_with_their_output_or_2_with_one_line(
+        tmp_path, digit_files_to_mutate):
+    rng = random.Random(5)
+    path, reference, checked = tmp_path / "mutated.digits", {}, 0
+    for base, digits in digit_files_to_mutate:
+        for what, text, meaning in digit_file_cases(rng, base, digits):
+            want = ""
+            if meaning is not None:
+                key = (meaning[0], tuple(meaning[1]))
+                if key not in reference:
+                    path.write_text(canonical(*meaning))
+                    rc, reference[key], _err = run(["exponents", "--input", str(path)])
+                    assert rc == 0
+                want = reference[key].replace(str(path), "@")
+            path.write_bytes(text.encode())
+            rc, out, err = run(["exponents", "--input", str(path)])
+            got = (rc, out.replace(str(path), "@"), err)
+            if meaning is None:
+                assert rc == 2, (base, what, out)
+            assert_same_or_one_line(got, want, (base, what))
+            checked += 1
+    assert checked > 250
+
+
+SIDECAR_VALUES = [None, "x", "", -1, 0, 1.5, True, [], {}, [3], {"a": 1}]
+
+
+def sidecar_cases(side):
+    """(field path, new value or "missing") for every field of the sidecar
+    and its schedule and config.  A value never names another valid
+    construction (a field that is read only gets values that are not its
+    kind's), and the two that size allocations, the stage count (the length
+    of ``m``) and ``N``, are never raised."""
+    paths = [(k,) for k in side] + [("schedule", k) for k in side["schedule"]] \
+        + [("config", k) for k in side["config"]]
+    for path in paths:
+        old = side[path[0]] if len(path) == 1 else side[path[0]][path[1]]
+        values = [*SIDECAR_VALUES, "missing"]
+        if isinstance(old, int) and not isinstance(old, bool):
+            values += [str(old), float(old)] + ([old - 1, 1] if path[-1] == "N" else [])
+        if isinstance(old, str):
+            values += [old + "x", old.upper()]
+        if isinstance(old, list) and old:
+            values += [old[:-1], old[:-1] + [old[-1] + 1], [str(v) for v in old]]
+        for value in values:
+            if path[-1] == "m" and hasattr(value, "__len__") and len(value) > len(old):
+                continue
+            yield path, value
+
+
+@pytest.mark.parametrize("flavor, n", [("bary", 20), ("beta", 40)])
+def test_mutated_sidecars_exit_0_with_their_output_or_2_with_one_line(tmp_path, files,
+                                                                       flavor, n):
+    side = json.loads(open(files[f"{flavor}.json"]).read())
+    rc, want, _err = run(["measure", "--sidecar", files[f"{flavor}.json"], "--n", str(n)])
+    assert rc == 0
+    want = want.replace(files[f"{flavor}.json"], "@")
+    path, checked = tmp_path / "mutated.json", 0
+    for field, value in sidecar_cases(side):
+        mutated = json.loads(json.dumps(side))
+        holder = mutated if len(field) == 1 else mutated[field[0]]
+        if value == "missing":
+            del holder[field[-1]]
+        else:
+            holder[field[-1]] = value
+        path.write_text(json.dumps(mutated))
+        rc, out, err = run(["measure", "--sidecar", str(path), "--n", str(n)])
+        assert_same_or_one_line((rc, out.replace(str(path), "@"), err), want, (field, value))
+        checked += 1
+    assert checked > 200
+
+
+# ---------------------------------------------------------------------------
+# too little memory
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is Linux's")
+def test_running_out_of_memory_exits_2_with_one_line(tmp_path):
+    """The real-base layout allocates its marker block ``0^N 1 0^N``: at
+    N = 10^10 that is 20 GB, refused under a 600 MB address space."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20))
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "betadio.cli", "construct", "beta", "--theta", "3", "--vhat", "1/3",
+         "--beta", "root:1,1", "--N", "10000000000", "--stages", "2", "-o", "x.digits"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=60, preexec_fn=cap,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: out of memory\n"
+    assert proc.stdout == "" and not (tmp_path / "x.digits").exists()

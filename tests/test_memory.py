@@ -1,21 +1,28 @@
-"""Peak memory of the producers of long digit words, traced in process.
+"""Peak memory of the producers of long digit words, traced in process,
+and of the console commands that stream them, from ``os.wait4``.
 
-Each producer fills one buffer and hands it to its word, so a call holds
-its word about once, at one byte per digit: the traced peak stays at or
-below 1.25 bytes per digit plus a fixed slack for the layout, the
-schedule and the bounded blocks a producer writes or reads through.
+A word the library returns is its producer's blocks drained into one
+buffer, so a call holds its word about once, at one byte per digit: the
+traced peak stays at or below 1.25 bytes per digit plus a fixed slack for
+the layout, the schedule and the bounded blocks a producer writes or reads
+through.  Streamed, the blocks are written, read and scanned as they come,
+and the peak does not grow with the word at all.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from betadio.bary import expand_rational
+import betadio
+from betadio.bary import expand_rational, exponents_of_blocks, lacunary_blocks, rational_blocks
 from betadio.beta_shift import BetaSystem
 from betadio.beta_values import greedy_expand
-from betadio.constructions import FillPolicy, generate_bary, generate_beta
-from betadio.digit_files import read_digit_file, write_digit_file
+from betadio.constructions import FillPolicy, bary_blocks, beta_blocks, generate_bary, generate_beta
+from betadio.digit_files import read_digit_blocks, read_digit_file, write_digit_blocks, write_digit_file
 from betadio.words import DigitWord
 
 PER_DIGIT = 1.25
@@ -103,3 +110,117 @@ def test_a_rational_base_orbit_holds_no_past_states(n):
     word, peak = traced_peak(lambda: greedy_expand(system, Fraction(1, 3), n))
     assert len(word) == n
     assert peak <= SLACK
+
+
+def test_greedy_expand_packs_its_digits_as_they_come():
+    """The orbit keeps its own list of the digits (8 bytes each); the word
+    takes one byte per digit more, with no second list: about half the
+    392 KB (19.6 bytes per digit) that two lists took."""
+    system = BetaSystem.parse("rat:3/2", 256)
+    n = 20_000
+    word, peak = traced_peak(lambda: greedy_expand(system, Fraction(1, 3), n))
+    assert len(word) == n
+    assert peak <= 11 * n
+
+
+# ---------------------------------------------------------------------------
+# streamed: one bound at two lengths 9x apart
+
+STREAM_BOUND = 640 * 1024  # under a seventh of the 13-stage word
+
+
+class Sink:
+    """A text stream that keeps nothing."""
+
+    def write(self, text):
+        return len(text)
+
+
+@pytest.mark.parametrize("fill", ["const:1", "random"])
+@pytest.mark.parametrize("stages", [11, 13])
+def test_a_streamed_construction_is_written_and_scanned_in_fixed_memory(fill, stages):
+    policy = FillPolicy.parse(fill, seed=0)
+
+    def blocks():
+        return bary_blocks(3, Fraction(3), Fraction(1, 3), stages, policy)[2]
+
+    _, write_peak = traced_peak(lambda: write_digit_blocks(Sink(), 3, blocks()))
+    est, scan_peak = traced_peak(lambda: exponents_of_blocks(blocks(), 3))
+    assert est.horizon == 3 ** (stages + 1) and est.v_hat_lower == Fraction(1, 3)
+    assert write_peak <= STREAM_BOUND and scan_peak <= STREAM_BOUND
+
+
+@pytest.mark.parametrize("stages", [9, 11])
+def test_a_streamed_real_base_construction_is_walked_in_fixed_memory(stages):
+    base = BetaSystem.parse("root:1,1", 256)
+
+    def walk():
+        out, _size, blocks = beta_blocks(base, 3, Fraction(3), Fraction(1, 3), stages)
+        return sum(map(len, blocks))
+
+    n, peak = traced_peak(walk)
+    assert n > 3 ** (stages - 1)
+    assert peak <= STREAM_BOUND
+
+
+@pytest.mark.parametrize("n", [10 ** 5, 10 ** 6])
+def test_a_streamed_expansion_is_written_in_fixed_memory(n):
+    _, peak = traced_peak(lambda: write_digit_blocks(Sink(), 10, rational_blocks(1, 7, 10, n)))
+    assert peak <= STREAM_BOUND
+    _, peak = traced_peak(lambda: write_digit_blocks(
+        Sink(), 10, lacunary_blocks(10, Fraction(1, 2), n)))
+    assert peak <= STREAM_BOUND
+
+
+@pytest.mark.parametrize("stages", [11, 13])
+def test_a_digit_file_is_read_and_scanned_in_fixed_memory(tmp_path, stages):
+    path = tmp_path / "w.digits"
+    with open(path, "w") as fh:
+        write_digit_blocks(fh, 3, bary_blocks(3, Fraction(3), Fraction(1, 3), stages,
+                                              FillPolicy.parse("random", seed=1))[2])
+
+    def scan():
+        with open(path) as fh:
+            base, blocks = read_digit_blocks(fh)
+            return exponents_of_blocks(blocks, base)
+
+    est, peak = traced_peak(scan)
+    assert est.horizon == 3 ** (stages + 1)
+    assert peak <= STREAM_BOUND
+
+
+# the console commands, each started by a small process of its own: Linux
+# counts the memory of the process that starts a child in the child's
+# max-RSS, and the test process is large
+LAUNCH = """
+import os, sys
+pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "betadio.cli", *sys.argv[1:]],
+                     os.environ)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def max_rss_kb(argv, cwd):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(betadio.__file__)))
+    proc = subprocess.run([sys.executable, "-c", LAUNCH, *argv], cwd=cwd, capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    code, rss = map(int, proc.stdout.split()[-2:])
+    assert code == 0, proc.stderr
+    return rss
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KB (Linux)")
+def test_construct_and_exponents_do_not_grow_with_the_word(tmp_path):
+    """13 stages hold 4.8 million digits, 11 stages 0.5 million: holding
+    the word, the longer run took about 4 MB more."""
+    rss = {}
+    for stages in (11, 13):
+        out = f"w{stages}.digits"
+        rss["construct", stages] = max_rss_kb(
+            ["construct", "bary", "--theta", "3", "--vhat", "1/3", "--base", "3",
+             "--stages", str(stages), "-o", out], tmp_path)
+        assert os.path.getsize(tmp_path / out) > 2 * 3 ** (stages + 1)
+        rss["exponents", stages] = max_rss_kb(["exponents", "--input", out], tmp_path)
+    for command in ("construct", "exponents"):
+        assert rss[command, 13] - rss[command, 11] < 1024, rss

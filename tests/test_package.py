@@ -11,23 +11,27 @@ import betadio
 SRC = str(Path(betadio.__file__).resolve().parent.parent)
 
 # ``from betadio import *`` of the eager package, which imported every layer,
-# less ``ConstructionSpec``: ``generate_bary`` takes its parameters directly
+# less ``ConstructionSpec`` (``generate_bary`` takes its parameters directly)
+# and ``DigitStream`` (producers yield blocks), with the block producers and
+# readers
 STAR = """
 AdmissibilityAutomaton BaryConstruction BetaConstruction BetaLayout BetaSystem BetadioError
 Comparison CylinderInterval DegenerateApproximant DepthExceeded DigitSet
-DigitStream DigitWord DimensionReport DomainError Dyadic ExponentEstimate FillPolicy
+DigitWord DimensionReport DomainError Dyadic ExponentEstimate FillPolicy
 HorizonTooDeep InfeasibleParameters InsufficientDepth InvalidDigitSet MeasureValue NoRoot
 NoRuns NotInSupport NotSelfAdmissible ParamSpaceResult PeriodicWord PolyRoot PrecisionError
 PrecisionExhausted PrefixConditionFailed Run RunDecomposition Scalar ScheduledRuns Segment
-UndecidedFiniteness bary beta_layout beta_shift check_relations constructions
+UndecidedFiniteness bary bary_blocks beta_blocks beta_layout beta_shift check_relations
+constructions
 count_admissible critical_exponent_s0 cylinder digit_set_scale dim_formula dim_formula_sup
 errors estimate_exponents expand_lacunary expand_rational expansion_of_one_star
-exponents_of_word generate_bary generate_beta generate_parameter_space greedy_expand
-is_admissible is_full is_self_admissible isolate_root layout_segments ln ln_int
+exponents_of_blocks exponents_of_word generate_bary generate_beta generate_parameter_space greedy_expand
+is_admissible is_full is_self_admissible isolate_root lacunary_blocks layout_segments ln ln_int
 local_dimension_bary local_dimension_beta measure_bary measure_beta measure_of_word
-measures_dim numerics parry_invert read_digit_file record renyi_bounds_check
+measures_dim numerics parry_invert rational_blocks read_digit_blocks read_digit_file record
+renyi_bounds_check
 reprove_dim_limit run_decomposition schedule stolz_cesaro_ratios verify_sup_by_calculus
-words write_digit_file
+words write_digit_blocks write_digit_file
 """.split()
 # dir(betadio) of the eager package, just imported
 DIR = sorted(STAR + """

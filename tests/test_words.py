@@ -5,7 +5,7 @@ import pytest
 
 from betadio.bary import exponents_of_word, run_decomposition
 from betadio.cli import main
-from betadio.digit_files import DigitStream, read_digit_file, write_digit_file
+from betadio.digit_files import read_digit_file, write_digit_file
 from betadio.words import DigitWord, PeriodicWord, compare_words
 
 
@@ -95,18 +95,6 @@ def test_compare_words():
     assert compare_words(b, a) > 0   # 110^oo beats (10)^oo at index 1
     assert compare_words(a.shift(1), a) < 0
     assert compare_words(PeriodicWord((), (1, 0)), PeriodicWord((1,), (0, 1))) == 0
-
-
-def test_digit_stream():
-    def gen():
-        i = 0
-        while True:
-            yield i % 3
-            i += 1
-
-    s = DigitStream(gen(), 3)
-    assert s[5] == 2
-    assert s.prefix(4).digits() == (0, 1, 2, 0)
 
 
 def test_digit_file_round_trip():
