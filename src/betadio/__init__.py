@@ -12,14 +12,15 @@ _LAYERS = {  # each exported name by the module that defines it
     "bary": "ExponentEstimate Run RunDecomposition check_relations estimate_exponents"
             " expand_lacunary expand_rational exponents_of_blocks exponents_of_word"
             " lacunary_blocks rational_blocks run_decomposition",
-    "beta_shift": "AdmissibilityAutomaton BetaSystem count_admissible expansion_of_one_star"
-                  " is_admissible is_self_admissible renyi_bounds_check",
+    "automaton": "AdmissibilityAutomaton is_self_admissible",
+    "beta_constructions": "BetaConstruction ParamSpaceResult beta_blocks generate_beta"
+                          " generate_parameter_space",
+    "beta_shift": "BetaSystem count_admissible expansion_of_one_star is_admissible"
+                  " renyi_bounds_check",
     "beta_values": "CylinderInterval cylinder greedy_expand is_full parry_invert",
     "closed_forms": "critical_exponent_s0 digit_set_scale dim_formula dim_formula_sup"
                     " reprove_dim_limit verify_sup_by_calculus",
-    "constructions": "BaryConstruction BetaConstruction FillPolicy ParamSpaceResult"
-                     " bary_blocks beta_blocks generate_bary generate_beta"
-                     " generate_parameter_space",
+    "constructions": "BaryConstruction FillPolicy bary_blocks generate_bary",
     "digit_files": "read_digit_blocks read_digit_file write_digit_blocks write_digit_file",
     "digit_sets": "DigitSet",
     "errors": "BetadioError DegenerateApproximant DepthExceeded DomainError HorizonTooDeep"
@@ -29,7 +30,8 @@ _LAYERS = {  # each exported name by the module that defines it
     "layout": "BetaLayout ScheduledRuns Segment beta_layout layout_segments schedule",
     "measures_dim": "DimensionReport MeasureValue local_dimension_bary local_dimension_beta"
                     " measure_bary measure_beta measure_of_word stolz_cesaro_ratios",
-    "numerics": "Comparison Dyadic PolyRoot Scalar isolate_root", "logarithm": "ln ln_int",
+    "numerics": "Comparison Dyadic Scalar", "logarithm": "ln ln_int",
+    "roots": "PolyRoot isolate_root",
     "words": "DigitWord PeriodicWord",
 }
 _HOME = {name: layer for layer, names in _LAYERS.items() for name in names.split()}

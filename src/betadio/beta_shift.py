@@ -5,30 +5,24 @@ of ``1 = sum c_i z**-i`` (finite or eventually periodic coefficients).  The
 expansion of 1 determines everything else: a word is admissible exactly when
 each of its shifts is lexicographically at most the infinite expansion of 1
 (the quasi-greedy form ``(e_1 .. e_{m-1} (e_m - 1))^oo`` when the greedy
-expansion of 1 terminates).  For eventually periodic expansions of 1 the
-admissible words form a finite-automaton language, the beta-shift's
-automaton of Parry (1960): state s has matched the first s symbols of the
-bound word, a digit equal to the next bound symbol advances one state
-(collapsed modulo the period), and a smaller digit returns to state 0.
-Admissible words are counted by the recurrence of Rényi (1957) and Parry
-(1960) on that expansion, jumped ahead by Fiduccia's (1985) powering once it
-is periodic.
+expansion of 1 terminates).  When that expansion is eventually periodic,
+Parry's automaton (``automaton``) recognizes and counts the words; otherwise
+they are read and counted off the expansion itself, to a horizon.
 
 So this module is combinatorics.  It needs beta as a number only to find
 the expansion of 1 of a base not given by it, for the Rényi check off an
 integer base, and when a caller reads beta itself (``root``,
-``beta_scalar``); only then does it import ``numerics``, and for the first
-two ``beta_values``, the certified queries.
+``beta_scalar``); only then does it import ``roots`` and ``numerics``, and
+for the first two ``beta_values``, the certified queries.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from itertools import accumulate, compress
-from operator import mul
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
+from .automaton import AdmissibilityAutomaton, _parry_counts, is_self_admissible
 from .errors import (
     DEFAULT_PRECISION,
     DegenerateApproximant,
@@ -37,122 +31,11 @@ from .errors import (
     NotSelfAdmissible,
     PrecisionExhausted,
 )
-from .polynomials import _cleared_polynomial
-from .words import DigitWord, PeriodicWord, compare_words
+from .words import DigitWord, PeriodicWord
 
 F = Fraction
 
 DEFAULT_HORIZON = 4096
-
-
-def is_self_admissible(word: Union[Sequence[int], PeriodicWord]) -> bool:
-    """Every shift of the word is lexicographically <= the word itself.
-
-    Finite words are read with an implicit zero tail.  For an eventually
-    periodic word with preperiod p and period q the shifts repeat after
-    p + q, so the finitely many comparisons below decide the property.
-    """
-    w = word if isinstance(word, PeriodicWord) else PeriodicWord.from_finite(word)
-    w = w.normalized()
-    p, q = len(w.pre), max(1, len(w.per))
-    for k in range(1, p + q):
-        if compare_words(w.shift(k), w) > 0:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# admissibility automaton
-
-
-class AdmissibilityAutomaton:
-    """Parry's (1960) automaton for the shift bounded by an eventually
-    periodic, self-admissible word D.
-
-    State s: the longest suffix of the input read so far that begins D is
-    D's first s symbols, collapsed modulo the period q past the preperiod p
-    because the tails of D repeat there; allowed next digits are 0..D[s].
-    Reading D[s] advances to s + 1.  A smaller digit returns to state 0: a
-    shorter match of length k is followed in D by D[k] >= D[s], as the shift
-    of D where it starts is at most D, so the digit ends every match.
-    """
-
-    def __init__(self, bound_word: PeriodicWord):
-        D = bound_word
-        p, q = len(D.pre), len(D.per)
-        if q == 0:
-            raise ValueError("bound word must have a nonzero period")
-        self.bound_word = D
-        self.num_states = p + q
-        self.bound = [D[s] for s in range(self.num_states)]
-        shifts = [compare_words(D.shift(s), D) for s in range(self.num_states)]
-        if max(shifts) > 0:
-            raise NotSelfAdmissible(f"{D} has a shift exceeding the word")
-        self.transitions = [[0] * b + [s + 1 if s + 1 < p + q else p]
-                            for s, b in enumerate(self.bound)]
-        self.full_states = frozenset(s for s, c in enumerate(shifts) if c == 0)
-        # count_words: the cleared polynomial of D (monic; x^d dropped) and
-        # the counts c_0 .. c_{p+q-1}
-        f = _cleared_polynomial(D.pre, D.per)
-        self._taps = [(i, int(c)) for i, c in enumerate(f[:-1]) if c]
-        self._head = _parry_counts(self.bound.__getitem__, p + q - 1, max(self.bound))
-        self._count_cache: dict[int, int] = {}
-
-    def step(self, state: int, digit: int) -> Optional[int]:
-        if digit < 0 or digit > self.bound[state]:
-            return None
-        return self.transitions[state][digit]
-
-    def walk(self, word: Iterable[int], state: int = 0) -> Optional[int]:
-        for d in word:
-            state = self.step(state, d)
-            if state is None:
-                return None
-        return state
-
-    def count_words(self, n: int) -> int:
-        """Exact number of accepted words of length n (paths from state 0).
-
-        The counts have the generating function ``(1 + .. + z^(q-1)) / E(z)``,
-        E the reverse of D's cleared polynomial, so ``c_n`` is ``x^n`` modulo
-        it applied to ``c_0 .. c_{p+q-1}`` (Fiduccia, SIAM J. Comput. 14, 1985).
-        """
-        if n < 0:
-            raise ValueError(f"word length must be >= 0, got {n}")
-        if n not in self._count_cache:
-            d = self.num_states
-            r = [1] + [0] * (d - 1)  # x^n mod the polynomial, by binary powering
-            for bit in bin(n)[2:]:
-                sq = [0] * (2 * d - 1)
-                for i, ri in enumerate(r):
-                    sq[2 * i] += ri * ri
-                    for j in range(i + 1, d):
-                        sq[i + j] += ri * r[j] << 1
-                if bit == "1":
-                    sq.insert(0, 0)
-                for k in range(len(sq) - 1, d - 1, -1):
-                    for i, e in self._taps:  # x^d = -sum e x^i
-                        sq[k - d + i] -= e * sq[k]
-                r = sq[:d]
-            self._count_cache[n] = sum(map(mul, r, self._head))
-        return self._count_cache[n]
-
-    def enumerate_words(self, n: int) -> Iterator[tuple]:
-        """Accepted words of length n, in lexicographic order."""
-        if n < 0:
-            raise ValueError(f"word length must be >= 0, got {n}")
-        word = [0] * n
-        while True:
-            yield tuple(word)
-            # an odometer: the last digit below its bound goes up, the digits
-            # after it restart at 0 (which every state allows)
-            states = list(accumulate(word, self.step, initial=0))
-            i = n - 1
-            while i >= 0 and word[i] == self.bound[states[i]]:
-                i -= 1
-            if i < 0:
-                return
-            word[i:] = [word[i] + 1] + [0] * (n - 1 - i)
 
 
 # ---------------------------------------------------------------------------
@@ -205,15 +88,17 @@ class _RationalOrbit(_Orbit):
     """
 
     def __init__(self, base: Fraction, x: Fraction):
-        self.base = base
-        self.x = F(x)
-        super().__init__(self.x, cycles=base.denominator == 1)
+        x = F(x)
+        self._p, self._q = base.numerator, base.denominator
+        # x = num / den unreduced: each step multiplies den by q, so in an
+        # integer base den stays put and num alone is the state
+        self._num, self._den = x.numerator, x.denominator
+        super().__init__(self._num, cycles=self._q == 1)
 
-    def _step(self) -> tuple[int, Optional[Fraction]]:
-        y = self.base * self.x
-        d = y.numerator // y.denominator
-        self.x = y - d
-        return d, (self.x if self.x != 0 else None)
+    def _step(self) -> tuple[int, Optional[int]]:
+        self._den *= self._q
+        d, self._num = divmod(self._p * self._num, self._den)
+        return d, (self._num or None)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +210,7 @@ class BetaSystem:
             sys.spec_string = "root:" + ",".join(map(str, coeffs))
             return sys
         from .beta_values import _AlgebraicOrbit
-        from .numerics import _integer_part, isolate_root
+        from .roots import _integer_part, isolate_root
         root = isolate_root([F(c) for c in coeffs], precision=precision)
         k, is_int = _integer_part(root)
         if is_int:
@@ -402,7 +287,7 @@ class BetaSystem:
         if self._root is None and self._root_word is not None:
             with self._lock:
                 if self._root is None:
-                    from .numerics import _integer_part, isolate_root
+                    from .roots import _integer_part, isolate_root
                     pre, per, precision = self._root_word
                     root = isolate_root(pre, periodic_tail=per, precision=precision)
                     # the word already says beta is no integer; certifying
@@ -485,36 +370,6 @@ def is_admissible(system: BetaSystem, word: Sequence[int]) -> bool:
             return False
         state = state + 1 if d == b else 0
     return True
-
-
-# the largest digit for which _parry_counts sums without multiplying: at
-# n = 4096 that took 0.26-0.78 of the product form's time for rat:p/q bases
-# with tops 1-3, and 1.12-1.57 of it for tops 4-5
-_FREE_SUM_TOP = 3
-
-
-def _parry_counts(digit, n: int, top: int) -> list[int]:
-    """``c_0 .. c_n`` of ``c_m = 1 + sum_{i<=m} t*_i c_{m-i}``; digit(i) is
-    t*_{i+1}, at most top.
-
-    Up to ``_FREE_SUM_TOP`` the sum is taken without multiplying, as
-    ``sum_v sum_{i: t*_i >= v} c_{m-i}``: ``at_least[v-1][i-1]`` says whether
-    ``t*_i >= v``.  That is one pass over c for each v, so larger alphabets
-    take the products."""
-    c = [1]
-    if top > _FREE_SUM_TOP:
-        t = []
-        for m in range(n):
-            t.append(digit(m))
-            c.append(1 + sum(map(mul, t, reversed(c))))
-        return c
-    at_least = [[] for _ in range(top)]
-    for m in range(n):
-        d = digit(m)
-        for v, row in enumerate(at_least, 1):
-            row.append(d >= v)
-        c.append(1 + sum(sum(compress(reversed(c), row)) for row in at_least))
-    return c
 
 
 def count_admissible(system: BetaSystem, n: int) -> int:

@@ -17,13 +17,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .beta_shift import BetaSystem, _Orbit, _RationalOrbit, is_admissible, is_self_admissible
+from .automaton import is_self_admissible
+from .beta_shift import BetaSystem, _Orbit, _RationalOrbit, is_admissible
 from .errors import (DEFAULT_PRECISION, DegenerateApproximant, NotSelfAdmissible,
                      PrecisionExhausted, UndecidedFiniteness)
-from .numerics import (Comparison, PolyRoot, Scalar, _escalate, _iv_horner, is_exact_root,
-                       isolate_root)
+from .numerics import Comparison, Scalar, _escalate, _iv_horner
 from .polynomials import poly_sub, poly_trim
 from .record import Record
+from .roots import PolyRoot, is_exact_root, isolate_root
 from .words import DigitWord, PeriodicWord
 
 F = Fraction
@@ -107,13 +108,16 @@ def greedy_expand(system: BetaSystem, x, n: int) -> DigitWord:
             orbit = _AlgebraicOrbit(system.root, x)
         else:
             orbit = _RationalOrbit(F(system.int_base or system.fraction_base), x)
-        # into the word as they come (the orbit keeps its own list of them)
+        # into the word as they come.  The orbit keeps its own list of them,
+        # but off an integer base it never closes a cycle (and one that hits
+        # 0 steps on as 0), so it is stepped without that list
+        digit = orbit.digit if system.kind != "rational" else lambda _i: orbit._step()[0]
         if top >= 256:
-            return DigitWord(top + 1, map(orbit.digit, range(n)))
+            return DigitWord(top + 1, map(digit, range(n)))
         # greedy digits lie in 0..top, as x lies in [0, 1]: packed unchecked
         digits = bytearray(n)
         for i in range(n):
-            digits[i] = orbit.digit(i)
+            digits[i] = digit(i)
         return DigitWord.from_bytes(top + 1, digits)
     # interval input: no exact tie-breaking available
     digits = []

@@ -1,6 +1,7 @@
 """``construct``: the generators, and the digit file with its sidecar.
 The integer-base and real-base words stream to the file a block at a time;
-``construct param`` holds its word, which its checks read whole."""
+``construct param`` holds its word, which its checks read whole.  Only
+``beta`` and ``param`` load the real-base generators."""
 
 from ..errors import UsageError
 from . import _digit_set, _emit_digits, _fraction, _scalar_dict, default_precision
@@ -8,7 +9,7 @@ from . import _digit_set, _emit_digits, _fraction, _scalar_dict, default_precisi
 
 def cmd_construct(args):
     what = f"construct {args.flavor}"
-    from ..constructions import FillPolicy, bary_blocks, beta_blocks, generate_parameter_space
+    from ..constructions import FillPolicy, bary_blocks
     cfg = {"cmd": what, "theta": args.theta, "vhat": args.vhat,
            "stages": args.stages, "fill": args.fill, "seed": args.seed}
     theta, vhat = _fraction(args.theta), _fraction(args.vhat)
@@ -25,12 +26,14 @@ def cmd_construct(args):
         out, b, blocks = bary_blocks(base, theta, vhat, args.stages, fill)
         _emit_digits(args, b, blocks, cfg, out.to_dict)
     elif args.flavor == "beta":
+        from ..beta_constructions import beta_blocks
         from ..beta_shift import BetaSystem
         system = BetaSystem.parse(args.beta, default_precision())
         out, size, blocks = beta_blocks(system, args.N, theta, vhat, args.stages, fill)
         cfg.update({"beta": args.beta, "N": args.N})
         _emit_digits(args, size, blocks, cfg, out.to_dict)
     else:  # param
+        from ..beta_constructions import generate_parameter_space
         from ..beta_shift import BetaSystem
         b0 = BetaSystem.parse(args.beta0, default_precision())
         b1 = BetaSystem.parse(args.beta1, default_precision())

@@ -1,7 +1,8 @@
 """``measure``: a cylinder's mass from a construction's sidecar.  It
 rebuilds the layout from the sidecar's own theta, vhat, stage count and N,
-and refuses a sidecar whose schedule is not that layout's; it reads the
-layout, not the generators.  An integer-base sidecar's mass is
+and refuses a sidecar whose schedule is not that layout's, or whose
+approximant is not the one its base and N give; it reads the layout, not
+the generators.  An integer-base sidecar's mass is
 ``base**-e(n)``, and ``layout`` counts the exponent e(n) itself, so that
 path loads neither ``measures_dim`` nor ``bary`` nor ``words``.  A restricted
 sidecar adds ``digit_sets``: the mass's base is then the set's size."""
@@ -35,7 +36,11 @@ def cmd_measure(args):
     if beta:
         from ..beta_shift import BetaSystem
         from ..measures_dim import measure_beta
-        mv = measure_beta(layout, BetaSystem.parse(base, default_precision()), args.n)
+        system = BetaSystem.parse(base, default_precision())
+        # construct writes its base's approximant, approx:<base>:<N>, and no other
+        if base != f"approx:{side.get('base')}:{s['N']}":
+            raise ValueError(f"not a construction sidecar: {args.sidecar!r}")
+        mv = measure_beta(layout, system, args.n)
         lm = mv.log_mu(default_precision())
         _emit(args, {"n": args.n,
                      "factors": [[length, mult] for length, _c, mult in mv.factors],

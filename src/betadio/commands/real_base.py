@@ -1,7 +1,8 @@
 """``expand-one``, ``admissible``, ``cylinder`` and ``parry``: the commands
-on a real base alone.  Words of a base and their counts load ``beta_shift``
-and ``words``; ``cylinder``, ``parry invert`` and the Rényi check off an
-integer base add ``beta_values`` and ``numerics``."""
+on a real base alone.  Words of a base and their counts load ``beta_shift``,
+``automaton`` and ``words`` (``parry check`` needs ``automaton`` alone);
+``cylinder``, ``parry invert`` and the Rényi check off an integer base add
+``beta_values``, ``roots`` and ``numerics``."""
 
 from ..errors import DomainError, UsageError
 from . import _emit, _emit_digits, _scalar_dict, _word, default_precision
@@ -60,7 +61,7 @@ def cmd_cylinder(args):
 
 
 def cmd_parry(args):
-    from ..beta_shift import is_self_admissible
+    from ..automaton import is_self_admissible
     from ..words import PeriodicWord
     if "(" in args.word:
         try:

@@ -1,8 +1,8 @@
 """A construction's layout: its run schedule, where its prescribed and free
 digits go, and how many free digits lie up to a depth (the exponent of the
-integer-base cylinder mass).  The generators (``constructions``) fill the
-free digits and the measures (``measures_dim``) weigh them; this module
-imports neither.
+integer-base cylinder mass).  The generators (``constructions``,
+``beta_constructions``) fill the free digits and the measures
+(``measures_dim``) weigh them; this module imports none of them.
 
 Per stage k, a long run of the approximating digit starts right after
 position ``n_k`` and ends at ``m_k``, then evenly spaced markers run up to

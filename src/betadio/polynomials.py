@@ -1,8 +1,9 @@
 """Exact polynomials over Q, as ascending coefficient lists, and the value
 equation ``1 = sum c_i z**-i`` of an expansion base in that form.
 
-Parry's automaton reads its word counts off the cleared polynomial, and
-``numerics`` isolates and tests its roots; neither needs the other.
+Parry's automaton (``automaton``) reads its word counts off the cleared
+polynomial, and ``roots`` isolates and tests its roots; neither needs the
+other.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from betadio.bary import estimate_exponents, expand_lacunary, run_decomposition
+from betadio.beta_constructions import generate_parameter_space
 from betadio.beta_shift import BetaSystem, count_admissible, is_admissible, renyi_bounds_check
 from betadio.beta_values import cylinder, greedy_expand, is_full, parry_invert
 from betadio.closed_forms import (
@@ -20,11 +21,11 @@ from betadio.closed_forms import (
     dim_formula_sup,
     verify_sup_by_calculus,
 )
-from betadio.constructions import FillPolicy, generate_bary, generate_parameter_space
+from betadio.constructions import FillPolicy, generate_bary
 from betadio.digit_sets import DigitSet
 from betadio.layout import free_digit_count, schedule
 from betadio.measures_dim import local_dimension_bary, stolz_cesaro_ratios
-from betadio.numerics import isolate_root
+from betadio.roots import isolate_root
 from betadio.words import PeriodicWord
 
 F = Fraction

@@ -16,9 +16,8 @@ from fractions import Fraction
 
 import pytest
 
-from betadio.beta_shift import (AdmissibilityAutomaton, BetaSystem, count_admissible,
-                                is_admissible, is_self_admissible)
-from betadio.beta_shift import _RationalOrbit
+from betadio.automaton import AdmissibilityAutomaton, is_self_admissible
+from betadio.beta_shift import BetaSystem, _RationalOrbit, count_admissible, is_admissible
 from betadio.beta_values import greedy_expand
 from betadio.errors import NotSelfAdmissible
 from betadio.words import PeriodicWord

@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from betadio import beta_shift, beta_values, numerics, polynomials
+from betadio import beta_shift, beta_values, numerics, polynomials, roots
+from betadio.automaton import is_self_admissible
 from betadio.beta_shift import (
     BetaSystem,
     count_admissible,
     expansion_of_one_star,
     is_admissible,
-    is_self_admissible,
     renyi_bounds_check,
 )
 from betadio.beta_values import cylinder, greedy_expand, is_full, parry_invert, word_value
@@ -137,10 +137,10 @@ def test_root_sites_double_to_the_256_bit_answer():
     assert BetaSystem.from_root([1, 2], 8).int_base == 2
     # orbit digits from a 4-bit root
     for coeffs, x in (([1, 0, 2], F(1)), ([1, 1, 1], F(2, 7))):
-        orbit = beta_values._AlgebraicOrbit(numerics.isolate_root(coeffs, precision=4), x)
+        orbit = beta_values._AlgebraicOrbit(roots.isolate_root(coeffs, precision=4), x)
         digits = [orbit.digit(i) for i in range(30)]
         assert orbit._bits > 4
-        exact = beta_values._AlgebraicOrbit(numerics.isolate_root(coeffs), x)
+        exact = beta_values._AlgebraicOrbit(roots.isolate_root(coeffs), x)
         assert digits == [exact.digit(i) for i in range(30)]
     # the Renyi bounds from 2 bits
     sys = BetaSystem.from_root([3, 0, 1])
@@ -554,7 +554,7 @@ class FrozenAlgebraicOrbit(beta_shift._Orbit):
                 break
             lo = val.lo.value
             candidate = lo.numerator // lo.denominator + 1
-            if numerics.is_exact_root(polynomials.poly_sub(shifted, [F(candidate)]), self.root):
+            if roots.is_exact_root(polynomials.poly_sub(shifted, [F(candidate)]), self.root):
                 self.poly = []
                 return candidate, None
         self.poly = polynomials.poly_sub(shifted, [fl])

@@ -16,8 +16,9 @@ from fractions import Fraction
 
 import pytest
 
+from betadio.beta_constructions import BetaConstruction, generate_beta
 from betadio.beta_shift import BetaSystem
-from betadio.constructions import BetaConstruction, FillPolicy, generate_beta
+from betadio.constructions import FillPolicy
 from betadio.errors import DegenerateApproximant
 from betadio.layout import FREE, beta_layout, schedule
 from betadio.words import DigitWord

@@ -620,9 +620,9 @@ def _cli(*argv, cwd=None):
 # stdlib modules kept off the start-up path; argparse (with gettext and
 # locale) loads only for help and errors
 KEPT_OFF = {"dataclasses", "inspect", "logging", "csv", "argparse", "gettext", "locale"}
-LIBRARY = ("numerics", "logarithm", "polynomials", "words", "digit_files", "bary", "digit_sets",
-           "beta_shift", "beta_values", "layout", "constructions", "closed_forms", "measures_dim",
-           "commands")
+LIBRARY = ("numerics", "roots", "logarithm", "polynomials", "words", "digit_files", "bary",
+           "digit_sets", "automaton", "beta_shift", "beta_values", "layout", "constructions",
+           "beta_constructions", "closed_forms", "measures_dim", "commands")
 
 
 def _loaded(proc) -> set:
@@ -640,18 +640,20 @@ def test_import_footprint():
     assert not {f"betadio.{layer}" for layer in LIBRARY} & loaded
 
 
+# the real-base layers: a base's words, its root, its generators
+REAL_BASE = ("automaton", "beta_shift", "roots", "beta_values", "beta_constructions")
 CLOSED_FORMS = ("words", "digit_files", "bary", "digit_sets", "numerics", "logarithm",
-                "polynomials", "beta_shift", "beta_values", "layout", "constructions",
-                "measures_dim")
-NO_REAL_BASE = ("digit_sets", "numerics", "logarithm", "polynomials", "beta_shift", "beta_values",
-                "layout", "constructions", "closed_forms", "measures_dim")
-INTEGER_BASE = ("numerics", "logarithm", "polynomials", "beta_shift", "beta_values")
+                "polynomials", "layout", "constructions", "measures_dim") + REAL_BASE
+NO_REAL_BASE = ("digit_sets", "numerics", "logarithm", "polynomials", "layout", "constructions",
+                "closed_forms", "measures_dim") + REAL_BASE
+INTEGER_BASE = ("numerics", "logarithm", "polynomials") + REAL_BASE
 LAYOUT_ONLY = ("words", "digit_files", "bary", "numerics", "logarithm", "polynomials",
-               "beta_shift", "beta_values", "constructions")
-NO_WORDS = ("words", "digit_files", "bary", "beta_shift", "beta_values", "constructions")
-NO_GENERATOR = ("layout", "constructions", "closed_forms", "measures_dim", "logarithm")
+               "constructions") + REAL_BASE
+NO_WORDS = ("words", "digit_files", "bary", "constructions") + REAL_BASE
+NO_GENERATOR = ("layout", "constructions", "beta_constructions", "closed_forms", "measures_dim",
+                "logarithm")
 # the words of a base and their counts need its expansion of 1 alone, not beta
-NO_BETA = NO_GENERATOR + ("numerics", "beta_values")
+NO_BETA = NO_GENERATOR + ("numerics", "roots", "beta_values")
 WORDS_ONLY = NO_BETA + ("digit_files",)
 FOOTPRINTS = [
     ("dim formula --theta 3 --vhat 1/3", CLOSED_FORMS),
@@ -666,7 +668,7 @@ FOOTPRINTS = [
     ("construct restricted --theta 3 --vhat 1/3 --base 3 --digit-set 0,2 --fill random",
      INTEGER_BASE),
     ("construct beta --theta 3 --vhat 1/3 --beta root:1,1 --N 3 --stages 4",
-     ("numerics", "beta_values", "logarithm", "closed_forms", "measures_dim")),
+     ("numerics", "roots", "beta_values", "logarithm", "closed_forms", "measures_dim")),
     ("construct param --theta 3 --vhat 1/3 --beta0 rat:3/2 --beta1 root:1,1 --beta2 root:1,1,1"
      " --N 5 --stages 3", ("logarithm", "closed_forms", "measures_dim")),
     ("dim local --theta 3 --vhat 1/3 --base 3 --stages 8", LAYOUT_ONLY + ("digit_sets",)),
@@ -674,7 +676,7 @@ FOOTPRINTS = [
     ("dim formula --theta 3 --vhat 1/3 --digit-set 0,2", NO_WORDS + ("layout", "measures_dim")),
     ("dim local --theta 3 --vhat 1/3 --base 3 --digit-set 0,2 --stages 8", NO_WORDS),
     ("dim local --theta 3 --vhat 1/3 --beta root:1,1 --N 3 --stages 3",
-     ("constructions", "digit_files", "beta_values")),
+     ("constructions", "beta_constructions", "digit_files", "beta_values")),
     # the integer-base exponent is counted by layout alone
     ("measure --sidecar e.digits.json --n 54",
      LAYOUT_ONLY + ("closed_forms", "digit_sets", "measures_dim")),
@@ -694,7 +696,8 @@ FOOTPRINTS = [
     ("expand --beta root:1,1 --x 1 --digits 5", NO_GENERATOR),
     ("expand-one --beta int:3 --digits 4", NO_BETA),
     ("expand-one --beta root:1,1,1 --digits 8", NO_BETA),
-    ("parry check --word 1,1,0", WORDS_ONLY),
+    # self-admissibility is the automaton's alone
+    ("parry check --word 1,1,0", WORDS_ONLY + ("beta_shift",)),
     ("parry invert --word 1,1 --bits 64", NO_GENERATOR + ("digit_files",)),
 ]
 

@@ -4,15 +4,12 @@ from fractions import Fraction
 import pytest
 
 from betadio import numerics
+from betadio.automaton import is_self_admissible
 from betadio.bary import estimate_exponents, run_decomposition
-from betadio.beta_shift import BetaSystem, is_admissible, is_self_admissible
+from betadio.beta_constructions import generate_beta, generate_parameter_space
+from betadio.beta_shift import BetaSystem, is_admissible
 from betadio.cli import main
-from betadio.constructions import (
-    FillPolicy,
-    generate_bary,
-    generate_beta,
-    generate_parameter_space,
-)
+from betadio.constructions import FillPolicy, generate_bary
 from betadio.digit_sets import DigitSet
 from betadio.errors import (
     DepthExceeded,

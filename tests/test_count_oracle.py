@@ -15,7 +15,8 @@ from operator import mul
 
 import pytest
 
-from betadio.beta_shift import BetaSystem, _parry_counts, count_admissible, is_admissible
+from betadio.automaton import _parry_counts
+from betadio.beta_shift import BetaSystem, count_admissible, is_admissible
 from betadio.errors import DegenerateApproximant
 
 # ---------------------------------------------------------------------------

@@ -355,6 +355,20 @@ def test_mutated_sidecars_exit_0_with_their_output_or_2_with_one_line(tmp_path, 
     assert checked > 200
 
 
+@pytest.mark.parametrize("approximant", ["int:3", "approx:root:1,1:4", "approx:root:1,1,1:3"])
+def test_a_sidecar_with_another_approximant_exits_2(tmp_path, files, approximant):
+    """A real-base sidecar's approximant is the one construct derives from
+    its base and N (here root:1,1 and 3): another base, a valid spec all the
+    same, is refused, not measured at the wrong mass."""
+    side = json.loads(open(files["beta.json"]).read())
+    assert side["approximant"] == "approx:root:1,1:3"
+    side["approximant"] = approximant
+    path = tmp_path / "swapped.json"
+    path.write_text(json.dumps(side))
+    rc, out, err = run(["measure", "--sidecar", str(path), "--n", "40"])
+    assert (rc, out, err) == (2, "", f"error: not a construction sidecar: {str(path)!r}\n")
+
+
 # ---------------------------------------------------------------------------
 # too little memory
 

@@ -17,8 +17,9 @@ from fractions import Fraction
 
 import pytest
 
+from betadio.beta_constructions import generate_beta
 from betadio.beta_shift import BetaSystem
-from betadio.constructions import FillPolicy, generate_bary, generate_beta
+from betadio.constructions import FillPolicy, generate_bary
 from betadio.digit_sets import DigitSet
 from betadio.errors import (
     DegenerateApproximant,

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from betadio.beta_constructions import generate_beta
 from betadio.beta_shift import BetaSystem, count_admissible
 from betadio.beta_values import is_full
 from betadio.closed_forms import (
@@ -15,7 +16,7 @@ from betadio.closed_forms import (
     reprove_dim_limit,
     verify_sup_by_calculus,
 )
-from betadio.constructions import FillPolicy, generate_bary, generate_beta
+from betadio.constructions import FillPolicy, generate_bary
 from betadio.digit_sets import DigitSet
 from betadio.errors import DepthExceeded, InfeasibleParameters, NotInSupport
 from betadio.layout import beta_layout, free_digit_count, schedule

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 import mpmath
 
-from betadio import numerics
-from betadio.beta_shift import is_self_admissible
+from betadio import numerics, roots
+from betadio.automaton import is_self_admissible
 from betadio.errors import DegenerateApproximant, NoRoot, PrecisionExhausted
 from betadio.logarithm import ln, ln_int
 from betadio.numerics import (
@@ -17,12 +17,10 @@ from betadio.numerics import (
     ZERO,
     Comparison,
     Dyadic,
-    PolyRoot,
     Scalar,
-    is_exact_root,
-    isolate_root,
 )
-from betadio.polynomials import poly_divmod, poly_gcd, poly_mul
+from betadio.polynomials import poly_divmod, poly_eval, poly_gcd, poly_mul
+from betadio.roots import PolyRoot, is_exact_root, isolate_root
 
 F = Fraction
 
@@ -417,13 +415,13 @@ def test_wrong_newton_guess_costs_2_log2_k_signs(monkeypatch, off):
     want = oracle_refine(isolate_root(pre, precision=bits), lo, hi, bits)
     w = want[1] - want[0]
     steps = ((hi - lo) / w).numerator.bit_length() - 1  # the grid has 2**steps cells
-    assert (hi - lo) / w == 1 << steps and steps > numerics._REPLAY_MIN_STEPS
+    assert (hi - lo) / w == 1 << steps and steps > roots._REPLAY_MIN_STEPS
 
     def newton(poly, glo, ghi, prec):  # the true cell's midpoint, moved by off cells
         if off == "lo":
             return glo
         return None if off is None else (want[0] + want[1]) / 2 + off * w
-    monkeypatch.setattr(numerics, "_newton", newton)
+    monkeypatch.setattr(roots, "_newton", newton)
     signs = []
     plain = PolyRoot._sign_at
     monkeypatch.setattr(PolyRoot, "_sign_at", lambda self, z: signs.append(z) or plain(self, z))
@@ -571,8 +569,8 @@ def test_fixed_point_bounds_enclose_the_exact_value():
         poly = [rng.randint(-50, 50) for _ in range(rng.randint(1, 12))]
         z = F(rng.randint(1, 4000), rng.randint(1, 999))
         p = rng.choice([1, 4, 8, 16, 40])
-        lo, hi = numerics._fixed_bounds(poly, z.numerator, z.denominator, p)
-        assert lo <= numerics.poly_eval(poly, z) * 2 ** p <= hi, (poly, z, p)
+        lo, hi = roots._fixed_bounds(poly, z.numerator, z.denominator, p)
+        assert lo <= poly_eval(poly, z) * 2 ** p <= hi, (poly, z, p)
 
 
 @pytest.mark.parametrize("pre,per", ROOT_CASES)

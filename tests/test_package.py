@@ -63,13 +63,13 @@ def test_dir_and_star_names_are_the_eager_ones():
 
 
 def test_a_layer_is_an_attribute_without_its_import():
-    assert _fresh("import betadio; print(betadio.numerics.isolate_root.__module__)") == \
+    assert _fresh("import betadio; print(betadio.numerics.Scalar.__module__)") == \
         ["betadio.numerics"]
 
 
 def test_from_import_of_layers_and_names():
-    out = _fresh("from betadio import numerics, PolyRoot, cli\n"
-                 "print(PolyRoot is numerics.PolyRoot, cli.__name__)")
+    out = _fresh("from betadio import numerics, Scalar, cli\n"
+                 "print(Scalar is numerics.Scalar, cli.__name__)")
     assert out == ["True betadio.cli"]
 
 

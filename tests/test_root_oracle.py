@@ -15,9 +15,10 @@ import threading
 
 import pytest
 
-from betadio.beta_shift import BetaSystem, is_self_admissible
+from betadio.automaton import is_self_admissible
+from betadio.beta_shift import BetaSystem
 from betadio.errors import DegenerateApproximant, NotSelfAdmissible
-from betadio.numerics import _integer_part, isolate_root
+from betadio.roots import _integer_part, isolate_root
 from betadio.words import PeriodicWord
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ import pytest
 
 from betadio import bary, constructions, digit_files
 from betadio.bary import exponents_of_blocks, exponents_of_word, lacunary_blocks, rational_blocks
+from betadio.beta_constructions import generate_beta
 from betadio.beta_shift import BetaSystem
 from betadio.cli import main
 from betadio.constructions import (
@@ -25,7 +26,6 @@ from betadio.constructions import (
     _enforce_run_caps,
     bary_blocks,
     generate_bary,
-    generate_beta,
 )
 from betadio.digit_files import (
     read_digit_blocks,
