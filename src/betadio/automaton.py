@@ -80,7 +80,9 @@ class AdmissibilityAutomaton:
             return None
         return self.transitions[state][digit]
 
-    def walk(self, word: Iterable[int], state: int = 0) -> Optional[int]:
+    def walk(self, word: Iterable[int]) -> Optional[int]:
+        """The state after ``word`` from state 0; None once a digit is refused."""
+        state = 0
         for d in word:
             state = self.step(state, d)
             if state is None:

@@ -170,10 +170,10 @@ def _next_run(data, symbol: int, length: int, pos: int,
     return None
 
 
-def _run_end(data, symbol: int, pos: int = 0) -> int:
-    """The end of the run of ``symbol`` from pos: pos when data[pos] is not
-    ``symbol``.  One anchored match, which counts in C."""
-    return re.compile(re.escape(bytes((symbol,))) + b"*").match(data, pos).end()
+def _run_end(data, symbol: int) -> int:
+    """The end of the run of ``symbol`` that starts data: 0 when data[0] is
+    not ``symbol``.  One anchored match, which counts in C."""
+    return re.compile(re.escape(bytes((symbol,))) + b"*").match(data).end()
 
 
 def _last_run(data, symbol: int) -> int:
@@ -254,14 +254,14 @@ def _monotone_runs(blocks: Iterable[bytes], symbols: list[int]) -> tuple[list[Ru
     return monotone, at  # a run that reaches the word's end is incomplete
 
 
-def run_decomposition(digits: DigitWord, b: Optional[int] = None,
+def run_decomposition(digits: DigitWord,
                       kinds: tuple[str, ...] = (ZEROS, TOP)) -> RunDecomposition:
     """Locate all maximal runs and the greedy non-decreasing subsequence.
 
     Raises NoRuns when no digit equals 0 or b-1 (full-alphabet words have
     exponent 0 trivially and no run structure to analyse).
     """
-    b = b or digits.base
+    b = digits.base
     if len(digits) < 2:
         raise NoRuns("need at least two digits")
     data, symbols = _run_view(digits.data, b), _run_symbols(b, kinds)
@@ -298,20 +298,20 @@ class ExponentEstimate(Record):
         self.k_over_log_n = k_over_log_n
 
 
-def estimate_exponents(dec: RunDecomposition, window: Optional[int] = None) -> ExponentEstimate:
+def estimate_exponents(dec: RunDecomposition) -> ExponentEstimate:
     """Finite-horizon surrogates for the limsup/liminf exponent ratios.
 
-    The estimate uses a tail window of the last W monotone runs (default
-    ``max(3, K/2)``) since early runs bias the limits.
+    The estimate uses a tail window of the last ``max(3, K/2)`` of the K
+    monotone runs, since early runs bias the limits.
     """
-    return _estimate(dec.monotone, dec.horizon, window)
+    return _estimate(dec.monotone, dec.horizon)
 
 
-def _estimate(mono: list[Run], horizon: int, window: Optional[int]) -> ExponentEstimate:
+def _estimate(mono: list[Run], horizon: int) -> ExponentEstimate:
     K = len(mono)
     if K < 2:
         raise InsufficientDepth(f"only {K} monotone runs at horizon {horizon}")
-    W = window or max(3, (K + 1) // 2)
+    W = max(3, (K + 1) // 2)
     trajectory = []
     for k, r in enumerate(mono):
         ratio_v = Fraction(r.gap, r.start)
@@ -329,11 +329,11 @@ def _estimate(mono: list[Run], horizon: int, window: Optional[int]) -> ExponentE
                             window=W, k_over_log_n=k_log)
 
 
-def exponents_of_word(digits: DigitWord, b: Optional[int] = None,
+def exponents_of_word(digits: DigitWord,
                       kinds: tuple[str, ...] = (ZEROS, TOP)) -> ExponentEstimate:
     """estimate_exponents with the no-run / too-shallow cases reported as 0:
     ``exponents_of_blocks`` of the word as one block."""
-    return exponents_of_blocks([digits.data], b or digits.base, kinds)
+    return exponents_of_blocks([digits.data], digits.base, kinds)
 
 
 def exponents_of_blocks(blocks: Iterable, b: int,
@@ -348,7 +348,7 @@ def exponents_of_blocks(blocks: Iterable, b: int,
     mono, horizon = _monotone_runs((_run_view(block, b) for block in blocks),
                                    _run_symbols(b, kinds))
     if len(mono) >= 2:
-        return _estimate(mono, horizon, None)
+        return _estimate(mono, horizon)
     return ExponentEstimate(v_lower=Fraction(0), v_hat_lower=Fraction(0),
                             trajectory=[], horizon=horizon, window=0)
 

@@ -48,9 +48,10 @@ class _Orbit:
     ``_step`` advances the orbit by one digit and returns the digit with the
     new orbit state, or with None when the orbit hit 0 (the expansion
     terminates there).  A repeated state closes a cycle ``(preperiod,
-    period)``; after either event the digits are continued without stepping.
-    An orbit built with ``cycles=False`` keeps no states and never closes a
-    cycle: its digits are the same, each one stepped.
+    period)``.  Once either event has closed the orbit, ``digits`` stops
+    growing: a digit past it is read off the period, or is 0.  An orbit
+    built with ``cycles=False`` keeps no states and never closes a cycle:
+    its digits are the same, each one stepped.
     """
 
     def __init__(self, state, cycles: bool = True):
@@ -61,22 +62,21 @@ class _Orbit:
 
     def digit(self, i: int) -> int:
         digits = self.digits
-        while len(digits) <= i:
-            if self.terminated is not None:
-                digits.append(0)
-            elif self.cycle is not None:
-                p, q = self.cycle
-                digits.append(digits[p + (len(digits) - p) % q])
-            else:
-                d, state = self._step()
-                digits.append(d)
-                if state is None:
-                    self.terminated = len(digits)
-                elif self._seen is not None:
-                    j = self._seen.setdefault(state, len(digits))
-                    if j < len(digits):
-                        self.cycle = (j, len(digits) - j)
-        return digits[i]
+        while len(digits) <= i and self.terminated is None and self.cycle is None:
+            d, state = self._step()
+            digits.append(d)
+            if state is None:
+                self.terminated = len(digits)
+            elif self._seen is not None:
+                j = self._seen.setdefault(state, len(digits))
+                if j < len(digits):
+                    self.cycle = (j, len(digits) - j)
+        if i < len(digits):
+            return digits[i]
+        if self.cycle is None:
+            return 0
+        p, q = self.cycle
+        return digits[p + (i - p) % q]
 
 
 class _RationalOrbit(_Orbit):
@@ -149,7 +149,7 @@ class BetaSystem:
         return sys
 
     @classmethod
-    def from_rational(cls, base: Fraction, horizon: int = DEFAULT_HORIZON) -> "BetaSystem":
+    def from_rational(cls, base: Fraction) -> "BetaSystem":
         base = F(base)
         if base.denominator == 1:
             return cls.from_int(base.numerator)
@@ -159,7 +159,6 @@ class BetaSystem:
         sys.kind = "rational"
         sys.fraction_base = base
         sys.alphabet_top = base.numerator // base.denominator
-        sys.horizon = horizon
         # no closed form to look for: a finite or periodic d(1) would make
         # beta an algebraic integer (Parry 1960), and a rational one is an int
         sys._orbit = _RationalOrbit(base, F(1))
@@ -196,8 +195,8 @@ class BetaSystem:
         return sys
 
     @classmethod
-    def from_root(cls, coefficients: Sequence[int], precision: int = DEFAULT_PRECISION,
-                  horizon: int = DEFAULT_HORIZON) -> "BetaSystem":
+    def from_root(cls, coefficients: Sequence[int],
+                  precision: int = DEFAULT_PRECISION) -> "BetaSystem":
         coeffs = [int(c) for c in coefficients]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
@@ -220,7 +219,6 @@ class BetaSystem:
         sys = cls()
         sys.kind = "algebraic"
         sys._root = root
-        sys.horizon = horizon
         sys.alphabet_top = k
         sys._orbit = _AlgebraicOrbit(root, F(1))
         sys.spec_string = "root:" + ",".join(map(str, coeffs))
@@ -252,10 +250,10 @@ class BetaSystem:
 
     # -- closing the orbit into a finite description ------------------------
 
-    def _try_close_form(self, probe: int = 256) -> None:
-        """Advance the greedy orbit a little; adopt a finite/periodic d(1)."""
+    def _try_close_form(self) -> None:
+        """Advance the greedy orbit 256 digits; adopt a finite/periodic d(1)."""
         try:
-            self._orbit.digit(probe)
+            self._orbit.digit(256)
         except PrecisionExhausted:
             return
         self._finalize_orbit()
@@ -347,8 +345,7 @@ class BetaSystem:
 
 def expansion_of_one_star(system: BetaSystem, n: int) -> DigitWord:
     """First n symbols of the infinite (quasi-greedy) expansion of 1."""
-    return DigitWord(system.alphabet_top + 1,
-                     [system.d1_star_digit(i) for i in range(n)])
+    return DigitWord(system.alphabet_top + 1, map(system.d1_star_digit, range(n)))
 
 
 def is_admissible(system: BetaSystem, word: Sequence[int]) -> bool:

@@ -97,22 +97,14 @@ class BaryConstruction(Record):
 _BLOCK = 1 << 15  # positions per window: no temporary grows with the word
 
 
-def _put(arr: bytearray, lo: int, hi: int, pattern: bytes) -> None:
-    """Positions ``lo..hi`` (1-based, inclusive) set to copies of ``pattern``,
-    one bounded block at a time."""
-    block = pattern * max(1, _BLOCK // len(pattern))
-    for i in range(lo - 1, hi, len(block)):
-        end = min(i + len(block), hi)
-        arr[i:end] = block[:end - i]
-
-
 def _prescribed(segs: list[Segment]) -> tuple[bytearray, list[Segment]]:
     """The layout's digits with every prescribed segment written (free
-    positions left 0), and the free segments in order."""
+    positions left 0), and the free segments in order.  The segments are a
+    window's (``_windows``), so no temporary outgrows ``_BLOCK``."""
     arr = bytearray(segs[-1].hi)
     for seg in segs:
         if seg.kind != FREE:
-            _put(arr, seg.lo, seg.hi, seg.digits)
+            arr[seg.lo - 1:seg.hi] = seg.prescribed()
     return arr, [seg for seg in segs if seg.kind == FREE]
 
 
@@ -302,7 +294,5 @@ def _fill_free_spans(arr: bytearray, free: list[Segment], policy: FillPolicy,
         def draw(k: int) -> bytes:
             return digit * k
     for lo, hi, _kind, _digits, _cap in free:
-        for i in range(lo - 1, hi, _BLOCK):
-            end = min(i + _BLOCK, hi)
-            arr[i:end] = draw(end - i)
+        arr[lo - 1:hi] = draw(hi - lo + 1)
     return draw

@@ -14,19 +14,20 @@ from typing import Iterable, Iterator
 from .words import DigitWord
 
 _BLOCK = 1 << 15  # digits per bulk write or read; a read takes 2 * _BLOCK characters
+_PER_LINE = 40
 _DECIMAL = bytes(range(10))
 _TO_ASCII = bytes.maketrans(_DECIMAL, b"0123456789")
 _FROM_ASCII = bytes.maketrans(b"0123456789", _DECIMAL)
 
 
-def write_digit_file(stream, base: int, digits: Iterable[int], per_line: int = 40) -> None:
+def write_digit_file(stream, base: int, digits: Iterable[int]) -> None:
     data = digits.data if isinstance(digits, DigitWord) else digits
     if not isinstance(data, (bytes, bytearray, tuple)):
         data = tuple(data)
-    write_digit_blocks(stream, base, [data], per_line)
+    write_digit_blocks(stream, base, [data])
 
 
-def write_digit_blocks(stream, base: int, blocks: Iterable, per_line: int = 40) -> None:
+def write_digit_blocks(stream, base: int, blocks: Iterable) -> None:
     """The digit file of the digits in ``blocks`` (each ``bytes``-like, or a
     sequence of ints), written as the blocks come, a bounded part at a time.
 
@@ -35,22 +36,20 @@ def write_digit_blocks(stream, base: int, blocks: Iterable, per_line: int = 40) 
     ends with a newline after the last digit.  So a line may span blocks.
     """
     stream.write(f"base={base}\n")
-    if per_line < 1:
-        per_line = 1 << 62  # one line, however long the word
     count = 0  # digits written
     for block in blocks:
         for i in range(0, len(block), _BLOCK):
             part = block[i:i + _BLOCK]
-            first = -count % per_line  # the part's first digit that starts a line
+            first = -count % _PER_LINE  # the part's first digit that starts a line
             # a digit above 9 takes several characters
             if isinstance(part, (bytes, bytearray)) and not part.translate(None, _DECIMAL):
                 out = bytearray(b" ") * (2 * len(part))
                 out[1::2] = part.translate(_TO_ASCII)
-                out[2 * first::2 * per_line] = b"\n" * len(range(first, len(part), per_line))
+                out[2 * first::2 * _PER_LINE] = b"\n" * len(range(first, len(part), _PER_LINE))
                 text = out[count == 0:].decode()  # no separator before the word's first
             else:  # line by line, the part cut where a line starts
-                cuts = (*range(first, len(part), per_line), len(part))
-                text = "".join(("\n" if (count + j) % per_line == 0 else " ")
+                cuts = (*range(first, len(part), _PER_LINE), len(part))
+                text = "".join(("\n" if (count + j) % _PER_LINE == 0 else " ")
                                + " ".join(map(str, part[j:end]))
                                for j, end in zip((0, *cuts), cuts) if end > j)[count == 0:]
             stream.write(text)

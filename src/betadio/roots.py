@@ -189,12 +189,12 @@ def _newton(poly: Sequence[int], lo: Fraction, hi: Fraction, prec: int) -> Optio
     return Fraction(z, 1 << p)
 
 
-def isolate_root(coefficients: Sequence[Fraction], search: tuple[Fraction, Fraction] = None,
-                 precision: int = DEFAULT_PRECISION, periodic_tail: Sequence[Fraction] = ()) -> PolyRoot:
+def isolate_root(coefficients: Sequence[Fraction], precision: int = DEFAULT_PRECISION,
+                 periodic_tail: Sequence[Fraction] = ()) -> PolyRoot:
     """Bracket and certify the root > 1 of ``1 = sum c_i z**-i``.
 
-    Raises NoRoot when the value function does not cross 1 on the search
-    interval, DegenerateApproximant when the crossing is at z <= 1.
+    Raises NoRoot when every coefficient vanishes, DegenerateApproximant
+    when the root is at z <= 1.
     """
     pre = [Fraction(c) for c in coefficients]
     per = [Fraction(c) for c in periodic_tail]
@@ -212,15 +212,6 @@ def isolate_root(coefficients: Sequence[Fraction], search: tuple[Fraction, Fract
             raise DegenerateApproximant(
                 f"coefficient sum {total} <= 1 forces the root to z <= 1")
         lo, hi = Fraction(1), total + 1
-    if search is not None:
-        slo, shi = Fraction(search[0]), Fraction(search[1])
-        if shi <= 1:
-            raise DegenerateApproximant("search interval lies at or below 1")
-        if _defect(pre, per, shi) < 0:
-            raise NoRoot("value function stays above 1 on the search interval")
-        if slo > 1 and _defect(pre, per, slo) > 0:
-            raise NoRoot("value function is already below 1 at the left end")
-        lo, hi = max(lo, slo), min(hi, shi)
     return PolyRoot(pre, per, lo, hi, precision)
 
 

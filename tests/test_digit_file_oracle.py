@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import pytest
 
-from betadio import bary, constructions
+from betadio import bary, constructions, digit_files
 from betadio.bary import (
     Run,
     RunDecomposition,
@@ -31,11 +31,10 @@ from betadio.bary import (
 from betadio.constructions import (
     FillPolicy,
     _enforce_run_caps,
-    _fill_free_spans,
     _prescribed,
 )
 from betadio.digit_sets import DigitSet
-from betadio.digit_files import read_digit_file, write_digit_file
+from betadio.digit_files import read_digit_file, write_digit_blocks, write_digit_file
 from betadio.errors import NoRuns
 from betadio.layout import FREE, MARKER, RUN, Segment, layout_segments, schedule
 from betadio.words import DigitWord
@@ -138,9 +137,18 @@ def oracle_random_fill(arr, free, seed, allowed):
 # helpers
 
 
-def written(writer, base, digits, per_line):
+def written(writer, base, digits, *layout):
     buf = io.StringIO()
-    writer(buf, base, digits, per_line)
+    writer(buf, base, digits, *layout)
+    return buf.getvalue()
+
+
+def written_in_blocks(base, digits, cuts):
+    """The library's file of ``digits`` handed to the writer in blocks cut
+    at the positions ``cuts``."""
+    buf = io.StringIO()
+    edges = (0, *cuts, len(digits))
+    write_digit_blocks(buf, base, [digits[a:b] for a, b in zip(edges, edges[1:])])
     return buf.getvalue()
 
 
@@ -174,16 +182,19 @@ def runny_word(rng, base, n, touch_ends=False):
 
 @pytest.mark.parametrize("base", range(2, 301))
 def test_writer_matches_oracle(base):
+    """Whole, and as a first block of ``lead`` digits and the rest: the
+    lines of the rest then start ``lead`` digits into its blocks."""
     rng = random.Random(base)
-    per_lines = sorted({1, 2, 40, 50, *rng.sample(range(1, 51), 3)})
-    for per_line in per_lines:
-        lengths = {0, 1, 199, 200, per_line - 1, per_line, per_line + 1,
-                   2 * per_line, 3 * per_line, rng.randint(0, 200)}
+    leads = sorted({1, 2, 40, 50, *rng.sample(range(1, 51), 3)})
+    for lead in leads:
+        lengths = {0, 1, 199, 200, lead - 1, lead, lead + 1,
+                   2 * lead, 3 * lead, rng.randint(0, 200)}
         for n in sorted(x for x in lengths if 0 <= x <= 200):
             word = DigitWord(base, (rng.randrange(base) for _ in range(n)))
-            want = written(oracle_write_digit_file, base, word, per_line)
-            assert written(write_digit_file, base, word, per_line) == want, (per_line, n)
-            assert written(write_digit_file, base, list(word), per_line) == want
+            want = written(oracle_write_digit_file, base, word)
+            assert written(write_digit_file, base, word) == want, (lead, n)
+            assert written(write_digit_file, base, list(word)) == want
+            assert written_in_blocks(base, word.data, [min(lead, n)]) == want, (lead, n)
 
 
 def test_writer_matches_oracle_on_long_words_and_odd_inputs():
@@ -191,17 +202,23 @@ def test_writer_matches_oracle_on_long_words_and_odd_inputs():
     long3 = DigitWord(3, (rng.randrange(3) for _ in range(200_001)))
     # one block of two-digit values amid blocks of one-digit ones
     mixed = DigitWord(20, [rng.randrange(10) for _ in range(150_000)] + [17] + [3] * 9)
-    cases = [  # (base, a fresh copy of the digits, per_line)
-        (3, lambda: long3, 40), (3, lambda: long3, 7), (20, lambda: mixed, 40),
-        (20, lambda: mixed, 1),
-        (3, lambda: long3[:99], 0), (3, lambda: long3[:99], -2),  # below 1: one line
-        (3, lambda: bytearray(long3.data[:500]), 40), (3, lambda: long3.data[:500], 33),
-        (3, lambda: iter(long3.digits()[:333]), 40), (10, lambda: [1, 4, 2, 8, 5, 7], 4),
-        (1000, lambda: DigitWord(1000, [999, 0, 5] * 50), 40),
+    cases = [  # (base, a fresh copy of the digits)
+        (3, lambda: long3), (20, lambda: mixed), (3, lambda: long3[:99]),
+        (3, lambda: bytearray(long3.data[:500])), (3, lambda: long3.data[:500]),
+        (3, lambda: iter(long3.digits()[:333])), (10, lambda: [1, 4, 2, 8, 5, 7]),
+        (1000, lambda: DigitWord(1000, [999, 0, 5] * 50)),
     ]
-    for base, digits, per_line in cases:
-        want = written(oracle_write_digit_file, base, digits(), per_line)
-        assert written(write_digit_file, base, digits(), per_line) == want, (base, per_line)
+    for base, digits in cases:
+        want = written(oracle_write_digit_file, base, digits())
+        assert written(write_digit_file, base, digits()) == want, base
+    # the writer works in parts of _BLOCK digits from each block's start, and
+    # _BLOCK is no whole number of lines: a part's lines start at any phase
+    block = digit_files._BLOCK
+    assert block % 40
+    for cuts in ([7], [40, 47], [block - 1], [3, block + 5, 2 * block], [149_993]):
+        for base, word in ((3, long3), (20, mixed)):
+            want = written(oracle_write_digit_file, base, word)
+            assert written_in_blocks(base, word.data, cuts) == want, (base, cuts)
 
 
 # ---------------------------------------------------------------------------
@@ -397,20 +414,27 @@ def digit_sets(b):
 @pytest.mark.parametrize("block", [7, 1000])
 @pytest.mark.parametrize("b", range(2, 11))
 def test_random_fill_in_blocks_matches_one_draw_per_segment(monkeypatch, b, block):
-    """choices draws one random() per digit, so drawing a free segment in
-    blocks of any size gives the digits of one draw for the whole segment.
-    The free segments here are up to 6560 digits long."""
+    """choices draws one random() per digit, so drawing a free segment a
+    window at a time gives the digits of one draw for the whole segment:
+    ``generate_bary`` in windows of ``block`` positions makes the word of
+    the oracle fill and run caps.  The free segments here are up to 6560
+    digits long."""
     monkeypatch.setattr(constructions, "_BLOCK", block)
     runs = schedule(Fraction(3), Fraction(1, 3), 8)
     for S in digit_sets(b):
         allowed = tuple(range(b)) if S is None else tuple(sorted(S.digits))
         segs = layout_segments(runs, S or b)
+        free = [seg for seg in segs if seg.kind == FREE]
         for seed in (0, 1, 17, 999):
-            want, free = _prescribed(segs)
+            want = bytearray(segs[-1].hi)
+            for seg in segs:
+                if seg.kind != FREE:
+                    want[seg.lo - 1:seg.hi] = seg.prescribed()
             oracle_random_fill(want, free, seed, allowed)
-            got, free = _prescribed(segs)
-            _fill_free_spans(got, free, FillPolicy(kind="random", seed=seed), allowed, [])
-            assert got == want
+            oracle_enforce_run_caps(want, segs, free, b, allowed, [])
+            fill = FillPolicy(kind="random", seed=seed)
+            got = constructions.generate_bary(S or b, Fraction(3), Fraction(1, 3), 8, fill)
+            assert got.word.data == want
 
 
 def test_random_fill_of_a_long_word_is_the_one_draw_word():

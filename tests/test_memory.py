@@ -20,7 +20,7 @@ import pytest
 import betadio
 from betadio.bary import expand_rational, exponents_of_blocks, lacunary_blocks, rational_blocks
 from betadio.beta_constructions import beta_blocks, generate_beta
-from betadio.beta_shift import BetaSystem
+from betadio.beta_shift import BetaSystem, expansion_of_one_star
 from betadio.beta_values import greedy_expand
 from betadio.constructions import FillPolicy, bary_blocks, generate_bary
 from betadio.digit_files import read_digit_blocks, read_digit_file, write_digit_blocks, write_digit_file
@@ -124,6 +124,30 @@ def test_greedy_expand_packs_its_digits_as_they_come():
     word, peak = traced_peak(lambda: greedy_expand(system, Fraction(1, 3), n))
     assert len(word) == n
     assert peak <= 2 * n
+
+
+@pytest.mark.parametrize("spec", ["int:10", "root:1,1"])
+def test_a_closed_orbit_is_read_off_its_period(spec):
+    """The orbit of 1/7 cycles, with period 6 in base 10 and 16 under the
+    golden ratio: the digits past the cycle are read off its period, not
+    copied into the orbit's list (8 bytes each), so the peak is the word's
+    byte per digit, against 9.7 bytes per digit with the copies."""
+    system = BetaSystem.parse(spec)
+    n = 20_000
+    word, peak = traced_peak(lambda: greedy_expand(system, Fraction(1, 7), n))
+    assert len(word) == n
+    assert peak <= 2 * n
+
+
+@pytest.mark.parametrize("spec", ["int:10", "root:1,1"])
+def test_the_expansion_of_one_is_packed_as_it_is_read(spec):
+    """Its digits go into the word as they are read, with no list of them
+    (10.7 bytes per digit with one)."""
+    system = BetaSystem.parse(spec)
+    n = 20_000
+    word, peak = traced_peak(lambda: expansion_of_one_star(system, n))
+    assert len(word) == n
+    assert peak <= 3 * n
 
 
 # ---------------------------------------------------------------------------

@@ -164,7 +164,7 @@ def test_poly_divmod_and_gcd():
 
 def test_golden_ratio_root():
     # hand algebra: 1 = 1/z + 1/z^2  <=>  z^2 = z + 1
-    r = isolate_root([1, 1], search=(F(1), F(2)))
+    r = isolate_root([1, 1])
     s = r.as_scalar(128)
     lo, hi = bisect_oracle(lambda z: z * z - z - 1, F(1), F(2))
     assert s.lo.value <= hi and lo <= s.hi.value
@@ -173,7 +173,7 @@ def test_golden_ratio_root():
 
 def test_supergolden_root():
     # oracle: bisection on z^3 = z^2 + 1
-    r = isolate_root([1, 0, 1], search=(F(1), F(2)))
+    r = isolate_root([1, 0, 1])
     s = r.as_scalar(100)
     lo, hi = bisect_oracle(lambda z: z ** 3 - z ** 2 - 1, F(1), F(2))
     assert s.lo.value <= hi and lo <= s.hi.value
@@ -184,7 +184,7 @@ def test_degenerate_and_missing_roots():
     with pytest.raises(DegenerateApproximant):
         isolate_root([1])
     with pytest.raises(NoRoot):
-        isolate_root([2, 1], search=(F(3), F(4)))  # root is 1+sqrt(2) < 3
+        isolate_root([0, 0])  # all coefficients vanish
 
 
 def test_periodic_tail_root_matches_finite_form():

@@ -148,17 +148,19 @@ def test_an_expansion_refuses_its_input_when_its_first_block_is_drawn():
 
 
 @pytest.mark.parametrize("base", [3, 20, 1000])
-@pytest.mark.parametrize("per_line", [1, 7, 40, 0])
-def test_writer_takes_blocks_of_any_size(base, per_line):
-    rng = random.Random(base + per_line)
+@pytest.mark.parametrize("lead", [1, 7, 40, 0])
+def test_writer_takes_blocks_of_any_size(base, lead):
+    """A first block of ``lead`` digits (none, one, part of a line or a
+    whole line) sets the line phase that the random cuts after it meet."""
+    rng = random.Random(base + lead)
     for n in (0, 1, 39, 40, 41, 1234):
         digits = [rng.randrange(base) for _ in range(n)]
         word = DigitWord(base, digits)
         want = io.StringIO()
-        write_digit_file(want, base, word, per_line)
+        write_digit_file(want, base, word)
         for most in (1, 3, 41, 5000):
             got = io.StringIO()
-            write_digit_blocks(got, base, cut(word.data, rng, most), per_line)
+            write_digit_blocks(got, base, [word.data[:lead], *cut(word.data[lead:], rng, most)])
             assert got.getvalue() == want.getvalue(), (n, most)
 
 
@@ -170,7 +172,7 @@ def test_reader_blocks_are_the_file_word(monkeypatch, read_block):
     texts = []
     for base in (3, 10, 300):
         buf = io.StringIO()
-        write_digit_file(buf, base, [rng.randrange(base) for _ in range(3000)], 40)
+        write_digit_file(buf, base, [rng.randrange(base) for _ in range(3000)])
         texts.append(buf.getvalue())
     canonical = texts[0]
     texts += [canonical[:2001] + " 1\t" + canonical[2001:], canonical.replace("\n", " \t\n"),

@@ -99,7 +99,7 @@ def test_compare_words():
 
 def test_digit_file_round_trip():
     buf = io.StringIO()
-    write_digit_file(buf, 10, [1, 4, 2, 8, 5, 7], per_line=4)
+    write_digit_file(buf, 10, [1, 4, 2, 8, 5, 7])
     text = buf.getvalue()
     assert text.splitlines()[0] == "base=10"
     back = read_digit_file(io.StringIO(text))
