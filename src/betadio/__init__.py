@@ -12,12 +12,12 @@ _LAYERS = {  # each exported name by the module that defines it
     "bary": "ExponentEstimate Run RunDecomposition check_relations estimate_exponents"
             " expand_lacunary expand_rational exponents_of_blocks exponents_of_word"
             " lacunary_blocks rational_blocks run_decomposition",
-    "automaton": "AdmissibilityAutomaton is_self_admissible",
+    "automaton": "AdmissibilityAutomaton PeriodicWord is_self_admissible",
     "beta_constructions": "BetaConstruction ParamSpaceResult beta_blocks generate_beta"
                           " generate_parameter_space",
     "beta_shift": "BetaSystem count_admissible expansion_of_one_star is_admissible"
                   " renyi_bounds_check",
-    "beta_values": "CylinderInterval cylinder greedy_expand is_full parry_invert",
+    "beta_values": "CylinderInterval cylinder greedy_expand parry_invert",
     "closed_forms": "critical_exponent_s0 digit_set_scale dim_formula dim_formula_sup"
                     " reprove_dim_limit verify_sup_by_calculus",
     "constructions": "BaryConstruction FillPolicy bary_blocks generate_bary",
@@ -32,7 +32,7 @@ _LAYERS = {  # each exported name by the module that defines it
                     " measure_bary measure_beta measure_of_word stolz_cesaro_ratios",
     "numerics": "Comparison Dyadic Scalar", "logarithm": "ln ln_int",
     "roots": "PolyRoot isolate_root",
-    "words": "DigitWord PeriodicWord",
+    "words": "DigitWord",
 }
 _HOME = {name: layer for layer, names in _LAYERS.items() for name in names.split()}
 __all__ = [*_HOME, "bary", "beta_shift", "constructions", "errors", "measures_dim", "numerics",

@@ -1,4 +1,5 @@
-"""Parry's automaton of a beta-shift, and the counts of its words.
+"""Eventually periodic words, Parry's automaton of a beta-shift, and the
+counts of its words.
 
 A word is admissible exactly when each of its shifts is lexicographically
 at most the infinite expansion of 1; a word that is at least each of its own
@@ -10,20 +11,152 @@ the next bound symbol advances one state (collapsed modulo the period), and
 a smaller digit returns to state 0.  Admissible words are counted by the
 recurrence of Rényi (1957) and Parry (1960) on that expansion
 (``_parry_counts``), jumped ahead by Fiduccia's (1985) powering once it is
-periodic.
+periodic, modulo the cleared polynomial of the value equation
+``1 = sum w_i z**-i`` (``_cleared_polynomial``: integer coefficients in an
+ascending list).  ``roots`` isolates the base as a root of that polynomial.
 
-Nothing here reads beta as a number: the words decide everything.
+Nothing here reads beta as a number: the words decide everything, in ints.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, compress
+import math
+from itertools import accumulate, compress, zip_longest
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import NotSelfAdmissible
-from .polynomials import _cleared_polynomial
-from .words import PeriodicWord, compare_words
+
+
+class PeriodicWord:
+    """Eventually periodic infinite word: preperiod then a repeated period.
+
+    An empty period means the word continues with zeros, which is how a
+    finite word is promoted to an infinite one.
+    """
+
+    __slots__ = ("pre", "per")
+
+    def __init__(self, pre: Iterable[int], per: Iterable[int] = ()):
+        self.pre = tuple(pre)
+        self.per = tuple(per)
+
+    @staticmethod
+    def from_finite(digits: Iterable[int]) -> "PeriodicWord":
+        return PeriodicWord(tuple(digits), ())
+
+    @staticmethod
+    def parse(text: str) -> "PeriodicWord":
+        """``d1,...,dk`` or ``d1,...,dk,(p1,...,pq)``: comma-separated digits,
+        then an optional periodic tail in parentheses.  ValueError when a
+        digit is not an integer."""
+        head, paren, tail = text.partition("(")
+        if not paren:
+            return PeriodicWord(int(t) for t in text.split(","))
+        pre = [int(t) for t in head.rstrip(",").split(",")] if head.strip(",") else ()
+        return PeriodicWord(pre, (int(t) for t in tail.rstrip(")").split(",")))
+
+    def __getitem__(self, i: int) -> int:
+        if i < len(self.pre):
+            return self.pre[i]
+        if not self.per:
+            return 0
+        return self.per[(i - len(self.pre)) % len(self.per)]
+
+    def shift(self, k: int) -> "PeriodicWord":
+        if k <= len(self.pre):
+            return PeriodicWord(self.pre[k:], self.per)
+        if not self.per:
+            return PeriodicWord((), ())
+        r = (k - len(self.pre)) % len(self.per)
+        return PeriodicWord((), self.per[r:] + self.per[:r])
+
+    def normalized(self) -> "PeriodicWord":
+        """Minimal period, shortest preperiod, zero tails dropped."""
+        pre, per = list(self.pre), list(self.per)
+        if per:
+            p = len(per)
+            for d in range(1, p):
+                if p % d == 0 and all(per[i] == per[i % d] for i in range(p)):
+                    per = per[:d]
+                    break
+            while pre and per and pre[-1] == per[-1]:
+                per = [per[-1]] + per[:-1]
+                pre.pop()
+        if all(v == 0 for v in per):
+            per = []
+            while pre and pre[-1] == 0:
+                pre.pop()
+        return PeriodicWord(tuple(pre), tuple(per))
+
+    def __eq__(self, other):
+        if not isinstance(other, PeriodicWord):
+            return NotImplemented
+        return compare_words(self, other) == 0
+
+    def __hash__(self):
+        n = self.normalized()
+        return hash((n.pre, n.per))
+
+    def __repr__(self):
+        head = " ".join(map(str, self.pre[:16]))
+        if self.per:
+            return f"PeriodicWord({head} ({' '.join(map(str, self.per))})^oo)"
+        return f"PeriodicWord({head} 0^oo)"
+
+
+def compare_words(s: PeriodicWord, t: PeriodicWord) -> int:
+    """Lexicographic three-way comparison of eventually periodic words.
+
+    A finite scan up to the combined preperiod plus one period lcm decides
+    equality, so the comparison always terminates.
+    """
+    bound = max(len(s.pre), len(t.pre)) + math.lcm(len(s.per) or 1, len(t.per) or 1)
+    for i in range(bound):
+        a, b = s[i], t[i]
+        if a != b:
+            return -1 if a < b else 1
+    return 0
+
+
+# ---------------------------------------------------------------------------
+# the value equation, cleared of denominators: polynomials as ascending
+# coefficient lists
+
+
+def poly_trim(c: list) -> list:
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def poly_sub(a: Sequence, b: Sequence) -> list:
+    return poly_trim([x - y for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def poly_mul(a: Sequence, b: Sequence) -> list:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        if u:
+            for j, v in enumerate(b):
+                out[i + j] += u * v
+    return poly_trim(out)
+
+
+def _cleared_polynomial(pre: Sequence, per: Sequence) -> list:
+    """Monic polynomial whose roots include the base of ``pre (per)^oo``;
+    integer when the digits are.
+
+    Finite case: z^p - sum c_i z^(p-i).  Periodic tail of length q:
+    (z^p - sum pre_i z^(p-i)) (z^q - 1) - sum per_j z^(q-j), both ascending.
+    """
+    head = [-c for c in reversed(pre)] + [1]
+    if not per:
+        return head
+    zq1 = [-1] + [0] * (len(per) - 1) + [1]
+    return poly_sub(poly_mul(head, zq1), per[::-1])
 
 
 def is_self_admissible(word: Union[Sequence[int], PeriodicWord]) -> bool:
@@ -71,7 +204,7 @@ class AdmissibilityAutomaton:
         # count_words: the cleared polynomial of D (monic; x^d dropped) and
         # the counts c_0 .. c_{p+q-1}
         f = _cleared_polynomial(D.pre, D.per)
-        self._taps = [(i, int(c)) for i, c in enumerate(f[:-1]) if c]
+        self._taps = [(i, c) for i, c in enumerate(f[:-1]) if c]
         self._head = _parry_counts(self.bound.__getitem__, p + q - 1, max(self.bound))
         self._count_cache: dict[int, int] = {}
 

@@ -9,20 +9,22 @@ expansion of 1 terminates).  When that expansion is eventually periodic,
 Parry's automaton (``automaton``) recognizes and counts the words; otherwise
 they are read and counted off the expansion itself, to a horizon.
 
-So this module is combinatorics.  It needs beta as a number only to find
-the expansion of 1 of a base not given by it, for the Rényi check off an
-integer base, and when a caller reads beta itself (``root``,
+So this module is combinatorics, in ints.  It needs beta as a number only
+to find the expansion of 1 of a base not given by it, for the Rényi check
+off an integer base, and when a caller reads beta itself (``root``,
 ``beta_scalar``); only then does it import ``roots`` and ``numerics``, and
-for the first two ``beta_values``, the certified queries.
+for the first ``beta_values``, the certified queries.  It imports
+``fractions`` only to read a ``rat:`` base, and ``words`` only to build a
+digit word (``expansion_of_one_star``): counting and checking the words of
+a base given by its expansion of 1 compiles neither.
 """
 
 from __future__ import annotations
 
 import threading
-from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .automaton import AdmissibilityAutomaton, _parry_counts, is_self_admissible
+from .automaton import AdmissibilityAutomaton, PeriodicWord, _parry_counts, is_self_admissible
 from .errors import (
     DEFAULT_PRECISION,
     DegenerateApproximant,
@@ -31,9 +33,6 @@ from .errors import (
     NotSelfAdmissible,
     PrecisionExhausted,
 )
-from .words import DigitWord, PeriodicWord
-
-F = Fraction
 
 DEFAULT_HORIZON = 4096
 
@@ -80,7 +79,7 @@ class _Orbit:
 
 
 class _RationalOrbit(_Orbit):
-    """Greedy digits for exact x under a rational base.
+    """Greedy digits for exact x (an int or a Fraction) under a rational base.
 
     Off an integer base no state is kept: the orbit of 1 never closes
     (Parry 1960), and for any other x a cycle would only save steps, while
@@ -88,7 +87,6 @@ class _RationalOrbit(_Orbit):
     """
 
     def __init__(self, base: Fraction, x: Fraction):
-        x = F(x)
         self._p, self._q = base.numerator, base.denominator
         # x = num / den unreduced: each step multiplies den by q, so in an
         # integer base den stays put and num alone is the state
@@ -150,7 +148,8 @@ class BetaSystem:
 
     @classmethod
     def from_rational(cls, base: Fraction) -> "BetaSystem":
-        base = F(base)
+        from fractions import Fraction
+        base = Fraction(base)
         if base.denominator == 1:
             return cls.from_int(base.numerator)
         if base <= 1:
@@ -161,7 +160,7 @@ class BetaSystem:
         sys.alphabet_top = base.numerator // base.denominator
         # no closed form to look for: a finite or periodic d(1) would make
         # beta an algebraic integer (Parry 1960), and a rational one is an int
-        sys._orbit = _RationalOrbit(base, F(1))
+        sys._orbit = _RationalOrbit(base, 1)
         sys.spec_string = f"rat:{base}"
         return sys
 
@@ -210,7 +209,7 @@ class BetaSystem:
             return sys
         from .beta_values import _AlgebraicOrbit
         from .roots import _integer_part, isolate_root
-        root = isolate_root([F(c) for c in coeffs], precision=precision)
+        root = isolate_root(coeffs, precision=precision)
         k, is_int = _integer_part(root)
         if is_int:
             return cls.from_int(k)
@@ -220,7 +219,7 @@ class BetaSystem:
         sys.kind = "algebraic"
         sys._root = root
         sys.alphabet_top = k
-        sys._orbit = _AlgebraicOrbit(root, F(1))
+        sys._orbit = _AlgebraicOrbit(root, 1)
         sys.spec_string = "root:" + ",".join(map(str, coeffs))
         sys._try_close_form()
         return sys
@@ -238,7 +237,8 @@ class BetaSystem:
         if spec.startswith("int:"):
             return cls.from_int(read(int, spec[4:]))
         if spec.startswith("rat:"):
-            return cls.from_rational(read(F, spec[4:]))
+            from fractions import Fraction
+            return cls.from_rational(read(Fraction, spec[4:]))
         if spec.startswith("root:"):
             return cls.from_root([read(int, t) for t in spec[5:].split(",")], precision)
         if spec.startswith("word:"):
@@ -345,6 +345,7 @@ class BetaSystem:
 
 def expansion_of_one_star(system: BetaSystem, n: int) -> DigitWord:
     """First n symbols of the infinite (quasi-greedy) expansion of 1."""
+    from .words import DigitWord
     return DigitWord(system.alphabet_top + 1, map(system.d1_star_digit, range(n)))
 
 
@@ -388,12 +389,12 @@ def renyi_bounds_check(system: BetaSystem, n: int, bits: int = DEFAULT_PRECISION
     """Certified check of ``beta^n <= count <= beta^(n+1)/(beta-1)``."""
     count = count_admissible(system, n)
     if system.kind != "int":
-        from .beta_values import _renyi_interval_check
+        from .roots import _renyi_interval_check
         return _renyi_interval_check(system, n, count, bits)
     # exact integer arithmetic: beta^n == count, which intervals never
     # resolve, is a legitimate equality case
     b = system.int_base
     return {"n": n, "count": count,
             "lower_ok": b ** n <= count,
-            "upper_ok": F(b ** (n + 1), b - 1) >= count,
+            "upper_ok": b ** (n + 1) >= count * (b - 1),
             "bits": bits}

@@ -1,10 +1,14 @@
 """The certified queries that need a real base as a number: the base of a
-word (``parry_invert``), greedy digits of a point, the Rényi bounds against
-powers of beta, cylinder endpoints and lengths.
+word (``parry_invert``), greedy digits of a point, cylinder endpoints,
+lengths and fullness.
 
 ``beta_shift`` holds the base's words, which its expansion of 1 alone
 decides; it imports this module only for the certified orbit of 1 of a base
-not given by that expansion, and for the interval Rényi check.
+not given by that expansion.  The interval Rényi check is ``roots``', so
+that ``--renyi`` loads ``roots`` and ``numerics`` alone, and ``words`` is
+imported only where a digit word is built.  The exact zero test of a
+polynomial at a root (``is_exact_root``, by its gcd with the root's cleared
+polynomial) is here, beside the greedy orbit whose ties it decides.
 
 Digits are certified: greedy iteration carries the orbit of x both as an
 interval and, when x and beta are exact, as an integer polynomial in beta,
@@ -17,15 +21,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .automaton import is_self_admissible
+from .automaton import PeriodicWord, is_self_admissible, poly_sub, poly_trim
 from .beta_shift import BetaSystem, _Orbit, _RationalOrbit, is_admissible
-from .errors import (DEFAULT_PRECISION, DegenerateApproximant, NotSelfAdmissible,
-                     PrecisionExhausted, UndecidedFiniteness)
-from .numerics import Comparison, Scalar, _escalate, _iv_horner
-from .polynomials import poly_sub, poly_trim
+from .errors import DEFAULT_PRECISION, DegenerateApproximant, NotSelfAdmissible, PrecisionExhausted
+from .numerics import Scalar, _escalate, _iv_horner
 from .record import Record
-from .roots import PolyRoot, is_exact_root, isolate_root
-from .words import DigitWord, PeriodicWord
+from .roots import PolyRoot, isolate_root, poly_eval
 
 F = Fraction
 
@@ -45,6 +46,68 @@ def parry_invert(word: Union[Sequence[int], PeriodicWord],
         raise NotSelfAdmissible(f"{w} has a shift exceeding the word")
     return isolate_root([F(c) for c in w.pre], periodic_tail=[F(c) for c in w.per],
                         precision=precision)
+
+
+# ---------------------------------------------------------------------------
+# exact zero tests: polynomials over Q, ascending, divided as Fractions
+
+
+def poly_divmod(a: Sequence[Fraction], b: Sequence[Fraction]):
+    b = poly_trim(list(b))
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    r = list(a)
+    q = [Fraction(0)] * max(0, len(r) - len(b) + 1)
+    while len(poly_trim(r)) >= len(b):
+        r = poly_trim(r)
+        k = len(r) - len(b)
+        f = r[-1] / b[-1]
+        q[k] = f
+        for i, v in enumerate(b):
+            r[i + k] -= f * v
+    return poly_trim(q), poly_trim(r)
+
+
+def poly_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
+    a, b = poly_trim(list(a)), poly_trim(list(b))
+    while b:
+        _, r = poly_divmod(a, b)
+        a, b = b, r
+    if a:
+        lead = a[-1]
+        a = [v / lead for v in a]
+    return a
+
+
+def is_exact_root(poly: Sequence[Fraction], root: PolyRoot) -> bool:
+    """Decide exactly whether the certified root annihilates ``poly``.
+
+    gcd of ``poly`` with the root's defining polynomial either has no root in
+    the bracket (value provably nonzero) or has the bracketed root as a simple
+    root (sign change appears under refinement).
+    """
+    c = poly_trim(list(Fraction(v) for v in poly))
+    if not c:
+        return True
+    g = poly_gcd(c, root.poly)
+    if len(g) <= 1:
+        return False
+    for bits in _escalate(root.refined.prec, "exact-zero test did not resolve"):
+        s = root.as_scalar(bits)
+        glo = poly_eval(g, s.lo.value)
+        ghi = poly_eval(g, s.hi.value)
+        if glo == 0 or ghi == 0:
+            # endpoint hit: nudge by refining further, dyadic endpoints are
+            # never the algebraic root itself unless the root is rational
+            if root.exact_equals(s.lo.value) or root.exact_equals(s.hi.value):
+                return True
+        if glo * ghi < 0:
+            return True
+        # no sign change; the value is nonzero once the interval evaluation
+        # of poly excludes zero
+        val = _iv_horner(c, s, s.prec)
+        if not val.iv[0] <= 0 <= val.iv[2]:
+            return False
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +159,7 @@ def greedy_expand(system: BetaSystem, x, n: int) -> DigitWord:
     Scalar interval.  For an integer base and x = 1 the conventional digits
     ``(b-1)^oo`` are returned, matching the infinite expansion of 1.
     """
+    from .words import DigitWord
     top = system.alphabet_top
     if isinstance(x, int):
         x = F(x)
@@ -132,21 +196,6 @@ def greedy_expand(system: BetaSystem, x, n: int) -> DigitWord:
         digits.append(fl)
         val = y - Scalar.from_int(fl, y.prec)
     return DigitWord(top + 1, digits)
-
-
-def _renyi_interval_check(system: BetaSystem, n: int, count: int, bits: int) -> dict:
-    """``renyi_bounds_check`` off an integer base: beta as an interval."""
-    for bits in _escalate(bits, "Renyi bound check did not resolve"):
-        beta = system.beta_scalar(bits)
-        lower = beta.pow_int(n)
-        upper = beta.pow_int(n + 1) / (beta - Scalar.from_int(1, bits))
-        lower_ok = lower.compare(F(count)) if n else Comparison.LESS  # beta^0 = c_0 = 1
-        upper_ok = upper.compare(F(count))
-        if lower_ok is not Comparison.UNRESOLVED and upper_ok is not Comparison.UNRESOLVED:
-            return {"n": n, "count": count,
-                    "lower_ok": lower_ok is Comparison.LESS,
-                    "upper_ok": upper_ok is Comparison.GREATER,
-                    "bits": bits}
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +244,10 @@ def word_value(system: BetaSystem, word: Sequence[int], bits: int = DEFAULT_PREC
 
 def cylinder(system: BetaSystem, word: Sequence[int],
              bits: int = DEFAULT_PRECISION) -> CylinderInterval:
-    """The basic interval of points whose expansion starts with the word."""
+    """The basic interval of points whose expansion starts with the word;
+    ``full`` says whether its length is ``beta**-n`` (None when no finite
+    automaton decides it)."""
+    from .words import DigitWord
     digits = list(word)
     if system.automaton is not None:
         state = system.automaton.walk(digits)
@@ -223,18 +275,3 @@ def cylinder(system: BetaSystem, word: Sequence[int],
     right = left + length
     return CylinderInterval(word=DigitWord(system.alphabet_top + 1, digits),
                             left=left, right=right, length=length, full=full)
-
-
-def is_full(system: BetaSystem, word: Sequence[int]) -> bool:
-    """Whether the word's cylinder has the maximal length ``beta**-n``.
-
-    Equivalent (follower-set argument) to: every admissible word concatenates
-    admissibly after it, i.e. the automaton returns to the initial follower
-    set.
-    """
-    if system.automaton is None:
-        raise UndecidedFiniteness("fullness needs a finite-type base")
-    state = system.automaton.walk(list(word))
-    if state is None:
-        raise ValueError("word is not admissible")
-    return state in system.automaton.full_states

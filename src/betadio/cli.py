@@ -17,10 +17,11 @@ a list), one positional from its choices, every required option and
 integer values that convert.  Anything else (``-h``, ``--version``,
 ``--flag=value``, abbreviations, ``--``, unknown or extra tokens) goes to
 ``build_parser()``: argparse owns help, usage and every error message.
-Both give ``None`` for an option not given.  Then ``_check`` refuses, with
-one usage error, an option the action needs and lacks or does not read,
-two that exclude each other, or an integer below its least value, and
-fills in the defaults; only then is the handler module imported.
+Both give ``None`` for an option not given.  Then ``_check`` fills in the
+defaults and refuses, with one usage error, an option the action needs and
+lacks or does not read, two that exclude each other, one given without the
+option (or the value) it is read with, or an integer below its least value;
+only then is the handler module imported.
 """
 
 from __future__ import annotations
@@ -36,7 +37,9 @@ from .errors import DomainError, PrecisionError, UsageError
 # the option table
 #
 # Per subcommand: its handler module, help, arguments, then the pairs of
-# options that exclude each other ("A or B": one of them is also needed).
+# options that exclude each other ("A or B": one of them is also needed), and
+# "A needs B": A is read only with B given, or with B's value v ("B=v"); an
+# action before A limits the rule to that action.
 # An argument is (flags, kind, default[, reads[, help]]); flags without a
 # "-" name the positional, the action.  kind is str or int for one value, an
 # int k for an integer of at least k, a tuple of choices, bool for a
@@ -67,7 +70,7 @@ _COMMANDS = {
         ("--base", int, None, "bary! restricted!"), ("--digit-set", str, None, "restricted!"),
         ("--beta", str, None, "beta!"), ("--beta0", str, None, "param!"),
         ("--beta1", str, None, "param!"), ("--beta2", str, None, "param!"),
-        ("--N", int, 3, "beta param"))),
+        ("--N", int, 3, "beta param")), "--seed needs --fill=random"),
     "measure": ("measure", "cylinder mass from a construction sidecar", (
         ("--sidecar", str, ...), ("--n", 0, ...))),
     "dim": ("dim", "dimension formulas and trajectories", (
@@ -76,7 +79,8 @@ _COMMANDS = {
         ("--base", int, 3, "formula local"), ("--digit-set", str, None, "formula local"),
         ("--beta", str, None, "local"), ("--N", int, 3, "local"), ("--stages", int, 12, "local"),
         ("--tolerance", str, "1/50", "local"), ("--format", ("json", "csv"), "json", "local")),
-        "--beta --base", "--beta --digit-set", "--sup --theta"),
+        "--beta --base", "--beta --digit-set", "--sup --theta", "--N needs --beta",
+        "formula --base needs --digit-set"),
     "parry": ("real_base", "self-admissibility and base inversion", (
         ("action", ("check", "invert"), ...), ("--word", str, ...),
         ("--bits", 1, 128, "invert"))),
@@ -161,7 +165,8 @@ def build_parser():
 
 
 def _check(args) -> None:
-    """One usage error for an option missing, foreign, excluded or too low; then the defaults."""
+    """The defaults; one usage error for an option missing, foreign, excluded,
+    given without its partner, or too low."""
     _module, _summary, arguments, *pairs = _COMMANDS[args.command]
     action = next((getattr(args, f) for f, *_r in arguments if f[0] != "-"), "")
     what, given, missing, foreign, low = f"{args.command} {action}".strip(), set(), [], [], ""
@@ -181,7 +186,15 @@ def _check(args) -> None:
     if missing or foreign:
         raise UsageError(f"{what} needs {' '.join(missing)}" if missing else
                          f"{what} does not take {' '.join(foreign)}")
-    for first, *either, second in map(str.split, pairs):
+    for rule in map(str.split, pairs):
+        if "needs" in rule:
+            *only, first, _needs, second = rule
+            flag, _eq, value = second.partition("=")
+            unmet = getattr(args, _dest(flag)) != value if value else flag not in given
+            if first in given and unmet and action in (only or [action]):
+                raise UsageError(f"{what} {first} needs {flag} {value}".rstrip())
+            continue
+        first, *either, second = rule
         if {first, second} <= given:
             raise UsageError(f"{what} {first} does not take {second}")
         if either and not {first, second} & given:

@@ -7,13 +7,13 @@ from __future__ import annotations
 
 import os
 import sys
-from fractions import Fraction
 
 from .. import __version__
 from ..errors import UsageError
 
 
 def _fraction(text: str) -> Fraction:
+    from fractions import Fraction  # not for the commands on a base's words
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

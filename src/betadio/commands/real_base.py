@@ -1,8 +1,10 @@
 """``expand-one``, ``admissible``, ``cylinder`` and ``parry``: the commands
-on a real base alone.  Words of a base and their counts load ``beta_shift``,
-``automaton`` and ``words`` (``parry check`` needs ``automaton`` alone);
-``cylinder``, ``parry invert`` and the Rényi check off an integer base add
-``beta_values``, ``roots`` and ``numerics``."""
+on a real base alone.  The words of a base given by its expansion of 1 are
+counted, checked and listed by ``beta_shift`` and ``automaton`` in ints,
+without ``fractions`` or ``words`` (``parry check`` needs ``automaton``
+alone; ``expand-one`` adds ``words``).  The Rényi check off an integer base
+adds ``roots`` and ``numerics``; ``cylinder`` and ``parry invert`` add
+``beta_values`` too."""
 
 from ..errors import DomainError, UsageError
 from . import _emit, _emit_digits, _scalar_dict, _word, default_precision
@@ -61,8 +63,7 @@ def cmd_cylinder(args):
 
 
 def cmd_parry(args):
-    from ..automaton import is_self_admissible
-    from ..words import PeriodicWord
+    from ..automaton import PeriodicWord, is_self_admissible
     if "(" in args.word:
         try:
             word = PeriodicWord.parse(args.word)

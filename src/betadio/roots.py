@@ -11,7 +11,11 @@ cell they end in is determined by the root alone, so a search over the cells
 from a fixed-point Newton guess finds it, with the same signs.
 
 The intervals a root hands out are ``numerics`` Scalars; a certificate that
-one does not settle is retried by ``numerics._escalate``.
+one does not settle is retried by ``numerics._escalate``.  The exact side
+evaluates polynomials over Q (ascending coefficient lists) and the value
+equation's defect.  A root keeps its cleared polynomial, which
+``automaton`` builds in ints, as Fractions: ``beta_values.is_exact_root``
+divides by it, and an int ``/`` would give a float.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DEFAULT_PRECISION, DegenerateApproximant, NoRoot
-from .numerics import Scalar, _escalate, _fraction_pair, _iv_horner, _scalar
-from .polynomials import _cleared_polynomial, _defect, poly_eval, poly_gcd, poly_trim
+from .automaton import _cleared_polynomial
+from .numerics import Comparison, Scalar, _escalate, _fraction_pair, _scalar
 
 # PolyRoot.refine asks _newton for a guess of its cell beyond this many
 # halvings (below it, the search is plain bisection); _newton starts from
@@ -54,7 +58,7 @@ class PolyRoot:
                  lo: Fraction, hi: Fraction, precision: int = DEFAULT_PRECISION):
         self.pre = tuple(Fraction(c) for c in pre)
         self.per = tuple(Fraction(c) for c in per)
-        self.poly = _cleared_polynomial(self.pre, self.per)
+        self.poly = [Fraction(c) for c in _cleared_polynomial(self.pre, self.per)]
         scale = math.lcm(*(c.denominator for c in self.poly)) if self.poly else 1
         self.int_poly = [int(c * scale) for c in self.poly]
         self.lo, self.hi = Fraction(lo), Fraction(hi)
@@ -121,6 +125,22 @@ class PolyRoot:
 
     def __repr__(self):
         return f"PolyRoot(~{float(self.refined.mid):.12f})"
+
+
+def poly_eval(c: Sequence[Fraction], x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for coef in reversed(c):
+        acc = acc * x + coef
+    return acc
+
+
+def _defect(pre: Sequence[Fraction], per: Sequence[Fraction], z: Fraction) -> Fraction:
+    """1 - sum_i pre_i z^-i - z^-|pre| (sum_j per_j z^-j) / (1 - z^-|per|), z > 1."""
+    zi = 1 / z
+    value = poly_eval((0, *pre), zi)
+    if per:
+        value += zi ** len(pre) * poly_eval((0, *per), zi) / (1 - zi ** len(per))
+    return 1 - value
 
 
 def _halvings(width: Fraction, bits: int) -> int:
@@ -234,32 +254,17 @@ def _integer_part(root: PolyRoot) -> tuple[int, bool]:
             return k, True
 
 
-def is_exact_root(poly: Sequence[Fraction], root: PolyRoot) -> bool:
-    """Decide exactly whether the certified root annihilates ``poly``.
-
-    gcd of ``poly`` with the root's defining polynomial either has no root in
-    the bracket (value provably nonzero) or has the bracketed root as a simple
-    root (sign change appears under refinement).
-    """
-    c = poly_trim(list(Fraction(v) for v in poly))
-    if not c:
-        return True
-    g = poly_gcd(c, root.poly)
-    if len(g) <= 1:
-        return False
-    for bits in _escalate(root.refined.prec, "exact-zero test did not resolve"):
-        s = root.as_scalar(bits)
-        glo = poly_eval(g, s.lo.value)
-        ghi = poly_eval(g, s.hi.value)
-        if glo == 0 or ghi == 0:
-            # endpoint hit: nudge by refining further, dyadic endpoints are
-            # never the algebraic root itself unless the root is rational
-            if root.exact_equals(s.lo.value) or root.exact_equals(s.hi.value):
-                return True
-        if glo * ghi < 0:
-            return True
-        # no sign change; the value is nonzero once the interval evaluation
-        # of poly excludes zero
-        val = _iv_horner(c, s, s.prec)
-        if not val.iv[0] <= 0 <= val.iv[2]:
-            return False
+def _renyi_interval_check(system, n: int, count: int, bits: int) -> dict:
+    """``beta_shift.renyi_bounds_check`` off an integer base: beta as the
+    interval ``system.beta_scalar(bits)``, escalated until both bounds settle."""
+    for bits in _escalate(bits, "Renyi bound check did not resolve"):
+        beta = system.beta_scalar(bits)
+        lower = beta.pow_int(n)
+        upper = beta.pow_int(n + 1) / (beta - Scalar.from_int(1, bits))
+        lower_ok = lower.compare(count) if n else Comparison.LESS  # beta^0 = c_0 = 1
+        upper_ok = upper.compare(count)
+        if lower_ok is not Comparison.UNRESOLVED and upper_ok is not Comparison.UNRESOLVED:
+            return {"n": n, "count": count,
+                    "lower_ok": lower_ok is Comparison.LESS,
+                    "upper_ok": upper_ok is Comparison.GREATER,
+                    "bits": bits}

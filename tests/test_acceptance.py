@@ -12,9 +12,10 @@ from fractions import Fraction
 import pytest
 
 from betadio.bary import estimate_exponents, expand_lacunary, run_decomposition
+from betadio.automaton import PeriodicWord
 from betadio.beta_constructions import generate_parameter_space
 from betadio.beta_shift import BetaSystem, count_admissible, is_admissible, renyi_bounds_check
-from betadio.beta_values import cylinder, greedy_expand, is_full, parry_invert
+from betadio.beta_values import cylinder, greedy_expand, parry_invert
 from betadio.closed_forms import (
     digit_set_scale,
     dim_formula,
@@ -26,7 +27,6 @@ from betadio.digit_sets import DigitSet
 from betadio.layout import free_digit_count, schedule
 from betadio.measures_dim import local_dimension_bary, stolz_cesaro_ratios
 from betadio.roots import isolate_root
-from betadio.words import PeriodicWord
 
 F = Fraction
 
@@ -164,7 +164,9 @@ def test_criterion_5_cylinder_laws():
             while pairs_done < (500 if sys_ is golden else 1000):
                 n = rng.randint(1, 6)
                 w = list(sample_word(sys_.automaton, n, rng))
-                if not is_full(sys_, w):
+                # full: the walk ends in a state whose follower set is the
+                # initial one, as ``cylinder(...).full`` reads it
+                if sys_.automaton.walk(w) not in sys_.automaton.full_states:
                     continue
                 m = rng.randint(1, 6)
                 w2 = list(sample_word(sys_.automaton, m, rng))

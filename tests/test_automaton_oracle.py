@@ -16,11 +16,10 @@ from fractions import Fraction
 
 import pytest
 
-from betadio.automaton import AdmissibilityAutomaton, is_self_admissible
+from betadio.automaton import AdmissibilityAutomaton, PeriodicWord, is_self_admissible
 from betadio.beta_shift import BetaSystem, _RationalOrbit, count_admissible, is_admissible
 from betadio.beta_values import greedy_expand
 from betadio.errors import NotSelfAdmissible
-from betadio.words import PeriodicWord
 
 # ---------------------------------------------------------------------------
 # frozen references

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from betadio import beta_shift, beta_values, numerics, polynomials, roots
-from betadio.automaton import is_self_admissible
+from betadio import automaton, beta_shift, beta_values, numerics, roots
+from betadio.automaton import PeriodicWord, is_self_admissible
 from betadio.beta_shift import (
     BetaSystem,
     count_admissible,
@@ -12,12 +12,11 @@ from betadio.beta_shift import (
     is_admissible,
     renyi_bounds_check,
 )
-from betadio.beta_values import cylinder, greedy_expand, is_full, parry_invert, word_value
+from betadio.beta_values import cylinder, greedy_expand, parry_invert, word_value
 from betadio.cli import main
 from betadio.errors import (DEFAULT_PRECISION, DegenerateApproximant, NotSelfAdmissible,
                             PrecisionExhausted)
 from betadio.numerics import Scalar
-from betadio.words import PeriodicWord
 
 F = Fraction
 
@@ -305,12 +304,12 @@ def test_cylinder_integer_base():
 
 def test_is_full_examples():
     g = golden()
-    assert is_full(g, [0, 0])
-    assert not is_full(g, [1])
-    assert is_full(g, [1, 0])
+    assert cylinder(g, [0, 0]).full
+    assert not cylinder(g, [1]).full
+    assert cylinder(g, [1, 0]).full
     sys3 = BetaSystem.from_int(3)
     for w in itertools.product(range(3), repeat=3):
-        assert is_full(sys3, list(w))
+        assert cylinder(sys3, list(w)).full
 
 
 def test_full_iff_length_maximal():
@@ -410,7 +409,7 @@ def test_parse_refuses_a_zero_denominator(spec, named):
 def test_lazy_system_degrades_explicitly():
     # a base whose expansion of 1 is (apparently) aperiodic: certified digit
     # queries still work, structural questions fail loudly instead of guessing
-    from betadio.errors import HorizonTooDeep, UndecidedFiniteness
+    from betadio.errors import HorizonTooDeep
 
     sys_ = BetaSystem.from_root([1, 0, 2])
     assert sys_.automaton is None
@@ -422,8 +421,6 @@ def test_lazy_system_degrades_explicitly():
     with pytest.raises(HorizonTooDeep):
         count_admissible(sys_, sys_.horizon + 1)
     assert len(sys_._orbit.digits) == probed  # refused before any digit is computed
-    with pytest.raises(UndecidedFiniteness):
-        is_full(sys_, [0])
     c = cylinder(sys_, [0])
     assert c.full is None
     assert c.left.contains(F(0)) and c.length.width < F(1, 2 ** 64)
@@ -546,7 +543,7 @@ class FrozenAlgebraicOrbit(beta_shift._Orbit):
         shifted, monic = [0] + self.poly, self._monic
         if len(shifted) == len(monic):
             shifted = [a - shifted[-1] * m for a, m in zip(shifted, monic)]
-        shifted = polynomials.poly_trim(shifted)
+        shifted = automaton.poly_trim(shifted)
         for self._bits in numerics._escalate(self._bits, "orbit digit straddles an integer"):
             val = numerics._iv_horner(shifted, self.root.as_scalar(self._bits), self._bits)
             fl = val.floor_certified()
@@ -554,10 +551,10 @@ class FrozenAlgebraicOrbit(beta_shift._Orbit):
                 break
             lo = val.lo.value
             candidate = lo.numerator // lo.denominator + 1
-            if roots.is_exact_root(polynomials.poly_sub(shifted, [F(candidate)]), self.root):
+            if beta_values.is_exact_root(automaton.poly_sub(shifted, [F(candidate)]), self.root):
                 self.poly = []
                 return candidate, None
-        self.poly = polynomials.poly_sub(shifted, [fl])
+        self.poly = automaton.poly_sub(shifted, [fl])
         return fl, tuple(self.poly)
 
 

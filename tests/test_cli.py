@@ -620,7 +620,7 @@ def _cli(*argv, cwd=None):
 # stdlib modules kept off the start-up path; argparse (with gettext and
 # locale) loads only for help and errors
 KEPT_OFF = {"dataclasses", "inspect", "logging", "csv", "argparse", "gettext", "locale"}
-LIBRARY = ("numerics", "roots", "logarithm", "polynomials", "words", "digit_files", "bary",
+LIBRARY = ("numerics", "roots", "logarithm", "words", "digit_files", "bary",
            "digit_sets", "automaton", "beta_shift", "beta_values", "layout", "constructions",
            "beta_constructions", "closed_forms", "measures_dim", "commands")
 
@@ -643,11 +643,11 @@ def test_import_footprint():
 # the real-base layers: a base's words, its root, its generators
 REAL_BASE = ("automaton", "beta_shift", "roots", "beta_values", "beta_constructions")
 CLOSED_FORMS = ("words", "digit_files", "bary", "digit_sets", "numerics", "logarithm",
-                "polynomials", "layout", "constructions", "measures_dim") + REAL_BASE
-NO_REAL_BASE = ("digit_sets", "numerics", "logarithm", "polynomials", "layout", "constructions",
+                "layout", "constructions", "measures_dim") + REAL_BASE
+NO_REAL_BASE = ("digit_sets", "numerics", "logarithm", "layout", "constructions",
                 "closed_forms", "measures_dim") + REAL_BASE
-INTEGER_BASE = ("numerics", "logarithm", "polynomials") + REAL_BASE
-LAYOUT_ONLY = ("words", "digit_files", "bary", "numerics", "logarithm", "polynomials",
+INTEGER_BASE = ("numerics", "logarithm") + REAL_BASE
+LAYOUT_ONLY = ("words", "digit_files", "bary", "numerics", "logarithm",
                "constructions") + REAL_BASE
 NO_WORDS = ("words", "digit_files", "bary", "constructions") + REAL_BASE
 NO_GENERATOR = ("layout", "constructions", "beta_constructions", "closed_forms", "measures_dim",
@@ -687,7 +687,9 @@ FOOTPRINTS = [
     ("admissible count --beta int:3 --len 20", WORDS_ONLY),
     ("admissible count --beta rat:3/2 --len 20", WORDS_ONLY),
     ("admissible count --beta int:3 --len 20 --renyi", WORDS_ONLY),
-    ("admissible count --beta root:1,1 --len 60 --renyi", NO_GENERATOR + ("digit_files",)),
+    # the Rényi check reads beta through roots and numerics alone
+    ("admissible count --beta root:1,1 --len 60 --renyi",
+     NO_GENERATOR + ("digit_files", "words", "beta_values")),
     ("admissible check --beta root:1,1 --word 1,0,1", WORDS_ONLY),
     ("admissible check --beta rat:3/2 --word 1,0,1,0,1", WORDS_ONLY),
     ("admissible list --beta root:1,1,1 --len 4", WORDS_ONLY),
@@ -702,6 +704,14 @@ FOOTPRINTS = [
 ]
 
 
+# runs the command under -S and prints the modules it loaded to stderr
+RUN_MAIN = ("import sys, betadio.cli\n"
+            "try:\n"
+            "    sys.exit(betadio.cli.main(sys.argv[1:]))\n"
+            "finally:\n"
+            "    print(*sys.modules, file=sys.stderr)\n")
+
+
 @pytest.mark.parametrize("command, unused", FOOTPRINTS, ids=[c for c, _u in FOOTPRINTS])
 def test_command_footprint(tmp_path, command, unused):
     """A command loads only the layers it calls and its own handler module,
@@ -712,12 +722,7 @@ def test_command_footprint(tmp_path, command, unused):
     assert main(["construct", "restricted", "--theta", "3", "--vhat", "1/3", "--base", "3",
                  "--digit-set", "0,2", "--fill", "random", "--stages", "8",
                  "-o", str(tmp_path / "k.digits")]) == 0
-    code = ("import sys, betadio.cli\n"
-            "try:\n"
-            "    sys.exit(betadio.cli.main(sys.argv[1:]))\n"
-            "finally:\n"
-            "    print(*sys.modules, file=sys.stderr)\n")
-    loaded = _loaded(_cli("-S", "-c", code, *command.split(), cwd=tmp_path))
+    loaded = _loaded(_cli("-S", "-c", RUN_MAIN, *command.split(), cwd=tmp_path))
     assert not {f"betadio.{layer}" for layer in unused} & loaded
     name = command.split()[0]
     own = {f"betadio.commands.{_COMMANDS[name][0]}"} if name in _COMMANDS else set()
@@ -725,6 +730,24 @@ def test_command_footprint(tmp_path, command, unused):
     if command == "--version":
         loaded -= {"argparse", "gettext", "locale"}
     assert not KEPT_OFF & loaded
+
+
+# a base given by its expansion of 1 has its words counted, checked and
+# listed in ints, without fractions (and the decimal it imports) and without
+# a digit word; so has an integer base its Rényi check
+WORD_COMMANDS = [
+    "admissible count --beta root:1,1 --len 5",
+    "admissible check --beta root:1,1 --word 1,0,1",
+    "admissible list --beta int:2 --len 3",
+    "parry check --word 1,1,0",
+    "admissible count --beta int:3 --len 20 --renyi",
+]
+
+
+@pytest.mark.parametrize("command", WORD_COMMANDS)
+def test_word_commands_load_no_fractions_or_digit_words(command):
+    loaded = _loaded(_cli("-S", "-c", RUN_MAIN, *command.split()))
+    assert not {"fractions", "decimal", "numbers", "betadio.words"} & loaded
 
 
 MAIN_PATH = [

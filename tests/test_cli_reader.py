@@ -183,7 +183,8 @@ def reads(row, action) -> str:
 
 def valid_argv(name, action, without=()) -> list[str]:
     """The command with its action, every option that the action requires,
-    and the first of each "A or B" pair; none of the options in without."""
+    and the first of each "A or B" pair; none of the options in without, and
+    no "A needs B" rule's A."""
     _module, _summary, rows, *pairs = cli._COMMANDS[name]
     argv = [name, action] if action else [name]
     for row in rows:
@@ -191,7 +192,7 @@ def valid_argv(name, action, without=()) -> list[str]:
         if flags[0] == "-" and flags not in without and (
                 default is ... or reads(row, action) == "needs"):
             argv += [flags, *value(kind)]
-    for first, *either, second in (pair.split() for pair in pairs):
+    for first, *either, second in (pair.split() for pair in pairs if "needs" not in pair):
         if either and not {first, second} & set(without):
             argv += [first, *value(next(r[1] for r in rows if r[0] == first))]
     return argv
@@ -199,7 +200,8 @@ def valid_argv(name, action, without=()) -> list[str]:
 
 def refusals():
     """(argv, message) for every option an action does not read, every
-    excluded pair given together, and every required option left out."""
+    excluded pair given together, every required option left out, and every
+    option given without the option or value it is read with."""
     for name, (_module, _summary, rows, *pairs) in cli._COMMANDS.items():
         kinds = {row[0]: row[1] for row in rows}
         for action in actions(name):
@@ -211,6 +213,15 @@ def refusals():
                 elif reads(row, action) == "needs" and row[2] is not ...:
                     yield valid_argv(name, action, [row[0]]), f"{what} needs {row[0]}"
         for pair in pairs:
+            if "needs" in pair:
+                *only, first, _needs, second = pair.split()
+                flag, _eq, needed = second.partition("=")
+                action = only[0] if only else next(
+                    a for a in actions(name) if reads(next(r for r in rows if r[0] == first), a))
+                argv = valid_argv(name, action, [first, flag])
+                yield ([*argv, first, *value(kinds[first])],
+                       f"{f'{name} {action}'.strip()} {first} needs {flag} {needed}".rstrip())
+                continue
             first, *either, second = pair.split()
             action = next(a for a in actions(name) if all(
                 reads(row, a) for row in rows if row[0] in (first, second)))

@@ -177,6 +177,36 @@ def test_every_exit_is_0_to_3_with_one_line_of_stderr(files, drawn):
 
 
 # ---------------------------------------------------------------------------
+# an option read only with another
+
+
+PARTNERS = [  # (refused argv, its message, the argv with the partner that reads it)
+    ("dim formula --theta 3 --vhat 1/3 --base 5", "dim formula --base needs --digit-set",
+     "dim formula --theta 3 --vhat 1/3 --base 5 --digit-set 0,2"),
+    ("dim local --theta 3 --vhat 1/3 --stages 3 --N 4", "dim local --N needs --beta",
+     "dim local --theta 3 --vhat 1/3 --stages 3 --N 4 --beta root:1,1"),
+    ("construct bary --theta 3 --vhat 1/3 --base 3 --stages 2 --seed 7",
+     "construct bary --seed needs --fill random",
+     "construct bary --theta 3 --vhat 1/3 --base 3 --stages 2 --seed 7 --fill random"),
+    ("construct bary --theta 3 --vhat 1/3 --base 3 --stages 2 --seed 7 --fill const:0",
+     "construct bary --seed needs --fill random",
+     "construct bary --theta 3 --vhat 1/3 --base 3 --stages 2 --fill const:0"),
+]
+
+
+@pytest.mark.parametrize("argv, message, read", PARTNERS, ids=[p[0] for p in PARTNERS])
+def test_an_option_without_the_one_it_is_read_with_is_a_usage_error(tmp_path, argv, message,
+                                                                     read):
+    """Each of these once exited 0 without reading the option."""
+    out = ["-o", str(tmp_path / "out")]
+    assert run(argv.split() + out) == (1, "", f"usage error: {message}\n")
+    rc, _out, err = run(read.split() + out)
+    assert (rc, err) == (0, "")
+    # dim local --base reads the base it is given, without a digit set
+    assert run("dim local --theta 3 --vhat 1/3 --stages 3 --base 5".split() + out)[0] == 0
+
+
+# ---------------------------------------------------------------------------
 # file contents
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from betadio.beta_constructions import generate_beta
 from betadio.beta_shift import BetaSystem, count_admissible
-from betadio.beta_values import is_full
+from betadio.beta_values import cylinder
 from betadio.closed_forms import (
     critical_exponent_s0,
     digit_set_scale,
@@ -214,8 +214,8 @@ def test_measure_beta_checkpoints_are_full_cylinders():
     sub = BetaSystem.parse(out.approximant_spec)
     for k in range(1, out.layout.runs.stages):
         prefix = list(out.word.digits()[:out.layout.h[k]])
-        assert is_full(sub, prefix)
-        assert is_full(g, prefix)
+        assert cylinder(sub, prefix).full
+        assert cylinder(g, prefix).full
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,9 @@ from betadio.numerics import (
     Dyadic,
     Scalar,
 )
-from betadio.polynomials import poly_divmod, poly_eval, poly_gcd, poly_mul
-from betadio.roots import PolyRoot, is_exact_root, isolate_root
+from betadio.automaton import poly_mul
+from betadio.beta_values import is_exact_root, poly_divmod, poly_gcd
+from betadio.roots import PolyRoot, isolate_root, poly_eval
 
 F = Fraction
 

@@ -26,7 +26,7 @@ constructions
 count_admissible critical_exponent_s0 cylinder digit_set_scale dim_formula dim_formula_sup
 errors estimate_exponents expand_lacunary expand_rational expansion_of_one_star
 exponents_of_blocks exponents_of_word generate_bary generate_beta generate_parameter_space greedy_expand
-is_admissible is_full is_self_admissible isolate_root lacunary_blocks layout_segments ln ln_int
+is_admissible is_self_admissible isolate_root lacunary_blocks layout_segments ln ln_int
 local_dimension_bary local_dimension_beta measure_bary measure_beta measure_of_word
 measures_dim numerics parry_invert rational_blocks read_digit_blocks read_digit_file record
 renyi_bounds_check

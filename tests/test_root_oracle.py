@@ -15,11 +15,10 @@ import threading
 
 import pytest
 
-from betadio.automaton import is_self_admissible
+from betadio.automaton import PeriodicWord, is_self_admissible
 from betadio.beta_shift import BetaSystem
 from betadio.errors import DegenerateApproximant, NotSelfAdmissible
 from betadio.roots import _integer_part, isolate_root
-from betadio.words import PeriodicWord
 
 # ---------------------------------------------------------------------------
 # frozen reference

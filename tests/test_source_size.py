@@ -9,10 +9,18 @@ the benchmark's workloads, and the process peaks that fell once no module
 was above ~2,700 tokens.  The count is of the tokens the parser reads (no
 comments, no blank lines), with an f-string as one token, as Python 3.11
 tokenizes it, so it is the same on every version.
+
+The same count, summed over the modules a command loads, is what that
+command compiles: a compile budget.
 """
 
+import os
+import subprocess
+import sys
 import tokenize
 from pathlib import Path
+
+import pytest
 
 import betadio
 
@@ -47,3 +55,30 @@ def test_no_module_is_above_the_token_cap():
     assert len(sizes) > 20
     over = {name: n for name, n in sizes.items() if n > MAX_TOKENS}
     assert not over, f"modules above {MAX_TOKENS} tokens: {over}"
+
+
+# the betadio tokens each command compiles under -S: counting and checking
+# the words of a base given by its expansion of 1 reads no digit word, no
+# polynomial over Q and no beta (9855, 9855 and 7203 tokens when they did)
+COMPILE_BUDGET = {
+    "admissible count --beta root:1,1 --len 5": 8777,
+    "admissible check --beta root:1,1 --word 1,0,1": 8777,
+    "parry check --word 1,1,0": 6147,
+}
+LOADED_FILES = ("import sys, betadio.cli\n"
+                "try:\n"
+                "    sys.exit(betadio.cli.main(sys.argv[1:]))\n"
+                "finally:\n"
+                "    print(*(m.__file__ for name, m in sys.modules.items()\n"
+                "            if name.startswith('betadio')), file=sys.stderr)\n")
+
+
+@pytest.mark.parametrize("command", COMPILE_BUDGET)
+def test_a_command_on_a_base_s_words_compiles_within_its_budget(command):
+    proc = subprocess.run([sys.executable, "-S", "-c", LOADED_FILES, *command.split()],
+                          env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    files = proc.stderr.splitlines()[-1].split()
+    sizes = {Path(f).relative_to(PACKAGE.parent).as_posix(): parsed_tokens(f) for f in files}
+    assert sum(sizes.values()) <= COMPILE_BUDGET[command], sizes

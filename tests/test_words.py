@@ -6,7 +6,8 @@ import pytest
 from betadio.bary import exponents_of_word, run_decomposition
 from betadio.cli import main
 from betadio.digit_files import read_digit_file, write_digit_file
-from betadio.words import DigitWord, PeriodicWord, compare_words
+from betadio.automaton import PeriodicWord, compare_words
+from betadio.words import DigitWord
 
 
 def test_digit_word_basics():
