@@ -9,9 +9,8 @@ of the first package, and ``record``, are exported as modules too."""
 __version__ = "0.1.0"
 
 _LAYERS = {  # each exported name by the module that defines it
-    "bary": "ExponentEstimate Run RunDecomposition check_relations estimate_exponents"
-            " expand_lacunary expand_rational exponents_of_blocks exponents_of_word"
-            " lacunary_blocks rational_blocks run_decomposition",
+    "bary": "ExponentEstimate Run check_relations expand_lacunary expand_rational"
+            " exponents_of_blocks exponents_of_word lacunary_blocks rational_blocks",
     "automaton": "AdmissibilityAutomaton PeriodicWord is_self_admissible",
     "beta_constructions": "BetaConstruction ParamSpaceResult beta_blocks generate_beta"
                           " generate_parameter_space",
@@ -19,17 +18,16 @@ _LAYERS = {  # each exported name by the module that defines it
                   " renyi_bounds_check",
     "beta_values": "CylinderInterval cylinder greedy_expand parry_invert",
     "closed_forms": "critical_exponent_s0 digit_set_scale dim_formula dim_formula_sup"
-                    " reprove_dim_limit verify_sup_by_calculus",
+                    " reprove_dim_limit",
     "constructions": "BaryConstruction FillPolicy bary_blocks generate_bary",
     "digit_files": "read_digit_blocks read_digit_file write_digit_blocks write_digit_file",
     "digit_sets": "DigitSet",
     "errors": "BetadioError DegenerateApproximant DepthExceeded DomainError HorizonTooDeep"
-              " InfeasibleParameters InsufficientDepth InvalidDigitSet NoRoot NoRuns NotInSupport"
-              " NotSelfAdmissible PrecisionError PrecisionExhausted PrefixConditionFailed"
-              " UndecidedFiniteness",
+              " InfeasibleParameters InvalidDigitSet NoRoot NotSelfAdmissible PrecisionError"
+              " PrecisionExhausted PrefixConditionFailed",
     "layout": "BetaLayout ScheduledRuns Segment beta_layout layout_segments schedule",
     "measures_dim": "DimensionReport MeasureValue local_dimension_bary local_dimension_beta"
-                    " measure_bary measure_beta measure_of_word stolz_cesaro_ratios",
+                    " measure_beta",
     "numerics": "Comparison Dyadic Scalar", "logarithm": "ln ln_int",
     "roots": "PolyRoot isolate_root",
     "words": "DigitWord",

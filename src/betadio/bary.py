@@ -1,4 +1,4 @@
-"""Integer-base expansions, run structure, and approximation exponents.
+"""Integer-base expansions, their monotone runs, and approximation exponents.
 
 The two exponents of interest measure how well ``b**n x`` approaches an
 integer: the asymptotic exponent is governed by ``limsup (m_k - n_k)/n_k``
@@ -17,7 +17,6 @@ import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
-from .errors import InsufficientDepth, NoRuns
 from .record import Record
 from .words import DigitWord
 
@@ -103,7 +102,7 @@ def expand_lacunary(b: int, rule, n: int) -> DigitWord:
 
 
 # ---------------------------------------------------------------------------
-# run decomposition
+# monotone runs
 
 
 class Run(Record):
@@ -111,17 +110,17 @@ class Run(Record):
 
     ``start``/``end`` are the 1-based positions of the digits immediately
     before and after the block, so the block interior has length
-    ``end - start - 1``.  Runs touching the word boundary are incomplete:
-    their true bracket is unknown.  Immutable by convention, hashed by value.
+    ``end - start - 1``.  The scan keeps only runs with a digit on each
+    side: at the word's ends a run's bracket is unknown.  Immutable by
+    convention, hashed by value.
     """
 
-    __slots__ = ("start", "end", "kind", "complete")
+    __slots__ = ("start", "end", "kind")
 
-    def __init__(self, start: int, end: int, kind: str, complete: bool):
+    def __init__(self, start: int, end: int, kind: str):
         self.start = start
         self.end = end
         self.kind = kind
-        self.complete = complete
 
     def __hash__(self):
         return hash(self._fields())
@@ -129,16 +128,6 @@ class Run(Record):
     @property
     def gap(self) -> int:
         return self.end - self.start
-
-
-class RunDecomposition(Record):
-    __slots__ = ("runs", "monotone", "horizon", "word")
-
-    def __init__(self, runs: list[Run], monotone: list[Run], horizon: int, word: DigitWord):
-        self.runs = runs
-        self.monotone = monotone
-        self.horizon = horizon
-        self.word = word
 
 
 _PROBE = 1 << 12  # longest block searched for: no temporary grows with the run
@@ -223,8 +212,7 @@ def _monotone_runs(blocks: Iterable[bytes], symbols: list[int]) -> tuple[list[Ru
     def take(sym: int, s: int, e: int) -> None:
         nonlocal length
         if s > 0 and e - s >= length:  # a run at the start of the word is incomplete
-            monotone.append(Run(start=s, end=e + 1, kind=ZEROS if sym == 0 else TOP,
-                                complete=True))
+            monotone.append(Run(start=s, end=e + 1, kind=ZEROS if sym == 0 else TOP))
             length = e - s
 
     for data in blocks:
@@ -254,32 +242,6 @@ def _monotone_runs(blocks: Iterable[bytes], symbols: list[int]) -> tuple[list[Ru
     return monotone, at  # a run that reaches the word's end is incomplete
 
 
-def run_decomposition(digits: DigitWord,
-                      kinds: tuple[str, ...] = (ZEROS, TOP)) -> RunDecomposition:
-    """Locate all maximal runs and the greedy non-decreasing subsequence.
-
-    Raises NoRuns when no digit equals 0 or b-1 (full-alphabet words have
-    exponent 0 trivially and no run structure to analyse).
-    """
-    b = digits.base
-    if len(digits) < 2:
-        raise NoRuns("need at least two digits")
-    data, symbols = _run_view(digits.data, b), _run_symbols(b, kinds)
-    # one scan finds the runs in order, with no list of spans beside them:
-    # a long word has a run every few digits
-    runs = []
-    if symbols:
-        pat = re.compile(b"|".join(re.escape(bytes([d])) + b"+" for d in symbols))
-        for m in pat.finditer(data):
-            s, e = m.span()
-            runs.append(Run(start=s, end=e + 1, kind=ZEROS if data[s] == 0 else TOP,
-                            complete=s >= 1 and e < len(data)))
-    if not runs:
-        raise NoRuns("no digit equals 0 or b-1")
-    return RunDecomposition(runs=runs, monotone=_monotone_runs([data], symbols)[0],
-                            horizon=len(data), word=digits)
-
-
 # ---------------------------------------------------------------------------
 # exponent estimates
 
@@ -298,19 +260,14 @@ class ExponentEstimate(Record):
         self.k_over_log_n = k_over_log_n
 
 
-def estimate_exponents(dec: RunDecomposition) -> ExponentEstimate:
-    """Finite-horizon surrogates for the limsup/liminf exponent ratios.
-
-    The estimate uses a tail window of the last ``max(3, K/2)`` of the K
-    monotone runs, since early runs bias the limits.
-    """
-    return _estimate(dec.monotone, dec.horizon)
-
-
 def _estimate(mono: list[Run], horizon: int) -> ExponentEstimate:
+    """Finite-horizon surrogates for the limsup/liminf exponent ratios of
+    the K >= 2 monotone runs.
+
+    The estimate uses a tail window of the last ``max(3, K/2)`` of them,
+    since early runs bias the limits.
+    """
     K = len(mono)
-    if K < 2:
-        raise InsufficientDepth(f"only {K} monotone runs at horizon {horizon}")
     W = max(3, (K + 1) // 2)
     trajectory = []
     for k, r in enumerate(mono):
@@ -319,10 +276,7 @@ def _estimate(mono: list[Run], horizon: int) -> ExponentEstimate:
         trajectory.append((k + 1, ratio_v, ratio_h))
     tail = trajectory[max(0, K - W):]
     v_lower = max(t[1] for t in tail)
-    hat_vals = [t[2] for t in tail if t[2] is not None]
-    if not hat_vals:
-        hat_vals = [t[2] for t in trajectory if t[2] is not None]
-    v_hat_lower = min(hat_vals)
+    v_hat_lower = min(t[2] for t in tail if t[2] is not None)
     k_log = K / math.log(mono[-1].start) if mono[-1].start > 1 else None
     return ExponentEstimate(v_lower=v_lower, v_hat_lower=v_hat_lower,
                             trajectory=trajectory, horizon=horizon,
@@ -331,19 +285,19 @@ def _estimate(mono: list[Run], horizon: int) -> ExponentEstimate:
 
 def exponents_of_word(digits: DigitWord,
                       kinds: tuple[str, ...] = (ZEROS, TOP)) -> ExponentEstimate:
-    """estimate_exponents with the no-run / too-shallow cases reported as 0:
-    ``exponents_of_blocks`` of the word as one block."""
+    """``exponents_of_blocks`` of the word as one block."""
     return exponents_of_blocks([digits.data], digits.base, kinds)
 
 
 def exponents_of_blocks(blocks: Iterable, b: int,
                         kinds: tuple[str, ...] = (ZEROS, TOP)) -> ExponentEstimate:
-    """``exponents_of_word`` of the word in base b given by its blocks (as
-    a producer or ``read_digit_blocks`` gives them), scanned as they come.
+    """The exponent estimates of the word in base b given by its blocks (as
+    a producer or ``read_digit_blocks`` gives them), scanned as they come;
+    a word with fewer than two monotone runs has estimates 0 and no
+    trajectory.
 
-    Only the monotone runs are located, not every run as run_decomposition
-    does, so the scan costs C time per digit and Python time per monotone
-    run, and it keeps the monotone runs alone.
+    Only the monotone runs are located, so the scan costs C time per digit
+    and Python time per monotone run, and it keeps the monotone runs alone.
     """
     mono, horizon = _monotone_runs((_run_view(block, b) for block in blocks),
                                    _run_symbols(b, kinds))
@@ -353,13 +307,17 @@ def exponents_of_blocks(blocks: Iterable, b: int,
                             trajectory=[], horizon=horizon, window=0)
 
 
-def check_relations(est: ExponentEstimate, tol: Fraction = Fraction(0)) -> dict:
-    """Consistency flags between the two exponents, with slack ``tol``.
+_RELATION_TOL = Fraction(1, 100)  # slack of the finite-horizon relations
+
+
+def check_relations(est: ExponentEstimate) -> dict:
+    """Consistency flags between the two exponents, with slack
+    ``tol = _RELATION_TOL``.
 
     Checks ``vhat <= v``, ``vhat <= v/(1+v) + tol`` and, when ``vhat < 1``,
     ``v >= vhat/(1-vhat) - tol``.
     """
-    v, vh = est.v_lower, est.v_hat_lower
+    v, vh, tol = est.v_lower, est.v_hat_lower, _RELATION_TOL
     report = {
         "v": v,
         "v_hat": vh,

@@ -54,36 +54,6 @@ def dim_formula_sup(v_hat: Fraction) -> tuple[Fraction, Optional[Fraction]]:
     return ((1 - v_hat) / (1 + v_hat)) ** 2, theta0
 
 
-def verify_sup_by_calculus(v_hat: Fraction) -> bool:
-    """Exact check that theta0 is the unique interior maximum.
-
-    Differentiates the rational function by hand (numerator of the
-    derivative as a quadratic in theta) and confirms the sign change at
-    theta0 plus the exact maximal value.
-    """
-    v = F(v_hat)
-    if not 0 < v < 1:
-        return dim_formula("sup", v) in (F(0), F(1))
-    # d/dtheta [ (theta(1-v) - 1) / (v theta^2 + (1-v) theta - 1) ]
-    # numerator: (1-v) D(theta) - N(theta) D'(theta)
-    def N(t):
-        return t * (1 - v) - 1
-
-    def D(t):
-        return (1 + t * v) * (t - 1)
-
-    def deriv_num(t):
-        return (1 - v) * D(t) - N(t) * (2 * v * t + (1 - v))
-
-    theta0 = 2 / (1 - v)
-    if deriv_num(theta0) != 0:
-        return False
-    left, right = theta0 * F(7, 8), theta0 * F(9, 8)
-    if not (deriv_num(left) > 0 > deriv_num(right)):
-        return False
-    return N(theta0) / D(theta0) == ((1 - v) / (1 + v)) ** 2
-
-
 def digit_set_scale(ds: DigitSet, bits: int = DEFAULT_PRECISION) -> Scalar:
     """Certified ``log #S / log b`` factor for restricted digit sets."""
     from .logarithm import ln_int

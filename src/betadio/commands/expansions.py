@@ -39,7 +39,7 @@ def cmd_exponents(args):
     with open(args.input) as fh:
         base, blocks = read_digit_blocks(fh)
         est = exponents_of_blocks(blocks, base, kinds)
-    rel = check_relations(est, tol=Fraction(1, 100))
+    rel = check_relations(est)
     payload = {
         "horizon": est.horizon,
         "v_lower": str(est.v_lower),

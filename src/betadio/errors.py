@@ -31,10 +31,6 @@ class PrecisionExhausted(PrecisionError):
     pass
 
 
-class UndecidedFiniteness(PrecisionError):
-    """Trailing zeros persist to the horizon but finiteness is unproven."""
-
-
 class NoRoot(DomainError):
     pass
 
@@ -55,14 +51,6 @@ class InvalidDigitSet(DomainError):
     pass
 
 
-class NoRuns(DomainError):
-    pass
-
-
-class InsufficientDepth(DomainError):
-    pass
-
-
 class DepthExceeded(DomainError):
     pass
 
@@ -73,7 +61,3 @@ class HorizonTooDeep(DomainError):
 
 class PrefixConditionFailed(DomainError):
     pass
-
-
-class NotInSupport(DomainError):
-    """Cylinder is incompatible with the construction; its mass is undefined here."""

@@ -17,10 +17,10 @@ functions that call them.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
-from .errors import DEFAULT_PRECISION, DepthExceeded, NotInSupport
-from .layout import FREE, _free_count, beta_layout, free_digit_count, layout_segments, schedule
+from .errors import DEFAULT_PRECISION, DepthExceeded
+from .layout import FREE, _free_count, beta_layout, layout_segments, schedule
 from .record import Record
 
 F = Fraction
@@ -31,65 +31,25 @@ F = Fraction
 
 
 class MeasureValue(Record):
-    """Exact mass of a depth-n cylinder of a construction.
-
-    Integer-base: ``base**-exponent``.  Beta-base: product over free blocks
-    of reciprocals of admissible-word counts, stored exactly as
-    ``(block_length, count, multiplicity)`` triples (none by default).
+    """Exact mass of a depth-n cylinder of a real-base construction: the
+    product over free blocks of reciprocals of admissible-word counts,
+    stored exactly as ``(block_length, count, multiplicity)`` triples.  (An
+    integer-base mass is ``base**-e(n)``, and ``layout`` counts e(n).)
     """
 
-    __slots__ = ("n", "base", "exponent", "factors")
+    __slots__ = ("n", "factors")
 
-    def __init__(self, n: int, base: Optional[int] = None, exponent: Optional[int] = None,
-                 factors: Optional[list[tuple[int, int, int]]] = None):
+    def __init__(self, n: int, factors: list[tuple[int, int, int]]):
         self.n = n
-        self.base = base
-        self.exponent = exponent
-        self.factors = [] if factors is None else factors
+        self.factors = factors
 
     def log_mu(self, bits: int = DEFAULT_PRECISION) -> Scalar:
         from .logarithm import ln_int
         from .numerics import Scalar
-        if self.exponent is not None:
-            return -(ln_int(self.base, bits).scale_int(self.exponent))
         acc = Scalar.from_int(0, bits)
         for _length, count, mult in self.factors:
             acc = acc + ln_int(count, bits).scale_int(mult)
         return -acc
-
-
-def measure_bary(runs: ScheduledRuns, base: Union[int, DigitSet], n: int) -> MeasureValue:
-    """Exact cylinder mass at depth n of the construction on ``runs`` in an
-    integer base or on a digit set, whose layout (the base-2 marker blocks
-    ``1 0`` among it) the base decides.
-
-    The mass is constant across each prescribed stretch, in particular from
-    ``n_k`` through ``m_k``; between checkpoints it divides once per free
-    digit.
-    """
-    size = base if isinstance(base, int) else base.size
-    return MeasureValue(n=n, base=size, exponent=free_digit_count(runs, n, base))
-
-
-def measure_of_word(construction: BaryConstruction, word: Sequence[int]) -> MeasureValue:
-    """Mass of the cylinder of an explicit word; off-construction words have
-    no mass assigned and are reported as such rather than given mass 0."""
-    n = len(word)
-    if n > len(construction.word):
-        raise DepthExceeded("word longer than the constructed depth")
-    got = construction.word.data
-    S = construction.digit_set
-    allowed = S.digits if S else range(construction.base)
-    segs = layout_segments(construction.schedule, S or construction.base)
-    for seg in segs:
-        for pos in range(seg.lo, min(seg.hi, n) + 1):
-            if seg.kind == FREE:
-                if word[pos - 1] not in allowed:
-                    raise NotInSupport(f"digit at position {pos} outside the digit set")
-            elif word[pos - 1] != got[pos - 1]:
-                raise NotInSupport(f"prescribed digit mismatch at position {pos}")
-    return MeasureValue(n=n, base=S.size if S else construction.base,
-                        exponent=_free_count(segs, n))
 
 
 def measure_beta(layout: BetaLayout, subsystem: BetaSystem, n: int) -> MeasureValue:
@@ -236,15 +196,3 @@ def local_dimension_beta(base: BetaSystem, N: int, theta: Fraction, v_hat: Fract
                    {"beta": base.spec_string, "N": N, "theta": theta, "v_hat": v_hat,
                     "stages": stages})
 
-
-def stolz_cesaro_ratios(runs: ScheduledRuns, k: int) -> tuple[Fraction, Fraction]:
-    """Step ratio and cumulative ratio whose common limit is the dimension.
-
-    step = (n_{k+1} - m_k) / (m_{k+1} - m_k);
-    cumulative = sum_{j<k} (n_{j+1} - m_j) / m_k.
-    """
-    if k + 1 > runs.stages:
-        raise DepthExceeded("need one stage beyond k for the step ratio")
-    step = F(runs.n[k] - runs.m[k - 1], runs.m[k] - runs.m[k - 1])
-    cumulative = F(sum(runs.n[j + 1] - runs.m[j] for j in range(k - 1)), runs.m[k - 1])
-    return step, cumulative

@@ -4,16 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betadio.bary import (
-    check_relations,
-    estimate_exponents,
-    expand_lacunary,
-    expand_rational,
-    exponents_of_word,
-    run_decomposition,
-)
+from betadio.bary import check_relations, expand_lacunary, expand_rational, exponents_of_word
 from betadio.digit_sets import DigitSet
-from betadio.errors import InsufficientDepth, InvalidDigitSet, NoRuns
+from betadio.errors import InvalidDigitSet
 from betadio.words import DigitWord
 
 F = Fraction
@@ -62,6 +55,15 @@ def brute_monotone(runs):
     return mono
 
 
+def ratios(mono):
+    """The exponent trajectory of the monotone runs ``(start, end, ...)``:
+    empty below two runs, as ``exponents_of_word`` reports it."""
+    if len(mono) < 2:
+        return []
+    return [(k, F(r[1] - r[0], r[0]), F(r[1] - r[0], nxt[0]) if nxt else None)
+            for k, (r, nxt) in enumerate(zip(mono, mono[1:] + [None]), 1)]
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -86,41 +88,17 @@ def test_expand_lacunary_examples():
     assert expand_lacunary(2, F(1), 4).digits() == (0, 1, 0, 1)
 
 
-def test_run_decomposition_lacunary_depth16():
+def test_monotone_runs_lacunary_depth16():
     w = expand_lacunary(10, F(1), 16)
-    dec = run_decomposition(w)
-    complete = [(r.start, r.end) for r in dec.runs if r.complete]
-    assert complete == [(2, 4), (4, 8), (8, 16)]
-    assert [(r.start, r.end) for r in dec.monotone] == complete
-
-
-def test_run_decomposition_small_word():
-    w = DigitWord(2, [1, 0, 0, 1, 0, 1])
-    dec = run_decomposition(w)
-    zero_runs = [(r.start, r.end) for r in dec.runs if r.kind == "zeros"]
-    assert (1, 4) in zero_runs
-    assert (4, 6) in zero_runs
-
-
-def test_no_runs():
-    with pytest.raises(NoRuns):
-        run_decomposition(DigitWord(3, [1] * 8))
+    assert exponents_of_word(w).trajectory == ratios([(2, 4), (4, 8), (8, 16)])
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(2, 5), st.lists(st.integers(0, 4), min_size=2, max_size=200))
 def test_runs_match_brute_force(b, raw):
     digits = [d % b for d in raw]
-    w = DigitWord(b, digits)
-    expected = brute_runs(digits, b)
-    try:
-        dec = run_decomposition(w)
-    except NoRuns:
-        assert not expected
-        return
-    got = [(r.start, r.end, r.kind, r.complete) for r in dec.runs]
-    assert got == expected
-    assert [(r.start, r.end, r.kind, r.complete) for r in dec.monotone] == brute_monotone(expected)
+    mono = brute_monotone(brute_runs(digits, b))
+    assert exponents_of_word(DigitWord(b, digits)).trajectory == ratios(mono)
 
 
 @settings(max_examples=150, deadline=None)
@@ -132,47 +110,21 @@ def test_runs_above_base_256_match_brute_force(b, picks):
     digits = [choices[i] for i in picks]
     w = DigitWord(b, digits)
     assert type(w.data) is tuple
-    expected = brute_runs(digits, b)
-    mono = brute_monotone(expected)
-    try:
-        dec = run_decomposition(w)
-    except NoRuns:
-        assert not expected
-    else:
-        assert [(r.start, r.end, r.kind, r.complete) for r in dec.runs] == expected
-        assert [(r.start, r.end, r.kind, r.complete) for r in dec.monotone] == mono
-    est = exponents_of_word(w)
-    if len(mono) < 2:
-        assert est.trajectory == []
-    else:
-        ratios = [(F(r[1] - r[0], r[0]), F(r[1] - r[0], nxt[0]) if nxt else None)
-                  for r, nxt in zip(mono, mono[1:] + [None])]
-        assert [(v, hat) for _k, v, hat in est.trajectory] == ratios
+    mono = brute_monotone(brute_runs(digits, b))
+    assert exponents_of_word(w).trajectory == ratios(mono)
 
 
-def test_roundtrip_reconstruction():
-    w = expand_lacunary(10, F(1), 50)
-    dec = run_decomposition(w)
-    rebuilt = list(w.digits())
-    for r in dec.runs:
-        symbol = 0 if r.kind == "zeros" else w.base - 1
-        for pos in range(r.start + 1, r.end):  # 1-based interior
-            rebuilt[pos - 1] = symbol
-    assert tuple(rebuilt) == w.digits()
-
-
-def test_estimate_exponents_lacunary():
+def test_exponents_of_word_lacunary():
     w = expand_lacunary(10, F(1), 2 ** 16)
-    est = estimate_exponents(run_decomposition(w))
+    est = exponents_of_word(w)
     assert abs(est.v_lower - 1) <= F(1, 20)
     assert abs(est.v_hat_lower - F(1, 2)) <= F(1, 20)
 
 
-def test_estimate_exponents_insufficient():
-    with pytest.raises(InsufficientDepth):
-        estimate_exponents(run_decomposition(DigitWord(3, [1, 0, 1])))
-    est = exponents_of_word(DigitWord(3, [1] * 10))
-    assert est.v_lower == 0 and est.v_hat_lower == 0
+def test_exponents_of_a_word_without_two_monotone_runs_are_zero():
+    for digits in ([1, 0, 1], [1] * 10):
+        est = exponents_of_word(DigitWord(3, digits))
+        assert (est.v_lower, est.v_hat_lower, est.trajectory, est.window) == (0, 0, [], 0)
 
 
 def test_rational_words_have_vanishing_exponents():
@@ -193,6 +145,7 @@ def test_check_relations():
     assert check_relations(fake(1, F(1, 2)))["all_pass"]
     assert not check_relations(fake(1, F(9, 10)))["all_pass"]
     assert check_relations(fake(3, F(3, 4)))["all_pass"]
+    assert check_relations(fake(1, F(1, 2)))["tol"] == F(1, 100)
 
 
 def test_digit_set_validation():
@@ -231,6 +184,6 @@ def test_orbit_distance_bracket():
 def test_estimate_relation_invariant_at_horizons():
     # finite-horizon form of the exponent inequality vhat <= v/(1+v)
     for depth in (2 ** 10, 2 ** 13, 2 ** 16):
-        est = estimate_exponents(run_decomposition(expand_lacunary(10, F(1), depth)))
+        est = exponents_of_word(expand_lacunary(10, F(1), depth))
         v, vh = est.v_lower, est.v_hat_lower
         assert vh <= v / (1 + v) + F(1, 10)

@@ -5,7 +5,7 @@ import pytest
 
 from betadio import numerics
 from betadio.automaton import is_self_admissible
-from betadio.bary import estimate_exponents, run_decomposition
+from betadio.bary import exponents_of_word
 from betadio.beta_constructions import generate_beta, generate_parameter_space
 from betadio.beta_shift import BetaSystem, is_admissible
 from betadio.cli import main
@@ -151,7 +151,7 @@ def test_no_free_run_exceeds_its_stage_cap(b, digits, theta, vhat):
 @pytest.mark.parametrize("theta,vhat,b", [(F(3), F(1, 3), 3), (F(4), F(1, 2), 10), (F(2), F(1, 2), 2)])
 def test_exponent_round_trip_small(theta, vhat, b):
     out = generate_bary(b, theta, vhat, 9, FillPolicy("constant", 1))
-    est = estimate_exponents(run_decomposition(out.word))
+    est = exponents_of_word(out.word)
     assert abs(est.v_lower - theta * vhat) <= F(5, 100)
     assert abs(est.v_hat_lower - vhat) <= F(5, 100)
 
@@ -165,7 +165,7 @@ def test_restricted_generator():
     for k in range(s.stages):
         assert out.word[s.n[k] - 1] == 2  # anchors use the nonzero digit
         assert out.word[s.m[k] - 1] == 2
-    est = estimate_exponents(run_decomposition(out.word))
+    est = exponents_of_word(out.word)
     assert abs(est.v_lower - 1) <= F(8, 100)
     assert abs(est.v_hat_lower - F(1, 3)) <= F(8, 100)
 
@@ -276,7 +276,7 @@ def test_generate_beta_run_structure():
 def test_generate_beta_exponents():
     g = golden()
     out = generate_beta(g, 3, F(3), F(1, 3), 9, FillPolicy("random", seed=2))
-    est = estimate_exponents(run_decomposition(out.word, kinds=("zeros",)))
+    est = exponents_of_word(out.word, kinds=("zeros",))
     assert abs(est.v_lower - 1) <= F(5, 100)
     assert abs(est.v_hat_lower - F(1, 3)) <= F(5, 100)
 
@@ -347,6 +347,6 @@ def test_base2_marker_pairs():
 
 def test_base2_exponents_with_markers():
     out = generate_bary(2, F(8), F(1, 4), 5, FillPolicy("random", seed=21))
-    est = estimate_exponents(run_decomposition(out.word))
+    est = exponents_of_word(out.word)
     assert abs(est.v_lower - 2) <= F(8, 100)
     assert abs(est.v_hat_lower - F(1, 4)) <= F(8, 100)

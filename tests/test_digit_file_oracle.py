@@ -1,14 +1,15 @@
 """Digit files and run scans against frozen copies of the code they replaced.
 
 ``oracle_*`` below are the per-digit writer and per-line reader of the
-``base=<b>`` format, the thinning loop of ``run_decomposition``, and the
-run-cap pass and the random fill (one draw per free segment) of
-``generate_bary``, as they stood before the bulk ``bytes`` and bounded-block
-versions.  They are frozen: the tests assert that the library gives the same
-text, the same word or the same exception type, the same monotone runs and
-exponent estimates, and the same words and clamp lists.  The run-cap pass
-has one rule changed since: a cap of 0 reads as 1 only where no digit other
-than 0 and b-1 is allowed.
+``base=<b>`` format, a regex scan of every run with the thinning loop that
+keeps the monotone ones, and the run-cap pass and the random fill (one draw
+per free segment) of ``generate_bary``, as they stood before the bulk
+``bytes`` and bounded-block versions.  They are frozen: the tests assert that
+the library gives the same text, the same word or the same exception type,
+the same monotone runs and exponent estimates from the scan ``exponents``
+makes, and the same words and clamp lists.  The run-cap pass has one rule
+changed since: a cap of 0 reads as 1 only where no digit other than 0 and
+b-1 is allowed.
 """
 
 import bisect
@@ -21,13 +22,7 @@ from fractions import Fraction
 import pytest
 
 from betadio import bary, constructions, digit_files
-from betadio.bary import (
-    Run,
-    RunDecomposition,
-    estimate_exponents,
-    exponents_of_word,
-    run_decomposition,
-)
+from betadio.bary import Run, exponents_of_word
 from betadio.constructions import (
     FillPolicy,
     _enforce_run_caps,
@@ -35,7 +30,6 @@ from betadio.constructions import (
 )
 from betadio.digit_sets import DigitSet
 from betadio.digit_files import read_digit_file, write_digit_blocks, write_digit_file
-from betadio.errors import NoRuns
 from betadio.layout import FREE, MARKER, RUN, Segment, layout_segments, schedule
 from betadio.words import DigitWord
 
@@ -79,17 +73,23 @@ def oracle_monotone(digits, b=None, kinds=("zeros", "top")):
         pat = re.compile(b"|".join(re.escape(bytes([d])) + b"+" for d in symbols))
         for m in pat.finditer(data):
             s, e = m.span()
-            runs.append(Run(start=s, end=e + 1, kind="zeros" if data[s] == 0 else "top",
-                            complete=s >= 1 and e < len(data)))
+            runs.append((Run(start=s, end=e + 1, kind="zeros" if data[s] == 0 else "top"),
+                         s >= 1 and e < len(data)))  # complete: a digit on each side
     monotone = []
     record = None
-    for r in runs:
-        if not r.complete:
+    for r, complete in runs:
+        if not complete:
             continue
         if record is None or r.gap >= record:
             monotone.append(r)
             record = r.gap
-    return runs, monotone
+    return monotone
+
+
+def scanned_monotone(w, kinds=("zeros", "top")):
+    """The monotone runs of w as ``exponents_of_blocks`` scans them."""
+    return bary._monotone_runs([bary._run_view(w.data, w.base)],
+                               bary._run_symbols(w.base, kinds))[0]
 
 
 def oracle_break_digit(run_symbol, allowed, b):
@@ -306,25 +306,14 @@ def test_monotone_runs_match_oracle(kinds, base):
     for trial in range(150):
         n = rng.randint(2, 400)
         w = runny_word(rng, base, n, touch_ends=trial % 3 == 0)
-        want_runs, want_mono = oracle_monotone(w, kinds=kinds)
-        if want_runs:
-            dec = run_decomposition(w, kinds=kinds)
-            assert dec.runs == want_runs
-            assert dec.monotone == want_mono
-        else:
-            with pytest.raises(NoRuns):
-                run_decomposition(w, kinds=kinds)
+        want_mono = oracle_monotone(w, kinds=kinds)
+        assert scanned_monotone(w, kinds) == want_mono
         got = exponents_of_word(w, kinds=kinds)
         if len(want_mono) >= 2:
             assert got.trajectory and got.trajectory[-1][0] == len(want_mono)
-            assert got == exponents_of_word_oracle(w, kinds)
+            assert got == bary._estimate(want_mono, len(w))
         else:
             assert (got.v_lower, got.v_hat_lower, got.trajectory, got.window) == (0, 0, [], 0)
-
-
-def exponents_of_word_oracle(w, kinds):
-    runs, mono = oracle_monotone(w, kinds=kinds)
-    return estimate_exponents(RunDecomposition(runs, mono, len(w), w))
 
 
 def test_monotone_runs_at_the_word_ends():
@@ -333,16 +322,15 @@ def test_monotone_runs_at_the_word_ends():
                          ([0, 0, 0], []), ([1, 1], []), ([1, 0], []),
                          ([2, 0, 2, 2, 2, 1, 0, 0, 1], [(1, 3), (2, 6)])]:
         w = DigitWord(3, digits)
-        assert [(r.start, r.end) for r in oracle_monotone(w)[1]] == want
-        if oracle_monotone(w)[0]:
-            assert [(r.start, r.end) for r in run_decomposition(w).monotone] == want
+        assert [(r.start, r.end) for r in oracle_monotone(w)] == want
+        assert [(r.start, r.end) for r in scanned_monotone(w)] == want
 
 
 def test_monotone_runs_on_a_long_word():
     rng = random.Random(11)
     w = runny_word(rng, 3, 300_000)
     for kinds in KINDS:
-        assert run_decomposition(w, kinds=kinds).monotone == oracle_monotone(w, kinds=kinds)[1]
+        assert scanned_monotone(w, kinds) == oracle_monotone(w, kinds=kinds)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +375,7 @@ def test_run_scans_match_oracle_with_a_short_probe(monkeypatch, probe):
     for b in (2, 3, 10):
         w = runny_word(rng, b, 20_000, touch_ends=True)
         for kinds in KINDS:
-            assert run_decomposition(w, kinds=kinds).monotone == oracle_monotone(w, kinds=kinds)[1]
+            assert scanned_monotone(w, kinds) == oracle_monotone(w, kinds=kinds)
         for _trial in range(100):
             word = runny_word(rng, b, rng.randint(1, 600)).data
             segs = random_segments(rng, len(word))

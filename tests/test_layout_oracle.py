@@ -1,9 +1,9 @@
 """The segment layout against frozen copies of the code it replaced.
 
 ``oracle_*`` below are the integer-base and real-base generators, their
-free-span and free-block scans and ``measure_of_word`` as they stood before
-every construction read one segment list (the caller-supplied stream fill
-left out, since it is gone).  They are frozen: the tests assert that the
+free-span and free-block scans and the free count of ``measure_of_word`` as
+they stood before every construction read one segment list (the
+caller-supplied stream fill left out, since it is gone).  They are frozen: the tests assert that the
 library reproduces their words, clamps, sidecar layouts and masses exactly.
 One rule has changed since: the run-cap pass alone breaks runs (the
 constant fill no longer punches break digits), and a cap of 0 reads as 1
@@ -25,10 +25,9 @@ from betadio.errors import (
     DegenerateApproximant,
     DepthExceeded,
     InfeasibleParameters,
-    NotInSupport,
 )
 from betadio.layout import FREE, beta_layout, free_digit_count, layout_segments, schedule
-from betadio.measures_dim import measure_bary, measure_beta, measure_of_word
+from betadio.measures_dim import measure_beta
 
 F = Fraction
 
@@ -261,24 +260,6 @@ def oracle_measure_beta_factors(runs, N, auto, n):
     return [(length, auto.count_words(length), mult) for length, mult in sorted(factors.items())]
 
 
-def oracle_measure_of_word(construction, word):
-    """(exponent) or the NotInSupport message the frozen code raised."""
-    n = len(word)
-    runs = construction.schedule
-    got = construction.word.digits()[:n]
-    free = set()
-    for lo, hi, _cap in oracle_free_spans(runs, runs.n[runs.stages], construction.base == 2):
-        free.update(range(lo, hi + 1))
-    allowed = construction.digit_set.digits if construction.digit_set else range(construction.base)
-    for pos in range(1, n + 1):
-        if pos in free:
-            if word[pos - 1] not in allowed:
-                return f"digit at position {pos} outside the digit set"
-        elif word[pos - 1] != got[pos - 1]:
-            return f"prescribed digit mismatch at position {pos}"
-    return oracle_free_count(runs, n, construction.base == 2)
-
-
 # ---------------------------------------------------------------------------
 # parameter grids
 
@@ -347,34 +328,22 @@ def test_free_counts_match_oracle_at_every_depth(pair, theta, vhat):
     for n in range(1, depth + 1):
         e += n in free  # the frozen count, kept incrementally
         assert free_digit_count(runs, n, b) == e
-        assert measure_bary(runs, b, n).exponent == e
         if not pair:  # a digit set is never over base 2
             assert free_digit_count(runs, n, ds) == e
-            assert measure_bary(runs, ds, n).exponent == e
     with pytest.raises(DepthExceeded):
         free_digit_count(runs, depth + 1, b)
 
 
 @pytest.mark.parametrize("b,ds", BARY_BASES)
-def test_measure_of_word_matches_oracle(b, ds):
-    rng = random.Random(f"{b}{ds}")
+def test_free_digit_count_of_a_construction_matches_oracle(b, ds):
+    """The mass exponent of each prefix of a construction's word, as the
+    frozen ``measure_of_word`` counted it."""
     digit_set = DigitSet(b, ds) if ds else None
-    allowed = sorted(ds) if ds else list(range(b))
     for theta, vhat in PAIRS:
         out = generate_bary(digit_set or b, theta, vhat, 3, FillPolicy.parse("random", seed=3))
         for n in range(1, len(out.word) + 1):
-            word = list(out.word.data[:n])
-            if rng.random() < 0.5:  # resample one position: free or prescribed
-                word[rng.randrange(n)] = rng.choice(allowed + [b - 1])
-            if rng.random() < 0.1 and digit_set:  # a digit outside the set
-                word[rng.randrange(n)] = min(set(range(b)) - ds)
-            want = oracle_measure_of_word(out, word)
-            if isinstance(want, str):
-                with pytest.raises(NotInSupport, match=re.escape(want)):
-                    measure_of_word(out, word)
-            else:
-                mv = measure_of_word(out, word)
-                assert (mv.n, mv.base, mv.exponent) == (n, len(allowed), want)
+            want = oracle_free_count(out.schedule, n, out.base == 2)
+            assert free_digit_count(out.schedule, n, digit_set or b) == want
 
 
 # ---------------------------------------------------------------------------

@@ -14,28 +14,19 @@ from betadio.closed_forms import (
     dim_formula,
     dim_formula_sup,
     reprove_dim_limit,
-    verify_sup_by_calculus,
 )
 from betadio.constructions import FillPolicy, generate_bary
 from betadio.digit_sets import DigitSet
-from betadio.errors import DepthExceeded, InfeasibleParameters, NotInSupport
-from betadio.layout import beta_layout, free_digit_count, schedule
-from betadio.measures_dim import (
-    local_dimension_bary,
-    local_dimension_beta,
-    measure_bary,
-    measure_beta,
-    measure_of_word,
-    stolz_cesaro_ratios,
-)
+from betadio.errors import DepthExceeded, InfeasibleParameters
+from betadio.layout import FREE, beta_layout, free_digit_count, layout_segments, schedule
+from betadio.measures_dim import local_dimension_bary, local_dimension_beta, measure_beta
+from test_acceptance import stolz_cesaro_ratios, verify_sup_by_calculus
 
 F = Fraction
 
 
 def mu_fraction(mv) -> Fraction:
     """A MeasureValue's mass as one exact fraction."""
-    if mv.exponent is not None:
-        return F(1, mv.base ** mv.exponent)
     out = F(1)
     for _length, count, mult in mv.factors:
         out /= F(count) ** mult
@@ -105,23 +96,20 @@ def runs33():
     return schedule(F(3), F(1, 3), 16)
 
 
-def test_measure_bary_examples():
+def test_free_digit_count_examples():
     runs = runs33()
-    assert measure_bary(runs, 3, 6).exponent == 2  # n_1 - 1
-    assert measure_bary(runs, 3, 2).exponent == 2  # all free so far
-    assert mu_fraction(measure_bary(runs, 3, 6)) == F(1, 9)
+    assert free_digit_count(runs, 6, 3) == 2  # n_1 - 1
+    assert free_digit_count(runs, 2, 3) == 2  # all free so far
     ds = DigitSet(3, frozenset({0, 2}))
-    mv = measure_bary(runs, ds, 6)
-    assert mv.base == 2 and mv.exponent == 2
-    assert mu_fraction(mv) == F(1, 4)
+    assert free_digit_count(runs, 6, ds) == 2
 
 
 def test_measure_constant_across_prescribed_stretch():
     runs = runs33()
     for k in (1, 3, 5):
-        base_val = measure_bary(runs, 3, runs.n[k]).exponent
+        base_val = free_digit_count(runs, runs.n[k], 3)
         for n in range(runs.n[k], runs.m[k] + 1):
-            assert measure_bary(runs, 3, n).exponent == base_val
+            assert free_digit_count(runs, n, 3) == base_val
 
 
 def test_measure_digitwise_consistency():
@@ -130,8 +118,8 @@ def test_measure_digitwise_consistency():
     runs = schedule(F(4), F(1, 4), 6)
     b = 5
     for n in range(1, 400):
-        e0 = measure_bary(runs, b, n - 1).exponent if n > 1 else 0
-        e1 = measure_bary(runs, b, n).exponent
+        e0 = free_digit_count(runs, n - 1, b) if n > 1 else 0
+        e1 = free_digit_count(runs, n, b)
         assert e1 - e0 in (0, 1)
         parent = F(1, b ** e0)
         child = F(1, b ** e1)
@@ -142,29 +130,22 @@ def test_measure_digitwise_consistency():
 def test_measure_depth_exceeded():
     runs = schedule(F(3), F(1, 3), 3)
     with pytest.raises(DepthExceeded):
-        measure_bary(runs, 3, runs.n[3] + 1)
+        free_digit_count(runs, runs.n[3] + 1, 3)
 
 
-def test_measure_of_word_support():
-    out = generate_bary(3, F(3), F(1, 3), 3, FillPolicy("constant", 1))
-    w = list(out.word.digits()[:9])
-    mv = measure_of_word(out, w)
-    assert mv.exponent == measure_bary(out.schedule, 3, 9).exponent
-    bad = list(w)
-    bad[out.schedule.n[0] - 1] = 0  # erase a prescribed anchor
-    with pytest.raises(NotInSupport):
-        measure_of_word(out, bad)
-
-
-def test_measure_bary_weighs_the_base_2_word():
-    """In base 2 the marker blocks ``1 0`` are prescribed: measure_bary
+def test_free_digit_count_weighs_the_base_2_word():
+    """In base 2 the marker blocks ``1 0`` are prescribed: free_digit_count
     counts the free digits of the word generate_bary builds, at every depth."""
     out = generate_bary(2, F(2), F(1, 5), 8)
-    word = out.word.digits()
-    assert len(word) == 1024
-    for n in range(1, len(word) + 1):
-        assert measure_bary(out.schedule, 2, n).exponent == \
-            measure_of_word(out, word[:n]).exponent, n
+    assert len(out.word) == 1024
+    free = bytearray(len(out.word))
+    for seg in layout_segments(out.schedule, 2):
+        if seg.kind == FREE:
+            free[seg.lo - 1:seg.hi] = b"\x01" * (seg.hi - seg.lo + 1)
+        else:
+            assert out.word.data[seg.lo - 1:seg.hi] == seg.prescribed()
+    for n in range(1, len(out.word) + 1):
+        assert free_digit_count(out.schedule, n, 2) == sum(free[:n]), n
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """No parameter of the library has a default that no call of the library
-ever overrides.
+ever overrides, and no name it exports goes unused by the library.
 
 Such a parameter is a setting that always holds one value: every reader
 must reason about the others, and every test must cover them, for nothing.
@@ -8,6 +8,11 @@ what its calls pass by position and by keyword.  A value that a call only
 forwards from a parameter of its own caller counts as set when that
 parameter is.  The entry points listed below are the exceptions: each
 mirrors a command-line option, which sets it through the command layer.
+
+An exported name that nothing in ``src/betadio`` uses is a second way to do
+what the library does another way, or a check that belongs in a test.  The
+names the README documents, and those that mirror a command, are the
+exceptions, each listed with its reason.
 """
 
 import ast
@@ -16,11 +21,11 @@ from pathlib import Path
 import betadio
 
 PACKAGE = Path(betadio.__file__).parent
+README = PACKAGE.parent.parent / "README.md"
 
 # (module, function, parameter): the command-line option it mirrors
 ENTRY_POINTS = {
     ("constructions", "generate_bary", "fill"): "construct bary|restricted --fill",
-    ("bary", "run_decomposition", "kinds"): "exponents --zeros-only",
     ("bary", "exponents_of_word", "kinds"): "exponents --zeros-only",
     ("cli", "main", "argv"): "the command line itself (sys.argv)",
 }
@@ -35,6 +40,11 @@ def _defaulted(fn):
     out.update({a.arg: None for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
                 if d is not None})
     return out
+
+
+def _parsed(package):
+    """Each module of the package, as (module name, syntax tree)."""
+    return [(path.stem, ast.parse(path.read_text())) for path in sorted(package.rglob("*.py"))]
 
 
 def _scan(package):
@@ -66,8 +76,8 @@ def _scan(package):
                     calls.append((child, enclosing))
                 visit(child, module, owner, enclosing)
 
-    for path in sorted(package.rglob("*.py")):
-        visit(ast.parse(path.read_text()), path.stem, None, None)
+    for module, tree in _parsed(package):
+        visit(tree, module, None, None)
 
     by_name = {}
     for key in params:
@@ -133,3 +143,54 @@ def test_the_scan_sees_positional_keyword_and_forwarded_values(tmp_path):
         "K(1).m(2)\n")
     assert idle_parameters(tmp_path) == [("m", "K", "v"), ("m", "f", "d"), ("m", "f", "e"),
                                  ("m", "g", "y"), ("m", "h", "z")]
+
+
+# exported names that nothing in the package uses: why each stays
+NAMED_IN_README = "the README names it"
+UNCALLED_EXPORTS = {
+    "generate_bary": NAMED_IN_README,
+    "expand_rational": NAMED_IN_README,
+    "read_digit_file": NAMED_IN_README,
+    "expand_lacunary": "mirrors expand --lacunary",
+    "exponents_of_word": "mirrors exponents",
+    "write_digit_file": "mirrors -o",
+}
+
+
+def uncalled_exports(package=PACKAGE, exported=tuple(betadio._HOME)):
+    """The exported names that no code of the package refers to, sorted.
+
+    A reference is a name read or an attribute taken: neither a name's own
+    ``def`` or ``class``, nor an import of it, nor ``_LAYERS``' string is one."""
+    used = set()
+    for _module, tree in _parsed(package):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return sorted(set(exported) - used)
+
+
+def test_every_export_has_a_caller():
+    uncalled = [name for name in uncalled_exports() if name not in UNCALLED_EXPORTS]
+    assert not uncalled, f"exported names that nothing in src/ uses: {uncalled}"
+
+
+def test_each_exempt_export_is_still_uncalled_and_documented():
+    """An exemption whose name gains a caller goes; a README reason holds."""
+    assert set(UNCALLED_EXPORTS) <= set(uncalled_exports())
+    readme = README.read_text()
+    missing = [name for name, why in UNCALLED_EXPORTS.items()
+               if why == NAMED_IN_README and f"`{name}`" not in readme]
+    assert not missing, f"not in README.md: {missing}"
+
+
+def test_the_name_scan_skips_definitions_and_imports(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "from .n import a\n"
+        "def b():\n    return c.d\n"
+        "class E:\n    pass\n"
+        "def f(x: G) -> None:\n    b()\n")
+    assert uncalled_exports(tmp_path, ("a", "b", "c", "d", "E", "f", "G", "h")) == \
+        ["E", "a", "f", "h"]

@@ -13,25 +13,22 @@ SRC = str(Path(betadio.__file__).resolve().parent.parent)
 # ``from betadio import *`` of the eager package, which imported every layer,
 # less ``ConstructionSpec`` (``generate_bary`` takes its parameters directly)
 # and ``DigitStream`` (producers yield blocks), with the block producers and
-# readers
+# readers, and less the names nothing in the library called: the second run
+# scan and mass count, two checks of the paper, and the errors only they raised
 STAR = """
 AdmissibilityAutomaton BaryConstruction BetaConstruction BetaLayout BetaSystem BetadioError
-Comparison CylinderInterval DegenerateApproximant DepthExceeded DigitSet
-DigitWord DimensionReport DomainError Dyadic ExponentEstimate FillPolicy
-HorizonTooDeep InfeasibleParameters InsufficientDepth InvalidDigitSet MeasureValue NoRoot
-NoRuns NotInSupport NotSelfAdmissible ParamSpaceResult PeriodicWord PolyRoot PrecisionError
-PrecisionExhausted PrefixConditionFailed Run RunDecomposition Scalar ScheduledRuns Segment
-UndecidedFiniteness bary bary_blocks beta_blocks beta_layout beta_shift check_relations
-constructions
-count_admissible critical_exponent_s0 cylinder digit_set_scale dim_formula dim_formula_sup
-errors estimate_exponents expand_lacunary expand_rational expansion_of_one_star
-exponents_of_blocks exponents_of_word generate_bary generate_beta generate_parameter_space greedy_expand
+Comparison CylinderInterval DegenerateApproximant DepthExceeded DigitSet DigitWord
+DimensionReport DomainError Dyadic ExponentEstimate FillPolicy HorizonTooDeep
+InfeasibleParameters InvalidDigitSet MeasureValue NoRoot NotSelfAdmissible ParamSpaceResult
+PeriodicWord PolyRoot PrecisionError PrecisionExhausted PrefixConditionFailed Run Scalar
+ScheduledRuns Segment bary bary_blocks beta_blocks beta_layout beta_shift check_relations
+constructions count_admissible critical_exponent_s0 cylinder digit_set_scale dim_formula
+dim_formula_sup errors expand_lacunary expand_rational expansion_of_one_star exponents_of_blocks
+exponents_of_word generate_bary generate_beta generate_parameter_space greedy_expand
 is_admissible is_self_admissible isolate_root lacunary_blocks layout_segments ln ln_int
-local_dimension_bary local_dimension_beta measure_bary measure_beta measure_of_word
-measures_dim numerics parry_invert rational_blocks read_digit_blocks read_digit_file record
-renyi_bounds_check
-reprove_dim_limit run_decomposition schedule stolz_cesaro_ratios verify_sup_by_calculus
-words write_digit_blocks write_digit_file
+local_dimension_bary local_dimension_beta measure_beta measures_dim numerics parry_invert
+rational_blocks read_digit_blocks read_digit_file record renyi_bounds_check reprove_dim_limit
+schedule words write_digit_blocks write_digit_file
 """.split()
 # dir(betadio) of the eager package, just imported
 DIR = sorted(STAR + """

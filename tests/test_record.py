@@ -6,25 +6,22 @@ from fractions import Fraction as F
 
 import pytest
 
-from betadio.bary import Run, run_decomposition
+from betadio.bary import Run
 from betadio.constructions import FillPolicy
 from betadio.digit_sets import DigitSet
 from betadio.layout import schedule
 from betadio.measures_dim import DimensionReport, MeasureValue
 from betadio.numerics import Dyadic
-from betadio.words import DigitWord
 
 
 def test_run_is_a_hashable_value_without_a_dict():
-    r = Run(start=1, end=4, kind="zeros", complete=True)
+    r = Run(start=1, end=4, kind="zeros")
     assert not hasattr(r, "__dict__")
-    assert r == Run(1, 4, "zeros", True) and r.gap == 3
-    assert r != Run(1, 4, "top", True)
-    assert r != (1, 4, "zeros", True)  # equal only to its own class
-    assert len({r, Run(1, 4, "zeros", True)}) == 1
-    assert repr(r) == "Run(start=1, end=4, kind='zeros', complete=True)"
-    runs = run_decomposition(DigitWord(3, [1, 0, 0, 1, 2, 2, 1])).runs
-    assert runs == [Run(1, 4, "zeros", True), Run(4, 7, "top", True)]
+    assert r == Run(1, 4, "zeros") and r.gap == 3
+    assert r != Run(1, 4, "top")
+    assert r != (1, 4, "zeros")  # equal only to its own class
+    assert len({r, Run(1, 4, "zeros")}) == 1
+    assert repr(r) == "Run(start=1, end=4, kind='zeros')"
 
 
 @pytest.mark.parametrize("make", [
@@ -42,7 +39,7 @@ def test_digit_set_keeps_a_frozenset():
 
 @pytest.mark.parametrize("value", [
     FillPolicy(),
-    MeasureValue(n=3),
+    MeasureValue(n=3, factors=[]),
     schedule(F(3), F(1, 3), 2),
 ])
 def test_mutable_values_are_unhashable(value):
@@ -52,7 +49,6 @@ def test_mutable_values_are_unhashable(value):
 
 def test_defaults_are_fresh_per_instance():
     assert FillPolicy() == FillPolicy(kind="constant", digit=1, seed=None)
-    assert MeasureValue(n=1).factors is not MeasureValue(n=1).factors
     r1 = DimensionReport(F(1, 4), [], F(1, 50), None)
     r2 = DimensionReport(F(1, 4), [], F(1, 50), None)
     assert r1 == r2 and r1.params == {} and r1.params is not r2.params

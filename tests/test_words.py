@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from betadio.bary import exponents_of_word, run_decomposition
+from betadio.bary import exponents_of_word
 from betadio.cli import main
 from betadio.digit_files import read_digit_file, write_digit_file
 from betadio.automaton import PeriodicWord, compare_words
@@ -67,7 +67,6 @@ def test_a_bytearray_word_behaves_like_its_bytes_twin():
         write_digit_file(buf, 3, word)
         texts.append(buf.getvalue())
     assert texts[0] == texts[1]
-    assert run_decomposition(filled) == run_decomposition(packed)
     assert exponents_of_word(filled) == exponents_of_word(packed)
 
 
