@@ -4,7 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betadio.bary import check_relations, expand_lacunary, expand_rational, exponents_of_word
+from betadio.bary import (
+    TOP,
+    ZEROS,
+    _monotone_runs,
+    _run_symbols,
+    _run_view,
+    check_relations,
+    expand_lacunary,
+    expand_rational,
+    exponents_of_word,
+)
 from betadio.digit_sets import DigitSet
 from betadio.errors import InvalidDigitSet
 from betadio.words import DigitWord
@@ -55,6 +65,13 @@ def brute_monotone(runs):
     return mono
 
 
+def scan(w):
+    """The monotone runs ``(start, end, kind)`` of the word and its length,
+    as the run scan reports them."""
+    mono, horizon = _monotone_runs([_run_view(w.data, w.base)], _run_symbols(w.base, (ZEROS, TOP)))
+    return [(r.start, r.end, r.kind) for r in mono], horizon
+
+
 def ratios(mono):
     """The exponent trajectory of the monotone runs ``(start, end, ...)``:
     empty below two runs, as ``exponents_of_word`` reports it."""
@@ -93,6 +110,20 @@ def test_monotone_runs_lacunary_depth16():
     assert exponents_of_word(w).trajectory == ratios([(2, 4), (4, 8), (8, 16)])
 
 
+def test_run_decomposition_small_word():
+    # the shorter zero run (4, 6) and the runs at either end are dropped
+    assert scan(DigitWord(2, [1, 0, 0, 1, 0, 1])) == ([(1, 4, "zeros")], 6)
+    # runs of either kind are taken while they do not shrink
+    assert scan(DigitWord(2, [1, 0, 1, 0, 0, 1])) == \
+        ([(1, 3, "zeros"), (2, 4, "top"), (3, 6, "zeros")], 6)
+
+
+def test_no_runs():
+    assert scan(DigitWord(3, [1] * 8)) == ([], 8)
+    est = exponents_of_word(DigitWord(3, [1] * 8))
+    assert (est.trajectory, est.horizon) == ([], 8)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(2, 5), st.lists(st.integers(0, 4), min_size=2, max_size=200))
 def test_runs_match_brute_force(b, raw):
@@ -112,6 +143,19 @@ def test_runs_above_base_256_match_brute_force(b, picks):
     assert type(w.data) is tuple
     mono = brute_monotone(brute_runs(digits, b))
     assert exponents_of_word(w).trajectory == ratios(mono)
+
+
+def test_roundtrip_reconstruction():
+    w = expand_lacunary(10, F(1), 50)
+    runs, horizon = scan(w)
+    assert runs == [(2, 4, ZEROS), (4, 8, ZEROS), (8, 16, ZEROS), (16, 32, ZEROS)]
+    rebuilt = [None] * horizon
+    for start, end, _kind in runs:
+        rebuilt[start - 1] = rebuilt[end - 1] = 1  # the digits that bracket a run
+        for pos in range(start + 1, end):  # 1-based interior
+            rebuilt[pos - 1] = 0
+    rebuilt[0], rebuilt[32:] = 0, [0] * (horizon - 32)  # before the first run, after the last
+    assert tuple(rebuilt) == w.digits()
 
 
 def test_exponents_of_word_lacunary():
