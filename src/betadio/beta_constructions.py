@@ -62,7 +62,7 @@ def beta_blocks(base: BetaSystem, N: int, theta: Fraction, v_hat: Fraction, stag
     (lists of ints over more than 256 digits).  Every refusal of the
     parameters comes before the first block."""
     fill = fill or FillPolicy(kind="random", seed=0)
-    runs = schedule(theta, v_hat, stages)
+    runs = schedule(theta.as_integer_ratio(), v_hat.as_integer_ratio(), stages)
     layout = beta_layout(runs, N)
     approx = base.approximant(N)
     out = BetaConstruction(word=None, layout=layout, base_spec=base.spec_string,

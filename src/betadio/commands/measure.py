@@ -2,9 +2,11 @@
 rebuilds the layout from the sidecar's own theta, vhat, stage count and N,
 and refuses a sidecar whose schedule is not that layout's, or whose
 approximant is not the one its base and N give; it reads the layout, not
-the generators.  An integer-base sidecar's mass is
-``base**-e(n)``, and ``layout`` counts the exponent e(n) itself, so that
-path loads neither ``measures_dim`` nor ``bary`` nor ``words``.  A restricted
+the generators.  theta and vhat are read by ``layout.read_ratio``, which
+takes only the text ``to_dict`` writes, so the schedule is rebuilt in ints.
+An integer-base sidecar's mass is ``base**-e(n)``, and ``layout`` counts
+the exponent e(n) itself, so that path loads neither ``measures_dim`` nor
+``bary`` nor ``words``, nor the stdlib's ``fractions``.  A restricted
 sidecar adds ``digit_sets``: the mass's base is then the set's size."""
 
 from ..errors import InfeasibleParameters
@@ -13,8 +15,7 @@ from . import _emit, _scalar_dict, default_precision
 
 def cmd_measure(args):
     import json
-    from fractions import Fraction
-    from ..layout import beta_layout, schedule
+    from ..layout import beta_layout, read_ratio, schedule
     with open(args.sidecar) as fh:
         try:
             side = json.load(fh)
@@ -22,7 +23,7 @@ def cmd_measure(args):
             beta = side.get("kind") == "beta" or "N" in s
             base = side["approximant"] if beta else side["base"]  # a spec, or an integer
             digit_set = side.get("digit_set", [])
-            layout = schedule(Fraction(s["theta"]), Fraction(s["v_hat"]), len(s["m"]))
+            layout = schedule(read_ratio(s["theta"]), read_ratio(s["v_hat"]), len(s["m"]))
             if beta:
                 layout = beta_layout(layout, s["N"])
             # the schedule construct writes for these parameters, field for field

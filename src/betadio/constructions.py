@@ -143,7 +143,7 @@ def bary_blocks(base: Union[int, DigitSet], theta: Fraction, v_hat: Fraction, st
     if b > 256:
         raise DomainError(f"a construction's base is at most 256 (one byte per digit), not {b}")
     fill = fill or FillPolicy()
-    runs = schedule(theta, v_hat, stages)
+    runs = schedule(theta.as_integer_ratio(), v_hat.as_integer_ratio(), stages)
     segs = layout_segments(runs, base)
     allowed = tuple(range(b)) if S is None else tuple(sorted(S.digits))
     out = BaryConstruction(word=None, schedule=runs, base=b, clamps=[], fill=fill.describe(),

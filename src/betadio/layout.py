@@ -9,35 +9,58 @@ position ``n_k`` and ends at ``m_k``, then evenly spaced markers run up to
 ``u_k``.  The schedule starts from ``n'_k = floor(theta**k)``,
 ``m'_k = floor((theta*vhat + 1) n'_k)`` and is adjusted so the run lengths
 ``m_k - n_k`` never decrease, which pins the two exponent limits to
-``theta*vhat`` and ``vhat``.
+``theta*vhat`` and ``vhat``.  theta and vhat come as int pairs and every
+floor is taken in ints, so that ``measure`` loads no ``fractions``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple, Union
 
 from .errors import DepthExceeded, InfeasibleParameters
 from .record import Record
-
-F = Fraction
 
 
 # ---------------------------------------------------------------------------
 # schedules
 
 
+def _ratio_text(a: int, b: int) -> str:
+    """``str(Fraction(a, b))`` for a pair in lowest terms, ``b >= 1``."""
+    return str(a) if b == 1 else f"{a}/{b}"
+
+
+def read_ratio(text) -> tuple[int, int]:
+    """The ``(numerator, denominator)`` pair of a ratio written as
+    ``to_dict`` writes it, ``"a"`` or ``"a/b"`` in lowest terms.  Other text
+    (a sign on the denominator, a zero one, ``2/6``, ``0.5``, spaces,
+    underscores, a ``+``) raises ValueError, a non-string TypeError; the
+    denominator is checked before any arithmetic."""
+    if type(text) is not str:
+        raise TypeError(f"a ratio is a string, not {text!r}")
+    num, slash, den = text.partition("/")
+    a, b = int(num), int(den) if slash else 1
+    if b < 1 or _ratio_text(a, b) != text:
+        raise ValueError(f"not a ratio as to_dict writes it: {text!r}")
+    try:
+        pow(a, -1, b)  # a has an inverse mod b exactly when gcd(a, b) == 1
+    except ValueError:
+        raise ValueError(f"not a ratio in lowest terms: {text!r}") from None
+    return a, b
+
+
 class ScheduledRuns(Record):
     """Adjusted run schedule; positions are 1-based digit indices.
 
-    ``n`` carries one extra entry (the next stage's anchor) so that the gap
-    after the last complete stage is known.  ``delta[k] = m[k] - n[k] - 1``
-    is the interior run length and ``u[k]`` the position of the last marker.
+    ``theta`` and ``v_hat`` are held as the text ``to_dict`` writes.  ``n``
+    carries one extra entry (the next stage's anchor) so that the gap after
+    the last complete stage is known.  ``delta[k] = m[k] - n[k] - 1`` is the
+    interior run length and ``u[k]`` the position of the last marker.
     """
 
     __slots__ = ("theta", "v_hat", "n", "m", "t", "delta", "u")
 
-    def __init__(self, theta: Fraction, v_hat: Fraction, n: list[int], m: list[int],
+    def __init__(self, theta: str, v_hat: str, n: list[int], m: list[int],
                  t: list[int], delta: list[int], u: list[int]):
         self.theta = theta
         self.v_hat = v_hat
@@ -55,36 +78,40 @@ class ScheduledRuns(Record):
         return self.m[k] - self.n[k]
 
     def to_dict(self) -> dict:
-        return {"theta": str(self.theta), "v_hat": str(self.v_hat),
+        return {"theta": self.theta, "v_hat": self.v_hat,
                 "n": self.n, "m": self.m, "t": self.t,
                 "delta": self.delta, "u": self.u}
 
 
-def schedule(theta: Fraction, v_hat: Fraction, stages: int) -> ScheduledRuns:
+def schedule(theta: tuple[int, int], v_hat: tuple[int, int], stages: int) -> ScheduledRuns:
     """Build the adjusted schedule for ``stages`` complete stages.
 
+    ``theta`` and ``v_hat`` are ``(numerator, denominator)`` pairs in lowest
+    terms, as ``Fraction.as_integer_ratio()`` and ``read_ratio`` give them.
     Infeasible unless ``0 < vhat < 1`` and ``theta >= 1/(1 - vhat)`` (the
     emptiness threshold).
     Early stages where the floors degenerate (anchor < 2, empty run, or
     non-increasing anchors) are skipped; the limits only see the tail.
     """
-    theta, v_hat = F(theta), F(v_hat)
-    if not 0 < v_hat < 1:
-        raise InfeasibleParameters(f"need 0 < vhat < 1, got {v_hat}")
-    if theta < 1 / (1 - v_hat):
+    (a, b), (c, d) = theta, v_hat
+    theta_text, v_text = _ratio_text(a, b), _ratio_text(c, d)
+    if not 0 < c < d:
+        raise InfeasibleParameters(f"need 0 < vhat < 1, got {v_text}")
+    # theta >= 1/(1 - vhat) = d/(d - c), and d/(d - c) is in lowest terms
+    if a * (d - c) < b * d:
         raise InfeasibleParameters(
-            f"theta {theta} below the emptiness threshold {1 / (1 - v_hat)}")
-    growth = theta * v_hat + 1
+            f"theta {theta_text} below the emptiness threshold {_ratio_text(d, d - c)}")
+    # floor((theta*vhat + 1) x) = (a*c + b*d) x // (b*d)
+    g_num, g_den = a * c + b * d, b * d
 
     def raw(k: int) -> int:
-        p = theta ** k
-        return p.numerator // p.denominator
+        return a ** k // b ** k
 
     # find the first sane stage
     k0 = 1
     while True:
         cand = raw(k0)
-        if cand >= 2 and (growth * cand).numerator // (growth * cand).denominator - cand >= 1:
+        if cand >= 2 and g_num * cand // g_den - cand >= 1:
             break
         k0 += 1
         if k0 > 64:
@@ -95,8 +122,7 @@ def schedule(theta: Fraction, v_hat: Fraction, stages: int) -> ScheduledRuns:
     prev_gap = 0
     for j in range(stages):
         nk = n[j]
-        scaled = growth * nk
-        gap = max(scaled.numerator // scaled.denominator - nk, prev_gap, 1)
+        gap = max(g_num * nk // g_den - nk, prev_gap, 1)
         prev_gap = gap
         mk = nk + gap
         m.append(mk)
@@ -106,7 +132,7 @@ def schedule(theta: Fraction, v_hat: Fraction, stages: int) -> ScheduledRuns:
         tk = max(0, (nxt - mk - 1) // gap)
         t.append(tk)
         u.append(mk + tk * gap)
-    return ScheduledRuns(theta=theta, v_hat=v_hat, n=n, m=m, t=t, delta=delta, u=u)
+    return ScheduledRuns(theta=theta_text, v_hat=v_text, n=n, m=m, t=t, delta=delta, u=u)
 
 
 # ---------------------------------------------------------------------------

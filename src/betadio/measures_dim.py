@@ -154,7 +154,7 @@ def local_dimension_bary(theta: Fraction, v_hat: Fraction, base: Union[int, Digi
     from .closed_forms import digit_set_scale, dim_formula
     if isinstance(base, int) and base < 2:
         raise ValueError("integer base required")
-    runs = schedule(theta, v_hat, stages)
+    runs = schedule(theta.as_integer_ratio(), v_hat.as_integer_ratio(), stages)
     scale = None if isinstance(base, int) else digit_set_scale(base, bits)
     segs = layout_segments(runs, base)
     traj = []
@@ -181,7 +181,7 @@ def local_dimension_beta(base: BetaSystem, N: int, theta: Fraction, v_hat: Fract
     """
     from .closed_forms import dim_formula
     from .logarithm import ln
-    runs = schedule(theta, v_hat, stages)
+    runs = schedule(theta.as_integer_ratio(), v_hat.as_integer_ratio(), stages)
     layout = beta_layout(runs, N)
     sub = base.approximant(N, bits)
     ln_beta = ln(base.beta_scalar(bits), bits)

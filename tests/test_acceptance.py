@@ -127,7 +127,7 @@ def test_criterion_1_formula_reproduction():
 def test_criterion_2_local_dimension_bary(theta, vhat, b):
     with _Timer(f"2 local dimension base {b}", 10.0):
         target = dim_formula(theta, vhat)
-        runs = schedule(theta, vhat, 16)
+        runs = schedule(theta.as_integer_ratio(), vhat.as_integer_ratio(), 16)
         m15 = runs.m[14]
         ratio = F(free_digit_count(runs, m15, b), m15)
         assert abs(ratio - target) <= F(1, 50)

@@ -28,7 +28,7 @@ F = Fraction
 
 def oracle_generate_beta(base, N, theta, v_hat, stages, fill=None):
     fill = fill or FillPolicy(kind="random", seed=0)
-    runs = schedule(theta, v_hat, stages)
+    runs = schedule(theta.as_integer_ratio(), v_hat.as_integer_ratio(), stages)
     layout = beta_layout(runs, N)
     approx = base.approximant(N)
     auto = approx.automaton

@@ -712,17 +712,24 @@ RUN_MAIN = ("import sys, betadio.cli\n"
             "    print(*sys.modules, file=sys.stderr)\n")
 
 
-@pytest.mark.parametrize("command, unused", FOOTPRINTS, ids=[c for c, _u in FOOTPRINTS])
-def test_command_footprint(tmp_path, command, unused):
-    """A command loads only the layers it calls and its own handler module,
-    and the stdlib modules kept off the start-up path stay off but for
-    argparse's on --version."""
+@pytest.fixture
+def sidecars(tmp_path):
+    """A directory holding e.digits and k.digits with their sidecars, an
+    integer-base and a restricted construction."""
     assert main(["construct", "bary", "--theta", "3", "--vhat", "1/3", "--base", "3",
                  "--stages", "8", "-o", str(tmp_path / "e.digits")]) == 0
     assert main(["construct", "restricted", "--theta", "3", "--vhat", "1/3", "--base", "3",
                  "--digit-set", "0,2", "--fill", "random", "--stages", "8",
                  "-o", str(tmp_path / "k.digits")]) == 0
-    loaded = _loaded(_cli("-S", "-c", RUN_MAIN, *command.split(), cwd=tmp_path))
+    return tmp_path
+
+
+@pytest.mark.parametrize("command, unused", FOOTPRINTS, ids=[c for c, _u in FOOTPRINTS])
+def test_command_footprint(sidecars, command, unused):
+    """A command loads only the layers it calls and its own handler module,
+    and the stdlib modules kept off the start-up path stay off but for
+    argparse's on --version."""
+    loaded = _loaded(_cli("-S", "-c", RUN_MAIN, *command.split(), cwd=sidecars))
     assert not {f"betadio.{layer}" for layer in unused} & loaded
     name = command.split()[0]
     own = {f"betadio.commands.{_COMMANDS[name][0]}"} if name in _COMMANDS else set()
@@ -733,20 +740,24 @@ def test_command_footprint(tmp_path, command, unused):
 
 
 # a base given by its expansion of 1 has its words counted, checked and
-# listed in ints, without fractions (and the decimal it imports) and without
-# a digit word; so has an integer base its Rényi check
-WORD_COMMANDS = [
+# listed in ints, without fractions (and the decimal and numbers it imports)
+# and without a digit word; so has an integer base its Rényi check, and an
+# integer-base or restricted sidecar its measure, whose schedule is rebuilt
+# in ints (a real-base sidecar's measure reads beta through numerics)
+INT_COMMANDS = [
     "admissible count --beta root:1,1 --len 5",
     "admissible check --beta root:1,1 --word 1,0,1",
     "admissible list --beta int:2 --len 3",
     "parry check --word 1,1,0",
     "admissible count --beta int:3 --len 20 --renyi",
+    "measure --sidecar e.digits.json --n 54",
+    "measure --sidecar k.digits.json --n 54",
 ]
 
 
-@pytest.mark.parametrize("command", WORD_COMMANDS)
-def test_word_commands_load_no_fractions_or_digit_words(command):
-    loaded = _loaded(_cli("-S", "-c", RUN_MAIN, *command.split()))
+@pytest.mark.parametrize("command", INT_COMMANDS)
+def test_int_commands_load_no_fractions_or_digit_words(sidecars, command):
+    loaded = _loaded(_cli("-S", "-c", RUN_MAIN, *command.split(), cwd=sidecars))
     assert not {"fractions", "decimal", "numbers", "betadio.words"} & loaded
 
 

@@ -36,7 +36,7 @@ def longest_run(digits, symbol, upto=None):
 
 
 def test_schedule_theta3():
-    s = schedule(F(3), F(1, 3), 6)
+    s = schedule((3, 1), (1, 3), 6)
     assert s.n[:6] == [3 ** k for k in range(1, 7)]
     assert s.m == [2 * 3 ** k for k in range(1, 7)]
     assert all(t == 0 for t in s.t)
@@ -44,7 +44,7 @@ def test_schedule_theta3():
 
 
 def test_schedule_boundary_theta2():
-    s = schedule(F(2), F(1, 2), 5)
+    s = schedule((2, 1), (1, 2), 5)
     assert s.m == s.n[1:]  # degenerate gap: the run ends exactly at the next anchor
     assert all(t == 0 for t in s.t)
     gaps = [s.m[k] - s.n[k] for k in range(5)]
@@ -53,7 +53,7 @@ def test_schedule_boundary_theta2():
 
 def test_schedule_infeasible():
     with pytest.raises(InfeasibleParameters):
-        schedule(F(6, 5), F(1, 2), 4)
+        schedule((6, 5), (1, 2), 4)
     with pytest.raises(InfeasibleParameters):
         generate_bary(3, F(6, 5), F(1, 2), 3)
 
@@ -64,7 +64,7 @@ def test_generator_and_schedule_share_the_unit_interval_check(vhat):
     with pytest.raises(InfeasibleParameters, match=message):
         generate_bary(3, F(3), vhat, 3)
     with pytest.raises(InfeasibleParameters, match=message):
-        schedule(F(3), vhat, 3)
+        schedule((3, 1), vhat.as_integer_ratio(), 3)
 
 
 @pytest.mark.parametrize("N", [0, -1, -4])
@@ -75,7 +75,7 @@ def test_parameter_space_needs_a_positive_N(N):
 
 
 def test_schedule_limits_converge():
-    s = schedule(F(3), F(1, 3), 18)
+    s = schedule((3, 1), (1, 3), 18)
     k = s.stages - 1
     v_ratio = F(s.m[k] - s.n[k], s.n[k])
     hat_ratio = F(s.m[k] - s.n[k], s.n[k + 1])
@@ -86,7 +86,7 @@ def test_schedule_limits_converge():
 
 
 def test_schedule_t_bounded():
-    s = schedule(F(8), F(1, 4), 10)
+    s = schedule((8, 1), (1, 4), 10)
     bound = 2 / F(1, 4) + 1
     assert all(t <= bound for t in s.t[2:])
     for k in range(s.stages):
@@ -133,7 +133,8 @@ def test_no_free_run_exceeds_its_stage_cap(b, digits, theta, vhat):
     b-1 that starts in a free position is longer than its stage's cap, a
     cap of 0 included, whatever the fill."""
     S = {None: None, "low": DigitSet(b, {0, 1}), "top": DigitSet(b, {1, b - 1})}[digits]
-    segs = layout_segments(schedule(theta, vhat, 6), S or b)
+    runs = schedule(theta.as_integer_ratio(), vhat.as_integer_ratio(), 6)
+    segs = layout_segments(runs, S or b)
     caps = {p: seg.cap for seg in segs if seg.kind == FREE for p in range(seg.lo, seg.hi + 1)}
     if (theta, vhat) == (F(2), F(1, 5)):
         assert 0 in caps.values()  # the grid holds zero-cap stages
@@ -219,7 +220,7 @@ def golden():
 
 
 def test_beta_layout_formulas():
-    runs = schedule(F(8), F(1, 4), 5)
+    runs = schedule((8, 1), (1, 4), 5)
     N = 3
     lay = beta_layout(runs, N)
     tsum = 0

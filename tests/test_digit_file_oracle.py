@@ -408,7 +408,7 @@ def test_random_fill_in_blocks_matches_one_draw_per_segment(monkeypatch, b, bloc
     the oracle fill and run caps.  The free segments here are up to 6560
     digits long."""
     monkeypatch.setattr(constructions, "_BLOCK", block)
-    runs = schedule(Fraction(3), Fraction(1, 3), 8)
+    runs = schedule((3, 1), (1, 3), 8)
     for S in digit_sets(b):
         allowed = tuple(range(b)) if S is None else tuple(sorted(S.digits))
         segs = layout_segments(runs, S or b)
@@ -430,7 +430,7 @@ def test_random_fill_of_a_long_word_is_the_one_draw_word():
     many blocks long."""
     fill = FillPolicy(kind="random", seed=5)
     word = constructions.generate_bary(10, Fraction(3), Fraction(1, 3), 12, fill).word
-    segs = layout_segments(schedule(Fraction(3), Fraction(1, 3), 12), 10)
+    segs = layout_segments(schedule((3, 1), (1, 3), 12), 10)
     want, free = _prescribed(segs)
     oracle_random_fill(want, free, 5, tuple(range(10)))
     _enforce_run_caps(want, segs, free, 10, tuple(range(10)), [])

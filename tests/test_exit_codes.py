@@ -37,7 +37,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betadio import cli, digit_files
+from betadio import cli, digit_files, layout
 from betadio.digit_files import write_digit_file
 
 PREFIXES = {1: ("usage error:",), 2: ("infeasible:", "error:"),
@@ -383,6 +383,27 @@ def test_mutated_sidecars_exit_0_with_their_output_or_2_with_one_line(tmp_path, 
         assert_same_or_one_line((rc, out.replace(str(path), "@"), err), want, (field, value))
         checked += 1
     assert checked > 200
+
+
+@pytest.mark.parametrize("value", ["2/6", "3/-1", "1/0", "0.5", " 1/3", "1_0/3_0", "+1/3", 1,
+                                   None], ids=repr)
+@pytest.mark.parametrize("field", ["theta", "v_hat"])
+@pytest.mark.parametrize("flavor", ["bary", "restricted", "beta"])
+def test_a_sidecar_ratio_not_as_construct_writes_it_exits_2(tmp_path, files, monkeypatch,
+                                                            flavor, field, value):
+    """theta and vhat are read only as the text construct writes, a ratio
+    in lowest terms: any other spelling, a sign on the denominator, a zero
+    denominator or a non-string exits 2 with one line, before the schedule
+    takes a floor."""
+    side = json.loads(open(files[f"{flavor}.json"]).read())
+    side["schedule"][field] = value
+    path = tmp_path / "ratio.json"
+    path.write_text(json.dumps(side))
+    calls, schedule = [], layout.schedule
+    monkeypatch.setattr(layout, "schedule", lambda *a: calls.append(a) or schedule(*a))
+    rc, out, err = run(["measure", "--sidecar", str(path), "--n", "20"])
+    assert (rc, out, err) == (2, "", f"error: not a construction sidecar: {str(path)!r}\n")
+    assert calls == []
 
 
 @pytest.mark.parametrize("approximant", ["int:3", "approx:root:1,1:4", "approx:root:1,1,1:3"])

@@ -3,8 +3,10 @@
 ``oracle_*`` below are the integer-base and real-base generators, their
 free-span and free-block scans and the free count of ``measure_of_word`` as
 they stood before every construction read one segment list (the
-caller-supplied stream fill left out, since it is gone).  They are frozen: the tests assert that the
-library reproduces their words, clamps, sidecar layouts and masses exactly.
+caller-supplied stream fill left out, since it is gone), and the run
+schedule as it stood before it took its floors in ints.  They are frozen:
+the tests assert that the library reproduces their schedules, refusals,
+words, clamps, sidecar layouts and masses exactly.
 One rule has changed since: the run-cap pass alone breaks runs (the
 constant fill no longer punches break digits), and a cap of 0 reads as 1
 only where no digit other than 0 and b-1 is allowed.
@@ -26,7 +28,14 @@ from betadio.errors import (
     DepthExceeded,
     InfeasibleParameters,
 )
-from betadio.layout import FREE, beta_layout, free_digit_count, layout_segments, schedule
+from betadio.layout import (
+    FREE,
+    beta_layout,
+    free_digit_count,
+    layout_segments,
+    read_ratio,
+    schedule,
+)
 from betadio.measures_dim import measure_beta
 
 F = Fraction
@@ -34,6 +43,49 @@ F = Fraction
 
 # ---------------------------------------------------------------------------
 # frozen references
+
+
+def oracle_schedule(theta, v_hat, stages):
+    """The schedule in Fractions, as the sidecar's dict."""
+    theta, v_hat = F(theta), F(v_hat)
+    if not 0 < v_hat < 1:
+        raise InfeasibleParameters(f"need 0 < vhat < 1, got {v_hat}")
+    if theta < 1 / (1 - v_hat):
+        raise InfeasibleParameters(
+            f"theta {theta} below the emptiness threshold {1 / (1 - v_hat)}")
+    growth = theta * v_hat + 1
+
+    def raw(k):
+        p = theta ** k
+        return p.numerator // p.denominator
+
+    k0 = 1
+    while True:
+        cand = raw(k0)
+        if cand >= 2 and (growth * cand).numerator // (growth * cand).denominator - cand >= 1:
+            break
+        k0 += 1
+        if k0 > 64:
+            raise InfeasibleParameters("schedule never leaves the degenerate range")
+
+    n = [raw(k0)]
+    m, t, delta, u = [], [], [], []
+    prev_gap = 0
+    for j in range(stages):
+        nk = n[j]
+        scaled = growth * nk
+        gap = max(scaled.numerator // scaled.denominator - nk, prev_gap, 1)
+        prev_gap = gap
+        mk = nk + gap
+        m.append(mk)
+        delta.append(gap - 1)
+        nxt = max(raw(k0 + j + 1), mk)
+        n.append(nxt)
+        tk = max(0, (nxt - mk - 1) // gap)
+        t.append(tk)
+        u.append(mk + tk * gap)
+    return {"theta": str(theta), "v_hat": str(v_hat), "n": n, "m": m, "t": t,
+            "delta": delta, "u": u}
 
 
 def oracle_beta_layout(runs, N):
@@ -133,7 +185,7 @@ def oracle_enforce_run_caps(arr, runs, depth, b, allowed, spans, clamps):
 
 
 def oracle_generate_bary(b, S, theta, v_hat, stages, fill):
-    runs = schedule(theta, v_hat, stages)
+    runs = schedule(theta.as_integer_ratio(), v_hat.as_integer_ratio(), stages)
     depth = runs.n[runs.stages]
     run_digit = 0 if S is None else S.run_digit
     marker = 1 if S is None else S.marker_digit
@@ -167,7 +219,7 @@ def oracle_generate_bary(b, S, theta, v_hat, stages, fill):
 
 
 def oracle_generate_beta(base, N, theta, v_hat, stages, fill):
-    runs = schedule(theta, v_hat, stages)
+    runs = schedule(theta.as_integer_ratio(), v_hat.as_integer_ratio(), stages)
     l, h, _u = oracle_beta_layout(runs, N)
     approx = base.approximant(N)
     auto = approx.automaton
@@ -280,15 +332,55 @@ def bary_stages(theta, b):
 
 
 def test_grids_include_a_run_that_ends_at_the_next_anchor():
-    hits = [(t, v) for t, v in PAIRS
-            if any(schedule(t, v, 8).m[k] == schedule(t, v, 8).n[k + 1] for k in range(8))]
+    runs = [schedule(t.as_integer_ratio(), v.as_integer_ratio(), 8) for t, v in PAIRS]
+    hits = [s for s in runs if any(s.m[k] == s.n[k + 1] for k in range(8))]
     assert hits, "no schedule with n_{k+1} == m_k in the grid"
 
 
 def test_grids_include_a_one_digit_gap_with_markers():
     # gap 1 with spaced markers: the base-2 `1 0` blocks touch the next marker
-    assert any(s.gap(k) == 1 and s.t[k] >= 2
-               for s in (schedule(t, v, 3) for t, v in PAIRS) for k in range(3))
+    runs = (schedule(t.as_integer_ratio(), v.as_integer_ratio(), 3) for t, v in PAIRS)
+    assert any(s.gap(k) == 1 and s.t[k] >= 2 for s in runs for k in range(3))
+
+
+# ---------------------------------------------------------------------------
+# schedules
+
+SCHEDULE_THETAS = [F(2), F(5, 2), F(3), F(7, 2), F(4), F(8)]
+SCHEDULE_VHATS = [F(1, 5), F(1, 4), F(1, 3), F(2, 5), F(1, 2), F(3, 5)]
+
+
+def _message(call):
+    with pytest.raises(InfeasibleParameters) as info:
+        call()
+    return str(info.value)
+
+
+@pytest.mark.parametrize("theta", SCHEDULE_THETAS)
+@pytest.mark.parametrize("vhat", SCHEDULE_VHATS)
+def test_schedule_matches_oracle(theta, vhat):
+    """The int schedule gives the Fraction schedule's stages and sidecar
+    text, which reads back as the pair, or its refusal word for word below
+    the threshold."""
+    pair = theta.as_integer_ratio(), vhat.as_integer_ratio()
+    if theta < 1 / (1 - vhat):
+        assert _message(lambda: schedule(*pair, 4)) == \
+            _message(lambda: oracle_schedule(theta, vhat, 4))
+        return
+    for stages in range(17):
+        want = oracle_schedule(theta, vhat, stages)
+        runs = schedule(*pair, stages)
+        assert [runs.n, runs.m, runs.t, runs.delta, runs.u] == \
+            [want[k] for k in ("n", "m", "t", "delta", "u")], stages
+        assert runs.to_dict() == want, stages
+    assert (read_ratio(want["theta"]), read_ratio(want["v_hat"])) == pair
+
+
+@pytest.mark.parametrize("theta, vhat", [(F(3), F(0)), (F(3), F(1)), (F(3), F(3, 2)),
+                                         (F(6, 5), F(1, 2))])
+def test_schedule_refuses_as_the_oracle_did(theta, vhat):
+    got = _message(lambda: schedule(theta.as_integer_ratio(), vhat.as_integer_ratio(), 4))
+    assert got == _message(lambda: oracle_schedule(theta, vhat, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +407,8 @@ def test_generate_bary_matches_oracle(b, ds, theta, vhat):
 @pytest.mark.parametrize("theta,vhat", PAIRS)
 def test_free_counts_match_oracle_at_every_depth(pair, theta, vhat):
     b = 2 if pair else 3  # the base decides the base-2 pairing
-    runs = schedule(theta, vhat, {F(2): 9, F(3): 5, F(7, 2): 4, F(4): 4}[theta])
+    stages = {F(2): 9, F(3): 5, F(7, 2): 4, F(4): 4}[theta]
+    runs = schedule(theta.as_integer_ratio(), vhat.as_integer_ratio(), stages)
     depth = runs.n[runs.stages]
     spans = oracle_free_spans(runs, depth, pair)
     segs = layout_segments(runs, b)
@@ -376,7 +469,7 @@ def test_generate_beta_matches_oracle(spec):
                 out = generate_beta(base, N, theta, vhat, stages, policy)
                 assert (out.word.data, out.clamps) == want, (N, theta, vhat, fill)
                 checked += 1
-            runs = schedule(theta, vhat, stages)
+            runs = schedule(theta.as_integer_ratio(), vhat.as_integer_ratio(), stages)
             lay = beta_layout(runs, N)
             assert (lay.l, lay.h, lay.u) == oracle_beta_layout(runs, N)
             assert lay.to_dict()["u_beta"] == lay.u
@@ -391,7 +484,7 @@ def test_measure_beta_matches_oracle_at_every_depth(spec):
         if sub is None:
             continue
         for theta, vhat in BETA_PAIRS:
-            runs = schedule(theta, vhat, 3)
+            runs = schedule(theta.as_integer_ratio(), vhat.as_integer_ratio(), 3)
             lay = beta_layout(runs, N)
             assert [(s.lo, s.hi) for s in lay.segments if s.kind == FREE] == \
                 oracle_beta_free_blocks(runs, N)
@@ -405,7 +498,7 @@ def test_measure_beta_matches_oracle_at_every_depth(spec):
 
 def test_layout_segments_tile_the_word():
     for theta, vhat in PAIRS:
-        runs = schedule(theta, vhat, 5)
+        runs = schedule(theta.as_integer_ratio(), vhat.as_integer_ratio(), 5)
         for N, base in ((0, 3), (0, 2), (1, None), (3, None)):
             segs = layout_segments(runs, base, N)
             assert segs[0].lo == 1

@@ -93,7 +93,7 @@ def test_reprove_rejects_theta_zero_or_v(v, theta):
 
 
 def runs33():
-    return schedule(F(3), F(1, 3), 16)
+    return schedule((3, 1), (1, 3), 16)
 
 
 def test_free_digit_count_examples():
@@ -115,7 +115,7 @@ def test_measure_constant_across_prescribed_stretch():
 def test_measure_digitwise_consistency():
     # parent mass equals the sum over admissible children: free positions
     # split the mass by the base, prescribed positions keep it
-    runs = schedule(F(4), F(1, 4), 6)
+    runs = schedule((4, 1), (1, 4), 6)
     b = 5
     for n in range(1, 400):
         e0 = free_digit_count(runs, n - 1, b) if n > 1 else 0
@@ -128,7 +128,7 @@ def test_measure_digitwise_consistency():
 
 
 def test_measure_depth_exceeded():
-    runs = schedule(F(3), F(1, 3), 3)
+    runs = schedule((3, 1), (1, 3), 3)
     with pytest.raises(DepthExceeded):
         free_digit_count(runs, runs.n[3] + 1, 3)
 
@@ -154,7 +154,7 @@ def test_free_digit_count_weighs_the_base_2_word():
 
 def test_measure_beta_first_levels():
     g = BetaSystem.from_root([1, 1])
-    runs = schedule(F(3), F(1, 3), 6)
+    runs = schedule((3, 1), (1, 3), 6)
     layout = beta_layout(runs, 3)
     sub = g.approximant(3)
     for n in range(1, layout.l[0]):
@@ -179,7 +179,7 @@ def test_measure_beta_block_consistency():
     # uniform distribution over the admissible fill words of a block:
     # summing the children masses over one full block returns the parent mass
     g = BetaSystem.from_root([1, 1])
-    runs = schedule(F(3), F(1, 3), 5)
+    runs = schedule((3, 1), (1, 3), 5)
     layout = beta_layout(runs, 3)
     sub = g.approximant(3)
     start = layout.h[1] + 1  # first free block of stage 2
@@ -282,7 +282,7 @@ def test_measure_beta_marker_regimes():
     # inside the t-th gap the mass is parent / (count(delta)^t * count(consumed)),
     # and across the t-th marker block it is parent / count(delta)^(t+1)
     g = BetaSystem.from_root([1, 1])
-    runs = schedule(F(8), F(1, 4), 4)
+    runs = schedule((8, 1), (1, 4), 4)
     assert runs.t[0] >= 2
     N = 3
     layout = beta_layout(runs, N)

@@ -40,7 +40,7 @@ def test_digit_set_keeps_a_frozenset():
 @pytest.mark.parametrize("value", [
     FillPolicy(),
     MeasureValue(n=3, factors=[]),
-    schedule(F(3), F(1, 3), 2),
+    schedule((3, 1), (1, 3), 2),
 ])
 def test_mutable_values_are_unhashable(value):
     with pytest.raises(TypeError):
