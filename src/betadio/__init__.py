@@ -28,7 +28,7 @@ _LAYERS = {  # each exported name by the module that defines it
     "layout": "BetaLayout ScheduledRuns Segment beta_layout layout_segments schedule",
     "measures_dim": "DimensionReport MeasureValue local_dimension_bary local_dimension_beta"
                     " measure_beta",
-    "numerics": "Comparison Dyadic Scalar", "logarithm": "ln ln_int",
+    "numerics": "Comparison Scalar", "logarithm": "ln ln_int",
     "roots": "PolyRoot isolate_root",
     "words": "DigitWord",
 }

@@ -24,9 +24,9 @@ from typing import Optional, Sequence, Union
 from .automaton import PeriodicWord, is_self_admissible, poly_sub, poly_trim
 from .beta_shift import BetaSystem, _Orbit, _RationalOrbit, is_admissible
 from .errors import DEFAULT_PRECISION, DegenerateApproximant, NotSelfAdmissible, PrecisionExhausted
-from .numerics import Scalar, _escalate, _iv_horner
+from .numerics import Scalar, _escalate, _iv_horner, _scalar
 from .record import Record
-from .roots import PolyRoot, isolate_root, poly_eval
+from .roots import PolyRoot, isolate_root
 
 F = Fraction
 
@@ -44,12 +44,18 @@ def parry_invert(word: Union[Sequence[int], PeriodicWord],
         raise DegenerateApproximant("empty word")
     if not is_self_admissible(w):
         raise NotSelfAdmissible(f"{w} has a shift exceeding the word")
-    return isolate_root([F(c) for c in w.pre], periodic_tail=[F(c) for c in w.per],
-                        precision=precision)
+    return isolate_root(w.pre, periodic_tail=w.per, precision=precision)
 
 
 # ---------------------------------------------------------------------------
 # exact zero tests: polynomials over Q, ascending, divided as Fractions
+
+
+def poly_eval(c: Sequence[Fraction], x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for coef in reversed(c):
+        acc = acc * x + coef
+    return acc
 
 
 def poly_divmod(a: Sequence[Fraction], b: Sequence[Fraction]):
@@ -89,17 +95,17 @@ def is_exact_root(poly: Sequence[Fraction], root: PolyRoot) -> bool:
     c = poly_trim(list(Fraction(v) for v in poly))
     if not c:
         return True
-    g = poly_gcd(c, root.poly)
+    g = poly_gcd(c, [Fraction(v) for v in root.int_poly])
     if len(g) <= 1:
         return False
     for bits in _escalate(root.refined.prec, "exact-zero test did not resolve"):
         s = root.as_scalar(bits)
-        glo = poly_eval(g, s.lo.value)
-        ghi = poly_eval(g, s.hi.value)
+        glo = poly_eval(g, s.lo)
+        ghi = poly_eval(g, s.hi)
         if glo == 0 or ghi == 0:
             # endpoint hit: nudge by refining further, dyadic endpoints are
             # never the algebraic root itself unless the root is rational
-            if root.exact_equals(s.lo.value) or root.exact_equals(s.hi.value):
+            if root.exact_equals(s.lo) or root.exact_equals(s.hi):
                 return True
         if glo * ghi < 0:
             return True
@@ -141,7 +147,7 @@ class _AlgebraicOrbit(_Orbit):
             fl = val.floor_certified(q)
             if fl is not None:
                 break
-            lo = val.lo.value
+            lo = val.lo
             candidate = lo.numerator // (lo.denominator * q) + 1
             if is_exact_root(poly_sub(shifted, [q * candidate]), self.root):
                 # beta * orbit equals the integer exactly: digit = candidate,
@@ -269,7 +275,7 @@ def cylinder(system: BetaSystem, word: Sequence[int],
         H = min(system.horizon, 512)
         partial = word_value(system, [system.d1_star_digit(i) for i in range(H)], bits)
         rest = beta.pow_int(-H).scale_int(top) / (beta - Scalar.from_int(1, bits))
-        tail = Scalar(partial.lo, (partial + rest).hi, bits)
+        tail = _scalar((*partial.iv[:2], *(partial + rest).iv[2:]), bits)
         full = None
     length = scale * tail
     right = left + length

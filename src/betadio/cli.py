@@ -77,7 +77,7 @@ _COMMANDS = {
         ("what", ("formula", "local", "s0"), ...), ("--theta", str, None, "formula local! s0!"),
         ("--vhat", str, ...), ("--sup", bool, False, "formula"), ("--eps", str, "0", "s0"),
         ("--base", int, 3, "formula local"), ("--digit-set", str, None, "formula local"),
-        ("--beta", str, None, "local"), ("--N", int, 3, "local"), ("--stages", int, 12, "local"),
+        ("--beta", str, None, "local"), ("--N", int, 3, "local"), ("--stages", 0, 12, "local"),
         ("--tolerance", str, "1/50", "local"), ("--format", ("json", "csv"), "json", "local")),
         "--beta --base", "--beta --digit-set", "--sup --theta", "--N needs --beta",
         "formula --base needs --digit-set"),

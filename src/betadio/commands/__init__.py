@@ -89,6 +89,6 @@ def _emit_digits(args, base: int, blocks, config: dict, sidecar=dict):
 
 
 def _scalar_dict(s) -> dict:
-    return {"lower": f"{s.lo.value.numerator}/{s.lo.value.denominator}",
-            "upper": f"{s.hi.value.numerator}/{s.hi.value.denominator}",
+    return {"lower": f"{s.lo.numerator}/{s.lo.denominator}",
+            "upper": f"{s.hi.numerator}/{s.hi.denominator}",
             "float": float(s.mid)}

@@ -6,11 +6,12 @@ summed with directed rounding and an explicit geometric tail bound;
 ln 2 = 2 atanh(1/3) the same way.
 
 The sums run on raw ``(man, exp)`` pairs with the rounding kernels of
-``numerics``, so they make the same values as Dyadic arithmetic without
-building a Fraction or Dyadic per term.  A term p/k is not reduced first: it
-may then carry a bit more or less, but any grid of at least work + 1 bits is
-finer than the accumulator's work-bit grid, and directed rounding onto a
-finer grid and then onto the coarser one equals rounding onto the coarser one.
+``numerics``, so they make the same values, bit for bit, as the sums over
+exact dyadic endpoints that the tests keep as the reference, without
+building a Fraction per term.  A term p/k is not reduced first: it may then
+carry a bit more or less, but any grid of at least work + 1 bits is finer
+than the accumulator's work-bit grid, and directed rounding onto a finer
+grid and then onto the coarser one equals rounding onto the coarser one.
 """
 
 from __future__ import annotations

@@ -134,7 +134,7 @@ def _report(target: Fraction, traj: list[tuple[int, Fraction, Fraction]], tolera
             scale: Optional[Scalar], params: dict) -> DimensionReport:
     """The report of a trajectory against the closed form ``target``, scaled
     by the certified interval ``scale`` when there is one."""
-    scale_iv = None if scale is None else (scale.lo.value, scale.hi.value)
+    scale_iv = None if scale is None else (scale.lo, scale.hi)
     t_lo, t_hi = (target, target) if scale_iv is None else \
         (target * scale_iv[0], target * scale_iv[1])
     return DimensionReport(
@@ -164,7 +164,7 @@ def local_dimension_bary(theta: Fraction, v_hat: Fraction, base: Union[int, Digi
         if scale is None:
             traj.append((k + 1, ratio, ratio))
         else:
-            traj.append((k + 1, ratio * scale.lo.value, ratio * scale.hi.value))
+            traj.append((k + 1, ratio * scale.lo, ratio * scale.hi))
     return _report(dim_formula(theta, v_hat), traj, tolerance, scale,
                    {"theta": theta, "v_hat": v_hat, "base": base, "stages": stages})
 
@@ -191,7 +191,7 @@ def local_dimension_beta(base: BetaSystem, N: int, theta: Fraction, v_hat: Fract
         hk = layout.h[k]
         num = -measure_beta(layout, sub, hk).log_mu(bits)  # positive
         ratio = num / ln_beta.scale_int(hk)
-        traj.append((k + 1, ratio.lo.value, ratio.hi.value))
+        traj.append((k + 1, ratio.lo, ratio.hi))
     return _report(dim_formula(theta, v_hat), traj, tolerance, scale,
                    {"beta": base.spec_string, "N": N, "theta": theta, "v_hat": v_hat,
                     "stages": stages})

@@ -3,11 +3,10 @@
 There is one interval representation: a ``Scalar`` holds its two dyadic
 endpoints ``man * 2**exp`` as raw integer pairs, and every operation rounds
 them outward with ``_round``, so the interval always contains the exact real
-result.  ``Dyadic`` is the normal form an endpoint is read, printed, hashed
-and compared as; the endpoints are those the same steps in Dyadic arithmetic
-give, bit for bit, and the tests keep that version as the reference.  The
+result.  An endpoint is read as the exact ``Fraction`` of its pair.  The
 logarithm (``logarithm``) sums its series on the same raw pairs, and the
-roots that define irrational bases (``roots``) hand out such intervals.
+roots that define irrational bases (``roots``) hand out such intervals; a
+finer interval of a root is asked of the root, not of a Scalar.
 
 Every certificate that an interval does not yet settle (a floor, a sign, an
 order) is retried at twice the precision by one loop, ``_escalate``, which
@@ -17,12 +16,10 @@ gives up with ``PrecisionExhausted`` past ``_MAX_BITS``.
 from __future__ import annotations
 
 import enum
-import functools
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import DEFAULT_PRECISION, PrecisionExhausted
-from .record import Record
 
 # the working precision past which every certificate gives up
 _MAX_BITS = 1 << 14
@@ -48,43 +45,9 @@ def _norm(man: int, exp: int) -> tuple[int, int]:
     return man >> tz, exp + tz
 
 
-@functools.total_ordering
-class Dyadic(Record):
-    """Exact dyadic rational ``man * 2**exp``, kept in normal form: the type
-    a ``Scalar`` endpoint is read, printed, hashed and compared as.
-
-    Immutable by convention, hashed by value.
-    """
-
-    __slots__ = ("man", "exp")
-
-    def __init__(self, man: int, exp: int):
-        self.man = man
-        self.exp = exp
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    @staticmethod
-    def of(man: int, exp: int = 0) -> "Dyadic":
-        return Dyadic(*_norm(man, exp))
-
-    @property
-    def value(self) -> Fraction:
-        e = self.exp
-        return Fraction(self.man << e) if e >= 0 else Fraction(self.man, 1 << -e)
-
-    def __add__(self, other: "Dyadic") -> "Dyadic":
-        return Dyadic.of(*_add(self.man, self.exp, other.man, other.exp))
-
-    def __mul__(self, other: "Dyadic") -> "Dyadic":
-        return Dyadic.of(self.man * other.man, self.exp + other.exp)
-
-    def __lt__(self, other):
-        return _less(self.man, self.exp, other.man, other.exp)
-
-
-ZERO = Dyadic(0, 0)
+def _value(man: int, exp: int) -> Fraction:
+    """The exact value of the raw pair ``man * 2**exp``."""
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
 def _round(man: int, exp: int, bits: int, up: bool) -> tuple[int, int]:
@@ -140,64 +103,49 @@ class Comparison(enum.Enum):
     GREATER = 1
 
 
-def _scalar(iv: tuple[int, int, int, int], prec: int, refiner=None) -> "Scalar":
+def _scalar(iv: tuple[int, int, int, int], prec: int) -> "Scalar":
     """A Scalar on the raw endpoints ``iv = (lo_man, lo_exp, hi_man, hi_exp)``."""
     s = object.__new__(Scalar)
-    s.iv, s.prec, s._refiner = iv, prec, refiner
+    s.iv, s.prec = iv, prec
     return s
 
 
 class Scalar:
-    """Interval with dyadic endpoints; optionally refinable.
+    """Interval with dyadic endpoints.
 
     The endpoints are one tuple of raw integer pairs, ``iv = (lo_man,
     lo_exp, hi_man, hi_exp)``, not necessarily in normal form; arithmetic
-    rounds them with ``_round`` and ``lo`` and ``hi`` read them as Dyadic.
-    A refiner is a callback ``bits -> Scalar`` recomputing the same real
-    number from its defining expression (exact rational, isolated root, ...).
-    Scalars produced by arithmetic have no refiner: recompute them from
-    refined inputs instead.
+    rounds them with ``_round`` and ``lo`` and ``hi`` read them as exact
+    Fractions.  There is no way to refine a Scalar: a finer one is
+    recomputed from finer inputs, such as a root's ``as_scalar``.
     """
 
-    __slots__ = ("iv", "prec", "_refiner")
-
-    def __init__(self, lo: Dyadic, hi: Dyadic, prec: int = DEFAULT_PRECISION,
-                 refiner: Optional[Callable[[int], "Scalar"]] = None):
-        if lo > hi:
-            raise ValueError("inverted interval")
-        self.iv = (lo.man, lo.exp, hi.man, hi.exp)
-        self.prec = prec
-        self._refiner = refiner
+    __slots__ = ("iv", "prec")
 
     @property
-    def lo(self) -> Dyadic:
-        return Dyadic.of(*self.iv[:2])
+    def lo(self) -> Fraction:
+        return _value(*self.iv[:2])
 
     @property
-    def hi(self) -> Dyadic:
-        return Dyadic.of(*self.iv[2:])
+    def hi(self) -> Fraction:
+        return _value(*self.iv[2:])
 
     # -- constructors
 
     @staticmethod
-    def exact(d: Dyadic, prec: int = DEFAULT_PRECISION) -> "Scalar":
-        return Scalar(d, d, prec, refiner=lambda bits: Scalar.exact(d, bits))
-
-    @staticmethod
     def from_int(n: int, prec: int = DEFAULT_PRECISION) -> "Scalar":
-        return _scalar((n, 0, n, 0), prec, lambda bits: Scalar.from_int(n, bits))
+        return _scalar((n, 0, n, 0), prec)
 
     @staticmethod
     def from_fraction(x: Fraction, prec: int = DEFAULT_PRECISION) -> "Scalar":
         x = Fraction(x)
-        return _scalar((*_fraction_pair(x, prec, False), *_fraction_pair(x, prec, True)), prec,
-                       lambda bits: Scalar.from_fraction(x, bits))
+        return _scalar((*_fraction_pair(x, prec, False), *_fraction_pair(x, prec, True)), prec)
 
     # -- inspection
 
     @property
     def width(self) -> Fraction:
-        return self.hi.value - self.lo.value
+        return self.hi - self.lo
 
     def _within(self, bits: int) -> bool:
         """Whether the width is at most 2**-bits."""
@@ -206,13 +154,13 @@ class Scalar:
 
     @property
     def mid(self) -> Fraction:
-        return (self.lo.value + self.hi.value) / 2
+        return (self.lo + self.hi) / 2
 
     def contains(self, x: Fraction) -> bool:
-        return self.lo.value <= x <= self.hi.value
+        return self.lo <= x <= self.hi
 
     def __repr__(self):
-        return f"Scalar[{float(self.lo.value)}, {float(self.hi.value)}]"
+        return f"Scalar[{float(self.lo)}, {float(self.hi)}]"
 
     # -- arithmetic (outward rounding at the weaker operand precision)
 
@@ -264,9 +212,9 @@ class Scalar:
 
     def compare(self, threshold: Fraction) -> Comparison:
         t = Fraction(threshold)
-        if self.hi.value < t:
+        if self.hi < t:
             return Comparison.LESS
-        if self.lo.value > t:
+        if self.lo > t:
             return Comparison.GREATER
         return Comparison.UNRESOLVED
 
@@ -276,17 +224,6 @@ class Scalar:
         lm, le, hm, he = self.iv
         flo = (lm << le if le >= 0 else lm >> -le) // q
         return flo if flo == (hm << he if he >= 0 else hm >> -he) // q else None
-
-    def refine(self, target_bits: int) -> "Scalar":
-        if self._within(target_bits):
-            return self
-        if self._refiner is None:
-            raise PrecisionExhausted(
-                f"interval of width {float(self.width):.3e} has no defining expression")
-        out = self._refiner(target_bits + 2)
-        if not out._within(target_bits):
-            raise PrecisionExhausted("refiner could not reach the requested width")
-        return out
 
 
 def _mul(a: tuple, b: tuple, bits: int) -> tuple[int, int, int, int]:

@@ -11,16 +11,15 @@ cell they end in is determined by the root alone, so a search over the cells
 from a fixed-point Newton guess finds it, with the same signs.
 
 The intervals a root hands out are ``numerics`` Scalars; a certificate that
-one does not settle is retried by ``numerics._escalate``.  The exact side
-evaluates polynomials over Q (ascending coefficient lists) and the value
-equation's defect.  A root keeps its cleared polynomial, which
-``automaton`` builds in ints, as Fractions: ``beta_values.is_exact_root``
-divides by it, and an int ``/`` would give a float.
+one does not settle is retried by ``numerics._escalate``.  A root keeps one
+polynomial, the value equation cleared of denominators in ints
+(``automaton._cleared_polynomial``), and evaluates it exactly in one way,
+the integer Horner of ``_exact_sign``: the sign of a point, and whether a
+rational is the root.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -38,12 +37,12 @@ _START_STEPS = 48
 class PolyRoot:
     """The unique root > 1 of ``1 = sum c_i z**-i`` (optionally periodic tail).
 
-    Holds the exact defining data, a rational bracket with a sign change,
-    and a refined interval.  ``refine`` returns the bracket that halving it
-    with certified sign evaluations until it is 2**-bits wide would leave:
-    the cell [g_j, g_j+1] of the grid g_j = lo + j*w, w = (hi - lo) /
-    2**steps, whose left end has sign < 0 (or is lo) and right end sign >= 0
-    (or is hi).  The sign is monotone beyond 1, so exactly one cell
+    Holds the cleared integer polynomial, a rational bracket with a sign
+    change, and a refined interval.  ``refine`` returns the bracket that
+    halving it with certified sign evaluations until it is 2**-bits wide
+    would leave: the cell [g_j, g_j+1] of the grid g_j = lo + j*w, w = (hi -
+    lo) / 2**steps, whose left end has sign < 0 (or is lo) and right end sign
+    >= 0 (or is hi).  The sign is monotone beyond 1, so exactly one cell
     qualifies, and a binary search over j with the same signs finds it.  It
     starts from a Newton guess of j: the signs at the guessed cell's ends
     confirm it, or else steps of 1, 2, 4, ... cells away bracket the cell
@@ -52,37 +51,37 @@ class PolyRoot:
     and the search spans the whole grid: that is bisection.
     """
 
-    __slots__ = ("pre", "per", "poly", "int_poly", "lo", "hi", "refined")
+    __slots__ = ("int_poly", "lo", "hi", "refined")
 
-    def __init__(self, pre: Sequence[Fraction], per: Sequence[Fraction],
-                 lo: Fraction, hi: Fraction, precision: int = DEFAULT_PRECISION):
-        self.pre = tuple(Fraction(c) for c in pre)
-        self.per = tuple(Fraction(c) for c in per)
-        self.poly = [Fraction(c) for c in _cleared_polynomial(self.pre, self.per)]
-        scale = math.lcm(*(c.denominator for c in self.poly)) if self.poly else 1
-        self.int_poly = [int(c * scale) for c in self.poly]
+    def __init__(self, int_poly: Sequence[int], lo: Fraction, hi: Fraction,
+                 precision: int = DEFAULT_PRECISION):
+        self.int_poly = int_poly
         self.lo, self.hi = Fraction(lo), Fraction(hi)
         self.refined = self.refine(precision)
 
-    def _sign_at(self, z: Fraction) -> int:
-        """Sign of the value-equation defect at z > 1.
-
-        Uses the cleared integer polynomial: its extra factors z**m and
-        (z**q - 1) are positive beyond 1, so the sign agrees with ``_defect``.
-        An interval Horner at fixed point, a few bits finer than z, settles
-        it unless the interval straddles 0; only then is the exact integer
-        Horner run, whose integers grow to about degree x bits of z.
-        """
+    def _exact_sign(self, z: Fraction) -> int:
+        """Sign of the cleared polynomial at z, by exact integer Horner: its
+        integers grow to about degree x bits of z."""
         num, den = z.numerator, z.denominator
-        p = den.bit_length() + 2 * len(self.int_poly).bit_length() + 32
-        lo, hi = _fixed_bounds(self.int_poly, num, den, p)
-        if lo > 0 or hi < 0:
-            return 1 if lo > 0 else -1
         acc, dp = 0, 1
         for c in reversed(self.int_poly):
             acc = acc * num + c * dp
             dp *= den
         return (acc > 0) - (acc < 0)
+
+    def _sign_at(self, z: Fraction) -> int:
+        """Sign of the value equation's defect ``1 - sum c_i z**-i`` at z > 1.
+
+        Uses the cleared integer polynomial: its extra factors z**m and
+        (z**q - 1) are positive beyond 1, so the signs agree.  An interval
+        Horner at fixed point, a few bits finer than z, settles it unless
+        the interval straddles 0; only then is ``_exact_sign`` run.
+        """
+        p = z.denominator.bit_length() + 2 * len(self.int_poly).bit_length() + 32
+        lo, hi = _fixed_bounds(self.int_poly, z.numerator, z.denominator, p)
+        if lo > 0 or hi < 0:
+            return 1 if lo > 0 else -1
+        return self._exact_sign(z)
 
     def refine(self, target_bits: int) -> Scalar:
         lo, hi = self.lo, self.hi
@@ -112,7 +111,7 @@ class PolyRoot:
             a, b = (a, m) if up(m) else (m, b)
         self.lo, self.hi = lo + w * a, lo + w * b
         return _scalar((*_fraction_pair(self.lo, target_bits + 8, False),
-                        *_fraction_pair(self.hi, target_bits + 8, True)), target_bits, self.refine)
+                        *_fraction_pair(self.hi, target_bits + 8, True)), target_bits)
 
     def as_scalar(self, bits: int = DEFAULT_PRECISION) -> Scalar:
         if self.refined._within(bits):
@@ -121,26 +120,12 @@ class PolyRoot:
         return self.refined
 
     def exact_equals(self, x: Fraction) -> bool:
-        return _defect(self.pre, self.per, Fraction(x)) == 0
+        """Whether the root is the rational x: the root is the one zero of
+        the cleared polynomial beyond 1."""
+        return x > 1 and self._exact_sign(x) == 0
 
     def __repr__(self):
         return f"PolyRoot(~{float(self.refined.mid):.12f})"
-
-
-def poly_eval(c: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for coef in reversed(c):
-        acc = acc * x + coef
-    return acc
-
-
-def _defect(pre: Sequence[Fraction], per: Sequence[Fraction], z: Fraction) -> Fraction:
-    """1 - sum_i pre_i z^-i - z^-|pre| (sum_j per_j z^-j) / (1 - z^-|per|), z > 1."""
-    zi = 1 / z
-    value = poly_eval((0, *pre), zi)
-    if per:
-        value += zi ** len(pre) * poly_eval((0, *per), zi) / (1 - zi ** len(per))
-    return 1 - value
 
 
 def _halvings(width: Fraction, bits: int) -> int:
@@ -209,30 +194,29 @@ def _newton(poly: Sequence[int], lo: Fraction, hi: Fraction, prec: int) -> Optio
     return Fraction(z, 1 << p)
 
 
-def isolate_root(coefficients: Sequence[Fraction], precision: int = DEFAULT_PRECISION,
-                 periodic_tail: Sequence[Fraction] = ()) -> PolyRoot:
-    """Bracket and certify the root > 1 of ``1 = sum c_i z**-i``.
+def isolate_root(coefficients: Sequence[int], precision: int = DEFAULT_PRECISION,
+                 periodic_tail: Sequence[int] = ()) -> PolyRoot:
+    """Bracket and certify the root > 1 of ``1 = sum c_i z**-i``, the
+    coefficients (and those of the periodic tail) nonnegative integers.
 
     Raises NoRoot when every coefficient vanishes, DegenerateApproximant
     when the root is at z <= 1.
     """
-    pre = [Fraction(c) for c in coefficients]
-    per = [Fraction(c) for c in periodic_tail]
+    pre, per = list(coefficients), list(periodic_tail)
     if any(c < 0 for c in pre + per):
         raise ValueError("expansion coefficients must be nonnegative")
     if not any(pre) and not any(per):
         raise NoRoot("all coefficients vanish")
-    if per and any(per):
+    if any(per):
         # value function has a pole at 1+, root > 1 always exists
-        top = max(max(pre, default=Fraction(0)), max(per))
-        lo, hi = Fraction(1), top + 2
+        hi = max(pre + per) + 2
     else:
         total = sum(pre)
         if total <= 1:
             raise DegenerateApproximant(
                 f"coefficient sum {total} <= 1 forces the root to z <= 1")
-        lo, hi = Fraction(1), total + 1
-    return PolyRoot(pre, per, lo, hi, precision)
+        hi = total + 1
+    return PolyRoot(_cleared_polynomial(pre, per), 1, hi, precision)
 
 
 def _integer_part(root: PolyRoot) -> tuple[int, bool]:
@@ -242,15 +226,15 @@ def _integer_part(root: PolyRoot) -> tuple[int, bool]:
     A bracket at most 2**-64 wide holds at most one integer, and a later
     bracket can hold only that one, so the error names the first bracket's."""
     bits = max(root.refined.prec, 64)
-    hi = root.as_scalar(bits).hi.value
+    hi = root.as_scalar(bits).hi
     k = hi.numerator // hi.denominator
     for bits in _escalate(bits, f"cannot tell beta from the integer {k}"):
         s = root.as_scalar(bits)
-        hi = s.hi.value
+        hi = s.hi
         k = hi.numerator // hi.denominator
-        if s.lo.value > k:
+        if s.lo > k:
             return k, False
-        if root.exact_equals(Fraction(k)):
+        if root.exact_equals(k):
             return k, True
 
 

@@ -223,8 +223,8 @@ def test_criterion_5_cylinder_laws():
                 lower = beta.pow_int(-(n + N))
                 d_up = upper - length
                 d_lo = length - lower
-                assert d_up.hi.value >= 0 and d_up.lo.value >= -slack
-                assert d_lo.hi.value >= 0 and d_lo.lo.value >= -slack
+                assert d_up.hi >= 0 and d_up.lo >= -slack
+                assert d_lo.hi >= 0 and d_lo.lo >= -slack
 
         # depth-n cylinders tile the unit interval
         for sys_ in (golden, trib):
@@ -263,7 +263,7 @@ def test_criterion_6_long_word_at_4096_bits():
         assert s.width <= F(1, 2 ** 4096)
         # (10)^250 falls short of the golden ratio's (10)^oo by about phi**-500
         phi_lo = (1 + F(math.isqrt(5 << 800), 1 << 400)) / 2
-        assert phi_lo - F(1, 2 ** 300) < s.lo.value and s.hi.value < phi_lo
+        assert phi_lo - F(1, 2 ** 300) < s.lo and s.hi < phi_lo
 
 
 def test_criterion_7_parameter_space_sandwich():
@@ -276,8 +276,8 @@ def test_criterion_7_parameter_space_sandwich():
                 beta0, beta1, beta2, N=5, theta=F(3), v_hat=F(1, 3), stages=3,
                 fill=FillPolicy("random", seed=seed))
             val = res.root.as_scalar(80)
-            assert val.lo.value > F(3, 2)
-            assert val.hi.value < F(161803399, 10 ** 8)
+            assert val.lo > F(3, 2)
+            assert val.hi < F(161803399, 10 ** 8)
             assert is_admissible(beta2, list(res.word))
 
 
@@ -288,8 +288,8 @@ def test_criterion_8_restricted_digit_scaling():
         k, lo, hi = rep.trajectory[-1]
         assert k == 15
         scale = digit_set_scale(ds, 160)
-        target_lo = F(1, 4) * scale.lo.value
-        target_hi = F(1, 4) * scale.hi.value
+        target_lo = F(1, 4) * scale.lo
+        target_hi = F(1, 4) * scale.hi
         mid = (lo + hi) / 2
         assert abs(mid - (target_lo + target_hi) / 2) <= F(1, 50)
         assert rep.converged_at is not None and rep.converged_at <= 15

@@ -367,9 +367,9 @@ def test_beta_N_increasing_and_below():
     for N in (3, 6, 9):
         approx = g.approximant(N)
         val = approx.beta_scalar(100)
-        assert val.compare(g.beta_scalar(100).lo.value).name == "LESS"
+        assert val.compare(g.beta_scalar(100).lo).name == "LESS"
         if prev is not None:
-            assert prev.compare(val.hi.value).name == "LESS"
+            assert prev.compare(val.hi).name == "LESS"
         prev = val
 
 
@@ -498,8 +498,8 @@ def test_greedy_digits_reconstruct_value():
         w = greedy_expand(g, x, 40)
         val = word_value(g, list(w), bits=192)
         ulp = beta.pow_int(-40)
-        assert val.hi.value <= x
-        assert (val + ulp).lo.value > x - F(1, 2 ** 150)
+        assert val.hi <= x
+        assert (val + ulp).lo > x - F(1, 2 ** 150)
 
 
 @pytest.mark.parametrize("system", [golden(), tribonacci()], ids=["golden", "tribonacci"])
@@ -511,8 +511,9 @@ def test_greedy_expand_of_an_interval_matches_the_exact_path(system):
 
 
 def hull(lo, hi, prec=DEFAULT_PRECISION):
-    """The interval [lo, hi] rounded outward to prec bits, with no refiner."""
-    return Scalar(Scalar.from_fraction(lo, prec).lo, Scalar.from_fraction(hi, prec).hi, prec)
+    """The interval [lo, hi] rounded outward to prec bits."""
+    return numerics._scalar((*Scalar.from_fraction(lo, prec).iv[:2],
+                             *Scalar.from_fraction(hi, prec).iv[2:]), prec)
 
 
 def test_greedy_expand_of_an_interval_across_a_digit_boundary():
@@ -535,7 +536,7 @@ class FrozenAlgebraicOrbit(beta_shift._Orbit):
     def __init__(self, root, x):
         self.root = root
         self.poly = [x.numerator if x.denominator == 1 else x]
-        self._monic = root.int_poly if root.int_poly[-1] == 1 else root.poly
+        self._monic = root.int_poly
         self._bits = root.refined.prec
         super().__init__(tuple(self.poly))
 
@@ -549,7 +550,7 @@ class FrozenAlgebraicOrbit(beta_shift._Orbit):
             fl = val.floor_certified()
             if fl is not None:
                 break
-            lo = val.lo.value
+            lo = val.lo
             candidate = lo.numerator // lo.denominator + 1
             if beta_values.is_exact_root(automaton.poly_sub(shifted, [F(candidate)]), self.root):
                 self.poly = []

@@ -221,6 +221,13 @@ def test_dim_local_without_stages(capsys, extra):
     assert rc == 0 and json.loads(out)["trajectory"] == []
 
 
+@pytest.mark.parametrize("extra", [[], ["--beta", "root:1,1"]])
+@pytest.mark.parametrize("stages", [["--stages", "-3"], ["--stages=-3"]])
+def test_dim_local_refuses_negative_stages(capsys, extra, stages):
+    assert main(["dim", "local", "--theta", "3", "--vhat", "1/3", *stages, *extra]) == 1
+    assert capsys.readouterr() == ("", "usage error: dim local needs --stages >= 0, got -3\n")
+
+
 def test_dim_local_beta_json(capsys):
     rc, out = run(capsys, "dim", "local", "--theta", "3", "--vhat", "1/3",
                   "--beta", "root:1,1", "--N", "4", "--stages", "6")

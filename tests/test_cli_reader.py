@@ -274,8 +274,9 @@ def test_the_least_values_are_in_their_rows():
     assert {(argv[0], message.split(" needs ")[1]) for argv, message, _least in LEAST} == {
         ("expand", "--digits >= 1, got 0"), ("expand-one", "--digits >= 1, got 0"),
         ("admissible", "--len >= 0, got -1"), ("construct", "--stages >= 1, got 0"),
-        ("measure", "--n >= 0, got -1"), ("parry", "--bits >= 1, got 0")}
-    assert len(LEAST) == 12
+        ("measure", "--n >= 0, got -1"), ("parry", "--bits >= 1, got 0"),
+        ("dim", "--stages >= 0, got -1")}
+    assert len(LEAST) == 14
 
 
 @pytest.mark.parametrize("argv, message, least", LEAST, ids=[" ".join(a) for a, *_r in LEAST])

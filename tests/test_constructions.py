@@ -297,8 +297,8 @@ def test_parameter_space_example():
     assert is_self_admissible(list(res.word))
     assert is_admissible(beta2, list(res.word))
     val = res.root.as_scalar(80)
-    assert val.lo.value > F(3, 2)
-    assert val.hi.value < F(1619, 1000)
+    assert val.lo > F(3, 2)
+    assert val.hi < F(1619, 1000)
 
 
 def test_parameter_space_prefix_gate():
@@ -317,7 +317,7 @@ def test_parameter_space_sandwich_doubles_then_gives_up(monkeypatch, tmp_path):
     args = [BetaSystem.parse(b) for b in bases] + [101, F(3), F(1, 3), 1]
     res = generate_parameter_space(*args)
     val = res.root.as_scalar(256)
-    assert val.lo.value > F(3, 2) and val.hi.value < golden().beta_scalar(256).lo.value
+    assert val.lo > F(3, 2) and val.hi < golden().beta_scalar(256).lo
     monkeypatch.setattr(numerics, "_MAX_BITS", 64)
     with pytest.raises(PrecisionExhausted, match="sandwich could not be certified"):
         generate_parameter_space(*args)

@@ -252,7 +252,7 @@ def test_local_dimension_restricted():
     rep = local_dimension_bary(F(3), F(1, 3), ds, stages=15)
     k, lo, hi = rep.trajectory[-1]
     scale = digit_set_scale(ds, 128)
-    target_mid = F(1, 4) * (scale.lo.value + scale.hi.value) / 2
+    target_mid = F(1, 4) * (scale.lo + scale.hi) / 2
     assert abs((lo + hi) / 2 - target_mid) < F(1, 50)
     assert rep.converged_at is not None
 

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -12,18 +13,57 @@ from betadio import numerics, roots
 from betadio.automaton import is_self_admissible
 from betadio.errors import DegenerateApproximant, NoRoot, PrecisionExhausted
 from betadio.logarithm import ln, ln_int
-from betadio.numerics import (
-    DEFAULT_PRECISION,
-    ZERO,
-    Comparison,
-    Dyadic,
-    Scalar,
-)
+from betadio.numerics import DEFAULT_PRECISION, Comparison, Scalar
 from betadio.automaton import poly_mul
-from betadio.beta_values import is_exact_root, poly_divmod, poly_gcd
-from betadio.roots import PolyRoot, isolate_root, poly_eval
+from betadio.beta_values import is_exact_root, poly_divmod, poly_eval, poly_gcd
+from betadio.record import Record
+from betadio.roots import PolyRoot, isolate_root
 
 F = Fraction
+
+
+@functools.total_ordering
+class Dyadic(Record):
+    """Exact dyadic rational ``man * 2**exp``, kept in normal form: the
+    endpoint type of the reference arithmetic below, which the raw-pair
+    Scalar endpoints must reproduce bit for bit."""
+
+    __slots__ = ("man", "exp")
+
+    def __init__(self, man: int, exp: int):
+        self.man = man
+        self.exp = exp
+
+    @staticmethod
+    def of(man: int, exp: int = 0) -> "Dyadic":
+        return Dyadic(*numerics._norm(man, exp))
+
+    @property
+    def value(self) -> Fraction:
+        return numerics._value(self.man, self.exp)
+
+    def __add__(self, other: "Dyadic") -> "Dyadic":
+        return Dyadic.of(*numerics._add(self.man, self.exp, other.man, other.exp))
+
+    def __mul__(self, other: "Dyadic") -> "Dyadic":
+        return Dyadic.of(self.man * other.man, self.exp + other.exp)
+
+    def __lt__(self, other):
+        return numerics._less(self.man, self.exp, other.man, other.exp)
+
+
+ZERO = Dyadic(0, 0)
+
+
+def interval(lo: Dyadic, hi: Dyadic, prec: int = DEFAULT_PRECISION) -> Scalar:
+    """The Scalar on the endpoints lo <= hi."""
+    assert lo <= hi
+    return numerics._scalar((lo.man, lo.exp, hi.man, hi.exp), prec)
+
+
+def endpoints(s):
+    """A Scalar's endpoints as normal-form pairs."""
+    return (*numerics._norm(*s.iv[:2]), *numerics._norm(*s.iv[2:]))
 
 
 def bisect_oracle(f, lo, hi, steps=300):
@@ -86,14 +126,15 @@ def test_inclusion_monotonicity(x, y, op):
     elif op == "mul":
         assert (a * b).contains(x * y)
     elif op == "div":
-        if y == 0 or (b.lo.man <= 0 <= b.hi.man):
+        if y == 0 or (b.lo <= 0 <= b.hi):
             return
         assert (a / b).contains(F(x) / F(y))
 
 
 def hull(lo, hi, prec=DEFAULT_PRECISION):
-    """The interval [lo, hi] rounded outward to prec bits, with no refiner."""
-    return Scalar(Scalar.from_fraction(lo, prec).lo, Scalar.from_fraction(hi, prec).hi, prec)
+    """The interval [lo, hi] rounded outward to prec bits."""
+    return numerics._scalar((*Scalar.from_fraction(lo, prec).iv[:2],
+                             *Scalar.from_fraction(hi, prec).iv[2:]), prec)
 
 
 def test_compare_with_certification():
@@ -101,20 +142,6 @@ def test_compare_with_certification():
     assert hull(F(4, 10), F(6, 10)).compare(F(1, 2)) is Comparison.UNRESOLVED
     golden = isolate_root([1, 1]).as_scalar(64)
     assert golden.compare(F(13, 8)) is Comparison.LESS
-
-
-def test_refine_rational_and_exact():
-    x = Scalar.from_fraction(F(1, 3), 8)
-    y = x.refine(64)
-    assert y.width <= F(1, 2 ** 64)
-    assert y.contains(F(1, 3))
-    half = Scalar.exact(Dyadic.of(1, -1))
-    z = half.refine(500)
-    assert z.lo == z.hi
-
-    fixed = hull(F(1, 4), F(1, 2))  # no defining expression
-    with pytest.raises(PrecisionExhausted):
-        fixed.refine(64)
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +154,8 @@ def test_ln_against_mpmath(val):
     out = ln(x, 128)
     with mpmath.workdps(80):
         truth = mpmath.log(mpmath.mpf(val.numerator) / val.denominator)
-        assert out.lo.value <= F(str(truth)) <= out.hi.value or \
-            (float(out.lo.value) <= float(truth) <= float(out.hi.value))
+        assert out.lo <= F(str(truth)) <= out.hi or \
+            (float(out.lo) <= float(truth) <= float(out.hi))
     assert out.width < F(1, 2 ** 100)
 
 
@@ -168,7 +195,7 @@ def test_golden_ratio_root():
     r = isolate_root([1, 1])
     s = r.as_scalar(128)
     lo, hi = bisect_oracle(lambda z: z * z - z - 1, F(1), F(2))
-    assert s.lo.value <= hi and lo <= s.hi.value
+    assert s.lo <= hi and lo <= s.hi
     assert s.width <= F(1, 2 ** 128)
 
 
@@ -177,7 +204,7 @@ def test_supergolden_root():
     r = isolate_root([1, 0, 1])
     s = r.as_scalar(100)
     lo, hi = bisect_oracle(lambda z: z ** 3 - z ** 2 - 1, F(1), F(2))
-    assert s.lo.value <= hi and lo <= s.hi.value
+    assert s.lo <= hi and lo <= s.hi
     assert abs(float(s.mid) - 1.4655712318767682) < 1e-12
 
 
@@ -193,12 +220,23 @@ def test_periodic_tail_root_matches_finite_form():
     r = isolate_root([], periodic_tail=[1, 0])
     s = r.as_scalar(128)
     g = isolate_root([1, 1]).as_scalar(128)
-    assert s.lo.value <= g.hi.value and g.lo.value <= s.hi.value
+    assert s.lo <= g.hi and g.lo <= s.hi
+
+
+def test_exact_equals_only_the_root_itself():
+    # (10)^oo: the value equation has a pole at 1, which is not the root
+    assert not isolate_root([], periodic_tail=[1, 0]).exact_equals(F(1))
+    # the cleared polynomials (z - 2)(z + 1) of 1 2 and z (z - 2) of 1 (1)^oo
+    # vanish at -1 and 0 too, but the root is 2 alone
+    for root in (isolate_root([1, 2]), isolate_root([1], periodic_tail=[1])):
+        assert root.exact_equals(F(2)) and root.exact_equals(2)
+        for x in (F(-1), F(0), F(1), F(3, 2), F(2) + F(1, 1 << 500)):
+            assert not root.exact_equals(x), x
 
 
 def test_refine_polyroot_deep():
     r = isolate_root([1, 1])
-    s = r.as_scalar().refine(300)
+    s = r.as_scalar(300)
     assert s.width <= F(1, 2 ** 300)
     phi = (1 + F(math.isqrt(5 * 10 ** 40), 10 ** 20)) / 2  # ~20 digits of sqrt5
     assert abs(s.mid - phi) < F(1, 10 ** 18)
@@ -341,10 +379,6 @@ def oracle_bracket(pre, per):
     return F(1), F(sum(pre) + 1)
 
 
-def endpoints(s):
-    return (s.lo.man, s.lo.exp, s.hi.man, s.hi.exp)
-
-
 @pytest.mark.parametrize("bits", [64, 128, 256, 512, 1024])
 def test_ln_bit_identical_to_oracle(bits):
     rng = random.Random(bits)
@@ -356,11 +390,12 @@ def test_ln_bit_identical_to_oracle(bits):
     for n in ints:
         d = Dyadic.of(n)
         want = (oracle_ln_directed(d, bits, False), oracle_ln_directed(d, bits, True))
-        assert endpoints(ln_int(n, bits)) == endpoints(Scalar(*want)), n
+        assert endpoints(ln_int(n, bits)) == endpoints(interval(*want)), n
     for x in fracs:
         s = Scalar.from_fraction(x, 200)
-        want = (oracle_ln_directed(s.lo, bits, False), oracle_ln_directed(s.hi, bits, True))
-        assert endpoints(ln(s, bits)) == endpoints(Scalar(*want)), x
+        want = (oracle_ln_directed(Dyadic.of(*s.iv[:2]), bits, False),
+                oracle_ln_directed(Dyadic.of(*s.iv[2:]), bits, True))
+        assert endpoints(ln(s, bits)) == endpoints(interval(*want)), x
 
 
 def _random_roots(seed):
@@ -393,8 +428,8 @@ def test_polyroot_brackets_identical_to_bisection(pre, per):
         root = isolate_root(pre, periodic_tail=per, precision=bits)
         want = oracle_refine(root, lo, hi, bits)
         assert (root.lo, root.hi) == want, bits
-        assert root.refined.lo == oracle_dyadic_from_fraction(want[0], bits + 8, up=False)
-        assert root.refined.hi == oracle_dyadic_from_fraction(want[1], bits + 8, up=True)
+        assert root.refined.lo == oracle_dyadic_from_fraction(want[0], bits + 8, up=False).value
+        assert root.refined.hi == oracle_dyadic_from_fraction(want[1], bits + 8, up=True).value
 
 
 @pytest.mark.parametrize("pre", [[1, 2], [1, 0, 1, 0, 0, 1]])
@@ -451,7 +486,7 @@ def test_polyroot_contains_mpmath_root_at_4096_bits(pre, per):
         man, exp = mpmath.mpf(r).man_exp
         truth = F(man) * F(2) ** exp
         slack = F(1, 2 ** 4300)
-    assert s.lo.value - slack <= truth <= s.hi.value + slack
+    assert s.lo - slack <= truth <= s.hi + slack
 
 
 @pytest.mark.parametrize("bits", [64, 256])
@@ -461,7 +496,7 @@ def test_ln_of_mantissas_near_one_and_two_matches_the_oracle(bits):
     for n in [(1 << 300) + 1, (1 << 300) + 3 ** 20, (1 << 301) - 1, (1 << 290) - 3 ** 30, 5, 7]:
         d = Dyadic.of(n)
         want = (oracle_ln_directed(d, bits, False), oracle_ln_directed(d, bits, True))
-        assert endpoints(ln_int(n, bits)) == endpoints(Scalar(*want)), n
+        assert endpoints(ln_int(n, bits)) == endpoints(interval(*want)), n
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +559,7 @@ def test_raw_scalar_ops_match_the_dyadic_reference(bits):
         pa, pb = bits, rng.choice([bits, bits + 8, bits // 2])
         a = _random_interval(rng, bits, ca) + (pa,)
         b = _random_interval(rng, bits, cb) + (pb,)
-        sa, sb = Scalar(a[0], a[1], pa), Scalar(b[0], b[1], pb)
+        sa, sb = interval(a[0], a[1], pa), interval(b[0], b[1], pb)
         seen.add((ca, cb))
         assert endpoints(sa + sb) == ref_endpoints(ref_add(a, b)), (a, b)
         assert endpoints(sa * sb) == ref_endpoints(ref_mul(a, b)), (a, b)

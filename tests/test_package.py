@@ -18,7 +18,7 @@ SRC = str(Path(betadio.__file__).resolve().parent.parent)
 STAR = """
 AdmissibilityAutomaton BaryConstruction BetaConstruction BetaLayout BetaSystem BetadioError
 Comparison CylinderInterval DegenerateApproximant DepthExceeded DigitSet DigitWord
-DimensionReport DomainError Dyadic ExponentEstimate FillPolicy HorizonTooDeep
+DimensionReport DomainError ExponentEstimate FillPolicy HorizonTooDeep
 InfeasibleParameters InvalidDigitSet MeasureValue NoRoot NotSelfAdmissible ParamSpaceResult
 PeriodicWord PolyRoot PrecisionError PrecisionExhausted PrefixConditionFailed Run Scalar
 ScheduledRuns Segment bary bary_blocks beta_blocks beta_layout beta_shift check_relations

@@ -11,7 +11,6 @@ from betadio.constructions import FillPolicy
 from betadio.digit_sets import DigitSet
 from betadio.layout import schedule
 from betadio.measures_dim import DimensionReport, MeasureValue
-from betadio.numerics import Dyadic
 
 
 def test_run_is_a_hashable_value_without_a_dict():
@@ -25,7 +24,7 @@ def test_run_is_a_hashable_value_without_a_dict():
 
 
 @pytest.mark.parametrize("make", [
-    lambda: Dyadic(3, -2),
+    lambda: Run(start=1, end=4, kind="zeros"),
     lambda: DigitSet(3, [0, 2]),
 ])
 def test_immutable_values_hash_by_value(make):
