@@ -134,10 +134,10 @@ _PROBE = 1 << 12  # longest block searched for: no temporary grows with the run
 
 
 def _next_run(data, symbol: int, length: int, pos: int,
-              stop: Optional[int] = None) -> Optional[tuple[int, int]]:
+              stop: int) -> Optional[tuple[int, int]]:
     """0-based span ``(start, end)`` of the first maximal run of at least
-    ``length`` copies of ``symbol`` that starts at or after ``pos``, or None;
-    with ``stop``, only a run whose first ``length`` copies end by ``stop``.
+    ``length`` copies of ``symbol`` that starts at or after ``pos`` and whose
+    first ``length`` copies end by ``stop``, or None.
 
     ``bytes.find`` skips the runs shorter than a probe of at most ``_PROBE``
     copies in C, from the first copy of ``symbol``; one anchored match
@@ -145,9 +145,8 @@ def _next_run(data, symbol: int, length: int, pos: int,
     """
     probe = bytes((symbol,)) * min(length, _PROBE)
     run = re.compile(re.escape(probe[:1]) + b"+")
-    if stop is not None:
-        # the probe ends by here when the run's first copies end by stop
-        stop = max(0, stop - length + len(probe))
+    # the probe ends by here when the run's first copies end by stop
+    stop = max(0, stop - length + len(probe))
     if 0 < pos < len(data) and data[pos - 1] == data[pos] == symbol:
         pos = run.match(data, pos).end()  # that run started before pos
     # the first copy, by memchr: a long probe costs its length to set up

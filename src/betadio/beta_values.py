@@ -7,13 +7,14 @@ decides; it imports this module only for the certified orbit of 1 of a base
 not given by that expansion.  The interval Rényi check is ``roots``', so
 that ``--renyi`` loads ``roots`` and ``numerics`` alone, and ``words`` is
 imported only where a digit word is built.  The exact zero test of a
-polynomial at a root (``is_exact_root``, by its gcd with the root's cleared
-polynomial) is here, beside the greedy orbit whose ties it decides.
+polynomial at a root (``is_exact_root``: the signs, at the ends of the
+root's bracket, of its gcd with the root's cleared polynomial) is here,
+beside the greedy orbit whose ties it decides.
 
-Digits are certified: greedy iteration carries the orbit of x both as an
-interval and, when x and beta are exact, as an integer polynomial in beta,
-so ties at the discontinuities of the map (orbit hitting an integer exactly)
-are decided by exact algebra instead of ever being guessed.
+Digits are certified: greedy iteration takes x exact, and off a rational
+base carries its orbit both as an interval and as an integer polynomial in
+beta, so ties at the discontinuities of the map (orbit hitting an integer
+exactly) are decided by exact algebra instead of ever being guessed.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Optional, Sequence, Union
 
 from .automaton import PeriodicWord, is_self_admissible, poly_sub, poly_trim
 from .beta_shift import BetaSystem, _Orbit, _RationalOrbit, is_admissible
-from .errors import DEFAULT_PRECISION, DegenerateApproximant, NotSelfAdmissible, PrecisionExhausted
+from .errors import DEFAULT_PRECISION, DegenerateApproximant, NotSelfAdmissible
 from .numerics import Scalar, _escalate, _iv_horner, _scalar
 from .record import Record
 from .roots import PolyRoot, isolate_root
@@ -58,62 +59,32 @@ def poly_eval(c: Sequence[Fraction], x: Fraction) -> Fraction:
     return acc
 
 
-def poly_divmod(a: Sequence[Fraction], b: Sequence[Fraction]):
-    b = poly_trim(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(a)
-    q = [Fraction(0)] * max(0, len(r) - len(b) + 1)
-    while len(poly_trim(r)) >= len(b):
-        r = poly_trim(r)
-        k = len(r) - len(b)
-        f = r[-1] / b[-1]
-        q[k] = f
-        for i, v in enumerate(b):
-            r[i + k] -= f * v
-    return poly_trim(q), poly_trim(r)
-
-
-def poly_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    a, b = poly_trim(list(a)), poly_trim(list(b))
+def poly_gcd(a: Sequence, b: Sequence) -> list[Fraction]:
+    """The monic gcd over Q: Euclid's algorithm, which keeps remainders only."""
+    a, b = poly_trim([F(v) for v in a]), poly_trim([F(v) for v in b])
     while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [v / lead for v in a]
-    return a
+        while len(a) >= len(b):  # a becomes its remainder modulo b
+            f, k = a[-1] / b[-1], len(a) - len(b)
+            for i, v in enumerate(b):
+                a[i + k] -= f * v
+            poly_trim(a)
+        a, b = b, a
+    return [v / a[-1] for v in a] if a else a
 
 
-def is_exact_root(poly: Sequence[Fraction], root: PolyRoot) -> bool:
-    """Decide exactly whether the certified root annihilates ``poly``.
+def is_exact_root(poly: Sequence, root: PolyRoot) -> bool:
+    """Decide exactly whether the root annihilates ``poly`` (integer or
+    Fraction coefficients), without refining it.
 
-    gcd of ``poly`` with the root's defining polynomial either has no root in
-    the bracket (value provably nonzero) or has the bracketed root as a simple
-    root (sign change appears under refinement).
+    The gcd g of ``poly`` with the root's cleared polynomial P vanishes at the
+    root exactly when ``poly`` does.  P has one zero beyond 1, the root, and a
+    simple one, and is negative at the bracket's left end (1 or a point its
+    sign found negative), so g is nonzero there and in the bracket vanishes
+    at the root alone: its signs at the two ends differ, or it is 0 at the
+    right end, exactly when it vanishes there.
     """
-    c = poly_trim(list(Fraction(v) for v in poly))
-    if not c:
-        return True
-    g = poly_gcd(c, [Fraction(v) for v in root.int_poly])
-    if len(g) <= 1:
-        return False
-    for bits in _escalate(root.refined.prec, "exact-zero test did not resolve"):
-        s = root.as_scalar(bits)
-        glo = poly_eval(g, s.lo)
-        ghi = poly_eval(g, s.hi)
-        if glo == 0 or ghi == 0:
-            # endpoint hit: nudge by refining further, dyadic endpoints are
-            # never the algebraic root itself unless the root is rational
-            if root.exact_equals(s.lo) or root.exact_equals(s.hi):
-                return True
-        if glo * ghi < 0:
-            return True
-        # no sign change; the value is nonzero once the interval evaluation
-        # of poly excludes zero
-        val = _iv_horner(c, s, s.prec)
-        if not val.iv[0] <= 0 <= val.iv[2]:
-            return False
+    g = poly_gcd(poly, root.int_poly)
+    return poly_eval(g, root.lo) * poly_eval(g, root.hi) <= 0
 
 
 # ---------------------------------------------------------------------------
@@ -159,49 +130,34 @@ class _AlgebraicOrbit(_Orbit):
 
 
 def greedy_expand(system: BetaSystem, x, n: int) -> DigitWord:
-    """First n certified digits of the greedy expansion of x in the base.
+    """First n certified digits of the greedy expansion of the exact x
+    (a Fraction or an int; anything else raises TypeError) in the base.
 
-    x may be a Fraction (exact, enables tie resolution by exact algebra) or a
-    Scalar interval.  For an integer base and x = 1 the conventional digits
+    Ties, where the orbit hits a jump of the map exactly, are decided by exact
+    algebra.  For an integer base and x = 1 the conventional digits
     ``(b-1)^oo`` are returned, matching the infinite expansion of 1.
     """
     from .words import DigitWord
-    top = system.alphabet_top
-    if isinstance(x, int):
-        x = F(x)
-    if isinstance(x, F):
-        if not 0 <= x <= 1:
-            raise ValueError("x must lie in [0, 1]")
-        if system.kind == "int" and x == 1:
-            return DigitWord(top + 1, [top] * n)
-        if system.kind == "algebraic":
-            orbit = _AlgebraicOrbit(system.root, x)
-        else:
-            orbit = _RationalOrbit(F(system.int_base or system.fraction_base), x)
-        # into the word as they come.  The orbit keeps its own list of them,
-        # but off an integer base it never closes a cycle (and one that hits
-        # 0 steps on as 0), so it is stepped without that list
-        digit = orbit.digit if system.kind != "rational" else lambda _i: orbit._step()[0]
-        if top >= 256:
-            return DigitWord(top + 1, map(digit, range(n)))
-        # greedy digits lie in 0..top, as x lies in [0, 1]: packed unchecked
-        digits = bytearray(n)
-        for i in range(n):
-            digits[i] = digit(i)
-        return DigitWord.from_bytes(top + 1, digits)
-    # interval input: no exact tie-breaking available
-    digits = []
-    val = x
-    beta = system.beta_scalar(max(x.prec, DEFAULT_PRECISION))
-    for _ in range(n):
-        y = beta * val
-        fl = y.floor_certified()
-        if fl is None:
-            raise PrecisionExhausted(
-                "orbit straddles a discontinuity; supply x exactly or refine it")
-        digits.append(fl)
-        val = y - Scalar.from_int(fl, y.prec)
-    return DigitWord(top + 1, digits)
+    top, x = system.alphabet_top, F(x)
+    if not 0 <= x <= 1:
+        raise ValueError("x must lie in [0, 1]")
+    if system.kind == "int" and x == 1:
+        return DigitWord(top + 1, [top] * n)
+    if system.kind == "algebraic":
+        orbit = _AlgebraicOrbit(system.root, x)
+    else:
+        orbit = _RationalOrbit(F(system.int_base or system.fraction_base), x)
+    # into the word as they come.  The orbit keeps its own list of them,
+    # but off an integer base it never closes a cycle (and one that hits
+    # 0 steps on as 0), so it is stepped without that list
+    digit = orbit.digit if system.kind != "rational" else lambda _i: orbit._step()[0]
+    if top >= 256:
+        return DigitWord(top + 1, map(digit, range(n)))
+    # greedy digits lie in 0..top, as x lies in [0, 1]: packed unchecked
+    digits = bytearray(n)
+    for i in range(n):
+        digits[i] = digit(i)
+    return DigitWord.from_bytes(top + 1, digits)
 
 
 # ---------------------------------------------------------------------------

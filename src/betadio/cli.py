@@ -51,7 +51,7 @@ from .errors import DomainError, PrecisionError, UsageError
 
 _COMMANDS = {
     "expand": ("expansions", "digits of x in an integer or real base", (
-        ("--base", int, None), ("--beta", str, None), ("--x", str, "0"),
+        ("--base", 2, None), ("--beta", str, None), ("--x", str, "0"),
         ("--lacunary", str, None, None, "rational v for the sparse series, or squared-power"),
         ("--digits", 1, ...)), "--base or --beta", "--beta --lacunary", "--lacunary --x"),
     "expand-one": ("real_base", "infinite expansion of 1", (
@@ -67,17 +67,17 @@ _COMMANDS = {
     "construct": ("construct", "generate construction digit words", (
         ("flavor", ("bary", "beta", "param", "restricted"), ...), ("--theta", str, ...),
         ("--vhat", str, ...), ("--stages", 1, 8), ("--fill", str, "const:1"), ("--seed", int, 0),
-        ("--base", int, None, "bary! restricted!"), ("--digit-set", str, None, "restricted!"),
+        ("--base", 2, None, "bary! restricted!"), ("--digit-set", str, None, "restricted!"),
         ("--beta", str, None, "beta!"), ("--beta0", str, None, "param!"),
         ("--beta1", str, None, "param!"), ("--beta2", str, None, "param!"),
-        ("--N", int, 3, "beta param")), "--seed needs --fill=random"),
+        ("--N", 1, 3, "beta param")), "--seed needs --fill=random"),
     "measure": ("measure", "cylinder mass from a construction sidecar", (
         ("--sidecar", str, ...), ("--n", 0, ...))),
     "dim": ("dim", "dimension formulas and trajectories", (
         ("what", ("formula", "local", "s0"), ...), ("--theta", str, None, "formula local! s0!"),
         ("--vhat", str, ...), ("--sup", bool, False, "formula"), ("--eps", str, "0", "s0"),
-        ("--base", int, 3, "formula local"), ("--digit-set", str, None, "formula local"),
-        ("--beta", str, None, "local"), ("--N", int, 3, "local"), ("--stages", 0, 12, "local"),
+        ("--base", 2, 3, "formula local"), ("--digit-set", str, None, "formula local"),
+        ("--beta", str, None, "local"), ("--N", 1, 3, "local"), ("--stages", 0, 12, "local"),
         ("--tolerance", str, "1/50", "local"), ("--format", ("json", "csv"), "json", "local")),
         "--beta --base", "--beta --digit-set", "--sup --theta", "--N needs --beta",
         "formula --base needs --digit-set"),

@@ -13,25 +13,23 @@ but ``Fraction``; only that scale imports ``logarithm``, when it runs.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .errors import DEFAULT_PRECISION, InfeasibleParameters
 
 F = Fraction
 
 
-def dim_formula(theta: Union[Fraction, str, None], v_hat: Fraction) -> Fraction:
+def dim_formula(theta: Fraction, v_hat: Fraction) -> Fraction:
     """Exact rational dimension value for prescribed (theta, vhat).
 
-    ``theta`` may be the string ``"sup"`` (or None) for the supremum over
-    all feasible theta.  Below the threshold ``1/(1 - vhat)`` the prescribed
-    set is empty and the parameters are rejected.
+    Below the threshold ``1/(1 - vhat)`` the prescribed set is empty and the
+    parameters are rejected; ``dim_formula_sup`` gives the supremum over all
+    feasible theta.
     """
     v_hat = F(v_hat)
     if not 0 <= v_hat <= 1:
         raise InfeasibleParameters("vhat must lie in [0, 1]")
-    if theta is None or theta == "sup":
-        return dim_formula_sup(v_hat)[0]
     if v_hat == 1:
         return F(0)
     if v_hat == 0:

@@ -218,7 +218,7 @@ class Scalar:
             return Comparison.GREATER
         return Comparison.UNRESOLVED
 
-    def floor_certified(self, q: int = 1) -> Optional[int]:
+    def floor_certified(self, q: int) -> Optional[int]:
         """The common integer part of every point in the interval divided by
         q > 0, if any."""
         lm, le, hm, he = self.iv

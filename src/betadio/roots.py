@@ -49,6 +49,12 @@ class PolyRoot:
     for the binary search (Bentley and Yao, IPL 5, 1976), so a guess k cells
     off costs about 2 log2(k) signs.  Below a few halvings there is no guess
     and the search spans the whole grid: that is bisection.
+
+    The cleared polynomial is negative at 1 (a periodic tail is not all
+    zeros) and has the root as its one zero beyond 1, a simple one, so the
+    bracket's left end is 1 or a point where it is negative, and its right
+    end one where it is >= 0: ``beta_values.is_exact_root`` reads the bracket
+    on that precondition.
     """
 
     __slots__ = ("int_poly", "lo", "hi", "refined")
@@ -210,8 +216,8 @@ def isolate_root(coefficients: Sequence[int], precision: int = DEFAULT_PRECISION
     if any(per):
         # value function has a pole at 1+, root > 1 always exists
         hi = max(pre + per) + 2
-    else:
-        total = sum(pre)
+    else:  # a tail of zeros ends the word; kept, it would make 1 a zero
+        per, total = [], sum(pre)
         if total <= 1:
             raise DegenerateApproximant(
                 f"coefficient sum {total} <= 1 forces the root to z <= 1")

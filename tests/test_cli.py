@@ -46,12 +46,12 @@ def test_expand_rational(capsys):
     assert out.splitlines()[1] == "1 4 2 8 5 7 1"
 
 
-@pytest.mark.parametrize("base, err", [
-    ("0", "error: need b >= 2 and n >= 1\n"),  # a given --base 0 reaches the library
-    ("1", "error: need b >= 2 and n >= 1\n")])
-def test_expand_needs_an_integer_base_above_one(capsys, base, err):
-    assert main(["expand", "--base", base, "--x", "1/3", "--digits", "5"]) == 2
-    assert capsys.readouterr() == ("", err)
+@pytest.mark.parametrize("base", ["0", "1"])
+@pytest.mark.parametrize("spelling", ["two tokens", "--flag=value"])
+def test_expand_needs_an_integer_base_above_one(capsys, base, spelling):
+    given = ["--base", base] if spelling == "two tokens" else [f"--base={base}"]
+    assert main(["expand", *given, "--x", "1/3", "--digits", "5"]) == 1
+    assert capsys.readouterr() == ("", f"usage error: expand needs --base >= 2, got {base}\n")
 
 
 @pytest.mark.parametrize("x", ["1", "7/3"])
@@ -387,8 +387,26 @@ def test_a_negative_constant_fill_is_clamped(tmp_path, capsys, flavor, extra):
 
 @pytest.mark.parametrize("base", ["0", "1", "-3"])
 def test_dim_local_needs_an_integer_base_above_one(capsys, base):
-    assert main(["dim", "local", "--theta", "3", "--vhat", "1/3", "--base", base]) == 2
-    assert capsys.readouterr() == ("", "error: integer base required\n")
+    assert main(["dim", "local", "--theta", "3", "--vhat", "1/3", "--base", base]) == 1
+    assert capsys.readouterr() == ("", f"usage error: dim local needs --base >= 2, got {base}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["dim", "formula", "--theta", "3", "--vhat", "1/3", "--digit-set", "0,2"],
+    ["construct", "bary", "--theta", "3", "--vhat", "1/3"],
+    ["construct", "restricted", "--theta", "3", "--vhat", "1/3", "--digit-set", "0,2"]])
+@pytest.mark.parametrize("base", ["1", "-3"])
+def test_a_digit_set_or_construction_base_below_two_is_a_usage_error(capsys, argv, base):
+    assert main([*argv, f"--base={base}"]) == 1
+    what = " ".join(argv[:2])
+    assert capsys.readouterr() == ("", f"usage error: {what} needs --base >= 2, got {base}\n")
+
+
+def test_a_restricted_digit_set_in_base_two_stays_infeasible(capsys):
+    # 2 passes the option's least value; the digit set itself needs base 3
+    assert main(["construct", "restricted", "--theta", "3", "--vhat", "1/3", "--base", "2",
+                 "--digit-set", "0,1"]) == 2
+    assert capsys.readouterr() == ("", "infeasible: restricted digit sets need base >= 3\n")
 
 
 @pytest.mark.parametrize("option", ["--beta", "--beta0", "--beta1", "--beta2"])
@@ -469,8 +487,15 @@ def test_construct_beta_over_more_than_256_digits(tmp_path, capsys, fill):
 def test_N_below_one_is_an_error(capsys, flavor, N):
     bases = (["--beta", "root:1,1"] if flavor == "beta" else
              ["--beta0", "rat:3/2", "--beta1", "root:1,1", "--beta2", "root:1,1"])
-    assert main(["construct", flavor, "--theta", "3", "--vhat", "1/3", "--N", N, *bases]) == 2
-    assert capsys.readouterr() == ("", "error: N must be >= 1\n")
+    assert main(["construct", flavor, "--theta", "3", "--vhat", "1/3", "--N", N, *bases]) == 1
+    assert capsys.readouterr() == ("", f"usage error: construct {flavor} needs --N >= 1, got {N}\n")
+
+
+@pytest.mark.parametrize("given", [["--N", "0"], ["--N=0"]])
+def test_dim_local_N_below_one_is_a_usage_error(capsys, given):
+    assert main(["dim", "local", "--theta", "3", "--vhat", "1/3", "--beta", "root:1,1",
+                 *given]) == 1
+    assert capsys.readouterr() == ("", "usage error: dim local needs --N >= 1, got 0\n")
 
 
 def test_dim_local_digit_set(capsys):

@@ -251,6 +251,19 @@ def test_the_check_refuses(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+def partners(name, action, flags) -> list[str]:
+    """The options, with their values, that "A needs B" rules ask of the
+    option flags under the action."""
+    _module, _summary, rows, *pairs = cli._COMMANDS[name]
+    argv = []
+    for *only, first, _needs, second in (pair.split() for pair in pairs if "needs" in pair):
+        flag, _eq, needed = second.partition("=")
+        if first == flags and action in (only or [action]):
+            argv += [flag, *([needed] if needed else value(next(r[1] for r in rows
+                                                                 if r[0] == flag)))]
+    return argv
+
+
 def least_values():
     """(argv, message, argv at the least value) for every integer option whose
     row gives a least value, once as two tokens (the exact-match reader) and
@@ -261,7 +274,7 @@ def least_values():
             if not isinstance(least, int):
                 continue
             action = next(a for a in actions(name) if reads(row, a))
-            argv = valid_argv(name, action, [flags])
+            argv = valid_argv(name, action, [flags]) + partners(name, action, flags)
             message = f"{f'{name} {action}'.strip()} needs {flags} >= {least}, got {least - 1}"
             yield [*argv, flags, str(least - 1)], message, [*argv, flags, str(least)]
             yield [*argv, f"{flags}={least - 1}"], message, [*argv, f"{flags}={least}"]
@@ -275,8 +288,10 @@ def test_the_least_values_are_in_their_rows():
         ("expand", "--digits >= 1, got 0"), ("expand-one", "--digits >= 1, got 0"),
         ("admissible", "--len >= 0, got -1"), ("construct", "--stages >= 1, got 0"),
         ("measure", "--n >= 0, got -1"), ("parry", "--bits >= 1, got 0"),
-        ("dim", "--stages >= 0, got -1")}
-    assert len(LEAST) == 14
+        ("dim", "--stages >= 0, got -1"), ("expand", "--base >= 2, got 1"),
+        ("construct", "--base >= 2, got 1"), ("construct", "--N >= 1, got 0"),
+        ("dim", "--base >= 2, got 1"), ("dim", "--N >= 1, got 0")}
+    assert len(LEAST) == 24
 
 
 @pytest.mark.parametrize("argv, message, least", LEAST, ids=[" ".join(a) for a, *_r in LEAST])

@@ -10,14 +10,15 @@ from hypothesis import strategies as st
 import mpmath
 
 from betadio import numerics, roots
-from betadio.automaton import is_self_admissible
+from betadio.automaton import is_self_admissible, poly_mul, poly_trim
 from betadio.errors import DegenerateApproximant, NoRoot, PrecisionExhausted
 from betadio.logarithm import ln, ln_int
 from betadio.numerics import DEFAULT_PRECISION, Comparison, Scalar
-from betadio.automaton import poly_mul
-from betadio.beta_values import is_exact_root, poly_divmod, poly_eval, poly_gcd
+from betadio.beta_shift import BetaSystem
+from betadio.beta_values import is_exact_root, poly_eval, poly_gcd
 from betadio.record import Record
 from betadio.roots import PolyRoot, isolate_root
+from test_beta_shift import ORBIT_BASES
 
 F = Fraction
 
@@ -176,14 +177,15 @@ def test_ln_requires_positive():
 # polynomials
 
 
-def test_poly_divmod_and_gcd():
+def test_poly_gcd():
     # (z^2 - z - 1)(z - 2) = z^3 - 3z^2 + z + 2
     a = poly_mul([F(-1), F(-1), F(1)], [F(-2), F(1)])
-    q, r = poly_divmod(a, [F(-1), F(-1), F(1)])
-    assert r == []
-    assert q == [F(-2), F(1)]
     g = poly_gcd(a, [F(-1), F(-1), F(1)])
     assert g == [F(-1), F(-1), F(1)]
+    # integer coefficients, a common factor z^2 + 1, and a monic answer
+    assert poly_gcd(poly_mul([2, 0, 2], [-1, 1]), poly_mul([1, 0, 1], [-2, 0, 1])) == [1, 0, 1]
+    assert poly_gcd([3, 1], [-2, 1]) == [1]
+    assert poly_gcd([], [2, 4]) == [F(1, 2), 1]
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +271,7 @@ def test_escalate_tries_its_start_doubles_and_gives_up(monkeypatch):
         assert seen == tried
 
 
-def test_is_exact_root_doubles_to_the_256_bit_answer():
+def test_is_exact_root_decides_without_refining():
     # the defining polynomial z (z^3 - 2 z^2 + z - 1) shares the factor z with
     # z (z - q), which does not vanish at beta but is within 2**-17 of 0 there
     q = F(1797, 1024)
@@ -279,7 +281,101 @@ def test_is_exact_root_doubles_to_the_256_bit_answer():
         root = isolate_root([1, 0, 1], precision=bits, periodic_tail=[1])
         assert not is_exact_root(near, root)
         assert is_exact_root(exact, root)
-        assert root.refined.prec > 4
+        assert root.refined.prec == bits
+
+
+@pytest.mark.parametrize("pre, per", [([2], []), ([0, 4], []), ([1], [1])])
+def test_is_exact_root_on_a_bracket_that_ends_at_the_root(pre, per):
+    # beta = 2 is a grid point of the bracket [1, hi]: refinement ends on it,
+    # where the gcd z - 2 is 0, not of the other sign
+    for bits in (1, 4, 64):
+        root = isolate_root(pre, precision=bits, periodic_tail=per)
+        assert root.hi == 2
+        assert is_exact_root([-2, 1], root) and is_exact_root([0, -4, 2], root)
+        assert not is_exact_root([-3, 1], root)
+
+
+def test_a_tail_of_zeros_leaves_no_zero_at_1():
+    # 1 (0^6) 1 (0)^oo is the word 1 0^6 1: kept, the tail's factor z - 1
+    # would make z - 1 share a zero with the cleared polynomial at the
+    # bracket's left end, 1
+    root = isolate_root([1, 0, 0, 0, 0, 0, 0, 1], precision=1, periodic_tail=[0])
+    assert root.int_poly == isolate_root([1, 0, 0, 0, 0, 0, 0, 1], precision=1).int_poly
+    assert not is_exact_root([-1, 1], root)
+
+
+def frozen_poly_gcd(a, b):
+    """poly_gcd as first written: Euclid's algorithm over a division that
+    also builds the quotient, and throws it away."""
+    def divmod_(a, b):
+        b = poly_trim(list(b))
+        r = list(a)
+        q = [F(0)] * max(0, len(r) - len(b) + 1)
+        while len(poly_trim(r)) >= len(b):
+            r = poly_trim(r)
+            k = len(r) - len(b)
+            f = r[-1] / b[-1]
+            q[k] = f
+            for i, v in enumerate(b):
+                r[i + k] -= f * v
+        return poly_trim(q), poly_trim(r)
+
+    a, b = poly_trim(list(a)), poly_trim(list(b))
+    while b:
+        _, r = divmod_(a, b)
+        a, b = b, r
+    return [v / a[-1] for v in a] if a else a
+
+
+def frozen_is_exact_root(poly, root):
+    """is_exact_root as first written: after the gcd, the root is refined
+    until the gcd's signs at the interval's ends, an end that is the root,
+    or an interval value of poly that excludes 0 decides."""
+    c = poly_trim(list(F(v) for v in poly))
+    if not c:
+        return True
+    g = frozen_poly_gcd(c, [F(v) for v in root.int_poly])
+    if len(g) <= 1:
+        return False
+    for bits in numerics._escalate(root.refined.prec, "exact-zero test did not resolve"):
+        s = root.as_scalar(bits)
+        glo = poly_eval(g, s.lo)
+        ghi = poly_eval(g, s.hi)
+        if glo == 0 or ghi == 0:
+            if root.exact_equals(s.lo) or root.exact_equals(s.hi):
+                return True
+        if glo * ghi < 0:
+            return True
+        val = numerics._iv_horner(c, s, s.prec)
+        if not val.iv[0] <= 0 <= val.iv[2]:
+            return False
+
+
+def exact_test_root(spec, bits):
+    """A fresh root at the given precision: one of the orbit tests' bases, or
+    (for None) one whose cleared polynomial has the factor z."""
+    if spec is None:
+        return isolate_root([1, 0, 1], precision=bits, periodic_tail=[1])
+    return BetaSystem.parse(spec, bits).root
+
+
+@pytest.mark.parametrize("spec", [*ORBIT_BASES, None], ids=[*ORBIT_BASES, "pre:1,0,1,per:1"])
+def test_is_exact_root_agrees_with_the_frozen_oracle(spec):
+    """Cofactors times 1, the cleared polynomial, z, z^2 + 1, z^2 - z - 1 or
+    a line through the root's 2**-16 bracket's left end, at 4, 64 and 256
+    bits: the verdict is the frozen oracle's, and the root stays as it was."""
+    near = exact_test_root(spec, 16).lo
+    for bits in (4, 64, 256):
+        root = exact_test_root(spec, bits)
+        factors = [[1], root.int_poly, [0, 1], [1, 0, 1], [-1, -1, 1], [-near, 1]]
+        for cofactor in ([1], [-2, 1], [3, 0, -1], [1, 1, 1]):
+            for factor in factors:
+                poly = poly_mul(cofactor, factor)
+                before = (root.lo, root.hi, root.refined)
+                got = is_exact_root(poly, root)
+                assert (root.lo, root.hi, root.refined) == before
+                assert got == frozen_is_exact_root(poly, exact_test_root(spec, bits)), \
+                    (spec, bits, poly)
 
 
 # ---------------------------------------------------------------------------

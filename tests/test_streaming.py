@@ -260,8 +260,8 @@ def test_construct_streams_the_library_word(monkeypatch, tmp_path, capsys, argv,
 @pytest.mark.parametrize("argv", [
     "construct bary --theta 1 --vhat 1/3 --base 3",        # infeasible theta
     "construct bary --theta 3 --vhat 1/3 --base 300",      # base above 256
-    "construct beta --theta 3 --vhat 1/3 --beta root:1,1 --N 0",
-    "expand --base 1 --x 1/3 --digits 5",                  # refused by its first block
+    "construct beta --theta 3 --vhat 1/3 --beta rat:1/2",  # base below 1
+    "construct beta --theta 3 --vhat 1/3 --beta int:1",
     "expand --base 10 --lacunary 0 --digits 5",
 ])
 def test_a_producer_that_refuses_leaves_no_file(tmp_path, capsys, argv):
