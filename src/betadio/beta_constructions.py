@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .constructions import FillPolicy, _prescribed, _windows
-from .errors import NotSelfAdmissible, PrefixConditionFailed
+from .errors import HorizonTooDeep, NotSelfAdmissible, PrefixConditionFailed
 from .layout import FREE, BetaLayout, beta_layout, schedule
 from .record import Record
 from .words import DigitWord
@@ -163,6 +163,8 @@ def generate_parameter_space(beta0: BetaSystem, beta1: BetaSystem, beta2: BetaSy
     from .numerics import Comparison, _escalate
     if N < 1:
         raise ValueError("N must be >= 1")
+    if N > beta1.horizon:  # beta1.approximant(N) refuses it too, but only after 2N digits
+        raise HorizonTooDeep(f"approximant N={N} is past the horizon {beta1.horizon}")
     star1 = expansion_of_one_star(beta1, N).digits()
     if star1[N - 1] == 0:
         raise PrefixConditionFailed(

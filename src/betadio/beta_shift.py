@@ -325,6 +325,8 @@ class BetaSystem:
         """
         if N < 1:
             raise ValueError("N must be >= 1")
+        if N > self.horizon:  # before reading N digits, which a Parry base gives without end
+            raise HorizonTooDeep(f"approximant N={N} is past the horizon {self.horizon}")
         prefix = [self.d1_star_digit(i) for i in range(N)]
         try:
             sub = BetaSystem.from_word(prefix, precision)

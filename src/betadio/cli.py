@@ -7,8 +7,8 @@ the full schedule next to the digit file.
 
 Exit codes: 0 success, 1 usage error, 2 infeasible/domain error, a bad
 file or too little memory, 3 precision exhausted; a stdout closed by its
-reader (``| head``) is a success, a broken pipe on an ``--output`` file is
-not.
+reader (``| head``) is a success, a broken pipe on an ``--output`` file or
+a stdout that cannot be written (a full disk) is not.
 
 Two readers share one option table, ``_COMMANDS``.  The exact-match reader
 ``_read`` accepts, without importing argparse, a subcommand, its exact
@@ -16,7 +16,8 @@ flags each given once with a value not starting with ``-`` (one or more for
 a list), one positional from its choices, every required option and
 integer values that convert.  Anything else (``-h``, ``--version``,
 ``--flag=value``, abbreviations, ``--``, unknown or extra tokens) goes to
-``build_parser()``: argparse owns help, usage and every error message.
+``build_parser()``: argparse owns help, usage and every error message.  Its
+code lives in ``usage``, which only that path compiles.
 Both give ``None`` for an option not given.  Then ``_check`` fills in the
 defaults and refuses, with one usage error, an option the action needs and
 lacks or does not read, two that exclude each other, one given without the
@@ -30,7 +31,6 @@ import os
 import sys
 from types import SimpleNamespace
 
-from . import __version__
 from .errors import DomainError, PrecisionError, UsageError
 
 # ---------------------------------------------------------------------------
@@ -137,31 +137,8 @@ def _read(argv: list) -> SimpleNamespace | None:
 def build_parser():
     """The argparse parser of the same table: it parses whatever the reader
     declines, and owns help, usage and every error message."""
-    import argparse
-
-    class _Parser(argparse.ArgumentParser):
-        def error(self, message):
-            raise UsageError(message)
-
-    p = _Parser(prog="betadio", description=__doc__.splitlines()[0])
-    p.add_argument("--version", action="version", version=__version__)
-    sub = p.add_subparsers(dest="command", required=True)
-    for name, (_module, summary, arguments, *_pairs) in _COMMANDS.items():
-        sp = sub.add_parser(name, help=summary)
-        for flags, kind, default, *text in (*arguments, _OUTPUT):
-            kw = {"help": text[1] if text[1:] else None}
-            if kind is bool:
-                kw["action"] = "store_true"
-            elif kind is int or isinstance(kind, int):
-                kw["type"] = int
-            elif kind is list:
-                kw["nargs"] = "+"
-            elif kind is not str:
-                kw["choices"] = kind
-            if flags.startswith("-"):
-                kw.update(required=default is ..., default=None)
-            sp.add_argument(*flags.split(), **kw)
-    return p
+    from .usage import table_parser
+    return table_parser(__doc__.splitlines()[0], _COMMANDS, _OUTPUT)
 
 
 def _check(args) -> None:
@@ -223,7 +200,9 @@ def _run(argv) -> int:
         _check(args)
         from importlib import import_module
         handlers = import_module(f".commands.{_COMMANDS[args.command][0]}", __package__)
-        return getattr(handlers, "cmd_" + args.command.replace("-", "_"))(args)
+        code = getattr(handlers, "cmd_" + args.command.replace("-", "_"))(args)
+        print(end="", flush=True)  # a failed write of stdout is reported here, not at exit
+        return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -239,7 +218,7 @@ def _run(argv) -> int:
     except (ValueError, OSError) as exc:
         if isinstance(exc, BrokenPipeError) and args is not None and not args.output:
             # the reader of stdout closed it early (``| head``): not an error;
-            # stdout goes to os.devnull so that the flush at exit is silent
+            # stdout goes to os.devnull so that a later flush is silent
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
@@ -250,5 +229,28 @@ def _run(argv) -> int:
         return 2
 
 
+def entry_point() -> None:
+    """The ``betadio`` process: ``main()``, then the ``atexit`` callbacks and
+    ``os._exit``, which skips the interpreter's teardown: every file the
+    library writes is closed by then, and it starts no thread.  A trace or
+    profile hook, a ``sys.monitoring`` tool (cProfile and coverage since
+    Python 3.12), a debugger (pdb drops its hook once no breakpoint is left)
+    or a thread that other code started gets the interpreter's own exit."""
+    code = main()
+    threading, monitoring = sys.modules.get("threading"), getattr(sys, "monitoring", None)
+    if (sys.gettrace() or sys.getprofile() or "bdb" in sys.modules
+            or monitoring and any(map(monitoring.get_tool, range(6)))
+            or threading and threading.active_count() > 1):
+        sys.exit(code)
+    import atexit
+    atexit._run_exitfuncs()
+    for stream in sys.stdout, sys.stderr:  # what the teardown would flush
+        try:
+            stream.flush()
+        except (AttributeError, OSError):  # closed, or full after an error reported
+            pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry_point()

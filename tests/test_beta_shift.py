@@ -351,6 +351,19 @@ def test_beta_N_examples():
     assert b1.kind == "int" and b1.int_base == 2
 
 
+@pytest.mark.parametrize("spec", ["int:3", "rat:3/2", "root:1,1", "root:1,0,2", "word:2,(1,0)"])
+def test_an_approximant_past_the_horizon_is_refused_before_a_digit_is_read(spec):
+    """Every base, Parry or not, has the horizon as the ceiling of N."""
+    from betadio.errors import HorizonTooDeep
+
+    base = BetaSystem.parse(spec)
+    orbit = base._orbit and len(base._orbit.digits)
+    with pytest.raises(HorizonTooDeep, match="approximant N=4097 is past the horizon 4096"):
+        base.approximant(base.horizon + 1)
+    assert (base._orbit and len(base._orbit.digits)) == orbit
+    assert base.approximant(3).spec_string == f"approx:{spec}:3"
+
+
 @pytest.mark.parametrize("spec,N", [("rat:5/4", 2), ("root:1,0,1", 2), ("int:2", 1),
                                     ("root:1,1", 1), ("root:1,0,0,1", 4)])
 def test_too_small_N_is_named(spec, N):

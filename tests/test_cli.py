@@ -811,11 +811,11 @@ def test_main_path_never_imports_the_cli_module(tmp_path, command, code):
     raise a second ``UsageError`` that ``__main__`` does not catch."""
     assert main(["construct", "bary", "--theta", "3", "--vhat", "1/3", "--base", "3",
                  "--stages", "8", "-o", str(tmp_path / "e.digits")]) == 0
-    run_main = ("import runpy, sys\n"
-                "try:\n"
-                "    runpy.run_module('betadio.cli', run_name='__main__')\n"
-                "finally:\n"
-                "    print('betadio.cli' in sys.modules, file=sys.stderr)\n")
+    # the process ends in os._exit, after the atexit callbacks: a finally
+    # after run_module would not run
+    run_main = ("import atexit, runpy, sys\n"
+                "atexit.register(lambda: print('betadio.cli' in sys.modules, file=sys.stderr))\n"
+                "runpy.run_module('betadio.cli', run_name='__main__')\n")
     for argv in (["-c", run_main], ["-m", "betadio.cli"]):
         proc = _cli(*argv, *command.split(), cwd=tmp_path)
         assert proc.returncode == code, proc.stderr

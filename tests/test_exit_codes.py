@@ -442,3 +442,37 @@ def test_running_out_of_memory_exits_2_with_one_line(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == "error: out of memory\n"
     assert proc.stdout == "" and not (tmp_path / "x.digits").exists()
+
+
+# ---------------------------------------------------------------------------
+# the approximant's N has the horizon as its ceiling
+
+
+CEILING = [
+    ("admissible count --beta approx:root:1,1:99999999 --len 3", 99999999),
+    ("admissible count --beta approx:int:2:4097 --len 3", 4097),
+    ("dim local --theta 3 --vhat 1/3 --beta root:1,1 --N 100000000 --stages 2", 10 ** 8),
+    ("construct beta --theta 3 --vhat 1/3 --beta root:1,1 --N 5000 --stages 2 -o x.digits", 5000),
+    ("construct param --theta 3 --vhat 1/3 --beta0 rat:3/2 --beta1 root:1,1,1"
+     " --beta2 root:1,1,1 --N 100000000 --stages 2 -o x.digits", 10 ** 8),
+]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is Linux's")
+@pytest.mark.parametrize("command, N", CEILING, ids=[c for c, _N in CEILING])
+def test_an_approximant_past_the_horizon_exits_2_at_once(tmp_path, command, N):
+    """A Parry base knows every digit of its expansion of 1, so nothing else
+    stops an N past the horizon: ``approx:root:1,1:99999999`` held 2.8 GB
+    after five minutes, and ``dim local --N 10^8`` ran out of memory."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "betadio.cli", *command.split()],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=30,
+                          preexec_fn=cap, env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr == f"infeasible: approximant N={N} is past the horizon 4096\n"
+    assert not (tmp_path / "x.digits").exists()
