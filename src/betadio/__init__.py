@@ -9,17 +9,17 @@ of the first package, and ``record``, are exported as modules too."""
 __version__ = "0.1.0"
 
 _LAYERS = {  # each exported name by the module that defines it
-    "bary": "ExponentEstimate Run check_relations expand_lacunary expand_rational"
-            " exponents_of_blocks exponents_of_word lacunary_blocks rational_blocks",
+    "bary": "expand_lacunary expand_rational lacunary_blocks rational_blocks",
+    "exponents": "ExponentEstimate Run check_relations exponents_of_blocks exponents_of_word",
     "automaton": "AdmissibilityAutomaton PeriodicWord is_self_admissible",
     "beta_constructions": "BetaConstruction ParamSpaceResult beta_blocks generate_beta"
                           " generate_parameter_space",
     "beta_shift": "BetaSystem count_admissible expansion_of_one_star is_admissible"
                   " renyi_bounds_check",
-    "beta_values": "CylinderInterval cylinder greedy_expand parry_invert",
+    "beta_values": "CylinderInterval cylinder", "orbits": "greedy_expand",
     "closed_forms": "critical_exponent_s0 digit_set_scale dim_formula dim_formula_sup"
                     " reprove_dim_limit",
-    "constructions": "BaryConstruction FillPolicy bary_blocks generate_bary",
+    "constructions": "BaryConstruction bary_blocks generate_bary", "fills": "FillPolicy",
     "digit_files": "read_digit_blocks read_digit_file write_digit_blocks write_digit_file",
     "digit_sets": "DigitSet",
     "errors": "BetadioError DegenerateApproximant DepthExceeded DomainError HorizonTooDeep"
@@ -29,7 +29,7 @@ _LAYERS = {  # each exported name by the module that defines it
     "measures_dim": "DimensionReport MeasureValue local_dimension_bary local_dimension_beta"
                     " measure_beta",
     "numerics": "Comparison Scalar", "logarithm": "ln ln_int",
-    "roots": "PolyRoot isolate_root",
+    "roots": "PolyRoot isolate_root parry_invert",
     "words": "DigitWord",
 }
 _HOME = {name: layer for layer, names in _LAYERS.items() for name in names.split()}

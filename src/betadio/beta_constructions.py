@@ -3,22 +3,22 @@ base's finite-type approximant, and the parameter-space word whose base
 lies between two given bases.
 
 Each writes the prescribed digits of its real-base layout (``layout``) and
-fills the free positions by a policy (``constructions.FillPolicy``), a
-window of ``constructions._BLOCK`` positions at a time, as the integer-base
-generator does.  In a real base every free segment starts the word or
-follows a block that ends in ``0^N``, and N zeros bring the approximant's
-automaton to state 0.  So the generator walks the automaton only through
-free digits, starting each free segment at state 0.  A random fill draws
-each of them exactly as ``random.Random(seed).randint(0, bound)`` would,
-bound being the largest digit the state allows: ``getrandbits`` of the bit
-length of ``bound + 1``, drawn again while it exceeds bound (the draw of
-CPython 3.10-3.13), with the width and the next state read from per-state
-tables.
+fills the free positions by a policy (``fills.FillPolicy``), a window of
+``fills._BLOCK`` positions at a time, as the integer-base generator
+(``constructions``) does; it compiles neither that generator nor its run
+caps.  In a real base every free segment starts the word or follows a block
+that ends in ``0^N``, and N zeros bring the approximant's automaton to
+state 0.  So the generator walks the automaton only through free digits,
+starting each free segment at state 0.  A random fill draws each of them
+exactly as ``random.Random(seed).randint(0, bound)`` would, bound being the
+largest digit the state allows: ``getrandbits`` of the bit length of
+``bound + 1``, drawn again while it exceeds bound (the draw of CPython
+3.10-3.13), with the width and the next state read from per-state tables.
 
 ``beta_blocks`` yields the windows, which the command line writes as they
 come, and ``generate_beta`` drains them into the word it returns.  Only
 the parameter-space generator reads beta as a number; it imports
-``beta_values`` and ``numerics`` when it runs.
+``roots`` and ``numerics`` when it runs.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ import random
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .constructions import FillPolicy, _prescribed, _windows
 from .errors import HorizonTooDeep, NotSelfAdmissible, PrefixConditionFailed
+from .fills import FillPolicy, _prescribed, _windows
 from .layout import FREE, BetaLayout, beta_layout, schedule
 from .record import Record
 from .words import DigitWord
@@ -159,8 +159,8 @@ def generate_parameter_space(beta0: BetaSystem, beta1: BetaSystem, beta2: BetaSy
     """
     from .automaton import is_self_admissible
     from .beta_shift import expansion_of_one_star
-    from .beta_values import parry_invert
     from .numerics import Comparison, _escalate
+    from .roots import parry_invert
     if N < 1:
         raise ValueError("N must be >= 1")
     if N > beta1.horizon:  # beta1.approximant(N) refuses it too, but only after 2N digits

@@ -9,14 +9,14 @@ expansion of 1 terminates).  When that expansion is eventually periodic,
 Parry's automaton (``automaton``) recognizes and counts the words; otherwise
 they are read and counted off the expansion itself, to a horizon.
 
-So this module is combinatorics, in ints.  It needs beta as a number only
-to find the expansion of 1 of a base not given by it, for the Rényi check
-off an integer base, and when a caller reads beta itself (``root``,
-``beta_scalar``); only then does it import ``roots`` and ``numerics``, and
-for the first ``beta_values``, the certified queries.  It imports
+So this module is combinatorics, in ints.  The expansion of 1 of a base
+not given by it, a rational or a root of coefficients that are not that
+expansion, is its greedy orbit of 1 (``orbits``), imported only for such a
+base.  Beta as a number (``root``, ``beta_scalar``) and the Rényi check off
+an integer base import ``roots`` and ``numerics``.  It imports
 ``fractions`` only to read a ``rat:`` base, and ``words`` only to build a
-digit word (``expansion_of_one_star``): counting and checking the words of
-a base given by its expansion of 1 compiles neither.
+digit word (``expansion_of_one_star``): counting, checking and listing the
+words of a base given by its expansion of 1 compiles none of these.
 """
 
 from __future__ import annotations
@@ -31,72 +31,9 @@ from .errors import (
     HorizonTooDeep,
     NoRoot,
     NotSelfAdmissible,
-    PrecisionExhausted,
 )
 
 DEFAULT_HORIZON = 4096
-
-
-# ---------------------------------------------------------------------------
-# greedy orbits
-
-
-class _Orbit:
-    """Greedy digits of an exact orbit, noting where it terminates or cycles.
-
-    ``_step`` advances the orbit by one digit and returns the digit with the
-    new orbit state, or with None when the orbit hit 0 (the expansion
-    terminates there).  A repeated state closes a cycle ``(preperiod,
-    period)``.  Once either event has closed the orbit, ``digits`` stops
-    growing: a digit past it is read off the period, or is 0.  An orbit
-    built with ``cycles=False`` keeps no states and never closes a cycle:
-    its digits are the same, each one stepped.
-    """
-
-    def __init__(self, state, cycles: bool = True):
-        self.digits: list[int] = []
-        self.terminated: Optional[int] = None  # index after which all digits are 0
-        self.cycle: Optional[tuple[int, int]] = None  # (preperiod, period)
-        self._seen: Optional[dict] = {state: 0} if cycles else None
-
-    def digit(self, i: int) -> int:
-        digits = self.digits
-        while len(digits) <= i and self.terminated is None and self.cycle is None:
-            d, state = self._step()
-            digits.append(d)
-            if state is None:
-                self.terminated = len(digits)
-            elif self._seen is not None:
-                j = self._seen.setdefault(state, len(digits))
-                if j < len(digits):
-                    self.cycle = (j, len(digits) - j)
-        if i < len(digits):
-            return digits[i]
-        if self.cycle is None:
-            return 0
-        p, q = self.cycle
-        return digits[p + (i - p) % q]
-
-
-class _RationalOrbit(_Orbit):
-    """Greedy digits for exact x (an int or a Fraction) under a rational base.
-
-    Off an integer base no state is kept: the orbit of 1 never closes
-    (Parry 1960), and for any other x a cycle would only save steps, while
-    the states' denominators grow with every digit.
-    """
-
-    def __init__(self, base: Fraction, x: Fraction):
-        self._p, self._q = base.numerator, base.denominator
-        # x = num / den unreduced: each step multiplies den by q, so in an
-        # integer base den stays put and num alone is the state
-        self._num, self._den = x.numerator, x.denominator
-        super().__init__(self._num, cycles=self._q == 1)
-
-    def _step(self) -> tuple[int, Optional[int]]:
-        self._den *= self._q
-        d, self._num = divmod(self._p * self._num, self._den)
-        return d, (self._num or None)
 
 
 # ---------------------------------------------------------------------------
@@ -148,21 +85,8 @@ class BetaSystem:
 
     @classmethod
     def from_rational(cls, base: Fraction) -> "BetaSystem":
-        from fractions import Fraction
-        base = Fraction(base)
-        if base.denominator == 1:
-            return cls.from_int(base.numerator)
-        if base <= 1:
-            raise DegenerateApproximant("base must exceed 1")
-        sys = cls()
-        sys.kind = "rational"
-        sys.fraction_base = base
-        sys.alphabet_top = base.numerator // base.denominator
-        # no closed form to look for: a finite or periodic d(1) would make
-        # beta an algebraic integer (Parry 1960), and a rational one is an int
-        sys._orbit = _RationalOrbit(base, 1)
-        sys.spec_string = f"rat:{base}"
-        return sys
+        from .orbits import rational_base
+        return rational_base(cls(), base)
 
     @classmethod
     def from_word(cls, word: Union[Sequence[int], PeriodicWord],
@@ -207,22 +131,10 @@ class BetaSystem:
             sys = cls.from_word(coeffs, precision)
             sys.spec_string = "root:" + ",".join(map(str, coeffs))
             return sys
-        from .beta_values import _AlgebraicOrbit
-        from .roots import _integer_part, isolate_root
-        root = isolate_root(coeffs, precision=precision)
-        k, is_int = _integer_part(root)
-        if is_int:
-            return cls.from_int(k)
-        # the coefficient word is not the expansion of 1; fall back to the
-        # certified greedy orbit for d(1)
-        sys = cls()
-        sys.kind = "algebraic"
-        sys._root = root
-        sys.alphabet_top = k
-        sys._orbit = _AlgebraicOrbit(root, 1)
-        sys.spec_string = "root:" + ",".join(map(str, coeffs))
-        sys._try_close_form()
-        return sys
+        # the coefficient word is not the expansion of 1: the certified
+        # greedy orbit of 1 gives it
+        from .orbits import algebraic_base
+        return algebraic_base(cls(), coeffs, precision)
 
     @classmethod
     def parse(cls, spec: str, precision: int = DEFAULT_PRECISION) -> "BetaSystem":
@@ -248,23 +160,7 @@ class BetaSystem:
             return cls.parse(body, precision).approximant(read(int, n), precision)
         raise ValueError(f"unrecognized base spec {spec!r}")
 
-    # -- closing the orbit into a finite description ------------------------
-
-    def _try_close_form(self) -> None:
-        """Advance the greedy orbit 256 digits; adopt a finite/periodic d(1)."""
-        try:
-            self._orbit.digit(256)
-        except PrecisionExhausted:
-            return
-        self._finalize_orbit()
-
-    def _finalize_orbit(self) -> None:
-        orb = self._orbit
-        if orb.terminated is not None:
-            self._adopt(PeriodicWord.from_finite(orb.digits[:orb.terminated]))
-        elif orb.cycle is not None:
-            p, q = orb.cycle
-            self._adopt(PeriodicWord(orb.digits[:p], orb.digits[p:p + q]).normalized())
+    # -- the expansion of 1 --------------------------------------------------
 
     def _adopt(self, d1: PeriodicWord) -> None:
         """Take d1, the normalized expansion of 1, with its quasi-greedy form
@@ -313,7 +209,8 @@ class BetaSystem:
                 raise HorizonTooDeep(
                     f"expansion of 1 requested past horizon {self.horizon}")
             d = self._orbit.digit(i)
-            self._finalize_orbit()
+            if (d1 := self._orbit.closed()) is not None:
+                self._adopt(d1)
             return d if self.d1_star is None else self.d1_star[i]
 
     def approximant(self, N: int, precision: int = DEFAULT_PRECISION) -> "BetaSystem":

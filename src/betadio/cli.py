@@ -22,7 +22,7 @@ Both give ``None`` for an option not given.  Then ``_check`` fills in the
 defaults and refuses, with one usage error, an option the action needs and
 lacks or does not read, two that exclude each other, one given without the
 option (or the value) it is read with, or an integer below its least value;
-only then is the handler module imported.
+only then is the subcommand's own handler module imported.
 """
 
 from __future__ import annotations
@@ -36,10 +36,11 @@ from .errors import DomainError, PrecisionError, UsageError
 # ---------------------------------------------------------------------------
 # the option table
 #
-# Per subcommand: its handler module, help, arguments, then the pairs of
-# options that exclude each other ("A or B": one of them is also needed), and
-# "A needs B": A is read only with B given, or with B's value v ("B=v"); an
-# action before A limits the rule to that action.
+# Per subcommand: its help, its arguments, then the pairs of options that
+# exclude each other ("A or B": one of them is also needed), and "A needs
+# B": A is read only with B given, or with B's value v ("B=v"); an action
+# before A limits the rule to that action.  Its handler is ``run`` of the
+# module named after it, ``commands.<name>`` with "-" read as "_".
 # An argument is (flags, kind, default[, reads[, help]]); flags without a
 # "-" name the positional, the action.  kind is str or int for one value, an
 # int k for an integer of at least k, a tuple of choices, bool for a
@@ -50,30 +51,30 @@ from .errors import DomainError, PrecisionError, UsageError
 # argparse derives it.  Every subcommand also takes _OUTPUT.
 
 _COMMANDS = {
-    "expand": ("expansions", "digits of x in an integer or real base", (
+    "expand": ("digits of x in an integer or real base", (
         ("--base", 2, None), ("--beta", str, None), ("--x", str, "0"),
         ("--lacunary", str, None, None, "rational v for the sparse series, or squared-power"),
         ("--digits", 1, ...)), "--base or --beta", "--beta --lacunary", "--lacunary --x"),
-    "expand-one": ("real_base", "infinite expansion of 1", (
+    "expand-one": ("infinite expansion of 1", (
         ("--beta", str, ...), ("--digits", 1, ...))),
-    "admissible": ("real_base", "count/list/check admissible words", (
+    "admissible": ("count/list/check admissible words", (
         ("action", ("count", "list", "check"), ...), ("--beta", str, ...),
         ("--len", 0, None, "count! list!"), ("--word", str, None, "check!"),
         ("--renyi", bool, False, "count", "attach the count bounds check"))),
-    "cylinder": ("real_base", "certified basic-interval endpoints", (
+    "cylinder": ("certified basic-interval endpoints", (
         ("--beta", str, ...), ("--word", str, ...))),
-    "exponents": ("expansions", "run analysis of a digit file", (
+    "exponents": ("run analysis of a digit file", (
         ("--input", str, ...), ("--zeros-only", bool, False), ("--trajectory", bool, False))),
-    "construct": ("construct", "generate construction digit words", (
+    "construct": ("generate construction digit words", (
         ("flavor", ("bary", "beta", "param", "restricted"), ...), ("--theta", str, ...),
         ("--vhat", str, ...), ("--stages", 1, 8), ("--fill", str, "const:1"), ("--seed", int, 0),
         ("--base", 2, None, "bary! restricted!"), ("--digit-set", str, None, "restricted!"),
         ("--beta", str, None, "beta!"), ("--beta0", str, None, "param!"),
         ("--beta1", str, None, "param!"), ("--beta2", str, None, "param!"),
         ("--N", 1, 3, "beta param")), "--seed needs --fill=random"),
-    "measure": ("measure", "cylinder mass from a construction sidecar", (
+    "measure": ("cylinder mass from a construction sidecar", (
         ("--sidecar", str, ...), ("--n", 0, ...))),
-    "dim": ("dim", "dimension formulas and trajectories", (
+    "dim": ("dimension formulas and trajectories", (
         ("what", ("formula", "local", "s0"), ...), ("--theta", str, None, "formula local! s0!"),
         ("--vhat", str, ...), ("--sup", bool, False, "formula"), ("--eps", str, "0", "s0"),
         ("--base", 2, 3, "formula local"), ("--digit-set", str, None, "formula local"),
@@ -81,10 +82,10 @@ _COMMANDS = {
         ("--tolerance", str, "1/50", "local"), ("--format", ("json", "csv"), "json", "local")),
         "--beta --base", "--beta --digit-set", "--sup --theta", "--N needs --beta",
         "formula --base needs --digit-set"),
-    "parry": ("real_base", "self-admissibility and base inversion", (
+    "parry": ("self-admissibility and base inversion", (
         ("action", ("check", "invert"), ...), ("--word", str, ...),
         ("--bits", 1, 128, "invert"))),
-    "reprove": ("dim", "prescribed-pair limit along a theta grid", (
+    "reprove": ("prescribed-pair limit along a theta grid", (
         ("--v", str, ...), ("--thetas", list, ...))),
 }
 _OUTPUT = ("--output -o", str, None, None, "write to file instead of stdout")
@@ -98,7 +99,7 @@ def _read(argv: list) -> SimpleNamespace | None:
     """The exact-match reader: the parsed argv, or None to defer to argparse."""
     if not argv or argv[0] not in _COMMANDS:
         return None
-    arguments = _COMMANDS[argv[0]][2]
+    arguments = _COMMANDS[argv[0]][1]
     fields, flags = {"command": argv[0]}, {}
     for names, kind, *_rest in (*arguments, _OUTPUT):
         fields[_dest(names)] = None
@@ -144,7 +145,7 @@ def build_parser():
 def _check(args) -> None:
     """The defaults; one usage error for an option missing, foreign, excluded,
     given without its partner, or too low."""
-    _module, _summary, arguments, *pairs = _COMMANDS[args.command]
+    _summary, arguments, *pairs = _COMMANDS[args.command]
     action = next((getattr(args, f) for f, *_r in arguments if f[0] != "-"), "")
     what, given, missing, foreign, low = f"{args.command} {action}".strip(), set(), [], [], ""
     for flags, kind, default, *reads in arguments:
@@ -199,8 +200,8 @@ def _run(argv) -> int:
         args = _read(argv) or build_parser().parse_args(argv)
         _check(args)
         from importlib import import_module
-        handlers = import_module(f".commands.{_COMMANDS[args.command][0]}", __package__)
-        code = getattr(handlers, "cmd_" + args.command.replace("-", "_"))(args)
+        handler = import_module(f".commands.{args.command.replace('-', '_')}", __package__)
+        code = handler.run(args)
         print(end="", flush=True)  # a failed write of stdout is reported here, not at exit
         return code
     except UsageError as exc:

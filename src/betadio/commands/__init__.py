@@ -1,12 +1,14 @@
-"""The ``betadio`` subcommands' handlers, grouped by the layers they load,
-and the helpers they share.  No handler imports ``cli``: under ``python -m
-betadio.cli`` it runs as ``__main__``, and a second import would compile it
-again, with a second ``UsageError`` that ``__main__`` does not catch."""
+"""The ``betadio`` subcommands' handlers, one module per subcommand named
+after it, so that a command compiles its own handler alone, and the helpers
+they share.  JSON is written by ``jsontext``, imported only where JSON is
+written; only ``measure``, which reads a sidecar, imports the stdlib's
+``json``.  No handler imports ``cli``: under ``python -m betadio.cli`` it
+runs as ``__main__``, and a second import would compile it again, with a
+second ``UsageError`` that ``__main__`` does not catch."""
 
 from __future__ import annotations
 
 import os
-import sys
 
 from .. import __version__
 from ..errors import UsageError
@@ -47,18 +49,26 @@ def default_precision() -> int:
     return bits
 
 
-def _emit(args, payload: dict, config: dict, plain=None):
+def _json(config: dict, payload: dict, json=None) -> str:
+    """The JSON text of the payload with the config and version: by the
+    stdlib's ``json`` when the command imported it to read, else by
+    ``jsontext``, which gives the same bytes without that import."""
+    doc = {"version": __version__, "config": config, **payload}
+    if json is not None:
+        return json.dumps(doc, indent=2)
+    from ..jsontext import dumps
+    return dumps(doc)
+
+
+def _emit(args, payload: dict, config: dict, plain=None, json=None):
     """JSON (with embedded config and version) to files; for stdout, a bare
     value when the command has a natural one-liner."""
     config.setdefault("precision_bits", default_precision())
-    if plain is not None and not getattr(args, "output", None):
+    if plain is not None and not args.output:
         print(plain)
         return
-    # json is imported only where it is written or read, so that a command
-    # with a plain-text answer never loads it
-    import json
-    text = json.dumps({"version": __version__, "config": config, **payload}, indent=2)
-    if getattr(args, "output", None):
+    text = _json(config, payload, json)
+    if args.output:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
     else:
@@ -66,26 +76,11 @@ def _emit(args, payload: dict, config: dict, plain=None):
 
 
 def _emit_digits(args, base: int, blocks, config: dict, sidecar=dict):
-    """The digits of ``blocks`` as a digit file, written as they come: to
-    ``--output`` with a JSON sidecar of ``sidecar()``, read once the digits
-    are written (a construction counts its clamps as it goes), or to stdout.
-    The first block is drawn before the file opens, so a producer that
-    refuses its input leaves no file."""
-    from itertools import chain
-    from ..digit_files import write_digit_blocks
+    """The digits of ``blocks`` to ``--output``, with a JSON sidecar of the
+    config and ``sidecar()``, or to stdout: ``write_digit_output``."""
+    from ..digit_files import write_digit_output
     config.setdefault("precision_bits", default_precision())
-    blocks = iter(blocks)
-    blocks = chain([next(blocks, b"")], blocks)
-    if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            write_digit_blocks(fh, base, blocks)
-        side = {"version": __version__, "config": config, **sidecar()}
-        import json
-        with open(args.output + ".json", "w") as fh:
-            json.dump(side, fh, indent=2)
-            fh.write("\n")
-    else:
-        write_digit_blocks(sys.stdout, base, blocks)
+    write_digit_output(args.output, base, blocks, lambda: _json(config, sidecar()))
 
 
 def _scalar_dict(s) -> dict:

@@ -1,15 +1,17 @@
 """``construct``: the generators, and the digit file with its sidecar.
 The integer-base and real-base words stream to the file a block at a time;
-``construct param`` holds its word, which its checks read whole.  Only
-``beta`` and ``param`` load the real-base generators."""
+``construct param`` holds its word, which its checks read whole.  Each
+flavour loads its own generator with the fill policies (``fills``):
+``bary`` and ``restricted`` the integer-base one (``constructions``, with
+``runs``), ``beta`` and ``param`` the real-base ones, and no run analysis."""
 
 from ..errors import UsageError
 from . import _digit_set, _emit_digits, _fraction, _scalar_dict, default_precision
 
 
-def cmd_construct(args):
+def run(args):
     what = f"construct {args.flavor}"
-    from ..constructions import FillPolicy, bary_blocks
+    from ..fills import FillPolicy
     cfg = {"cmd": what, "theta": args.theta, "vhat": args.vhat,
            "stages": args.stages, "fill": args.fill, "seed": args.seed}
     theta, vhat = _fraction(args.theta), _fraction(args.vhat)
@@ -18,6 +20,7 @@ def cmd_construct(args):
     except ValueError:
         raise UsageError(f"not a fill policy: {args.fill!r} (const:<digit> or random)")
     if args.flavor in ("bary", "restricted"):
+        from ..constructions import bary_blocks
         cfg["base"] = args.base
         base = args.base
         if args.flavor == "restricted":

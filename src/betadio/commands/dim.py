@@ -1,10 +1,12 @@
-"""``dim`` and ``reprove``.  The closed forms load no measures; only
-``dim local`` adds the layout and ``measures_dim``."""
+"""``dim``: the closed forms (``closed_forms``), which load no measures;
+only ``dim local`` adds the layout and ``measures_dim``, and on a real
+base ``beta_shift``, ``roots``, ``numerics`` and ``logarithm``."""
 
+from ..errors import UsageError
 from . import _digit_set, _emit, _fraction, _scalar_dict, default_precision
 
 
-def cmd_dim(args):
+def run(args):
     if args.what == "formula":
         from ..closed_forms import digit_set_scale, dim_formula, dim_formula_sup
         vhat = _fraction(args.vhat)
@@ -32,6 +34,8 @@ def cmd_dim(args):
         from ..measures_dim import local_dimension_bary, local_dimension_beta
         theta, vhat = _fraction(args.theta), _fraction(args.vhat)
         tol = _fraction(args.tolerance)
+        if tol <= 0:  # no trajectory narrows to a width below tol/10 <= 0
+            raise UsageError(f"dim local needs --tolerance > 0, got {args.tolerance}")
         bits = default_precision()
         if args.beta is not None:
             from ..beta_shift import BetaSystem
@@ -59,13 +63,4 @@ def cmd_dim(args):
         _emit(args, {"s0": str(value)},
               {"cmd": "dim s0", "theta": args.theta, "vhat": args.vhat, "eps": args.eps},
               plain=str(value))
-    return 0
-
-
-def cmd_reprove(args):
-    from ..closed_forms import reprove_dim_limit
-    rep = reprove_dim_limit(_fraction(args.v), [_fraction(t) for t in args.thetas])
-    _emit(args, {"limit": str(rep["limit"]), "monotone": rep["monotone"],
-                 "values": [[str(t), str(v)] for t, v in rep["values"]]},
-          {"cmd": "dim reprove", "v": args.v, "thetas": args.thetas})
     return 0

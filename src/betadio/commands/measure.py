@@ -7,13 +7,15 @@ takes only the text ``to_dict`` writes, so the schedule is rebuilt in ints.
 An integer-base sidecar's mass is ``base**-e(n)``, and ``layout`` counts
 the exponent e(n) itself, so that path loads neither ``measures_dim`` nor
 ``bary`` nor ``words``, nor the stdlib's ``fractions``.  A restricted
-sidecar adds ``digit_sets``: the mass's base is then the set's size."""
+sidecar adds ``digit_sets``: the mass's base is then the set's size.  The
+stdlib's ``json`` reads the sidecar and writes the answer, so ``measure``
+is the one command that imports it, and it compiles no ``jsontext``."""
 
 from ..errors import InfeasibleParameters
 from . import _emit, _scalar_dict, default_precision
 
 
-def cmd_measure(args):
+def run(args):
     import json
     from ..layout import beta_layout, read_ratio, schedule
     with open(args.sidecar) as fh:
@@ -45,7 +47,7 @@ def cmd_measure(args):
         lm = mv.log_mu(default_precision())
         _emit(args, {"n": args.n,
                      "factors": [[length, mult] for length, _c, mult in mv.factors],
-                     "log_mu": _scalar_dict(lm)}, cfg)
+                     "log_mu": _scalar_dict(lm)}, cfg, json=json)
     else:
         from ..layout import free_digit_count
         if digit_set:
@@ -53,5 +55,5 @@ def cmd_measure(args):
             base = DigitSet(base, frozenset(digit_set))
         exponent = free_digit_count(layout, args.n, base)
         _emit(args, {"n": args.n, "base": base if isinstance(base, int) else base.size,
-                     "exponent": exponent}, cfg)
+                     "exponent": exponent}, cfg, json=json)
     return 0

@@ -1,8 +1,7 @@
-"""The integer-base generators of the explicit digit-level constructions,
-and the fill policies and windows the real-base ones share.
+"""The integer-base generator of the explicit digit-level constructions.
 
-Each one writes the prescribed digits of its layout (``layout``) and fills
-the free positions by a policy.  Free fills are clamped so no run of 0 or
+It writes the prescribed digits of its layout (``layout``) and fills the
+free positions by a policy.  Free fills are clamped so no run of 0 or
 b-1 that starts in a free position exceeds its stage's cap delta_k.  A cap
 of 0 holds where the allowed digits include one other than 0 and b-1;
 elsewhere (base 2, or a digit set such as {0, 2} in base 3) it reads as 1.
@@ -13,8 +12,9 @@ The generator makes its word a window of ``_BLOCK`` positions at a time:
 ``bary_blocks`` yields the windows, which the command line writes as they
 come, and ``generate_bary`` drains the same windows into the word it
 returns.  The fill and the run caps carry their state across a window's
-end.  The real-base generators (``beta_constructions``) draw their windows
-and fills from here.
+end.  The fill policies and the windows are ``fills``', which the
+real-base generators (``beta_constructions``) share without compiling
+this, and the runs to cap are found by ``runs``.
 
 Nothing here needs ``beta_shift`` or ``numerics``.
 """
@@ -26,11 +26,12 @@ import random
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence, Union
 
-from .bary import _last_run, _next_run, _run_end
 from .digit_sets import DigitSet
 from .errors import DomainError
+from .fills import FillPolicy, _prescribed, _windows
 from .layout import FREE, ScheduledRuns, Segment, layout_segments, schedule
 from .record import Record
+from .runs import _last_run, _next_run, _run_end
 from .words import DigitWord
 
 
@@ -39,35 +40,6 @@ def _warn(msg: str, *args) -> None:
     # a clamped fill logs
     import logging
     logging.getLogger(__name__).warning(msg, *args)
-
-
-# ---------------------------------------------------------------------------
-# fill policies
-
-
-class FillPolicy(Record):
-    """How free positions are populated: a constant digit, or seeded uniform
-    draws over the allowed digits."""
-
-    __slots__ = ("kind", "digit", "seed")
-
-    def __init__(self, kind: str = "constant", digit: int = 1, seed: Optional[int] = None):
-        self.kind = kind
-        self.digit = digit
-        self.seed = seed
-
-    @staticmethod
-    def parse(text: str, seed: Optional[int] = None) -> "FillPolicy":
-        if text.startswith("const:"):
-            return FillPolicy(kind="constant", digit=int(text[6:]), seed=seed)
-        if text == "random":
-            return FillPolicy(kind="random", seed=seed)
-        raise ValueError(f"unknown fill policy {text!r}")
-
-    def describe(self) -> str:
-        if self.kind == "constant":
-            return f"const:{self.digit}"
-        return f"random(seed={self.seed})"
 
 
 # ---------------------------------------------------------------------------
@@ -92,41 +64,6 @@ class BaryConstruction(Record):
         if self.digit_set:
             d["digit_set"] = sorted(self.digit_set.digits)
         return d
-
-
-_BLOCK = 1 << 15  # positions per window: no temporary grows with the word
-
-
-def _prescribed(segs: list[Segment]) -> tuple[bytearray, list[Segment]]:
-    """The layout's digits with every prescribed segment written (free
-    positions left 0), and the free segments in order.  The segments are a
-    window's (``_windows``), so no temporary outgrows ``_BLOCK``."""
-    arr = bytearray(segs[-1].hi)
-    for seg in segs:
-        if seg.kind != FREE:
-            arr[seg.lo - 1:seg.hi] = seg.prescribed()
-    return arr, [seg for seg in segs if seg.kind == FREE]
-
-
-def _windows(segs: list[Segment], depth: int) -> Iterator[tuple[int, list[Segment]]]:
-    """Per window of ``_BLOCK`` positions through ``depth``: its first
-    position, and the segments that meet it, cut to it and numbered from 1
-    within it.  A prescribed segment's digits are one digit or all of its
-    digits (``Segment``), so a cut one keeps the part it covers."""
-    i = 0
-    for at in range(1, depth + 1, _BLOCK):
-        end = min(at + _BLOCK - 1, depth)
-        cut = []
-        while i < len(segs) and segs[i].lo <= end:
-            lo, hi, kind, digits, cap = segs[i]
-            a, z = max(lo, at), min(hi, end)
-            if len(digits) > 1:
-                digits = digits[a - lo:z - lo + 1]
-            cut.append(Segment(a - at + 1, z - at + 1, kind, digits, cap))
-            if hi > end:
-                break
-            i += 1
-        yield at, cut
 
 
 def bary_blocks(base: Union[int, DigitSet], theta: Fraction, v_hat: Fraction, stages: int,

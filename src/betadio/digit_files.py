@@ -7,9 +7,12 @@ Both ends work a bounded block at a time: ``write_digit_blocks`` writes a
 producer's blocks as they come, and ``read_digit_blocks`` gives the digits
 back in blocks, so a word passes through either in memory that does not
 grow with it.  ``write_digit_file`` and ``read_digit_file`` are the same
-for a word held whole."""
+for a word held whole.  ``write_digit_output`` is the command line's
+digit output: a file with its JSON sidecar, or stdout."""
 
-from typing import Iterable, Iterator
+import sys
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Optional
 
 from .words import DigitWord
 
@@ -25,6 +28,25 @@ def write_digit_file(stream, base: int, digits: Iterable[int]) -> None:
     if not isinstance(data, (bytes, bytearray, tuple)):
         data = tuple(data)
     write_digit_blocks(stream, base, [data])
+
+
+def write_digit_output(path: Optional[str], base: int, blocks: Iterable,
+                       sidecar: Callable[[], str]) -> None:
+    """The digits of ``blocks`` written as they come: to the digit file
+    ``path``, with the text ``sidecar()`` in ``path.json``, read once the
+    digits are written (a construction counts its clamps as it goes), or to
+    stdout when there is no path.  The first block is drawn before the file
+    opens, so a producer that refuses its input leaves no file."""
+    blocks = iter(blocks)
+    blocks = chain([next(blocks, b"")], blocks)
+    if not path:
+        write_digit_blocks(sys.stdout, base, blocks)
+        return
+    with open(path, "w") as fh:
+        write_digit_blocks(fh, base, blocks)
+    text = sidecar()
+    with open(path + ".json", "w") as fh:
+        fh.write(text + "\n")
 
 
 def write_digit_blocks(stream, base: int, blocks: Iterable) -> None:

@@ -8,7 +8,9 @@ a unique root and bisection with certified signs pins it down.  A sign is an
 interval Horner at fixed point, exact integer arithmetic only when that
 interval straddles 0.  Refinement does not run the halvings one by one: the
 cell they end in is determined by the root alone, so a search over the cells
-from a fixed-point Newton guess finds it, with the same signs.
+from a fixed-point Newton guess finds it, with the same signs.  The base
+of a self-admissible word (``parry_invert``) is the root of the word's
+value equation.
 
 The intervals a root hands out are ``numerics`` Scalars; a certificate that
 one does not settle is retried by ``numerics._escalate``.  A root keeps one
@@ -21,10 +23,10 @@ rational is the root.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
-from .errors import DEFAULT_PRECISION, DegenerateApproximant, NoRoot
-from .automaton import _cleared_polynomial
+from .automaton import PeriodicWord, _cleared_polynomial, is_self_admissible
+from .errors import DEFAULT_PRECISION, DegenerateApproximant, NoRoot, NotSelfAdmissible
 from .numerics import Comparison, Scalar, _escalate, _fraction_pair, _scalar
 
 # PolyRoot.refine asks _newton for a guess of its cell beyond this many
@@ -53,7 +55,7 @@ class PolyRoot:
     The cleared polynomial is negative at 1 (a periodic tail is not all
     zeros) and has the root as its one zero beyond 1, a simple one, so the
     bracket's left end is 1 or a point where it is negative, and its right
-    end one where it is >= 0: ``beta_values.is_exact_root`` reads the bracket
+    end one where it is >= 0: ``orbits.is_exact_root`` reads the bracket
     on that precondition.
     """
 
@@ -223,6 +225,22 @@ def isolate_root(coefficients: Sequence[int], precision: int = DEFAULT_PRECISION
                 f"coefficient sum {total} <= 1 forces the root to z <= 1")
         hi = total + 1
     return PolyRoot(_cleared_polynomial(pre, per), 1, hi, precision)
+
+
+def parry_invert(word: Union[Sequence[int], PeriodicWord],
+                 precision: int = DEFAULT_PRECISION) -> PolyRoot:
+    """The unique base beta > 1 whose expansion of 1 matches the word.
+
+    The word must be self-admissible; the base is returned as a certified
+    root of the value equation ``1 = sum w_i z**-i``.
+    """
+    w = word if isinstance(word, PeriodicWord) else PeriodicWord.from_finite(word)
+    w = w.normalized()
+    if not (w.pre or w.per):
+        raise DegenerateApproximant("empty word")
+    if not is_self_admissible(w):
+        raise NotSelfAdmissible(f"{w} has a shift exceeding the word")
+    return isolate_root(w.pre, periodic_tail=w.per, precision=precision)
 
 
 def _integer_part(root: PolyRoot) -> tuple[int, bool]:

@@ -19,7 +19,7 @@ def table_parser(description: str, commands: dict, output: tuple) -> argparse.Ar
     p = _Parser(prog="betadio", description=description)
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
-    for name, (_module, summary, arguments, *_pairs) in commands.items():
+    for name, (summary, arguments, *_pairs) in commands.items():
         sp = sub.add_parser(name, help=summary)
         for flags, kind, default, *text in (*arguments, output):
             kw = {"help": text[1] if text[1:] else None}

@@ -11,17 +11,19 @@ from fractions import Fraction
 
 import pytest
 
-from betadio.bary import expand_lacunary, exponents_of_word
+from betadio.bary import expand_lacunary
 from betadio.automaton import PeriodicWord
 from betadio.beta_constructions import generate_parameter_space
 from betadio.beta_shift import BetaSystem, count_admissible, is_admissible, renyi_bounds_check
-from betadio.beta_values import cylinder, greedy_expand, parry_invert
+from betadio.beta_values import cylinder
 from betadio.closed_forms import digit_set_scale, dim_formula, dim_formula_sup
 from betadio.constructions import FillPolicy, generate_bary
 from betadio.digit_sets import DigitSet
+from betadio.exponents import exponents_of_word
 from betadio.layout import free_digit_count, schedule
 from betadio.measures_dim import local_dimension_bary
-from betadio.roots import isolate_root
+from betadio.orbits import greedy_expand
+from betadio.roots import isolate_root, parry_invert
 
 F = Fraction
 

@@ -17,9 +17,9 @@ from fractions import Fraction
 import pytest
 
 from betadio.automaton import AdmissibilityAutomaton, PeriodicWord, is_self_admissible
-from betadio.beta_shift import BetaSystem, _RationalOrbit, count_admissible, is_admissible
-from betadio.beta_values import greedy_expand
+from betadio.beta_shift import BetaSystem, count_admissible, is_admissible
 from betadio.errors import NotSelfAdmissible
+from betadio.orbits import _RationalOrbit, greedy_expand
 
 # ---------------------------------------------------------------------------
 # frozen references

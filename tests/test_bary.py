@@ -4,19 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betadio.bary import (
+from betadio.bary import expand_lacunary, expand_rational
+from betadio.digit_sets import DigitSet
+from betadio.errors import InvalidDigitSet
+from betadio.exponents import (
     TOP,
     ZEROS,
     _monotone_runs,
     _run_symbols,
     _run_view,
     check_relations,
-    expand_lacunary,
-    expand_rational,
     exponents_of_word,
 )
-from betadio.digit_sets import DigitSet
-from betadio.errors import InvalidDigitSet
 from betadio.words import DigitWord
 
 F = Fraction
@@ -182,7 +181,7 @@ def test_rational_words_have_vanishing_exponents():
 
 def test_check_relations():
     def fake(v, vh):
-        from betadio.bary import ExponentEstimate
+        from betadio.exponents import ExponentEstimate
         return ExponentEstimate(v_lower=F(v), v_hat_lower=F(vh),
                                 trajectory=[], horizon=0, window=0)
 

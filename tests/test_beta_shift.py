@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from betadio import automaton, beta_shift, beta_values, numerics, roots
+from betadio import automaton, numerics, orbits, roots
 from betadio.automaton import PeriodicWord, is_self_admissible
 from betadio.beta_shift import (
     BetaSystem,
@@ -12,10 +12,12 @@ from betadio.beta_shift import (
     is_admissible,
     renyi_bounds_check,
 )
-from betadio.beta_values import cylinder, greedy_expand, parry_invert, word_value
+from betadio.beta_values import cylinder, word_value
 from betadio.cli import main
 from betadio.errors import DegenerateApproximant, NotSelfAdmissible, PrecisionExhausted
 from betadio.numerics import Scalar
+from betadio.orbits import greedy_expand
+from betadio.roots import parry_invert
 
 F = Fraction
 
@@ -135,10 +137,10 @@ def test_root_sites_double_to_the_256_bit_answer():
     assert BetaSystem.from_root([1, 2], 8).int_base == 2
     # orbit digits from a 4-bit root
     for coeffs, x in (([1, 0, 2], F(1)), ([1, 1, 1], F(2, 7))):
-        orbit = beta_values._AlgebraicOrbit(roots.isolate_root(coeffs, precision=4), x)
+        orbit = orbits._AlgebraicOrbit(roots.isolate_root(coeffs, precision=4), x)
         digits = [orbit.digit(i) for i in range(30)]
         assert orbit._bits > 4
-        exact = beta_values._AlgebraicOrbit(roots.isolate_root(coeffs), x)
+        exact = orbits._AlgebraicOrbit(roots.isolate_root(coeffs), x)
         assert digits == [exact.digit(i) for i in range(30)]
     # the Renyi bounds from 2 bits
     sys = BetaSystem.from_root([3, 0, 1])
@@ -520,7 +522,7 @@ def test_greedy_expand_takes_exact_x_only():
         greedy_expand(golden(), Scalar.from_fraction(F(1, 2), 256), 3)
 
 
-class FrozenAlgebraicOrbit(beta_shift._Orbit):
+class FrozenAlgebraicOrbit(orbits._Orbit):
     """The algebraic orbit as first written: the orbit value itself as a
     polynomial in beta, in Fraction arithmetic when x is not an integer."""
 
@@ -543,7 +545,7 @@ class FrozenAlgebraicOrbit(beta_shift._Orbit):
                 break
             lo = val.lo
             candidate = lo.numerator // lo.denominator + 1
-            if beta_values.is_exact_root(automaton.poly_sub(shifted, [F(candidate)]), self.root):
+            if orbits.is_exact_root(automaton.poly_sub(shifted, [F(candidate)]), self.root):
                 self.poly = []
                 return candidate, None
         self.poly = automaton.poly_sub(shifted, [fl])
@@ -563,7 +565,7 @@ ORBIT_XS = [F(0), F(1), F(1, 2), F(1, 3), F(1, 4), F(2, 7), F(441, 1000), F(13, 
 def test_scaled_orbit_matches_the_fraction_orbit(spec):
     for bits in (8, 256):
         for x in ORBIT_XS:
-            new = beta_values._AlgebraicOrbit(BetaSystem.parse(spec, bits).root, x)
+            new = orbits._AlgebraicOrbit(BetaSystem.parse(spec, bits).root, x)
             old = FrozenAlgebraicOrbit(BetaSystem.parse(spec, bits).root, x)
             digits = [new.digit(i) for i in range(160)]
             assert digits == [old.digit(i) for i in range(160)], (spec, x)

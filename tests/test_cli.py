@@ -228,6 +228,18 @@ def test_dim_local_refuses_negative_stages(capsys, extra, stages):
     assert capsys.readouterr() == ("", "usage error: dim local needs --stages >= 0, got -3\n")
 
 
+@pytest.mark.parametrize("extra", [["--base", "3"], ["--beta", "root:1,1"]])
+@pytest.mark.parametrize("given", [["--tolerance", "0"], ["--tolerance", "0/7"],
+                                   ["--tolerance", "-1"], ["--tolerance=-1/50"]])
+def test_dim_local_tolerance_at_most_zero_is_a_usage_error(capsys, extra, given):
+    """No trajectory narrows below tol/10 <= 0: such a run could only report
+    ``"converged_at": null``, so it is refused with one line."""
+    tolerance = given[-1].rpartition("=")[2]
+    assert main(["dim", "local", "--theta", "3", "--vhat", "1/3", *extra, *given]) == 1
+    assert capsys.readouterr() == (
+        "", f"usage error: dim local needs --tolerance > 0, got {tolerance}\n")
+
+
 def test_dim_local_beta_json(capsys):
     rc, out = run(capsys, "dim", "local", "--theta", "3", "--vhat", "1/3",
                   "--beta", "root:1,1", "--N", "4", "--stages", "6")
@@ -652,9 +664,10 @@ def _cli(*argv, cwd=None):
 # stdlib modules kept off the start-up path; argparse (with gettext and
 # locale) loads only for help and errors
 KEPT_OFF = {"dataclasses", "inspect", "logging", "csv", "argparse", "gettext", "locale"}
-LIBRARY = ("numerics", "roots", "logarithm", "words", "digit_files", "bary",
-           "digit_sets", "automaton", "beta_shift", "beta_values", "layout", "constructions",
-           "beta_constructions", "closed_forms", "measures_dim", "commands")
+LIBRARY = ("numerics", "roots", "logarithm", "words", "digit_files", "bary", "exponents",
+           "runs", "digit_sets", "automaton", "beta_shift", "orbits", "beta_values", "layout",
+           "fills", "constructions", "beta_constructions", "closed_forms", "measures_dim",
+           "jsontext", "commands")
 
 
 def _loaded(proc) -> set:
@@ -672,67 +685,87 @@ def test_import_footprint():
     assert not {f"betadio.{layer}" for layer in LIBRARY} & loaded
 
 
-# the real-base layers: a base's words, its root, its generators
-REAL_BASE = ("automaton", "beta_shift", "roots", "beta_values", "beta_constructions")
+# the real-base layers: a base's words, its greedy orbits, its root, its
+# cylinders, its generators
+REAL_BASE = ("automaton", "beta_shift", "orbits", "roots", "beta_values", "beta_constructions")
+# an integer-base word's run analysis, and the runs it and the run caps find
+RUN_ANALYSIS = ("exponents", "runs")
 CLOSED_FORMS = ("words", "digit_files", "bary", "digit_sets", "numerics", "logarithm",
-                "layout", "constructions", "measures_dim") + REAL_BASE
-NO_REAL_BASE = ("digit_sets", "numerics", "logarithm", "layout", "constructions",
+                "layout", "fills", "constructions", "measures_dim") + RUN_ANALYSIS + REAL_BASE
+NO_REAL_BASE = ("digit_sets", "numerics", "logarithm", "layout", "fills", "constructions",
                 "closed_forms", "measures_dim") + REAL_BASE
-INTEGER_BASE = ("numerics", "logarithm") + REAL_BASE
-LAYOUT_ONLY = ("words", "digit_files", "bary", "numerics", "logarithm",
-               "constructions") + REAL_BASE
-NO_WORDS = ("words", "digit_files", "bary", "constructions") + REAL_BASE
-NO_GENERATOR = ("layout", "constructions", "beta_constructions", "closed_forms", "measures_dim",
-                "logarithm")
+INTEGER_BASE = ("numerics", "logarithm", "bary", "exponents") + REAL_BASE
+LAYOUT_ONLY = ("words", "digit_files", "bary", "numerics", "logarithm", "fills",
+               "constructions") + RUN_ANALYSIS + REAL_BASE
+NO_WORDS = ("words", "digit_files", "bary", "fills", "constructions") + RUN_ANALYSIS + REAL_BASE
+NO_GENERATOR = ("layout", "fills", "constructions", "beta_constructions", "closed_forms",
+                "measures_dim", "logarithm", "bary") + RUN_ANALYSIS
 # the words of a base and their counts need its expansion of 1 alone, not beta
 NO_BETA = NO_GENERATOR + ("numerics", "roots", "beta_values")
 WORDS_ONLY = NO_BETA + ("digit_files",)
+# and a base given by its expansion of 1 steps no greedy orbit
+GIVEN_BY_ONE = WORDS_ONLY + ("orbits",)
 FOOTPRINTS = [
     ("dim formula --theta 3 --vhat 1/3", CLOSED_FORMS),
     ("dim formula --vhat 1/3 --sup", CLOSED_FORMS),
     ("dim s0 --theta 3 --vhat 1/3 --eps 1/10", CLOSED_FORMS),
     ("reprove --v 1 --thetas 4 8", CLOSED_FORMS),
     ("--version", CLOSED_FORMS),
-    ("expand --base 10 --x 1/7 --digits 20", NO_REAL_BASE),
-    ("expand --base 10 --lacunary 1 --digits 20", NO_REAL_BASE),
-    ("exponents --input e.digits", NO_REAL_BASE),
+    # an expansion loads bary's producers, no run analysis
+    ("expand --base 10 --x 1/7 --digits 20", NO_REAL_BASE + RUN_ANALYSIS),
+    ("expand --base 10 --lacunary 1 --digits 20", NO_REAL_BASE + RUN_ANALYSIS),
+    # the run analysis loads no producer
+    ("exponents --input e.digits", NO_REAL_BASE + ("bary",)),
     ("construct bary --theta 3 --vhat 1/3 --base 3 --stages 6", INTEGER_BASE),
     ("construct restricted --theta 3 --vhat 1/3 --base 3 --digit-set 0,2 --fill random",
      INTEGER_BASE),
+    # a real-base generator loads the fills, not the integer-base generator
     ("construct beta --theta 3 --vhat 1/3 --beta root:1,1 --N 3 --stages 4",
-     ("numerics", "roots", "beta_values", "logarithm", "closed_forms", "measures_dim")),
+     ("numerics", "roots", "beta_values", "orbits", "logarithm", "closed_forms", "measures_dim",
+      "constructions", "bary") + RUN_ANALYSIS),
     ("construct param --theta 3 --vhat 1/3 --beta0 rat:3/2 --beta1 root:1,1 --beta2 root:1,1,1"
-     " --N 5 --stages 3", ("logarithm", "closed_forms", "measures_dim")),
+     " --N 5 --stages 3", ("logarithm", "closed_forms", "measures_dim", "beta_values",
+                           "constructions", "bary") + RUN_ANALYSIS),
     ("dim local --theta 3 --vhat 1/3 --base 3 --stages 8", LAYOUT_ONLY + ("digit_sets",)),
     # a digit set is read without bary's expansions and words
     ("dim formula --theta 3 --vhat 1/3 --digit-set 0,2", NO_WORDS + ("layout", "measures_dim")),
     ("dim local --theta 3 --vhat 1/3 --base 3 --digit-set 0,2 --stages 8", NO_WORDS),
     ("dim local --theta 3 --vhat 1/3 --beta root:1,1 --N 3 --stages 3",
-     ("constructions", "beta_constructions", "digit_files", "beta_values")),
+     ("fills", "constructions", "beta_constructions", "digit_files", "beta_values", "orbits",
+      "bary") + RUN_ANALYSIS),
     # the integer-base exponent is counted by layout alone
     ("measure --sidecar e.digits.json --n 54",
-     LAYOUT_ONLY + ("closed_forms", "digit_sets", "measures_dim")),
-    ("measure --sidecar k.digits.json --n 54", LAYOUT_ONLY + ("closed_forms", "measures_dim")),
-    ("admissible count --beta root:1,1 --len 5", WORDS_ONLY),
-    ("admissible count --beta word:2,0,1,1 --len 50", WORDS_ONLY),
-    ("admissible count --beta word:2,(1,0) --len 50", WORDS_ONLY),
-    ("admissible count --beta int:3 --len 20", WORDS_ONLY),
+     LAYOUT_ONLY + ("closed_forms", "digit_sets", "measures_dim", "jsontext")),
+    ("measure --sidecar k.digits.json --n 54",
+     LAYOUT_ONLY + ("closed_forms", "measures_dim", "jsontext")),
+    ("admissible count --beta root:1,1 --len 5", GIVEN_BY_ONE),
+    ("admissible count --beta word:2,0,1,1 --len 50", GIVEN_BY_ONE),
+    ("admissible count --beta word:2,(1,0) --len 50", GIVEN_BY_ONE),
+    ("admissible count --beta int:3 --len 20", GIVEN_BY_ONE),
+    # a rational base's expansion of 1 is its greedy orbit of 1, stepped in
+    # ints: no roots, no numerics
     ("admissible count --beta rat:3/2 --len 20", WORDS_ONLY),
-    ("admissible count --beta int:3 --len 20 --renyi", WORDS_ONLY),
+    ("admissible count --beta int:3 --len 20 --renyi", GIVEN_BY_ONE),
     # the Rényi check reads beta through roots and numerics alone
     ("admissible count --beta root:1,1 --len 60 --renyi",
-     NO_GENERATOR + ("digit_files", "words", "beta_values")),
-    ("admissible check --beta root:1,1 --word 1,0,1", WORDS_ONLY),
+     NO_GENERATOR + ("digit_files", "words", "beta_values", "orbits")),
+    ("admissible check --beta root:1,1 --word 1,0,1", GIVEN_BY_ONE),
     ("admissible check --beta rat:3/2 --word 1,0,1,0,1", WORDS_ONLY),
-    ("admissible list --beta root:1,1,1 --len 4", WORDS_ONLY),
-    ("admissible list --beta int:2 --len 3", WORDS_ONLY),
-    ("cylinder --beta root:1,1 --word 1,0", NO_GENERATOR + ("digit_files",)),
+    ("admissible list --beta root:1,1,1 --len 4", GIVEN_BY_ONE),
+    ("admissible list --beta int:2 --len 3", GIVEN_BY_ONE),
+    # a cylinder steps no orbit and inverts no word
+    ("cylinder --beta root:1,1 --word 1,0", NO_GENERATOR + ("digit_files", "orbits")),
     ("expand --beta root:1,1 --x 1 --digits 5", NO_GENERATOR),
-    ("expand-one --beta int:3 --digits 4", NO_BETA),
-    ("expand-one --beta root:1,1,1 --digits 8", NO_BETA),
+    # a rational base's greedy digits read no beta as an interval
+    ("expand --beta rat:3/2 --x 1/2 --digits 5",
+     NO_GENERATOR + ("numerics", "roots", "beta_values")),
+    ("expand-one --beta int:3 --digits 4", NO_BETA + ("orbits",)),
+    ("expand-one --beta root:1,1,1 --digits 8", NO_BETA + ("orbits",)),
+    # a root whose coefficients are not its expansion of 1: its certified orbit
+    ("expand-one --beta root:1,0,2 --digits 8", NO_GENERATOR + ("beta_values",)),
     # self-admissibility is the automaton's alone
-    ("parry check --word 1,1,0", WORDS_ONLY + ("beta_shift",)),
-    ("parry invert --word 1,1 --bits 64", NO_GENERATOR + ("digit_files",)),
+    ("parry check --word 1,1,0", WORDS_ONLY + ("beta_shift", "orbits")),
+    ("parry invert --word 1,1 --bits 64", NO_GENERATOR + ("digit_files", "beta_values", "orbits")),
 ]
 
 
@@ -764,7 +797,7 @@ def test_command_footprint(sidecars, command, unused):
     loaded = _loaded(_cli("-S", "-c", RUN_MAIN, *command.split(), cwd=sidecars))
     assert not {f"betadio.{layer}" for layer in unused} & loaded
     name = command.split()[0]
-    own = {f"betadio.commands.{_COMMANDS[name][0]}"} if name in _COMMANDS else set()
+    own = {f"betadio.commands.{name.replace('-', '_')}"} if name in _COMMANDS else set()
     assert {m for m in loaded if m.startswith("betadio.commands.")} == own
     if command == "--version":
         loaded -= {"argparse", "gettext", "locale"}
@@ -791,6 +824,29 @@ INT_COMMANDS = [
 def test_int_commands_load_no_fractions_or_digit_words(sidecars, command):
     loaded = _loaded(_cli("-S", "-c", RUN_MAIN, *command.split(), cwd=sidecars))
     assert not {"fractions", "decimal", "numbers", "betadio.words"} & loaded
+
+
+# JSON is written by jsontext, the same bytes as json.dumps(..., indent=2);
+# json is imported only to read a sidecar, and measure writes with it too
+JSON_COMMANDS = [
+    ("cylinder --beta root:1,1 --word 1,0", False),
+    ("admissible count --beta root:1,1 --len 60 --renyi", False),
+    ("dim local --theta 3 --vhat 1/3 --base 3 --stages 8", False),
+    ("dim local --theta 3 --vhat 1/3 --beta root:1,1 --N 3 --stages 3", False),
+    ("reprove --v 1 --thetas 4 8", False),
+    ("construct bary --theta 3 --vhat 1/3 --base 3 --stages 6 -o c.digits", False),
+    ("construct beta --theta 3 --vhat 1/3 --beta root:1,1 --N 3 --stages 4 -o b.digits", False),
+    ("expand-one --beta int:3 --digits 4 -o one.digits", False),
+    ("measure --sidecar e.digits.json --n 54", True),
+    ("measure --sidecar k.digits.json --n 54", True),
+]
+
+
+@pytest.mark.parametrize("command, reads", JSON_COMMANDS, ids=[c for c, _r in JSON_COMMANDS])
+def test_only_a_command_that_reads_json_imports_json(sidecars, command, reads):
+    loaded = _loaded(_cli("-S", "-c", RUN_MAIN, *command.split(), cwd=sidecars))
+    assert ("json" in loaded) is reads
+    assert ("betadio.jsontext" in loaded) is not reads
 
 
 MAIN_PATH = [

@@ -55,7 +55,7 @@ def random_argv(rng) -> list[str]:
     """A command's arguments in random order, most of them well formed, then
     up to three corruptions drawn from JUNK, duplicates and dropped tokens."""
     name = rng.choice(list(cli._COMMANDS))
-    arguments = [*cli._COMMANDS[name][2], cli._OUTPUT]
+    arguments = [*cli._COMMANDS[name][1], cli._OUTPUT]
     rng.shuffle(arguments)
     argv = [name]
     for flags, kind, default, *_help in arguments:
@@ -120,11 +120,11 @@ def test_reader_declines(argv):
 
 def test_option_help_comes_from_the_table(parser):
     """An argument's optional fifth field is its argparse help text."""
-    assert cli._COMMANDS["expand"][2][3][4] == "rational v for the sparse series, or squared-power"
-    assert cli._COMMANDS["admissible"][2][4][4] == "attach the count bounds check"
+    assert cli._COMMANDS["expand"][1][3][4] == "rational v for the sparse series, or squared-power"
+    assert cli._COMMANDS["admissible"][1][4][4] == "attach the count bounds check"
     assert cli._OUTPUT[4] == "write to file instead of stdout"
     subparsers = parser._subparsers._group_actions[0].choices
-    for name, (_fn, _summary, arguments, *_pairs) in cli._COMMANDS.items():
+    for name, (_summary, arguments, *_pairs) in cli._COMMANDS.items():
         helps = {a.dest: a.help for a in subparsers[name]._actions}
         for flags, _kind, _default, *text in (*arguments, cli._OUTPUT):
             assert helps[cli._dest(flags)] == (text[1] if text[1:] else None), (name, flags)
@@ -172,7 +172,7 @@ def value(kind) -> list[str]:
 
 def actions(name) -> tuple:
     """The command's actions, or ("",) when it has no positional."""
-    return next((kind for flags, kind, *_r in cli._COMMANDS[name][2] if flags[0] != "-"), ("",))
+    return next((kind for flags, kind, *_r in cli._COMMANDS[name][1] if flags[0] != "-"), ("",))
 
 
 def reads(row, action) -> str:
@@ -185,7 +185,7 @@ def valid_argv(name, action, without=()) -> list[str]:
     """The command with its action, every option that the action requires,
     and the first of each "A or B" pair; none of the options in without, and
     no "A needs B" rule's A."""
-    _module, _summary, rows, *pairs = cli._COMMANDS[name]
+    _summary, rows, *pairs = cli._COMMANDS[name]
     argv = [name, action] if action else [name]
     for row in rows:
         flags, kind, default = row[:3]
@@ -202,7 +202,7 @@ def refusals():
     """(argv, message) for every option an action does not read, every
     excluded pair given together, every required option left out, and every
     option given without the option or value it is read with."""
-    for name, (_module, _summary, rows, *pairs) in cli._COMMANDS.items():
+    for name, (_summary, rows, *pairs) in cli._COMMANDS.items():
         kinds = {row[0]: row[1] for row in rows}
         for action in actions(name):
             what = f"{name} {action}".strip()
@@ -254,7 +254,7 @@ def test_the_check_refuses(tmp_path, capsys, argv, message):
 def partners(name, action, flags) -> list[str]:
     """The options, with their values, that "A needs B" rules ask of the
     option flags under the action."""
-    _module, _summary, rows, *pairs = cli._COMMANDS[name]
+    _summary, rows, *pairs = cli._COMMANDS[name]
     argv = []
     for *only, first, _needs, second in (pair.split() for pair in pairs if "needs" in pair):
         flag, _eq, needed = second.partition("=")
@@ -268,7 +268,7 @@ def least_values():
     """(argv, message, argv at the least value) for every integer option whose
     row gives a least value, once as two tokens (the exact-match reader) and
     once as --flag=value (argparse)."""
-    for name, (_module, _summary, rows, *_pairs) in cli._COMMANDS.items():
+    for name, (_summary, rows, *_pairs) in cli._COMMANDS.items():
         for row in rows:
             flags, least = row[:2]
             if not isinstance(least, int):

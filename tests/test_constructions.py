@@ -5,7 +5,6 @@ import pytest
 
 from betadio import numerics
 from betadio.automaton import is_self_admissible
-from betadio.bary import exponents_of_word
 from betadio.beta_constructions import generate_beta, generate_parameter_space
 from betadio.beta_shift import BetaSystem, is_admissible
 from betadio.cli import main
@@ -18,6 +17,7 @@ from betadio.errors import (
     PrecisionExhausted,
     PrefixConditionFailed,
 )
+from betadio.exponents import exponents_of_word
 from betadio.layout import FREE, beta_layout, free_digit_count, layout_segments, schedule
 
 F = Fraction

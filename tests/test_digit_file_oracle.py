@@ -21,8 +21,7 @@ from fractions import Fraction
 
 import pytest
 
-from betadio import bary, constructions, digit_files
-from betadio.bary import Run, exponents_of_word
+from betadio import constructions, digit_files, exponents, fills
 from betadio.constructions import (
     FillPolicy,
     _enforce_run_caps,
@@ -30,6 +29,7 @@ from betadio.constructions import (
 )
 from betadio.digit_sets import DigitSet
 from betadio.digit_files import read_digit_file, write_digit_blocks, write_digit_file
+from betadio.exponents import Run, exponents_of_word
 from betadio.layout import FREE, MARKER, RUN, Segment, layout_segments, schedule
 from betadio.words import DigitWord
 
@@ -88,8 +88,8 @@ def oracle_monotone(digits, b=None, kinds=("zeros", "top")):
 
 def scanned_monotone(w, kinds=("zeros", "top")):
     """The monotone runs of w as ``exponents_of_blocks`` scans them."""
-    return bary._monotone_runs([bary._run_view(w.data, w.base)],
-                               bary._run_symbols(w.base, kinds))[0]
+    return exponents._monotone_runs([exponents._run_view(w.data, w.base)],
+                                    exponents._run_symbols(w.base, kinds))[0]
 
 
 def oracle_break_digit(run_symbol, allowed, b):
@@ -311,7 +311,7 @@ def test_monotone_runs_match_oracle(kinds, base):
         got = exponents_of_word(w, kinds=kinds)
         if len(want_mono) >= 2:
             assert got.trajectory and got.trajectory[-1][0] == len(want_mono)
-            assert got == bary._estimate(want_mono, len(w))
+            assert got == exponents._estimate(want_mono, len(w))
         else:
             assert (got.v_lower, got.v_hat_lower, got.trajectory, got.window) == (0, 0, [], 0)
 
@@ -370,7 +370,7 @@ def test_run_caps_match_oracle_on_random_layouts(b, allowed):
 def test_run_scans_match_oracle_with_a_short_probe(monkeypatch, probe):
     """A run longer than the probe is found by its first copies and then
     measured: a probe of 1 or 3 copies finds the runs a full block finds."""
-    monkeypatch.setattr(bary, "_PROBE", probe)
+    monkeypatch.setattr("betadio.runs._PROBE", probe)
     rng = random.Random(probe)
     for b in (2, 3, 10):
         w = runny_word(rng, b, 20_000, touch_ends=True)
@@ -407,7 +407,7 @@ def test_random_fill_in_blocks_matches_one_draw_per_segment(monkeypatch, b, bloc
     ``generate_bary`` in windows of ``block`` positions makes the word of
     the oracle fill and run caps.  The free segments here are up to 6560
     digits long."""
-    monkeypatch.setattr(constructions, "_BLOCK", block)
+    monkeypatch.setattr(fills, "_BLOCK", block)
     runs = schedule((3, 1), (1, 3), 8)
     for S in digit_sets(b):
         allowed = tuple(range(b)) if S is None else tuple(sorted(S.digits))
@@ -434,7 +434,7 @@ def test_random_fill_of_a_long_word_is_the_one_draw_word():
     want, free = _prescribed(segs)
     oracle_random_fill(want, free, 5, tuple(range(10)))
     _enforce_run_caps(want, segs, free, 10, tuple(range(10)), [])
-    assert max(seg.hi - seg.lo + 1 for seg in free) > 10 * constructions._BLOCK
+    assert max(seg.hi - seg.lo + 1 for seg in free) > 10 * fills._BLOCK
     assert word.data == want
 
 

@@ -121,7 +121,7 @@ def argvs(draw):
     the options the action needs mostly, those it reads half the time, and
     now and then one it does not read; then a BETADIO_PRECISION."""
     name = draw(st.sampled_from(sorted(cli._COMMANDS)))
-    rows = cli._COMMANDS[name][2]
+    rows = cli._COMMANDS[name][1]
     action = next((draw(st.sampled_from(k)) for f, k, *_r in rows if f[0] != "-"), "")
     argv = [name, action] if action and chance(draw, 9) else [name]
     for flags, kind, default, *reads in (*rows, cli._OUTPUT):

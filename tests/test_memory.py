@@ -18,12 +18,13 @@ from fractions import Fraction
 import pytest
 
 import betadio
-from betadio.bary import expand_rational, exponents_of_blocks, lacunary_blocks, rational_blocks
+from betadio.bary import expand_rational, lacunary_blocks, rational_blocks
 from betadio.beta_constructions import beta_blocks, generate_beta
 from betadio.beta_shift import BetaSystem, expansion_of_one_star
-from betadio.beta_values import greedy_expand
 from betadio.constructions import FillPolicy, bary_blocks, generate_bary
 from betadio.digit_files import read_digit_blocks, read_digit_file, write_digit_blocks, write_digit_file
+from betadio.exponents import exponents_of_blocks
+from betadio.orbits import greedy_expand
 from betadio.words import DigitWord
 
 PER_DIGIT = 1.25

@@ -26,7 +26,7 @@ README = PACKAGE.parent.parent / "README.md"
 # (module, function, parameter): the command-line option it mirrors
 ENTRY_POINTS = {
     ("constructions", "generate_bary", "fill"): "construct bary|restricted --fill",
-    ("bary", "exponents_of_word", "kinds"): "exponents --zeros-only",
+    ("exponents", "exponents_of_word", "kinds"): "exponents --zeros-only",
     ("cli", "main", "argv"): "the command line itself (sys.argv)",
 }
 

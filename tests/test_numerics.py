@@ -15,7 +15,7 @@ from betadio.errors import DegenerateApproximant, NoRoot, PrecisionExhausted
 from betadio.logarithm import ln, ln_int
 from betadio.numerics import DEFAULT_PRECISION, Comparison, Scalar
 from betadio.beta_shift import BetaSystem
-from betadio.beta_values import is_exact_root, poly_eval, poly_gcd
+from betadio.orbits import is_exact_root, poly_eval, poly_gcd
 from betadio.record import Record
 from betadio.roots import PolyRoot, isolate_root
 from test_beta_shift import ORBIT_BASES

@@ -6,9 +6,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from betadio.bary import Run
 from betadio.constructions import FillPolicy
 from betadio.digit_sets import DigitSet
+from betadio.exponents import Run
 from betadio.layout import schedule
 from betadio.measures_dim import DimensionReport, MeasureValue
 

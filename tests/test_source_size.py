@@ -57,13 +57,40 @@ def test_no_module_is_above_the_token_cap():
     assert not over, f"modules above {MAX_TOKENS} tokens: {over}"
 
 
-# the betadio tokens each command compiles under -S: counting and checking
-# the words of a base given by its expansion of 1 reads no digit word, no
-# polynomial over Q and no beta (9855, 9855 and 7203 tokens when they did)
+# the betadio tokens each command compiles under -S, one per command path of
+# the benchmark: each subcommand compiles its own handler module alone, a
+# base given by its expansion of 1 no greedy orbit (orbits), a cylinder no
+# orbit and no base of a word, an expansion or a construction no run
+# analysis (exponents), and a real-base construction not the integer-base
+# one.  A command that writes JSON compiles jsontext, in place of importing
+# json; measure reads its sidecar with json and writes with it too.
 COMPILE_BUDGET = {
-    "admissible count --beta root:1,1 --len 5": 8777,
-    "admissible check --beta root:1,1 --word 1,0,1": 8777,
-    "parry check --word 1,1,0": 6147,
+    "admissible count --beta root:1,1 --len 5": 7435,
+    "admissible check --beta root:1,1 --word 1,0,1": 7435,
+    "admissible list --beta root:1,1,1 --len 4": 7435,
+    "admissible count --beta root:1,1 --len 60 --renyi": 11811,
+    "admissible count --beta int:3 --len 20 --renyi": 7853,
+    "admissible count --beta rat:3/2 --len 20": 9032,
+    "admissible check --beta rat:3/2 --word 1,0,1,0,1": 9032,
+    "cylinder --beta root:1,1 --word 1,0": 13065,
+    "parry check --word 1,1,0": 5394,
+    "parry invert --word 1,1 --bits 64": 9352,
+    "expand --base 10 --x 1/7 --digits 20": 5397,
+    "expand --beta root:1,1,1 --x 1/3 --digits 20": 14537,
+    "expand-one --beta int:3 --digits 4": 8804,
+    "expand-one --beta root:1,0,2 --digits 30": 14359,
+    "exponents --input e.digits": 7006,
+    "construct bary --theta 3 --vhat 1/3 --base 3 --stages 6 -o c.digits": 10285,
+    "construct restricted --theta 3 --vhat 1/3 --base 3 --digit-set 0,2 --fill random"
+    " -o c.digits": 10285,
+    "construct beta --theta 3 --vhat 1/3 --beta root:1,1 --N 3 --stages 4 -o c.digits": 13393,
+    "construct param --theta 3 --vhat 1/3 --beta0 rat:3/2 --beta1 root:1,1 --beta2 root:1,1,1"
+    " --N 5 --stages 3 -o c.digits": 18948,
+    "measure --sidecar e.digits.json --n 54": 5354,
+    "measure --sidecar b.digits.json --n 40": 13709,
+    "dim local --theta 3 --vhat 1/3 --base 3 --stages 8": 8064,
+    "dim local --theta 3 --vhat 1/3 --beta root:1,1 --N 3 --stages 3": 16903,
+    "dim formula --theta 3 --vhat 1/3": 4304,
 }
 LOADED_FILES = ("import sys, betadio.cli\n"
                 "try:\n"
@@ -73,10 +100,23 @@ LOADED_FILES = ("import sys, betadio.cli\n"
                 "            if name.startswith('betadio')), file=sys.stderr)\n")
 
 
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A directory holding e.digits, an integer-base construction, and
+    b.digits, a real-base one, each with its sidecar."""
+    root = tmp_path_factory.mktemp("budget")
+    for argv in (["bary", "--base", "3", "--stages", "8", "-o", "e.digits"],
+                 ["beta", "--beta", "root:1,1", "--N", "3", "--stages", "4", "-o", "b.digits"]):
+        subprocess.run([sys.executable, "-m", "betadio.cli", "construct", *argv[:1], "--theta", "3",
+                        "--vhat", "1/3", *argv[1:]], cwd=root, check=True,
+                       env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)))
+    return root
+
+
 @pytest.mark.parametrize("command", COMPILE_BUDGET)
-def test_a_command_on_a_base_s_words_compiles_within_its_budget(command):
+def test_a_command_on_a_base_s_words_compiles_within_its_budget(inputs, command):
     proc = subprocess.run([sys.executable, "-S", "-c", LOADED_FILES, *command.split()],
-                          env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+                          env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)), cwd=inputs,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     files = proc.stderr.splitlines()[-1].split()

@@ -16,8 +16,8 @@ from fractions import Fraction
 
 import pytest
 
-from betadio import bary, constructions, digit_files
-from betadio.bary import exponents_of_blocks, exponents_of_word, lacunary_blocks, rational_blocks
+from betadio import bary, digit_files, fills
+from betadio.bary import lacunary_blocks, rational_blocks
 from betadio.beta_constructions import generate_beta
 from betadio.beta_shift import BetaSystem
 from betadio.cli import main
@@ -33,6 +33,7 @@ from betadio.digit_files import (
     write_digit_blocks,
     write_digit_file,
 )
+from betadio.exponents import exponents_of_blocks, exponents_of_word
 from betadio.digit_sets import DigitSet
 from betadio.errors import InfeasibleParameters
 from betadio.words import DigitWord
@@ -91,9 +92,9 @@ def test_generate_bary_in_small_windows_is_the_one_window_word(monkeypatch, base
     for fill in ("random", "const:0", "const:1", "const:4", "const:9"):
         for theta, vhat in [(F(3), F(1, 3)), (F(2), F(1, 5)), (F(5, 2), F(1, 2))]:
             policy = FillPolicy.parse(fill, seed=7)
-            monkeypatch.setattr(constructions, "_BLOCK", 1 << 20)
+            monkeypatch.setattr(fills, "_BLOCK", 1 << 20)
             whole = generate_bary(base, theta, vhat, 5, policy)
-            monkeypatch.setattr(constructions, "_BLOCK", window)
+            monkeypatch.setattr(fills, "_BLOCK", window)
             out = generate_bary(base, theta, vhat, 5, policy)
             assert (out.word, out.clamps) == (whole.word, whole.clamps), (fill, theta, vhat)
             assert out.to_dict() == whole.to_dict()
@@ -106,9 +107,9 @@ def test_generate_beta_in_small_windows_is_the_one_window_word(monkeypatch, spec
     base = BetaSystem.parse(spec)
     for fill in ("random", "const:0", "const:1"):
         policy = FillPolicy.parse(fill, seed=3)
-        monkeypatch.setattr(constructions, "_BLOCK", 1 << 20)
+        monkeypatch.setattr(fills, "_BLOCK", 1 << 20)
         whole = generate_beta(base, 3, F(3), F(1, 3), 4, policy)
-        monkeypatch.setattr(constructions, "_BLOCK", window)
+        monkeypatch.setattr(fills, "_BLOCK", window)
         out = generate_beta(base, 3, F(3), F(1, 3), 4, policy)
         assert (out.word, out.clamps) == (whole.word, whole.clamps), fill
         assert type(out.word.data) is type(whole.word.data)
@@ -239,7 +240,7 @@ def test_exponents_of_a_construction_in_blocks():
                            FillPolicy.parse("random", 4))),
 ])
 def test_construct_streams_the_library_word(monkeypatch, tmp_path, capsys, argv, word):
-    monkeypatch.setattr(constructions, "_BLOCK", 5)
+    monkeypatch.setattr(fills, "_BLOCK", 5)
     out = word()
     path = tmp_path / "w.digits"
     assert main(argv.split() + ["-o", str(path)]) == 0

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from betadio.bary import exponents_of_word
+from betadio.exponents import exponents_of_word
 from betadio.cli import main
 from betadio.digit_files import read_digit_file, write_digit_file
 from betadio.automaton import PeriodicWord, compare_words
